@@ -1,0 +1,8 @@
+"""Import the benchmark modules and the checkout's tbcurv, as run.py does."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parent.parent / "src"))
