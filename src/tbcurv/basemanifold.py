@@ -4,8 +4,8 @@ A ChartManifold is a single coordinate box with a metric component
 function x -> g_ab(x).  Catalog entries (flat space, round spheres,
 hyperbolic balls, conformally flat polynomials) ship analytic Christoffel
 symbols and their Jacobians, which keeps the curvature assembly exact up
-to rounding; custom metrics fall back to central differences with per-axis
-steps h = eps^(1/3) * max(1, |x|) and optional Richardson extrapolation.
+to rounding; custom metrics fall back to Richardson-extrapolated central
+differences on the stencils of the step table in ``numdiff``.
 
 Curvature sign convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z, lowered as rlow[i,j,k,l] = g(R(d_i,d_j)d_k, d_l).  With
@@ -27,10 +27,11 @@ from .errors import (
     StencilOutOfDomainError,
 )
 from .numdiff import (
-    EPS_THIRD,
+    CONNECTION,
+    NABLA_EXACT,
+    NABLA_FD,
     christoffel_jacobian_from_jets,
     christoffels_from_jets,
-    default_steps,
     matrix_jets,
     project_curvature_symmetries,
     riemann_from_christoffels,
@@ -55,8 +56,6 @@ __all__ = [
 
 CATALOG_IDS = ("euclidean", "sphere", "hyperbolic", "torus-conformal")
 
-_EPS_SIXTH = float(np.finfo(float).eps ** (1.0 / 6.0))
-
 
 def _check_spd(g: np.ndarray, where: str) -> None:
     try:
@@ -76,7 +75,11 @@ class ChartManifold:
     christoffels_fn : optional x -> gamma[a, b, c] = Gamma^a_bc
     christoffel_jacobian_fn : optional x -> dgamma[p, a, b, c] = d_p Gamma^a_bc
     catalog_id, params : provenance for reports
-    fd_richardson : use Richardson-extrapolated stencils on the fallback path
+
+    Missing connection data is differentiated on the stencils of
+    ``numdiff``'s step table.  Each public method checks its point once
+    against the reach of everything it evaluates; the points inside a
+    stencil are not checked again (``check=False`` marks those calls).
     """
 
     def __init__(
@@ -89,8 +92,6 @@ class ChartManifold:
         christoffel_jacobian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         catalog_id: str = "custom",
         params: Optional[dict] = None,
-        fd_richardson: bool = True,
-        fd_base_step: float = EPS_THIRD,
     ):
         if dim < 2:
             raise ValueError("dim must be >= 2")
@@ -102,8 +103,6 @@ class ChartManifold:
         self.christoffel_jacobian_fn = christoffel_jacobian_fn
         self.catalog_id = catalog_id
         self.params = dict(params or {})
-        self.fd_richardson = fd_richardson
-        self.fd_base_step = fd_base_step
 
     def __repr__(self) -> str:
         return f"ChartManifold({self.catalog_id!r}, dim={self.dim})"
@@ -114,61 +113,70 @@ class ChartManifold:
         g = np.asarray(self.metric_fn(np.asarray(x, dtype=float)), dtype=float)
         return 0.5 * (g + g.T)
 
-    def check_interior(self, x: np.ndarray, stencil_radii: float = 5.0) -> None:
-        """Enforce the chart-boundary margin of 5 stencil radii."""
+    def check_interior(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> None:
+        """Require the box x +- reach (per axis) strictly inside the chart."""
         x = np.asarray(x, dtype=float)
-        margin = stencil_radii * default_steps(x, self.fd_base_step)
-        if np.any(x - margin < self.lo) or np.any(x + margin > self.hi):
+        if np.any(x - reach <= self.lo) or np.any(x + reach >= self.hi):
             raise StencilOutOfDomainError(
-                f"point {x.tolist()} too close to the chart boundary of "
-                f"{self.catalog_id} (margin {stencil_radii} stencil radii)"
+                f"point {x.tolist()} is not inside the {self.catalog_id} chart "
+                f"{self.lo.tolist()}..{self.hi.tolist()} by the finite-difference "
+                f"reach {float(np.max(reach)):.3g}"
             )
+
+    # -- reach: how far from x a computation evaluates the metric -------------
+
+    def christoffel_reach(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros(self.dim) if self.christoffels_fn else CONNECTION.reach(x)
+
+    def christoffel_jacobian_reach(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros(self.dim) if self.christoffel_jacobian_fn else CONNECTION.reach(x)
+
+    def riemann_reach(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(self.christoffel_reach(x), self.christoffel_jacobian_reach(x))
 
     # -- connection ----------------------------------------------------------
 
-    def christoffels(self, x: np.ndarray) -> np.ndarray:
+    def christoffels(self, x: np.ndarray, *, check: bool = True) -> np.ndarray:
         """Gamma^a_bc at x; analytic when the catalog provides it."""
         x = np.asarray(x, dtype=float)
-        self.check_interior(x)
+        if check:
+            self.check_interior(x, self.christoffel_reach(x))
         _check_spd(self.metric(x), f"x={x.tolist()}")
         if self.christoffels_fn is not None:
             return np.asarray(self.christoffels_fn(x), dtype=float)
-        steps = default_steps(x, self.fd_base_step)
-        g, dg, _ = matrix_jets(self.metric, x, steps, richardson=self.fd_richardson)
+        g, dg, _ = matrix_jets(self.metric, x, CONNECTION, second=False)
         return christoffels_from_jets(g, dg)
 
-    def christoffel_jacobian(self, x: np.ndarray) -> np.ndarray:
+    def christoffel_jacobian(self, x: np.ndarray, *, check: bool = True) -> np.ndarray:
         """d_p Gamma^a_bc at x."""
         x = np.asarray(x, dtype=float)
-        self.check_interior(x)
+        if check:
+            self.check_interior(x, self.christoffel_jacobian_reach(x))
         if self.christoffel_jacobian_fn is not None:
             return np.asarray(self.christoffel_jacobian_fn(x), dtype=float)
         if self.christoffels_fn is not None:
             # FD of the analytic Christoffels.
-            steps = default_steps(x, self.fd_base_step)
             _, dgamma, _ = matrix_jets(
                 lambda y: np.asarray(self.christoffels_fn(y), dtype=float),
-                x,
-                steps,
-                richardson=self.fd_richardson,
+                x, CONNECTION, second=False,
             )
             return dgamma
-        # Second metric derivatives need a larger step than eps^(1/3):
-        # rounding grows as eps / h^2 in the d2 stencil.  eps^(1/6) with
-        # Richardson keeps truncation and rounding both near 1e-9.
-        steps = default_steps(x, max(self.fd_base_step, _EPS_SIXTH))
-        g, dg, d2g = matrix_jets(self.metric, x, steps, richardson=self.fd_richardson)
+        g, dg, d2g = matrix_jets(self.metric, x, CONNECTION)
         return christoffel_jacobian_from_jets(g, dg, d2g)
 
     # -- curvature -----------------------------------------------------------
 
-    def riemann(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def riemann(
+        self, x: np.ndarray, *, check: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate curvature (rup, rlow) at x under the pinned convention."""
         x = np.asarray(x, dtype=float)
+        if check:
+            self.check_interior(x, self.riemann_reach(x))
         g = self.metric(x)
         _check_spd(g, f"x={x.tolist()}")
-        gamma = self.christoffels(x)
-        dgamma = self.christoffel_jacobian(x)
+        gamma = self.christoffels(x, check=False)
+        dgamma = self.christoffel_jacobian(x, check=False)
         return riemann_from_christoffels(g, gamma, dgamma)
 
     def riemann_lowered(self, x: np.ndarray) -> np.ndarray:
@@ -178,20 +186,12 @@ class ChartManifold:
         """Covariant derivative (nabla_p R)_abcd, the tensorial formula
         d_p R_abcd minus Gamma corrections on all four slots."""
         x = np.asarray(x, dtype=float)
-        self.check_interior(x)
-        gamma = self.christoffels(x)
-        rlow = self.riemann_lowered(x)
-        analytic = self.christoffel_jacobian_fn is not None
-        base = EPS_THIRD if analytic else 5e-4
-        steps = default_steps(x, base)
-        n = self.dim
-        drlow = np.zeros((n, n, n, n, n))
-        for p in range(n):
-            e = np.zeros(n)
-            e[p] = steps[p]
-            drlow[p] = (self.riemann_lowered(x + e) - self.riemann_lowered(x - e)) / (
-                2.0 * steps[p]
-            )
+        stencil = NABLA_EXACT if self.christoffel_jacobian_fn else NABLA_FD
+        self.check_interior(x, stencil.reach(x, inner=self.riemann_reach))
+        gamma = self.christoffels(x, check=False)
+        rlow, drlow, _ = matrix_jets(
+            lambda y: self.riemann(y, check=False)[1], x, stencil, second=False
+        )
         corr = (
             np.einsum("mpa,mbcd->pabcd", gamma, rlow)
             + np.einsum("mpb,amcd->pabcd", gamma, rlow)
@@ -246,6 +246,7 @@ def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFram
     keeps runs reproducible."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
+    M.check_interior(q)
     g = M.metric(q)
     _check_spd(g, f"q={q.tolist()}")
     t = math.sqrt(max(float(v @ g @ v), 0.0))

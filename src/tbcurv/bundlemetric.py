@@ -63,9 +63,10 @@ def connection_split(
 
 
 def induced_metric(
-    M: ChartManifold, fam: NaturalMetricFamily, p: BundlePoint
+    M: ChartManifold, fam: NaturalMetricFamily, p: BundlePoint, *, check: bool = True
 ) -> np.ndarray:
-    """The 2n x 2n matrix of G over (d/dx^1..d/dx^n, d/dv^1..d/dv^n)."""
+    """The 2n x 2n matrix of G over (d/dx^1..d/dx^n, d/dv^1..d/dv^n).
+    ``check=False``: the caller has checked p.x (a stencil point)."""
     n = M.dim
     g = M.metric(p.x)
     t_sq = float(p.v @ g @ p.v)
@@ -73,7 +74,7 @@ def induced_metric(
     alpha = fam.alpha_at(t_sq)
     beta = fam.beta_at(t_sq)
 
-    gamma = M.christoffels(p.x)
+    gamma = M.christoffels(p.x, check=check)
     # K(d/dx^c)^a = w[a, c];  K(d/dv^c)^a = delta_ac.
     w = np.einsum("abc,b->ac", gamma, p.v)
     gv = g @ p.v

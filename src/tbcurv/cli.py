@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import closedform
 from .basemanifold import ChartManifold, adapted_frame, frame_curvature, make_manifold
-from .bundlemetric import BundlePoint
-from .errors import ConfigError, TbcurvError
+from .bundlemetric import BundlePoint, squared_norm
+from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from .metricfamily import NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
 from .oracle import OracleConfig, compare
 
@@ -112,12 +113,6 @@ def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
         orc["tol_abs"] = args.tol_abs
     if args.tol_rel is not None:
         orc["tol_rel"] = args.tol_rel
-    if args.steps is not None:
-        orc["base_step"] = args.steps
-    if args.strategy is not None:
-        orc["step_strategy"] = args.strategy
-    if args.workers is not None:
-        orc["workers"] = args.workers
     if orc:
         cfg["oracle"] = orc
     return cfg
@@ -199,6 +194,14 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
             directions = [d.tolist()]
         for xs in base_points:
             x = np.asarray(xs, dtype=float)
+            if x.shape != (M.dim,):
+                raise ConfigError(
+                    f"grid base point {xs} has wrong dimension (manifold dim {M.dim})"
+                )
+            try:
+                M.check_interior(x)
+            except StencilOutOfDomainError as exc:
+                raise ConfigError(f"grid base point: {exc}")
             g = M.metric(x)
             for d in directions:
                 d = np.asarray(d, dtype=float)
@@ -214,16 +217,14 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
 
 def _resolve_oracle(cfg: dict) -> OracleConfig:
     orc = cfg.get("oracle") or {}
+    unknown = sorted(set(orc) - {"tol_abs", "tol_rel"})
+    if unknown:
+        raise ConfigError(f"unsupported oracle settings {unknown}: only tol_abs "
+                          "and tol_rel are settable, the steps are fixed")
     try:
-        return OracleConfig(
-            step_strategy=orc.get("step_strategy", "richardson"),
-            base_step=orc.get("base_step"),
-            tol_abs=orc.get("tol_abs"),
-            tol_rel=orc.get("tol_rel"),
-            workers=orc.get("workers"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        return OracleConfig(**orc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad oracle tolerance: {exc}")
 
 
 # --------------------------------------------------------------------------
@@ -294,11 +295,17 @@ def cmd_family_check(cfg: dict, samples: int = 4096) -> int:
     h_zero = max_h <= 1e-8
     if f_zero:
         # F == 0 forces the flatness beta, alpha*Delta = phi^2, phi > 0, H == 0.
+        # Deviations relative to the reference value (absolute below 1), so
+        # the 1e-8 bound stays above one ulp where the family grows large.
         beta_ref = flatness_beta(fam.alpha)
         grid = np.linspace(0.0, t_hi, 512)
-        beta_dev = max(abs(fam.beta_at(t) - beta_ref.value(t)) for t in grid)
+
+        def rel_dev(value: float, ref: float) -> float:
+            return abs(value - ref) / max(1.0, abs(ref))
+
+        beta_dev = max(rel_dev(fam.beta_at(t), beta_ref.value(t)) for t in grid)
         prod_dev = max(
-            abs(fam.alpha_at(t) * fam.delta_at(t) - fam.phi_at(t) ** 2) for t in grid
+            rel_dev(fam.alpha_at(t) * fam.delta_at(t), fam.phi_at(t) ** 2) for t in grid
         )
         checks = [
             ("beta equals the flatness combination", beta_dev <= 1e-8),
@@ -424,6 +431,14 @@ def _constant_curvature_of(M: ChartManifold) -> Optional[float]:
     return None
 
 
+def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
+    """|v|_g for an error row; nan where the metric gives no real norm."""
+    try:
+        return math.sqrt(squared_norm(M, p.x, p.v))
+    except (ArithmeticError, ValueError):
+        return float("nan")
+
+
 def cmd_scan(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
@@ -463,7 +478,7 @@ def cmd_scan(cfg: dict) -> int:
             rows.append(
                 {
                     **base,
-                    "v_norm": float(np.linalg.norm(p.v)),
+                    "v_norm": _v_norm(M, p),
                     "scalar_general": float("nan"),
                     "scalar_special": float("nan"),
                     "F": float("nan"),
@@ -518,11 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--tol-abs", type=float)
         p.add_argument("--tol-rel", type=float)
-        p.add_argument("--steps", type=float, help="finite-difference base step")
-        p.add_argument(
-            "--strategy", choices=("fixed", "scaled", "richardson"), dest="strategy"
-        )
-        p.add_argument("--workers", type=int)
         p.add_argument("--samples", type=int, default=4096,
                        help="family-check validation grid size")
     return parser

@@ -16,13 +16,17 @@ K(X, Y) = g(R(X, Y)Y, X) for orthonormal X, Y.
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "EPS_THIRD",
-    "default_steps",
+    "Stencil",
+    "CONNECTION",
+    "NABLA_EXACT",
+    "NABLA_FD",
+    "ORACLE",
     "matrix_jets",
     "christoffels_from_jets",
     "christoffel_jacobian_from_jets",
@@ -30,13 +34,57 @@ __all__ = [
     "project_curvature_symmetries",
 ]
 
-_EPS = np.finfo(float).eps
-EPS_THIRD = _EPS ** (1.0 / 3.0)  # ~6.1e-6, the classic central-difference step
+_EPS = float(np.finfo(float).eps)
 
 
-def default_steps(x: np.ndarray, base: float = EPS_THIRD) -> np.ndarray:
-    """Per-axis steps h_p = base * max(1, |x_p|)."""
-    return base * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
+@dataclass(frozen=True)
+class Stencil:
+    """Central differences with per-axis steps h_p = base * max(1, |x_p|).
+
+    With ``richardson`` the O(h^2) estimates at h and h/2 are combined into
+    O(h^4) ones, (4 D(h/2) - D(h)) / 3.  Every point a stencil evaluates
+    lies within ``steps(x)`` of x on each axis, mixed second differences
+    included.
+    """
+
+    base: float
+    richardson: bool
+
+    def steps(self, x: np.ndarray) -> np.ndarray:
+        return self.base * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
+
+    def reach(
+        self,
+        x: np.ndarray,
+        inner: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Per-axis distance from x of every point the computation touches.
+
+        ``inner(y)`` is the reach of the function evaluated at each stencil
+        point y; it must not shrink as |y| grows, so evaluating it at
+        |x| + h bounds it over the whole stencil.
+        """
+        h = self.steps(x)
+        if inner is None:
+            return h
+        return h + inner(np.abs(np.asarray(x, dtype=float)) + h)
+
+
+# The step table: every finite-difference step of the package.  Each one
+# balances rounding eps * |f| / h^k (k-th derivative) against truncation h^2
+# (plain) or h^4 (Richardson); README.md gives the measurements.
+#
+# Connection data a chart lacks, derivatives of g up to second order: h^4
+# against eps / h^2.  Also used for the Christoffels, which the oracle and
+# nabla R differentiate twice more, so their rounding matters most.
+CONNECTION = Stencil(_EPS ** (1.0 / 6.0), richardson=True)
+# nabla R of exact curvature: h^2 against eps / h.
+NABLA_EXACT = Stencil(_EPS ** (1.0 / 3.0), richardson=False)
+# nabla R of CONNECTION curvature: h^2 against its ~eps^(2/3) noise / h.
+NABLA_FD = Stencil(5e-4, richardson=False)
+# Oracle, second derivatives of the bundle metric G: below eps^(1/6), since
+# G grows fast with |v| on exp+ and its h^4 truncation would reach abs tol.
+ORACLE = Stencil(1e-3, richardson=True)
 
 
 def _plain_jets(
@@ -44,23 +92,23 @@ def _plain_jets(
     x: np.ndarray,
     steps: np.ndarray,
     m0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order central first and second derivatives of fun at x."""
+    second: bool,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Second-order central first (and second) derivatives of fun at x."""
     dim = x.shape[0]
     shape = m0.shape
     dm = np.zeros((dim,) + shape)
-    d2m = np.zeros((dim, dim) + shape)
-    plus = []
-    minus = []
+    d2m = np.zeros((dim, dim) + shape) if second else None
     for p in range(dim):
         e = np.zeros(dim)
         e[p] = steps[p]
         mp = fun(x + e)
         mm = fun(x - e)
-        plus.append(mp)
-        minus.append(mm)
         dm[p] = (mp - mm) / (2.0 * steps[p])
-        d2m[p, p] = (mp - 2.0 * m0 + mm) / steps[p] ** 2
+        if second:
+            d2m[p, p] = (mp - 2.0 * m0 + mm) / steps[p] ** 2
+    if not second:
+        return dm, None
     for p in range(dim):
         ep = np.zeros(dim)
         ep[p] = steps[p]
@@ -80,22 +128,24 @@ def _plain_jets(
 def matrix_jets(
     fun: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    steps: np.ndarray,
-    richardson: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, df, d2f) of a matrix-valued function by central differences.
+    stencil: Stencil,
+    second: bool = True,
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(f, df, d2f) of a matrix-valued function by central differences on
+    ``stencil``; d2f is None when ``second`` is false.
 
-    With ``richardson`` the O(h^2) stencils are combined at h and h/2 into
-    O(h^4) estimates, (4 f(h/2) - f(h)) / 3.
+    Nothing here checks a domain: callers check x against the reach of the
+    whole computation once, before differentiating.
     """
     x = np.asarray(x, dtype=float)
-    steps = np.asarray(steps, dtype=float)
+    steps = stencil.steps(x)
     m0 = fun(x)
-    dm, d2m = _plain_jets(fun, x, steps, m0)
-    if richardson:
-        dm_half, d2m_half = _plain_jets(fun, x, steps / 2.0, m0)
+    dm, d2m = _plain_jets(fun, x, steps, m0, second)
+    if stencil.richardson:
+        dm_half, d2m_half = _plain_jets(fun, x, steps / 2.0, m0, second)
         dm = (4.0 * dm_half - dm) / 3.0
-        d2m = (4.0 * d2m_half - d2m) / 3.0
+        if second:
+            d2m = (4.0 * d2m_half - d2m) / 3.0
     return m0, dm, d2m
 
 

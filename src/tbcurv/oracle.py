@@ -14,9 +14,7 @@ requirement is reported as a formula erratum rather than absorbed.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,6 +26,7 @@ from .closedform import CLASS_NAMES, component_class_masks, tm_curvature
 from .errors import ConditioningWarning, TbcurvError
 from .metricfamily import NaturalMetricFamily
 from .numdiff import (
+    ORACLE,
     christoffel_jacobian_from_jets,
     christoffels_from_jets,
     matrix_jets,
@@ -44,63 +43,28 @@ __all__ = [
     "compare",
 ]
 
-_STRATEGIES = ("fixed", "scaled", "richardson")
-_DEFAULT_STEP = {"fixed": 1e-3, "scaled": 3e-4, "richardson": 1e-3}
-_DEFAULT_TOL = {
-    "fixed": (1e-3, 1e-2),
-    "scaled": (1e-3, 1e-2),
-    "richardson": (1e-5, 1e-3),
-}
-
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Step strategy and tolerance policy for the numeric curvature.
+    """Tolerance policy of the comparison: a component passes when
+    |closed - s * oracle| <= tol_abs + tol_rel * max(|closed|, |oracle|).
 
-    Unset step/tolerances resolve to strategy defaults: plain central
-    differences get abs 1e-3 / rel 1e-2, Richardson gets abs 1e-5 /
-    rel 1e-3.
+    The steps are not configurable; the oracle always differentiates on the
+    ``numdiff.ORACLE`` stencil.
     """
 
-    step_strategy: str = "richardson"
-    base_step: Optional[float] = None
-    tol_abs: Optional[float] = None
-    tol_rel: Optional[float] = None
-    workers: Optional[int] = None
+    tol_abs: float = 1e-5
+    tol_rel: float = 1e-3
 
     def __post_init__(self):
-        if self.step_strategy not in _STRATEGIES:
-            raise ValueError(f"step_strategy must be one of {_STRATEGIES}")
-        if self.base_step is not None and self.base_step <= 0:
-            raise ValueError("base_step must be positive")
-        for tol in (self.tol_abs, self.tol_rel):
-            if tol is not None and tol <= 0:
-                raise ValueError("tolerances must be positive")
-
-    @property
-    def step(self) -> float:
-        return self.base_step if self.base_step is not None else _DEFAULT_STEP[
-            self.step_strategy
-        ]
-
-    @property
-    def abs_tol(self) -> float:
-        return self.tol_abs if self.tol_abs is not None else _DEFAULT_TOL[
-            self.step_strategy
-        ][0]
-
-    @property
-    def rel_tol(self) -> float:
-        return self.tol_rel if self.tol_rel is not None else _DEFAULT_TOL[
-            self.step_strategy
-        ][1]
+        if self.tol_abs <= 0 or self.tol_rel <= 0:
+            raise ValueError("tolerances must be positive")
 
     def to_dict(self) -> dict:
         return {
-            "step_strategy": self.step_strategy,
-            "base_step": self.step,
-            "tol_abs": self.abs_tol,
-            "tol_rel": self.rel_tol,
+            "base_step": ORACLE.base,
+            "tol_abs": self.tol_abs,
+            "tol_rel": self.tol_rel,
         }
 
 
@@ -112,32 +76,23 @@ class OracleResult:
     fp: AdaptedFramePoint
 
 
-def _steps_for(cfg: OracleConfig, z: np.ndarray) -> np.ndarray:
-    if cfg.step_strategy == "fixed":
-        return np.full(z.shape[0], cfg.step)
-    return cfg.step * np.maximum(1.0, np.abs(z))
-
-
 def numeric_tm_curvature(
     M: ChartManifold,
     fam: NaturalMetricFamily,
     p: BundlePoint,
-    cfg: OracleConfig = OracleConfig(),
     fp: Optional[AdaptedFramePoint] = None,
 ) -> OracleResult:
     """Frame-contracted curvature table of the 2n-dimensional metric G,
     from finite differences of induced_metric values only."""
     n = M.dim
-    M.check_interior(p.x)
+    # One check for the whole stencil, Christoffel stencils at its points included.
+    M.check_interior(p.x, ORACLE.reach(p.x, inner=M.christoffel_reach))
     z0 = np.concatenate([p.x, p.v])
 
     def gfun(z: np.ndarray) -> np.ndarray:
-        return induced_metric(M, fam, BundlePoint(z[:n], z[n:]))
+        return induced_metric(M, fam, BundlePoint(z[:n], z[n:]), check=False)
 
-    steps = _steps_for(cfg, z0)
-    g0, dg, d2g = matrix_jets(
-        gfun, z0, steps, richardson=cfg.step_strategy == "richardson"
-    )
+    g0, dg, d2g = matrix_jets(gfun, z0, ORACLE)
     cond = float(np.linalg.cond(g0))
     if cond > 1e8:
         warnings.warn(
@@ -317,17 +272,6 @@ class CurvatureReport:
         )
 
 
-def _resolve_workers(cfg: OracleConfig, npoints: int) -> int:
-    desired = cfg.workers if cfg.workers is not None else 1
-    cap = os.environ.get("TBCURV_THREADS")
-    if cap:
-        try:
-            desired = min(desired, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, min(desired, npoints)) if npoints else 1
-
-
 def compare(
     M: ChartManifold,
     fam: NaturalMetricFamily,
@@ -335,14 +279,13 @@ def compare(
     cfg: OracleConfig = OracleConfig(),
 ) -> list[CurvatureReport]:
     """Run closed form and oracle at each point, calibrate the sign once
-    per (manifold, family), and emit one report per point.
+    per (manifold, family), and emit one report per point, in point order.
 
     Per-point failures (validity, domain) are embedded in that point's
-    report; the remaining points still get full comparisons.  Reports come
-    back in point order regardless of worker count.
+    report; the remaining points still get full comparisons.
     """
-
-    def run_point(p: BundlePoint):
+    reports = []
+    for p in points:
         report = CurvatureReport(
             manifold_id=M.catalog_id,
             manifold_params=M.params,
@@ -358,7 +301,7 @@ def compare(
             fam.check_point(fp.t * fp.t)
             frame = frame_curvature(M, fp, include_nabla=True)
             closed = tm_curvature(M, fam, fp, frame=frame).table
-            orc = numeric_tm_curvature(M, fam, p, cfg, fp=fp)
+            orc = numeric_tm_curvature(M, fam, p, fp=fp)
             report.closed = closed
             report.oracle = orc.table
             report.cond = orc.cond
@@ -366,21 +309,13 @@ def compare(
             report.status = "error"
             report.error = f"{type(exc).__name__}: {exc}"
             report.passed = False
-        return report
-
-    points = list(points)
-    workers = _resolve_workers(cfg, len(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_point, points))
-    else:
-        reports = [run_point(p) for p in points]
+        reports.append(report)
 
     ok = [r for r in reports if r.status == "ok"]
     if ok:
         calibration = calibrate_sign(
-            [r.closed for r in ok], [r.oracle for r in ok], M.dim, cfg.abs_tol
+            [r.closed for r in ok], [r.oracle for r in ok], M.dim, cfg.tol_abs
         )
         for r in ok:
-            r.finalize(calibration, cfg.abs_tol, cfg.rel_tol)
+            r.finalize(calibration, cfg.tol_abs, cfg.tol_rel)
     return reports

@@ -71,7 +71,7 @@ def _verdict(number, ok, text):
 
 
 def test_criterion_1_oracle_equivalence_theorem_coverage():
-    cfg = OracleConfig(step_strategy="richardson", tol_abs=ABS_TOL, tol_rel=REL_TOL)
+    cfg = OracleConfig(tol_abs=ABS_TOL, tol_rel=REL_TOL)
     started = time.perf_counter()
     worst = 0.0
     count = 0
@@ -246,7 +246,7 @@ def test_criterion_7_constant_curvature_adjudication():
     rep = compare(M, fam, [BundlePoint(q, v)], cfg)[0]
     assert rep.passed
     sec = tm_sectional(M, fam, fp)
-    orc = numeric_tm_curvature(M, fam, BundlePoint(q, v), cfg, fp=fp)
+    orc = numeric_tm_curvature(M, fam, BundlePoint(q, v), fp=fp)
     gd = np.diag(orc.gram)
     mixed_dev = 0.0
     for i in range(2):

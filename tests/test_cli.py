@@ -1,6 +1,7 @@
 """Integration tests for the command-line front end."""
 
 import json
+import math
 
 import pytest
 
@@ -33,6 +34,14 @@ class TestFamilyCheck:
     def test_unknown_preset_is_config_error(self, capsys):
         assert run(["family-check", "--family", "bogus"]) == 2
 
+
+    def test_flat_family_with_large_values(self, capsys):
+        # beta and alpha*(alpha + t*beta) reach ~1e8 at t = 25; the F == 0
+        # consequences compare them relative to the reference value
+        code = run(["family-check", "--alpha", "exp(0.3*t)", "--beta-flatness"])
+        out = capsys.readouterr().out
+        assert "FAILED" not in out
+        assert code == 0
 
 class TestVerify:
     GRID = '{"base_points": [[0.9, 0.3]], "v_norms": [0.0, 1.0]}'
@@ -154,6 +163,22 @@ class TestVerify:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+    def test_removed_oracle_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"oracle": {"step_strategy": "fixed", "tol_abs": 1e-5}}))
+        args = ["verify", "--config", str(path), "--manifold", "sphere", "--dim", "2",
+                "--family", "sasaki", "--point", "1.0,0.3", "--v", "0,0"]
+        assert run(args) == 2
+        assert "'step_strategy'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--workers", "1"), ("--strategy", "richardson"), ("--steps", "1e-3")]
+    )
+    def test_removed_flags_rejected(self, flag, value):
+        with pytest.raises(SystemExit) as info:
+            run(["verify", "--manifold", "sphere", "--dim", "2", flag, value])
+        assert info.value.code == 2
+
 class TestScan:
     def test_minus_exp_sign_change_bracketed(self, tmp_path):
         # flat R^3, exp-: the scalar changes sign at |v|^2 = 2 + sqrt(13)
@@ -266,6 +291,23 @@ class TestScan:
                 float(parts[i_special]), abs=1e-9
             )
 
+
+    def test_error_row_reports_metric_norm(self, capsys):
+        # |v|_g = 2 sin(1) on the polar sphere; t = |v|^2 exceeds t_max = 1
+        code = run(["scan", "--manifold", "sphere", "--dim", "2", "--family", "sasaki",
+                    "--t-max", "1", "--point", "1.0,0.3", "--v", "0,2"])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert row["status"].startswith("ValidityError")
+        assert float(row["v_norm"]) == pytest.approx(2.0 * math.sin(1.0), rel=1e-12)
+
+    def test_grid_point_outside_chart_is_config_error(self, capsys):
+        grid = json.dumps({"base_points": [[0.9, 0.5]], "v_norms": [0.5]})
+        code = run(["scan", "--manifold", "hyperbolic", "--dim", "2", "--family", "sasaki",
+                    "--grid", grid])
+        assert code == 2
+        assert "[0.9, 0.5]" in capsys.readouterr().err
 
 class TestTables:
     def test_scalar_csv(self, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbcurv.basemanifold import (
     ChartManifold,
@@ -14,9 +16,10 @@ from tbcurv.basemanifold import (
 )
 from tbcurv.bundlemetric import BundlePoint
 from tbcurv.closedform import component_class_masks, gram_diagonal, tm_curvature
-from tbcurv.errors import ConditioningWarning
-from tbcurv.metricfamily import NaturalMetricFamily, flatness_beta, preset
-from tbcurv.oracle import OracleConfig, calibrate_sign, compare, numeric_tm_curvature
+from tbcurv.errors import ConditioningWarning, StencilOutOfDomainError
+from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta, preset
+from tbcurv.numdiff import ORACLE, Stencil, matrix_jets
+from tbcurv.oracle import calibrate_sign, compare, numeric_tm_curvature
 
 
 def _sphere_case(t=1.0):
@@ -76,17 +79,27 @@ class TestNumericTable:
         assert abs(vv[1, 2, 1, 2] + f_val) <= 1e-6
         assert abs(vv[1, 2, 2, 0]) <= 1e-6  # epsilon pattern vanishes here
 
-    def test_fixed_step_second_order_convergence(self):
-        # halving h shrinks the deviation from the closed form about 4x
-        M, q, v = _sphere_case(1.0)
-        fam = preset("sasaki")
-        devs = []
-        for h in (0.04, 0.02):
-            cfg = OracleConfig(step_strategy="fixed", base_step=h)
-            rep = compare(M, fam, [BundlePoint(q, v)], cfg)[0]
-            devs.append(rep.max_abs_dev)
-        ratio = devs[0] / devs[1]
-        assert 2.5 <= ratio <= 6.0
+    def test_richardson_fourth_order_convergence(self):
+        # halving h shrinks the Richardson error on an analytic matrix
+        # function about 16x, first and second derivatives alike
+        def fun(x):
+            return np.array([[np.exp(x[0]) * np.sin(x[1]), x[0] ** 2 * x[1]],
+                             [np.cos(x[0] * x[1]), np.exp(-x[1])]])
+
+        x = np.array([0.4, -0.7])
+        a, b = x
+        dm = np.array([
+            [[np.exp(a) * np.sin(b), 2 * a * b], [-b * np.sin(a * b), 0.0]],
+            [[np.exp(a) * np.cos(b), a * a], [-a * np.sin(a * b), -np.exp(-b)]],
+        ])
+        d2m_01 = np.array([[np.exp(a) * np.cos(b), 2 * a],
+                           [-np.sin(a * b) - a * b * np.cos(a * b), 0.0]])
+        errs = []
+        for h in (0.08, 0.04):
+            _, d1, d2 = matrix_jets(fun, x, Stencil(h, richardson=True))
+            errs.append((np.max(np.abs(d1 - dm)), np.max(np.abs(d2[0, 1] - d2m_01))))
+        for coarse, fine in zip(*errs):
+            assert 12.0 <= coarse / fine <= 20.0
 
     def test_frame_independence_of_invariants(self):
         M = sphere(3)
@@ -206,21 +219,6 @@ class TestCompare:
         assert reports[1].status == "error"
         assert "ValidityError" in reports[1].error
 
-    def test_parallel_equals_serial(self, monkeypatch):
-        M, q, _ = _sphere_case()
-        g = M.metric(q)
-        d = np.array([0.3, 0.7])
-        d = d / math.sqrt(d @ g @ d)
-        points = [BundlePoint(q, d * t) for t in (0.3, 0.9, 1.4)]
-        fam = preset("exp-")
-        serial = compare(M, fam, points, OracleConfig(workers=1))
-        monkeypatch.setenv("TBCURV_THREADS", "2")
-        parallel = compare(M, fam, points, OracleConfig(workers=4))
-        for a, b in zip(serial, parallel):
-            assert a.t == b.t
-            assert np.array_equal(a.closed, b.closed)
-            assert np.array_equal(a.oracle, b.oracle)
-
     def test_report_json_roundtrip(self):
         import json
 
@@ -230,5 +228,58 @@ class TestCompare:
         parsed = json.loads(text)
         assert parsed["passed"] is True
         assert parsed["sign"] == 1
+        assert parsed["config"] == {"base_step": 1e-3, "tol_abs": 1e-5, "tol_rel": 1e-3}
         table = np.array(parsed["closed_table"]).reshape(parsed["table_shape"])
         assert np.allclose(table, rep.closed)
+
+
+def fd_only(M):
+    """The chart without its analytic connection data."""
+    return ChartManifold(M.dim, M.metric_fn, lo=M.lo, hi=M.hi, params=M.params)
+
+
+class TestCustomCharts:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_fd_sphere_passes_compare(self, name):
+        # the custom-chart Christoffel symbols are differentiated twice more
+        # by the oracle; their step keeps that within default tolerances
+        M = fd_only(sphere(2))
+        q = np.array([1.0, 0.3])
+        g = M.metric(q)
+        d = np.array([0.3, 0.7])
+        d = d / math.sqrt(d @ g @ d)
+        reports = compare(M, preset(name), [BundlePoint(q, t * d) for t in (0.5, 0.8, 1.2)])
+        assert [r.passed for r in reports] == [True, True, True]
+
+
+class TestChartBoundary:
+    def test_oracle_names_the_input_point(self):
+        # the oracle's stencil (1e-3) reaches past theta = 0.1 from 0.1005;
+        # the error names that point, not a stencil point
+        M = sphere(2)
+        with pytest.raises(StencilOutOfDomainError, match=r"\[0\.1005, 0\.3\]"):
+            numeric_tm_curvature(M, preset("sasaki"), BundlePoint.of([0.1005, 0.3], [0.0, 0.0]))
+        report = compare(M, preset("sasaki"), [BundlePoint.of([0.1005, 0.3], [0.2, 0.1])])[0]
+        assert report.status == "error"
+        assert "StencilOutOfDomainError" in report.error and "[0.1005, 0.3]" in report.error
+
+    @given(st.floats(min_value=0.0, max_value=0.999), st.sampled_from([0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_within_one_reach_of_the_edge(self, frac, custom):
+        # polar sphere, theta inside the chart but closer to its lower edge
+        # than the oracle's reach (Christoffel stencils included)
+        M = fd_only(sphere(2)) if custom else sphere(2)
+        probe = np.array([M.lo[0], 0.3])
+        reach = ORACLE.reach(probe, inner=M.christoffel_reach)[0]
+        x = [float(M.lo[0] + frac * reach), 0.3]
+        with pytest.raises(StencilOutOfDomainError) as info:
+            numeric_tm_curvature(M, preset("sasaki"), BundlePoint.of(x, [0.1, 0.2]))
+        assert repr(x[0]) in str(info.value)
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_just_beyond_one_reach_runs(self, custom):
+        M = fd_only(sphere(2)) if custom else sphere(2)
+        x = np.array([M.lo[0], 0.3])
+        x[0] += 1.01 * ORACLE.reach(x, inner=M.christoffel_reach)[0]
+        res = numeric_tm_curvature(M, preset("sasaki"), BundlePoint(x, np.array([0.1, 0.2])))
+        assert np.all(np.isfinite(res.table))
