@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ from .numdiff import (
     christoffel_jacobian_from_jets,
     christoffels_from_jets,
     matrix_jets,
+    pointwise,
     project_curvature_symmetries,
     riemann_from_christoffels,
 )
@@ -57,11 +59,21 @@ __all__ = [
 CATALOG_IDS = ("euclidean", "sphere", "hyperbolic", "torus-conformal")
 
 
-def _check_spd(g: np.ndarray, where: str) -> None:
+def _check_spd(g: np.ndarray, x: np.ndarray, name: str = "x") -> None:
+    """Cholesky test of g at x, or of each matrix of a stack at its row of
+    x; the error names the first point whose metric fails."""
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise SingularMetricError(f"metric not positive definite at {where}")
+        dim = x.shape[-1]
+        for gi, xi in zip(g.reshape(-1, dim, dim), x.reshape(-1, dim)):
+            try:
+                np.linalg.cholesky(gi)
+            except np.linalg.LinAlgError:
+                raise SingularMetricError(
+                    f"metric not positive definite at {name}={xi.tolist()}"
+                )
+        raise
 
 
 class ChartManifold:
@@ -75,11 +87,16 @@ class ChartManifold:
     christoffels_fn : optional x -> gamma[a, b, c] = Gamma^a_bc
     christoffel_jacobian_fn : optional x -> dgamma[p, a, b, c] = d_p Gamma^a_bc
     catalog_id, params : provenance for reports
+    vectorized : the three functions take a stack x of shape (..., n) and
+        return the stack of their values (the catalog's charts); otherwise
+        they are called once per point
 
-    Missing connection data is differentiated on the stencils of
-    ``numdiff``'s step table.  Each public method checks its point once
-    against the reach of everything it evaluates; the points inside a
-    stencil are not checked again (``check=False`` marks those calls).
+    The point methods accept a point or a stack of points of shape
+    (..., n) and return one value per point.  Missing connection data
+    is differentiated on the stencils of ``numdiff``'s step table.  Each
+    public method checks its point once against the reach of everything it
+    evaluates; the points inside a stencil are not checked again
+    (``check=False`` marks those calls).
     """
 
     def __init__(
@@ -92,6 +109,7 @@ class ChartManifold:
         christoffel_jacobian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         catalog_id: str = "custom",
         params: Optional[dict] = None,
+        vectorized: bool = False,
     ):
         if dim < 2:
             raise ValueError("dim must be >= 2")
@@ -103,15 +121,20 @@ class ChartManifold:
         self.christoffel_jacobian_fn = christoffel_jacobian_fn
         self.catalog_id = catalog_id
         self.params = dict(params or {})
+        self.vectorized = bool(vectorized)
 
     def __repr__(self) -> str:
         return f"ChartManifold({self.catalog_id!r}, dim={self.dim})"
 
+    def _eval(self, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+        """A chart function at x of shape (..., n)."""
+        return np.asarray(fn(x), dtype=float) if self.vectorized else pointwise(fn)(x)
+
     # -- basic access --------------------------------------------------------
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.metric_fn(np.asarray(x, dtype=float)), dtype=float)
-        return 0.5 * (g + g.T)
+        g = self._eval(self.metric_fn, np.asarray(x, dtype=float))
+        return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def check_interior(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> None:
         """Require the box x +- reach (per axis) strictly inside the chart."""
@@ -136,16 +159,30 @@ class ChartManifold:
 
     # -- connection ----------------------------------------------------------
 
+    def metric_and_christoffels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g_ab, Gamma^a_bc) at x, after the SPD check of that g; the
+        metric is evaluated once at x.  Does not check the chart box."""
+        x = np.asarray(x, dtype=float)
+        if self.christoffels_fn is not None:
+            g = self.metric(x)
+            _check_spd(g, x)
+            return g, self._eval(self.christoffels_fn, x)
+
+        def jets(y):  # g and its first partials, stacked: (n + 1, n, n)
+            g, dg, _ = matrix_jets(self.metric, y, CONNECTION, second=False)
+            return np.concatenate([g[None], dg])
+
+        g_dg = pointwise(jets)(x)
+        g = g_dg[..., 0, :, :]
+        _check_spd(g, x)
+        return g, christoffels_from_jets(g, g_dg[..., 1:, :, :])
+
     def christoffels(self, x: np.ndarray, *, check: bool = True) -> np.ndarray:
         """Gamma^a_bc at x; analytic when the catalog provides it."""
         x = np.asarray(x, dtype=float)
         if check:
             self.check_interior(x, self.christoffel_reach(x))
-        _check_spd(self.metric(x), f"x={x.tolist()}")
-        if self.christoffels_fn is not None:
-            return np.asarray(self.christoffels_fn(x), dtype=float)
-        g, dg, _ = matrix_jets(self.metric, x, CONNECTION, second=False)
-        return christoffels_from_jets(g, dg)
+        return self.metric_and_christoffels(x)[1]
 
     def christoffel_jacobian(self, x: np.ndarray, *, check: bool = True) -> np.ndarray:
         """d_p Gamma^a_bc at x."""
@@ -153,16 +190,16 @@ class ChartManifold:
         if check:
             self.check_interior(x, self.christoffel_jacobian_reach(x))
         if self.christoffel_jacobian_fn is not None:
-            return np.asarray(self.christoffel_jacobian_fn(x), dtype=float)
+            return self._eval(self.christoffel_jacobian_fn, x)
         if self.christoffels_fn is not None:
             # FD of the analytic Christoffels.
-            _, dgamma, _ = matrix_jets(
-                lambda y: np.asarray(self.christoffels_fn(y), dtype=float),
-                x, CONNECTION, second=False,
-            )
-            return dgamma
-        g, dg, d2g = matrix_jets(self.metric, x, CONNECTION)
-        return christoffel_jacobian_from_jets(g, dg, d2g)
+            def jacobian(y):
+                gammas = partial(self._eval, self.christoffels_fn)
+                return matrix_jets(gammas, y, CONNECTION, second=False)[1]
+        else:
+            def jacobian(y):
+                return christoffel_jacobian_from_jets(*matrix_jets(self.metric, y, CONNECTION))
+        return pointwise(jacobian)(x)
 
     # -- curvature -----------------------------------------------------------
 
@@ -173,9 +210,7 @@ class ChartManifold:
         x = np.asarray(x, dtype=float)
         if check:
             self.check_interior(x, self.riemann_reach(x))
-        g = self.metric(x)
-        _check_spd(g, f"x={x.tolist()}")
-        gamma = self.christoffels(x, check=False)
+        g, gamma = self.metric_and_christoffels(x)
         dgamma = self.christoffel_jacobian(x, check=False)
         return riemann_from_christoffels(g, gamma, dgamma)
 
@@ -190,7 +225,7 @@ class ChartManifold:
         self.check_interior(x, stencil.reach(x, inner=self.riemann_reach))
         gamma = self.christoffels(x, check=False)
         rlow, drlow, _ = matrix_jets(
-            lambda y: self.riemann(y, check=False)[1], x, stencil, second=False
+            lambda ys: self.riemann(ys, check=False)[1], x, stencil, second=False
         )
         corr = (
             np.einsum("mpa,mbcd->pabcd", gamma, rlow)
@@ -248,7 +283,7 @@ def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFram
     v = np.asarray(v, dtype=float)
     M.check_interior(q)
     g = M.metric(q)
-    _check_spd(g, f"q={q.tolist()}")
+    _check_spd(g, q, "q")
     t = math.sqrt(max(float(v @ g @ v), 0.0))
     seeds = [np.eye(M.dim)[i] for i in range(M.dim)]
     if t > 0.0:
@@ -318,53 +353,59 @@ def base_invariants(M: ChartManifold, fp: AdaptedFramePoint) -> BaseInvariants:
 # --------------------------------------------------------------------------
 
 
+def _sq(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis."""
+    return np.einsum("...i,...i->...", x, x)
+
+
 def euclidean(dim: int, half_width: float = 10.0) -> ChartManifold:
     """Flat R^n in cartesian coordinates."""
     eye = np.eye(dim)
-    zero_gamma = np.zeros((dim, dim, dim))
-    zero_dgamma = np.zeros((dim, dim, dim, dim))
     return ChartManifold(
         dim,
-        lambda x: eye,
+        lambda x: np.zeros(x.shape[:-1] + (dim, dim)) + eye,
         lo=-half_width * np.ones(dim),
         hi=half_width * np.ones(dim),
-        christoffels_fn=lambda x: zero_gamma,
-        christoffel_jacobian_fn=lambda x: zero_dgamma,
+        christoffels_fn=lambda x: np.zeros(x.shape[:-1] + (dim,) * 3),
+        christoffel_jacobian_fn=lambda x: np.zeros(x.shape[:-1] + (dim,) * 4),
         catalog_id="euclidean",
         params={"dim": dim},
+        vectorized=True,
     )
 
 
 def _conformal_chart(
     dim: int,
-    fgh: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+    f: Callable[[np.ndarray], np.ndarray],
+    grad: Callable[[np.ndarray], np.ndarray],
+    hess: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
     catalog_id: str,
     params: dict,
 ) -> ChartManifold:
-    """g = exp(2 f) * delta from a function returning (f, grad f, hess f)."""
+    """g = exp(2 f) * delta from f, grad f and hess f over x of shape (..., n)."""
+    eye = np.eye(dim)
 
     def metric(x):
-        f, _, _ = fgh(x)
-        return math.exp(2.0 * f) * np.eye(dim)
+        return np.exp(2.0 * f(x))[..., None, None] * eye
 
     def gammas(x):
-        _, grad, _ = fgh(x)
-        eye = np.eye(dim)
+        # Gamma^a_bc = delta_ab f_c + delta_ac f_b - delta_bc f_a
+        d = grad(x)
         return (
-            np.einsum("ab,c->abc", eye, grad)
-            + np.einsum("ac,b->abc", eye, grad)
-            - np.einsum("bc,a->abc", eye, grad)
+            eye[:, :, None] * d[..., None, None, :]
+            + eye[:, None, :] * d[..., None, :, None]
+            - eye * d[..., :, None, None]
         )
 
     def dgammas(x):
-        _, _, hess = fgh(x)
-        eye = np.eye(dim)
+        # d_p Gamma^a_bc = delta_ab f_cp + delta_ac f_bp - delta_bc f_ap
+        h = np.swapaxes(hess(x), -1, -2)  # h[..., p, c] = f_cp
         return (
-            np.einsum("ab,cp->pabc", eye, hess)
-            + np.einsum("ac,bp->pabc", eye, hess)
-            - np.einsum("bc,ap->pabc", eye, hess)
+            eye[:, :, None] * h[..., :, None, None, :]
+            + eye[:, None, :] * h[..., :, None, :, None]
+            - eye * h[..., :, :, None, None]
         )
 
     return ChartManifold(
@@ -376,6 +417,7 @@ def _conformal_chart(
         christoffel_jacobian_fn=dgammas,
         catalog_id=catalog_id,
         params=params,
+        vectorized=True,
     )
 
 
@@ -390,25 +432,27 @@ def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartM
         r2 = radius * radius
 
         def metric(x):
-            theta = x[0]
-            return np.diag([r2, r2 * math.sin(theta) ** 2])
+            g = np.zeros(x.shape[:-1] + (2, 2))
+            g[..., 0, 0] = r2
+            g[..., 1, 1] = r2 * np.sin(x[..., 0]) ** 2
+            return g
 
         def gammas(x):
-            theta = x[0]
-            gamma = np.zeros((2, 2, 2))
-            gamma[0, 1, 1] = -math.sin(theta) * math.cos(theta)
-            cot = math.cos(theta) / math.sin(theta)
-            gamma[1, 0, 1] = cot
-            gamma[1, 1, 0] = cot
+            theta = x[..., 0]
+            gamma = np.zeros(x.shape[:-1] + (2, 2, 2))
+            gamma[..., 0, 1, 1] = -np.sin(theta) * np.cos(theta)
+            cot = np.cos(theta) / np.sin(theta)
+            gamma[..., 1, 0, 1] = cot
+            gamma[..., 1, 1, 0] = cot
             return gamma
 
         def dgammas(x):
-            theta = x[0]
-            dgamma = np.zeros((2, 2, 2, 2))
-            dgamma[0, 0, 1, 1] = -math.cos(2.0 * theta)
-            dcot = -1.0 / math.sin(theta) ** 2
-            dgamma[0, 1, 0, 1] = dcot
-            dgamma[0, 1, 1, 0] = dcot
+            theta = x[..., 0]
+            dgamma = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
+            dgamma[..., 0, 0, 1, 1] = -np.cos(2.0 * theta)
+            dcot = -1.0 / np.sin(theta) ** 2
+            dgamma[..., 0, 1, 0, 1] = dcot
+            dgamma[..., 0, 1, 1, 0] = dcot
             return dgamma
 
         return ChartManifold(
@@ -420,20 +464,27 @@ def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartM
             christoffel_jacobian_fn=dgammas,
             catalog_id="sphere",
             params={"dim": 2, "radius": radius, "chart": "polar"},
+            vectorized=True,
         )
     if chart != "stereographic":
         raise ValueError(f"unknown sphere chart {chart!r}")
+    eye = np.eye(dim)
 
-    def fgh(x):
-        s = float(x @ x)
-        f = math.log(2.0 * radius) - math.log1p(s)
-        grad = -2.0 * x / (1.0 + s)
-        hess = -2.0 * np.eye(dim) / (1.0 + s) + 4.0 * np.outer(x, x) / (1.0 + s) ** 2
-        return f, grad, hess
+    def f(x):
+        return math.log(2.0 * radius) - np.log1p(_sq(x))
+
+    def grad(x):
+        return -2.0 * x / (1.0 + _sq(x))[..., None]
+
+    def hess(x):
+        d = (1.0 + _sq(x))[..., None, None]
+        return -2.0 * eye / d + 4.0 * (x[..., :, None] * x[..., None, :]) / d**2
 
     return _conformal_chart(
         dim,
-        fgh,
+        f,
+        grad,
+        hess,
         lo=-0.9 * np.ones(dim),
         hi=0.9 * np.ones(dim),
         catalog_id="sphere",
@@ -444,17 +495,23 @@ def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartM
 def hyperbolic(dim: int) -> ChartManifold:
     """Poincare ball, g = 4 delta / (1 - |x|^2)^2, constant curvature -1."""
     half = 0.78 / math.sqrt(dim)
+    eye = np.eye(dim)
 
-    def fgh(x):
-        s = float(x @ x)
-        f = math.log(2.0) - math.log1p(-s)
-        grad = 2.0 * x / (1.0 - s)
-        hess = 2.0 * np.eye(dim) / (1.0 - s) + 4.0 * np.outer(x, x) / (1.0 - s) ** 2
-        return f, grad, hess
+    def f(x):
+        return math.log(2.0) - np.log1p(-_sq(x))
+
+    def grad(x):
+        return 2.0 * x / (1.0 - _sq(x))[..., None]
+
+    def hess(x):
+        d = (1.0 - _sq(x))[..., None, None]
+        return 2.0 * eye / d + 4.0 * (x[..., :, None] * x[..., None, :]) / d**2
 
     return _conformal_chart(
         dim,
-        fgh,
+        f,
+        grad,
+        hess,
         lo=-half * np.ones(dim),
         hi=half * np.ones(dim),
         catalog_id="hyperbolic",
@@ -465,49 +522,40 @@ def hyperbolic(dim: int) -> ChartManifold:
 def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
     """g = exp(2 f) * delta with f a polynomial, given as an array of
     [coefficient, e_1, ..., e_n] monomial rows.  Exercises nabla R != 0."""
-    terms = []
+    c, e = [], []
     for row in coeffs:
-        c = float(row[0])
-        exps = tuple(int(e) for e in row[1:])
-        if len(exps) != dim:
+        c.append(float(row[0]))
+        e.append([int(k) for k in row[1:]])
+        if len(e[-1]) != dim:
             raise ValueError(
-                f"monomial row {row!r} has {len(exps)} exponents, expected {dim}"
+                f"monomial row {row!r} has {len(e[-1])} exponents, expected {dim}"
             )
-        terms.append((c, exps))
+    c = np.array(c)
+    e = np.array(e, dtype=int).reshape(-1, dim)
+    # Exponent table of f, grad f and hess f: the a-th partial of the monomial
+    # c x^e is (c e_a) x^(e - 1_a), and so on; a zero factor ends the term,
+    # and its exponents are clipped at 0 so that x_a = 0 stays finite.
+    eye = np.eye(dim, dtype=int)
+    e1 = e[None, :, :] - eye[:, None, :]  # (a, term, i)
+    c1 = c * e.T  # (a, term)
+    e2 = e1[:, None] - eye[None, :, None, :]  # (a, b, term, i)
+    c2 = c * (e.T[:, None] * (e.T[None, :] - eye[:, :, None]))  # (a, b, term)
+    e1, e2 = np.maximum(e1, 0), np.maximum(e2, 0)
 
-    def fgh(x):
-        f = 0.0
-        grad = np.zeros(dim)
-        hess = np.zeros((dim, dim))
-        for c, exps in terms:
-            powers = [x[i] ** exps[i] for i in range(dim)]
-            mono = c * math.prod(powers)
-            f += mono
-            for a in range(dim):
-                if exps[a] == 0:
-                    continue
-                da = c * exps[a] * x[a] ** (exps[a] - 1)
-                da *= math.prod(powers[i] for i in range(dim) if i != a)
-                grad[a] += da
-                for b in range(a, dim):
-                    if a == b:
-                        if exps[a] >= 2:
-                            h = c * exps[a] * (exps[a] - 1) * x[a] ** (exps[a] - 2)
-                            h *= math.prod(powers[i] for i in range(dim) if i != a)
-                            hess[a, a] += h
-                    elif exps[b] > 0:
-                        h = c * exps[a] * exps[b]
-                        h *= x[a] ** (exps[a] - 1) * x[b] ** (exps[b] - 1)
-                        h *= math.prod(
-                            powers[i] for i in range(dim) if i != a and i != b
-                        )
-                        hess[a, b] += h
-                        hess[b, a] += h
-        return f, grad, hess
+    def f(x):
+        return (c * np.prod(x[..., None, :] ** e, axis=-1)).sum(axis=-1)
+
+    def grad(x):
+        return (c1 * np.prod(x[..., None, None, :] ** e1, axis=-1)).sum(axis=-1)
+
+    def hess(x):
+        return (c2 * np.prod(x[..., None, None, None, :] ** e2, axis=-1)).sum(axis=-1)
 
     return _conformal_chart(
         dim,
-        fgh,
+        f,
+        grad,
+        hess,
         lo=-1.5 * np.ones(dim),
         hi=1.5 * np.ones(dim),
         catalog_id="torus-conformal",

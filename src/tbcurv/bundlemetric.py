@@ -66,29 +66,32 @@ def induced_metric(
     M: ChartManifold, fam: NaturalMetricFamily, p: BundlePoint, *, check: bool = True
 ) -> np.ndarray:
     """The 2n x 2n matrix of G over (d/dx^1..d/dx^n, d/dv^1..d/dv^n).
-    ``check=False``: the caller has checked p.x (a stencil point)."""
+
+    p.x and p.v may be stacks of shape (..., n); G then has shape
+    (..., 2n, 2n), one matrix per row.  ``check=False``: the caller has
+    checked p.x (stencil points).
+    """
     n = M.dim
-    g = M.metric(p.x)
-    t_sq = float(p.v @ g @ p.v)
-    fam.check_point(t_sq)
-    alpha = fam.alpha_at(t_sq)
-    beta = fam.beta_at(t_sq)
+    x, v = p.x, p.v
+    if check:
+        M.check_interior(x, M.christoffel_reach(x))
+    g, gamma = M.metric_and_christoffels(x)
+    gv = np.einsum("...ab,...b->...a", g, v)
+    alpha, beta = fam.weights(np.einsum("...a,...a->...", v, gv))
+    alpha = alpha[..., None, None]
+    beta = beta[..., None, None]
 
-    gamma = M.christoffels(p.x, check=check)
     # K(d/dx^c)^a = w[a, c];  K(d/dv^c)^a = delta_ac.
-    w = np.einsum("abc,b->ac", gamma, p.v)
-    gv = g @ p.v
+    w = np.einsum("...abc,...b->...ac", gamma, v)
+    wt_g = np.swapaxes(w, -1, -2) @ g
+    wt_gv = np.einsum("...ca,...a->...c", wt_g, v)
 
-    g_xx = g + alpha * w.T @ g @ w + beta * np.outer(w.T @ gv, w.T @ gv)
-    g_xv = alpha * (w.T @ g) + beta * np.outer(w.T @ gv, gv)
-    g_vv = alpha * g + beta * np.outer(gv, gv)
-
-    G = np.empty((2 * n, 2 * n))
-    G[:n, :n] = g_xx
-    G[:n, n:] = g_xv
-    G[n:, :n] = g_xv.T
-    G[n:, n:] = g_vv
-    return 0.5 * (G + G.T)
+    G = np.empty(x.shape[:-1] + (2 * n, 2 * n))
+    G[..., :n, :n] = g + alpha * (wt_g @ w) + beta * (wt_gv[..., :, None] * wt_gv[..., None, :])
+    G[..., :n, n:] = alpha * wt_g + beta * (wt_gv[..., :, None] * gv[..., None, :])
+    G[..., n:, :n] = np.swapaxes(G[..., :n, n:], -1, -2)
+    G[..., n:, n:] = alpha * g + beta * (gv[..., :, None] * gv[..., None, :])
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def adapted_frame_vectors(M: ChartManifold, fp: AdaptedFramePoint) -> np.ndarray:

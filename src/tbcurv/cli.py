@@ -13,6 +13,7 @@ configuration or invalid family.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -239,6 +240,38 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``; keys of a
+    dict holding a container must be strings.  json indents in pure Python,
+    so a container holding no container, such as a table of floats or a
+    table row, is written in one piece: a list of finite numbers as one join
+    of their reprs, anything else by json's C encoder with the line break
+    and indent as its item separator."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    is_dict = isinstance(obj, dict)
+    types = set(map(type, obj.values() if is_dict else obj))
+    if not is_dict and types <= {float, int}:
+        body = sep.join(map(repr, obj))
+        if "n" not in body:  # else nan or inf, which json writes as NaN, Infinity
+            return "[" + inner + body + pad + "]"
+    if not any(issubclass(t, (dict, list, tuple)) for t in types):
+        text = json.dumps(obj, sort_keys=True, separators=(sep, ": "))
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if is_dict:
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be strings, not {type(key).__name__}")
+        body = sep.join(
+            json.dumps(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())
+        )
+        return "{" + inner + body + pad + "}"
+    return "[" + inner + sep.join(_json_text(item, inner) for item in obj) + pad + "]"
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -253,7 +286,7 @@ def _emit(cfg: dict, rows: list[dict], header_note: str, payload_key: str) -> No
     path = out.get("path")
     if fmt == "json":
         doc = {payload_key: rows, "note": header_note}
-        _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_text(path, _json_text(doc) + "\n")
         return
     if fmt != "csv":
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -414,7 +447,7 @@ def cmd_verify(cfg: dict) -> int:
         "reports": [r.to_json_dict() for r in reports],
     }
     if out.get("path"):
-        _write_text(out["path"], json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_text(out["path"], _json_text(doc) + "\n")
     ok = all(r.status == "ok" and r.passed for r in reports)
     return 0 if ok else 1
 
@@ -496,7 +529,9 @@ def cmd_scan(cfg: dict) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tbcurv",
         description="Tangent-bundle curvature tables and oracle verification.",

@@ -171,21 +171,30 @@ class NaturalMetricFamily:
 
     # -- validity ----------------------------------------------------------
 
-    def check_point(self, t: float) -> None:
+    def check_point(self, t: float) -> tuple[float, float]:
         """Raise ValidityError unless alpha > 0 and alpha + t*beta > 0 at t
-        and t lies inside the validated horizon."""
+        and t lies inside the validated horizon; return (alpha(t), beta(t))."""
         if not 0.0 <= t <= self.t_max:
             raise ValidityError(
                 f"t={t:g} outside validated range [0, {self.t_max:g}] "
                 f"for family {self.name!r}"
             )
         a = self.alpha.value(t)
-        d = a + t * self.beta.value(t)
+        b = self.beta.value(t)
+        d = a + t * b
         if a <= 0.0 or d <= 0.0:
             raise ValidityError(
                 f"family {self.name!r} invalid at t={t:g}: alpha={a:g}, "
                 f"alpha+t*beta={d:g}"
             )
+        return a, b
+
+    def weights(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha(t), beta(t)) at each t of an array, each t passing
+        ``check_point`` first; the first invalid t raises ValidityError."""
+        t = np.asarray(t, dtype=float)
+        ab = np.array([self.check_point(ti) for ti in t.ravel().tolist()])
+        return ab[:, 0].reshape(t.shape), ab[:, 1].reshape(t.shape)
 
     def validate(self, samples: int = 4096, dip_rtol: float = 1e-8) -> FamilyValidation:
         """Densely sample positivity of alpha and alpha + t*beta on

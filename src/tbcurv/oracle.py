@@ -90,7 +90,8 @@ def numeric_tm_curvature(
     z0 = np.concatenate([p.x, p.v])
 
     def gfun(z: np.ndarray) -> np.ndarray:
-        return induced_metric(M, fam, BundlePoint(z[:n], z[n:]), check=False)
+        # z stacks every stencil point: one induced_metric call for all.
+        return induced_metric(M, fam, BundlePoint(z[:, :n], z[:, n:]), check=False)
 
     g0, dg, d2g = matrix_jets(gfun, z0, ORACLE)
     cond = float(np.linalg.cond(g0))

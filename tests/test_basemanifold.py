@@ -333,3 +333,30 @@ class TestCatalogDispatch:
             make_manifold("klein-bottle", dim=2)
         with pytest.raises(ValueError):
             make_manifold("torus-conformal", dim=2)
+
+
+class TestStacks:
+    """A stack of points of shape (..., n) gives the stack of one-point values."""
+
+    CHARTS = [
+        (euclidean(3), np.array([0.5, -1.0, 2.0])),
+        (sphere(2), np.array([0.9, 0.3])),
+        (sphere(3), np.array([0.2, -0.1, 0.3])),
+        (hyperbolic(3), np.array([0.1, 0.2, -0.1])),
+        (conformal_polynomial(3, [[0.1, 1, 1, 0], [0.04, 0, 2, 1]]), np.array([0.2, -0.3, 0.4])),
+        (fd_only(hyperbolic(2)), np.array([0.2, -0.3])),
+    ]
+
+    @pytest.mark.parametrize("M, x", CHARTS, ids=lambda c: getattr(c, "catalog_id", ""))
+    def test_rows_equal_single_point_calls(self, M, x):
+        rng = np.random.default_rng(3)
+        xs = x + 0.05 * rng.normal(size=(2, 3, M.dim))
+        for method in (M.metric, M.christoffels, M.christoffel_jacobian):
+            stacked = method(xs)
+            assert stacked.shape[:2] == (2, 3)
+            for idx in np.ndindex(2, 3):
+                np.testing.assert_allclose(stacked[idx], method(xs[idx]), rtol=1e-14, atol=1e-14)
+
+    def test_only_catalog_charts_are_vectorized(self):
+        assert all(M.vectorized for M, _ in self.CHARTS[:-1])
+        assert not self.CHARTS[-1][0].vectorized

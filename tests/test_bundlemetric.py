@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from tbcurv.basemanifold import adapted_frame, euclidean, hyperbolic, sphere
+from tbcurv.basemanifold import (
+    ChartManifold,
+    adapted_frame,
+    conformal_polynomial,
+    euclidean,
+    hyperbolic,
+    sphere,
+)
 from tbcurv.bundlemetric import (
     BundlePoint,
     adapted_frame_vectors,
@@ -14,6 +21,11 @@ from tbcurv.bundlemetric import (
 )
 from tbcurv.errors import ValidityError
 from tbcurv.metricfamily import preset
+
+
+def fd_only(M):
+    """The chart without its analytic connection data, evaluated point by point."""
+    return ChartManifold(M.dim, M.metric_fn, lo=M.lo, hi=M.hi, catalog_id="custom")
 
 
 class TestConnectionSplit:
@@ -77,6 +89,29 @@ class TestInducedMetric:
             p = BundlePoint(0.2 * rng.normal(size=2), 0.4 * rng.normal(size=2))
             eig = np.linalg.eigvalsh(induced_metric(M, fam, p))
             assert np.all(eig > 0)
+
+    @pytest.mark.parametrize(
+        "M, x",
+        [
+            (euclidean(3), [0.5, -1.0, 2.0]),
+            (sphere(2), [0.9, 0.3]),
+            (sphere(3), [0.2, -0.1, 0.3]),
+            (hyperbolic(3), [0.1, 0.2, -0.1]),
+            (conformal_polynomial(3, [[0.1, 1, 1, 0], [0.04, 0, 2, 1]]), [0.2, -0.3, 0.4]),
+            (fd_only(hyperbolic(2)), [0.2, -0.3]),
+        ],
+        ids=lambda c: getattr(c, "catalog_id", ""),
+    )
+    def test_stack_rows_equal_single_points(self, M, x):
+        fam = preset("cheeger-gromoll")
+        rng = np.random.default_rng(4)
+        xs = np.asarray(x) + 0.05 * rng.normal(size=(5, M.dim))
+        vs = 0.5 * rng.normal(size=(5, M.dim))
+        G = induced_metric(M, fam, BundlePoint(xs, vs))
+        assert G.shape == (5, 2 * M.dim, 2 * M.dim)
+        for i in range(5):
+            single = induced_metric(M, fam, BundlePoint(xs[i], vs[i]))
+            np.testing.assert_allclose(G[i], single, rtol=1e-14, atol=1e-14)
 
     def test_validity_horizon_enforced(self):
         M = euclidean(2)

@@ -4,8 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tbcurv.cli import main
+from tbcurv.cli import _build_parser, _json_text, main
 
 
 def run(args):
@@ -427,3 +429,77 @@ class TestConfigFile:
             )
             == 2
         )
+
+
+class TestRepeatedCalls:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_point_lists_do_not_leak_between_calls(self, tmp_path):
+        # --point/--v append to lists; each call starts from empty ones
+        base = ["scalar", "--manifold", "hyperbolic", "--dim", "2", "--family", "sasaki",
+                "--format", "json"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        args_first = ["--point", "0.1,0.2", "--v", "0.3,0", "--point", "0,0", "--v", "0,0"]
+        assert run(base + args_first + ["--out", str(first)]) == 0
+        assert run(base + ["--point", "0.2,-0.1", "--v", "0,0.4", "--out", str(second)]) == 0
+        rows = json.loads(second.read_text())["scalar"]
+        assert [(r["x"], r["v"]) for r in rows] == [("0.2;-0.1", "0.0;0.4")]
+        again = tmp_path / "again.json"
+        assert run(base + args_first + ["--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert [r["x"] for r in json.loads(first.read_text())["scalar"]] == ["0.1;0.2", "0.0;0.0"]
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324])
+    | st.text()
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.integers(), max_size=8)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @given(json_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, doc):
+        assert _json_text(doc) == _dumps(doc)
+
+    def test_equals_json_dumps_on_cli_documents(self, tmp_path, capsys):
+        # a verify report and a JSON table, with nan error fields and a
+        # non-ASCII family name among them
+        report = tmp_path / "report.json"
+        assert run(["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
+                    "--point", "0.9,0.3", "--v", "0.4,-0.2",
+                    "--point", "0.1005,0.3", "--v", "0.1,0.1", "--out", str(report)]) == 1
+        doc = json.loads(report.read_text())
+        assert _json_text(doc) + "\n" == report.read_text() == _dumps(doc) + "\n"
+        assert doc["reports"][1]["status"] == "error"
+        table = tmp_path / "table.json"
+        assert run(["scan", "--manifold", "sphere", "--dim", "2", "--family", "sasaki",
+                    "--point", "0.9,0.3", "--v", "0.4,-0.2", "--point", "0.1,0.3", "--v", "0,1",
+                    "--format", "json", "--out", str(table)]) == 1
+        doc = json.loads(table.read_text())
+        assert math.isnan(doc["scan"][1]["scalar_general"])
+        assert _json_text(doc) + "\n" == table.read_text() == _dumps(doc) + "\n"
+        doc["note"] = "t = |v|²_g, ∇R"
+        assert _json_text(doc) == _dumps(doc)
+
+    def test_rejects_unknown_types_and_non_string_keys(self):
+        with pytest.raises(TypeError):
+            _json_text({"x": object()})
+        with pytest.raises(TypeError, match="keys must be strings"):
+            _json_text({1: [2.0]})

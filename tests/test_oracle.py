@@ -1,6 +1,7 @@
 """Tests for the finite-difference curvature oracle and comparisons."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,14 +12,20 @@ from tbcurv.basemanifold import (
     ChartManifold,
     adapted_frame,
     euclidean,
+    hyperbolic,
     rotate_completion,
     sphere,
 )
 from tbcurv.bundlemetric import BundlePoint
 from tbcurv.closedform import component_class_masks, gram_diagonal, tm_curvature
-from tbcurv.errors import ConditioningWarning, StencilOutOfDomainError
+from tbcurv.errors import (
+    ConditioningWarning,
+    SingularMetricError,
+    StencilOutOfDomainError,
+    ValidityError,
+)
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta, preset
-from tbcurv.numdiff import ORACLE, Stencil, matrix_jets
+from tbcurv.numdiff import ORACLE, Stencil, matrix_jets, pointwise
 from tbcurv.oracle import calibrate_sign, compare, numeric_tm_curvature
 
 
@@ -96,7 +103,7 @@ class TestNumericTable:
                            [-np.sin(a * b) - a * b * np.cos(a * b), 0.0]])
         errs = []
         for h in (0.08, 0.04):
-            _, d1, d2 = matrix_jets(fun, x, Stencil(h, richardson=True))
+            _, d1, d2 = matrix_jets(pointwise(fun), x, Stencil(h, richardson=True))
             errs.append((np.max(np.abs(d1 - dm)), np.max(np.abs(d2[0, 1] - d2m_01))))
         for coarse, fine in zip(*errs):
             assert 12.0 <= coarse / fine <= 20.0
@@ -250,6 +257,81 @@ class TestCustomCharts:
         d = d / math.sqrt(d @ g @ d)
         reports = compare(M, preset(name), [BundlePoint(q, t * d) for t in (0.5, 0.8, 1.2)])
         assert [r.passed for r in reports] == [True, True, True]
+
+
+    def test_fd_hyperbolic_exp_plus_large_v(self):
+        # nabla R of finite-difference curvature on the Richardson NABLA_FD
+        # stencil; on a plain 5e-4 stencil this point failed at 1.9x tolerance
+        M = fd_only(hyperbolic(2))
+        q = np.array([0.2, -0.3])
+        g = M.metric(q)
+        d = np.ones(2) / math.sqrt(np.ones(2) @ g @ np.ones(2))
+        report = compare(M, preset("exp+"), [BundlePoint(q, 1.5 * d)])[0]
+        assert report.status == "ok" and report.passed, report.summary_line()
+
+
+class TestStencilEvaluation:
+    """The oracle evaluates its whole stencil, centre and both Richardson
+    levels, in one induced_metric call."""
+
+    @staticmethod
+    def counted(M, vectorized):
+        calls = []
+
+        def metric_fn(x):
+            calls.append(np.shape(x))
+            return M.metric_fn(x)
+
+        fns = (M.christoffels_fn, M.christoffel_jacobian_fn) if vectorized else (None, None)
+        return ChartManifold(M.dim, metric_fn, M.lo, M.hi, *fns, vectorized=vectorized), calls
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_vectorized_metric_call_on_catalog_charts(self, n):
+        M, calls = self.counted(hyperbolic(n), vectorized=True)
+        x = np.full(n, 0.1)
+        fp = adapted_frame(M, x, np.full(n, 0.2))
+        calls.clear()
+        numeric_tm_curvature(M, preset("exp+"), BundlePoint(x, fp.v), fp=fp)
+        dim = 2 * n
+        stencil_points = 2 * (2 * dim + 2 * dim * (dim - 1)) + 1  # 65 at n = 2, 145 at n = 3
+        # the stack, and the base point of the frame vectors
+        assert sorted(calls) == [(n,), (stencil_points, n)]
+
+    def test_one_metric_evaluation_per_stencil_point_on_custom_charts(self):
+        n = 2
+        M, calls = self.counted(hyperbolic(n), vectorized=False)
+        x = np.array([0.2, -0.3])
+        fp = adapted_frame(M, x, np.array([0.3, 0.1]))
+        calls.clear()
+        numeric_tm_curvature(M, preset("exp+"), BundlePoint(x, fp.v), fp=fp)
+        # each stencil point and the frame's base point: g there, once, and
+        # at the 4n other points of its Richardson Christoffel stencil
+        assert len(calls) == (65 + 1) * (4 * n + 1)
+        assert set(calls) == {(n,)}
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_spd_failure_names_the_stencil_point(self, vectorized):
+        # g = diag(1, 1 - 2 x_0): positive definite at x_0 = 0.4995, not at
+        # the stencil point x_0 + h, h = 1e-3
+        def metric_fn(x):
+            g = np.zeros(np.shape(x)[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = 1.0 - 2.0 * x[..., 0]
+            return g
+
+        M = ChartManifold(2, metric_fn, lo=-np.ones(2), hi=np.ones(2), vectorized=vectorized)
+        x = np.array([0.4995, 0.0])
+        bad = [float(x[0] + ORACLE.steps(x)[0]), 0.0]
+        with pytest.raises(SingularMetricError, match=re.escape(f"x={bad}")):
+            numeric_tm_curvature(M, preset("sasaki"), BundlePoint(x, np.zeros(2)))
+
+    def test_validity_error_names_the_stencil_t(self):
+        # valid at |v|^2 = 0.9999, but the stencil steps v_0 past t_max = 1
+        fam = preset("sasaki", t_max=1.0)
+        v = np.array([math.sqrt(0.9999), 0.0])
+        t_bad = (v[0] + ORACLE.steps(v)[0]) ** 2
+        with pytest.raises(ValidityError, match=f"t={t_bad:g} outside"):
+            numeric_tm_curvature(euclidean(2), fam, BundlePoint(np.zeros(2), v))
 
 
 class TestChartBoundary:
