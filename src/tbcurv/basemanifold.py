@@ -33,6 +33,7 @@ from .numdiff import (
     NABLA_FD,
     christoffel_jacobian_from_jets,
     christoffels_from_jets,
+    frame_components,
     matrix_jets,
     pointwise,
     project_curvature_symmetries,
@@ -322,14 +323,10 @@ def frame_curvature(
 ) -> FrameCurvature:
     rlow = M.riemann_lowered(fp.q)
     u = fp.u
-    rt = np.einsum("ia,jb,kc,ld,abcd->ijkl", u, u, u, u, rlow, optimize=True)
-    rt = project_curvature_symmetries(rt)
+    rt = project_curvature_symmetries(frame_components(u, rlow))
     drt = None
     if include_nabla:
-        nabla = M.nabla_riemann(fp.q)
-        drt = np.einsum(
-            "pe,ia,jb,kc,ld,eabcd->pijkl", u, u, u, u, u, nabla, optimize=True
-        )
+        drt = frame_components(u, M.nabla_riemann(fp.q))
         drt = np.stack([project_curvature_symmetries(drt[p]) for p in range(M.dim)])
     return FrameCurvature(Rtable=rt, dRtable=drt)
 

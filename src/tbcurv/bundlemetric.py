@@ -77,7 +77,7 @@ def induced_metric(
         M.check_interior(x, M.christoffel_reach(x))
     g, gamma = M.metric_and_christoffels(x)
     gv = np.einsum("...ab,...b->...a", g, v)
-    alpha, beta = fam.weights(np.einsum("...a,...a->...", v, gv))
+    alpha, beta = fam.check_point(np.einsum("...a,...a->...", v, gv))
     alpha = alpha[..., None, None]
     beta = beta[..., None, None]
 

@@ -35,7 +35,7 @@ from .basemanifold import (
     frame_curvature,
 )
 from .errors import MissingNablaRError
-from .metricfamily import NaturalMetricFamily
+from .metricfamily import FamilyJets, NaturalMetricFamily
 
 __all__ = [
     "TMCurvatureTable",
@@ -68,10 +68,8 @@ def _epsilon(n: int) -> np.ndarray:
 def gram_diagonal(fam: NaturalMetricFamily, t: float, n: int) -> np.ndarray:
     """Diagonal of the adapted-frame Gram matrix: n ones, then
     alpha + t^2 beta (radial vertical), then alpha for the rest."""
-    t_sq = t * t
-    alpha = fam.alpha_at(t_sq)
-    delta = fam.delta_at(t_sq)
-    return np.array([1.0] * n + [delta] + [alpha] * (n - 1))
+    j = fam.jets(t * t)
+    return np.array([1.0] * n + [j.delta] + [j.alpha] * (n - 1))
 
 
 def component_class_masks(n: int) -> dict[str, np.ndarray]:
@@ -125,16 +123,12 @@ def _check_normal_form(fp: AdaptedFramePoint, g: np.ndarray) -> None:
         )
 
 
-def _blocks(
-    fam: NaturalMetricFamily, fp: AdaptedFramePoint, frame: FrameCurvature
-) -> dict:
+def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict:
     n = fp.dim
     t = fp.t
     t_sq = t * t
-    jets = fam.jets(t_sq)
-    alpha, alpha_d1, beta = jets.alpha, jets.alpha_d1, jets.beta
-    f_val = fam.F(t_sq)
-    h_val = fam.H(t_sq)
+    alpha, alpha_d1, beta = j.alpha, j.alpha_d1, j.beta
+    f_val, h_val = j.F, j.H
 
     rt = frame.Rtable
     r1 = rt[:, :, :, 0]  # R_{abc1}
@@ -254,10 +248,10 @@ def tm_curvature(
 ) -> TMCurvatureTable:
     """Full closed-form curvature table of (TM, G) at a normal-form point."""
     _check_normal_form(fp, M.metric(fp.q))
-    fam.check_point(fp.t * fp.t)
+    jets = fam.jets(fp.t * fp.t)
     if frame is None:
         frame = frame_curvature(M, fp, include_nabla=True)
-    blocks = _blocks(fam, fp, frame)
+    blocks = _blocks(jets, fp, frame)
     table = _assemble(blocks, fp.dim)
     return TMCurvatureTable(
         n=fp.dim,
@@ -285,6 +279,15 @@ class TMSectional:
     hv: np.ndarray  # Kbar(e_i, e_{n+j})
 
 
+def _vertical_sectional(j: FamilyJets, n: int) -> np.ndarray:
+    """Kbar(e_{n+i}, e_{n+j}): F / alpha^2, and H / (alpha Delta) on planes
+    holding the radial index 0; zero on the diagonal."""
+    vv = np.full((n, n), j.F / j.alpha**2)
+    vv[0, :] = vv[:, 0] = j.H / (j.alpha * j.delta)
+    np.fill_diagonal(vv, 0.0)
+    return vv
+
+
 def tm_sectional(
     M: ChartManifold,
     fam: NaturalMetricFamily,
@@ -294,9 +297,8 @@ def tm_sectional(
     _check_normal_form(fp, M.metric(fp.q))
     n = fp.dim
     t_sq = fp.t * fp.t
-    fam.check_point(t_sq)
-    alpha = fam.alpha_at(t_sq)
-    delta = fam.delta_at(t_sq)
+    j = fam.jets(t_sq)
+    alpha = j.alpha
     if frame is None:
         frame = frame_curvature(M, fp, include_nabla=False)
     rt = frame.Rtable
@@ -306,11 +308,7 @@ def tm_sectional(
     # |R(u_i, u_j) v|^2 = t^2 sum_r R_{ij1r}^2 = t^2 sum_r R_{ijr1}^2
     hh = kbase - 0.75 * alpha * t_sq * np.einsum("ijr,ijr->ij", r1, r1)
 
-    vv = np.full((n, n), fam.F(t_sq) / alpha**2)
-    h_over = fam.H(t_sq) / (alpha * delta)
-    vv[0, :] = h_over
-    vv[:, 0] = h_over
-    np.fill_diagonal(vv, 0.0)
+    vv = _vertical_sectional(j, n)
 
     # |R(u_j, v) u_i|^2 = t^2 sum_r R_{j 1 i r}^2
     hv = (alpha / 4.0) * t_sq * np.einsum("jir,jir->ij", rt[:, 0, :, :], rt[:, 0, :, :])
@@ -340,20 +338,15 @@ def tm_sectional_constcurv(
     k0: float, fam: NaturalMetricFamily, t: float, n: int
 ) -> ConstCurvSectional:
     t_sq = t * t
-    fam.check_point(t_sq)
-    alpha = fam.alpha_at(t_sq)
-    delta = fam.delta_at(t_sq)
+    j = fam.jets(t_sq)
+    alpha = j.alpha
     d0 = np.zeros(n)
     d0[0] = 1.0
 
     hh = k0 - 0.75 * k0 * k0 * alpha * t_sq * (d0[:, None] + d0[None, :])
     np.fill_diagonal(hh, 0.0)
 
-    vv = np.full((n, n), fam.F(t_sq) / alpha**2)
-    h_over = fam.H(t_sq) / (alpha * delta)
-    vv[0, :] = h_over
-    vv[:, 0] = h_over
-    np.fill_diagonal(vv, 0.0)
+    vv = _vertical_sectional(j, n)
 
     # General-theorem mixed planes with the constant-curvature tensor:
     # sum_r R_{j1ir}^2 = k0^2 (delta_i0 + delta_ij - 2 [i == j == 0]).
@@ -395,11 +388,8 @@ def tm_ricci(
     n = fp.dim
     t = fp.t
     t_sq = t * t
-    fam.check_point(t_sq)
-    alpha = fam.alpha_at(t_sq)
-    delta = fam.delta_at(t_sq)
-    f_val = fam.F(t_sq)
-    h_val = fam.H(t_sq)
+    j = fam.jets(t_sq)
+    alpha, delta, f_val, h_val = j.alpha, j.delta, j.F, j.H
     if frame is None:
         frame = frame_curvature(M, fp, include_nabla=True)
     rt = frame.Rtable
@@ -443,19 +433,18 @@ def tm_scalar(
     _check_normal_form(fp, M.metric(fp.q))
     n = fp.dim
     t_sq = fp.t * fp.t
-    fam.check_point(t_sq)
-    alpha = fam.alpha_at(t_sq)
-    delta = fam.delta_at(t_sq)
+    j = fam.jets(t_sq)
+    alpha = j.alpha
     if frame is None:
         frame = frame_curvature(M, fp, include_nabla=False)
     rt = frame.Rtable
     r1 = rt[:, :, :, 0]
     s_base = float(np.einsum("illi->", rt))
-    return (
+    return float(
         s_base
         - (t_sq * alpha / 4.0) * float(np.einsum("irl,irl->", r1, r1))
-        + 2.0 * (n - 1) * fam.H(t_sq) / (alpha * delta)
-        + (n - 1) * (n - 2) * fam.F(t_sq) / alpha**2
+        + 2.0 * (n - 1) * j.H / (alpha * j.delta)
+        + (n - 1) * (n - 2) * j.F / alpha**2
     )
 
 

@@ -21,6 +21,7 @@ class DomainError(TbcurvError):
     """Evaluation outside the real domain of an expression node."""
 
     def __init__(self, message: str, node: str, t: float):
+        t = float(t)
         super().__init__(f"{message}: {node} at t={t!r}")
         self.node = node
         self.t = t

@@ -11,13 +11,15 @@ which happens iff beta equals the flatness combination
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import ValidityError
-from .scalarfun import FunctionLike, ScalarFunction, as_scalar_function
+from .errors import DomainError, ValidityError
+from .scalarfun import FunctionLike, Jet2, ScalarFunction, as_scalar_function
 
 __all__ = [
     "FamilyJets",
@@ -40,13 +42,17 @@ _PRESET_EXPRESSIONS = {
 
 @dataclass(frozen=True)
 class FamilyJets:
-    """The five numbers every consumer of a family needs at one t."""
+    """Everything consumers of a family need at t, for a number or an
+    array of t: the jets of alpha and beta, Delta = alpha + t*beta, F and H."""
 
-    alpha: float
-    alpha_d1: float
-    alpha_d2: float
-    beta: float
-    beta_d1: float
+    alpha: np.ndarray
+    alpha_d1: np.ndarray
+    alpha_d2: np.ndarray
+    beta: np.ndarray
+    beta_d1: np.ndarray
+    delta: np.ndarray
+    F: np.ndarray
+    H: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,43 +87,45 @@ class FamilyValidation:
         return f"{head}; {phi} on [0, {self.t_max:g}] ({self.samples} samples)"
 
 
-def _refine_minimum(value, slope, a: float, b: float, iters: int = 80) -> float:
-    """Bisect slope over [a, b] (slope(a) < 0 <= slope(b)) to locate a local
-    minimum of value."""
-    lo, hi = a, b
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _first_nonpositive(value, slope, grid: np.ndarray, dip_rtol: float):
-    """First t in [grid[0], grid[-1]] where value(t) fails to be positive.
+def _first_nonpositive(value_slope, grid: np.ndarray, dip_rtol: float, iters: int = 80):
+    """First t in [grid[0], grid[-1]] where a function fails to be positive;
+    ``value_slope(t)`` gives its value and slope at an array of t.
 
     Grid nodes are checked for outright nonpositivity.  A local minimum
     bracketed by a sign change of the slope is refined by bisection and
     counted as a violation when the refined value collapses relative to
     the bracketing values (a tangential zero); an everywhere-positive
-    function that merely decays to tiny values is not flagged.
+    function that merely decays to tiny values is not flagged.  Events are
+    taken in grid order, a node before the bracket that ends at it; all
+    brackets are bisected together.  Where the function is undefined from
+    some node on, the nodes before it are scanned, and the DomainError is
+    raised if they hold no event.
     """
-    prev_t = grid[0]
-    prev_v = value(prev_t)
-    prev_s = slope(prev_t)
-    if prev_v <= 0.0:
-        return float(prev_t)
-    for t in grid[1:]:
-        v = value(t)
-        s = slope(t)
-        if v <= 0.0:
-            return float(t)
-        if prev_s < 0.0 <= s:
-            tm = _refine_minimum(value, slope, prev_t, t)
-            if value(tm) <= dip_rtol * max(prev_v, v):
-                return float(tm)
-        prev_t, prev_v, prev_s = t, v, s
+    error = None
+    while True:
+        try:
+            v, s = value_slope(grid)
+            break
+        except DomainError as exc:
+            error, grid = exc, grid[grid < exc.t]
+    bad = np.flatnonzero(v <= 0.0)
+    end = bad[0] if bad.size else v.size
+    ends = np.flatnonzero((s[:-1] < 0.0) & (0.0 <= s[1:])) + 1
+    ends = ends[ends < end]
+    if ends.size:
+        lo, hi = grid[ends - 1], grid[ends]
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            down = value_slope(mid)[1] < 0.0
+            lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+        tm = 0.5 * (lo + hi)
+        dips = value_slope(tm)[0] <= dip_rtol * np.maximum(v[ends - 1], v[ends])
+        if dips.any():
+            return float(tm[np.argmax(dips)])
+    if end < v.size:
+        return float(grid[end])
+    if error is not None:
+        raise error
     return None
 
 
@@ -147,54 +155,84 @@ class NaturalMetricFamily:
             f"beta={self.beta.name!r})"
         )
 
-    # -- raw jets ----------------------------------------------------------
+    # -- jets ------------------------------------------------------------
 
-    def jets(self, t: float) -> FamilyJets:
+    def jets(self, t) -> FamilyJets:
+        """The record at t (a number or an array), from one walk of alpha
+        and one of beta; raises ValidityError unless every t lies inside
+        [0, t_max] with alpha > 0 and alpha + t*beta > 0, naming the first
+        t that does not."""
+        t = np.asarray(t, dtype=float)
+        outside = ~((0.0 <= t) & (t <= self.t_max))
+        if np.count_nonzero(outside):
+            raise ValidityError(
+                f"t={np.ravel(t)[np.argmax(outside)]:g} outside validated range "
+                f"[0, {self.t_max:g}] for family {self.name!r}"
+            )
+        t = t[()]
         a = self.alpha.jet(t)
         b = self.beta.jet(t)
-        return FamilyJets(a.value, a.d1, a.d2, b.value, b.d1)
+        delta = a.value + t * b.value
+        bad = (a.value <= 0.0) | (delta <= 0.0)
+        if np.count_nonzero(bad):
+            i = np.argmax(bad)
+            raise ValidityError(
+                f"family {self.name!r} invalid at t={np.ravel(t)[i]:g}: "
+                f"alpha={np.ravel(a.value)[i]:g}, alpha+t*beta={np.ravel(delta)[i]:g}"
+            )
+        # F: vertical plane coefficient away from the radial direction,
+        # (alpha*beta - t*alpha'^2 - 2*alpha*alpha') / Delta.
+        num = a.value * b.value - t * (a.d1 * a.d1) - 2.0 * a.value * a.d1
+        # H: radial vertical plane coefficient, phi * d/dt ln(alpha*Delta)
+        # - 2*phi', with phi = alpha + t*alpha'.
+        delta_d1 = a.d1 + b.value + t * b.d1
+        phi = a.value + t * a.d1
+        phi_d1 = 2.0 * a.d1 + t * a.d2
+        log_d1 = (a.d1 * delta + a.value * delta_d1) / (a.value * delta)
+        return FamilyJets(
+            alpha=a.value,
+            alpha_d1=a.d1,
+            alpha_d2=a.d2,
+            beta=b.value,
+            beta_d1=b.d1,
+            delta=delta,
+            F=num / delta,
+            H=phi * log_d1 - 2.0 * phi_d1,
+        )
 
-    def alpha_at(self, t: float) -> float:
+    def alpha_at(self, t):
         return self.alpha.value(t)
 
-    def beta_at(self, t: float) -> float:
+    def beta_at(self, t):
         return self.beta.value(t)
 
-    def delta_at(self, t: float) -> float:
+    def delta_at(self, t):
         """alpha(t) + t*beta(t), the squared-norm weight along xi."""
         return self.alpha.value(t) + t * self.beta.value(t)
 
-    def phi_at(self, t: float) -> float:
+    def phi_at(self, t):
         """alpha(t) + t*alpha'(t)."""
         a = self.alpha.jet(t)
         return a.value + t * a.d1
 
     # -- validity ----------------------------------------------------------
 
-    def check_point(self, t: float) -> tuple[float, float]:
-        """Raise ValidityError unless alpha > 0 and alpha + t*beta > 0 at t
-        and t lies inside the validated horizon; return (alpha(t), beta(t))."""
-        if not 0.0 <= t <= self.t_max:
-            raise ValidityError(
-                f"t={t:g} outside validated range [0, {self.t_max:g}] "
-                f"for family {self.name!r}"
-            )
-        a = self.alpha.value(t)
-        b = self.beta.value(t)
-        d = a + t * b
-        if a <= 0.0 or d <= 0.0:
-            raise ValidityError(
-                f"family {self.name!r} invalid at t={t:g}: alpha={a:g}, "
-                f"alpha+t*beta={d:g}"
-            )
-        return a, b
+    def check_point(self, t):
+        """(alpha(t), beta(t)) for a number or an array t, after the checks
+        of ``jets``."""
+        j = self.jets(t)
+        return j.alpha, j.beta
 
-    def weights(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(alpha(t), beta(t)) at each t of an array, each t passing
-        ``check_point`` first; the first invalid t raises ValidityError."""
-        t = np.asarray(t, dtype=float)
-        ab = np.array([self.check_point(ti) for ti in t.ravel().tolist()])
-        return ab[:, 0].reshape(t.shape), ab[:, 1].reshape(t.shape)
+    def _value_slope(self, kind: str, t: np.ndarray):
+        """Value and slope of alpha, Delta = alpha + t*beta or
+        phi = alpha + t*alpha' at t."""
+        a = self.alpha.jet(t)
+        if kind == "alpha":
+            return a.value, a.d1
+        if kind == "phi":
+            return a.value + t * a.d1, 2.0 * a.d1 + t * a.d2
+        b = self.beta.jet(t)
+        return a.value + t * b.value, a.d1 + b.value + t * b.d1
 
     def validate(self, samples: int = 4096, dip_rtol: float = 1e-8) -> FamilyValidation:
         """Densely sample positivity of alpha and alpha + t*beta on
@@ -207,45 +245,18 @@ class NaturalMetricFamily:
         if samples < 2:
             raise ValueError("samples must be >= 2")
         grid = np.linspace(0.0, self.t_max, samples)
-
-        def alpha_v(t):
-            return self.alpha.value(t)
-
-        def alpha_s(t):
-            return self.alpha.jet(t).d1
-
-        def delta_v(t):
-            return self.alpha.value(t) + t * self.beta.value(t)
-
-        def delta_s(t):
-            a = self.alpha.jet(t)
-            b = self.beta.jet(t)
-            return a.d1 + b.value + t * b.d1
-
-        def phi_v(t):
-            a = self.alpha.jet(t)
-            return a.value + t * a.d1
-
-        def phi_s(t):
-            a = self.alpha.jet(t)
-            return 2.0 * a.d1 + t * a.d2
-
-        bad_alpha = _first_nonpositive(alpha_v, alpha_s, grid, dip_rtol)
-        bad_delta = _first_nonpositive(delta_v, delta_s, grid, dip_rtol)
+        bad_alpha, bad_delta, bad_phi = (
+            _first_nonpositive(partial(self._value_slope, kind), grid, dip_rtol)
+            for kind in ("alpha", "delta", "phi")
+        )
         candidates = [
             (t, kind)
             for t, kind in ((bad_alpha, "alpha"), (bad_delta, "delta"))
             if t is not None
         ]
-        if candidates:
-            violation_t, kind = min(candidates)
-            valid = False
-        else:
-            violation_t, kind = None, None
-            valid = True
-        bad_phi = _first_nonpositive(phi_v, phi_s, grid, dip_rtol)
+        violation_t, kind = min(candidates) if candidates else (None, None)
         return FamilyValidation(
-            valid=valid,
+            valid=not candidates,
             violation_t=violation_t,
             violation_kind=kind,
             phi_positive=bad_phi is None,
@@ -263,63 +274,45 @@ class NaturalMetricFamily:
         (eigenvalues alpha with multiplicity n-1 and alpha + |xi|^2 beta).
         """
         xi = np.asarray(xi, dtype=float)
-        t = float(xi @ xi)
-        self.check_point(t)
-        n = xi.shape[0]
-        return self.alpha.value(t) * np.eye(n) + self.beta.value(t) * np.outer(xi, xi)
+        alpha, beta = self.check_point(float(xi @ xi))
+        return alpha * np.eye(xi.shape[0]) + beta * np.outer(xi, xi)
 
-    def F(self, t: float) -> float:
+    def F(self, t):
         """Vertical plane coefficient away from the radial direction:
         (alpha*beta - t*alpha'^2 - 2*alpha*alpha') / (alpha + t*beta)."""
-        self.check_point(t)
-        j = self.jets(t)
-        num = j.alpha * j.beta - t * j.alpha_d1**2 - 2.0 * j.alpha * j.alpha_d1
-        return num / (j.alpha + t * j.beta)
+        return self.jets(t).F
 
-    def H(self, t: float) -> float:
+    def H(self, t):
         """Radial vertical plane coefficient:
         phi * d/dt ln(alpha*Delta) - 2*phi', with phi = alpha + t*alpha'
         and Delta = alpha + t*beta."""
-        self.check_point(t)
-        j = self.jets(t)
-        delta = j.alpha + t * j.beta
-        delta_d1 = j.alpha_d1 + j.beta + t * j.beta_d1
-        phi = j.alpha + t * j.alpha_d1
-        phi_d1 = 2.0 * j.alpha_d1 + t * j.alpha_d2
-        log_d1 = (j.alpha_d1 * delta + j.alpha * delta_d1) / (j.alpha * delta)
-        return phi * log_d1 - 2.0 * phi_d1
+        return self.jets(t).H
 
     def max_abs_F(self, t_hi: float, samples: int = 2048) -> float:
-        ts = np.linspace(0.0, t_hi, samples)
-        return max(abs(self.F(float(t))) for t in ts)
+        return float(np.max(np.abs(self.F(np.linspace(0.0, t_hi, samples)))))
 
     def max_abs_H(self, t_hi: float, samples: int = 2048) -> float:
-        ts = np.linspace(0.0, t_hi, samples)
-        return max(abs(self.H(float(t))) for t in ts)
+        return float(np.max(np.abs(self.H(np.linspace(0.0, t_hi, samples)))))
 
 
 def flatness_beta(alpha: FunctionLike) -> ScalarFunction:
     """The beta making the fibers flat over a flat base:
     beta = (t*alpha'^2 + 2*alpha*alpha') / alpha.
 
-    The returned function carries an exact first derivative (it is needed
-    by H); its second derivative is undefined (NaN) since it would require
+    Its value and exact first derivative (needed by H) come from one walk of
+    alpha; its second derivative is undefined (NaN) since it would require
     the third derivative of alpha.
     """
     alpha = as_scalar_function(alpha)
 
-    def value(t: float) -> float:
+    def jet(t) -> Jet2:
         a = alpha.jet(t)
-        return (t * a.d1**2 + 2.0 * a.value * a.d1) / a.value
+        value = (t * (a.d1 * a.d1) + 2.0 * a.value * a.d1) / a.value
+        num_d1 = 3.0 * (a.d1 * a.d1) + 2.0 * t * a.d1 * a.d2 + 2.0 * a.value * a.d2
+        d1 = num_d1 / a.value - value * a.d1 / a.value
+        return Jet2(value, d1, value * math.nan)
 
-    def d1(t: float) -> float:
-        a = alpha.jet(t)
-        num_d1 = 3.0 * a.d1**2 + 2.0 * t * a.d1 * a.d2 + 2.0 * a.value * a.d2
-        return num_d1 / a.value - value(t) * a.d1 / a.value
-
-    return ScalarFunction.from_callables(
-        value, d1, None, name=f"flatness_beta({alpha.name})"
-    )
+    return ScalarFunction(jet, name=f"flatness_beta({alpha.name})")
 
 
 def preset(name: str, t_max: float = 25.0) -> NaturalMetricFamily:

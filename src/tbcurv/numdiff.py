@@ -33,6 +33,7 @@ __all__ = [
     "christoffel_jacobian_from_jets",
     "riemann_from_christoffels",
     "project_curvature_symmetries",
+    "frame_components",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -227,3 +228,16 @@ def project_curvature_symmetries(r: np.ndarray) -> np.ndarray:
     r = 0.5 * (r - r.transpose(0, 1, 3, 2))
     r = 0.5 * (r + r.transpose(2, 3, 0, 1))
     return r
+
+
+def frame_components(u: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Components of a tensor in a frame: u applied on every axis,
+    out[i, j, ...] = u[i, a] u[j, b] ... tensor[a, b, ...].
+
+    One fixed contraction per axis: each step contracts the leading axis
+    and appends the frame index, so after all of them the axes are back in
+    order.
+    """
+    for _ in range(tensor.ndim):
+        tensor = np.tensordot(tensor, u, axes=(0, 1))
+    return tensor

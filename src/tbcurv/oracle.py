@@ -29,6 +29,7 @@ from .numdiff import (
     ORACLE,
     christoffel_jacobian_from_jets,
     christoffels_from_jets,
+    frame_components,
     matrix_jets,
     riemann_from_christoffels,
 )
@@ -107,9 +108,7 @@ def numeric_tm_curvature(
     if fp is None:
         fp = adapted_frame(M, p.x, p.v)
     frame = adapted_frame_vectors(M, fp)
-    table = np.einsum(
-        "aA,bB,cC,dD,ABCD->abcd", frame, frame, frame, frame, rlow, optimize=True
-    )
+    table = frame_components(frame, rlow)
     gram = frame @ g0 @ frame.T
     return OracleResult(table=table, gram=gram, cond=cond, fp=fp)
 

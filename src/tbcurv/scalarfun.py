@@ -4,7 +4,8 @@ The metric families on the tangent bundle are parameterized by two scalar
 functions alpha(t), beta(t).  Everything downstream (the fiber block, the
 vertical curvature coefficients, validity checks) consumes not just values
 but first and second derivatives, so expressions are evaluated as order-2
-jets (f, f', f'') propagated structurally through the syntax tree.
+jets (f, f', f'') propagated structurally through the syntax tree.  t may be
+a number or an array: one walk of the tree covers every t.
 
 Grammar (precedence high to low): unary minus, ``^`` with a numeric
 exponent, ``*`` ``/``, ``+`` ``-``.  Parentheses group.  The only variable
@@ -13,15 +14,20 @@ unary minus binds tighter than the power operator, so ``-t^2`` is
 ``(-t)^2``.
 
     >>> f = parse("1/(1+t)")
-    >>> eval_jet(f, 0.0)
-    Jet2(value=1.0, d1=-1.0, d2=2.0)
+    >>> jet = eval_jet(f, 0.0)
+    >>> float(jet.value), float(jet.d1), float(jet.d2)
+    (1.0, -1.0, 2.0)
+    >>> eval_jet(f, [0.0, 1.0]).d1
+    array([-1.  , -0.25])
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import partial
+from typing import Callable, Union
+
+import numpy as np
 
 from .errors import DomainError, ParseError, UnknownIdentifierError
 
@@ -255,11 +261,14 @@ def parse(src: str) -> Expr:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value with first and second derivative: (f(t), f'(t), f''(t))."""
+    """Value with first and second derivative: (f(t), f'(t), f''(t)).
 
-    value: float
-    d1: float
-    d2: float
+    The fields are numbers for a number t, or arrays of the shape of t.
+    """
+
+    value: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
 
     def __add__(self, other: "Jet2") -> "Jet2":
         return Jet2(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
@@ -285,58 +294,74 @@ class Jet2:
 
 
 def _jet_exp(a: Jet2) -> Jet2:
-    e = math.exp(a.value)
+    e = np.exp(a.value)
     return Jet2(e, e * a.d1, e * (a.d1 * a.d1 + a.d2))
 
 
 def _jet_ln(a: Jet2) -> Jet2:
     r = a.d1 / a.value
-    return Jet2(math.log(a.value), r, a.d2 / a.value - r * r)
+    return Jet2(np.log(a.value), r, a.d2 / a.value - r * r)
 
 
 def _jet_sqrt(a: Jet2) -> Jet2:
-    s = math.sqrt(a.value)
+    s = np.sqrt(a.value)
     d1 = a.d1 / (2.0 * s)
-    return Jet2(s, d1, a.d2 / (2.0 * s) - a.d1 * a.d1 / (4.0 * s**3))
+    return Jet2(s, d1, a.d2 / (2.0 * s) - a.d1 * a.d1 / (4.0 * np.power(s, 3)))
 
 
+# np.power, not **: numpy scalars and arrays take different routes for **.
 def _jet_pow(a: Jet2, p: float) -> Jet2:
-    v = a.value**p
-    vp1 = p * a.value ** (p - 1.0)
-    vp2 = p * (p - 1.0) * a.value ** (p - 2.0)
+    v = np.power(a.value, p)
+    vp1 = p * np.power(a.value, p - 1.0)
+    vp2 = p * (p - 1.0) * np.power(a.value, p - 2.0)
     return Jet2(v, vp1 * a.d1, vp2 * a.d1 * a.d1 + vp1 * a.d2)
 
 
-def eval_jet(node: Expr, t: float) -> Jet2:
+def _check(bad, message: str, node: str, t) -> None:
+    """Raise DomainError at the first t where ``bad`` holds."""
+    if np.count_nonzero(bad):
+        raise DomainError(message, node, float(np.ravel(t)[np.argmax(bad)]))
+
+
+def eval_jet(node: Expr, t) -> Jet2:
     """Evaluate (f, f', f'') at t by forward propagation through the AST.
 
-    Raises DomainError naming the offending node when t falls outside the
-    real domain (division by zero, ln of a nonpositive value, sqrt of a
-    negative value, fractional power of a nonpositive base).
+    t is a number or an array; one walk of the tree covers every t.  Raises
+    DomainError naming the offending node and the first t outside the real
+    domain (division by zero, ln of a nonpositive value, sqrt of a
+    nonpositive value, a negative power of zero or a fractional power of a
+    nonpositive base), or where exp or a power overflows.
     """
+    t = np.asarray(t, dtype=float)
+    zero = np.zeros_like(t)[()]
+    with np.errstate(all="ignore"):
+        return _walk(node, t[()], zero)
+
+
+def _walk(node: Expr, t, zero) -> Jet2:
     if isinstance(node, Const):
-        return Jet2(node.value, 0.0, 0.0)
+        return Jet2(zero + node.value, zero, zero)
     if isinstance(node, Var):
-        return Jet2(float(t), 1.0, 0.0)
+        return Jet2(t, zero + 1.0, zero)
     if isinstance(node, Unary):
-        arg = eval_jet(node.arg, t)
+        arg = _walk(node.arg, t, zero)
         if node.op == "neg":
             return -arg
         if node.op == "exp":
-            return _jet_exp(arg)
+            out = _jet_exp(arg)
+            _check(np.isinf(out.value), "exp overflows", "exp", t)
+            return out
         if node.op == "ln":
-            if arg.value <= 0.0:
-                raise DomainError("ln of a nonpositive value", "ln", t)
+            _check(arg.value <= 0.0, "ln of a nonpositive value", "ln", t)
             return _jet_ln(arg)
         if node.op == "sqrt":
-            if arg.value <= 0.0:
-                # 0 is excluded: the jet has infinite slope there.
-                raise DomainError("sqrt of a nonpositive value", "sqrt", t)
+            # 0 is excluded: the jet has infinite slope there.
+            _check(arg.value <= 0.0, "sqrt of a nonpositive value", "sqrt", t)
             return _jet_sqrt(arg)
         raise AssertionError(node.op)
     if isinstance(node, Binary):
-        left = eval_jet(node.left, t)
-        right = eval_jet(node.right, t)
+        left = _walk(node.left, t, zero)
+        right = _walk(node.right, t, zero)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -344,20 +369,19 @@ def eval_jet(node: Expr, t: float) -> Jet2:
         if node.op == "*":
             return left * right
         if node.op == "/":
-            if right.value == 0.0:
-                raise DomainError("division by zero", "division", t)
+            _check(right.value == 0.0, "division by zero", "division", t)
             return left / right
         raise AssertionError(node.op)
     if isinstance(node, Pow):
-        base = eval_jet(node.base, t)
+        base = _walk(node.base, t, zero)
         p = node.exponent
-        if p == float(int(p)):
-            if base.value == 0.0 and p < 0:
-                raise DomainError("zero base with negative exponent", "power", t)
-            return _jet_pow(base, p)
-        if base.value <= 0.0:
-            raise DomainError("fractional power of a nonpositive base", "power", t)
-        return _jet_pow(base, p)
+        if p != int(p):
+            _check(base.value <= 0.0, "fractional power of a nonpositive base", "power", t)
+        elif p < 0:
+            _check(base.value == 0.0, "zero base with negative exponent", "power", t)
+        out = _jet_pow(base, p)
+        _check(np.isinf(out.value), "power overflows", "power", t)
+        return out
     raise AssertionError(type(node))
 
 
@@ -410,63 +434,32 @@ def to_text(node: Expr) -> str:
 
 
 class ScalarFunction:
-    """A function of t >= 0 exposing exact jets, backed by an expression or
-    by explicit callables.
+    """A function of t >= 0 given by its order-2 jet function, which takes a
+    number or an array of t.
 
-    Expression-backed instances carry full order-2 jets.  Callable-backed
-    instances (used for derived functions such as the flatness beta) may
-    omit the second derivative, in which case ``jet(t).d2`` is NaN.
+    Expression-backed instances evaluate the syntax tree.  Derived functions
+    such as the flatness beta supply their own jet function; its second
+    derivative may be NaN where it is not available.
     """
 
-    def __init__(
-        self,
-        *,
-        ast: Optional[Expr] = None,
-        value_fn: Optional[Callable[[float], float]] = None,
-        d1_fn: Optional[Callable[[float], float]] = None,
-        d2_fn: Optional[Callable[[float], float]] = None,
-        name: str = "",
-    ):
-        if (ast is None) == (value_fn is None):
-            raise ValueError("provide exactly one of ast or value_fn")
-        self._ast = ast
-        self._value_fn = value_fn
-        self._d1_fn = d1_fn
-        self._d2_fn = d2_fn
-        self.name = name or (to_text(ast) if ast is not None else "<callable>")
+    def __init__(self, jet: Callable[[np.ndarray], Jet2], name: str = "<callable>"):
+        self._jet = jet
+        self.name = name
 
     @classmethod
     def from_expression(cls, src: str, name: str = "") -> "ScalarFunction":
-        return cls(ast=parse(src), name=name or src)
-
-    @classmethod
-    def from_callables(
-        cls,
-        value_fn: Callable[[float], float],
-        d1_fn: Callable[[float], float],
-        d2_fn: Optional[Callable[[float], float]] = None,
-        name: str = "<callable>",
-    ) -> "ScalarFunction":
-        return cls(value_fn=value_fn, d1_fn=d1_fn, d2_fn=d2_fn, name=name)
+        return cls(partial(eval_jet, parse(src)), name=name or src)
 
     @classmethod
     def constant(cls, c: float) -> "ScalarFunction":
-        return cls(ast=Const(float(c)))
+        node = Const(float(c))
+        return cls(partial(eval_jet, node), name=to_text(node))
 
-    @property
-    def ast(self) -> Optional[Expr]:
-        return self._ast
+    def jet(self, t) -> Jet2:
+        return self._jet(t)
 
-    def jet(self, t: float) -> Jet2:
-        if self._ast is not None:
-            return eval_jet(self._ast, t)
-        d2 = self._d2_fn(t) if self._d2_fn is not None else math.nan
-        return Jet2(self._value_fn(t), self._d1_fn(t), d2)
-
-    def value(self, t: float) -> float:
-        if self._ast is not None:
-            return eval_jet(self._ast, t).value
-        return self._value_fn(t)
+    def value(self, t):
+        return self._jet(t).value
 
     __call__ = value
 

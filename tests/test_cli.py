@@ -45,6 +45,28 @@ class TestFamilyCheck:
         assert "FAILED" not in out
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "alpha,node", [("exp(t^3)", "exp"), ("(t+1)^400", "power"), ("ln(t-1)", "ln")]
+    )
+    def test_undefined_or_overflowing_family_is_an_error(self, capsys, alpha, node):
+        assert run(["family-check", "--alpha", alpha, "--beta", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{node} at t=" in err
+        assert "np.float64" not in err
+
+    def test_family_undefined_beyond_its_first_violation_is_invalid(self, capsys):
+        # ln(2 - t) turns negative past t = 1 and is undefined from t = 2 on:
+        # the scan stops at the violation and never reaches the undefined part
+        assert run(["family-check", "--alpha", "ln(2-t)", "--beta", "0"]) == 2
+        assert "INVALID: alpha <= 0 near t=1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-5"])
+    def test_bad_samples_is_config_error(self, capsys, samples):
+        assert run(["family-check", "--family", "sasaki", f"--samples={samples}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"got {samples}" in err
+
+
 class TestVerify:
     GRID = '{"base_points": [[0.9, 0.3]], "v_norms": [0.0, 1.0]}'
 

@@ -25,7 +25,7 @@ from tbcurv.errors import (
     ValidityError,
 )
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta, preset
-from tbcurv.numdiff import ORACLE, Stencil, matrix_jets, pointwise
+from tbcurv.numdiff import ORACLE, Stencil, frame_components, matrix_jets, pointwise
 from tbcurv.oracle import calibrate_sign, compare, numeric_tm_curvature
 
 
@@ -168,6 +168,20 @@ class TestNumericTable:
         )
         with pytest.warns(ConditioningWarning):
             numeric_tm_curvature(M, preset("sasaki"), BundlePoint.of([0, 0], [0, 0]))
+
+
+@pytest.mark.parametrize(
+    "rank,size",
+    [(4, 2), (4, 5), (5, 3), (5, 5), (4, 6), (4, 10)],  # R and nabla R in n-frames, R of G in 2n-frames
+)
+def test_frame_components_equal_einsum(rank, size):
+    rng = np.random.default_rng(rank * 100 + size)
+    u = rng.normal(size=(size, size))
+    tensor = rng.normal(size=(size,) * rank)
+    letters = "abcde"[:rank]
+    spec = ",".join(f"{c.upper()}{c}" for c in letters) + f",{letters}->{letters.upper()}"
+    want = np.einsum(spec, *[u] * rank, tensor, optimize=True)  # the contraction it replaces
+    np.testing.assert_allclose(frame_components(u, tensor), want, rtol=1e-12, atol=1e-12)
 
 
 class TestCalibration:

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from tbcurv.errors import DomainError, ParseError, UnknownIdentifierError
 from tbcurv.scalarfun import (
     Binary,
     Const,
+    Jet2,
     Pow,
     ScalarFunction,
     Unary,
@@ -104,8 +106,29 @@ class TestEvalJet:
         ],
     )
     def test_domain_errors(self, src, t):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             eval_jet(parse(src), t)
+        assert type(err.value.t) is float and err.value.t == t
+        assert str(err.value).endswith(f"at t={t!r}")  # a plain float, not np.float64(...)
+
+    @pytest.mark.parametrize(
+        "src,ts,node,first_bad",
+        [
+            ("1/(t-2)", [0.0, 1.0, 2.0, 3.0, 2.0], "division", 2.0),
+            ("ln(t-1)", [3.0, 2.0, 0.5, 0.25, 2.0], "ln", 0.5),
+            ("sqrt(2-t)", [[0.0, 1.0], [2.5, 3.0]], "sqrt", 2.5),
+            ("(t-2)^0.5", [3.0, 2.5, 1.5, 4.0], "power", 1.5),
+            ("(t-1)^-2", [0.0, 1.0, 2.0, 1.0], "power", 1.0),
+            ("exp(t^3)", [1.0, 2.0, 9.0, 3.0, 10.0], "exp", 9.0),
+            ("(t+1)^400", [0.0, 1.0, 6.0, 2.0, 7.0], "power", 6.0),
+        ],
+    )
+    def test_domain_errors_of_an_array_name_its_first_bad_t(self, src, ts, node, first_bad):
+        with pytest.raises(DomainError) as err:
+            eval_jet(parse(src), np.array(ts))
+        assert err.value.node == node
+        assert type(err.value.t) is float and err.value.t == first_bad
+        assert str(err.value).endswith(f"{node} at t={first_bad!r}")
 
     def test_integer_power_of_negative_base_ok(self):
         jet = eval_jet(parse("(t-2)^3"), 1.0)
@@ -149,17 +172,23 @@ def test_parse_print_roundtrip(ast):
 @settings(max_examples=200)
 def test_jets_match_finite_differences(ast, t):
     """d1/d2 agree with Richardson-extrapolated central differences
-    wherever the expression is smooth around t."""
+    wherever the expression is smooth around t; the jets of an array of t
+    equal the jets of each t."""
     h = 1e-3 * max(1.0, abs(t))
+    steps = (-1.0, -0.5, 0.5, 1.0)
     try:
         jet = eval_jet(ast, t)
-        samples = {
-            s: eval_jet(ast, t + s * h).value
-            for s in (-1.0, -0.5, 0.5, 1.0)
-        }
+        samples = {s: eval_jet(ast, t + s * h).value for s in steps}
         f0 = jet.value
-    except (DomainError, OverflowError):
+    except DomainError:
         assume(False)
+    ts = np.array([t] + [t + s * h for s in steps])
+    array_jet = eval_jet(ast, ts.reshape(5, 1))
+    for field in ("value", "d1", "d2"):
+        got = getattr(array_jet, field)
+        assert got.shape == (5, 1)
+        want = [getattr(eval_jet(ast, float(ti)), field) for ti in ts]
+        np.testing.assert_array_equal(got[:, 0], want)
     values = [f0] + list(samples.values()) + [jet.d1, jet.d2]
     assume(all(math.isfinite(x) and abs(x) < 1e8 for x in values))
 
@@ -221,8 +250,8 @@ class TestScalarFunction:
         assert f.jet(0.0).d2 == 1.0
 
     def test_callable_backed_without_d2(self):
-        f = ScalarFunction.from_callables(lambda t: t, lambda t: 1.0)
-        assert math.isnan(f.jet(1.0).d2)
+        f = ScalarFunction(lambda t: Jet2(t, 1.0, math.nan))
+        assert f(2.0) == 2.0 and math.isnan(f.jet(1.0).d2)
 
     def test_constant(self):
         f = ScalarFunction.constant(2.5)
