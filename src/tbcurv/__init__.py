@@ -52,7 +52,6 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DomainError,
-    MissingNablaRError,
     ParseError,
     SingularMetricError,
     StencilOutOfDomainError,

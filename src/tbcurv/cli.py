@@ -17,13 +17,14 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import closedform
-from .basemanifold import ChartManifold, adapted_frame, frame_curvature, make_manifold
+from .basemanifold import ChartManifold, adapted_frame, make_manifold
 from .bundlemetric import BundlePoint, squared_norm
 from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from .metricfamily import NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
@@ -233,13 +234,6 @@ def _resolve_oracle(cfg: dict) -> OracleConfig:
 # --------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _json_text(obj, pad: str = "\n") -> str:
     """The text of ``json.dumps(obj, sort_keys=True, indent=2)``; keys of a
     dict holding a container must be strings.  json indents in pure Python,
@@ -293,10 +287,14 @@ def _emit(cfg: dict, rows: list[dict], header_note: str, payload_key: str) -> No
     if not rows:
         _write_text(path, f"# {header_note}\n")
         return
-    cols = list(rows[0].keys())
+    # The header is the union of the rows' keys in first-seen order (error
+    # rows carry other columns than good ones); a missing cell is empty.
+    # Cells are str() of Python floats, ints and strings: for a float that is
+    # its shortest round-trip decimal.
+    cols = list(dict.fromkeys(chain.from_iterable(dict.fromkeys(map(tuple, rows)))))
     lines = [f"# {header_note}", ",".join(cols)]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in cols))
+        lines.append(",".join([str(row.get(c, "")) for c in cols]))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -356,12 +354,30 @@ def cmd_family_check(cfg: dict, samples: int = 4096) -> int:
     return 1 if failures else 0
 
 
-def _point_rows_header(M: ChartManifold, p: BundlePoint, fp) -> dict:
-    return {
-        "x": ";".join(repr(float(c)) for c in p.x),
-        "v": ";".join(repr(float(c)) for c in p.v),
-        "t": float(fp.t),
-    }
+def _coords(values) -> str:
+    """A point or vector as one CSV cell: its coordinates joined by ';'."""
+    return ";".join(repr(float(c)) for c in values)
+
+
+def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
+    """|v|_g for an error row; nan where the metric gives no real norm."""
+    try:
+        return math.sqrt(squared_norm(M, p.x, p.v))
+    except (ArithmeticError, ValueError):
+        return float("nan")
+
+
+def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str):
+    """Index names and value columns (arrays of one shape) of one task's
+    table at fp; the scalar table has no index."""
+    if task == "curvature":
+        return "abcd", {"value": closedform.tm_curvature(M, fam, fp).table}
+    if task == "sectional":
+        sec = closedform.tm_sectional(M, fam, fp)
+        return "ij", {"K_hh": sec.hh, "K_vv": sec.vv, "K_hv": sec.hv}
+    if task == "ricci":
+        return "ab", {"value": closedform.tm_ricci(M, fam, fp)}
+    return "", {"scalar": np.asarray(closedform.tm_scalar(M, fam, fp))}
 
 
 def cmd_tables(cfg: dict, task: str) -> int:
@@ -372,59 +388,20 @@ def cmd_tables(cfg: dict, task: str) -> int:
     rows: list[dict] = []
     status = 0
     for p in points:
+        coords = {"x": _coords(p.x), "v": _coords(p.v)}
         try:
             fp = adapted_frame(M, p.x, p.v)
-            fam.check_point(fp.t * fp.t)
-            frame = frame_curvature(M, fp, include_nabla=task in ("curvature", "ricci"))
-            head = _point_rows_header(M, p, fp)
-            if task == "curvature":
-                table = closedform.tm_curvature(M, fam, fp, frame=frame).table
-                for idx in np.ndindex(*table.shape):
-                    rows.append(
-                        {
-                            **head,
-                            "a": idx[0],
-                            "b": idx[1],
-                            "c": idx[2],
-                            "d": idx[3],
-                            "value": float(table[idx]),
-                        }
-                    )
-            elif task == "sectional":
-                sec = closedform.tm_sectional(M, fam, fp, frame=frame)
-                n = M.dim
-                for i in range(n):
-                    for j in range(n):
-                        rows.append(
-                            {
-                                **head,
-                                "i": i,
-                                "j": j,
-                                "K_hh": float(sec.hh[i, j]),
-                                "K_vv": float(sec.vv[i, j]),
-                                "K_hv": float(sec.hv[i, j]),
-                            }
-                        )
-            elif task == "ricci":
-                ricci = closedform.tm_ricci(M, fam, fp, frame=frame)
-                for idx in np.ndindex(*ricci.shape):
-                    rows.append(
-                        {**head, "a": idx[0], "b": idx[1], "value": float(ricci[idx])}
-                    )
-            else:  # scalar
-                rows.append(
-                    {**head, "scalar": float(closedform.tm_scalar(M, fam, fp, frame=frame))}
-                )
+            names, columns = _table_columns(M, fam, fp, task)
         except TbcurvError as exc:
-            rows.append(
-                {
-                    "x": ";".join(repr(float(c)) for c in p.x),
-                    "v": ";".join(repr(float(c)) for c in p.v),
-                    "t": float("nan"),
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            rows.append({**coords, "t": _v_norm(M, p), "error": f"{type(exc).__name__}: {exc}"})
             status = 1
+            continue
+        keys = (*coords, "t", *names, *columns)
+        head = (*coords.values(), float(fp.t))
+        shape = next(iter(columns.values())).shape
+        cells = zip(*(col.ravel().tolist() for col in columns.values()))
+        for idx, values in zip(np.ndindex(shape), cells):
+            rows.append(dict(zip(keys, head + idx + values)))
     _emit(cfg, rows, f"{task} of (TM, G); {_NOTE}", task)
     return status
 
@@ -464,14 +441,6 @@ def _constant_curvature_of(M: ChartManifold) -> Optional[float]:
     return None
 
 
-def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
-    """|v|_g for an error row; nan where the metric gives no real norm."""
-    try:
-        return math.sqrt(squared_norm(M, p.x, p.v))
-    except (ArithmeticError, ValueError):
-        return float("nan")
-
-
 def cmd_scan(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
@@ -480,15 +449,12 @@ def cmd_scan(cfg: dict) -> int:
     status = 0
     special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
     for p in points:
-        base = {
-            "x": ";".join(repr(float(c)) for c in p.x),
-        }
+        base = {"x": _coords(p.x)}
         try:
             fp = adapted_frame(M, p.x, p.v)
             t_sq = fp.t * fp.t
             jets = fam.jets(t_sq)
-            frame = frame_curvature(M, fp, include_nabla=False)
-            s_general = closedform.tm_scalar(M, fam, fp, frame=frame)
+            s_general = closedform.tm_scalar(M, fam, fp)
             k0 = _constant_curvature_of(M)
             if special is not None and k0 is not None:
                 s_special = closedform.scalar_exp_specials(

@@ -34,7 +34,6 @@ from .basemanifold import (
     FrameCurvature,
     frame_curvature,
 )
-from .errors import MissingNablaRError
 from .metricfamily import FamilyJets, NaturalMetricFamily
 
 __all__ = [
@@ -123,6 +122,19 @@ def _check_normal_form(fp: AdaptedFramePoint, g: np.ndarray) -> None:
         )
 
 
+def _point_inputs(
+    M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint, include_nabla: bool
+) -> tuple[FamilyJets, FrameCurvature]:
+    """The family record at t = |v|^2_g and the base curvature at fp, after
+    the normal-form check.  The family goes first, so a t outside its valid
+    range fails before any base curvature is computed.  nabla R enters only
+    through the one-vertical block: the curvature table and the mixed Ricci
+    block need it, sectional and scalar curvature do not."""
+    _check_normal_form(fp, M.metric(fp.q))
+    jets = fam.jets(fp.t * fp.t)
+    return jets, frame_curvature(M, fp, include_nabla=include_nabla)
+
+
 def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict:
     n = fp.dim
     t = fp.t
@@ -132,11 +144,6 @@ def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict
 
     rt = frame.Rtable
     r1 = rt[:, :, :, 0]  # R_{abc1}
-    if frame.dRtable is None:
-        raise MissingNablaRError(
-            "the one-vertical block needs nabla R; compute frame_curvature "
-            "with include_nabla=True"
-        )
     dr1 = frame.dRtable[:, :, :, :, 0]  # (nabla_p R)_{abc1}
 
     # hhhh: base curvature plus quadratic t^2 corrections.
@@ -241,16 +248,10 @@ def _assemble(blocks: dict, n: int) -> np.ndarray:
 
 
 def tm_curvature(
-    M: ChartManifold,
-    fam: NaturalMetricFamily,
-    fp: AdaptedFramePoint,
-    frame: Optional[FrameCurvature] = None,
+    M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> TMCurvatureTable:
     """Full closed-form curvature table of (TM, G) at a normal-form point."""
-    _check_normal_form(fp, M.metric(fp.q))
-    jets = fam.jets(fp.t * fp.t)
-    if frame is None:
-        frame = frame_curvature(M, fp, include_nabla=True)
+    jets, frame = _point_inputs(M, fam, fp, include_nabla=True)
     blocks = _blocks(jets, fp, frame)
     table = _assemble(blocks, fp.dim)
     return TMCurvatureTable(
@@ -289,18 +290,12 @@ def _vertical_sectional(j: FamilyJets, n: int) -> np.ndarray:
 
 
 def tm_sectional(
-    M: ChartManifold,
-    fam: NaturalMetricFamily,
-    fp: AdaptedFramePoint,
-    frame: Optional[FrameCurvature] = None,
+    M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> TMSectional:
-    _check_normal_form(fp, M.metric(fp.q))
+    j, frame = _point_inputs(M, fam, fp, include_nabla=False)
     n = fp.dim
     t_sq = fp.t * fp.t
-    j = fam.jets(t_sq)
     alpha = j.alpha
-    if frame is None:
-        frame = frame_curvature(M, fp, include_nabla=False)
     rt = frame.Rtable
     r1 = rt[:, :, :, 0]
 
@@ -370,10 +365,7 @@ def tm_sectional_constcurv(
 
 
 def tm_ricci(
-    M: ChartManifold,
-    fam: NaturalMetricFamily,
-    fp: AdaptedFramePoint,
-    frame: Optional[FrameCurvature] = None,
+    M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> np.ndarray:
     """Closed-form Ricci table of (TM, G) over the (unnormalized) adapted
     frame, as a symmetric 2n x 2n matrix.
@@ -384,14 +376,11 @@ def tm_ricci(
     scalar-curvature closed form).  The mixed block is obtained by tracing
     the one-vertical curvature block against the orthonormalized frame.
     """
-    _check_normal_form(fp, M.metric(fp.q))
+    j, frame = _point_inputs(M, fam, fp, include_nabla=True)
     n = fp.dim
     t = fp.t
     t_sq = t * t
-    j = fam.jets(t_sq)
     alpha, delta, f_val, h_val = j.alpha, j.delta, j.F, j.H
-    if frame is None:
-        frame = frame_curvature(M, fp, include_nabla=True)
     rt = frame.Rtable
     r1 = rt[:, :, :, 0]
     ricci_base = np.einsum("illj->ij", rt)
@@ -404,8 +393,6 @@ def tm_ricci(
     vv[:, 0] = 0.0
     vv[0, 0] = (n - 1) * h_val / alpha
 
-    if frame.dRtable is None:
-        raise MissingNablaRError("mixed Ricci block needs nabla R")
     dr1 = frame.dRtable[:, :, :, :, 0]
     hv = (alpha * t / 2.0) * (
         np.einsum("illj->ij", dr1) - np.einsum("lilj->ij", dr1)
@@ -419,24 +406,16 @@ def tm_ricci(
     return out
 
 
-def tm_scalar(
-    M: ChartManifold,
-    fam: NaturalMetricFamily,
-    fp: AdaptedFramePoint,
-    frame: Optional[FrameCurvature] = None,
-) -> float:
+def tm_scalar(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint) -> float:
     """Scalar curvature of (TM, G) at v:
 
     S(q) - (t^2 alpha / 4) sum R_{irl1}^2 + 2(n-1) H / (alpha Delta)
     + (n-1)(n-2) F / alpha^2, everything evaluated at t^2.
     """
-    _check_normal_form(fp, M.metric(fp.q))
+    j, frame = _point_inputs(M, fam, fp, include_nabla=False)
     n = fp.dim
     t_sq = fp.t * fp.t
-    j = fam.jets(t_sq)
     alpha = j.alpha
-    if frame is None:
-        frame = frame_curvature(M, fp, include_nabla=False)
     rt = frame.Rtable
     r1 = rt[:, :, :, 0]
     s_base = float(np.einsum("illi->", rt))

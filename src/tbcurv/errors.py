@@ -43,10 +43,6 @@ class DegenerateInputError(TbcurvError):
     """Vectors supplied to a frame construction do not span."""
 
 
-class MissingNablaRError(TbcurvError):
-    """Covariant derivative of the curvature was required but not computed."""
-
-
 class ConfigError(TbcurvError):
     """Bad run configuration (CLI exit code 2)."""
 

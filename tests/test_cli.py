@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbcurv.cli import _build_parser, _json_text, main
+from tbcurv.metricfamily import NaturalMetricFamily
 
 
 def run(args):
@@ -406,6 +407,57 @@ class TestTables:
             )
             assert code == 0
             assert out.exists()
+
+    # (1.0, 0.3) with v = (0, 0.5) is a good point; v = (0, 20) has
+    # |v|_g = 20 sin(1) and t = |v|^2 far beyond t_max = 25.
+    GOOD = ["--point", "1.0,0.3", "--v", "0,0.5"]
+    BAD = ["--point", "1.0,0.3", "--v", "0,20"]
+    SPHERE = ["--manifold", "sphere", "--dim", "2", "--family", "exp+"]
+
+    @pytest.mark.parametrize("task,good_rows", [("scalar", 1), ("sectional", 4)])
+    @pytest.mark.parametrize("bad_first", [False, True])
+    def test_csv_with_good_and_error_rows(self, capsys, task, good_rows, bad_first):
+        points = self.BAD + self.GOOD if bad_first else self.GOOD + self.BAD
+        assert run([task, *self.SPHERE, *points]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        header, *lines = captured.out.splitlines()[1:]
+        cols = header.split(",")
+        assert cols[:3] == ["x", "v", "t"] and "error" in cols
+        good = [line for line in lines if "ValidityError" not in line]
+        bad = [line for line in lines if "ValidityError" in line]
+        assert len(good) == good_rows and len(bad) == 1
+        for line in good:
+            row = dict(zip(cols, line.split(",")))
+            assert len(line.split(",")) == len(cols) and row["error"] == ""
+            assert float(row["t"]) == pytest.approx(0.5 * math.sin(1.0), rel=1e-12)
+        assert bad[0].startswith("1.0;0.3,0.0;20.0,16.82941969615793,")
+
+    def test_error_row_t_is_the_scan_metric_norm(self, capsys):
+        assert run(["scalar", *self.SPHERE, *self.BAD]) == 1
+        table = capsys.readouterr().out.splitlines()
+        assert run(["scan", *self.SPHERE, *self.BAD]) == 1
+        scan = capsys.readouterr().out.splitlines()
+        t = dict(zip(table[1].split(","), table[2].split(",")))["t"]
+        v_norm = dict(zip(scan[1].split(","), scan[2].split(",")))["v_norm"]
+        assert t == v_norm == "16.82941969615793"
+        assert float(t) == pytest.approx(20.0 * math.sin(1.0), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "task,per_point",
+        [("curvature", 1), ("sectional", 1), ("ricci", 1), ("scalar", 1), ("scan", 2),
+         ("verify", 2)],
+    )
+    def test_family_evaluations_per_point(self, monkeypatch, capsys, task, per_point):
+        # scan adds its F and H columns; verify one stacked oracle stencil
+        calls = []
+        jets = NaturalMetricFamily.jets
+        monkeypatch.setattr(
+            NaturalMetricFamily, "jets", lambda fam, t: calls.append(t) or jets(fam, t)
+        )
+        points = self.GOOD + ["--point", "0.9,0.3", "--v", "0.2,0.1"]
+        assert run([task, *self.SPHERE, *points]) == 0
+        assert len(calls) == 2 * per_point
 
 
 class TestConfigFile:

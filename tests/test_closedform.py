@@ -27,7 +27,6 @@ from tbcurv.closedform import (
     tm_sectional,
     tm_sectional_constcurv,
 )
-from tbcurv.errors import MissingNablaRError
 from tbcurv.metricfamily import NaturalMetricFamily, flatness_beta, preset
 
 
@@ -75,9 +74,8 @@ class TestTable:
 
     def test_t_zero_reduces_to_base_curvature(self):
         M, fp = _sphere_point(0.0)
-        frame = frame_curvature(M, fp)
-        table = tm_curvature(M, preset("cheeger-gromoll"), fp, frame=frame)
-        assert np.allclose(table.blocks["hhhh"], frame.Rtable, atol=1e-15)
+        table = tm_curvature(M, preset("cheeger-gromoll"), fp)
+        assert np.allclose(table.blocks["hhhh"], frame_curvature(M, fp).Rtable, atol=1e-15)
 
     @pytest.mark.parametrize("name,case", CASES)
     @pytest.mark.parametrize("fam_name", ["sasaki", "cheeger-gromoll", "exp+", "exp-"])
@@ -93,12 +91,6 @@ class TestTable:
         T = tm_curvature(M, preset("exp-"), fp).table
         bianchi = T + np.einsum("jkil->ijkl", T) + np.einsum("kijl->ijkl", T)
         assert np.max(np.abs(bianchi)) <= 1e-9 * (1.0 + np.max(np.abs(T)))
-
-    def test_one_vertical_block_needs_nabla(self):
-        M, fp = _sphere_point(1.0)
-        frame = frame_curvature(M, fp, include_nabla=False)
-        with pytest.raises(MissingNablaRError):
-            tm_curvature(M, preset("sasaki"), fp, frame=frame)
 
     def test_class_masks_partition(self):
         masks = component_class_masks(3)
@@ -132,10 +124,9 @@ class TestInternalConsistency:
     def test_scalar_equals_double_trace(self, name, case, fam_name):
         M, fp = case()
         fam = preset(fam_name)
-        frame = frame_curvature(M, fp)
-        table = tm_curvature(M, fam, fp, frame=frame).table
+        table = tm_curvature(M, fam, fp).table
         gd = gram_diagonal(fam, fp.t, fp.dim)
-        scalar = tm_scalar(M, fam, fp, frame=frame)
+        scalar = tm_scalar(M, fam, fp)
         assert scalar == pytest.approx(table_scalar_trace(table, gd), abs=1e-9)
 
     def test_scalar_ignores_completion_choice(self):
@@ -158,9 +149,8 @@ class TestInternalConsistency:
         M, fp = case()
         for fam_name in ("sasaki", "exp+"):
             fam = preset(fam_name)
-            frame = frame_curvature(M, fp)
-            table = tm_curvature(M, fam, fp, frame=frame).table
-            ricci = tm_ricci(M, fam, fp, frame=frame)
+            table = tm_curvature(M, fam, fp).table
+            ricci = tm_ricci(M, fam, fp)
             gd = gram_diagonal(fam, fp.t, fp.dim)
             assert np.allclose(ricci, table_ricci_trace(table, gd), atol=1e-10)
 
