@@ -26,14 +26,16 @@ print(f"flat R^{n}: minus-exponential positivity threshold |v|^2 = "
 
 print()
 print(f"{'|v|^2':>8s} {'S plus-exp':>14s} {'S minus-exp':>14s} {'general minus':>14s}")
-for v_sq in (0.0, 1.0, 3.0, 5.0, 5.6055, 6.0, 8.0):
-    v = np.zeros(n)
-    v[0] = math.sqrt(v_sq)
-    fp = adapted_frame(M, np.zeros(n), v)
+# One stacked frame and one tm_scalar call for the whole column of |v|^2.
+v_sqs = np.array([0.0, 1.0, 3.0, 5.0, 5.6055, 6.0, 8.0])
+vs = np.zeros((len(v_sqs), n))
+vs[:, 0] = np.sqrt(v_sqs)
+fp = adapted_frame(M, np.zeros(n), vs)
+s_general = tm_scalar(M, preset("exp-"), fp)
+for v_sq, general in zip(v_sqs, s_general):
     s_plus = scalar_exp_specials(0.0, n, v_sq, "plus").value
     s_minus = scalar_exp_specials(0.0, n, v_sq, "minus").value
-    s_general = tm_scalar(M, preset("exp-"), fp)
-    print(f"{v_sq:8.4f} {s_plus:14.6f} {s_minus:14.6f} {s_general:14.6f}")
+    print(f"{v_sq:8.4f} {s_plus:14.6f} {s_minus:14.6f} {general:14.6f}")
 
 print()
 print("The sign change sits exactly at the threshold:")
@@ -50,9 +52,8 @@ M2 = sphere(2)
 q = np.array([0.9, 0.3])
 g = M2.metric(q)
 d = np.array([0.3, 0.7])
-for t in (0.5, 1.0, 1.8):
-    v = d / math.sqrt(d @ g @ d) * t
-    fp = adapted_frame(M2, q, v)
-    general = tm_scalar(M2, preset("exp+"), fp)
+ts = np.array([0.5, 1.0, 1.8])
+fp = adapted_frame(M2, q, np.outer(ts, d / math.sqrt(d @ g @ d)))
+for t, general in zip(ts, tm_scalar(M2, preset("exp+"), fp)):
     special = scalar_exp_specials(1.0, 2, t * t, "plus").value
     print(f"  |v| = {t:3.1f}: general = {general:12.6f}, specialized = {special:12.6f}")

@@ -16,7 +16,7 @@ component R_1221, and the unit sphere calibrates to R_1221 = +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -31,6 +31,7 @@ from .numdiff import (
     CONNECTION,
     NABLA_EXACT,
     NABLA_FD,
+    Stencil,
     christoffel_jacobian_from_jets,
     christoffels_from_jets,
     frame_components,
@@ -137,14 +138,26 @@ class ChartManifold:
         g = self._eval(self.metric_fn, np.asarray(x, dtype=float))
         return 0.5 * (g + np.swapaxes(g, -1, -2))
 
-    def check_interior(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> None:
-        """Require the box x +- reach (per axis) strictly inside the chart."""
+    def outside(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> np.ndarray:
+        """Per point of x (..., n): the box x +- reach (per axis) is not
+        strictly inside the chart."""
         x = np.asarray(x, dtype=float)
-        if np.any(x - reach <= self.lo) or np.any(x + reach >= self.hi):
+        return ((x - reach <= self.lo) | (x + reach >= self.hi)).any(axis=-1)
+
+    def check_interior(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> None:
+        """Require the box x +- reach (per axis) strictly inside the chart,
+        for a point or each point of a stack; the error names the first
+        point that fails."""
+        x = np.asarray(x, dtype=float)
+        bad = self.outside(x, reach)
+        if bad.any():
+            i = int(np.argmax(bad))
+            xi = x.reshape(-1, self.dim)[i]
+            ri = np.broadcast_to(reach, x.shape).reshape(-1, self.dim)[i]
             raise StencilOutOfDomainError(
-                f"point {x.tolist()} is not inside the {self.catalog_id} chart "
+                f"point {xi.tolist()} is not inside the {self.catalog_id} chart "
                 f"{self.lo.tolist()}..{self.hi.tolist()} by the finite-difference "
-                f"reach {float(np.max(reach)):.3g}"
+                f"reach {float(np.max(ri)):.3g}"
             )
 
     # -- reach: how far from x a computation evaluates the metric -------------
@@ -157,6 +170,12 @@ class ChartManifold:
 
     def riemann_reach(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(self.christoffel_reach(x), self.christoffel_jacobian_reach(x))
+
+    def _nabla_stencil(self) -> Stencil:
+        return NABLA_EXACT if self.christoffel_jacobian_fn else NABLA_FD
+
+    def nabla_reach(self, x: np.ndarray) -> np.ndarray:
+        return self._nabla_stencil().reach(x, inner=self.riemann_reach)
 
     # -- connection ----------------------------------------------------------
 
@@ -222,17 +241,16 @@ class ChartManifold:
         """Covariant derivative (nabla_p R)_abcd, the tensorial formula
         d_p R_abcd minus Gamma corrections on all four slots."""
         x = np.asarray(x, dtype=float)
-        stencil = NABLA_EXACT if self.christoffel_jacobian_fn else NABLA_FD
-        self.check_interior(x, stencil.reach(x, inner=self.riemann_reach))
+        self.check_interior(x, self.nabla_reach(x))
         gamma = self.christoffels(x, check=False)
         rlow, drlow, _ = matrix_jets(
-            lambda ys: self.riemann(ys, check=False)[1], x, stencil, second=False
+            lambda ys: self.riemann(ys, check=False)[1], x, self._nabla_stencil(), second=False
         )
         corr = (
-            np.einsum("mpa,mbcd->pabcd", gamma, rlow)
-            + np.einsum("mpb,amcd->pabcd", gamma, rlow)
-            + np.einsum("mpc,abmd->pabcd", gamma, rlow)
-            + np.einsum("mpd,abcm->pabcd", gamma, rlow)
+            np.einsum("...mpa,...mbcd->...pabcd", gamma, rlow)
+            + np.einsum("...mpb,...amcd->...pabcd", gamma, rlow)
+            + np.einsum("...mpc,...abmd->...pabcd", gamma, rlow)
+            + np.einsum("...mpd,...abcm->...pabcd", gamma, rlow)
         )
         return drlow - corr
 
@@ -242,57 +260,104 @@ class ChartManifold:
 # --------------------------------------------------------------------------
 
 
+def _at_distinct(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """fun(x) for a point or a stack of points (..., n), with fun evaluated
+    once per distinct point: everything at a base point depends on q alone,
+    and a grid repeats each base point for every vector.  A single point is
+    passed as it is, not as a stack of one: numpy's array loops for sin and
+    cos may round differently from its loops for one value, and a single
+    point keeps the bits of its one-point evaluation."""
+    if x.ndim == 1:
+        return fun(x)
+    rows, inverse = np.unique(x.reshape(-1, x.shape[-1]), axis=0, return_inverse=True)
+    values = fun(rows)
+    return values[inverse.ravel()].reshape(x.shape[:-1] + values.shape[1:])
+
+
 @dataclass(frozen=True)
 class AdaptedFramePoint:
     """A base point q, a g-orthonormal frame u (rows), a tangent vector v
-    with t = |v|_g, and u[0] = v / t whenever t > 0 (normal form)."""
+    with t = |v|_g, and u[0] = v / t whenever t > 0 (normal form); g is the
+    metric at q.
+
+    Every field may carry leading stack axes, one frame per point: q, v
+    (..., n), u, g (..., n, n) and t (...).  Indexing selects points."""
 
     q: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    t: float
+    t: np.ndarray  # a float for a single point
+    g: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-1]
+
+    def __getitem__(self, idx) -> "AdaptedFramePoint":
+        return AdaptedFramePoint(
+            q=self.q[idx], u=self.u[idx], v=self.v[idx], t=self.t[idx], g=self.g[idx]
+        )
 
 
-def _gram_schmidt(g: np.ndarray, seeds: list[np.ndarray], n: int) -> np.ndarray:
-    basis: list[np.ndarray] = []
-    for w in seeds:
-        w = np.array(w, dtype=float)
-        scale = math.sqrt(max(float(w @ g @ w), 0.0))
-        for _ in range(2):  # re-orthogonalize for 1e-12 Gram accuracy
-            for b in basis:
-                w = w - (b @ g @ w) * b
-        nrm = math.sqrt(max(float(w @ g @ w), 0.0))
-        if scale == 0.0 or nrm <= 1e-10 * scale:
-            continue
-        basis.append(w / nrm)
-        if len(basis) == n:
-            break
-    if len(basis) != n:
+def _g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sqrt(max(w g w, 0)) of columns w (..., n, 1), as (..., 1, 1), with
+    w g w summed as the matrix products (w^T g) w, which for a single point
+    sum in the order of ``w @ g @ w`` on vectors."""
+    return np.sqrt(np.maximum((w.swapaxes(-1, -2) @ g) @ w, 0.0))
+
+
+def _gram_schmidt(g: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """g-orthonormal rows from the seeds (..., m, n) in order, at each point
+    of a stack.  A seed is skipped where its g-norm is zero or its remainder
+    after the projections is at most 1e-10 of it; each point stops at n
+    rows.  Vectors are columns, so each projection is one matrix product."""
+    n = g.shape[-1]
+    lead = g.shape[:-2]
+    basis = np.zeros(lead + (n, n))  # found vectors as columns, zero until found
+    gbasis = np.zeros(lead + (n, n))  # the same as rows b^T g
+    count = np.zeros(lead + (1, 1), dtype=int)
+    slots = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(seeds.shape[-2]):
+            if count.min(initial=n) == n:
+                break
+            w = seeds[..., s, :, None]
+            scale = _g_norm(g, w)
+            for _ in range(2):  # re-orthogonalize for 1e-12 Gram accuracy
+                for j in range(count.max(initial=0)):
+                    w = w - (gbasis[..., j : j + 1, :] @ w) * basis[..., :, j : j + 1]
+            nrm = _g_norm(g, w)
+            keep = (count < n) & ~((scale == 0.0) | (nrm <= 1e-10 * scale))
+            slot = keep & (slots == count)  # (..., 1, n): the column this seed fills
+            b = w / nrm
+            basis = np.where(slot, b, basis)
+            gbasis = np.where(slot.swapaxes(-1, -2), b.swapaxes(-1, -2) @ g, gbasis)
+            count = count + keep
+    if count.min(initial=n) < n:
         raise DegenerateInputError("seed vectors do not span the tangent space")
-    return np.array(basis)
+    return basis.swapaxes(-1, -2)
 
 
 def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFramePoint:
     """Orthonormal frame with u[0] aligned to v (Gram-Schmidt against the
     chart basis); for v = 0 the chart basis alone is orthonormalized, which
-    keeps runs reproducible."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
+    keeps runs reproducible.
+
+    q and v are a point and a vector, or stacks of them (..., n), one frame
+    per row; the metric is evaluated once per distinct base point.  Errors
+    name the first point that fails."""
+    q, v = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
     M.check_interior(q)
-    g = M.metric(q)
+    g = _at_distinct(M.metric, q)
     _check_spd(g, q, "q")
-    t = math.sqrt(max(float(v @ g @ v), 0.0))
-    seeds = [np.eye(M.dim)[i] for i in range(M.dim)]
-    if t > 0.0:
-        seeds = [v / t] + seeds
-    u = _gram_schmidt(g, seeds, M.dim)
-    if t > 0.0:
-        u[0] = v / t  # exact alignment by construction
-    return AdaptedFramePoint(q=q, u=u, v=v, t=t)
+    t = _g_norm(g, v[..., None])[..., 0]
+    aligned = t > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = np.where(aligned, v / t, 0.0)  # a zero seed is skipped
+    seeds = np.concatenate([radial[..., None, :], np.broadcast_to(np.eye(M.dim), g.shape)], -2)
+    u = _gram_schmidt(g, seeds)
+    u[..., 0, :] = np.where(aligned, radial, u[..., 0, :])  # exact alignment
+    return AdaptedFramePoint(q=q, u=u, v=v, t=t[..., 0][()], g=g)
 
 
 def rotate_completion(
@@ -301,8 +366,8 @@ def rotate_completion(
     """Replace u[1:] by rotation @ u[1:] (rotation orthogonal, (n-1)x(n-1));
     used to check that scalar invariants ignore the completion choice."""
     u = fp.u.copy()
-    u[1:] = np.asarray(rotation, dtype=float) @ u[1:]
-    return AdaptedFramePoint(q=fp.q, u=u, v=fp.v, t=fp.t)
+    u[..., 1:, :] = np.asarray(rotation, dtype=float) @ u[..., 1:, :]
+    return replace(fp, u=u)
 
 
 @dataclass(frozen=True)
@@ -321,13 +386,15 @@ class FrameCurvature:
 def frame_curvature(
     M: ChartManifold, fp: AdaptedFramePoint, include_nabla: bool = True
 ) -> FrameCurvature:
-    rlow = M.riemann_lowered(fp.q)
+    """Base curvature in the frame of fp, one table per point of a stack;
+    R and nabla R are evaluated once per distinct base point."""
     u = fp.u
+    rlow = _at_distinct(M.riemann_lowered, fp.q)
     rt = project_curvature_symmetries(frame_components(u, rlow))
     drt = None
     if include_nabla:
-        drt = frame_components(u, M.nabla_riemann(fp.q))
-        drt = np.stack([project_curvature_symmetries(drt[p]) for p in range(M.dim)])
+        nabla = _at_distinct(M.nabla_riemann, fp.q)
+        drt = project_curvature_symmetries(frame_components(u, nabla))
     return FrameCurvature(Rtable=rt, dRtable=drt)
 
 
@@ -335,14 +402,14 @@ def frame_curvature(
 class BaseInvariants:
     sectional: np.ndarray  # K[i, j] = R_ijji
     ricci: np.ndarray
-    scalar: float
+    scalar: float  # an array for a stack of frames
 
 
 def base_invariants(M: ChartManifold, fp: AdaptedFramePoint) -> BaseInvariants:
     rt = frame_curvature(M, fp, include_nabla=False).Rtable
-    k = np.einsum("ijji->ij", rt)
-    ricci = np.einsum("illj->ij", rt)
-    return BaseInvariants(sectional=k, ricci=ricci, scalar=float(np.trace(ricci)))
+    k = np.einsum("...ijji->...ij", rt)
+    ricci = np.einsum("...illj->...ij", rt)
+    return BaseInvariants(sectional=k, ricci=ricci, scalar=np.trace(ricci, axis1=-2, axis2=-1))
 
 
 # --------------------------------------------------------------------------

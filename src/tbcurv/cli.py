@@ -290,12 +290,27 @@ def _emit(cfg: dict, rows: list[dict], header_note: str, payload_key: str) -> No
     # The header is the union of the rows' keys in first-seen order (error
     # rows carry other columns than good ones); a missing cell is empty.
     # Cells are str() of Python floats, ints and strings: for a float that is
-    # its shortest round-trip decimal.
+    # its shortest round-trip decimal.  Only free text (an error message) can
+    # hold a comma, a quote or a line break; such a cell is quoted, RFC 4180
+    # style, and no other cell changes.
     cols = list(dict.fromkeys(chain.from_iterable(dict.fromkeys(map(tuple, rows)))))
     lines = [f"# {header_note}", ",".join(cols)]
+    commas = len(cols) - 1
     for row in rows:
-        lines.append(",".join([str(row.get(c, "")) for c in cols]))
+        cells = [str(row.get(c, "")) for c in cols]
+        line = ",".join(cells)
+        if line.count(",") != commas or '"' in line or "\n" in line or "\r" in line:
+            line = ",".join(map(_csv_cell, cells))
+        lines.append(line)
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _csv_cell(text: str) -> str:
+    """A CSV cell: quoted, its quotes doubled, if it holds a comma, a quote
+    or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 _NOTE = "family functions take t = |v|^2_g (squared norm) as argument"
@@ -368,8 +383,9 @@ def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
 
 
 def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str):
-    """Index names and value columns (arrays of one shape) of one task's
-    table at fp; the scalar table has no index."""
+    """Index names and value columns (arrays of one shape, a leading point
+    axis first when fp is a stack) of one task's table at fp; the scalar
+    table has no index."""
     if task == "curvature":
         return "abcd", {"value": closedform.tm_curvature(M, fam, fp).table}
     if task == "sectional":
@@ -380,30 +396,94 @@ def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str):
     return "", {"scalar": np.asarray(closedform.tm_scalar(M, fam, fp))}
 
 
+def _on_stack(fun, keys: np.ndarray, suspect: np.ndarray, errors: dict):
+    """(good, fun(good)) for a stack of points.  ``fun(sel)`` computes the
+    points at positions sel of the stack in one call, or a single point
+    when sel is a number; ``keys`` are the points' indices in the command.
+
+    The points flagged ``suspect`` by checks that evaluate nothing, and
+    every point if the rest still fail as one stack, are run alone: each
+    one that fails gets its single-point error in ``errors`` under its key,
+    and the others run as one stack.  So a bad point never fails the
+    others, and its error is the one it would get alone."""
+
+    def alone(sel: np.ndarray) -> np.ndarray:
+        good = []
+        for i in sel:
+            try:
+                fun(i)
+            except TbcurvError as exc:
+                errors[int(keys[i])] = exc
+            else:
+                good.append(i)
+        return np.array(good, dtype=int)
+
+    every = np.arange(len(keys))
+    good = np.union1d(every[~suspect], alone(every[suspect]))
+    try:
+        return good, (fun(good) if good.size else None)
+    except TbcurvError:
+        good = alone(good)
+    return good, (fun(good) if good.size else None)
+
+
+def _suspects(M: ChartManifold, fam: NaturalMetricFamily, fp) -> np.ndarray:
+    """Points a closed form may refuse, by checks that evaluate nothing:
+    t = |v|^2_g outside the family's range, or the nabla R stencil leaving
+    the chart (which only the curvature and Ricci tables need)."""
+    t_sq = fp.t * fp.t
+    return ~((0.0 <= t_sq) & (t_sq <= fam.t_max)) | M.outside(fp.q, M.nabla_reach(fp.q))
+
+
+def _on_points(M: ChartManifold, fam: NaturalMetricFamily, points: list[BundlePoint], fun):
+    """fun(fp) on the adapted frames fp of the points, as one stack.
+
+    Returns ``at`` (point index -> position in the stack), the frames and
+    fun's result for the stack of good points (None when no point is
+    good), and the error of each other point (point index -> exception).
+    A point fails on its frame or in fun; see ``_on_stack``."""
+    errors: dict = {}
+    q = np.array([p.x for p in points])
+    v = np.array([p.v for p in points])
+    keys = np.arange(len(points))
+    good, fp = _on_stack(lambda i: adapted_frame(M, q[i], v[i]), keys, M.outside(q), errors)
+    keys, out = keys[good], None
+    if fp is not None:
+        good, out = _on_stack(lambda i: fun(fp[i]), keys, _suspects(M, fam, fp), errors)
+        keys, fp = keys[good], fp[good]
+    return dict(zip(keys.tolist(), range(keys.size))), fp, out, errors
+
+
+def _error_cell(exc: TbcurvError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def cmd_tables(cfg: dict, task: str) -> int:
     """curvature | sectional | ricci | scalar closed-form tables."""
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
     points = _resolve_points(cfg, M)
+    at, fp, out, errors = _on_points(
+        M, fam, points, lambda fp: _table_columns(M, fam, fp, task)
+    )
+    if out is not None:
+        names, columns = out
+        index = list(np.ndindex(next(iter(columns.values())).shape[1:]))
+        cells = [col.reshape(len(at), -1).tolist() for col in columns.values()]
+        t = fp.t.tolist()
     rows: list[dict] = []
-    status = 0
-    for p in points:
+    for i, p in enumerate(points):
         coords = {"x": _coords(p.x), "v": _coords(p.v)}
-        try:
-            fp = adapted_frame(M, p.x, p.v)
-            names, columns = _table_columns(M, fam, fp, task)
-        except TbcurvError as exc:
-            rows.append({**coords, "t": _v_norm(M, p), "error": f"{type(exc).__name__}: {exc}"})
-            status = 1
+        if i in errors:
+            rows.append({**coords, "t": _v_norm(M, p), "error": _error_cell(errors[i])})
             continue
+        k = at[i]
         keys = (*coords, "t", *names, *columns)
-        head = (*coords.values(), float(fp.t))
-        shape = next(iter(columns.values())).shape
-        cells = zip(*(col.ravel().tolist() for col in columns.values()))
-        for idx, values in zip(np.ndindex(shape), cells):
+        head = (*coords.values(), t[k])
+        for idx, values in zip(index, zip(*(c[k] for c in cells))):
             rows.append(dict(zip(keys, head + idx + values)))
     _emit(cfg, rows, f"{task} of (TM, G); {_NOTE}", task)
-    return status
+    return 1 if errors else 0
 
 
 def cmd_verify(cfg: dict) -> int:
@@ -445,35 +525,19 @@ def cmd_scan(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
     points = _resolve_points(cfg, M)
-    rows: list[dict] = []
-    status = 0
+    at, fp, out, errors = _on_points(
+        M, fam, points, lambda fp: (fam.jets(fp.t * fp.t), closedform.tm_scalar(M, fam, fp))
+    )
+    if out is not None:
+        jets, s_general = out
+        t, s_general = fp.t.tolist(), s_general.tolist()
+        f_col, h_col = jets.F.tolist(), jets.H.tolist()
     special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
-    for p in points:
+    k0 = _constant_curvature_of(M)
+    rows: list[dict] = []
+    for i, p in enumerate(points):
         base = {"x": _coords(p.x)}
-        try:
-            fp = adapted_frame(M, p.x, p.v)
-            t_sq = fp.t * fp.t
-            jets = fam.jets(t_sq)
-            s_general = closedform.tm_scalar(M, fam, fp)
-            k0 = _constant_curvature_of(M)
-            if special is not None and k0 is not None:
-                s_special = closedform.scalar_exp_specials(
-                    k0, M.dim, t_sq, special
-                ).value
-            else:
-                s_special = float("nan")
-            rows.append(
-                {
-                    **base,
-                    "v_norm": float(fp.t),
-                    "scalar_general": float(s_general),
-                    "scalar_special": float(s_special),
-                    "F": float(jets.F),
-                    "H": float(jets.H),
-                    "status": "ok",
-                }
-            )
-        except TbcurvError as exc:
+        if i in errors:
             rows.append(
                 {
                     **base,
@@ -482,12 +546,28 @@ def cmd_scan(cfg: dict) -> int:
                     "scalar_special": float("nan"),
                     "F": float("nan"),
                     "H": float("nan"),
-                    "status": f"{type(exc).__name__}: {exc}",
+                    "status": _error_cell(errors[i]),
                 }
             )
-            status = 1
+            continue
+        k = at[i]
+        if special is not None and k0 is not None:
+            s_special = closedform.scalar_exp_specials(k0, M.dim, t[k] * t[k], special).value
+        else:
+            s_special = float("nan")
+        rows.append(
+            {
+                **base,
+                "v_norm": t[k],
+                "scalar_general": s_general[k],
+                "scalar_special": float(s_special),
+                "F": f_col[k],
+                "H": h_col[k],
+                "status": "ok",
+            }
+        )
     _emit(cfg, rows, f"scalar curvature scan; {_NOTE}", "scan")
-    return status
+    return 1 if errors else 0
 
 
 # --------------------------------------------------------------------------

@@ -95,7 +95,8 @@ def component_class_masks(n: int) -> dict[str, np.ndarray]:
 @dataclass(frozen=True)
 class TMCurvatureTable:
     """Components <Rbar(e_a, e_b) e_c, e_d> for a, b, c, d in 0..2n-1,
-    stored as the six class blocks plus the assembled full table."""
+    stored as the six class blocks plus the assembled full table; for a
+    stack of points, t, the blocks and the table lead with the point axes."""
 
     n: int
     t: float
@@ -109,13 +110,21 @@ class TMCurvatureTable:
         return self.table[idx]
 
 
-def _check_normal_form(fp: AdaptedFramePoint, g: np.ndarray) -> None:
-    if fp.t == 0.0:
-        return
-    xi = fp.u @ g @ fp.v
+def _w(x, axes: int) -> np.ndarray:
+    """A per-point number (or stack of them) with ``axes`` trailing axes, to
+    weigh the tables of its point."""
+    return np.asarray(x)[(...,) + (None,) * axes]
+
+
+def _check_normal_form(fp: AdaptedFramePoint) -> None:
+    """u_0 g v = t and u_i g v = 0 at every point with t > 0, with the metric
+    that ``adapted_frame`` evaluated at q."""
+    xi = fp.u @ (fp.g @ fp.v[..., None])
     expected = np.zeros_like(xi)
-    expected[0] = fp.t
-    if not np.allclose(xi, expected, atol=1e-9 * max(1.0, fp.t)):
+    expected[..., 0, 0] = fp.t
+    atol = _w(1e-9 * np.maximum(1.0, fp.t), 2)
+    close = np.abs(xi - expected) <= atol + 1e-5 * np.abs(expected)
+    if not np.all(np.all(close, axis=(-2, -1)) | (fp.t == 0.0)):
         raise ValueError(
             "frame point is not in normal form (u_0 not aligned with v); "
             "build it with adapted_frame()"
@@ -126,41 +135,39 @@ def _point_inputs(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint, include_nabla: bool
 ) -> tuple[FamilyJets, FrameCurvature]:
     """The family record at t = |v|^2_g and the base curvature at fp, after
-    the normal-form check.  The family goes first, so a t outside its valid
-    range fails before any base curvature is computed.  nabla R enters only
-    through the one-vertical block: the curvature table and the mixed Ricci
-    block need it, sectional and scalar curvature do not."""
-    _check_normal_form(fp, M.metric(fp.q))
+    the normal-form check, for a point or a stack of points.  The family
+    goes first, so a t outside its valid range fails before any base
+    curvature is computed.  nabla R enters only through the one-vertical
+    block: the curvature table and the mixed Ricci block need it, sectional
+    and scalar curvature do not."""
+    _check_normal_form(fp)
     jets = fam.jets(fp.t * fp.t)
     return jets, frame_curvature(M, fp, include_nabla=include_nabla)
 
 
 def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict:
     n = fp.dim
-    t = fp.t
+    t = _w(fp.t, 4)
     t_sq = t * t
-    alpha, alpha_d1, beta = j.alpha, j.alpha_d1, j.beta
-    f_val, h_val = j.F, j.H
+    alpha, alpha_d1, beta = _w(j.alpha, 4), _w(j.alpha_d1, 4), _w(j.beta, 4)
 
     rt = frame.Rtable
-    r1 = rt[:, :, :, 0]  # R_{abc1}
-    dr1 = frame.dRtable[:, :, :, :, 0]  # (nabla_p R)_{abc1}
+    r1 = rt[..., 0]  # R_{abc1}
+    dr1 = frame.dRtable[..., 0]  # (nabla_p R)_{abc1}
 
     # hhhh: base curvature plus quadratic t^2 corrections.
     hhhh = (
         t_sq
         * alpha
         * (
-            0.5 * np.einsum("ijr,klr->ijkl", r1, r1)
-            + 0.25 * np.einsum("ilr,kjr->ijkl", r1, r1)
-            + 0.25 * np.einsum("jlr,ikr->ijkl", r1, r1)
+            0.5 * np.einsum("...ijr,...klr->...ijkl", r1, r1)
+            + 0.25 * np.einsum("...ilr,...kjr->...ijkl", r1, r1)
+            + 0.25 * np.einsum("...jlr,...ikr->...ijkl", r1, r1)
         )
         + rt
     )
 
     # vvvv: epsilon pattern, weight F away from the radial index, H with it.
-    eps = _epsilon(n)
-    weight = np.full((n, n, n, n), f_val)
     radial = np.zeros((n, n, n, n), dtype=bool)
     radial[0], radial[:, 0], radial[:, :, 0], radial[:, :, :, 0] = (
         True,
@@ -168,53 +175,53 @@ def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict
         True,
         True,
     )
-    weight[radial] = h_val
-    vvvv = eps * weight
+    vvvv = _epsilon(n) * np.where(radial, _w(j.H, 4), _w(j.F, 4))
 
     # vvhh: vertical pair against horizontal pair.
     delta_i0 = np.zeros(n)
     delta_i0[0] = 1.0
-    coeff = 2.0 * alpha + (delta_i0[:, None] + delta_i0[None, :]) * beta * t_sq
-    vvhh = 0.5 * np.einsum("ij,ijkl->ijkl", coeff, rt)
+    radial_pair = (delta_i0[:, None] + delta_i0[None, :])[:, :, None, None]
+    vvhh = 0.5 * (2.0 * alpha + radial_pair * beta * t_sq) * rt
     vvhh += (
         0.5
         * (beta - 2.0 * alpha_d1)
         * t_sq
         * (
-            np.einsum("i,klj->ijkl", delta_i0, r1)
-            - np.einsum("j,kli->ijkl", delta_i0, r1)
+            np.einsum("i,...klj->...ijkl", delta_i0, r1)
+            - np.einsum("j,...kli->...ijkl", delta_i0, r1)
         )
     )
     vvhh += (alpha**2 * t_sq / 4.0) * (
-        np.einsum("krj,rli->ijkl", r1, r1) - np.einsum("kri,rlj->ijkl", r1, r1)
+        np.einsum("...krj,...rli->...ijkl", r1, r1)
+        - np.einsum("...kri,...rlj->...ijkl", r1, r1)
     )
 
     # hvhv: mixed plane block, with the radial correction
     # (delta_j0 + delta_l0) * alpha' * t^2 / 2 * (R_{kil1} - R_{kij1}).
     dsum = delta_i0[None, :, None, None] + delta_i0[None, None, None, :]
     hvhv = (
-        0.5 * alpha * np.einsum("kilj->ijkl", rt)
-        + (alpha**2 * t_sq / 4.0) * np.einsum("krj,ril->ijkl", r1, r1)
+        0.5 * alpha * np.einsum("...kilj->...ijkl", rt)
+        + (alpha**2 * t_sq / 4.0) * np.einsum("...krj,...ril->...ijkl", r1, r1)
         + 0.5
         * t_sq
         * alpha_d1
         * dsum
         * (
-            np.einsum("kil->ikl", r1)[:, None, :, :]
-            - np.einsum("kij->ijk", r1)[:, :, :, None]
+            np.einsum("...kil->...ikl", r1)[..., :, None, :, :]
+            - np.einsum("...kij->...ijk", r1)[..., None]
         )
     )
 
     # hhvh: the nabla-R block,
     # (alpha t / 2) [ (nabla_j R)(u_i, u_l) u_k - (nabla_i R)(u_j, u_l) u_k ]_1.
     hhvh = (alpha * t / 2.0) * (
-        np.einsum("jilk->ijkl", dr1) - np.einsum("ijlk->ijkl", dr1)
+        np.einsum("...jilk->...ijkl", dr1) - np.einsum("...ijlk->...ijkl", dr1)
     )
 
     return {
         "hhhh": hhhh,
         "vvvv": vvvv,
-        "hvvv": np.zeros((n, n, n, n)),
+        "hvvv": np.zeros(hhhh.shape),
         "vvhh": vvhh,
         "hvhv": hvhv,
         "hhvh": hhvh,
@@ -222,35 +229,36 @@ def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict
 
 
 def _assemble(blocks: dict, n: int) -> np.ndarray:
-    """Populate the full (2n)^4 table from the class blocks using the
-    curvature symmetries for every other index placement."""
+    """Populate the full (2n)^4 table (per point of a stack) from the class
+    blocks using the curvature symmetries for every other index placement."""
     two_n = 2 * n
-    T = np.zeros((two_n, two_n, two_n, two_n))
-    H = slice(0, n)
-    V = slice(n, two_n)
     hhhh, vvvv = blocks["hhhh"], blocks["vvvv"]
     vvhh, hvhv, hhvh = blocks["vvhh"], blocks["hvhv"], blocks["hhvh"]
+    T = np.zeros(hhhh.shape[:-4] + (two_n, two_n, two_n, two_n))
+    H = slice(0, n)
+    V = slice(n, two_n)
 
-    T[H, H, H, H] = hhhh
-    T[V, V, V, V] = vvvv
+    T[..., H, H, H, H] = hhhh
+    T[..., V, V, V, V] = vvvv
     # hvvv class vanishes in all placements.
-    T[V, V, H, H] = vvhh
-    T[H, H, V, V] = np.einsum("klij->ijkl", vvhh)  # pair symmetry
-    T[H, V, H, V] = hvhv
-    T[V, H, H, V] = -np.einsum("jikl->ijkl", hvhv)
-    T[H, V, V, H] = -np.einsum("ijlk->ijkl", hvhv)
-    T[V, H, V, H] = np.einsum("jilk->ijkl", hvhv)
-    T[H, H, V, H] = hhvh
-    T[H, H, H, V] = -np.einsum("ijlk->ijkl", hhvh)
-    T[V, H, H, H] = np.einsum("klij->ijkl", hhvh)  # pair symmetry
-    T[H, V, H, H] = -np.einsum("klji->ijkl", hhvh)
+    T[..., V, V, H, H] = vvhh
+    T[..., H, H, V, V] = np.einsum("...klij->...ijkl", vvhh)  # pair symmetry
+    T[..., H, V, H, V] = hvhv
+    T[..., V, H, H, V] = -np.einsum("...jikl->...ijkl", hvhv)
+    T[..., H, V, V, H] = -np.einsum("...ijlk->...ijkl", hvhv)
+    T[..., V, H, V, H] = np.einsum("...jilk->...ijkl", hvhv)
+    T[..., H, H, V, H] = hhvh
+    T[..., H, H, H, V] = -np.einsum("...ijlk->...ijkl", hhvh)
+    T[..., V, H, H, H] = np.einsum("...klij->...ijkl", hhvh)  # pair symmetry
+    T[..., H, V, H, H] = -np.einsum("...klji->...ijkl", hhvh)
     return T
 
 
 def tm_curvature(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> TMCurvatureTable:
-    """Full closed-form curvature table of (TM, G) at a normal-form point."""
+    """Full closed-form curvature table of (TM, G) at a normal-form point,
+    or one table per point of a stack of them."""
     jets, frame = _point_inputs(M, fam, fp, include_nabla=True)
     blocks = _blocks(jets, fp, frame)
     table = _assemble(blocks, fp.dim)
@@ -283,9 +291,11 @@ class TMSectional:
 def _vertical_sectional(j: FamilyJets, n: int) -> np.ndarray:
     """Kbar(e_{n+i}, e_{n+j}): F / alpha^2, and H / (alpha Delta) on planes
     holding the radial index 0; zero on the diagonal."""
-    vv = np.full((n, n), j.F / j.alpha**2)
-    vv[0, :] = vv[:, 0] = j.H / (j.alpha * j.delta)
-    np.fill_diagonal(vv, 0.0)
+    off = _w(j.F / j.alpha**2, 2)
+    vv = np.broadcast_to(off, off.shape[:-2] + (n, n)).copy()
+    radial = _w(j.H / (j.alpha * j.delta), 1)
+    vv[..., 0, :] = vv[..., :, 0] = radial
+    vv[..., range(n), range(n)] = 0.0
     return vv
 
 
@@ -294,19 +304,20 @@ def tm_sectional(
 ) -> TMSectional:
     j, frame = _point_inputs(M, fam, fp, include_nabla=False)
     n = fp.dim
-    t_sq = fp.t * fp.t
-    alpha = j.alpha
+    t_sq = _w(fp.t * fp.t, 2)
+    alpha = _w(j.alpha, 2)
     rt = frame.Rtable
-    r1 = rt[:, :, :, 0]
+    r1 = rt[..., 0]
 
-    kbase = np.einsum("ijji->ij", rt)
+    kbase = np.einsum("...ijji->...ij", rt)
     # |R(u_i, u_j) v|^2 = t^2 sum_r R_{ij1r}^2 = t^2 sum_r R_{ijr1}^2
-    hh = kbase - 0.75 * alpha * t_sq * np.einsum("ijr,ijr->ij", r1, r1)
+    hh = kbase - 0.75 * alpha * t_sq * np.einsum("...ijr,...ijr->...ij", r1, r1)
 
     vv = _vertical_sectional(j, n)
 
     # |R(u_j, v) u_i|^2 = t^2 sum_r R_{j 1 i r}^2
-    hv = (alpha / 4.0) * t_sq * np.einsum("jir,jir->ij", rt[:, 0, :, :], rt[:, 0, :, :])
+    r0 = rt[..., :, 0, :, :]
+    hv = (alpha / 4.0) * t_sq * np.einsum("...jir,...jir->...ij", r0, r0)
     return TMSectional(hh=hh, vv=vv, hv=hv)
 
 
@@ -378,36 +389,37 @@ def tm_ricci(
     """
     j, frame = _point_inputs(M, fam, fp, include_nabla=True)
     n = fp.dim
-    t = fp.t
-    t_sq = t * t
-    alpha, delta, f_val, h_val = j.alpha, j.delta, j.F, j.H
+    t = _w(fp.t, 2)
+    t_sq = _w(fp.t * fp.t, 2)
+    alpha, delta, f_val, h_val = (_w(x, 2) for x in (j.alpha, j.delta, j.F, j.H))
     rt = frame.Rtable
-    r1 = rt[:, :, :, 0]
-    ricci_base = np.einsum("illj->ij", rt)
+    r1 = rt[..., 0]
+    ricci_base = np.einsum("...illj->...ij", rt)
 
-    hh = ricci_base - (alpha * t_sq / 2.0) * np.einsum("irl,jrl->ij", r1, r1)
+    hh = ricci_base - (alpha * t_sq / 2.0) * np.einsum("...irl,...jrl->...ij", r1, r1)
 
-    vv = (alpha**2 * t_sq / 4.0) * np.einsum("rli,rlj->ij", r1, r1)
+    vv = (alpha**2 * t_sq / 4.0) * np.einsum("...rli,...rlj->...ij", r1, r1)
     vv += np.eye(n) * ((n - 2) * f_val / alpha + h_val / delta)
-    vv[0, :] = 0.0
-    vv[:, 0] = 0.0
-    vv[0, 0] = (n - 1) * h_val / alpha
+    vv[..., 0, :] = 0.0
+    vv[..., :, 0] = 0.0
+    vv[..., 0, 0] = (n - 1) * j.H / j.alpha
 
-    dr1 = frame.dRtable[:, :, :, :, 0]
+    dr1 = frame.dRtable[..., 0]
     hv = (alpha * t / 2.0) * (
-        np.einsum("illj->ij", dr1) - np.einsum("lilj->ij", dr1)
+        np.einsum("...illj->...ij", dr1) - np.einsum("...lilj->...ij", dr1)
     )
 
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = 0.5 * (hh + hh.T)
-    out[n:, n:] = 0.5 * (vv + vv.T)
-    out[:n, n:] = hv
-    out[n:, :n] = hv.T
+    out = np.zeros(hh.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = 0.5 * (hh + np.swapaxes(hh, -1, -2))
+    out[..., n:, n:] = 0.5 * (vv + np.swapaxes(vv, -1, -2))
+    out[..., :n, n:] = hv
+    out[..., n:, :n] = np.swapaxes(hv, -1, -2)
     return out
 
 
-def tm_scalar(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint) -> float:
-    """Scalar curvature of (TM, G) at v:
+def tm_scalar(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint):
+    """Scalar curvature of (TM, G) at v, a number (or one per point of a
+    stack):
 
     S(q) - (t^2 alpha / 4) sum R_{irl1}^2 + 2(n-1) H / (alpha Delta)
     + (n-1)(n-2) F / alpha^2, everything evaluated at t^2.
@@ -417,14 +429,15 @@ def tm_scalar(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint)
     t_sq = fp.t * fp.t
     alpha = j.alpha
     rt = frame.Rtable
-    r1 = rt[:, :, :, 0]
-    s_base = float(np.einsum("illi->", rt))
-    return float(
+    r1 = rt[..., 0]
+    s_base = np.einsum("...illi->...", rt)
+    value = (
         s_base
-        - (t_sq * alpha / 4.0) * float(np.einsum("irl,irl->", r1, r1))
+        - (t_sq * alpha / 4.0) * np.einsum("...irl,...irl->...", r1, r1)
         + 2.0 * (n - 1) * j.H / (alpha * j.delta)
         + (n - 1) * (n - 2) * j.F / alpha**2
     )
+    return value[()]
 
 
 # --------------------------------------------------------------------------

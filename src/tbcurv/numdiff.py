@@ -106,23 +106,27 @@ def pointwise(fun: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray],
 
 
 def _offsets(steps: np.ndarray, second: bool) -> np.ndarray:
-    """Stencil offsets of one level: +-h_p e_p for each p, then for p < q
-    the four corners (+h_p, +h_q), (+h_p, -h_q), (-h_p, +h_q), (-h_p, -h_q)."""
-    e = np.diag(steps)
-    rows = [np.stack([e, -e], axis=1)]
+    """Stencil offsets of one level, shape (..., k, dim) for steps of shape
+    (..., dim): +-h_p e_p for each p, then for p < q the four corners
+    (+h_p, +h_q), (+h_p, -h_q), (-h_p, +h_q), (-h_p, -h_q)."""
+    dim = steps.shape[-1]
+    e = steps[..., None, :] * np.eye(dim)
+    rows = [np.stack([e, -e], axis=-2)]
     if second:
-        p, q = np.triu_indices(steps.shape[0], 1)
-        rows.append(np.stack([e[p] + e[q], e[p] - e[q], -e[p] + e[q], -e[p] - e[q]], axis=1))
-    return np.concatenate([r.reshape(-1, steps.shape[0]) for r in rows])
+        p, q = np.triu_indices(dim, 1)
+        ep, eq = e[..., p, :], e[..., q, :]
+        rows.append(np.stack([ep + eq, ep - eq, -ep + eq, -ep - eq], axis=-2))
+    return np.concatenate([r.reshape(steps.shape[:-1] + (-1, dim)) for r in rows], axis=-2)
 
 
 def _plain_jets(
-    m: np.ndarray, steps: np.ndarray, m0: np.ndarray, second: bool
+    m: np.ndarray, h: np.ndarray, m0: np.ndarray, second: bool
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Second-order central first (and second) derivatives from the values
-    ``m`` at the offsets ``_offsets(steps, second)``."""
-    dim = steps.shape[0]
-    h = steps.reshape((dim,) + (1,) * m0.ndim)
+    """Second-order central first (and second) derivatives, derivative axes
+    first, from the values ``m`` at the offsets ``_offsets(steps, second)``
+    (stencil axis first) and the steps ``h`` (shape (dim, ...), broadcasting
+    against a value)."""
+    dim = h.shape[0]
     mp, mm = m[0 : 2 * dim : 2], m[1 : 2 * dim : 2]
     dm = (mp - mm) / (2.0 * h)
     if not second:
@@ -148,27 +152,38 @@ def matrix_jets(
     """(f, df, d2f) of a matrix-valued function by central differences on
     ``stencil``; d2f is None when ``second`` is false.
 
-    ``fun`` takes a stack of points, shape (m, dim), and returns the stack of
-    their values: the whole stencil, centre and both Richardson levels, is
-    evaluated in one call.  Wrap a function of one point in ``pointwise``.
+    x is a point of shape (dim,) or a stack of shape (..., dim); the
+    derivative axes follow the stack axes, df[..., p, :] = d_p f.  ``fun``
+    takes a stack of points, shape (..., m, dim), and returns the stack of
+    their values: the stencils of all points, centres and both Richardson
+    levels, are evaluated in one call.  Wrap a function of one point in
+    ``pointwise``.
 
     Nothing here checks a domain: callers check x against the reach of the
     whole computation once, before differentiating.
     """
     x = np.asarray(x, dtype=float)
+    lead = x.ndim - 1
     steps = stencil.steps(x)
     offsets = _offsets(steps, second)
-    k = offsets.shape[0]
+    k = offsets.shape[-2]
     if stencil.richardson:
-        offsets = np.concatenate([offsets, _offsets(steps / 2.0, second)])
-    values = fun(x + np.concatenate([np.zeros((1, x.shape[0])), offsets]))
+        offsets = np.concatenate([offsets, _offsets(steps / 2.0, second)], axis=-2)
+    centre = np.zeros(x.shape[:-1] + (1, x.shape[-1]))
+    values = fun(x[..., None, :] + np.concatenate([centre, offsets], axis=-2))
+    # Stencil and derivative axes first, so that the differences index them.
+    values = np.moveaxis(values, lead, 0)
     m0 = values[0]
-    dm, d2m = _plain_jets(values[1 : k + 1], steps, m0, second)
+    h = np.moveaxis(steps, -1, 0).reshape(steps.shape[-1:] + x.shape[:-1] + (1,) * (m0.ndim - lead))
+    dm, d2m = _plain_jets(values[1 : k + 1], h, m0, second)
     if stencil.richardson:
-        dm_half, d2m_half = _plain_jets(values[k + 1 :], steps / 2.0, m0, second)
+        dm_half, d2m_half = _plain_jets(values[k + 1 :], h / 2.0, m0, second)
         dm = (4.0 * dm_half - dm) / 3.0
         if second:
             d2m = (4.0 * d2m_half - d2m) / 3.0
+    dm = np.moveaxis(dm, 0, lead)
+    if second:
+        d2m = np.moveaxis(d2m, (0, 1), (lead, lead + 1))
     return m0, dm, d2m
 
 
@@ -217,16 +232,17 @@ def riemann_from_christoffels(
 
 
 def project_curvature_symmetries(r: np.ndarray) -> np.ndarray:
-    """Project a 4-tensor onto the algebraic curvature symmetries:
-    antisymmetry in (0,1) and (2,3), symmetry under pair exchange.
+    """Project 4-tensors (the last four axes) onto the algebraic curvature
+    symmetries: antisymmetry in (0,1) and (2,3), symmetry under pair
+    exchange.
 
     After projection, components with a repeated index inside either pair
     are exact floating-point zeros.  First Bianchi is NOT enforced, so it
     remains a meaningful residual check on projected tables.
     """
-    r = 0.5 * (r - r.transpose(1, 0, 2, 3))
-    r = 0.5 * (r - r.transpose(0, 1, 3, 2))
-    r = 0.5 * (r + r.transpose(2, 3, 0, 1))
+    r = 0.5 * (r - np.swapaxes(r, -4, -3))
+    r = 0.5 * (r - np.swapaxes(r, -2, -1))
+    r = 0.5 * (r + np.swapaxes(np.swapaxes(r, -4, -2), -3, -1))
     return r
 
 
@@ -234,10 +250,20 @@ def frame_components(u: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Components of a tensor in a frame: u applied on every axis,
     out[i, j, ...] = u[i, a] u[j, b] ... tensor[a, b, ...].
 
-    One fixed contraction per axis: each step contracts the leading axis
-    and appends the frame index, so after all of them the axes are back in
-    order.
+    u may be a stack of frames, shape (..., n, n), with a tensor of the
+    same leading shape; the frame axes follow it.  One fixed contraction
+    per axis: each step contracts the first frame axis with u, as one
+    matrix product, and appends the frame index, so after all of them the
+    axes are back in order.
     """
-    for _ in range(tensor.ndim):
-        tensor = np.tensordot(tensor, u, axes=(0, 1))
+    lead = u.shape[:-2]
+    n = u.shape[-1]
+    ut = np.swapaxes(u, -1, -2)
+    k = len(lead)
+    first_last = (*range(k), *range(k + 1, tensor.ndim), k)  # first frame axis to the end
+    for _ in range(tensor.ndim - k):
+        rest = tensor.shape[k + 1 :]
+        tensor = (tensor.transpose(first_last).reshape(lead + (-1, n)) @ ut).reshape(
+            lead + rest + (n,)
+        )
     return tensor

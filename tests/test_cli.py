@@ -1,8 +1,10 @@
 """Integration tests for the command-line front end."""
 
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,8 +324,8 @@ class TestScan:
         code = run(["scan", "--manifold", "sphere", "--dim", "2", "--family", "sasaki",
                     "--t-max", "1", "--point", "1.0,0.3", "--v", "0,2"])
         assert code == 1
-        lines = capsys.readouterr().out.splitlines()
-        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        header, cells = csv.reader(capsys.readouterr().out.splitlines()[1:])
+        row = dict(zip(header, cells))
         assert row["status"].startswith("ValidityError")
         assert float(row["v_norm"]) == pytest.approx(2.0 * math.sin(1.0), rel=1e-12)
 
@@ -444,20 +446,66 @@ class TestTables:
         assert float(t) == pytest.approx(20.0 * math.sin(1.0), rel=1e-15)
 
     @pytest.mark.parametrize(
-        "task,per_point",
+        "task,calls",
         [("curvature", 1), ("sectional", 1), ("ricci", 1), ("scalar", 1), ("scan", 2),
          ("verify", 2)],
     )
-    def test_family_evaluations_per_point(self, monkeypatch, capsys, task, per_point):
-        # scan adds its F and H columns; verify one stacked oracle stencil
-        calls = []
+    def test_family_evaluations_per_point(self, monkeypatch, capsys, task, calls):
+        # A table command evaluates the family once for all its points, scan
+        # once more for its F and H columns; verify evaluates it twice per
+        # point (the closed form and one stacked oracle stencil).
+        seen = []
         jets = NaturalMetricFamily.jets
         monkeypatch.setattr(
-            NaturalMetricFamily, "jets", lambda fam, t: calls.append(t) or jets(fam, t)
+            NaturalMetricFamily, "jets", lambda fam, t: seen.append(t) or jets(fam, t)
         )
         points = self.GOOD + ["--point", "0.9,0.3", "--v", "0.2,0.1"]
         assert run([task, *self.SPHERE, *points]) == 0
-        assert len(calls) == 2 * per_point
+        assert len(seen) == (2 * calls if task == "verify" else calls)
+        if task != "verify":
+            assert all(np.shape(t) == (2,) for t in seen)
+
+
+    # exp+ at |v|_g = 20 sin(1): the ValidityError message holds a comma
+    @pytest.mark.parametrize("task", ["scan", "scalar"])
+    def test_error_cell_with_comma_is_quoted(self, capsys, task):
+        assert run([task, *self.SPHERE, *self.BAD, *self.GOOD]) == 1
+        lines = capsys.readouterr().out.splitlines()[1:]
+        header, bad, good = list(csv.reader(lines))
+        assert len(bad) == len(header) == len(good)
+        message = "ValidityError: t=283.229 outside validated range [0, 25] for family 'exp+'"
+        assert bad[header.index("status" if task == "scan" else "error")] == message
+        assert f',"{message}"' in lines[1]
+        assert '"' not in lines[2]
+
+    def test_quoting_doubles_quotes_and_keeps_other_cells(self):
+        from tbcurv.cli import _csv_cell
+
+        cells = ["1.5", "a;b", 'say "hi", then\nstop', "x\ry", ""]
+        line = ",".join(map(_csv_cell, cells))
+        assert line == '1.5,a;b,"say ""hi"", then\nstop","x\ry",'
+        assert next(csv.reader([line])) == cells
+
+    @pytest.mark.parametrize("n_norms", [1, 8])
+    def test_metric_evaluations_per_base_point(self, monkeypatch, capsys, n_norms):
+        # the metric is evaluated at each distinct base point, not at each
+        # bundle point: rows evaluated do not grow with the number of |v|
+        from tbcurv.basemanifold import ChartManifold
+
+        rows = []
+        metric = ChartManifold.metric
+        monkeypatch.setattr(
+            ChartManifold,
+            "metric",
+            lambda M, x: rows.append(np.asarray(x).size // M.dim) or metric(M, x),
+        )
+        grid = json.dumps({"base_points": [[0.1, 0.2, -0.1]],
+                           "v_norms": [0.1 * (k + 1) for k in range(n_norms)]})
+        assert run(["scalar", "--manifold", "hyperbolic", "--dim", "3", "--family", "exp+",
+                    "--grid", grid]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + n_norms
+        # grid direction scaling, the adapted frame and the curvature, once each
+        assert rows == [1, 1, 1]
 
 
 class TestConfigFile:

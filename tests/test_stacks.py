@@ -1,0 +1,208 @@
+"""Stacks of points: frames, base curvature, the closed forms and the CLI
+tables computed over a leading point axis equal each point's single-point
+call."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tbcurv.basemanifold import (
+    ChartManifold,
+    adapted_frame,
+    conformal_polynomial,
+    euclidean,
+    frame_curvature,
+    hyperbolic,
+    sphere,
+)
+from tbcurv.cli import _table_columns, main
+from tbcurv.closedform import tm_curvature, tm_ricci, tm_scalar, tm_sectional
+from tbcurv.errors import TbcurvError
+from tbcurv.metricfamily import preset
+
+TORUS_COEFFS = [[0.1, 1, 1, 0], [0.04, 0, 2, 1]]
+
+# (chart, CLI manifold arguments, a base point well inside the chart)
+CHARTS = {
+    "sphere-polar": (sphere(2), ["sphere", "--dim", "2"], [1.0, 0.3]),
+    "sphere-stereographic": (sphere(3), ["sphere", "--dim", "3"], [0.2, -0.1, 0.3]),
+    "hyperbolic": (hyperbolic(3), ["hyperbolic", "--dim", "3"], [0.1, 0.2, -0.1]),
+    "euclidean": (euclidean(3), ["euclidean", "--dim", "3"], [0.5, -1.0, 2.0]),
+    "torus-conformal": (
+        conformal_polynomial(3, TORUS_COEFFS),
+        ["torus-conformal", "--dim", "3", "--coeffs", json.dumps(TORUS_COEFFS)],
+        [0.2, -0.3, 0.4],
+    ),
+}
+TASKS = ("curvature", "sectional", "ricci", "scalar")
+
+
+def _close(stacked, single):
+    """Within 1e-13 of the largest |value| (exactly equal when all vanish)."""
+    stacked, single = np.asarray(stacked), np.asarray(single)
+    assert stacked.shape == single.shape
+    scale = np.max(np.abs(single), initial=0.0)
+    assert np.max(np.abs(stacked - single), initial=0.0) <= 1e-13 * scale
+
+
+def _closed_forms(M, fam, fp):
+    sec = tm_sectional(M, fam, fp)
+    return (
+        tm_curvature(M, fam, fp).table,
+        sec.hh,
+        sec.vv,
+        sec.hv,
+        tm_ricci(M, fam, fp),
+        tm_scalar(M, fam, fp),
+    )
+
+
+# Each case is (base point kind, |v|_g): v = 0, a repeated base point, or a
+# fresh one near the first.
+cases = st.lists(
+    st.tuples(st.sampled_from(["same", "near"]), st.sampled_from([0.0, 0.3, 1.1, 1.5])),
+    min_size=1,
+    max_size=5,
+)
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+@settings(max_examples=6, deadline=None)
+@given(cases=cases, seed=st.integers(0, 2**16))
+def test_library_stack_matches_single_points(chart, cases, seed):
+    M, _, x0 = CHARTS[chart]
+    rng = np.random.default_rng(seed)
+    q, v = [], []
+    for kind, norm in cases:
+        x = np.array(x0) + (0.05 * rng.normal(size=M.dim) if kind == "near" else 0.0)
+        d = rng.normal(size=M.dim)
+        q.append(x)
+        v.append(norm * d / np.sqrt(d @ M.metric(x) @ d))
+    q, v = np.array(q), np.array(v)
+    fam = preset("exp+")
+    fp = adapted_frame(M, q, v)
+    frame = frame_curvature(M, fp)
+    closed = _closed_forms(M, fam, fp)
+    for i in range(len(cases)):
+        one = adapted_frame(M, q[i], v[i])
+        _close(fp.u[i], one.u)
+        _close(fp.t[i], one.t)
+        one_frame = frame_curvature(M, one)
+        _close(frame.Rtable[i], one_frame.Rtable)
+        _close(frame.dRtable[i], one_frame.dRtable)
+        for stacked, single in zip(closed, _closed_forms(M, fam, one)):
+            _close(stacked[i], single)
+
+
+def test_single_point_has_no_leading_axis():
+    M, _, x0 = CHARTS["hyperbolic"]
+    fp = adapted_frame(M, x0, [0.3, 0.0, 0.1])
+    assert fp.u.shape == (3, 3) and isinstance(fp.t, float)
+    assert tm_curvature(M, preset("sasaki"), fp).table.shape == (6, 6, 6, 6)
+    assert np.ndim(tm_scalar(M, preset("sasaki"), fp)) == 0
+
+
+def _points(M, x0):
+    """A mixed list of bundle points: v = 0, repeated base points, |v|_g = 3
+    (t = 9 beyond t_max = 4), a base point whose nabla R stencil leaves the
+    chart (inside it by 1e-6), and one outside the chart."""
+    x0 = np.array(x0)
+    edge = x0.copy()
+    edge[0] = M.hi[0] - 1e-6
+    outside = x0.copy()
+    outside[0] = M.hi[0] + 0.01
+    rng = np.random.default_rng(5)
+    points = []
+    for x, norm in [(x0, 0.0), (x0, 0.5), (edge, 0.5), (x0, 3.0), (outside, 0.5),
+                    (x0 + 0.05, 1.5), (x0, 1.5), (edge, 0.0)]:
+        d = rng.normal(size=M.dim)
+        g = M.metric(x) if not M.outside(x) else np.eye(M.dim)
+        points.append((x, norm * d / np.sqrt(d @ g @ d)))
+    return points
+
+
+def _reference_rows(M, fam, points, task):
+    """The rows of each point alone, from the single-point calls."""
+    rows = []
+    for x, v in points:
+        head = {"x": ";".join(map(repr, x.tolist())), "v": ";".join(map(repr, v.tolist()))}
+        try:
+            fp = adapted_frame(M, x, v)
+            names, columns = _table_columns(M, fam, fp, task)
+        except TbcurvError as exc:
+            rows.append({**head, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        shape = next(iter(columns.values())).shape
+        for idx in np.ndindex(shape):
+            row = {**head, "t": float(fp.t), **dict(zip(names, idx))}
+            rows.append({**row, **{k: float(col[idx]) for k, col in columns.items()}})
+    return rows
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("chart", CHARTS)
+def test_cli_rows_match_single_points(tmp_path, chart, task):
+    M, manifold_args, x0 = CHARTS[chart]
+    points = _points(M, x0)
+    args = [task, "--manifold", *manifold_args, "--family", "cheeger-gromoll",
+            "--t-max", "4", "--format", "json", "--out", str(tmp_path / "t.json")]
+    for x, v in points:
+        args += ["--point=" + ",".join(map(repr, x.tolist())),
+                 "--v=" + ",".join(map(repr, v.tolist()))]
+    assert main(args) == 1
+    rows = json.loads((tmp_path / "t.json").read_text())[task]
+    expected = _reference_rows(M, preset("cheeger-gromoll", t_max=4.0), points, task)
+    assert len(rows) == len(expected)
+    values = [k for k in rows[0] if k not in ("x", "v", "t", "error", *"abcdij")]
+    scale = max(abs(r[k]) for r in expected if "error" not in r for k in values)
+    for row, ref in zip(rows, expected):
+        assert (row["x"], row["v"]) == (ref["x"], ref["v"])
+        if "error" in ref:
+            assert row["error"] == ref["error"]
+            continue
+        assert {k: row[k] for k in "abcdij" if k in row} == {
+            k: ref[k] for k in "abcdij" if k in ref
+        }
+        assert row["t"] == ref["t"]
+        for k in values:
+            assert abs(row[k] - ref[k]) <= 1e-13 * scale
+    errors = [r["error"].split(":")[0] for r in expected if "error" in r]
+    nabla = task in ("curvature", "ricci")
+    assert errors == ["StencilOutOfDomainError"] * nabla + [
+        "ValidityError", "StencilOutOfDomainError"] + ["StencilOutOfDomainError"] * nabla
+
+
+def test_custom_chart_stack_matches_single_points():
+    # a chart without connection data, evaluated point by point
+    base = hyperbolic(2)
+    M = ChartManifold(2, base.metric_fn, lo=base.lo, hi=base.hi)
+    q = np.array([[0.2, -0.3], [0.2, -0.3], [0.1, 0.1]])
+    v = np.array([[0.0, 0.0], [0.4, 0.1], [0.2, -0.3]])
+    fam = preset("exp-")
+    stacked = _closed_forms(M, fam, adapted_frame(M, q, v))
+    for i in range(3):
+        for s, one in zip(stacked, _closed_forms(M, fam, adapted_frame(M, q[i], v[i]))):
+            _close(s[i], one)
+
+
+def test_flagged_points_run_alone_and_the_rest_as_one_stack(monkeypatch, capsys):
+    # t = |v|^2_g beyond t_max is flagged before any evaluation: that point
+    # runs alone (and fails), the two good ones run as one stack
+    import tbcurv.closedform as closedform
+
+    sizes = []
+    scalar = closedform.tm_scalar
+    def counted(M, fam, fp):
+        sizes.append(np.size(fp.t))
+        return scalar(M, fam, fp)
+
+    monkeypatch.setattr(closedform, "tm_scalar", counted)
+    args = ["scalar", "--manifold", "hyperbolic", "--dim", "2", "--family", "sasaki",
+            "--t-max", "1", "--point", "0.1,0.2", "--v", "0.1,0", "--point", "0.1,0.2",
+            "--v", "2,0", "--point", "0,0", "--v", "0,0.2"]
+    assert main(args) == 1
+    assert sizes == [1, 2]
+    assert "ValidityError" in capsys.readouterr().out
