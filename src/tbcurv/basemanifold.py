@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,19 +85,20 @@ class ChartManifold:
     dim : chart dimension n >= 2
     metric_fn : x -> (n, n) SPD matrix of components g_ab(x)
     lo, hi : corners of the coordinate box
-    christoffels_fn : optional x -> gamma[a, b, c] = Gamma^a_bc
-    christoffel_jacobian_fn : optional x -> dgamma[p, a, b, c] = d_p Gamma^a_bc
+    christoffels_fn : x -> gamma[a, b, c] = Gamma^a_bc
+    christoffel_jacobian_fn : x -> dgamma[p, a, b, c] = d_p Gamma^a_bc
     catalog_id, params : provenance for reports
     vectorized : the three functions take a stack x of shape (..., n) and
         return the stack of their values (the catalog's charts); otherwise
         they are called once per point
 
-    The point methods accept a point or a stack of points of shape
-    (..., n) and return one value per point.  Missing connection data
-    is differentiated on the stencils of ``numdiff``'s step table.  Each
-    public method checks its point once against the reach of everything it
-    evaluates; the points inside a stencil are not checked again
-    (``check=False`` marks those calls).
+    A chart is analytic, with both connection functions, or metric-only,
+    with neither; a metric-only chart's connection is differentiated from g
+    on the stencils of ``numdiff``'s step table.  The point methods accept
+    a point or a stack of points of shape (..., n) and return one value per
+    point.  Each public method checks its point once against the reach of
+    everything it evaluates; the points inside a stencil are not checked
+    again (``check=False`` marks those calls).
     """
 
     def __init__(
@@ -115,6 +115,10 @@ class ChartManifold:
     ):
         if dim < 2:
             raise ValueError("dim must be >= 2")
+        if (christoffels_fn is None) != (christoffel_jacobian_fn is None):
+            raise ValueError(
+                "give both christoffels_fn and christoffel_jacobian_fn, or neither"
+            )
         self.dim = int(dim)
         self.metric_fn = metric_fn
         self.lo = np.asarray(lo, dtype=float)
@@ -140,9 +144,10 @@ class ChartManifold:
 
     def outside(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> np.ndarray:
         """Per point of x (..., n): the box x +- reach (per axis) is not
-        strictly inside the chart."""
+        strictly inside the chart.  Written as "not inside", so that a NaN
+        coordinate, which compares false, is outside."""
         x = np.asarray(x, dtype=float)
-        return ((x - reach <= self.lo) | (x + reach >= self.hi)).any(axis=-1)
+        return ~((x - reach > self.lo) & (x + reach < self.hi)).all(axis=-1)
 
     def check_interior(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> None:
         """Require the box x +- reach (per axis) strictly inside the chart,
@@ -163,19 +168,15 @@ class ChartManifold:
     # -- reach: how far from x a computation evaluates the metric -------------
 
     def christoffel_reach(self, x: np.ndarray) -> np.ndarray:
+        """Reach of the connection and the curvature at x: zero on an
+        analytic chart, the metric's stencil on a metric-only one."""
         return np.zeros(self.dim) if self.christoffels_fn else CONNECTION.reach(x)
 
-    def christoffel_jacobian_reach(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(self.dim) if self.christoffel_jacobian_fn else CONNECTION.reach(x)
-
-    def riemann_reach(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(self.christoffel_reach(x), self.christoffel_jacobian_reach(x))
-
     def _nabla_stencil(self) -> Stencil:
-        return NABLA_EXACT if self.christoffel_jacobian_fn else NABLA_FD
+        return NABLA_EXACT if self.christoffels_fn else NABLA_FD
 
     def nabla_reach(self, x: np.ndarray) -> np.ndarray:
-        return self._nabla_stencil().reach(x, inner=self.riemann_reach)
+        return self._nabla_stencil().reach(x, inner=self.christoffel_reach)
 
     # -- connection ----------------------------------------------------------
 
@@ -187,15 +188,9 @@ class ChartManifold:
             g = self.metric(x)
             _check_spd(g, x)
             return g, self._eval(self.christoffels_fn, x)
-
-        def jets(y):  # g and its first partials, stacked: (n + 1, n, n)
-            g, dg, _ = matrix_jets(self.metric, y, CONNECTION, second=False)
-            return np.concatenate([g[None], dg])
-
-        g_dg = pointwise(jets)(x)
-        g = g_dg[..., 0, :, :]
+        g, dg, _ = matrix_jets(self.metric, x, CONNECTION, second=False)
         _check_spd(g, x)
-        return g, christoffels_from_jets(g, g_dg[..., 1:, :, :])
+        return g, christoffels_from_jets(g, dg)
 
     def christoffels(self, x: np.ndarray, *, check: bool = True) -> np.ndarray:
         """Gamma^a_bc at x; analytic when the catalog provides it."""
@@ -208,18 +203,10 @@ class ChartManifold:
         """d_p Gamma^a_bc at x."""
         x = np.asarray(x, dtype=float)
         if check:
-            self.check_interior(x, self.christoffel_jacobian_reach(x))
+            self.check_interior(x, self.christoffel_reach(x))
         if self.christoffel_jacobian_fn is not None:
             return self._eval(self.christoffel_jacobian_fn, x)
-        if self.christoffels_fn is not None:
-            # FD of the analytic Christoffels.
-            def jacobian(y):
-                gammas = partial(self._eval, self.christoffels_fn)
-                return matrix_jets(gammas, y, CONNECTION, second=False)[1]
-        else:
-            def jacobian(y):
-                return christoffel_jacobian_from_jets(*matrix_jets(self.metric, y, CONNECTION))
-        return pointwise(jacobian)(x)
+        return christoffel_jacobian_from_jets(*matrix_jets(self.metric, x, CONNECTION))
 
     # -- curvature -----------------------------------------------------------
 
@@ -229,7 +216,7 @@ class ChartManifold:
         """Coordinate curvature (rup, rlow) at x under the pinned convention."""
         x = np.asarray(x, dtype=float)
         if check:
-            self.check_interior(x, self.riemann_reach(x))
+            self.check_interior(x, self.christoffel_reach(x))
         g, gamma = self.metric_and_christoffels(x)
         dgamma = self.christoffel_jacobian(x, check=False)
         return riemann_from_christoffels(g, gamma, dgamma)
@@ -263,14 +250,15 @@ class ChartManifold:
 def _at_distinct(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """fun(x) for a point or a stack of points (..., n), with fun evaluated
     once per distinct point: everything at a base point depends on q alone,
-    and a grid repeats each base point for every vector.  A single point is
-    passed as it is, not as a stack of one: numpy's array loops for sin and
-    cos may round differently from its loops for one value, and a single
-    point keeps the bits of its one-point evaluation."""
+    and a grid repeats each base point for every vector.  Each distinct
+    point is evaluated alone, as a single point: numpy rounds some
+    operations on one value differently from the same operation on an
+    array (``s ** 2`` calls pow on a numpy float and squares on an array),
+    and a point keeps the bits of its one-point evaluation in any stack."""
     if x.ndim == 1:
         return fun(x)
     rows, inverse = np.unique(x.reshape(-1, x.shape[-1]), axis=0, return_inverse=True)
-    values = fun(rows)
+    values = np.array([fun(r) for r in rows])
     return values[inverse.ravel()].reshape(x.shape[:-1] + values.shape[1:])
 
 

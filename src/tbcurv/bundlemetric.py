@@ -99,15 +99,16 @@ def adapted_frame_vectors(M: ChartManifold, fp: AdaptedFramePoint) -> np.ndarray
 
     Row i (< n) is the horizontal lift of u_i: x-slots u_i, v-slots
     -Gamma^a_bc v^b u_i^c, so the connection split returns (u_i, 0)
-    exactly.  Row n+i is the vertical lift (0, u_i).
+    exactly.  Row n+i is the vertical lift (0, u_i).  For a stack of frame
+    points, one (2n, 2n) matrix per point.
     """
     n = M.dim
     gamma = M.christoffels(fp.q)
-    w = np.einsum("abc,b->ac", gamma, fp.v)
-    frame = np.zeros((2 * n, 2 * n))
-    frame[:n, :n] = fp.u
-    frame[:n, n:] = -fp.u @ w.T
-    frame[n:, n:] = fp.u
+    w = np.einsum("...abc,...b->...ac", gamma, fp.v)
+    frame = np.zeros(fp.u.shape[:-2] + (2 * n, 2 * n))
+    frame[..., :n, :n] = fp.u
+    frame[..., :n, n:] = -fp.u @ np.swapaxes(w, -1, -2)
+    frame[..., n:, n:] = fp.u
     return frame
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import closedform
-from .basemanifold import ChartManifold, adapted_frame, make_manifold
+from .basemanifold import ChartManifold, make_manifold
 from .bundlemetric import BundlePoint, squared_norm
 from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from .metricfamily import NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
@@ -212,6 +212,9 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
                     raise ConfigError("grid direction has zero length")
                 for s in v_norms:
                     points.append(BundlePoint(x, (float(s) / nrm) * d))
+    for p in points:
+        if not (np.isfinite(p.x).all() and np.isfinite(p.v).all()):
+            raise ConfigError(f"point x={p.x.tolist()} v={p.v.tolist()} is not finite")
     if not points:
         raise ConfigError("no points configured (--point/--v or config points/grid)")
     return points
@@ -396,64 +399,6 @@ def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str):
     return "", {"scalar": np.asarray(closedform.tm_scalar(M, fam, fp))}
 
 
-def _on_stack(fun, keys: np.ndarray, suspect: np.ndarray, errors: dict):
-    """(good, fun(good)) for a stack of points.  ``fun(sel)`` computes the
-    points at positions sel of the stack in one call, or a single point
-    when sel is a number; ``keys`` are the points' indices in the command.
-
-    The points flagged ``suspect`` by checks that evaluate nothing, and
-    every point if the rest still fail as one stack, are run alone: each
-    one that fails gets its single-point error in ``errors`` under its key,
-    and the others run as one stack.  So a bad point never fails the
-    others, and its error is the one it would get alone."""
-
-    def alone(sel: np.ndarray) -> np.ndarray:
-        good = []
-        for i in sel:
-            try:
-                fun(i)
-            except TbcurvError as exc:
-                errors[int(keys[i])] = exc
-            else:
-                good.append(i)
-        return np.array(good, dtype=int)
-
-    every = np.arange(len(keys))
-    good = np.union1d(every[~suspect], alone(every[suspect]))
-    try:
-        return good, (fun(good) if good.size else None)
-    except TbcurvError:
-        good = alone(good)
-    return good, (fun(good) if good.size else None)
-
-
-def _suspects(M: ChartManifold, fam: NaturalMetricFamily, fp) -> np.ndarray:
-    """Points a closed form may refuse, by checks that evaluate nothing:
-    t = |v|^2_g outside the family's range, or the nabla R stencil leaving
-    the chart (which only the curvature and Ricci tables need)."""
-    t_sq = fp.t * fp.t
-    return ~((0.0 <= t_sq) & (t_sq <= fam.t_max)) | M.outside(fp.q, M.nabla_reach(fp.q))
-
-
-def _on_points(M: ChartManifold, fam: NaturalMetricFamily, points: list[BundlePoint], fun):
-    """fun(fp) on the adapted frames fp of the points, as one stack.
-
-    Returns ``at`` (point index -> position in the stack), the frames and
-    fun's result for the stack of good points (None when no point is
-    good), and the error of each other point (point index -> exception).
-    A point fails on its frame or in fun; see ``_on_stack``."""
-    errors: dict = {}
-    q = np.array([p.x for p in points])
-    v = np.array([p.v for p in points])
-    keys = np.arange(len(points))
-    good, fp = _on_stack(lambda i: adapted_frame(M, q[i], v[i]), keys, M.outside(q), errors)
-    keys, out = keys[good], None
-    if fp is not None:
-        good, out = _on_stack(lambda i: fun(fp[i]), keys, _suspects(M, fam, fp), errors)
-        keys, fp = keys[good], fp[good]
-    return dict(zip(keys.tolist(), range(keys.size))), fp, out, errors
-
-
 def _error_cell(exc: TbcurvError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -463,14 +408,13 @@ def cmd_tables(cfg: dict, task: str) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
     points = _resolve_points(cfg, M)
-    at, fp, out, errors = _on_points(
+    at, t, out, errors = closedform.on_points(
         M, fam, points, lambda fp: _table_columns(M, fam, fp, task)
     )
     if out is not None:
         names, columns = out
         index = list(np.ndindex(next(iter(columns.values())).shape[1:]))
         cells = [col.reshape(len(at), -1).tolist() for col in columns.values()]
-        t = fp.t.tolist()
     rows: list[dict] = []
     for i, p in enumerate(points):
         coords = {"x": _coords(p.x), "v": _coords(p.v)}
@@ -479,7 +423,7 @@ def cmd_tables(cfg: dict, task: str) -> int:
             continue
         k = at[i]
         keys = (*coords, "t", *names, *columns)
-        head = (*coords.values(), t[k])
+        head = (*coords.values(), t[i])
         for idx, values in zip(index, zip(*(c[k] for c in cells))):
             rows.append(dict(zip(keys, head + idx + values)))
     _emit(cfg, rows, f"{task} of (TM, G); {_NOTE}", task)
@@ -525,13 +469,12 @@ def cmd_scan(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
     points = _resolve_points(cfg, M)
-    at, fp, out, errors = _on_points(
+    at, t, out, errors = closedform.on_points(
         M, fam, points, lambda fp: (fam.jets(fp.t * fp.t), closedform.tm_scalar(M, fam, fp))
     )
     if out is not None:
         jets, s_general = out
-        t, s_general = fp.t.tolist(), s_general.tolist()
-        f_col, h_col = jets.F.tolist(), jets.H.tolist()
+        s_general, f_col, h_col = s_general.tolist(), jets.F.tolist(), jets.H.tolist()
     special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
     k0 = _constant_curvature_of(M)
     rows: list[dict] = []
@@ -552,13 +495,13 @@ def cmd_scan(cfg: dict) -> int:
             continue
         k = at[i]
         if special is not None and k0 is not None:
-            s_special = closedform.scalar_exp_specials(k0, M.dim, t[k] * t[k], special).value
+            s_special = closedform.scalar_exp_specials(k0, M.dim, t[i] * t[i], special).value
         else:
             s_special = float("nan")
         rows.append(
             {
                 **base,
-                "v_norm": t[k],
+                "v_norm": t[i],
                 "scalar_general": s_general[k],
                 "scalar_special": float(s_special),
                 "F": f_col[k],

@@ -18,13 +18,17 @@ horizontal/vertical pattern of the four slots:
 Each class is produced by its own formula; every other index placement is
 generated from these by the algebraic curvature symmetries, never by new
 formulas.
+
+``on_points`` runs a computation over the stack of frames of a list of
+bundle points, each failing point isolated with the error it gets alone;
+the CLI tables and the oracle comparison both run on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +36,13 @@ from .basemanifold import (
     AdaptedFramePoint,
     ChartManifold,
     FrameCurvature,
+    adapted_frame,
     frame_curvature,
 )
+from .bundlemetric import BundlePoint
+from .errors import TbcurvError
 from .metricfamily import FamilyJets, NaturalMetricFamily
+from .numdiff import ORACLE
 
 __all__ = [
     "TMCurvatureTable",
@@ -52,6 +60,7 @@ __all__ = [
     "gram_diagonal",
     "table_ricci_trace",
     "table_scalar_trace",
+    "on_points",
     "CLASS_NAMES",
 ]
 
@@ -96,18 +105,10 @@ def component_class_masks(n: int) -> dict[str, np.ndarray]:
 class TMCurvatureTable:
     """Components <Rbar(e_a, e_b) e_c, e_d> for a, b, c, d in 0..2n-1,
     stored as the six class blocks plus the assembled full table; for a
-    stack of points, t, the blocks and the table lead with the point axes."""
+    stack of points, the blocks and the table lead with the point axes."""
 
-    n: int
-    t: float
     blocks: dict
     table: np.ndarray
-    fp: Optional[AdaptedFramePoint] = None
-    family_name: str = ""
-    manifold_id: str = ""
-
-    def __getitem__(self, idx):
-        return self.table[idx]
 
 
 def _w(x, axes: int) -> np.ndarray:
@@ -261,16 +262,7 @@ def tm_curvature(
     or one table per point of a stack of them."""
     jets, frame = _point_inputs(M, fam, fp, include_nabla=True)
     blocks = _blocks(jets, fp, frame)
-    table = _assemble(blocks, fp.dim)
-    return TMCurvatureTable(
-        n=fp.dim,
-        t=fp.t,
-        blocks=blocks,
-        table=table,
-        fp=fp,
-        family_name=fam.name,
-        manifold_id=M.catalog_id,
-    )
+    return TMCurvatureTable(blocks=blocks, table=_assemble(blocks, fp.dim))
 
 
 # --------------------------------------------------------------------------
@@ -494,3 +486,73 @@ def table_ricci_trace(table: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
 def table_scalar_trace(table: np.ndarray, gram_diag: np.ndarray) -> float:
     ricci = table_ricci_trace(table, gram_diag)
     return float(np.einsum("aa,a->", ricci, 1.0 / gram_diag))
+
+
+# --------------------------------------------------------------------------
+# Stacks of bundle points, each bad point isolated
+# --------------------------------------------------------------------------
+
+
+def _on_stack(fun, keys: np.ndarray, suspect: np.ndarray, errors: dict):
+    """(good, fun(good)) for a stack of points.  ``fun(sel)`` computes the
+    points at positions sel of the stack in one call, or a single point
+    when sel is a number; ``keys`` are the points' indices in the command.
+
+    The points flagged ``suspect`` by checks that evaluate nothing, and
+    every point if the rest still fail as one stack, are run alone: each
+    one that fails gets its single-point error in ``errors`` under its key,
+    and the others run as one stack.  So a bad point never fails the
+    others, and its error is the one it would get alone."""
+
+    def alone(sel: np.ndarray) -> np.ndarray:
+        good = []
+        for i in sel:
+            try:
+                fun(i)
+            except TbcurvError as exc:
+                errors[int(keys[i])] = exc
+            else:
+                good.append(i)
+        return np.array(good, dtype=int)
+
+    every = np.arange(len(keys))
+    good = np.union1d(every[~suspect], alone(every[suspect]))
+    try:
+        return good, (fun(good) if good.size else None)
+    except TbcurvError:
+        good = alone(good)
+    return good, (fun(good) if good.size else None)
+
+
+def _suspects(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint) -> np.ndarray:
+    """Points a computation may refuse, by checks that evaluate nothing:
+    t = |v|^2_g outside the family's range, or the chart's edge within the
+    reach of the nabla R stencil (which the curvature and Ricci tables
+    need) or of the oracle's stencil (which verify needs)."""
+    t_sq = fp.t * fp.t
+    reach = np.maximum(M.nabla_reach(fp.q), ORACLE.reach(fp.q, inner=M.christoffel_reach))
+    return ~((0.0 <= t_sq) & (t_sq <= fam.t_max)) | M.outside(fp.q, reach)
+
+
+def on_points(
+    M: ChartManifold, fam: NaturalMetricFamily, points: Sequence[BundlePoint], fun: Callable
+):
+    """fun(fp) on the adapted frames fp of the bundle points, as one stack.
+
+    Returns ``at`` (point index -> position in the stack of good points),
+    ``t`` (per point, t = |v|_g of its frame, 0.0 where none was built),
+    fun's result for the stack of good points (None when no point is
+    good), and the error of each other point (point index -> exception).
+    A point fails on its frame or in fun; see ``_on_stack``."""
+    errors: dict = {}
+    q = np.array([p.x for p in points])
+    v = np.array([p.v for p in points])
+    keys = np.arange(len(points))
+    t = np.zeros(len(points))
+    good, fp = _on_stack(lambda i: adapted_frame(M, q[i], v[i]), keys, M.outside(q), errors)
+    keys, out = keys[good], None
+    if fp is not None:
+        t[keys] = fp.t
+        good, out = _on_stack(lambda i: fun(fp[i]), keys, _suspects(M, fam, fp), errors)
+        keys = keys[good]
+    return dict(zip(keys.tolist(), range(keys.size))), t.tolist(), out, errors

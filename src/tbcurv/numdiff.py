@@ -198,17 +198,19 @@ def christoffels_from_jets(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
 def christoffel_jacobian_from_jets(
     g: np.ndarray, dg: np.ndarray, d2g: np.ndarray
 ) -> np.ndarray:
-    """d_p Gamma^a_bc from metric first and second derivatives."""
+    """d_p Gamma^a_bc from metric first and second derivatives, at one
+    point or at each of a stack of points (leading axes)."""
     ginv = np.linalg.inv(g)
-    dginv = -np.einsum("ae,pef,fd->pad", ginv, dg, ginv)
-    s = np.einsum("bdc->dbc", dg) + np.einsum("cbd->dbc", dg) - dg
+    dginv = -np.einsum("...ae,...pef,...fd->...pad", ginv, dg, ginv)
+    s = np.einsum("...bdc->...dbc", dg) + np.einsum("...cbd->...dbc", dg) - dg
     ds = (
-        np.einsum("pbdc->pdbc", d2g)
-        + np.einsum("pcbd->pdbc", d2g)
+        np.einsum("...pbdc->...pdbc", d2g)
+        + np.einsum("...pcbd->...pdbc", d2g)
         - d2g
     )
     return 0.5 * (
-        np.einsum("pad,dbc->pabc", dginv, s) + np.einsum("ad,pdbc->pabc", ginv, ds)
+        np.einsum("...pad,...dbc->...pabc", dginv, s)
+        + np.einsum("...ad,...pdbc->...pabc", ginv, ds)
     )
 
 

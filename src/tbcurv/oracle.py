@@ -20,10 +20,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basemanifold import AdaptedFramePoint, ChartManifold, adapted_frame
+from .basemanifold import AdaptedFramePoint, ChartManifold
 from .bundlemetric import BundlePoint, adapted_frame_vectors, induced_metric
-from .closedform import CLASS_NAMES, component_class_masks, tm_curvature
-from .errors import ConditioningWarning, TbcurvError
+from .closedform import CLASS_NAMES, component_class_masks, on_points, tm_curvature
+from .errors import ConditioningWarning
 from .metricfamily import NaturalMetricFamily
 from .numdiff import (
     ORACLE,
@@ -71,46 +71,36 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """For a stack of frame points, both lead with the point axes."""
+
     table: np.ndarray  # raw frame-contracted curvature, no symmetry projection
-    gram: np.ndarray
-    cond: float
-    fp: AdaptedFramePoint
+    cond: float  # condition number of G at the point
 
 
 def numeric_tm_curvature(
-    M: ChartManifold,
-    fam: NaturalMetricFamily,
-    p: BundlePoint,
-    fp: Optional[AdaptedFramePoint] = None,
+    M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> OracleResult:
-    """Frame-contracted curvature table of the 2n-dimensional metric G,
-    from finite differences of induced_metric values only."""
+    """Curvature table of the 2n-dimensional metric G in the adapted frame
+    of fp, or one per point of a stack of frame points, from finite
+    differences of induced_metric values only."""
     n = M.dim
     # One check for the whole stencil, Christoffel stencils at its points included.
-    M.check_interior(p.x, ORACLE.reach(p.x, inner=M.christoffel_reach))
-    z0 = np.concatenate([p.x, p.v])
+    M.check_interior(fp.q, ORACLE.reach(fp.q, inner=M.christoffel_reach))
+    z0 = np.concatenate([fp.q, fp.v], axis=-1)
 
     def gfun(z: np.ndarray) -> np.ndarray:
         # z stacks every stencil point: one induced_metric call for all.
-        return induced_metric(M, fam, BundlePoint(z[:, :n], z[:, n:]), check=False)
+        return induced_metric(M, fam, BundlePoint(z[..., :n], z[..., n:]), check=False)
 
     g0, dg, d2g = matrix_jets(gfun, z0, ORACLE)
-    cond = float(np.linalg.cond(g0))
-    if cond > 1e8:
-        warnings.warn(
-            f"bundle metric condition number {cond:.3g} exceeds 1e8",
-            ConditioningWarning,
-        )
+    cond = np.linalg.cond(g0)
+    for c in np.ravel(cond)[np.ravel(cond) > 1e8]:
+        warnings.warn(f"bundle metric condition number {c:.3g} exceeds 1e8", ConditioningWarning)
     gamma = christoffels_from_jets(g0, dg)
     dgamma = christoffel_jacobian_from_jets(g0, dg, d2g)
     _, rlow = riemann_from_christoffels(g0, gamma, dgamma)
-
-    if fp is None:
-        fp = adapted_frame(M, p.x, p.v)
-    frame = adapted_frame_vectors(M, fp)
-    table = frame_components(frame, rlow)
-    gram = frame @ g0 @ frame.T
-    return OracleResult(table=table, gram=gram, cond=cond, fp=fp)
+    table = frame_components(adapted_frame_vectors(M, fp), rlow)
+    return OracleResult(table=table, cond=cond)
 
 
 # --------------------------------------------------------------------------
@@ -278,35 +268,37 @@ def compare(
     points: Sequence[BundlePoint],
     cfg: OracleConfig = OracleConfig(),
 ) -> list[CurvatureReport]:
-    """Run closed form and oracle at each point, calibrate the sign once
-    per (manifold, family), and emit one report per point, in point order.
+    """Run closed form and oracle over the stack of points, calibrate the
+    sign once per (manifold, family), and emit one report per point, in
+    point order.
 
-    Per-point failures (validity, domain) are embedded in that point's
-    report; the remaining points still get full comparisons.
+    A point that fails (validity, domain) gets in its report the error it
+    would get alone (``closedform.on_points``); the remaining points still
+    get full comparisons.
     """
+
+    def both_routes(fp):
+        return tm_curvature(M, fam, fp).table, numeric_tm_curvature(M, fam, fp)
+
+    at, t, out, errors = on_points(M, fam, points, both_routes)
     reports = []
-    for p in points:
+    for i, p in enumerate(points):
         report = CurvatureReport(
             manifold_id=M.catalog_id,
             manifold_params=M.params,
             family_name=fam.name,
             x=[float(c) for c in np.atleast_1d(p.x)],
             v=[float(c) for c in np.atleast_1d(p.v)],
-            t=0.0,
+            t=t[i],
             config=cfg.to_dict(),
         )
-        try:
-            fp = adapted_frame(M, p.x, p.v)
-            report.t = fp.t
-            closed = tm_curvature(M, fam, fp).table
-            orc = numeric_tm_curvature(M, fam, p, fp=fp)
-            report.closed = closed
-            report.oracle = orc.table
-            report.cond = orc.cond
-        except TbcurvError as exc:
+        if i in errors:
             report.status = "error"
-            report.error = f"{type(exc).__name__}: {exc}"
-            report.passed = False
+            report.error = f"{type(errors[i]).__name__}: {errors[i]}"
+        else:
+            closed, orc = out
+            k = at[i]
+            report.closed, report.oracle, report.cond = closed[k], orc.table[k], float(orc.cond[k])
         reports.append(report)
 
     ok = [r for r in reports if r.status == "ok"]

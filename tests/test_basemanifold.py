@@ -66,6 +66,20 @@ class TestChristoffels:
         with pytest.raises(SingularMetricError):
             M.christoffels(np.zeros(2))
 
+    def test_analytic_or_metric_only(self):
+        M = sphere(2)
+        for fns in ({"christoffels_fn": M.christoffels_fn},
+                    {"christoffel_jacobian_fn": M.christoffel_jacobian_fn}):
+            with pytest.raises(ValueError, match="or neither"):
+                ChartManifold(2, M.metric_fn, M.lo, M.hi, vectorized=True, **fns)
+
+    def test_nan_is_outside(self):
+        M = sphere(2)
+        x = np.array([[1.0, 0.3], [np.nan, 0.3], [1.0, np.nan]])
+        assert M.outside(x).tolist() == [False, True, True]
+        with pytest.raises(StencilOutOfDomainError, match="nan"):
+            M.check_interior(x)
+
     def test_stencil_out_of_domain(self):
         M = sphere(2)
         with pytest.raises(StencilOutOfDomainError):

@@ -452,8 +452,8 @@ class TestTables:
     )
     def test_family_evaluations_per_point(self, monkeypatch, capsys, task, calls):
         # A table command evaluates the family once for all its points, scan
-        # once more for its F and H columns; verify evaluates it twice per
-        # point (the closed form and one stacked oracle stencil).
+        # once more for its F and H columns; verify once for the closed form
+        # and once for the oracle stencils of all its points.
         seen = []
         jets = NaturalMetricFamily.jets
         monkeypatch.setattr(
@@ -461,9 +461,8 @@ class TestTables:
         )
         points = self.GOOD + ["--point", "0.9,0.3", "--v", "0.2,0.1"]
         assert run([task, *self.SPHERE, *points]) == 0
-        assert len(seen) == (2 * calls if task == "verify" else calls)
-        if task != "verify":
-            assert all(np.shape(t) == (2,) for t in seen)
+        assert len(seen) == calls
+        assert all(np.shape(t)[0] == 2 for t in seen)
 
 
     # exp+ at |v|_g = 20 sin(1): the ValidityError message holds a comma
@@ -551,6 +550,25 @@ class TestConfigFile:
             )
             == 2
         )
+
+
+class TestNonFinitePoints:
+    # A NaN compares false, so a NaN coordinate used to count as inside the
+    # chart; a NaN or inf in x or v is a config error that names the point.
+    @pytest.mark.parametrize(
+        "task", ["curvature", "sectional", "ricci", "scalar", "verify", "scan"]
+    )
+    @pytest.mark.parametrize(
+        "x,v", [("nan,0", "1,0"), ("0,inf", "1,0"), ("0,0", "nan,0"), ("0,0", "0,-inf")]
+    )
+    def test_config_error_names_the_point(self, capsys, task, x, v):
+        args = [task, "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                "--point", "0.1,0.2", "--v", "0.3,0", "--point", x, "--v", v]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        x, v = ([float(c) for c in text.split(",")] for text in (x, v))
+        assert captured.out == ""
+        assert captured.err == f"config error: point x={x} v={v} is not finite\n"
 
 
 class TestRepeatedCalls:

@@ -42,14 +42,14 @@ class TestNumericTable:
     def test_euclidean_sasaki_constant_metric(self):
         M = euclidean(2)
         res = numeric_tm_curvature(
-            M, preset("sasaki"), BundlePoint.of([0.1, -0.2], [0.5, 0.3])
+            M, preset("sasaki"), adapted_frame(M, [0.1, -0.2], [0.5, 0.3])
         )
         assert np.max(np.abs(res.table)) <= 1e-10
 
     def test_flat_plus_flatness_family(self):
         M = euclidean(2)
         fam = NaturalMetricFamily("exp(t)", flatness_beta("exp(t)"), t_max=10.0)
-        res = numeric_tm_curvature(M, fam, BundlePoint.of([0.3, -0.2], [0.8, 0.4]))
+        res = numeric_tm_curvature(M, fam, adapted_frame(M, [0.3, -0.2], [0.8, 0.4]))
         assert np.max(np.abs(res.table)) <= 1e-6
 
     def test_sphere_sasaki_matches_closed_form(self):
@@ -57,13 +57,13 @@ class TestNumericTable:
         fam = preset("sasaki")
         fp = adapted_frame(M, q, v)
         closed = tm_curvature(M, fam, fp).table
-        res = numeric_tm_curvature(M, fam, BundlePoint(q, v), fp=fp)
+        res = numeric_tm_curvature(M, fam, fp)
         assert np.max(np.abs(closed - res.table)) <= 1e-5
 
     def test_oracle_self_consistency(self):
         # antisymmetries, pair symmetry, first Bianchi of the raw table
         M, q, v = _sphere_case(1.2)
-        res = numeric_tm_curvature(M, preset("cheeger-gromoll"), BundlePoint(q, v))
+        res = numeric_tm_curvature(M, preset("cheeger-gromoll"), adapted_frame(M, q, v))
         T = res.table
         scale = np.max(np.abs(T)) + 1.0
         assert np.max(np.abs(T + T.transpose(1, 0, 2, 3))) <= 1e-6 * scale
@@ -78,7 +78,7 @@ class TestNumericTable:
         fam = preset("cheeger-gromoll")
         v = np.array([1.0, 0.0, 0.0])
         fp = adapted_frame(M, np.zeros(3), v)
-        res = numeric_tm_curvature(M, fam, BundlePoint(np.zeros(3), v), fp=fp)
+        res = numeric_tm_curvature(M, fam, fp)
         f_val, h_val = fam.F(1.0), fam.H(1.0)
         vv = res.table[3:, 3:, 3:, 3:]
         assert vv[1, 2, 2, 1] == pytest.approx(f_val, abs=1e-6)
@@ -119,7 +119,7 @@ class TestNumericTable:
         gd = gram_diagonal(fam, fp.t, 3)
 
         def invariants(fp_used):
-            res = numeric_tm_curvature(M, fam, BundlePoint(q, v), fp=fp_used)
+            res = numeric_tm_curvature(M, fam, fp_used)
             ricci = np.einsum("accb,c->ab", res.table, 1.0 / gd)
             scalar = float(np.einsum("aa,a->", ricci, 1.0 / gd))
             # eigenvalues of Ricci w.r.t. the orthonormalized frame
@@ -156,7 +156,7 @@ class TestNumericTable:
         rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         fp2 = rotate_completion(fp, rot)
         closed = tm_curvature(M, fam, fp2).table
-        orc = numeric_tm_curvature(M, fam, BundlePoint(q, v), fp=fp2)
+        orc = numeric_tm_curvature(M, fam, fp2)
         assert np.max(np.abs(closed - orc.table)) <= 1e-5
 
     def test_conditioning_warning(self):
@@ -167,7 +167,7 @@ class TestNumericTable:
             hi=np.ones(2) * 10,
         )
         with pytest.warns(ConditioningWarning):
-            numeric_tm_curvature(M, preset("sasaki"), BundlePoint.of([0, 0], [0, 0]))
+            numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, [0, 0], [0, 0]))
 
 
 @pytest.mark.parametrize(
@@ -195,7 +195,7 @@ class TestCalibration:
         fam = preset("cheeger-gromoll")
         fp = adapted_frame(M, q, v)
         closed = tm_curvature(M, fam, fp).table
-        orc = numeric_tm_curvature(M, fam, BundlePoint(q, v), fp=fp).table
+        orc = numeric_tm_curvature(M, fam, fp).table
         cal = calibrate_sign([closed], [orc], 2, abs_tol=1e-5)
         assert not cal.underdetermined
         assert cal.sign == 1
@@ -208,7 +208,7 @@ class TestCalibration:
         fam = preset("sasaki")
         fp = adapted_frame(M, q, v)
         closed = tm_curvature(M, fam, fp).table.copy()
-        orc = numeric_tm_curvature(M, fam, BundlePoint(q, v), fp=fp).table
+        orc = numeric_tm_curvature(M, fam, fp).table
         masks = component_class_masks(2)
         closed[masks["hvhv"]] *= -1.0
         cal = calibrate_sign([closed], [orc], 2, abs_tol=1e-5)
@@ -305,7 +305,7 @@ class TestStencilEvaluation:
         x = np.full(n, 0.1)
         fp = adapted_frame(M, x, np.full(n, 0.2))
         calls.clear()
-        numeric_tm_curvature(M, preset("exp+"), BundlePoint(x, fp.v), fp=fp)
+        numeric_tm_curvature(M, preset("exp+"), fp)
         dim = 2 * n
         stencil_points = 2 * (2 * dim + 2 * dim * (dim - 1)) + 1  # 65 at n = 2, 145 at n = 3
         # the stack, and the base point of the frame vectors
@@ -317,7 +317,7 @@ class TestStencilEvaluation:
         x = np.array([0.2, -0.3])
         fp = adapted_frame(M, x, np.array([0.3, 0.1]))
         calls.clear()
-        numeric_tm_curvature(M, preset("exp+"), BundlePoint(x, fp.v), fp=fp)
+        numeric_tm_curvature(M, preset("exp+"), fp)
         # each stencil point and the frame's base point: g there, once, and
         # at the 4n other points of its Richardson Christoffel stencil
         assert len(calls) == (65 + 1) * (4 * n + 1)
@@ -337,7 +337,7 @@ class TestStencilEvaluation:
         x = np.array([0.4995, 0.0])
         bad = [float(x[0] + ORACLE.steps(x)[0]), 0.0]
         with pytest.raises(SingularMetricError, match=re.escape(f"x={bad}")):
-            numeric_tm_curvature(M, preset("sasaki"), BundlePoint(x, np.zeros(2)))
+            numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, x, np.zeros(2)))
 
     def test_validity_error_names_the_stencil_t(self):
         # valid at |v|^2 = 0.9999, but the stencil steps v_0 past t_max = 1
@@ -345,7 +345,8 @@ class TestStencilEvaluation:
         v = np.array([math.sqrt(0.9999), 0.0])
         t_bad = (v[0] + ORACLE.steps(v)[0]) ** 2
         with pytest.raises(ValidityError, match=f"t={t_bad:g} outside"):
-            numeric_tm_curvature(euclidean(2), fam, BundlePoint(np.zeros(2), v))
+            M = euclidean(2)
+            numeric_tm_curvature(M, fam, adapted_frame(M, np.zeros(2), v))
 
 
 class TestChartBoundary:
@@ -354,7 +355,7 @@ class TestChartBoundary:
         # the error names that point, not a stencil point
         M = sphere(2)
         with pytest.raises(StencilOutOfDomainError, match=r"\[0\.1005, 0\.3\]"):
-            numeric_tm_curvature(M, preset("sasaki"), BundlePoint.of([0.1005, 0.3], [0.0, 0.0]))
+            numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, [0.1005, 0.3], [0.0, 0.0]))
         report = compare(M, preset("sasaki"), [BundlePoint.of([0.1005, 0.3], [0.2, 0.1])])[0]
         assert report.status == "error"
         assert "StencilOutOfDomainError" in report.error and "[0.1005, 0.3]" in report.error
@@ -369,7 +370,7 @@ class TestChartBoundary:
         reach = ORACLE.reach(probe, inner=M.christoffel_reach)[0]
         x = [float(M.lo[0] + frac * reach), 0.3]
         with pytest.raises(StencilOutOfDomainError) as info:
-            numeric_tm_curvature(M, preset("sasaki"), BundlePoint.of(x, [0.1, 0.2]))
+            numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, x, [0.1, 0.2]))
         assert repr(x[0]) in str(info.value)
 
     @pytest.mark.parametrize("custom", [False, True])
@@ -377,5 +378,5 @@ class TestChartBoundary:
         M = fd_only(sphere(2)) if custom else sphere(2)
         x = np.array([M.lo[0], 0.3])
         x[0] += 1.01 * ORACLE.reach(x, inner=M.christoffel_reach)[0]
-        res = numeric_tm_curvature(M, preset("sasaki"), BundlePoint(x, np.array([0.1, 0.2])))
+        res = numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, x, np.array([0.1, 0.2])))
         assert np.all(np.isfinite(res.table))

@@ -1,6 +1,6 @@
-"""Stacks of points: frames, base curvature, the closed forms and the CLI
-tables computed over a leading point axis equal each point's single-point
-call."""
+"""Stacks of points: frames, base curvature, the closed forms, the oracle,
+the CLI tables and verify computed over a leading point axis equal each
+point's single-point call."""
 
 import json
 
@@ -18,10 +18,19 @@ from tbcurv.basemanifold import (
     hyperbolic,
     sphere,
 )
+from tbcurv.bundlemetric import BundlePoint
 from tbcurv.cli import _table_columns, main
 from tbcurv.closedform import tm_curvature, tm_ricci, tm_scalar, tm_sectional
 from tbcurv.errors import TbcurvError
 from tbcurv.metricfamily import preset
+from tbcurv.numdiff import ORACLE
+from tbcurv.oracle import (
+    CurvatureReport,
+    OracleConfig,
+    calibrate_sign,
+    compare,
+    numeric_tm_curvature,
+)
 
 TORUS_COEFFS = [[0.1, 1, 1, 0], [0.04, 0, 2, 1]]
 
@@ -206,3 +215,79 @@ def test_flagged_points_run_alone_and_the_rest_as_one_stack(monkeypatch, capsys)
     assert main(args) == 1
     assert sizes == [1, 2]
     assert "ValidityError" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+def test_oracle_stack_equals_single_points_bit_for_bit(chart):
+    M, _, x0 = CHARTS[chart]
+    x0 = np.array(x0)
+    rng = np.random.default_rng(11)
+    q = np.array([x0, x0, x0, x0 + 0.05])
+    v = [0.0 * x0] + [norm * rng.normal(size=M.dim) for norm in (0.3, 0.8, 0.5)]
+    fam = preset("cheeger-gromoll")
+    orc = numeric_tm_curvature(M, fam, adapted_frame(M, q, v))
+    for i in range(len(q)):
+        one = numeric_tm_curvature(M, fam, adapted_frame(M, q[i], v[i]))
+        assert np.array_equal(orc.table[i], one.table)
+        assert orc.cond[i] == one.cond
+
+
+def _reference_reports(M, fam, points, cfg):
+    """Reports from one point at a time: frame, closed form and oracle, each
+    failure caught at its point; then one sign pooled over the good ones."""
+    reports = []
+    for p in points:
+        report = CurvatureReport(
+            manifold_id=M.catalog_id,
+            manifold_params=M.params,
+            family_name=fam.name,
+            x=[float(c) for c in p.x],
+            v=[float(c) for c in p.v],
+            t=0.0,
+            config=cfg.to_dict(),
+        )
+        try:
+            fp = adapted_frame(M, p.x, p.v)
+            report.t = fp.t
+            closed = tm_curvature(M, fam, fp).table
+            orc = numeric_tm_curvature(M, fam, fp)
+            report.closed, report.oracle, report.cond = closed, orc.table, float(orc.cond)
+        except TbcurvError as exc:
+            report.status = "error"
+            report.error = f"{type(exc).__name__}: {exc}"
+        reports.append(report)
+    ok = [r for r in reports if r.status == "ok"]
+    calibration = calibrate_sign(
+        [r.closed for r in ok], [r.oracle for r in ok], M.dim, cfg.tol_abs
+    )
+    for r in ok:
+        r.finalize(calibration, cfg.tol_abs, cfg.tol_rel)
+    return reports
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+def test_compare_equals_point_by_point_reports(chart):
+    # v = 0, a repeated base point, an oracle stencil leaving the chart (but
+    # not the nabla R stencil), a stencil t beyond t_max = 4 (the point's own
+    # t is inside it), t beyond t_max, and a base point outside the chart
+    M, _, x0 = CHARTS[chart]
+    x0 = np.array(x0)
+    near_edge = x0.copy()
+    near_edge[0] = M.hi[0] - 0.5 * ORACLE.steps(M.hi)[0]
+    outside = x0.copy()
+    outside[0] = M.hi[0] + 0.01
+    rng = np.random.default_rng(3)
+    points = []
+    for x, norm in [(x0, 0.0), (x0, 0.5), (near_edge, 0.5), (x0, 1.9999), (x0, 3.0),
+                    (x0 + 0.05, 1.2), (outside, 0.5), (x0, 1.2)]:
+        d = rng.normal(size=M.dim)
+        g = np.eye(M.dim) if M.outside(x) else M.metric(x)
+        points.append(BundlePoint(x, norm * d / np.sqrt(d @ g @ d)))
+    fam, cfg = preset("exp-", t_max=4.0), OracleConfig()
+    reports = compare(M, fam, points, cfg)
+    expected = _reference_reports(M, fam, points, cfg)
+    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in expected]
+    errors = [r.error.split(":")[0] for r in expected if r.status == "error"]
+    assert errors == ["StencilOutOfDomainError", "ValidityError", "ValidityError",
+                      "StencilOutOfDomainError"]
+    assert [r.t for r in expected if r.status == "error"][-1] == 0.0
