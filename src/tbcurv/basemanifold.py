@@ -30,6 +30,7 @@ from .numdiff import (
     CONNECTION,
     NABLA_EXACT,
     NABLA_FD,
+    ORACLE,
     Stencil,
     christoffel_jacobian_from_jets,
     christoffels_from_jets,
@@ -177,6 +178,11 @@ class ChartManifold:
 
     def nabla_reach(self, x: np.ndarray) -> np.ndarray:
         return self._nabla_stencil().reach(x, inner=self.christoffel_reach)
+
+    def oracle_reach(self, x: np.ndarray) -> np.ndarray:
+        """Reach of the oracle's stencil on the bundle metric, the
+        Christoffel stencils at its points included."""
+        return ORACLE.reach(x, inner=self.christoffel_reach)
 
     # -- connection ----------------------------------------------------------
 

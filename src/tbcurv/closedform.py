@@ -42,7 +42,6 @@ from .basemanifold import (
 from .bundlemetric import BundlePoint
 from .errors import TbcurvError
 from .metricfamily import FamilyJets, NaturalMetricFamily
-from .numdiff import ORACLE
 
 __all__ = [
     "TMCurvatureTable",
@@ -530,7 +529,7 @@ def _suspects(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint)
     reach of the nabla R stencil (which the curvature and Ricci tables
     need) or of the oracle's stencil (which verify needs)."""
     t_sq = fp.t * fp.t
-    reach = np.maximum(M.nabla_reach(fp.q), ORACLE.reach(fp.q, inner=M.christoffel_reach))
+    reach = np.maximum(M.nabla_reach(fp.q), M.oracle_reach(fp.q))
     return ~((0.0 <= t_sq) & (t_sq <= fam.t_max)) | M.outside(fp.q, reach)
 
 

@@ -85,7 +85,7 @@ def numeric_tm_curvature(
     differences of induced_metric values only."""
     n = M.dim
     # One check for the whole stencil, Christoffel stencils at its points included.
-    M.check_interior(fp.q, ORACLE.reach(fp.q, inner=M.christoffel_reach))
+    M.check_interior(fp.q, M.oracle_reach(fp.q))
     z0 = np.concatenate([fp.q, fp.v], axis=-1)
 
     def gfun(z: np.ndarray) -> np.ndarray:

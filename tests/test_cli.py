@@ -462,7 +462,14 @@ class TestTables:
         points = self.GOOD + ["--point", "0.9,0.3", "--v", "0.2,0.1"]
         assert run([task, *self.SPHERE, *points]) == 0
         assert len(seen) == calls
-        assert all(np.shape(t)[0] == 2 for t in seen)
+        if task != "verify":
+            assert all(np.shape(t) == (2,) for t in seen)
+        else:
+            # the closed form takes one t per point, the oracle the t of
+            # every stencil point of each point
+            closed, stencils = map(np.shape, seen)
+            assert closed == (2,)
+            assert len(stencils) == 2 and stencils[0] == 2 and stencils[1] > 1
 
 
     # exp+ at |v|_g = 20 sin(1): the ValidityError message holds a comma
