@@ -255,16 +255,10 @@ class ChartManifold:
 
 def _at_distinct(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """fun(x) for a point or a stack of points (..., n), with fun evaluated
-    once per distinct point: everything at a base point depends on q alone,
-    and a grid repeats each base point for every vector.  Each distinct
-    point is evaluated alone, as a single point: numpy rounds some
-    operations on one value differently from the same operation on an
-    array (``s ** 2`` calls pow on a numpy float and squares on an array),
-    and a point keeps the bits of its one-point evaluation in any stack."""
-    if x.ndim == 1:
-        return fun(x)
+    in one call on the distinct points: everything at a base point depends
+    on q alone, and a grid repeats each base point for every vector."""
     rows, inverse = np.unique(x.reshape(-1, x.shape[-1]), axis=0, return_inverse=True)
-    values = np.array([fun(r) for r in rows])
+    values = fun(rows)
     return values[inverse.ravel()].reshape(x.shape[:-1] + values.shape[1:])
 
 
@@ -492,7 +486,8 @@ def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartM
         def metric(x):
             g = np.zeros(x.shape[:-1] + (2, 2))
             g[..., 0, 0] = r2
-            g[..., 1, 1] = r2 * np.sin(x[..., 0]) ** 2
+            s = np.sin(x[..., 0])
+            g[..., 1, 1] = r2 * (s * s)
             return g
 
         def gammas(x):
@@ -508,7 +503,8 @@ def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartM
             theta = x[..., 0]
             dgamma = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
             dgamma[..., 0, 0, 1, 1] = -np.cos(2.0 * theta)
-            dcot = -1.0 / np.sin(theta) ** 2
+            s = np.sin(theta)
+            dcot = -1.0 / (s * s)
             dgamma[..., 0, 1, 0, 1] = dcot
             dgamma[..., 0, 1, 1, 0] = dcot
             return dgamma

@@ -173,6 +173,16 @@ def _resolve_family(cfg: dict) -> NaturalMetricFamily:
         raise ConfigError(f"bad family expression: {exc}")
 
 
+def _finite(values, key: str) -> np.ndarray:
+    """A grid entry as floats, checked before any arithmetic: a value that
+    is not a finite number is a config error naming it."""
+    arr = np.asarray(values, dtype=float)
+    for value in arr.ravel():
+        if not math.isfinite(value):
+            raise ConfigError(f"grid {key} holds {float(value)!r}, which is not a finite number")
+    return arr
+
+
 def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
     points: list[BundlePoint] = []
     for entry in cfg.get("points") or []:
@@ -188,7 +198,7 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
         base_points = grid.get("base_points")
         if not base_points:
             raise ConfigError("grid needs base_points")
-        v_norms = grid.get("v_norms", [0.0])
+        v_norms = _finite(grid.get("v_norms", [0.0]), "v_norms")
         directions = grid.get("v_directions")
         if directions is None:
             d = np.zeros(M.dim)
@@ -206,7 +216,7 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
                 raise ConfigError(f"grid base point: {exc}")
             g = M.metric(x)
             for d in directions:
-                d = np.asarray(d, dtype=float)
+                d = _finite(d, "v_directions")
                 nrm = float(np.sqrt(d @ g @ d))
                 if nrm == 0.0:
                     raise ConfigError("grid direction has zero length")
@@ -399,8 +409,27 @@ def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str):
     return "", {"scalar": np.asarray(closedform.tm_scalar(M, fam, fp))}
 
 
+def _table_rows(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str) -> list:
+    """Per point of the stack fp, its table rows: x, v, t, the index, then
+    the values."""
+    names, columns = _table_columns(M, fam, fp, task)
+    keys = ("x", "v", "t", *names, *columns)
+    index = list(np.ndindex(next(iter(columns.values())).shape[1:]))
+    cells = [col.reshape(len(fp.t), -1).tolist() for col in columns.values()]
+    heads = zip(map(_coords, fp.q), map(_coords, fp.v), fp.t.tolist())
+    return [
+        [dict(zip(keys, head + i + c)) for i, c in zip(index, zip(*point))]
+        for head, point in zip(heads, zip(*cells))
+    ]
+
+
 def _error_cell(exc: TbcurvError) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _exit_code(results: list) -> int:
+    """1 if a point of ``closedform.on_points`` failed, else 0."""
+    return int(any(isinstance(result, TbcurvError) for _, result in results))
 
 
 def cmd_tables(cfg: dict, task: str) -> int:
@@ -408,26 +437,15 @@ def cmd_tables(cfg: dict, task: str) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
     points = _resolve_points(cfg, M)
-    at, t, out, errors = closedform.on_points(
-        M, fam, points, lambda fp: _table_columns(M, fam, fp, task)
-    )
-    if out is not None:
-        names, columns = out
-        index = list(np.ndindex(next(iter(columns.values())).shape[1:]))
-        cells = [col.reshape(len(at), -1).tolist() for col in columns.values()]
+    results = closedform.on_points(M, fam, points, lambda fp: _table_rows(M, fam, fp, task))
     rows: list[dict] = []
-    for i, p in enumerate(points):
-        coords = {"x": _coords(p.x), "v": _coords(p.v)}
-        if i in errors:
-            rows.append({**coords, "t": _v_norm(M, p), "error": _error_cell(errors[i])})
-            continue
-        k = at[i]
-        keys = (*coords, "t", *names, *columns)
-        head = (*coords.values(), t[i])
-        for idx, values in zip(index, zip(*(c[k] for c in cells))):
-            rows.append(dict(zip(keys, head + idx + values)))
+    for p, (_, result) in zip(points, results):
+        if isinstance(result, TbcurvError):
+            result = [{"x": _coords(p.x), "v": _coords(p.v), "t": _v_norm(M, p),
+                       "error": _error_cell(result)}]
+        rows.extend(result)
     _emit(cfg, rows, f"{task} of (TM, G); {_NOTE}", task)
-    return 1 if errors else 0
+    return _exit_code(results)
 
 
 def cmd_verify(cfg: dict) -> int:
@@ -469,48 +487,37 @@ def cmd_scan(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
     points = _resolve_points(cfg, M)
-    at, t, out, errors = closedform.on_points(
-        M, fam, points, lambda fp: (fam.jets(fp.t * fp.t), closedform.tm_scalar(M, fam, fp))
-    )
-    if out is not None:
-        jets, s_general = out
-        s_general, f_col, h_col = s_general.tolist(), jets.F.tolist(), jets.H.tolist()
+
+    def scalar_f_h(fp):
+        jets = fam.jets(fp.t * fp.t)
+        s_general = closedform.tm_scalar(M, fam, fp)
+        return list(zip(s_general.tolist(), jets.F.tolist(), jets.H.tolist()))
+
+    results = closedform.on_points(M, fam, points, scalar_f_h)
     special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
     k0 = _constant_curvature_of(M)
+    nan = float("nan")
     rows: list[dict] = []
-    for i, p in enumerate(points):
-        base = {"x": _coords(p.x)}
-        if i in errors:
-            rows.append(
-                {
-                    **base,
-                    "v_norm": _v_norm(M, p),
-                    "scalar_general": float("nan"),
-                    "scalar_special": float("nan"),
-                    "F": float("nan"),
-                    "H": float("nan"),
-                    "status": _error_cell(errors[i]),
-                }
-            )
-            continue
-        k = at[i]
-        if special is not None and k0 is not None:
-            s_special = closedform.scalar_exp_specials(k0, M.dim, t[i] * t[i], special).value
-        else:
-            s_special = float("nan")
+    for p, (t, result) in zip(points, results):
+        s_special, status = nan, "ok"
+        if isinstance(result, TbcurvError):
+            t, status, result = _v_norm(M, p), _error_cell(result), (nan, nan, nan)
+        elif special is not None and k0 is not None:
+            s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special).value
+        s_general, f_val, h_val = result
         rows.append(
             {
-                **base,
-                "v_norm": t[i],
-                "scalar_general": s_general[k],
+                "x": _coords(p.x),
+                "v_norm": t,
+                "scalar_general": s_general,
                 "scalar_special": float(s_special),
-                "F": f_col[k],
-                "H": h_col[k],
-                "status": "ok",
+                "F": f_val,
+                "H": h_val,
+                "status": status,
             }
         )
     _emit(cfg, rows, f"scalar curvature scan; {_NOTE}", "scan")
-    return 1 if errors else 0
+    return _exit_code(results)
 
 
 # --------------------------------------------------------------------------

@@ -20,8 +20,10 @@ generated from these by the algebraic curvature symmetries, never by new
 formulas.
 
 ``on_points`` runs a computation over the stack of frames of a list of
-bundle points, each failing point isolated with the error it gets alone;
-the CLI tables and the oracle comparison both run on it.
+bundle points and returns one (t, result) per point.  A point that must
+run alone runs as a stack of one and its result is kept; a failing point
+gets the error it gets alone.  The CLI tables, the scan and the oracle
+comparison all run on it.
 """
 
 from __future__ import annotations
@@ -492,66 +494,60 @@ def table_scalar_trace(table: np.ndarray, gram_diag: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
-def _on_stack(fun, keys: np.ndarray, suspect: np.ndarray, errors: dict):
-    """(good, fun(good)) for a stack of points.  ``fun(sel)`` computes the
-    points at positions sel of the stack in one call, or a single point
-    when sel is a number; ``keys`` are the points' indices in the command.
-
-    The points flagged ``suspect`` by checks that evaluate nothing, and
-    every point if the rest still fail as one stack, are run alone: each
-    one that fails gets its single-point error in ``errors`` under its key,
-    and the others run as one stack.  So a bad point never fails the
-    others, and its error is the one it would get alone."""
-
-    def alone(sel: np.ndarray) -> np.ndarray:
-        good = []
-        for i in sel:
-            try:
-                fun(i)
-            except TbcurvError as exc:
-                errors[int(keys[i])] = exc
-            else:
-                good.append(i)
-        return np.array(good, dtype=int)
-
-    every = np.arange(len(keys))
-    good = np.union1d(every[~suspect], alone(every[suspect]))
-    try:
-        return good, (fun(good) if good.size else None)
-    except TbcurvError:
-        good = alone(good)
-    return good, (fun(good) if good.size else None)
-
-
-def _suspects(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint) -> np.ndarray:
-    """Points a computation may refuse, by checks that evaluate nothing:
-    t = |v|^2_g outside the family's range, or the chart's edge within the
-    reach of the nabla R stencil (which the curvature and Ricci tables
-    need) or of the oracle's stencil (which verify needs)."""
-    t_sq = fp.t * fp.t
-    reach = np.maximum(M.nabla_reach(fp.q), M.oracle_reach(fp.q))
-    return ~((0.0 <= t_sq) & (t_sq <= fam.t_max)) | M.outside(fp.q, reach)
-
-
 def on_points(
     M: ChartManifold, fam: NaturalMetricFamily, points: Sequence[BundlePoint], fun: Callable
-):
-    """fun(fp) on the adapted frames fp of the bundle points, as one stack.
+) -> list[tuple]:
+    """fun on the adapted frames of the bundle points, as one stack;
+    ``fun(fp)`` returns one result per point of the stack fp.
 
-    Returns ``at`` (point index -> position in the stack of good points),
-    ``t`` (per point, t = |v|_g of its frame, 0.0 where none was built),
-    fun's result for the stack of good points (None when no point is
-    good), and the error of each other point (point index -> exception).
-    A point fails on its frame or in fun; see ``_on_stack``."""
-    errors: dict = {}
+    Returns one ``(t, result)`` per point: t = |v|_g of its frame (0.0
+    where none was built), and fun's result at the point, or the
+    ``TbcurvError`` the point gets alone.  Checks that evaluate nothing flag
+    the points a computation may refuse: the chart box, t^2 outside the
+    family's range, and the chart's edge within the reach of the nabla R
+    stencil (which the curvature and Ricci tables need) or of the oracle's
+    stencil (which verify needs).  A flagged point runs alone, as a stack of
+    one on the frame already built, and so does every point of a stack that
+    still fails.  Every result is kept: apart from the failed stack, no
+    point is computed twice."""
     q = np.array([p.x for p in points])
     v = np.array([p.v for p in points])
-    keys = np.arange(len(points))
     t = np.zeros(len(points))
-    good, fp = _on_stack(lambda i: adapted_frame(M, q[i], v[i]), keys, M.outside(q), errors)
-    keys, out = keys[good], None
+    results: list = [None] * len(points)
+
+    def run(sel: np.ndarray, fp: Optional[AdaptedFramePoint] = None) -> bool:
+        """fun on the points at positions sel as one stack, on their frames
+        fp (built here if not given); False if a stack of several fails."""
+        try:
+            fp = adapted_frame(M, q[sel], v[sel]) if fp is None else fp
+            t[sel] = fp.t
+            out = fun(fp)
+        except TbcurvError as exc:
+            if len(sel) > 1:
+                return False
+            out = [exc]
+        for k, result in zip(sel, out):
+            results[k] = result
+        return True
+
+    def alone(sel: np.ndarray, fp: Optional[AdaptedFramePoint] = None) -> None:
+        for j in range(len(sel)):
+            run(sel[j : j + 1], None if fp is None else fp[j : j + 1])
+
+    every = np.arange(len(points))
+    outside = M.outside(q)
+    alone(every[outside])  # each fails on the chart box
+    rest, fp = every[~outside], None
+    try:
+        fp = adapted_frame(M, q[rest], v[rest]) if rest.size else None
+    except TbcurvError:
+        alone(rest)
     if fp is not None:
-        t[keys] = fp.t
-        good, out = _on_stack(lambda i: fun(fp[i]), keys, _suspects(M, fam, fp), errors)
-        keys = keys[good]
-    return dict(zip(keys.tolist(), range(keys.size))), t.tolist(), out, errors
+        t_sq = fp.t * fp.t
+        reach = np.maximum(M.nabla_reach(fp.q), M.oracle_reach(fp.q))
+        flagged = ~((0.0 <= t_sq) & (t_sq <= fam.t_max)) | M.outside(fp.q, reach)
+        alone(rest[flagged], fp[flagged])
+        good = ~flagged
+        if good.any() and not run(rest[good], fp[good]):
+            alone(rest[good], fp[good])
+    return list(zip(t.tolist(), results))

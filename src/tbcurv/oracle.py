@@ -23,7 +23,7 @@ import numpy as np
 from .basemanifold import AdaptedFramePoint, ChartManifold
 from .bundlemetric import BundlePoint, adapted_frame_vectors, induced_metric
 from .closedform import CLASS_NAMES, component_class_masks, on_points, tm_curvature
-from .errors import ConditioningWarning
+from .errors import ConditioningWarning, TbcurvError
 from .metricfamily import NaturalMetricFamily
 from .numdiff import (
     ORACLE,
@@ -278,27 +278,26 @@ def compare(
     """
 
     def both_routes(fp):
-        return tm_curvature(M, fam, fp).table, numeric_tm_curvature(M, fam, fp)
+        closed = tm_curvature(M, fam, fp).table
+        orc = numeric_tm_curvature(M, fam, fp)
+        return list(zip(closed, orc.table, orc.cond.tolist()))
 
-    at, t, out, errors = on_points(M, fam, points, both_routes)
     reports = []
-    for i, p in enumerate(points):
+    for p, (t, result) in zip(points, on_points(M, fam, points, both_routes)):
         report = CurvatureReport(
             manifold_id=M.catalog_id,
             manifold_params=M.params,
             family_name=fam.name,
             x=[float(c) for c in np.atleast_1d(p.x)],
             v=[float(c) for c in np.atleast_1d(p.v)],
-            t=t[i],
+            t=t,
             config=cfg.to_dict(),
         )
-        if i in errors:
+        if isinstance(result, TbcurvError):
             report.status = "error"
-            report.error = f"{type(errors[i]).__name__}: {errors[i]}"
+            report.error = f"{type(result).__name__}: {result}"
         else:
-            closed, orc = out
-            k = at[i]
-            report.closed, report.oracle, report.cond = closed[k], orc.table[k], float(orc.cond[k])
+            report.closed, report.oracle, report.cond = result
         reports.append(report)
 
     ok = [r for r in reports if r.status == "ok"]

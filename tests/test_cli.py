@@ -578,6 +578,29 @@ class TestNonFinitePoints:
         assert captured.err == f"config error: point x={x} v={v} is not finite\n"
 
 
+class TestNonFiniteGrid:
+    # inf times a zero direction component used to print a RuntimeWarning
+    # before the config error; the grid's numbers are checked first
+    @pytest.mark.parametrize("task", ["verify", "scan"])
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"v_norms": [0.5, math.inf]}, "v_norms holds inf"),
+            ({"v_norms": [math.nan]}, "v_norms holds nan"),
+            ({"v_norms": [0.5], "v_directions": [[math.inf, 0.0]]}, "v_directions holds inf"),
+        ],
+    )
+    def test_config_error_names_the_value(self, capsys, recwarn, task, grid, message):
+        grid = {"base_points": [[0.1, 0.2]], **grid}
+        args = [task, "--manifold", "hyperbolic", "--dim", "2", "--family", "exp+",
+                "--grid", json.dumps(grid)]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: grid {message}, which is not a finite number\n"
+        assert not recwarn.list
+
+
 class TestRepeatedCalls:
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()

@@ -20,8 +20,8 @@ from tbcurv.basemanifold import (
 )
 from tbcurv.bundlemetric import BundlePoint
 from tbcurv.cli import _table_columns, main
-from tbcurv.closedform import tm_curvature, tm_ricci, tm_scalar, tm_sectional
-from tbcurv.errors import TbcurvError
+from tbcurv.closedform import on_points, tm_curvature, tm_ricci, tm_scalar, tm_sectional
+from tbcurv.errors import SingularMetricError, TbcurvError
 from tbcurv.metricfamily import preset
 from tbcurv.numdiff import ORACLE
 from tbcurv.oracle import (
@@ -215,6 +215,60 @@ def test_flagged_points_run_alone_and_the_rest_as_one_stack(monkeypatch, capsys)
     assert main(args) == 1
     assert sizes == [1, 2]
     assert "ValidityError" in capsys.readouterr().out
+
+
+def test_a_failed_stack_keeps_the_results_of_its_points(monkeypatch, capsys):
+    # |v| = 0.99995 passes the checks that evaluate nothing (t^2 <= t_max = 1),
+    # but its oracle stencil reaches beyond t_max: the stack of four fails,
+    # each point then runs once alone, and the good points keep those results
+    import tbcurv.oracle as oracle
+
+    sizes = []
+    numeric = oracle.numeric_tm_curvature
+    def counted(M, fam, fp):
+        sizes.append(np.size(fp.t))
+        return numeric(M, fam, fp)
+
+    monkeypatch.setattr(oracle, "numeric_tm_curvature", counted)
+    args = ["verify", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+            "--t-max", "1", "--point", "0.1,0.2", "--v", "0.3,0", "--point", "0.5,0.5",
+            "--v", "0,0.99995", "--point=-1,0.3", "--v", "0.2,0.2", "--point", "0,0",
+            "--v", "0,0"]
+    assert main(args) == 1
+    assert sizes == [4, 1, 1, 1, 1]
+    verdicts = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert verdicts == ["pass", "ERROR", "pass", "pass"]
+
+
+def test_a_failed_frame_stack_runs_each_point_alone():
+    # the metric is not positive definite at x_0 <= -1: the stack of frames
+    # fails, so each point runs alone, frame and all, and keeps its result
+    M = ChartManifold(2, lambda x: np.diag([1.0 + x[0], 1.0]), lo=[-2, -2], hi=[2, 2])
+    points = [BundlePoint(np.array(x), np.array(v)) for x, v in
+              [([0.5, 0.0], [0.3, 0.0]), ([-1.5, 0.0], [0.1, 0.0]), ([0.0, 0.5], [0.0, 0.0])]]
+    sizes = []
+    def fun(fp):
+        sizes.append(np.size(fp.t))
+        return (2.0 * fp.t).tolist()
+
+    results = on_points(M, preset("sasaki"), points, fun)
+    assert sizes == [1, 1]
+    (t0, r0), (t1, r1), (t2, r2) = results
+    assert t0 == pytest.approx(np.sqrt(1.5) * 0.3) and r0 == 2.0 * t0
+    assert t1 == 0.0 and isinstance(r1, SingularMetricError)
+    assert (t2, r2) == (0.0, 0.0)
+
+
+def test_polar_sphere_point_has_the_same_bits_in_any_stack():
+    # at theta = 1.258, np.float64(s) ** 2 (pow) and s * s differ in the last
+    # bit; the chart squares by a product, so a point alone, as a stack of
+    # one and inside a stack gets one value
+    M = sphere(2)
+    x = np.array([1.258, 0.3])
+    for f in (M.metric, M.christoffel_jacobian):
+        one = f(x).tobytes()
+        assert f(x[None])[0].tobytes() == one
+        assert f(np.array([x, [1.0, 0.3]]))[0].tobytes() == one
 
 
 @pytest.mark.parametrize("chart", CHARTS)
