@@ -6,6 +6,11 @@ override.  Outputs are byte-stable across runs with identical config:
 iteration order is deterministic and floats are serialized with their
 shortest round-trip decimal representation.
 
+Tables (curvature, sectional, ricci, scalar, scan) are written by one
+column-wise writer, ``_emit``, in CSV or JSON, one point block at a time:
+a point's shared cells (x, v, t) are formatted once, the index cells once
+per table, each value with one repr, and each row is one join of texts.
+
 Exit codes: 0 success, 1 verification or property failure, 2 bad
 configuration or invalid family.
 """
@@ -17,9 +22,8 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
-from pathlib import Path
-from typing import Optional
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -173,14 +177,30 @@ def _resolve_family(cfg: dict) -> NaturalMetricFamily:
         raise ConfigError(f"bad family expression: {exc}")
 
 
-def _finite(values, key: str) -> np.ndarray:
-    """A grid entry as floats, checked before any arithmetic: a value that
-    is not a finite number is a config error naming it."""
-    arr = np.asarray(values, dtype=float)
-    for value in arr.ravel():
+def _finite(values, key: str, dim: Optional[int] = None) -> np.ndarray:
+    """A grid list as a 1-D float array, checked before any arithmetic: one
+    that is not a list of finite numbers (of dim numbers, for a point or a
+    direction) is a config error naming it."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1 or dim not in (None, arr.size):
+        if dim is None:
+            raise ConfigError(f"grid {key} {json.dumps(values)} is not a list of numbers")
+        raise ConfigError(f"grid {key} entry {json.dumps(values)} is not a list of "
+                          f"{dim} numbers (manifold dim {dim})")
+    for value in arr:
         if not math.isfinite(value):
             raise ConfigError(f"grid {key} holds {float(value)!r}, which is not a finite number")
     return arr
+
+
+def _entries(values, key: str) -> list:
+    """A grid list of points or directions; anything else is a config error."""
+    if not isinstance(values, list):
+        raise ConfigError(f"grid {key} {json.dumps(values)} is not a list of lists")
+    return values
 
 
 def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
@@ -195,6 +215,8 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
         points.append(BundlePoint(x, v))
     grid = cfg.get("grid")
     if grid:
+        if not isinstance(grid, dict):
+            raise ConfigError(f"grid {json.dumps(grid)} is not a JSON object")
         base_points = grid.get("base_points")
         if not base_points:
             raise ConfigError("grid needs base_points")
@@ -204,19 +226,17 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
             d = np.zeros(M.dim)
             d[0] = 1.0
             directions = [d.tolist()]
-        for xs in base_points:
-            x = np.asarray(xs, dtype=float)
-            if x.shape != (M.dim,):
-                raise ConfigError(
-                    f"grid base point {xs} has wrong dimension (manifold dim {M.dim})"
-                )
+        directions = [
+            _finite(d, "v_directions", M.dim) for d in _entries(directions, "v_directions")
+        ]
+        for xs in _entries(base_points, "base_points"):
+            x = _finite(xs, "base_points", M.dim)
             try:
                 M.check_interior(x)
             except StencilOutOfDomainError as exc:
                 raise ConfigError(f"grid base point: {exc}")
             g = M.metric(x)
             for d in directions:
-                d = _finite(d, "v_directions")
                 nrm = float(np.sqrt(d @ g @ d))
                 if nrm == 0.0:
                     raise ConfigError("grid direction has zero length")
@@ -279,43 +299,64 @@ def _json_text(obj, pad: str = "\n") -> str:
     return "[" + inner + sep.join(_json_text(item, inner) for item in obj) + pad + "]"
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write the text chunks, in order, to stdout or to the file at path."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
 
 
-def _emit(cfg: dict, rows: list[dict], header_note: str, payload_key: str) -> None:
-    """Write rows as CSV (default) or JSON, deterministically."""
+def _emit(cfg: dict, blocks: list, note: str, payload_key: str, index: str = "") -> None:
+    """Write a table as CSV (default) or JSON, one point block at a time.
+
+    ``blocks`` holds ``(head, values)`` per block of rows, which is one
+    point of a table task, or the whole of a scan: head maps column names
+    to the cells every row of the block shares (strings and floats), and
+    values is None for a block of one row, or maps column names to the
+    block's value columns, one cell per row: a list of strings, or a float
+    array whose cells in C order are the rows.  In a table with an
+    ``index`` (one letter per axis), every value array has the index's
+    shape, and each row also carries its index cells.  Each column is
+    formatted once: head cells once per block, index cells once per table,
+    each value with one repr; a row is then one join of texts."""
     out = cfg.get("output") or {}
     fmt = out.get("format", "csv")
-    path = out.get("path")
-    if fmt == "json":
-        doc = {payload_key: rows, "note": header_note}
-        _write_text(path, _json_text(doc) + "\n")
-        return
-    if fmt != "csv":
+    if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    if not rows:
-        _write_text(path, f"# {header_note}\n")
-        return
-    # The header is the union of the rows' keys in first-seen order (error
-    # rows carry other columns than good ones); a missing cell is empty.
-    # Cells are str() of Python floats, ints and strings: for a float that is
-    # its shortest round-trip decimal.  Only free text (an error message) can
-    # hold a comma, a quote or a line break; such a cell is quoted, RFC 4180
-    # style, and no other cell changes.
-    cols = list(dict.fromkeys(chain.from_iterable(dict.fromkeys(map(tuple, rows)))))
-    lines = [f"# {header_note}", ",".join(cols)]
-    commas = len(cols) - 1
-    for row in rows:
-        cells = [str(row.get(c, "")) for c in cols]
-        line = ",".join(cells)
-        if line.count(",") != commas or '"' in line or "\n" in line or "\r" in line:
-            line = ",".join(map(_csv_cell, cells))
-        lines.append(line)
-    _write_text(path, "\n".join(lines) + "\n")
+    index = tuple(index)
+    if fmt == "json":
+        chunks = _json_chunks(blocks, note, payload_key, index)
+    else:
+        chunks = _csv_chunks(blocks, note, index)
+    _write_text(out.get("path"), chunks)
+
+
+def _csv_chunks(blocks: list, note: str, index: tuple) -> Iterator[str]:
+    """The CSV text of a table, a point block at a time.
+
+    The header is the union of the rows' columns in first-seen order (error
+    rows carry other columns than good ones); a missing cell is empty.
+    Floats are written as their shortest round-trip repr.  Only free text
+    (an error message) can hold a comma, a quote or a line break; such a
+    cell is quoted, RFC 4180 style, and no other cell changes."""
+    keys = [(*head, *index, *values) if values else tuple(head) for head, values in blocks]
+    cols = list(dict.fromkeys(chain.from_iterable(dict.fromkeys(keys))))
+    yield f"# {note}\n" + ",".join(cols) + "\n"
+    index_cells = None
+    for head, values in blocks:
+        cells = {key: _csv_cell(str(cell)) for key, cell in head.items()}
+        skip = ()
+        if values:
+            cells.update((key, _texts(col, _csv_cell)) for key, col in values.items())
+            if index:  # the index columns as one text per row, once per table
+                if index_cells is None:
+                    shape = np.shape(next(iter(values.values())))
+                    index_cells = [",".join(map(str, i)) for i in np.ndindex(shape)]
+                cells[index[0]], skip = index_cells, index[1:]
+        parts = [cells.get(col, "") for col in cols if col not in skip]
+        yield "\n".join(_joined_rows(parts, ",")) + "\n"
 
 
 def _csv_cell(text: str) -> str:
@@ -324,6 +365,71 @@ def _csv_cell(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+# Between the cells of a JSON table row, and between its rows.
+_JSON_CELL_SEP = ",\n      "
+_JSON_ROW_SEP = "\n    },\n    {\n      "
+
+
+def _json_chunks(blocks: list, note: str, payload_key: str, index: tuple) -> Iterator[str]:
+    """The text of ``_json_text({payload_key: rows, "note": note}) + "\\n"``
+    for the table's rows, a point block at a time.  A row's keys are
+    sorted; the index names sort next to each other, so their cells are
+    one text per row, made once per table."""
+    note_item = '"note": ' + json.dumps(note)
+    yield "{\n  " + (note_item + ",\n  " if "note" < payload_key else "")
+    yield json.dumps(payload_key) + ": [\n    "
+    index_cells = None
+    for k, (head, values) in enumerate(blocks):
+        cells = {key: f"{json.dumps(key)}: {json.dumps(cell)}" for key, cell in head.items()}
+        skip = ()
+        if values:
+            for key, col in values.items():
+                texts = _texts(col, json.dumps, json_floats=True)
+                cells[key] = list(map(f"{json.dumps(key)}: ".__add__, texts))
+            if index:
+                if index_cells is None:
+                    shape = np.shape(next(iter(values.values())))
+                    index_cells = [
+                        _JSON_CELL_SEP.join(f'"{name}": {i}' for name, i in zip(index, idx))
+                        for idx in np.ndindex(shape)
+                    ]
+                cells[index[0]], skip = index_cells, index[1:]
+        parts = [cells[key] for key in sorted(cells) if key not in skip]
+        rows = _JSON_ROW_SEP.join(_joined_rows(parts, _JSON_CELL_SEP))
+        yield ("{\n      " if k == 0 else ",\n    {\n      ") + rows + "\n    }"
+    yield "\n  ]" + ("" if "note" < payload_key else ",\n  " + note_item) + "\n}\n"
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _texts(col, quote, json_floats: bool = False) -> list:
+    """The cells of a value column as texts: a list of strings through
+    quote, a float array (any shape, C order) as the repr of each value,
+    or with json_floats as NaN or Infinity where it is not finite."""
+    if not isinstance(col, np.ndarray):
+        return list(map(quote, col))
+    texts = list(map(repr, col.ravel().tolist()))
+    if json_floats and not np.isfinite(col).all():
+        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _joined_rows(parts: list, sep: str) -> list:
+    """The rows of one point block, each its cells joined by sep.  A part is
+    a text every row shares or a list of per-row texts; neighbouring shared
+    texts are joined once."""
+    merged: list = []
+    for part in parts:
+        if isinstance(part, str) and merged and isinstance(merged[-1], str):
+            merged[-1] += sep + part
+        else:
+            merged.append(part)
+    if len(merged) == 1 and isinstance(merged[0], str):  # a row of shared cells
+        return merged
+    return list(map(sep.join, zip(*(repeat(p) if isinstance(p, str) else p for p in merged))))
 
 
 _NOTE = "family functions take t = |v|^2_g (squared norm) as argument"
@@ -395,32 +501,22 @@ def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
         return float("nan")
 
 
-def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str):
-    """Index names and value columns (arrays of one shape, a leading point
-    axis first when fp is a stack) of one task's table at fp; the scalar
-    table has no index."""
+# The index of each table task, one letter per axis of its value columns.
+_TABLE_INDEX = {"curvature": "abcd", "sectional": "ij", "ricci": "ab", "scalar": ""}
+
+
+def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str) -> dict:
+    """The value columns of one task's table at fp by name: arrays of one
+    shape, a leading point axis first when fp is a stack, then one axis per
+    index name of the task."""
     if task == "curvature":
-        return "abcd", {"value": closedform.tm_curvature(M, fam, fp).table}
+        return {"value": closedform.tm_curvature(M, fam, fp).table}
     if task == "sectional":
         sec = closedform.tm_sectional(M, fam, fp)
-        return "ij", {"K_hh": sec.hh, "K_vv": sec.vv, "K_hv": sec.hv}
+        return {"K_hh": sec.hh, "K_vv": sec.vv, "K_hv": sec.hv}
     if task == "ricci":
-        return "ab", {"value": closedform.tm_ricci(M, fam, fp)}
-    return "", {"scalar": np.asarray(closedform.tm_scalar(M, fam, fp))}
-
-
-def _table_rows(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str) -> list:
-    """Per point of the stack fp, its table rows: x, v, t, the index, then
-    the values."""
-    names, columns = _table_columns(M, fam, fp, task)
-    keys = ("x", "v", "t", *names, *columns)
-    index = list(np.ndindex(next(iter(columns.values())).shape[1:]))
-    cells = [col.reshape(len(fp.t), -1).tolist() for col in columns.values()]
-    heads = zip(map(_coords, fp.q), map(_coords, fp.v), fp.t.tolist())
-    return [
-        [dict(zip(keys, head + i + c)) for i, c in zip(index, zip(*point))]
-        for head, point in zip(heads, zip(*cells))
-    ]
+        return {"value": closedform.tm_ricci(M, fam, fp)}
+    return {"scalar": np.asarray(closedform.tm_scalar(M, fam, fp))}
 
 
 def _error_cell(exc: TbcurvError) -> str:
@@ -437,14 +533,20 @@ def cmd_tables(cfg: dict, task: str) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
     points = _resolve_points(cfg, M)
-    results = closedform.on_points(M, fam, points, lambda fp: _table_rows(M, fam, fp, task))
-    rows: list[dict] = []
-    for p, (_, result) in zip(points, results):
+
+    def point_columns(fp):
+        columns = _table_columns(M, fam, fp, task)
+        return [{key: col[k, ...] for key, col in columns.items()} for k in range(len(fp.t))]
+
+    results = closedform.on_points(M, fam, points, point_columns)
+    blocks = []
+    for p, (t, result) in zip(points, results):
+        head = {"x": _coords(p.x), "v": _coords(p.v)}
         if isinstance(result, TbcurvError):
-            result = [{"x": _coords(p.x), "v": _coords(p.v), "t": _v_norm(M, p),
-                       "error": _error_cell(result)}]
-        rows.extend(result)
-    _emit(cfg, rows, f"{task} of (TM, G); {_NOTE}", task)
+            blocks.append(({**head, "t": _v_norm(M, p), "error": _error_cell(result)}, None))
+        else:
+            blocks.append(({**head, "t": t}, result))
+    _emit(cfg, blocks, f"{task} of (TM, G); {_NOTE}", task, _TABLE_INDEX[task])
     return _exit_code(results)
 
 
@@ -466,7 +568,7 @@ def cmd_verify(cfg: dict) -> int:
         "reports": [r.to_json_dict() for r in reports],
     }
     if out.get("path"):
-        _write_text(out["path"], _json_text(doc) + "\n")
+        _write_text(out["path"], [_json_text(doc), "\n"])
     ok = all(r.status == "ok" and r.passed for r in reports)
     return 0 if ok else 1
 
@@ -497,26 +599,26 @@ def cmd_scan(cfg: dict) -> int:
     special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
     k0 = _constant_curvature_of(M)
     nan = float("nan")
-    rows: list[dict] = []
+    rows = []  # v_norm, the three values and status, per point
     for p, (t, result) in zip(points, results):
         s_special, status = nan, "ok"
         if isinstance(result, TbcurvError):
             t, status, result = _v_norm(M, p), _error_cell(result), (nan, nan, nan)
         elif special is not None and k0 is not None:
-            s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special).value
+            s_special = float(closedform.scalar_exp_specials(k0, M.dim, t * t, special).value)
         s_general, f_val, h_val = result
-        rows.append(
-            {
-                "x": _coords(p.x),
-                "v_norm": t,
-                "scalar_general": s_general,
-                "scalar_special": float(s_special),
-                "F": f_val,
-                "H": h_val,
-                "status": status,
-            }
-        )
-    _emit(cfg, rows, f"scalar curvature scan; {_NOTE}", "scan")
+        rows.append((t, s_general, s_special, f_val, h_val, status))
+    v_norm, s_general, s_special, f_val, h_val, status = zip(*rows)
+    columns = {
+        "x": [_coords(p.x) for p in points],
+        "v_norm": np.array(v_norm),
+        "scalar_general": np.array(s_general),
+        "scalar_special": np.array(s_special),
+        "F": np.array(f_val),
+        "H": np.array(h_val),
+        "status": list(status),
+    }
+    _emit(cfg, [({}, columns)], f"scalar curvature scan; {_NOTE}", "scan")
     return _exit_code(results)
 
 
@@ -551,10 +653,14 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--t-max", type=float, help="validity horizon for t = |v|^2")
         p.add_argument(
-            "--point", action="append", help="base point 'x1,x2,...' (repeatable)"
+            "--point", action="append",
+            help="base point 'x1,x2,...' (repeatable); a value that starts with '-' "
+                 "must be joined with '=', as in --point=-1,0.3",
         )
         p.add_argument(
-            "--v", action="append", help="fiber vector 'v1,v2,...' (repeatable)"
+            "--v", action="append",
+            help="fiber vector 'v1,v2,...' (repeatable); a value that starts with '-' "
+                 "must be joined with '=', as in --v=-0.2,0.2",
         )
         p.add_argument(
             "--grid",

@@ -1,15 +1,30 @@
 """Integration tests for the command-line front end."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbcurv.cli import _build_parser, _json_text, main
+from tbcurv import closedform
+from tbcurv.basemanifold import make_manifold
+from tbcurv.bundlemetric import BundlePoint
+from tbcurv.cli import (
+    _NOTE,
+    _build_parser,
+    _constant_curvature_of,
+    _json_text,
+    _v_norm,
+    main,
+)
+from tbcurv.errors import TbcurvError
 from tbcurv.metricfamily import NaturalMetricFamily
 
 
@@ -673,3 +688,272 @@ class TestJsonText:
             _json_text({"x": object()})
         with pytest.raises(TypeError, match="keys must be strings"):
             _json_text({1: [2.0]})
+
+
+class TestMalformedGrid:
+    # a grid list of the wrong type or shape used to crash with a traceback
+    # (exit 1) before any point ran; it is a config error naming the entry
+    @pytest.mark.parametrize("task", ["verify", "scan"])
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"v_norms": 3}, "grid v_norms 3 is not a list of numbers"),
+            ({"v_norms": ["a"]}, 'grid v_norms ["a"] is not a list of numbers'),
+            ({"v_norms": [[1, 2]]}, "grid v_norms [[1, 2]] is not a list of numbers"),
+            ({"v_directions": [[1, 0, 0]]},
+             "grid v_directions entry [1, 0, 0] is not a list of 2 numbers (manifold dim 2)"),
+        ],
+    )
+    def test_config_error_names_the_entry(self, capsys, task, grid, message):
+        grid = {"base_points": [[0.1, 0.2]], **grid}
+        args = [task, "--manifold", "hyperbolic", "--dim", "2", "--family", "exp+",
+                "--grid", json.dumps(grid)]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+
+class TestNegativeCoordinates:
+    # argparse reads "-1,0.3" after a space as an option, so a value that
+    # starts with "-" is joined to its flag with "="
+    def test_joined_values_run(self, capsys):
+        args = ["verify", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                "--point=-1,0.3", "--v=-0.2,0.2"]
+        assert run(args) == 0
+        assert capsys.readouterr().out.startswith("pass ")
+
+    def test_help_says_so(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["verify", "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "as in --point=-1,0.3" in text and "as in --v=-0.2,0.2" in text
+
+
+# --------------------------------------------------------------------------
+# The row-dict table writer that the column-wise writer replaced, kept as the
+# reference for its bytes: one dict per row, the CSV header as the union of
+# the rows' keys in first-seen order, a CSV line re-joined with quoted cells
+# where it holds a comma, quote or line break, and JSON through _json_text.
+# --------------------------------------------------------------------------
+
+
+def _ref_csv_cell(text):
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _ref_emit(fmt, rows, header_note, payload_key):
+    if fmt == "json":
+        return _json_text({payload_key: rows, "note": header_note}) + "\n"
+    if not rows:
+        return f"# {header_note}\n"
+    cols = list(dict.fromkeys(chain.from_iterable(dict.fromkeys(map(tuple, rows)))))
+    lines = [f"# {header_note}", ",".join(cols)]
+    commas = len(cols) - 1
+    for row in rows:
+        cells = [str(row.get(c, "")) for c in cols]
+        line = ",".join(cells)
+        if line.count(",") != commas or '"' in line or "\n" in line or "\r" in line:
+            line = ",".join(map(_ref_csv_cell, cells))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _ref_coords(values):
+    return ";".join(repr(float(c)) for c in values)
+
+
+# the index names of each table, one per axis of its value columns
+REF_INDEX = {"curvature": "abcd", "sectional": "ij", "ricci": "ab", "scalar": ""}
+
+
+def _ref_table_rows(x, v, t, names, columns):
+    """The rows of one point: x, v, t, the index, then the values."""
+    keys = ("x", "v", "t", *names, *columns)
+    index = list(np.ndindex(np.shape(next(iter(columns.values())))))
+    cells = [np.ravel(col).tolist() for col in columns.values()]
+    return [dict(zip(keys, (x, v, t) + i + c)) for i, c in zip(index, zip(*cells))]
+
+
+def _reference_output(task, fmt, M, fam_name, points, results):
+    """The bytes the row-dict writer gives for the results of on_points."""
+    error_cell = lambda exc: f"{type(exc).__name__}: {exc}"
+    rows = []
+    if task != "scan":
+        for p, (t, result) in zip(points, results):
+            x, v = _ref_coords(p.x), _ref_coords(p.v)
+            if isinstance(result, TbcurvError):
+                rows.append({"x": x, "v": v, "t": _v_norm(M, p), "error": error_cell(result)})
+            else:
+                rows.extend(_ref_table_rows(x, v, t, REF_INDEX[task], result))
+        return _ref_emit(fmt, rows, f"{task} of (TM, G); {_NOTE}", task)
+    special = {"exp+": "plus", "exp-": "minus"}.get(fam_name)
+    k0 = _constant_curvature_of(M)
+    nan = float("nan")
+    for p, (t, result) in zip(points, results):
+        s_special, status = nan, "ok"
+        if isinstance(result, TbcurvError):
+            t, status, result = _v_norm(M, p), error_cell(result), (nan, nan, nan)
+        elif special is not None and k0 is not None:
+            s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special).value
+        s_general, f_val, h_val = result
+        rows.append({"x": _ref_coords(p.x), "v_norm": t, "scalar_general": s_general,
+                     "scalar_special": float(s_special), "F": f_val, "H": h_val,
+                     "status": status})
+    return _ref_emit(fmt, rows, f"scalar curvature scan; {_NOTE}", "scan")
+
+
+def _assert_same_text(text, reference):
+    """text == reference, reporting the first line that differs (pytest's own
+    diff of two long tables takes minutes)."""
+    if text != reference:
+        lines = zip(text.splitlines(True), reference.splitlines(True))
+        k, (got, want) = next(((k, pair) for k, pair in enumerate(lines) if len(set(pair)) > 1),
+                              (None, (text[-80:], reference[-80:])))
+        pytest.fail(f"line {k} differs: {got!r} != {want!r}")
+
+
+def _run_captured(args):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(args)
+    return code, stdout.getvalue()
+
+
+TABLE_TASKS = ("curvature", "sectional", "ricci", "scalar", "scan")
+
+# value columns of each task on a 2-dimensional base, by name and shape
+TABLE_SHAPES = {
+    "curvature": {"value": (4, 4, 4, 4)},
+    "sectional": {"K_hh": (2, 2), "K_vv": (2, 2), "K_hv": (2, 2)},
+    "ricci": {"value": (4, 4)},
+    "scalar": {"scalar": ()},
+    "scan": {"scalar_general, F, H": (3,)},
+}
+
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5]
+)
+ERROR_TEXTS = ["a, b", 'say "hi"', "line\nbreak", "cr\rhere", "|v|²_g ∇R",
+               'all, "of"\r\n them ∞']
+error_text = st.text() | st.sampled_from(ERROR_TEXTS)
+ARRANGEMENTS = {
+    "first": [True, False, False],
+    "middle": [False, True, False],
+    "last": [False, False, True],
+    "all": [True, True],
+    "none": [False, False],
+}
+
+
+@st.composite
+def point_outcomes(draw, task):
+    """Per point, its error text or its t and value columns, with the
+    failing points in one of the arrangements or in any other order."""
+    fails = draw(st.sampled_from(list(ARRANGEMENTS.values()))
+                 | st.lists(st.booleans(), min_size=1, max_size=4))
+    outcomes = []
+    for failed in fails:
+        if failed:
+            outcomes.append(draw(error_text))
+            continue
+        columns = {name: draw(st.lists(any_float, min_size=1, max_size=6))
+                   for name in TABLE_SHAPES[task]}
+        outcomes.append((draw(any_float), columns))
+    return outcomes
+
+
+def _assert_writer_matches_reference(task, fmt, outcomes):
+    """Run the command on made-up results of on_points, so values and t take
+    NaN and +-inf and error texts any character, and compare its bytes with
+    the row-dict writer's.  A good point's columns are tiled to their shape."""
+    points = [BundlePoint(np.array([0.1 * k, -0.2]), np.array([0.3, 0.1 * k]))
+              for k in range(len(outcomes))]
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, str):
+            results.append((0.0, TbcurvError(outcome)))
+            continue
+        t, columns = outcome
+        columns = {name: np.resize(np.array(values), TABLE_SHAPES[task][name])
+                   for name, values in columns.items()}
+        # scan's on_points gives a point its scalar, F and H as floats
+        if task == "scan":
+            columns = tuple(columns["scalar_general, F, H"].tolist())
+        results.append((t, columns))
+    args = [task, "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+            "--format", fmt]
+    for p in points:
+        args += ["--point=" + ",".join(map(repr, p.x.tolist())),
+                 "--v=" + ",".join(map(repr, p.v.tolist()))]
+    with mock.patch.object(closedform, "on_points", lambda *_: results):
+        code, text = _run_captured(args)
+    M = make_manifold("euclidean", dim=2)
+    _assert_same_text(text, _reference_output(task, fmt, M, "sasaki", points, results))
+    assert code == int(any(isinstance(outcome, str) for outcome in outcomes))
+
+
+class TestColumnWriter:
+    @given(task=st.sampled_from(TABLE_TASKS), fmt=st.sampled_from(["csv", "json"]),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_the_row_dict_writer(self, task, fmt, data):
+        _assert_writer_matches_reference(task, fmt, data.draw(point_outcomes(task)))
+
+    # each special error text, with non-finite values and t, in each arrangement
+    @pytest.mark.parametrize("task", TABLE_TASKS)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
+    def test_special_cells_equal_the_row_dict_writer(self, task, fmt, arrangement):
+        values = [math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-5]
+        for text in ERROR_TEXTS:
+            outcomes = [
+                text if failed
+                else (values[k], {name: values[k:] + values[:k] for name in TABLE_SHAPES[task]})
+                for k, failed in enumerate(ARRANGEMENTS[arrangement])
+            ]
+            _assert_writer_matches_reference(task, fmt, outcomes)
+
+    # a good point, t beyond t_max (a ValidityError whose message holds a
+    # comma), and a point outside the chart, in every order that matters
+    GOOD = ["--point", "1.0,0.3", "--v", "0,0.5"]
+    GOOD2 = ["--point", "0.9,0.3", "--v", "0.2,0.1"]
+    BAD = ["--point", "1.0,0.3", "--v", "0,20"]
+    OUTSIDE = ["--point", "0.0,0.3", "--v", "1,1"]
+
+    @pytest.mark.parametrize("task", TABLE_TASKS)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "order", ["bad-first", "bad-middle", "bad-last", "all-bad", "all-good"]
+    )
+    def test_commands_equal_the_row_dict_writer(self, tmp_path, task, fmt, order):
+        # exp+ on the sphere: scan also writes its specialized scalar
+        points = {
+            "bad-first": self.BAD + self.GOOD + self.GOOD2,
+            "bad-middle": self.GOOD + self.OUTSIDE + self.GOOD2,
+            "bad-last": self.GOOD + self.GOOD2 + self.BAD,
+            "all-bad": self.OUTSIDE + self.BAD,
+            "all-good": self.GOOD + self.GOOD2,
+        }[order]
+        args = [task, "--manifold", "sphere", "--dim", "2", "--family", "exp+", *points,
+                "--format", fmt]
+        seen = []
+        on_points = closedform.on_points
+
+        def spy(M, fam, bundle_points, fun):
+            seen.append((bundle_points, on_points(M, fam, bundle_points, fun)))
+            return seen[-1][1]
+
+        with mock.patch.object(closedform, "on_points", spy):
+            code, text = _run_captured(args)
+        out = tmp_path / "table.out"
+        assert _run_captured(args + ["--out", str(out)]) == (code, "")
+        _assert_same_text(out.read_bytes().decode("utf-8"), text)
+        assert b"\r" not in out.read_bytes()  # text mode wrote no other line ends
+        (bundle_points, results), = seen
+        M = make_manifold("sphere", dim=2)
+        _assert_same_text(text, _reference_output(task, fmt, M, "exp+", bundle_points, results))
+        assert code == int(order != "all-good")

@@ -19,7 +19,7 @@ from tbcurv.basemanifold import (
     sphere,
 )
 from tbcurv.bundlemetric import BundlePoint
-from tbcurv.cli import _table_columns, main
+from tbcurv.cli import _TABLE_INDEX, _table_columns, main
 from tbcurv.closedform import on_points, tm_curvature, tm_ricci, tm_scalar, tm_sectional
 from tbcurv.errors import SingularMetricError, TbcurvError
 from tbcurv.metricfamily import preset
@@ -140,13 +140,13 @@ def _reference_rows(M, fam, points, task):
         head = {"x": ";".join(map(repr, x.tolist())), "v": ";".join(map(repr, v.tolist()))}
         try:
             fp = adapted_frame(M, x, v)
-            names, columns = _table_columns(M, fam, fp, task)
+            columns = _table_columns(M, fam, fp, task)
         except TbcurvError as exc:
             rows.append({**head, "error": f"{type(exc).__name__}: {exc}"})
             continue
         shape = next(iter(columns.values())).shape
         for idx in np.ndindex(shape):
-            row = {**head, "t": float(fp.t), **dict(zip(names, idx))}
+            row = {**head, "t": float(fp.t), **dict(zip(_TABLE_INDEX[task], idx))}
             rows.append({**row, **{k: float(col[idx]) for k, col in columns.items()}})
     return rows
 
