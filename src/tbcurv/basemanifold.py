@@ -476,6 +476,13 @@ def _conformal_chart(
 def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartManifold:
     """Round sphere of the given radius: polar chart (dim 2 only) or the
     stereographic ball chart (any dim; the default for dim >= 3)."""
+    try:
+        r = float(radius)
+    except (TypeError, ValueError):
+        r = math.nan
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"sphere radius must be a positive finite number, got {radius!r}")
+    radius = r
     if chart is None:
         chart = "polar" if dim == 2 else "stereographic"
     if chart == "polar":

@@ -9,8 +9,10 @@ from that split,
               + beta(t^2) g(KA, v) g(KB, v),      t^2 = |v|^2_g,
 
 which is frame-free and doubles as an independent check of the adapted
-frame Gram identity.  All alpha/beta arguments are squared norms; a single
-helper (`squared_norm`) owns the t-vs-t^2 convention.
+frame Gram identity.  All alpha/beta arguments are squared norms
+t^2 = |v|^2_g, which `induced_metric` forms from g and v.  The adapted frame,
+the closed forms and the CLI tables carry the norm t = |v|_g instead, and
+the closed forms square it where they evaluate the family.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +35,61 @@ from .metricfamily import NaturalMetricFamily, PRESET_NAMES, flatness_beta, pres
 from .oracle import OracleConfig, compare
 
 TASKS = ("family-check", "curvature", "sectional", "ricci", "scalar", "verify", "scan")
+_ON_POINTS = TASKS[1:]
+_TABLES = ("curvature", "sectional", "ricci", "scalar", "scan")
+
+
+class _Flag(NamedTuple):
+    """A flag, the config entry (section, key) it sets, the tasks that read
+    it, its argparse settings and, for a JSON value, what it must be.  A
+    key of None sets the whole section; an entry of None marks a flag read
+    elsewhere: --config names the document, --samples goes to the family
+    check, and --point and --v pair into points."""
+
+    name: str
+    entry: Optional[tuple]
+    tasks: tuple
+    settings: dict
+    json: str = ""
+
+
+_FLAGS = (
+    _Flag("--config", None, TASKS, {"help": "JSON config file; flags override it"}),
+    _Flag("--manifold", ("manifold", "id"), _ON_POINTS,
+          {"help": "catalog id (euclidean, sphere, hyperbolic, torus-conformal)"}),
+    _Flag("--dim", ("manifold", "dim"), _ON_POINTS, {"type": int}),
+    _Flag("--radius", ("manifold", "radius"), _ON_POINTS, {"type": float}),
+    _Flag("--chart", ("manifold", "chart"), _ON_POINTS,
+          {"help": "sphere chart: polar | stereographic"}),
+    _Flag("--coeffs", ("manifold", "coeffs"), _ON_POINTS,
+          {"help": "conformal monomials as JSON [[c, e1, ..., en], ...]"}, "a JSON array"),
+    _Flag("--family", ("family", "preset"), TASKS, {"help": f"preset: {', '.join(PRESET_NAMES)}"}),
+    _Flag("--alpha", ("family", "alpha"), TASKS,
+          {"help": "alpha(t) expression for a custom family"}),
+    _Flag("--beta", ("family", "beta"), TASKS, {"help": "beta(t) expression for a custom family"}),
+    _Flag("--beta-flatness", ("family", "beta_flatness"), TASKS,
+          {"action": "store_true", "default": None,
+           "help": "derive beta from alpha by the flatness formula"}),
+    _Flag("--t-max", ("family", "t_max"), TASKS,
+          {"type": float, "help": "validity horizon for t = |v|^2"}),
+    _Flag("--point", None, _ON_POINTS,
+          {"action": "append",
+           "help": "base point 'x1,x2,...' (repeatable); a value that starts with '-' "
+                   "must be joined with '=', as in --point=-1,0.3"}),
+    _Flag("--v", None, _ON_POINTS,
+          {"action": "append",
+           "help": "fiber vector 'v1,v2,...' (repeatable); a value that starts with '-' "
+                   "must be joined with '=', as in --v=-0.2,0.2"}),
+    _Flag("--grid", ("grid", None), _ON_POINTS,
+          {"help": 'JSON {"base_points": [[...]], "v_norms": [...], "v_directions": [[...]]}'},
+          "JSON"),
+    _Flag("--out", ("output", "path"), _ON_POINTS, {"help": "output file (default stdout)"}),
+    _Flag("--format", ("output", "format"), _TABLES, {"choices": ("csv", "json")}),
+    _Flag("--tol-abs", ("oracle", "tol_abs"), ("verify",), {"type": float}),
+    _Flag("--tol-rel", ("oracle", "tol_rel"), ("verify",), {"type": float}),
+    _Flag("--samples", None, ("family-check",),
+          {"type": int, "help": "family-check validation grid size"}),
+)
 
 
 # --------------------------------------------------------------------------
@@ -56,71 +111,36 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    """Overlay CLI flags on the config document."""
+    """Overlay the task's flags on the config document: each flag given sets
+    its entry, in table order.  Two rules are not a plain overlay: --family
+    replaces the whole family entry and --alpha, --beta and --beta-flatness
+    drop a preset; --point and --v pair into points."""
     cfg = dict(cfg)
-    man = dict(cfg.get("manifold") or {})
-    if args.manifold is not None:
-        man["id"] = args.manifold
-    if args.dim is not None:
-        man["dim"] = args.dim
-    if args.radius is not None:
-        man["radius"] = args.radius
-    if args.chart is not None:
-        man["chart"] = args.chart
-    if args.coeffs is not None:
-        try:
-            man["coeffs"] = json.loads(args.coeffs)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--coeffs must be a JSON array: {exc}")
-    if man:
-        cfg["manifold"] = man
-
-    fam = dict(cfg.get("family") or {})
-    if args.family is not None:
-        fam = {"preset": args.family}
-    if args.alpha is not None:
-        fam.pop("preset", None)
-        fam["alpha"] = args.alpha
-    if args.beta is not None:
-        fam.pop("preset", None)
-        fam["beta"] = args.beta
-    if args.beta_flatness:
-        fam.pop("preset", None)
-        fam["beta_flatness"] = True
-    if args.t_max is not None:
-        fam["t_max"] = args.t_max
-    if fam:
-        cfg["family"] = fam
-
-    if args.point:
-        points = []
+    for flag in _FLAGS:
+        value = getattr(args, flag.name[2:].replace("-", "_"), None)
+        if flag.entry is None or value is None:
+            continue
+        if flag.json:
+            try:
+                value = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{flag.name} must be {flag.json}: {exc}")
+        section, key = flag.entry
+        if key is None:
+            cfg[section] = value
+            continue
+        entry = {} if key == "preset" else dict(cfg.get(section) or {})
+        if key in ("alpha", "beta", "beta_flatness"):
+            entry.pop("preset", None)
+        cfg[section] = {**entry, key: value}
+    if getattr(args, "point", None):
         vs = args.v or []
         if len(vs) != len(args.point):
             raise ConfigError("--point and --v must be given the same number of times")
-        for xtext, vtext in zip(args.point, vs):
-            points.append({"x": _parse_vector(xtext), "v": _parse_vector(vtext)})
-        cfg["points"] = points
-    if args.grid is not None:
-        try:
-            cfg["grid"] = json.loads(args.grid)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--grid must be JSON: {exc}")
-
-    out = dict(cfg.get("output") or {})
-    if args.out is not None:
-        out["path"] = args.out
-    if args.format is not None:
-        out["format"] = args.format
-    if out:
-        cfg["output"] = out
-
-    orc = dict(cfg.get("oracle") or {})
-    if args.tol_abs is not None:
-        orc["tol_abs"] = args.tol_abs
-    if args.tol_rel is not None:
-        orc["tol_rel"] = args.tol_rel
-    if orc:
-        cfg["oracle"] = orc
+        cfg["points"] = [
+            {"x": _parse_vector(xtext), "v": _parse_vector(vtext)}
+            for xtext, vtext in zip(args.point, vs)
+        ]
     return cfg
 
 
@@ -138,14 +158,9 @@ def _resolve_manifold(cfg: dict) -> ChartManifold:
     dim = man.get("dim")
     if dim is None:
         raise ConfigError("manifold dim missing (--dim)")
+    settings = {key: man[key] for key in ("radius", "chart", "coeffs") if key in man}
     try:
-        return make_manifold(
-            man["id"],
-            dim=int(dim),
-            radius=float(man.get("radius", 1.0)),
-            chart=man.get("chart"),
-            coeffs=man.get("coeffs"),
-        )
+        return make_manifold(man["id"], dim=int(dim), **settings)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -154,32 +169,35 @@ def _resolve_family(cfg: dict) -> NaturalMetricFamily:
     fam = cfg.get("family")
     if not fam:
         raise ConfigError("no family configured (--family or --alpha/--beta)")
-    t_max = float(fam.get("t_max", 25.0))
     if "preset" in fam:
         name = fam["preset"]
         if name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-        return preset(name, t_max=t_max)
-    alpha = fam.get("alpha")
-    if alpha is None:
-        raise ConfigError("custom family needs alpha")
-    if fam.get("beta_flatness"):
-        beta = flatness_beta(alpha)
-        name = f"custom(alpha={alpha}, beta=flatness)"
+        make = functools.partial(preset, name)
     else:
-        beta = fam.get("beta")
-        if beta is None:
-            raise ConfigError("custom family needs beta or beta_flatness")
-        name = f"custom(alpha={alpha}, beta={beta})"
+        alpha = fam.get("alpha")
+        if alpha is None:
+            raise ConfigError("custom family needs alpha")
+        if fam.get("beta_flatness"):
+            beta = flatness_beta(alpha)
+            name = f"custom(alpha={alpha}, beta=flatness)"
+        else:
+            beta = fam.get("beta")
+            if beta is None:
+                raise ConfigError("custom family needs beta or beta_flatness")
+            name = f"custom(alpha={alpha}, beta={beta})"
+        make = functools.partial(NaturalMetricFamily, alpha, beta, name=name)
     try:
-        return NaturalMetricFamily(alpha, beta, name=name, t_max=t_max)
+        return make(**({"t_max": fam["t_max"]} if "t_max" in fam else {}))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     except TbcurvError as exc:
         raise ConfigError(f"bad family expression: {exc}")
 
 
-def _finite(values, key: str, dim: Optional[int] = None) -> np.ndarray:
-    """A grid list as a 1-D float array, checked before any arithmetic: one
-    that is not a list of finite numbers (of dim numbers, for a point or a
+def _numbers(values, key: str, dim: Optional[int] = None) -> np.ndarray:
+    """A config list as a 1-D float array, checked before any arithmetic:
+    one that is not a list of numbers (of dim numbers, for a point or a
     direction) is a config error naming it."""
     try:
         arr = np.asarray(values, dtype=float)
@@ -187,32 +205,35 @@ def _finite(values, key: str, dim: Optional[int] = None) -> np.ndarray:
         arr = None
     if arr is None or arr.ndim != 1 or dim not in (None, arr.size):
         if dim is None:
-            raise ConfigError(f"grid {key} {json.dumps(values)} is not a list of numbers")
-        raise ConfigError(f"grid {key} entry {json.dumps(values)} is not a list of "
+            raise ConfigError(f"{key} {json.dumps(values)} is not a list of numbers")
+        raise ConfigError(f"{key} entry {json.dumps(values)} is not a list of "
                           f"{dim} numbers (manifold dim {dim})")
-    for value in arr:
-        if not math.isfinite(value):
-            raise ConfigError(f"grid {key} holds {float(value)!r}, which is not a finite number")
     return arr
 
 
-def _entries(values, key: str) -> list:
-    """A grid list of points or directions; anything else is a config error."""
+def _finite(values, key: str, dim: Optional[int] = None) -> np.ndarray:
+    """``_numbers``, each of them finite, or a config error naming the value."""
+    arr = _numbers(values, key, dim)
+    for value in arr:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} holds {float(value)!r}, which is not a finite number")
+    return arr
+
+
+def _entries(values, key: str, items: str = "lists") -> list:
+    """A config list of points, directions or point entries; anything else
+    is a config error."""
     if not isinstance(values, list):
-        raise ConfigError(f"grid {key} {json.dumps(values)} is not a list of lists")
+        raise ConfigError(f"{key} {json.dumps(values)} is not a list of {items}")
     return values
 
 
 def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
     points: list[BundlePoint] = []
-    for entry in cfg.get("points") or []:
-        x = np.asarray(entry["x"], dtype=float)
-        v = np.asarray(entry["v"], dtype=float)
-        if x.shape != (M.dim,) or v.shape != (M.dim,):
-            raise ConfigError(
-                f"point {entry} has wrong dimension (manifold dim {M.dim})"
-            )
-        points.append(BundlePoint(x, v))
+    for entry in _entries(cfg.get("points") or [], "points", "points"):
+        if not (isinstance(entry, dict) and "x" in entry and "v" in entry):
+            raise ConfigError(f"point {json.dumps(entry)} needs x and v")
+        points.append(BundlePoint(*(_numbers(entry[key], f"point {key}", M.dim) for key in "xv")))
     grid = cfg.get("grid")
     if grid:
         if not isinstance(grid, dict):
@@ -220,17 +241,18 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
         base_points = grid.get("base_points")
         if not base_points:
             raise ConfigError("grid needs base_points")
-        v_norms = _finite(grid.get("v_norms", [0.0]), "v_norms")
+        v_norms = _finite(grid.get("v_norms", [0.0]), "grid v_norms")
         directions = grid.get("v_directions")
         if directions is None:
             d = np.zeros(M.dim)
             d[0] = 1.0
             directions = [d.tolist()]
         directions = [
-            _finite(d, "v_directions", M.dim) for d in _entries(directions, "v_directions")
+            _finite(d, "grid v_directions", M.dim)
+            for d in _entries(directions, "grid v_directions")
         ]
-        for xs in _entries(base_points, "base_points"):
-            x = _finite(xs, "base_points", M.dim)
+        for xs in _entries(base_points, "grid base_points"):
+            x = _finite(xs, "grid base_points", M.dim)
             try:
                 M.check_interior(x)
             except StencilOutOfDomainError as exc:
@@ -440,11 +462,11 @@ _NOTE = "family functions take t = |v|^2_g (squared norm) as argument"
 # --------------------------------------------------------------------------
 
 
-def cmd_family_check(cfg: dict, samples: int = 4096) -> int:
-    if samples < 2:
+def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
+    if samples is not None and samples < 2:
         raise ConfigError(f"--samples must be at least 2, got {samples}")
     fam = _resolve_family(cfg)
-    validation = fam.validate(samples=samples)
+    validation = fam.validate() if samples is None else fam.validate(samples=samples)
     print(f"family {fam.name}: {validation.summary()}")
     if not validation.valid:
         return 2
@@ -494,7 +516,10 @@ def _coords(values) -> str:
 
 
 def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
-    """|v|_g for an error row; nan where the metric gives no real norm."""
+    """|v|_g for an error row; nan for a base point outside the chart, where
+    the metric is not evaluated, or where the metric gives no real norm."""
+    if M.outside(p.x):
+        return float("nan")
     try:
         return math.sqrt(squared_norm(M, p.x, p.v))
     except (ArithmeticError, ValueError):
@@ -578,7 +603,7 @@ def _constant_curvature_of(M: ChartManifold) -> Optional[float]:
     if M.catalog_id == "euclidean":
         return 0.0
     if M.catalog_id == "sphere":
-        radius = float(M.params.get("radius", 1.0))
+        radius = M.params["radius"]
         return 1.0 / (radius * radius)
     if M.catalog_id == "hyperbolic":
         return -1.0
@@ -629,7 +654,8 @@ def cmd_scan(cfg: dict) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parsing leaves it unchanged."""
+    """The argument parser, built once: parsing leaves it unchanged.  Each
+    task takes the flags of ``_FLAGS`` that it reads, and no other."""
     parser = argparse.ArgumentParser(
         prog="tbcurv",
         description="Tangent-bundle curvature tables and oracle verification.",
@@ -637,41 +663,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="task", required=True)
     for task in TASKS:
         p = sub.add_parser(task, help=f"run the {task} task")
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--manifold", help="catalog id (euclidean, sphere, hyperbolic, torus-conformal)")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--radius", type=float)
-        p.add_argument("--chart", help="sphere chart: polar | stereographic")
-        p.add_argument("--coeffs", help="conformal monomials as JSON [[c, e1, ..., en], ...]")
-        p.add_argument("--family", help=f"preset: {', '.join(PRESET_NAMES)}")
-        p.add_argument("--alpha", help="alpha(t) expression for a custom family")
-        p.add_argument("--beta", help="beta(t) expression for a custom family")
-        p.add_argument(
-            "--beta-flatness",
-            action="store_true",
-            help="derive beta from alpha by the flatness formula",
-        )
-        p.add_argument("--t-max", type=float, help="validity horizon for t = |v|^2")
-        p.add_argument(
-            "--point", action="append",
-            help="base point 'x1,x2,...' (repeatable); a value that starts with '-' "
-                 "must be joined with '=', as in --point=-1,0.3",
-        )
-        p.add_argument(
-            "--v", action="append",
-            help="fiber vector 'v1,v2,...' (repeatable); a value that starts with '-' "
-                 "must be joined with '=', as in --v=-0.2,0.2",
-        )
-        p.add_argument(
-            "--grid",
-            help='JSON {"base_points": [[...]], "v_norms": [...], "v_directions": [[...]]}',
-        )
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--tol-abs", type=float)
-        p.add_argument("--tol-rel", type=float)
-        p.add_argument("--samples", type=int, default=4096,
-                       help="family-check validation grid size")
+        for flag in _FLAGS:
+            if task in flag.tasks:
+                p.add_argument(flag.name, **flag.settings)
     return parser
 
 

@@ -147,7 +147,12 @@ class NaturalMetricFamily:
         self.alpha = as_scalar_function(alpha)
         self.beta = as_scalar_function(beta)
         self.name = name
-        self.t_max = float(t_max)
+        try:
+            self.t_max = float(t_max)
+        except (TypeError, ValueError):
+            self.t_max = math.nan
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be a positive finite number, got {t_max!r}")
 
     def __repr__(self) -> str:
         return (

@@ -348,6 +348,13 @@ class TestCatalogDispatch:
         with pytest.raises(ValueError):
             make_manifold("torus-conformal", dim=2)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, "abc"])
+    def test_bad_sphere_radius_is_rejected(self, dim, radius):
+        message = f"sphere radius must be a positive finite number, got {radius!r}"
+        with pytest.raises(ValueError, match=message):
+            make_manifold("sphere", dim=dim, radius=radius)
+
 
 class TestStacks:
     """A stack of points of shape (..., n) gives the stack of one-point values."""

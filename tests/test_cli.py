@@ -1,6 +1,8 @@
 """Integration tests for the command-line front end."""
 
+import argparse
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -18,13 +20,16 @@ from tbcurv.basemanifold import make_manifold
 from tbcurv.bundlemetric import BundlePoint
 from tbcurv.cli import (
     _NOTE,
+    TASKS,
     _build_parser,
     _constant_curvature_of,
     _json_text,
+    _merge_flags,
+    _parse_vector,
     _v_norm,
     main,
 )
-from tbcurv.errors import TbcurvError
+from tbcurv.errors import ConfigError, TbcurvError
 from tbcurv.metricfamily import NaturalMetricFamily
 
 
@@ -343,6 +348,19 @@ class TestScan:
         row = dict(zip(header, cells))
         assert row["status"].startswith("ValidityError")
         assert float(row["v_norm"]) == pytest.approx(2.0 * math.sin(1.0), rel=1e-12)
+
+    def test_error_row_outside_the_chart_evaluates_no_metric(self, capsys):
+        # the Poincare metric at |x| > 1 takes log1p of a negative number, a
+        # RuntimeWarning (an error under the test settings); the error row's
+        # v_norm is nan without evaluating it
+        code = run(["scan", "--manifold", "hyperbolic", "--dim", "2", "--family", "exp+",
+                    "--point", "1.5,0", "--v", "1,0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        header, cells = csv.reader(captured.out.splitlines()[1:])
+        row = dict(zip(header, cells))
+        assert row["status"].startswith("StencilOutOfDomainError")
+        assert row["v_norm"] == "nan"
 
     def test_grid_point_outside_chart_is_config_error(self, capsys):
         grid = json.dumps({"base_points": [[0.9, 0.5]], "v_norms": [0.5]})
@@ -714,6 +732,69 @@ class TestMalformedGrid:
         assert captured.err == f"config error: {message}\n"
 
 
+class TestConfigPoints:
+    # a malformed points entry of a config file used to crash with a
+    # traceback (exit 1); it is a config error naming the entry
+    @pytest.mark.parametrize("task", ["scalar", "verify"])
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([{"x": [0, 0]}], 'point {"x": [0, 0]} needs x and v'),
+            ([[0, 0]], "point [0, 0] needs x and v"),
+            ([{"x": ["a", 0], "v": [0, 0]}],
+             'point x entry ["a", 0] is not a list of 2 numbers (manifold dim 2)'),
+            ([{"x": [0, 0], "v": [0, 0, 1]}],
+             "point v entry [0, 0, 1] is not a list of 2 numbers (manifold dim 2)"),
+            (3, "points 3 is not a list of points"),
+        ],
+    )
+    def test_config_error_names_the_entry(self, tmp_path, capsys, task, points, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"points": points}))
+        args = [task, "--config", str(path), "--manifold", "euclidean", "--dim", "2",
+                "--family", "sasaki"]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+
+class TestPositiveSettings:
+    # t_max and the sphere radius must be positive finite numbers: a bad
+    # t_max used to crash or validate the family on [0, -1], a bad radius
+    # to crash or give SingularMetricError rows
+    @pytest.mark.parametrize("value", ["-1", "nan", "0"])
+    def test_t_max_flag(self, capsys, value):
+        assert run(["family-check", "--family", "sasaki", "--t-max", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: t_max must be a positive finite number, got {float(value)!r}\n"
+        )
+
+    @pytest.mark.parametrize("family", [{"preset": "sasaki"}, {"alpha": "1", "beta": "0"}])
+    def test_t_max_in_config(self, tmp_path, capsys, family):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"family": {**family, "t_max": "abc"}}))
+        assert run(["family-check", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: t_max must be a positive finite number, got 'abc'\n"
+        )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("value", ["-1", "nan", "0"])
+    def test_radius_flag(self, capsys, dim, value):
+        args = ["scalar", "--manifold", "sphere", "--dim", str(dim), "--radius", value,
+                "--family", "sasaki", "--point", ",".join(["0.9"] + ["0.3"] * (dim - 1)),
+                "--v", ",".join(["0.1"] + ["0"] * (dim - 1))]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: sphere radius must be a positive finite number, got {float(value)!r}\n"
+        )
+
+
 class TestNegativeCoordinates:
     # argparse reads "-1,0.3" after a space as an option, so a value that
     # starts with "-" is joined to its flag with "="
@@ -957,3 +1038,177 @@ class TestColumnWriter:
         M = make_manifold("sphere", dim=2)
         _assert_same_text(text, _reference_output(task, fmt, M, "exp+", bundle_points, results))
         assert code == int(order != "all-good")
+
+
+# --------------------------------------------------------------------------
+# The flag table: each task takes the flags it reads and no other, and the
+# overlay equals the per-flag one it replaced, kept below as the reference.
+# --------------------------------------------------------------------------
+
+_FAMILY_FLAGS = {"--family", "--alpha", "--beta", "--beta-flatness", "--t-max"}
+_POINT_FLAGS = {"--manifold", "--dim", "--radius", "--chart", "--coeffs", "--point", "--v",
+                "--grid", "--out"}
+ACCEPTED_FLAGS = {
+    "family-check": {"--config", *_FAMILY_FLAGS, "--samples"},
+    **{task: {"--config", *_FAMILY_FLAGS, *_POINT_FLAGS, "--format"} for task in TABLE_TASKS},
+    "verify": {"--config", *_FAMILY_FLAGS, *_POINT_FLAGS, "--tol-abs", "--tol-rel"},
+}
+ALL_FLAGS = sorted(set().union(*ACCEPTED_FLAGS.values()))
+REMOVED_PAIRS = [(task, flag) for task in TASKS for flag in ALL_FLAGS
+                 if flag not in ACCEPTED_FLAGS[task]]
+
+
+def _task_flags(task):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for action in sub.choices[task]._actions for s in action.option_strings} - {
+        "-h", "--help"}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("task", TASKS)
+    def test_each_task_takes_the_flags_it_reads(self, task):
+        assert _task_flags(task) == ACCEPTED_FLAGS[task]
+
+    def test_pair_count(self):
+        assert len(ALL_FLAGS) == 19
+        assert sum(map(len, ACCEPTED_FLAGS.values())) == 104
+        assert len(REMOVED_PAIRS) == 29
+
+    @pytest.mark.parametrize("task,flag", REMOVED_PAIRS)
+    def test_flag_the_task_does_not_read_is_rejected(self, capsys, task, flag):
+        value = {"--format": "csv", "--out": "x", "--tol-abs": "1e-5"}.get(flag, "1")
+        with pytest.raises(SystemExit) as info:
+            run([task, "--family", "sasaki", flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def _ref_merge_flags(cfg, args):
+    """Overlay CLI flags on the config document."""
+    cfg = dict(cfg)
+    man = dict(cfg.get("manifold") or {})
+    if args.manifold is not None:
+        man["id"] = args.manifold
+    if args.dim is not None:
+        man["dim"] = args.dim
+    if args.radius is not None:
+        man["radius"] = args.radius
+    if args.chart is not None:
+        man["chart"] = args.chart
+    if args.coeffs is not None:
+        try:
+            man["coeffs"] = json.loads(args.coeffs)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--coeffs must be a JSON array: {exc}")
+    if man:
+        cfg["manifold"] = man
+
+    fam = dict(cfg.get("family") or {})
+    if args.family is not None:
+        fam = {"preset": args.family}
+    if args.alpha is not None:
+        fam.pop("preset", None)
+        fam["alpha"] = args.alpha
+    if args.beta is not None:
+        fam.pop("preset", None)
+        fam["beta"] = args.beta
+    if args.beta_flatness:
+        fam.pop("preset", None)
+        fam["beta_flatness"] = True
+    if args.t_max is not None:
+        fam["t_max"] = args.t_max
+    if fam:
+        cfg["family"] = fam
+
+    if args.point:
+        points = []
+        vs = args.v or []
+        if len(vs) != len(args.point):
+            raise ConfigError("--point and --v must be given the same number of times")
+        for xtext, vtext in zip(args.point, vs):
+            points.append({"x": _parse_vector(xtext), "v": _parse_vector(vtext)})
+        cfg["points"] = points
+    if args.grid is not None:
+        try:
+            cfg["grid"] = json.loads(args.grid)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--grid must be JSON: {exc}")
+
+    out = dict(cfg.get("output") or {})
+    if args.out is not None:
+        out["path"] = args.out
+    if args.format is not None:
+        out["format"] = args.format
+    if out:
+        cfg["output"] = out
+
+    orc = dict(cfg.get("oracle") or {})
+    if args.tol_abs is not None:
+        orc["tol_abs"] = args.tol_abs
+    if args.tol_rel is not None:
+        orc["tol_rel"] = args.tol_rel
+    if orc:
+        cfg["oracle"] = orc
+    return cfg
+
+
+# the namespace the reference reads: every flag of every task, unset
+REF_ARGS = {**{flag[2:].replace("-", "_"): None for flag in ALL_FLAGS},
+            "beta_flatness": False, "samples": 4096}
+
+MERGE_CONFIGS = {
+    "none": {},
+    "preset": {"manifold": {"id": "sphere", "dim": 2, "radius": 2.0, "chart": "polar"},
+               "family": {"preset": "exp+", "t_max": 4.0},
+               "points": [{"x": [0.9, 0.3], "v": [0.1, 0.0]}],
+               "output": {"path": "a.json", "format": "json"}, "oracle": {"tol_abs": 1e-6}},
+    "custom": {"manifold": {"id": "torus-conformal", "dim": 2, "coeffs": [[0.1, 1, 1]]},
+               "family": {"alpha": "exp(t)", "beta": "0", "t_max": 9.0},
+               "grid": {"base_points": [[0.1, 0.2]], "v_norms": [0.5]}},
+    "flat": {"family": {"alpha": "exp(0.3*t)", "beta_flatness": True},
+             "oracle": {"tol_rel": 1e-2}},
+    "empty sections": {"manifold": None, "family": {}, "output": {}, "oracle": None,
+                       "points": []},
+}
+MERGE_FLAGS = {
+    "none": [],
+    "preset": ["--family", "sasaki"],
+    "preset, t_max": ["--family", "sasaki", "--t-max", "7"],
+    "t_max": ["--t-max", "7"],
+    "alpha": ["--alpha", "exp(-t)"],
+    "flatness": ["--alpha", "exp(t)", "--beta-flatness", "--t-max", "3"],
+    "preset, beta": ["--family", "exp-", "--beta", "1"],
+    "points": ["--point", "0.1,0.2", "--v", "0.3,0", "--point=-1,0", "--v=0,-1"],
+    "point without v": ["--point", "0.1,0.2"],
+    "v without point": ["--v", "0,0"],
+    "bad vector": ["--point", "0.1,a", "--v", "0,0"],
+    "grid": ["--grid", '{"base_points": [[0.1, 0.2]], "v_norms": [0, 1]}'],
+    "bad grid": ["--grid", "{bad"],
+    "manifold": ["--manifold", "torus-conformal", "--dim", "3", "--radius", "2",
+                 "--chart", "polar", "--coeffs", "[[0.1, 1, 1, 0]]"],
+    "bad coeffs": ["--coeffs", "[oops"],
+    "output": ["--out", "x.csv", "--format", "json"],
+    "oracle": ["--out", "r.json", "--tol-abs", "1e-6", "--tol-rel", "1e-2"],
+}
+
+
+def _merged(merge, cfg, args):
+    """The merged document, or the config error's message."""
+    try:
+        return merge(cfg, args)
+    except ConfigError as exc:
+        return f"config error: {exc}"
+
+
+@pytest.mark.parametrize("cfg", MERGE_CONFIGS.values(), ids=MERGE_CONFIGS)
+@pytest.mark.parametrize("flags", MERGE_FLAGS.values(), ids=MERGE_FLAGS)
+def test_overlay_equals_the_per_flag_reference(cfg, flags):
+    given = {arg.split("=")[0] for arg in flags if arg.startswith("--")}
+    tasks = [task for task in TASKS if given <= ACCEPTED_FLAGS[task]]
+    assert tasks
+    for task in tasks:
+        args = _build_parser().parse_args([task, *flags])
+        before = copy.deepcopy(cfg)
+        ref_args = argparse.Namespace(**{**REF_ARGS, **vars(args)})
+        assert _merged(_merge_flags, cfg, args) == _merged(_ref_merge_flags, cfg, ref_args)
+        assert cfg == before

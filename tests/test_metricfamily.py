@@ -37,6 +37,16 @@ class TestPresets:
         with pytest.raises(KeyError):
             preset("nope")
 
+    # t_max bounds every validity check: a horizon that is not a positive
+    # finite number is rejected by name, for a preset and a custom family
+    @pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan, math.inf, "abc", None])
+    def test_bad_t_max_is_rejected(self, t_max):
+        message = f"t_max must be a positive finite number, got {t_max!r}"
+        with pytest.raises(ValueError, match=message):
+            preset("sasaki", t_max=t_max)
+        with pytest.raises(ValueError, match=message):
+            NaturalMetricFamily("1", "0", t_max=t_max)
+
 
 class TestValidate:
     def test_sasaki_valid(self):
