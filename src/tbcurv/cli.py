@@ -110,12 +110,41 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+# What each top-level section of a config document must be, and what some
+# of its keys must be; null stands for a missing section or key.
+_SECTIONS = {
+    "manifold": (dict, "a JSON object", {"id": (str, "a string"), "dim": (int, "an integer")}),
+    "family": (dict, "a JSON object", {}),
+    "points": (list, "a list of points", {}),
+    "grid": (dict, "a JSON object", {}),
+    "output": (dict, "a JSON object", {"path": (str, "a string")}),
+    "oracle": (dict, "a JSON object", {}),
+}
+
+
+def _check_section(section: str, value) -> None:
+    kind, what, keys = _SECTIONS.get(section, (object, "", {}))
+    if value is None:
+        return
+    if not isinstance(value, kind):
+        raise ConfigError(f"{section} {json.dumps(value)} is not {what}")
+    for key, (kind, what) in keys.items():
+        item = value.get(key)
+        if item is not None and (isinstance(item, bool) or not isinstance(item, kind)):
+            raise ConfigError(f"{section} {key} {json.dumps(item)} is not {what}")
+
+
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """Overlay the task's flags on the config document: each flag given sets
-    its entry, in table order.  Two rules are not a plain overlay: --family
-    replaces the whole family entry and --alpha, --beta and --beta-flatness
-    drop a preset; --point and --v pair into points."""
+    its entry, in table order.  Each section of the document, and a flag
+    that sets a whole section, is checked against ``_SECTIONS`` first (an
+    integer output path would name a file descriptor).  Two rules are not a
+    plain overlay: --family replaces the whole family entry and --alpha,
+    --beta and --beta-flatness drop a preset; --point and --v pair into
+    points."""
     cfg = dict(cfg)
+    for section, value in cfg.items():
+        _check_section(section, value)
     for flag in _FLAGS:
         value = getattr(args, flag.name[2:].replace("-", "_"), None)
         if flag.entry is None or value is None:
@@ -127,19 +156,20 @@ def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
                 raise ConfigError(f"{flag.name} must be {flag.json}: {exc}")
         section, key = flag.entry
         if key is None:
+            _check_section(section, value)
             cfg[section] = value
             continue
         entry = {} if key == "preset" else dict(cfg.get(section) or {})
         if key in ("alpha", "beta", "beta_flatness"):
             entry.pop("preset", None)
         cfg[section] = {**entry, key: value}
-    if getattr(args, "point", None):
-        vs = args.v or []
-        if len(vs) != len(args.point):
+    xs, vs = getattr(args, "point", None) or [], getattr(args, "v", None) or []
+    if xs or vs:
+        if len(vs) != len(xs):
             raise ConfigError("--point and --v must be given the same number of times")
         cfg["points"] = [
             {"x": _parse_vector(xtext), "v": _parse_vector(vtext)}
-            for xtext, vtext in zip(args.point, vs)
+            for xtext, vtext in zip(xs, vs)
         ]
     return cfg
 
@@ -160,7 +190,7 @@ def _resolve_manifold(cfg: dict) -> ChartManifold:
         raise ConfigError("manifold dim missing (--dim)")
     settings = {key: man[key] for key in ("radius", "chart", "coeffs") if key in man}
     try:
-        return make_manifold(man["id"], dim=int(dim), **settings)
+        return make_manifold(man["id"], dim=dim, **settings)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -220,24 +250,22 @@ def _finite(values, key: str, dim: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def _entries(values, key: str, items: str = "lists") -> list:
-    """A config list of points, directions or point entries; anything else
-    is a config error."""
+def _entries(values, key: str) -> list:
+    """A config list of base points or directions; anything else is a
+    config error."""
     if not isinstance(values, list):
-        raise ConfigError(f"{key} {json.dumps(values)} is not a list of {items}")
+        raise ConfigError(f"{key} {json.dumps(values)} is not a list of lists")
     return values
 
 
 def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
     points: list[BundlePoint] = []
-    for entry in _entries(cfg.get("points") or [], "points", "points"):
+    for entry in cfg.get("points") or []:
         if not (isinstance(entry, dict) and "x" in entry and "v" in entry):
             raise ConfigError(f"point {json.dumps(entry)} needs x and v")
         points.append(BundlePoint(*(_numbers(entry[key], f"point {key}", M.dim) for key in "xv")))
     grid = cfg.get("grid")
     if grid:
-        if not isinstance(grid, dict):
-            raise ConfigError(f"grid {json.dumps(grid)} is not a JSON object")
         base_points = grid.get("base_points")
         if not base_points:
             raise ConfigError("grid needs base_points")
@@ -287,38 +315,6 @@ def _resolve_oracle(cfg: dict) -> OracleConfig:
 # --------------------------------------------------------------------------
 # Output helpers
 # --------------------------------------------------------------------------
-
-
-def _json_text(obj, pad: str = "\n") -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``; keys of a
-    dict holding a container must be strings.  json indents in pure Python,
-    so a container holding no container, such as a table of floats or a
-    table row, is written in one piece: a list of finite numbers as one join
-    of their reprs, anything else by json's C encoder with the line break
-    and indent as its item separator."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
-    inner = pad + "  "
-    sep = "," + inner
-    is_dict = isinstance(obj, dict)
-    types = set(map(type, obj.values() if is_dict else obj))
-    if not is_dict and types <= {float, int}:
-        body = sep.join(map(repr, obj))
-        if "n" not in body:  # else nan or inf, which json writes as NaN, Infinity
-            return "[" + inner + body + pad + "]"
-    if not any(issubclass(t, (dict, list, tuple)) for t in types):
-        text = json.dumps(obj, sort_keys=True, separators=(sep, ": "))
-        return text[0] + inner + text[1:-1] + pad + text[-1]
-    if is_dict:
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, not {type(key).__name__}")
-        body = sep.join(
-            json.dumps(key) + ": " + _json_text(value, inner)
-            for key, value in sorted(obj.items())
-        )
-        return "{" + inner + body + pad + "}"
-    return "[" + inner + sep.join(_json_text(item, inner) for item in obj) + pad + "]"
 
 
 def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
@@ -395,10 +391,10 @@ _JSON_ROW_SEP = "\n    },\n    {\n      "
 
 
 def _json_chunks(blocks: list, note: str, payload_key: str, index: tuple) -> Iterator[str]:
-    """The text of ``_json_text({payload_key: rows, "note": note}) + "\\n"``
-    for the table's rows, a point block at a time.  A row's keys are
-    sorted; the index names sort next to each other, so their cells are
-    one text per row, made once per table."""
+    """The text of ``json.dumps({payload_key: rows, "note": note},
+    sort_keys=True, indent=2) + "\\n"`` for the table's rows, a point block
+    at a time.  A row's keys are sorted; the index names sort next to each
+    other, so their cells are one text per row, made once per table."""
     note_item = '"note": ' + json.dumps(note)
     yield "{\n  " + (note_item + ",\n  " if "note" < payload_key else "")
     yield json.dumps(payload_key) + ": [\n    "
@@ -583,17 +579,17 @@ def cmd_verify(cfg: dict) -> int:
     reports = compare(M, fam, points, oracle_cfg)
     for r in reports:
         print(r.summary_line())
-    out = cfg.get("output") or {}
-    doc = {
-        "config": {
-            "manifold": {"id": M.catalog_id, "params": M.params},
-            "family": fam.name,
-            "oracle": oracle_cfg.to_dict(),
-        },
-        "reports": [r.to_json_dict() for r in reports],
-    }
-    if out.get("path"):
-        _write_text(out["path"], [_json_text(doc), "\n"])
+    path = (cfg.get("output") or {}).get("path")
+    if path:
+        doc = {
+            "config": {
+                "manifold": {"id": M.catalog_id, "params": M.params},
+                "family": fam.name,
+                "oracle": oracle_cfg.to_dict(),
+            },
+            "reports": [r.to_json_dict() for r in reports],
+        }
+        _write_text(path, [json.dumps(doc, sort_keys=True, indent=2), "\n"])
     ok = all(r.status == "ok" and r.passed for r in reports)
     return 0 if ok else 1
 

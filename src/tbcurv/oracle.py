@@ -7,13 +7,16 @@ as the base machinery, and contracts with the adapted frame.  It never
 evaluates any closed-form curvature expression, so agreement between the
 two tables is a genuine two-route check.
 
-A single global sign is calibrated per (manifold, family) run; the sign is
-required to be consistent across all six component classes, and a mixed
-requirement is reported as a formula erratum rather than absorbed.
+Both routes use one pinned sign convention, so the comparison is
+``closed - oracle`` and never absorbs a sign.  A global sign is still
+calibrated per (manifold, family) run as a diagnostic: a calibrated -1 (one
+route has the opposite sign) fails, and so does a class whose sign disagrees
+with the others, which is reported as a formula erratum.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -48,7 +51,7 @@ __all__ = [
 @dataclass(frozen=True)
 class OracleConfig:
     """Tolerance policy of the comparison: a component passes when
-    |closed - s * oracle| <= tol_abs + tol_rel * max(|closed|, |oracle|).
+    |closed - oracle| <= tol_abs + tol_rel * max(|closed|, |oracle|).
 
     The steps are not configurable; the oracle always differentiates on the
     ``numdiff.ORACLE`` stencil.
@@ -129,10 +132,12 @@ def calibrate_sign(
     """Global sign s minimizing the total deviation |closed - s*oracle|,
     pooled over tables.
 
-    Components enter only where both tables exceed 100x the absolute
-    tolerance.  The per-class signs must agree; disagreement is reported in
-    ``mixed_classes`` (a formula erratum, never silently fixed).  With no
-    usable component anywhere the result is underdetermined and s = +1.
+    A diagnostic: the comparison itself pins s = +1, and a calibrated -1
+    fails it (``CurvatureReport.finalize``).  Components enter only where
+    both tables exceed 100x the absolute tolerance.  The per-class signs
+    must agree; disagreement is reported in ``mixed_classes`` (a formula
+    erratum, never silently fixed).  With no usable component anywhere the
+    result is underdetermined and s = +1.
     """
     floor = 100.0 * abs_tol
     masks = component_class_masks(n)
@@ -173,6 +178,43 @@ def calibrate_sign(
 # --------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _written_components(m: int) -> tuple:
+    """Index arrays (a, b, c, d) of the components of an m^4 table that a
+    report writes: a < b, c < d and pair (a, b) <= pair (c, d), with the
+    pairs in row-major order.  The others follow by R_abcd = -R_bacd =
+    -R_abdc = R_cdab, and vanish where a = b or c = d."""
+    a, b = np.triu_indices(m, k=1)
+    p, q = np.triu_indices(len(a))
+    index = (a[p], b[p], a[q], b[q])
+    for axis in index:
+        axis.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _class_labels(n: int) -> np.ndarray:
+    """The position in CLASS_NAMES of each component's symmetry class, over
+    the (2n)^4 table."""
+    masks = component_class_masks(n)
+    labels = np.zeros((2 * n,) * 4, dtype=int)
+    for k, name in enumerate(CLASS_NAMES):
+        labels[masks[name]] = k
+    labels.flags.writeable = False
+    return labels
+
+
+def _symmetry_residual(table: np.ndarray) -> float:
+    """Largest violation, in a curvature table, of the antisymmetry of
+    either pair, of pair symmetry and of the first Bianchi identity."""
+    return float(max(
+        np.max(np.abs(table + table.transpose(1, 0, 2, 3))),
+        np.max(np.abs(table + table.transpose(0, 1, 3, 2))),
+        np.max(np.abs(table - table.transpose(2, 3, 0, 1))),
+        np.max(np.abs(table + table.transpose(2, 0, 1, 3) + table.transpose(1, 2, 0, 3))),
+    ))
+
+
 @dataclass
 class CurvatureReport:
     """Closed-form vs oracle comparison at one bundle point."""
@@ -188,9 +230,11 @@ class CurvatureReport:
     error: Optional[str] = None
     closed: Optional[np.ndarray] = None
     oracle: Optional[np.ndarray] = None
-    deviations: Optional[np.ndarray] = None
     max_abs_dev: Optional[float] = None
     max_rel_dev: Optional[float] = None
+    class_deviations: Optional[dict] = None  # class name -> its max_abs_dev, max_rel_dev
+    worst_component: Optional[dict] = None  # index, class, dev_over_tol
+    oracle_symmetry_residual: Optional[float] = None
     sign: int = 1
     sign_underdetermined: bool = False
     mixed_sign_classes: tuple = ()
@@ -199,23 +243,41 @@ class CurvatureReport:
     notes: list = field(default_factory=list)
 
     def finalize(self, calibration: SignCalibration, abs_tol: float, rel_tol: float):
-        s = calibration.sign
-        self.sign = s
+        """Compare the tables: a component passes when |closed - oracle| <=
+        abs_tol + rel_tol * max(|closed|, |oracle|), and the report passes
+        when every component does, the calibrated sign is +1 (as it is when
+        underdetermined) and no class's sign disagrees with it."""
+        self.sign = calibration.sign
         self.sign_underdetermined = calibration.underdetermined
         self.mixed_sign_classes = calibration.mixed_classes
-        dev = self.closed - s * self.oracle
-        self.deviations = dev
+        dev = np.abs(self.closed - self.oracle)
         scale = np.maximum(np.abs(self.closed), np.abs(self.oracle))
-        self.max_abs_dev = float(np.max(np.abs(dev)))
-        significant = scale > abs_tol
-        if np.any(significant):
-            self.max_rel_dev = float(
-                np.max(np.abs(dev[significant]) / scale[significant])
-            )
-        else:
-            self.max_rel_dev = 0.0
-        within = np.abs(dev) <= abs_tol + rel_tol * scale
-        self.passed = bool(np.all(within)) and not calibration.mixed_classes
+        bound = abs_tol + rel_tol * scale
+        rel = np.divide(dev, scale, out=np.zeros_like(dev), where=scale > abs_tol)
+        self.max_abs_dev = float(np.max(dev))
+        self.max_rel_dev = float(np.max(rel))
+        labels = _class_labels(dev.shape[0] // 2)
+        self.class_deviations = {
+            name: {"max_abs_dev": float(np.max(dev[labels == k])),
+                   "max_rel_dev": float(np.max(rel[labels == k]))}
+            for k, name in enumerate(CLASS_NAMES)
+        }
+        over = dev / bound
+        worst = np.unravel_index(np.argmax(over), over.shape)
+        self.worst_component = {
+            "index": [int(i) for i in worst],
+            "class": CLASS_NAMES[labels[worst]],
+            "dev_over_tol": float(over[worst]),
+        }
+        self.oracle_symmetry_residual = _symmetry_residual(self.oracle)
+        self.passed = (
+            bool(np.all(dev <= bound)) and not calibration.mixed_classes and self.sign == 1
+        )
+        if self.cond > 1e8:
+            self.notes.append(f"bundle metric condition number {self.cond:.3g} exceeds 1e8")
+        if self.sign == -1:
+            self.notes.append("sign calibrates to -1: the closed form and the oracle "
+                              "have opposite curvature signs")
         if calibration.mixed_classes:
             self.notes.append(
                 "sign calibration disagrees across component classes: "
@@ -223,8 +285,14 @@ class CurvatureReport:
             )
 
     def to_json_dict(self) -> dict:
-        def flatten(a):
-            return None if a is None else np.asarray(a).ravel().tolist()
+        """The report as JSON values.  Each table is written as its
+        components with a < b, c < d and pair (a, b) <= pair (c, d), pairs in
+        row-major order; ``table_shape`` is the full shape."""
+
+        def written(table):
+            if table is None:
+                return None
+            return table[_written_components(table.shape[0])].tolist()
 
         shape = None if self.closed is None else list(self.closed.shape)
         return {
@@ -235,11 +303,13 @@ class CurvatureReport:
             "status": self.status,
             "error": self.error,
             "table_shape": shape,
-            "closed_table": flatten(self.closed),
-            "oracle_table": flatten(self.oracle),
-            "deviations": flatten(self.deviations),
+            "closed_table": written(self.closed),
+            "oracle_table": written(self.oracle),
             "max_abs_dev": self.max_abs_dev,
             "max_rel_dev": self.max_rel_dev,
+            "class_deviations": self.class_deviations,
+            "worst_component": self.worst_component,
+            "oracle_symmetry_residual": self.oracle_symmetry_residual,
             "sign": self.sign,
             "sign_underdetermined": self.sign_underdetermined,
             "mixed_sign_classes": list(self.mixed_sign_classes),
@@ -249,17 +319,27 @@ class CurvatureReport:
         }
 
     def summary_line(self) -> str:
+        """One line per report; a FAIL line also names the worst component,
+        its class and its deviation over the tolerance, and any class whose
+        sign disagrees."""
         if self.status == "error":
             return (
                 f"ERROR  {self.manifold_id}+{self.family_name} at t={self.t:.4g}: "
                 f"{self.error}"
             )
         verdict = "pass" if self.passed else "FAIL"
-        return (
+        line = (
             f"{verdict:5s}  {self.manifold_id}+{self.family_name} t={self.t:.4g} "
             f"max_abs={self.max_abs_dev:.3e} max_rel={self.max_rel_dev:.3e} "
             f"sign={self.sign:+d}"
         )
+        if self.passed:
+            return line
+        worst = self.worst_component
+        line += f" worst={worst['class']}{worst['index']} at {worst['dev_over_tol']:.3g}x tol"
+        if self.mixed_sign_classes:
+            line += " mixed=" + ",".join(self.mixed_sign_classes)
+        return line
 
 
 def compare(
@@ -274,12 +354,15 @@ def compare(
 
     A point that fails (validity, domain) gets in its report the error it
     would get alone (``closedform.on_points``); the remaining points still
-    get full comparisons.
+    get full comparisons.  A condition number above 1e8 is a note of the
+    report, not a ``ConditioningWarning``.
     """
 
     def both_routes(fp):
         closed = tm_curvature(M, fam, fp).table
-        orc = numeric_tm_curvature(M, fam, fp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            orc = numeric_tm_curvature(M, fam, fp)
         return list(zip(closed, orc.table, orc.cond.tolist()))
 
     reports = []

@@ -23,7 +23,6 @@ from tbcurv.cli import (
     TASKS,
     _build_parser,
     _constant_curvature_of,
-    _json_text,
     _merge_flags,
     _parse_vector,
     _v_norm,
@@ -658,56 +657,6 @@ def _dumps(doc):
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(10**30), max_value=10**30)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324])
-    | st.text()
-)
-json_docs = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=6)
-    | st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.integers(), max_size=8)
-    | st.dictionaries(st.text(), inner, max_size=5),
-    max_leaves=40,
-)
-
-
-class TestJsonText:
-    @given(json_docs)
-    @settings(max_examples=300, deadline=None)
-    def test_equals_json_dumps(self, doc):
-        assert _json_text(doc) == _dumps(doc)
-
-    def test_equals_json_dumps_on_cli_documents(self, tmp_path, capsys):
-        # a verify report and a JSON table, with nan error fields and a
-        # non-ASCII family name among them
-        report = tmp_path / "report.json"
-        assert run(["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
-                    "--point", "0.9,0.3", "--v", "0.4,-0.2",
-                    "--point", "0.1005,0.3", "--v", "0.1,0.1", "--out", str(report)]) == 1
-        doc = json.loads(report.read_text())
-        assert _json_text(doc) + "\n" == report.read_text() == _dumps(doc) + "\n"
-        assert doc["reports"][1]["status"] == "error"
-        table = tmp_path / "table.json"
-        assert run(["scan", "--manifold", "sphere", "--dim", "2", "--family", "sasaki",
-                    "--point", "0.9,0.3", "--v", "0.4,-0.2", "--point", "0.1,0.3", "--v", "0,1",
-                    "--format", "json", "--out", str(table)]) == 1
-        doc = json.loads(table.read_text())
-        assert math.isnan(doc["scan"][1]["scalar_general"])
-        assert _json_text(doc) + "\n" == table.read_text() == _dumps(doc) + "\n"
-        doc["note"] = "t = |v|²_g, ∇R"
-        assert _json_text(doc) == _dumps(doc)
-
-    def test_rejects_unknown_types_and_non_string_keys(self):
-        with pytest.raises(TypeError):
-            _json_text({"x": object()})
-        with pytest.raises(TypeError, match="keys must be strings"):
-            _json_text({1: [2.0]})
-
-
 class TestMalformedGrid:
     # a grid list of the wrong type or shape used to crash with a traceback
     # (exit 1) before any point ran; it is a config error naming the entry
@@ -757,6 +706,52 @@ class TestConfigPoints:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
+
+
+class TestConfigTypes:
+    # a config value of the wrong JSON type used to crash with a traceback
+    # (exit 1) wherever it was read; it is a config error naming the key
+    @pytest.mark.parametrize("task", ["scalar", "verify"])
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"output": "x"}, 'output "x" is not a JSON object'),
+            ({"oracle": 3}, "oracle 3 is not a JSON object"),
+            ({"family": ["sasaki"]}, 'family ["sasaki"] is not a JSON object'),
+            ({"grid": [[0, 0]]}, "grid [[0, 0]] is not a JSON object"),
+            ({"manifold": {"id": "euclidean", "dim": [2]}}, "manifold dim [2] is not an integer"),
+            ({"manifold": {"id": "euclidean", "dim": 2.0}}, "manifold dim 2.0 is not an integer"),
+            ({"output": {"path": 7}}, "output path 7 is not a string"),
+            ({"manifold": {"id": ["euclidean"], "dim": 2}}, 'manifold id ["euclidean"] is not a string'),
+        ],
+    )
+    def test_config_error_names_the_key(self, tmp_path, capsys, task, doc, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifold": {"id": "euclidean", "dim": 2}, **doc}))
+        args = [task, "--config", str(path), "--family", "sasaki", "--point", "0,0",
+                "--v", "0.1,0"]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    def test_grid_flag_that_is_not_an_object(self, capsys):
+        args = ["scan", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                "--grid", "[[0, 0]]"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == "config error: grid [[0, 0]] is not a JSON object\n"
+
+    @pytest.mark.parametrize("task", ["scalar", "verify", "scan"])
+    def test_v_without_point(self, capsys, task):
+        # --v without --point used to be dropped silently, and the grid ran
+        args = [task, "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                "--grid", '{"base_points": [[0, 0]]}', "--v", "1,0"]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: --point and --v must be given the same number of times\n"
+        )
 
 
 class TestPositiveSettings:
@@ -816,7 +811,7 @@ class TestNegativeCoordinates:
 # The row-dict table writer that the column-wise writer replaced, kept as the
 # reference for its bytes: one dict per row, the CSV header as the union of
 # the rows' keys in first-seen order, a CSV line re-joined with quoted cells
-# where it holds a comma, quote or line break, and JSON through _json_text.
+# where it holds a comma, quote or line break, and JSON through json.dumps.
 # --------------------------------------------------------------------------
 
 
@@ -828,7 +823,7 @@ def _ref_csv_cell(text):
 
 def _ref_emit(fmt, rows, header_note, payload_key):
     if fmt == "json":
-        return _json_text({payload_key: rows, "note": header_note}) + "\n"
+        return _dumps({payload_key: rows, "note": header_note}) + "\n"
     if not rows:
         return f"# {header_note}\n"
     cols = list(dict.fromkeys(chain.from_iterable(dict.fromkeys(map(tuple, rows)))))
@@ -1120,10 +1115,10 @@ def _ref_merge_flags(cfg, args):
     if fam:
         cfg["family"] = fam
 
-    if args.point:
+    if args.point or args.v:
         points = []
         vs = args.v or []
-        if len(vs) != len(args.point):
+        if len(vs) != len(args.point or []):
             raise ConfigError("--point and --v must be given the same number of times")
         for xtext, vtext in zip(args.point, vs):
             points.append({"x": _parse_vector(xtext), "v": _parse_vector(vtext)})

@@ -1,7 +1,11 @@
 """Tests for the finite-difference curvature oracle and comparisons."""
 
+import dataclasses
+import itertools
+import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from tbcurv.errors import (
     ValidityError,
 )
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta, preset
+from tbcurv import cli, oracle
 from tbcurv.numdiff import ORACLE, Stencil, frame_components, matrix_jets, pointwise
 from tbcurv.oracle import calibrate_sign, compare, numeric_tm_curvature
 
@@ -241,17 +246,122 @@ class TestCompare:
         assert "ValidityError" in reports[1].error
 
     def test_report_json_roundtrip(self):
-        import json
-
         M, q, v = _sphere_case(0.5)
         rep = compare(M, preset("sasaki"), [BundlePoint(q, v)])[0]
-        text = json.dumps(rep.to_json_dict(), sort_keys=True)
-        parsed = json.loads(text)
+        parsed = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert parsed["passed"] is True
         assert parsed["sign"] == 1
         assert parsed["config"] == {"base_step": 1e-3, "tol_abs": 1e-5, "tol_rel": 1e-3}
-        table = np.array(parsed["closed_table"]).reshape(parsed["table_shape"])
-        assert np.allclose(table, rep.closed)
+        assert parsed["table_shape"] == [4, 4, 4, 4] and "deviations" not in parsed
+        assert len(parsed["closed_table"]) == len(parsed["oracle_table"]) == 21
+        table = full_table(parsed, "closed_table")
+        assert np.max(np.abs(table - rep.closed)) <= 1e-14 * np.max(np.abs(rep.closed))
+        assert re.fullmatch(r"pass   sphere\+sasaki t=0\.5 max_abs=\S+e-\d\d max_rel=\S+ sign=\+1",
+                            rep.summary_line())
+
+    def test_report_fields_explain_the_comparison(self):
+        M, q, v = _sphere_case(1.2)
+        rep = compare(M, preset("cheeger-gromoll"), [BundlePoint(q, v)])[0]
+        doc = rep.to_json_dict()
+        classes = doc["class_deviations"]
+        assert list(classes) == ["hhhh", "vvvv", "hvvv", "vvhh", "hvhv", "hhvh"]
+        assert max(c["max_abs_dev"] for c in classes.values()) == rep.max_abs_dev
+        assert max(c["max_rel_dev"] for c in classes.values()) == rep.max_rel_dev
+        worst = doc["worst_component"]
+        assert component_class_masks(2)[worst["class"]][tuple(worst["index"])]
+        dev = np.abs(rep.closed - rep.oracle)
+        bound = 1e-5 + 1e-3 * np.maximum(np.abs(rep.closed), np.abs(rep.oracle))
+        assert worst["dev_over_tol"] == np.max(dev / bound) < 1.0
+        # the residual sees the oracle's rounding, far below the tolerance
+        assert 0.0 < doc["oracle_symmetry_residual"] <= 1e-6
+        assert doc["notes"] == []
+
+    def test_hyperbolic_five_tables_rebuild_from_the_report(self):
+        # 1035 of the 10000 components; the closed table meets its own
+        # symmetries only to rounding (7.9e-31 absolute here), the raw
+        # oracle table within a few times its symmetry residual
+        M = hyperbolic(5)
+        q = np.array([0.1, 0.2, -0.1, 0.05, 0.1])
+        v = np.array([0.3, 0.1, 0.2, -0.1, 0.2])
+        rep = compare(M, preset("exp+"), [BundlePoint(q, v)])[0]
+        doc = json.loads(json.dumps(rep.to_json_dict()))
+        assert len(doc["closed_table"]) == len(doc["oracle_table"]) == 1035
+        closed = full_table(doc, "closed_table")
+        assert np.max(np.abs(closed - rep.closed)) <= 1e-14 * np.max(np.abs(rep.closed))
+        orc = full_table(doc, "oracle_table")
+        assert np.max(np.abs(orc - rep.oracle)) <= 3.0 * doc["oracle_symmetry_residual"]
+
+    @pytest.mark.parametrize("task_args", [
+        ["--point", "0.2,-0.1,0.3", "--v", "0.5,0.1,-0.3"],
+        ["--grid", '{"base_points": [[0.2, -0.1, 0.3], [0.1, 0.1, 0.0]], "v_norms": [0.4, 1.1]}'],
+    ])
+    def test_negated_closed_form_fails(self, monkeypatch, capsys, tmp_path, task_args):
+        # one route with the opposite curvature sign: the sign calibrates to
+        # -1 and no longer absorbs it
+        closed_form = oracle.tm_curvature
+
+        def negated(M, fam, fp):
+            table = closed_form(M, fam, fp)
+            return dataclasses.replace(table, table=-table.table)
+
+        monkeypatch.setattr(oracle, "tm_curvature", negated)
+        out = tmp_path / "r.json"
+        args = ["verify", "--manifold", "sphere", "--dim", "3", "--family", "cheeger-gromoll",
+                *task_args, "--out", str(out)]
+        assert cli.main(args) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("FAIL ") and " sign=-1 " in line for line in lines)
+        for report in json.loads(out.read_text())["reports"]:
+            assert report["passed"] is False and report["sign"] == -1
+            assert report["mixed_sign_classes"] == []
+            assert "sign calibrates to -1" in " ".join(report["notes"])
+
+    def test_flipped_class_is_reported_mixed(self, monkeypatch):
+        # the hvhv-flip fixture of TestCalibration, through compare
+        closed_form = oracle.tm_curvature
+        mask = component_class_masks(2)["hvhv"]
+
+        def flipped(M, fam, fp):
+            res = closed_form(M, fam, fp)
+            table = res.table.copy()
+            table[..., mask] *= -1.0
+            return dataclasses.replace(res, table=table)
+
+        monkeypatch.setattr(oracle, "tm_curvature", flipped)
+        M, q, v = _sphere_case(1.0)
+        rep = compare(M, preset("sasaki"), [BundlePoint(q, v)])[0]
+        assert not rep.passed and rep.sign == 1
+        assert rep.mixed_sign_classes == ("hvhv",)
+        assert rep.worst_component["class"] == "hvhv"
+        assert rep.class_deviations["hvhv"]["max_abs_dev"] > 0.1
+        assert rep.class_deviations["hhhh"]["max_abs_dev"] < 1e-5
+        line = rep.summary_line()
+        assert line.startswith("FAIL ") and " worst=hvhv[" in line and line.endswith(" mixed=hvhv")
+
+    def test_ill_conditioned_metric_is_a_report_note(self):
+        M = ChartManifold(2, lambda x: np.diag([1e-4, 1e5]), lo=-np.ones(2) * 10,
+                          hi=np.ones(2) * 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            rep = compare(M, preset("sasaki"), [BundlePoint.of([0, 0], [0, 0])])[0]
+        assert rep.status == "ok" and rep.cond > 1e8
+        assert rep.notes == [f"bundle metric condition number {rep.cond:.3g} exceeds 1e8"]
+
+
+def full_table(report, key):
+    """The (2n)^4 table of a report's closed_table or oracle_table, by the
+    expansion rule R_abcd = -R_bacd = -R_abdc = R_cdab (as in README)."""
+    m = report["table_shape"][0]
+    pairs = list(itertools.combinations(range(m), 2))  # a < b, row-major
+    table = np.zeros((m,) * 4)
+    values = iter(report[key])
+    for p, (a, b) in enumerate(pairs):
+        for c, d in pairs[p:]:
+            r = next(values)
+            table[a, b, c, d] = table[b, a, d, c] = table[c, d, a, b] = table[d, c, b, a] = r
+            table[b, a, c, d] = table[a, b, d, c] = table[d, c, a, b] = table[c, d, b, a] = -r
+    assert next(values, None) is None
+    return table
 
 
 def fd_only(M):
