@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -31,7 +32,7 @@ from . import closedform
 from .basemanifold import ChartManifold, make_manifold
 from .bundlemetric import BundlePoint, squared_norm
 from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
-from .metricfamily import NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
+from .metricfamily import NaturalMetricFamily, PRESET_NAMES, flatness_beta, flatness_jet, preset
 from .oracle import OracleConfig, compare
 
 TASKS = ("family-check", "curvature", "sectional", "ricci", "scalar", "verify", "scan")
@@ -113,7 +114,8 @@ def _load_config(path: Optional[str]) -> dict:
 # What each top-level section of a config document must be, and what some
 # of its keys must be; null stands for a missing section or key.
 _SECTIONS = {
-    "manifold": (dict, "a JSON object", {"id": (str, "a string"), "dim": (int, "an integer")}),
+    "manifold": (dict, "a JSON object", {"id": (str, "a string"), "dim": (int, "an integer"),
+                                         "coeffs": (list, "a list of [c, e1, ..., en] rows")}),
     "family": (dict, "a JSON object", {}),
     "points": (list, "a list of points", {}),
     "grid": (dict, "a JSON object", {}),
@@ -136,9 +138,9 @@ def _check_section(section: str, value) -> None:
 
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """Overlay the task's flags on the config document: each flag given sets
-    its entry, in table order.  Each section of the document, and a flag
-    that sets a whole section, is checked against ``_SECTIONS`` first (an
-    integer output path would name a file descriptor).  Two rules are not a
+    its entry, in table order.  Each section of the document, and each
+    section a flag sets, is checked against ``_SECTIONS`` first (an integer
+    output path would name a file descriptor).  Two rules are not a
     plain overlay: --family replaces the whole family entry and --alpha,
     --beta and --beta-flatness drop a preset; --point and --v pair into
     points."""
@@ -155,14 +157,13 @@ def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{flag.name} must be {flag.json}: {exc}")
         section, key = flag.entry
-        if key is None:
-            _check_section(section, value)
-            cfg[section] = value
-            continue
-        entry = {} if key == "preset" else dict(cfg.get(section) or {})
-        if key in ("alpha", "beta", "beta_flatness"):
-            entry.pop("preset", None)
-        cfg[section] = {**entry, key: value}
+        if key is not None:
+            entry = {} if key == "preset" else dict(cfg.get(section) or {})
+            if key in ("alpha", "beta", "beta_flatness"):
+                entry.pop("preset", None)
+            value = {**entry, key: value}
+        _check_section(section, value)
+        cfg[section] = value
     xs, vs = getattr(args, "point", None) or [], getattr(args, "v", None) or []
     if xs or vs:
         if len(vs) != len(xs):
@@ -188,6 +189,8 @@ def _resolve_manifold(cfg: dict) -> ChartManifold:
     dim = man.get("dim")
     if dim is None:
         raise ConfigError("manifold dim missing (--dim)")
+    if dim < 2:
+        raise ConfigError(f"manifold dim {dim} is not at least 2")
     settings = {key: man[key] for key in ("radius", "chart", "coeffs") if key in man}
     try:
         return make_manifold(man["id"], dim=dim, **settings)
@@ -472,8 +475,7 @@ def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
     print("      t        F(t)            H(t)")
     for t, f, h in zip(ts, jets.F, jets.H):
         print(f"{t:9.4f}  {f: .8e}  {h: .8e}")
-    max_f = fam.max_abs_F(t_hi)
-    max_h = fam.max_abs_H(t_hi)
+    max_f, max_h = _max_abs_F_H(fam)
     print(f"max |F| = {max_f:.3e}, max |H| = {max_h:.3e} on [0, {t_hi:g}]")
 
     failures = 0
@@ -481,15 +483,7 @@ def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
     h_zero = max_h <= 1e-8
     if f_zero:
         # F == 0 forces the flatness beta, alpha*Delta = phi^2, phi > 0, H == 0.
-        # Deviations relative to the reference value (absolute below 1), so
-        # the 1e-8 bound stays above one ulp where the family grows large.
-        grid = np.linspace(0.0, t_hi, 512)
-
-        def rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
-            return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
-
-        beta_dev = rel_dev(fam.beta_at(grid), flatness_beta(fam.alpha).value(grid))
-        prod_dev = rel_dev(fam.alpha_at(grid) * fam.delta_at(grid), fam.phi_at(grid) ** 2)
+        beta_dev, prod_dev = _flatness_deviations(fam)
         checks = [
             ("beta equals the flatness combination", beta_dev <= 1e-8),
             ("alpha*(alpha+t*beta) == (alpha+t*alpha')^2", prod_dev <= 1e-8),
@@ -504,6 +498,30 @@ def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
               f"{'ok' if f_zero else 'FAILED'}")
         failures += 0 if f_zero else 1
     return 1 if failures else 0
+
+
+def _max_abs_F_H(fam: NaturalMetricFamily) -> tuple:
+    """``fam.max_abs_F(fam.t_max)`` and ``fam.max_abs_H(fam.t_max)``, from
+    one jets record on their 2048-point grid."""
+    jets = fam.jets(np.linspace(0.0, fam.t_max, 2048))
+    return float(np.max(np.abs(jets.F))), float(np.max(np.abs(jets.H)))
+
+
+def _flatness_deviations(fam: NaturalMetricFamily) -> tuple:
+    """How far beta is from the flatness combination, and alpha*Delta from
+    phi^2, on 512 points of [0, t_max], from one jet of beta and one of
+    alpha.  Deviations are relative to the reference value (absolute below
+    1), so a 1e-8 bound stays above one ulp where the family grows large."""
+    t = np.linspace(0.0, fam.t_max, 512)
+    b = fam.beta.jet(t)
+    a = fam.alpha.jet(t)
+
+    def rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
+        return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
+
+    beta_dev = rel_dev(b.value, flatness_jet(a, t).value)
+    prod_dev = rel_dev(a.value * (a.value + t * b.value), (a.value + t * a.d1) ** 2)
+    return beta_dev, prod_dev
 
 
 def _coords(values) -> str:
@@ -589,9 +607,34 @@ def cmd_verify(cfg: dict) -> int:
             },
             "reports": [r.to_json_dict() for r in reports],
         }
-        _write_text(path, [json.dumps(doc, sort_keys=True, indent=2), "\n"])
+        _write_text(path, [_verify_text(doc), "\n"])
     ok = all(r.status == "ok" and r.passed for r in reports)
     return 0 if ok else 1
+
+
+def _verify_text(doc: dict) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` for a verify
+    document.  json's indenting encoder formats float by float; each
+    report's closed_table and oracle_table are written instead as one join
+    of reprs, spliced in where the index of the table was dumped."""
+    tables: list = []
+
+    def indexed(report: dict) -> dict:
+        for key in ("closed_table", "oracle_table"):
+            if report[key] is not None:
+                tables.append(report[key])
+                report = {**report, key: len(tables) - 1}
+        return report
+
+    text = json.dumps({**doc, "reports": list(map(indexed, doc["reports"]))},
+                      sort_keys=True, indent=2)
+
+    def table(match) -> str:
+        texts = _texts(np.asarray(tables[int(match[2])], dtype=float), repr, json_floats=True)
+        return f'"{match[1]}": ' + ("[\n        " + ",\n        ".join(texts) + "\n      ]"
+                                     if texts else "[]")
+
+    return re.sub(r'"(closed_table|oracle_table)": (\d+)', table, text)
 
 
 def _constant_curvature_of(M: ChartManifold) -> Optional[float]:

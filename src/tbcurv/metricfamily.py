@@ -28,6 +28,7 @@ __all__ = [
     "PRESET_NAMES",
     "preset",
     "flatness_beta",
+    "flatness_jet",
 ]
 
 PRESET_NAMES = ("sasaki", "cheeger-gromoll", "exp+", "exp-")
@@ -87,27 +88,48 @@ class FamilyValidation:
         return f"{head}; {phi} on [0, {self.t_max:g}] ({self.samples} samples)"
 
 
-def _first_nonpositive(value_slope, grid: np.ndarray, dip_rtol: float, iters: int = 80):
-    """First t in [grid[0], grid[-1]] where a function fails to be positive;
-    ``value_slope(t)`` gives its value and slope at an array of t.
+def _defined_prefix(evaluate, grid: np.ndarray):
+    """``(nodes, evaluate(nodes), error)``: evaluate at the grid nodes before
+    the first t where it raises DomainError, and the last DomainError it
+    raised (None if it raised none).  Where the function is undefined from
+    some node on, each retry drops that node and every later one."""
+    error = None
+    while True:
+        try:
+            return grid, evaluate(grid), error
+        except DomainError as exc:
+            error, grid = exc, grid[grid < exc.t]
+
+
+def _value_slope_of(kind: str, t, a: Jet2, b: Optional[Jet2] = None):
+    """Value and slope at t of alpha, Delta = alpha + t*beta or
+    phi = alpha + t*alpha', from the jets a of alpha and b of beta there
+    (b is read for Delta only)."""
+    if kind == "alpha":
+        return a.value, a.d1
+    if kind == "phi":
+        return a.value + t * a.d1, 2.0 * a.d1 + t * a.d2
+    return a.value + t * b.value, a.d1 + b.value + t * b.d1
+
+
+def _first_nonpositive(value_slope, scan, dip_rtol: float, iters: int = 80):
+    """First t in a grid where a function fails to be positive;
+    ``value_slope(t)`` gives its value and slope at an array of t, and
+    ``scan`` is ``_defined_prefix(value_slope, grid)``.
 
     Grid nodes are checked for outright nonpositivity.  A local minimum
     bracketed by a sign change of the slope is refined by bisection and
     counted as a violation when the refined value collapses relative to
     the bracketing values (a tangential zero); an everywhere-positive
     function that merely decays to tiny values is not flagged.  Events are
-    taken in grid order, a node before the bracket that ends at it; all
-    brackets are bisected together.  Where the function is undefined from
-    some node on, the nodes before it are scanned, and the DomainError is
-    raised if they hold no event.
+    taken in grid order, a node before the bracket that ends at it.  All
+    brackets are halved together, at most ``iters`` times, and the halving
+    stops at the first step that moves none of them: each step depends only
+    on the brackets, so every later step would repeat it.  Where the
+    function is undefined from some node on, the nodes before it are
+    scanned, and the DomainError is raised if they hold no event.
     """
-    error = None
-    while True:
-        try:
-            v, s = value_slope(grid)
-            break
-        except DomainError as exc:
-            error, grid = exc, grid[grid < exc.t]
+    grid, (v, s), error = scan
     bad = np.flatnonzero(v <= 0.0)
     end = bad[0] if bad.size else v.size
     ends = np.flatnonzero((s[:-1] < 0.0) & (0.0 <= s[1:])) + 1
@@ -117,7 +139,10 @@ def _first_nonpositive(value_slope, grid: np.ndarray, dip_rtol: float, iters: in
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
             down = value_slope(mid)[1] < 0.0
-            lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+            lo_next, hi_next = np.where(down, mid, lo), np.where(down, hi, mid)
+            if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+                break
+            lo, hi = lo_next, hi_next
         tm = 0.5 * (lo + hi)
         dips = value_slope(tm)[0] <= dip_rtol * np.maximum(v[ends - 1], v[ends])
         if dips.any():
@@ -232,12 +257,7 @@ class NaturalMetricFamily:
         """Value and slope of alpha, Delta = alpha + t*beta or
         phi = alpha + t*alpha' at t."""
         a = self.alpha.jet(t)
-        if kind == "alpha":
-            return a.value, a.d1
-        if kind == "phi":
-            return a.value + t * a.d1, 2.0 * a.d1 + t * a.d2
-        b = self.beta.jet(t)
-        return a.value + t * b.value, a.d1 + b.value + t * b.d1
+        return _value_slope_of(kind, t, a, self.beta.jet(t) if kind == "delta" else None)
 
     def validate(self, samples: int = 4096, dip_rtol: float = 1e-8) -> FamilyValidation:
         """Densely sample positivity of alpha and alpha + t*beta on
@@ -250,8 +270,21 @@ class NaturalMetricFamily:
         if samples < 2:
             raise ValueError("samples must be >= 2")
         grid = np.linspace(0.0, self.t_max, samples)
+        # One walk of alpha on the grid serves all three kinds, and beta is
+        # walked on alpha's nodes when Delta's turn comes: each scan is what
+        # ``_defined_prefix`` gives for the kind's ``_value_slope``.
+        t_a, a, error_a = _defined_prefix(self.alpha.jet, grid)
+
+        def scan(kind: str):
+            if kind != "delta":
+                return t_a, _value_slope_of(kind, t_a, a), error_a
+            t_d, b, error_b = _defined_prefix(self.beta.jet, t_a)
+            a_d = Jet2(*(field[: t_d.size] for field in (a.value, a.d1, a.d2)))
+            error = error_a if error_b is None else error_b
+            return t_d, _value_slope_of(kind, t_d, a_d, b), error
+
         bad_alpha, bad_delta, bad_phi = (
-            _first_nonpositive(partial(self._value_slope, kind), grid, dip_rtol)
+            _first_nonpositive(partial(self._value_slope, kind), scan(kind), dip_rtol)
             for kind in ("alpha", "delta", "phi")
         )
         candidates = [
@@ -300,24 +333,27 @@ class NaturalMetricFamily:
         return float(np.max(np.abs(self.H(np.linspace(0.0, t_hi, samples)))))
 
 
+def flatness_jet(a: Jet2, t) -> Jet2:
+    """The jet of the flatness beta at t, from the jet ``a`` of alpha there:
+    its value and exact first derivative; the second derivative is NaN."""
+    value = (t * (a.d1 * a.d1) + 2.0 * a.value * a.d1) / a.value
+    num_d1 = 3.0 * (a.d1 * a.d1) + 2.0 * t * a.d1 * a.d2 + 2.0 * a.value * a.d2
+    d1 = num_d1 / a.value - value * a.d1 / a.value
+    return Jet2(value, d1, value * math.nan)
+
+
 def flatness_beta(alpha: FunctionLike) -> ScalarFunction:
     """The beta making the fibers flat over a flat base:
     beta = (t*alpha'^2 + 2*alpha*alpha') / alpha.
 
     Its value and exact first derivative (needed by H) come from one walk of
-    alpha; its second derivative is undefined (NaN) since it would require
-    the third derivative of alpha.
+    alpha (``flatness_jet``); its second derivative is undefined (NaN) since
+    it would require the third derivative of alpha.
     """
     alpha = as_scalar_function(alpha)
-
-    def jet(t) -> Jet2:
-        a = alpha.jet(t)
-        value = (t * (a.d1 * a.d1) + 2.0 * a.value * a.d1) / a.value
-        num_d1 = 3.0 * (a.d1 * a.d1) + 2.0 * t * a.d1 * a.d2 + 2.0 * a.value * a.d2
-        d1 = num_d1 / a.value - value * a.d1 / a.value
-        return Jet2(value, d1, value * math.nan)
-
-    return ScalarFunction(jet, name=f"flatness_beta({alpha.name})")
+    return ScalarFunction(
+        lambda t: flatness_jet(alpha.jet(t), t), name=f"flatness_beta({alpha.name})"
+    )
 
 
 def preset(name: str, t_max: float = 25.0) -> NaturalMetricFamily:

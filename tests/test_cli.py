@@ -23,13 +23,18 @@ from tbcurv.cli import (
     TASKS,
     _build_parser,
     _constant_curvature_of,
+    _flatness_deviations,
+    _max_abs_F_H,
     _merge_flags,
     _parse_vector,
+    _resolve_family,
     _v_norm,
+    _verify_text,
     main,
 )
 from tbcurv.errors import ConfigError, TbcurvError
-from tbcurv.metricfamily import NaturalMetricFamily
+from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta
+from tbcurv.oracle import OracleConfig, compare
 
 
 def run(args):
@@ -87,6 +92,43 @@ class TestFamilyCheck:
         assert run(["family-check", "--family", "sasaki", f"--samples={samples}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"got {samples}" in err
+
+
+class TestFamilyCheckSharedWalk:
+    # family-check reads max |F| and max |H| from one jets record on the
+    # 2048-point grid, and the flat-fiber deviations from one jet of alpha
+    # and one of beta on the 512-point grid; each equals, bit for bit, the
+    # value the public helpers give
+    FAMILIES = [
+        *({"preset": name, "t_max": t_max} for name in PRESET_NAMES for t_max in (25.0, 3.0)),
+        *({"alpha": alpha.format(c=c), "beta_flatness": True}
+          for alpha in ("1/(1+{c}*t)", "sqrt(1+{c}*t)", "(1+{c}*t)^2", "exp({c}*t)")
+          for c in (0.2, 0.314159)),
+    ]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: json.dumps(f))
+    def test_maxima_and_deviations_equal_the_helpers(self, capsys, family):
+        fam = _resolve_family({"family": family})
+        t_hi = fam.t_max
+        max_f, max_h = fam.max_abs_F(t_hi), fam.max_abs_H(t_hi)
+        assert _max_abs_F_H(fam) == (max_f, max_h)
+
+        grid = np.linspace(0.0, t_hi, 512)
+
+        def rel_dev(value, ref):
+            return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
+
+        beta_dev = rel_dev(fam.beta_at(grid), flatness_beta(fam.alpha).value(grid))
+        prod_dev = rel_dev(fam.alpha_at(grid) * fam.delta_at(grid), fam.phi_at(grid) ** 2)
+        assert _flatness_deviations(fam) == (beta_dev, prod_dev)
+
+        flags = [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+                 for key, value in family.items()]
+        code = run(["family-check", *[f.replace("--preset", "--family") for f in flags]])
+        out = capsys.readouterr().out
+        assert f"max |F| = {max_f:.3e}, max |H| = {max_h:.3e} on [0, {t_hi:g}]" in out
+        assert ("F == 0 consequence" in out) == (max_f <= 1e-10)
+        assert code == 0 and "FAILED" not in out
 
 
 class TestVerify:
@@ -723,6 +765,9 @@ class TestConfigTypes:
             ({"manifold": {"id": "euclidean", "dim": 2.0}}, "manifold dim 2.0 is not an integer"),
             ({"output": {"path": 7}}, "output path 7 is not a string"),
             ({"manifold": {"id": ["euclidean"], "dim": 2}}, 'manifold id ["euclidean"] is not a string'),
+            ({"manifold": {"id": "torus-conformal", "dim": 2, "coeffs": "x"}},
+             'manifold coeffs "x" is not a list of [c, e1, ..., en] rows'),
+            ({"manifold": {"id": "euclidean", "dim": -1}}, "manifold dim -1 is not at least 2"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, task, doc, message):
@@ -731,6 +776,24 @@ class TestConfigTypes:
         args = [task, "--config", str(path), "--family", "sasaki", "--point", "0,0",
                 "--v", "0.1,0"]
         assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--manifold", "torus-conformal", "--dim", "2", "--coeffs", '"x"'],
+             'manifold coeffs "x" is not a list of [c, e1, ..., en] rows'),
+            (["--manifold", "euclidean", "--dim=-1"], "manifold dim -1 is not at least 2"),
+            (["--manifold", "sphere", "--dim", "1"], "manifold dim 1 is not at least 2"),
+        ],
+    )
+    def test_flag_error_names_the_key(self, capsys, flags, message):
+        # --dim=-1 used to reach numpy ("negative dimensions are not
+        # allowed"), and coeffs "x" float() ("could not convert string")
+        assert run(["scalar", *flags, "--family", "sasaki", "--point", "0.1,0.3",
+                    "--v", "0,0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
@@ -752,6 +815,51 @@ class TestConfigTypes:
         assert captured.err == (
             "config error: --point and --v must be given the same number of times\n"
         )
+
+
+class TestVerifyReportText:
+    # the report is written with one repr join per table; its bytes are
+    # those of json.dumps(doc, sort_keys=True, indent=2)
+    def _doc(self, points, family="sasaki"):
+        M = make_manifold("sphere", dim=2)
+        fam = _resolve_family({"family": {"preset": family}})
+        oracle_cfg = OracleConfig()
+        reports = compare(M, fam, points, oracle_cfg)
+        return {
+            "config": {
+                "manifold": {"id": M.catalog_id, "params": M.params},
+                "family": fam.name,
+                "oracle": oracle_cfg.to_dict(),
+            },
+            "reports": [r.to_json_dict() for r in reports],
+        }
+
+    X = np.array([0.9, 0.3])
+    POINTS = [BundlePoint(X, np.array([0.3, 0.1])),
+              BundlePoint(X, np.array([6.0, 0.0]))]  # |v|^2 = 36 > t_max
+
+    def test_ok_and_error_reports(self, tmp_path):
+        doc = self._doc(self.POINTS, "exp+")
+        assert [r["status"] for r in doc["reports"]] == ["ok", "error"]
+        assert doc["reports"][1]["closed_table"] is None
+        assert _verify_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        out = tmp_path / "r.json"
+        code = run(["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
+                    "--point", "0.9,0.3", "--v", "0.3,0.1", "--point", "0.9,0.3", "--v", "6,0",
+                    "--out", str(out)])
+        assert code == 1
+        assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_non_finite_and_empty_tables(self):
+        doc = self._doc(self.POINTS[:1])
+        report = doc["reports"][0]
+        doc["reports"] = [
+            {**report, "closed_table": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300],
+             "oracle_table": []},
+            {**report, "closed_table": [], "oracle_table": [math.nan]},
+            {**report, "closed_table": None, "oracle_table": None},
+        ]
+        assert _verify_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 class TestPositiveSettings:

@@ -2,12 +2,23 @@
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tbcurv.errors import ValidityError
-from tbcurv.metricfamily import NaturalMetricFamily, flatness_beta, preset
+from tbcurv.errors import DomainError, ValidityError
+from tbcurv.metricfamily import (
+    PRESET_NAMES,
+    FamilyValidation,
+    NaturalMetricFamily,
+    _defined_prefix,
+    _first_nonpositive,
+    flatness_beta,
+    preset,
+)
 
 
 def fd_family_F(fam, t, h=1e-5):
@@ -268,3 +279,162 @@ def test_random_flatness_families_have_zero_F_and_H():
     for fam in random_flatness_families(12):
         assert fam.max_abs_F(10.0, 512) <= 1e-10
         assert fam.max_abs_H(10.0, 512) <= 1e-8
+
+
+# --------------------------------------------------------------------------
+# The bisection stops at its fixed point, and validate walks alpha once per
+# grid: both must leave every result as the plain 80-step loop below, run
+# once per kind on the whole grid, gives it.
+# --------------------------------------------------------------------------
+
+
+KINDS = ("alpha", "delta", "phi")
+
+
+def _reference_first_nonpositive(value_slope, grid, dip_rtol, iters=80):
+    error = None
+    while True:
+        try:
+            v, s = value_slope(grid)
+            break
+        except DomainError as exc:
+            error, grid = exc, grid[grid < exc.t]
+    bad = np.flatnonzero(v <= 0.0)
+    end = bad[0] if bad.size else v.size
+    ends = np.flatnonzero((s[:-1] < 0.0) & (0.0 <= s[1:])) + 1
+    ends = ends[ends < end]
+    if ends.size:
+        lo, hi = grid[ends - 1], grid[ends]
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            down = value_slope(mid)[1] < 0.0
+            lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+        tm = 0.5 * (lo + hi)
+        dips = value_slope(tm)[0] <= dip_rtol * np.maximum(v[ends - 1], v[ends])
+        if dips.any():
+            return float(tm[np.argmax(dips)])
+    if end < v.size:
+        return float(grid[end])
+    if error is not None:
+        raise error
+    return None
+
+
+def _outcome(call):
+    """What call returns, or the DomainError it raises as (message, t)."""
+    try:
+        return call()
+    except DomainError as exc:
+        return ("DomainError", str(exc), exc.t)
+
+
+def _reference_validate(fam, samples, dip_rtol=1e-8):
+    grid = np.linspace(0.0, fam.t_max, samples)
+    bad_alpha, bad_delta, bad_phi = (
+        _reference_first_nonpositive(partial(fam._value_slope, kind), grid, dip_rtol)
+        for kind in KINDS
+    )
+    candidates = [(t, k) for t, k in ((bad_alpha, "alpha"), (bad_delta, "delta")) if t is not None]
+    violation_t, kind = min(candidates) if candidates else (None, None)
+    return FamilyValidation(
+        valid=not candidates,
+        violation_t=violation_t,
+        violation_kind=kind,
+        phi_positive=bad_phi is None,
+        phi_violation_t=bad_phi,
+        samples=samples,
+        t_max=fam.t_max,
+    )
+
+
+def assert_bisection_matches_reference(fam, samples=4096):
+    grid = np.linspace(0.0, fam.t_max, samples)
+    for kind in KINDS:
+        value_slope = partial(fam._value_slope, kind)
+        new = _outcome(
+            lambda: _first_nonpositive(value_slope, _defined_prefix(value_slope, grid), 1e-8)
+        )
+        assert new == _outcome(lambda: _reference_first_nonpositive(value_slope, grid, 1e-8))
+    new = _outcome(lambda: fam.validate(samples=samples))
+    assert new == _outcome(lambda: _reference_validate(fam, samples))
+
+
+def _coefficient(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda x: round(x, 6))
+
+
+class TestBisectionFixedPoint:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("samples", [2, 3, 97, 4096])
+    def test_presets(self, name, samples):
+        assert_bisection_matches_reference(preset(name), samples)
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [
+            ("(t-3.3)^2+1e-14", "0"),  # a tangential zero only the bisection finds
+            ("1", "(t-3.3)^2+1e-14"),
+            ("exp(-t)", flatness_beta("exp(-t)")),
+            ("ln(5-t)", "1"),  # undefined from t = 5 on: alpha only
+            ("sqrt(3-t)", "0"),
+            ("1", "ln(5-t)"),  # beta only
+            ("1", "sqrt(3-t)"),
+            ("ln(5-t)", "sqrt(3-t)"),  # both
+            ("sqrt(3-t)", "ln(5-t)"),
+            ("ln(5-t)+sqrt(3-t)", "0"),
+        ],
+    )
+    def test_tangential_zeros_and_domain_errors(self, alpha, beta):
+        assert_bisection_matches_reference(NaturalMetricFamily(alpha, beta))
+
+    def test_tangential_zero_is_found(self):
+        v = NaturalMetricFamily("(t-3.3)^2+1e-14", "0").validate()
+        assert (v.valid, v.violation_kind) == (False, "alpha")
+        assert v.violation_t == pytest.approx(3.3, abs=1e-9)
+
+    @given(
+        template=st.sampled_from(
+            [("1/(1+{a}*t)", "{b}/(1+t)"), ("exp(-{a}*t)", "{b}*exp(-t)"),
+             ("1+{a}*t", "{b}"), ("(1+t)^-{a}", "{b}*t/(1+t)")]
+        ),
+        a=_coefficient(0.3, 0.6),
+        b=_coefficient(0.5, 1.5),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_valid_pairs(self, template, a, b):
+        alpha, beta = (text.format(a=a, b=b) for text in template)
+        assert_bisection_matches_reference(NaturalMetricFamily(alpha, beta))
+
+    @given(
+        template=st.sampled_from(["1/(1+{c}*t)", "sqrt(1+{c}*t)", "(1+{c}*t)^2", "exp({c}*t)"]),
+        c=_coefficient(0.05, 0.4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_flat_families(self, template, c):
+        alpha = template.format(c=c)
+        assert_bisection_matches_reference(NaturalMetricFamily(alpha, flatness_beta(alpha)))
+
+    @given(
+        template=st.sampled_from([("1", "-1/{c}"), ("1-t/{c}", "0"), ("(t-{c})^2", "1")]),
+        c=_coefficient(0.5, 24.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_invalid_pairs(self, template, c):
+        alpha, beta = (text.format(c=c) for text in template)
+        assert_bisection_matches_reference(NaturalMetricFamily(alpha, beta))
+
+    def test_cheeger_gromoll_delta_call_count(self):
+        # Delta = 1 exactly, so its slope is rounding noise and brackets 561
+        # sign changes; the halving reaches its fixed point after 50 steps,
+        # not 80: one call on the grid, 50 halvings, one at the minima.
+        fam = preset("cheeger-gromoll")
+        calls = []
+
+        def value_slope(t):
+            calls.append(np.size(t))
+            return fam._value_slope("delta", t)
+
+        scan = _defined_prefix(value_slope, np.linspace(0.0, fam.t_max, 4096))
+        assert _first_nonpositive(value_slope, scan, 1e-8) is None
+        assert calls[:2] == [4096, 561]
+        assert len(calls) == 52
