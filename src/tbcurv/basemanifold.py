@@ -16,6 +16,7 @@ component R_1221, and the unit sphere calibrates to R_1221 = +1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -582,15 +583,29 @@ def hyperbolic(dim: int) -> ChartManifold:
 
 def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
     """g = exp(2 f) * delta with f a polynomial, given as an array of
-    [coefficient, e_1, ..., e_n] monomial rows.  Exercises nabla R != 0."""
+    [coefficient, e_1, ..., e_n] monomial rows.  Exercises nabla R != 0.
+
+    A row that is not dim + 1 finite numbers (a boolean is not one), or
+    whose exponents are not whole numbers >= 0, is a ValueError naming it."""
     c, e = [], []
     for row in coeffs:
-        c.append(float(row[0]))
-        e.append([int(k) for k in row[1:]])
-        if len(e[-1]) != dim:
+        entries = list(row) if isinstance(row, (list, tuple, np.ndarray)) else []
+        if len(entries) != dim + 1 or not all(
+            isinstance(k, numbers.Real) and not isinstance(k, bool) and math.isfinite(k)
+            for k in entries
+        ):
             raise ValueError(
-                f"monomial row {row!r} has {len(e[-1])} exponents, expected {dim}"
+                f"manifold coeffs row {row!r} is not {dim + 1} finite numbers: "
+                f"a coefficient and {dim} exponents"
             )
+        # The derivative tables below clip exponents at 0, which is exact
+        # only for whole exponents >= 0.
+        if not all(float(k).is_integer() and k >= 0 for k in entries[1:]):
+            raise ValueError(
+                f"manifold coeffs row {row!r} has an exponent that is not a whole number >= 0"
+            )
+        c.append(float(entries[0]))
+        e.append([int(k) for k in entries[1:]])
     c = np.array(c)
     e = np.array(e, dtype=int).reshape(-1, dim)
     # Exponent table of f, grad f and hess f: the a-th partial of the monomial

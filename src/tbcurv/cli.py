@@ -112,11 +112,14 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 # What each top-level section of a config document must be, and what some
-# of its keys must be; null stands for a missing section or key.
+# of its keys must be; null stands for a missing section or key, and a
+# boolean is not a number.
+_EXPRESSION = ((str, int, float), "an expression string or a number")
 _SECTIONS = {
     "manifold": (dict, "a JSON object", {"id": (str, "a string"), "dim": (int, "an integer"),
                                          "coeffs": (list, "a list of [c, e1, ..., en] rows")}),
-    "family": (dict, "a JSON object", {}),
+    "family": (dict, "a JSON object", {"alpha": _EXPRESSION, "beta": _EXPRESSION,
+                                       "beta_flatness": (bool, "true or false")}),
     "points": (list, "a list of points", {}),
     "grid": (dict, "a JSON object", {}),
     "output": (dict, "a JSON object", {"path": (str, "a string")}),
@@ -132,7 +135,8 @@ def _check_section(section: str, value) -> None:
         raise ConfigError(f"{section} {json.dumps(value)} is not {what}")
     for key, (kind, what) in keys.items():
         item = value.get(key)
-        if item is not None and (isinstance(item, bool) or not isinstance(item, kind)):
+        if item is not None and (isinstance(item, bool) != (kind is bool)
+                                 or not isinstance(item, kind)):
             raise ConfigError(f"{section} {key} {json.dumps(item)} is not {what}")
 
 

@@ -28,6 +28,7 @@ comparison all run on it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -57,6 +58,7 @@ __all__ = [
     "tm_scalar",
     "scalar_exp_specials",
     "minus_exp_flat_threshold",
+    "component_class_labels",
     "component_class_masks",
     "gram_diagonal",
     "table_ricci_trace",
@@ -81,25 +83,35 @@ def gram_diagonal(fam: NaturalMetricFamily, t: float, n: int) -> np.ndarray:
     return np.array([1.0] * n + [j.delta] + [j.alpha] * (n - 1))
 
 
-def component_class_masks(n: int) -> dict[str, np.ndarray]:
-    """Boolean masks over the (2n)^4 table, one per symmetry class."""
-    two_n = 2 * n
-    is_v = np.arange(two_n) >= n
-    a = is_v[:, None, None, None]
-    b = is_v[None, :, None, None]
-    c = is_v[None, None, :, None]
-    d = is_v[None, None, None, :]
-    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+@functools.lru_cache(maxsize=None)
+def component_class_labels(n: int) -> np.ndarray:
+    """The symmetry class of each component of the (2n)^4 table, as its
+    position in CLASS_NAMES; read-only.  The class is fixed by how many of
+    the four slots are vertical and, for two, whether they form the pair
+    (a, b) or (c, d)."""
+    is_v = np.arange(2 * n) >= n
+    a, b, c, d = np.meshgrid(is_v, is_v, is_v, is_v, indexing="ij", sparse=True)
     count = a.astype(int) + b + c + d
-    masks = {
-        "hhhh": count == 0,
-        "vvvv": count == 4,
-        "hvvv": count == 3,
-        "hhvh": count == 1,
-        "vvhh": (count == 2) & ((a & b) | (c & d)),
-        "hvhv": (count == 2) & ~((a & b) | (c & d)),
-    }
-    return masks
+    paired = (a & b) | (c & d)
+    labels = np.empty(count.shape, dtype=int)
+    for name, where in (
+        ("hhhh", count == 0),
+        ("vvvv", count == 4),
+        ("hvvv", count == 3),
+        ("hhvh", count == 1),
+        ("vvhh", (count == 2) & paired),
+        ("hvhv", (count == 2) & ~paired),
+    ):
+        labels[where] = CLASS_NAMES.index(name)
+    labels.flags.writeable = False
+    return labels
+
+
+def component_class_masks(n: int) -> dict[str, np.ndarray]:
+    """Boolean masks over the (2n)^4 table, one per symmetry class, in
+    CLASS_NAMES order."""
+    labels = component_class_labels(n)
+    return {name: labels == k for k, name in enumerate(CLASS_NAMES)}
 
 
 @dataclass(frozen=True)

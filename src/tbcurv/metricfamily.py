@@ -112,7 +112,19 @@ def _value_slope_of(kind: str, t, a: Jet2, b: Optional[Jet2] = None):
     return a.value + t * b.value, a.d1 + b.value + t * b.d1
 
 
-def _first_nonpositive(value_slope, scan, dip_rtol: float, iters: int = 80):
+# A bisected local minimum counts as a tangential zero when its value is at
+# most this fraction of the larger of its bracketing grid values: a minimum
+# eight orders below its neighbours one grid step away is a zero at the
+# grid's resolution, while a positive function that only decays keeps the
+# order of its neighbours.
+_DIP_RTOL = 1e-8
+# At most this many halvings of a bracket.  2^-80 of a grid step is below
+# the float64 spacing at any t more than 2^-28 grid steps from 0, so the
+# halving reaches its fixed point first except at minima next to t = 0.
+_BISECTION_STEPS = 80
+
+
+def _first_nonpositive(value_slope, scan):
     """First t in a grid where a function fails to be positive;
     ``value_slope(t)`` gives its value and slope at an array of t, and
     ``scan`` is ``_defined_prefix(value_slope, grid)``.
@@ -123,11 +135,11 @@ def _first_nonpositive(value_slope, scan, dip_rtol: float, iters: int = 80):
     the bracketing values (a tangential zero); an everywhere-positive
     function that merely decays to tiny values is not flagged.  Events are
     taken in grid order, a node before the bracket that ends at it.  All
-    brackets are halved together, at most ``iters`` times, and the halving
-    stops at the first step that moves none of them: each step depends only
-    on the brackets, so every later step would repeat it.  Where the
-    function is undefined from some node on, the nodes before it are
-    scanned, and the DomainError is raised if they hold no event.
+    brackets are halved together, at most ``_BISECTION_STEPS`` times, and
+    the halving stops at the first step that moves none of them: each step
+    depends only on the brackets, so every later step would repeat it.
+    Where the function is undefined from some node on, the nodes before it
+    are scanned, and the DomainError is raised if they hold no event.
     """
     grid, (v, s), error = scan
     bad = np.flatnonzero(v <= 0.0)
@@ -136,7 +148,7 @@ def _first_nonpositive(value_slope, scan, dip_rtol: float, iters: int = 80):
     ends = ends[ends < end]
     if ends.size:
         lo, hi = grid[ends - 1], grid[ends]
-        for _ in range(iters):
+        for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             down = value_slope(mid)[1] < 0.0
             lo_next, hi_next = np.where(down, mid, lo), np.where(down, hi, mid)
@@ -144,7 +156,7 @@ def _first_nonpositive(value_slope, scan, dip_rtol: float, iters: int = 80):
                 break
             lo, hi = lo_next, hi_next
         tm = 0.5 * (lo + hi)
-        dips = value_slope(tm)[0] <= dip_rtol * np.maximum(v[ends - 1], v[ends])
+        dips = value_slope(tm)[0] <= _DIP_RTOL * np.maximum(v[ends - 1], v[ends])
         if dips.any():
             return float(tm[np.argmax(dips)])
     if end < v.size:
@@ -259,13 +271,11 @@ class NaturalMetricFamily:
         a = self.alpha.jet(t)
         return _value_slope_of(kind, t, a, self.beta.jet(t) if kind == "delta" else None)
 
-    def validate(self, samples: int = 4096, dip_rtol: float = 1e-8) -> FamilyValidation:
+    def validate(self, samples: int = 4096) -> FamilyValidation:
         """Densely sample positivity of alpha and alpha + t*beta on
-        [0, t_max]; also report where phi = alpha + t*alpha' fails.
-
-        ``dip_rtol`` controls the tangential-zero detector: a bisected
-        local minimum counts as a violation when it is that small relative
-        to its bracketing grid values.
+        [0, t_max]; also report where phi = alpha + t*alpha' fails.  A
+        bisected local minimum counts as a violation when it is at most
+        ``_DIP_RTOL`` of its bracketing grid values.
         """
         if samples < 2:
             raise ValueError("samples must be >= 2")
@@ -284,7 +294,7 @@ class NaturalMetricFamily:
             return t_d, _value_slope_of(kind, t_d, a_d, b), error
 
         bad_alpha, bad_delta, bad_phi = (
-            _first_nonpositive(partial(self._value_slope, kind), scan(kind), dip_rtol)
+            _first_nonpositive(partial(self._value_slope, kind), scan(kind))
             for kind in ("alpha", "delta", "phi")
         )
         candidates = [
@@ -335,11 +345,14 @@ class NaturalMetricFamily:
 
 def flatness_jet(a: Jet2, t) -> Jet2:
     """The jet of the flatness beta at t, from the jet ``a`` of alpha there:
-    its value and exact first derivative; the second derivative is NaN."""
-    value = (t * (a.d1 * a.d1) + 2.0 * a.value * a.d1) / a.value
-    num_d1 = 3.0 * (a.d1 * a.d1) + 2.0 * t * a.d1 * a.d2 + 2.0 * a.value * a.d2
-    d1 = num_d1 / a.value - value * a.d1 / a.value
-    return Jet2(value, d1, value * math.nan)
+    its value and exact first derivative; the second derivative is NaN.
+    Where alpha is 0 they are not finite, with no numpy warning (as in
+    ``eval_jet``); the family's checks reject such t."""
+    with np.errstate(all="ignore"):
+        value = (t * (a.d1 * a.d1) + 2.0 * a.value * a.d1) / a.value
+        num_d1 = 3.0 * (a.d1 * a.d1) + 2.0 * t * a.d1 * a.d2 + 2.0 * a.value * a.d2
+        d1 = num_d1 / a.value - value * a.d1 / a.value
+        return Jet2(value, d1, value * math.nan)
 
 
 def flatness_beta(alpha: FunctionLike) -> ScalarFunction:

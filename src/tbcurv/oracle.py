@@ -25,7 +25,7 @@ import numpy as np
 
 from .basemanifold import AdaptedFramePoint, ChartManifold
 from .bundlemetric import BundlePoint, adapted_frame_vectors, induced_metric
-from .closedform import CLASS_NAMES, component_class_masks, on_points, tm_curvature
+from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
 from .errors import ConditioningWarning, TbcurvError
 from .metricfamily import NaturalMetricFamily
 from .numdiff import (
@@ -118,10 +118,6 @@ class SignCalibration:
     per_class: dict  # class name -> +1 | -1 | None (undetermined)
     mixed_classes: tuple
 
-    @property
-    def consistent(self) -> bool:
-        return not self.mixed_classes
-
 
 def calibrate_sign(
     closed_tables: Sequence[np.ndarray],
@@ -134,43 +130,26 @@ def calibrate_sign(
 
     A diagnostic: the comparison itself pins s = +1, and a calibrated -1
     fails it (``CurvatureReport.finalize``).  Components enter only where
-    both tables exceed 100x the absolute tolerance.  The per-class signs
+    both tables exceed 100x the absolute tolerance, and a class's sign is
+    that of its sum of closed*oracle over them (None where the sum is 0),
+    read in one pass with ``component_class_labels``.  The per-class signs
     must agree; disagreement is reported in ``mixed_classes`` (a formula
     erratum, never silently fixed).  With no usable component anywhere the
     result is underdetermined and s = +1.
     """
     floor = 100.0 * abs_tol
-    masks = component_class_masks(n)
-    per_class: dict = {}
-    total_dot = 0.0
-    for name in CLASS_NAMES:
-        mask = masks[name]
-        dot = 0.0
-        seen = False
-        for closed, orc in zip(closed_tables, oracle_tables):
-            c = closed[mask]
-            o = orc[mask]
-            keep = (np.abs(c) > floor) & (np.abs(o) > floor)
-            if np.any(keep):
-                seen = True
-                dot += float(c[keep] @ o[keep])
-        if not seen or dot == 0.0:
-            per_class[name] = None
-        else:
-            per_class[name] = 1 if dot > 0 else -1
-            total_dot += dot
+    closed, orc = np.stack(closed_tables), np.stack(oracle_tables)
+    keep = (np.abs(closed) > floor) & (np.abs(orc) > floor)
+    labels = np.broadcast_to(component_class_labels(n), keep.shape)[keep]
+    dots = np.bincount(labels, closed[keep] * orc[keep], minlength=len(CLASS_NAMES))
+    per_class = {
+        name: None if dot == 0.0 else (1 if dot > 0 else -1)
+        for name, dot in zip(CLASS_NAMES, dots)
+    }
     determined = [s for s in per_class.values() if s is not None]
-    if not determined:
-        return SignCalibration(
-            sign=1, underdetermined=True, per_class=per_class, mixed_classes=()
-        )
-    sign = 1 if total_dot > 0 else -1
-    mixed = tuple(
-        name for name, s in per_class.items() if s is not None and s != sign
-    )
-    return SignCalibration(
-        sign=sign, underdetermined=False, per_class=per_class, mixed_classes=mixed
-    )
+    sign = 1 if not determined or dots.sum() > 0 else -1
+    mixed = tuple(name for name, s in per_class.items() if s not in (None, sign))
+    return SignCalibration(sign, not determined, per_class, mixed)
 
 
 # --------------------------------------------------------------------------
@@ -190,18 +169,6 @@ def _written_components(m: int) -> tuple:
     for axis in index:
         axis.flags.writeable = False
     return index
-
-
-@functools.lru_cache(maxsize=None)
-def _class_labels(n: int) -> np.ndarray:
-    """The position in CLASS_NAMES of each component's symmetry class, over
-    the (2n)^4 table."""
-    masks = component_class_masks(n)
-    labels = np.zeros((2 * n,) * 4, dtype=int)
-    for k, name in enumerate(CLASS_NAMES):
-        labels[masks[name]] = k
-    labels.flags.writeable = False
-    return labels
 
 
 def _symmetry_residual(table: np.ndarray) -> float:
@@ -256,7 +223,7 @@ class CurvatureReport:
         rel = np.divide(dev, scale, out=np.zeros_like(dev), where=scale > abs_tol)
         self.max_abs_dev = float(np.max(dev))
         self.max_rel_dev = float(np.max(rel))
-        labels = _class_labels(dev.shape[0] // 2)
+        labels = component_class_labels(dev.shape[0] // 2)
         self.class_deviations = {
             name: {"max_abs_dev": float(np.max(dev[labels == k])),
                    "max_rel_dev": float(np.max(rel[labels == k]))}

@@ -1,6 +1,7 @@
 """Tests for chart manifolds, frames, and base curvature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -336,6 +337,31 @@ class TestInvariants:
 
 
 class TestCatalogDispatch:
+    @pytest.mark.parametrize(
+        "row,problem",
+        [
+            ([], "is not 3 finite numbers"),
+            (1, "is not 3 finite numbers"),
+            ([0.1, 1, 1, 1], "is not 3 finite numbers"),
+            ([0.1, True, 1], "is not 3 finite numbers"),
+            (["a", 1, 1], "is not 3 finite numbers"),
+            ([float("nan"), 1, 1], "is not 3 finite numbers"),
+            ([0.1, float("inf"), 1], "is not 3 finite numbers"),
+            ([0.1, 1.5, 1], "has an exponent that is not a whole number >= 0"),
+            ([0.1, -1, 0], "has an exponent that is not a whole number >= 0"),
+        ],
+    )
+    def test_conformal_row_is_checked(self, row, problem):
+        with pytest.raises(ValueError, match=re.escape(f"manifold coeffs row {row!r} {problem}")):
+            conformal_polynomial(2, [[0.1, 1, 1], row])
+
+    def test_conformal_whole_float_exponents(self):
+        x = np.array([0.5, 0.3])
+        M = conformal_polynomial(2, [[0.1, 2, 1]])
+        M_float = conformal_polynomial(2, np.array([[0.1, 2.0, 1.0]]))
+        assert np.array_equal(M.metric(x), M_float.metric(x))
+        assert M.params == M_float.params
+
     def test_make_manifold(self):
         assert make_manifold("sphere", dim=2).catalog_id == "sphere"
         assert make_manifold("euclidean", dim=4).dim == 4

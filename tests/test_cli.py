@@ -817,6 +817,106 @@ class TestConfigTypes:
         )
 
 
+class TestCoeffsRows:
+    # a coeffs row used to be read unchecked: [[]] and [1, 2] crashed, a
+    # fractional or boolean exponent was truncated or read as 1, and a
+    # negative one gave a wrong table with exit 0
+    @pytest.mark.parametrize(
+        "coeffs,message",
+        [
+            ([[]], "manifold coeffs row [] is not 3 finite numbers: "
+                   "a coefficient and 2 exponents"),
+            ([1, 2], "manifold coeffs row 1 is not 3 finite numbers: "
+                     "a coefficient and 2 exponents"),
+            ([[0.1, 1.5, 1]], "manifold coeffs row [0.1, 1.5, 1] has an exponent that is "
+                              "not a whole number >= 0"),
+            ([[0.1, True, 1]], "manifold coeffs row [0.1, True, 1] is not 3 finite numbers: "
+                               "a coefficient and 2 exponents"),
+            ([["a", 1, 1]], "manifold coeffs row ['a', 1, 1] is not 3 finite numbers: "
+                            "a coefficient and 2 exponents"),
+            ([[0.1, -1, 0]], "manifold coeffs row [0.1, -1, 0] has an exponent that is "
+                             "not a whole number >= 0"),
+            ([[math.nan, 1, 1]], "manifold coeffs row [nan, 1, 1] is not 3 finite numbers: "
+                                 "a coefficient and 2 exponents"),
+        ],
+    )
+    def test_bad_row_is_a_config_error(self, tmp_path, capsys, coeffs, message):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(
+            {"manifold": {"id": "torus-conformal", "dim": 2, "coeffs": coeffs}}))
+        assert run(["scalar", "--config", str(path), "--family", "sasaki",
+                    "--point", "0.5,0.3", "--v", "0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    def test_bad_row_flag(self, capsys):
+        args = ["verify", "--manifold", "torus-conformal", "--dim", "2", "--coeffs",
+                "[[0.1, 1, 1], [0.2, 1, 0, 1]]", "--family", "sasaki",
+                "--point", "0.5,0.3", "--v", "0.1,0"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            "config error: manifold coeffs row [0.2, 1, 0, 1] is not 3 finite numbers: "
+            "a coefficient and 2 exponents\n"
+        )
+
+class TestFamilyKeyTypes:
+    # alpha [1] and beta {"a": 1} used to crash with a TypeError, beta_flatness
+    # "no" built the flat family and alpha true the constant 1
+    @pytest.mark.parametrize(
+        "family,message",
+        [
+            ({"alpha": [1], "beta": "0"},
+             "family alpha [1] is not an expression string or a number"),
+            ({"alpha": "1", "beta": {"a": 1}},
+             'family beta {"a": 1} is not an expression string or a number'),
+            ({"alpha": "1", "beta_flatness": "no"},
+             'family beta_flatness "no" is not true or false'),
+            ({"alpha": True, "beta": "0"},
+             "family alpha true is not an expression string or a number"),
+        ],
+    )
+    @pytest.mark.parametrize("task", ["family-check", "scalar"])
+    def test_wrong_type_is_a_config_error(self, tmp_path, capsys, task, family, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"family": family}))
+        args = [task, "--config", str(path)]
+        if task != "family-check":
+            args += ["--manifold", "euclidean", "--dim", "2", "--point", "0,0", "--v", "0,0"]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "family,name",
+        [
+            ({"alpha": 1, "beta": 0.5}, "custom(alpha=1, beta=0.5)"),
+            ({"alpha": "exp(t)", "beta_flatness": True, "t_max": 3},
+             "custom(alpha=exp(t), beta=flatness)"),
+            ({"alpha": "exp(t)", "beta": "0", "beta_flatness": False},
+             "custom(alpha=exp(t), beta=0)"),
+        ],
+    )
+    def test_right_types_run(self, tmp_path, capsys, family, name):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"family": family}))
+        assert run(["family-check", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"family {name}: valid;")
+
+
+def test_flat_family_whose_alpha_reaches_zero_warns_nothing(capsys):
+    # flatness_jet divides by alpha = 0 at t = 20; under the test
+    # configuration a RuntimeWarning would raise
+    assert run(["family-check", "--alpha", "1-0.05*t", "--beta-flatness"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "family custom(alpha=1-0.05*t, beta=flatness): INVALID: delta <= 0 near t=10; "
+        "phi <= 0 near t=10 on [0, 25] (4096 samples)\n"
+    )
+    assert captured.err == ""
+
+
 class TestVerifyReportText:
     # the report is written with one repr join per table; its bytes are
     # those of json.dumps(doc, sort_keys=True, indent=2)

@@ -352,7 +352,7 @@ def assert_bisection_matches_reference(fam, samples=4096):
     for kind in KINDS:
         value_slope = partial(fam._value_slope, kind)
         new = _outcome(
-            lambda: _first_nonpositive(value_slope, _defined_prefix(value_slope, grid), 1e-8)
+            lambda: _first_nonpositive(value_slope, _defined_prefix(value_slope, grid))
         )
         assert new == _outcome(lambda: _reference_first_nonpositive(value_slope, grid, 1e-8))
     new = _outcome(lambda: fam.validate(samples=samples))
@@ -435,6 +435,6 @@ class TestBisectionFixedPoint:
             return fam._value_slope("delta", t)
 
         scan = _defined_prefix(value_slope, np.linspace(0.0, fam.t_max, 4096))
-        assert _first_nonpositive(value_slope, scan, 1e-8) is None
+        assert _first_nonpositive(value_slope, scan) is None
         assert calls[:2] == [4096, 561]
         assert len(calls) == 52

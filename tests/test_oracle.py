@@ -21,7 +21,13 @@ from tbcurv.basemanifold import (
     sphere,
 )
 from tbcurv.bundlemetric import BundlePoint
-from tbcurv.closedform import component_class_masks, gram_diagonal, tm_curvature
+from tbcurv.closedform import (
+    CLASS_NAMES,
+    component_class_labels,
+    component_class_masks,
+    gram_diagonal,
+    tm_curvature,
+)
 from tbcurv.errors import (
     ConditioningWarning,
     SingularMetricError,
@@ -218,6 +224,177 @@ class TestCalibration:
         closed[masks["hvhv"]] *= -1.0
         cal = calibrate_sign([closed], [orc], 2, abs_tol=1e-5)
         assert "hvhv" in cal.mixed_classes
+
+
+# --------------------------------------------------------------------------
+# The classes are one label array and calibration is one labelled
+# reduction: both must give what the count-based masks and the class by
+# table loop below give.
+# --------------------------------------------------------------------------
+
+
+def _reference_class_masks(n):
+    two_n = 2 * n
+    is_v = np.arange(two_n) >= n
+    a = is_v[:, None, None, None]
+    b = is_v[None, :, None, None]
+    c = is_v[None, None, :, None]
+    d = is_v[None, None, None, :]
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    count = a.astype(int) + b + c + d
+    return {
+        "hhhh": count == 0,
+        "vvvv": count == 4,
+        "hvvv": count == 3,
+        "hhvh": count == 1,
+        "vvhh": (count == 2) & ((a & b) | (c & d)),
+        "hvhv": (count == 2) & ~((a & b) | (c & d)),
+    }
+
+
+def _reference_calibrate_sign(closed_tables, oracle_tables, n, abs_tol):
+    """(sign, underdetermined, per_class, mixed_classes)."""
+    floor = 100.0 * abs_tol
+    masks = _reference_class_masks(n)
+    per_class = {}
+    total_dot = 0.0
+    for name in CLASS_NAMES:
+        mask = masks[name]
+        dot = 0.0
+        seen = False
+        for closed, orc in zip(closed_tables, oracle_tables):
+            c = closed[mask]
+            o = orc[mask]
+            keep = (np.abs(c) > floor) & (np.abs(o) > floor)
+            if np.any(keep):
+                seen = True
+                dot += float(c[keep] @ o[keep])
+        if not seen or dot == 0.0:
+            per_class[name] = None
+        else:
+            per_class[name] = 1 if dot > 0 else -1
+            total_dot += dot
+    determined = [s for s in per_class.values() if s is not None]
+    if not determined:
+        return 1, True, per_class, ()
+    sign = 1 if total_dot > 0 else -1
+    mixed = tuple(name for name, s in per_class.items() if s is not None and s != sign)
+    return sign, False, per_class, mixed
+
+
+ABS_TOL = 1e-5  # floor 1e-3
+
+
+def _calibration_tables(case, n, k, rng):
+    """k closed and k oracle tables of the (2n)^4 shape for one case."""
+    shape = (2 * n,) * 4
+    masks = _reference_class_masks(n)
+    closed = [rng.normal(size=shape) for _ in range(k)]
+    orc = [c * rng.uniform(0.5, 1.5, size=shape) for c in closed]
+    if case in ("negate one", "negate two"):
+        names = rng.choice(CLASS_NAMES, size=1 if case == "negate one" else 2, replace=False)
+        for c in closed:
+            for name in names:
+                c[masks[name]] *= -1.0
+    elif case == "below floor":
+        # one class is below the floor in every closed table, and the
+        # others in part, in either table
+        name = rng.choice(CLASS_NAMES)
+        for c in closed:
+            c[masks[name]] *= 1e-4
+            small = rng.random(shape) < 0.7
+            c[small] *= 1e-4
+        for o in orc:
+            small = rng.random(shape) < 0.3
+            o[small] *= 1e-4
+    elif case == "all zero":
+        closed[0][...] = 0.0
+        orc[-1][...] = 0.0
+    elif case == "single kept":
+        closed = [np.zeros(shape) for _ in range(k)]
+        orc = [np.zeros(shape) for _ in range(k)]
+        index = tuple(rng.integers(2 * n, size=4))
+        closed[-1][index] = rng.choice([-1.0, 1.0]) * 0.5
+        orc[-1][index] = rng.choice([-1.0, 1.0]) * 0.5
+    elif case == "zero sum":
+        closed = [np.zeros(shape) for _ in range(k)]
+        orc = [np.zeros(shape) for _ in range(k)]
+        first, second = np.argwhere(masks["vvhh"])[:2]
+        closed[0][tuple(first)], orc[0][tuple(first)] = 2.0, 1.0
+        closed[-1][tuple(second)], orc[-1][tuple(second)] = 2.0, -1.0
+        closed[0][masks["hhhh"]] = orc[0][masks["hhhh"]] = -0.5
+    elif case == "opposed classes":
+        # two classes of opposite sign whose sums cancel: the total is 0
+        closed = [np.zeros(shape) for _ in range(k)]
+        orc = [np.zeros(shape) for _ in range(k)]
+        closed[0][(0,) * 4], orc[0][(0,) * 4] = 2.0, 1.0
+        closed[-1][(2 * n - 1,) * 4], orc[-1][(2 * n - 1,) * 4] = 2.0, -1.0
+    return closed, orc
+
+
+CALIBRATION_CASES = ("random", "negate one", "negate two", "below floor", "all zero",
+                     "single kept", "zero sum", "opposed classes")
+
+
+class TestLabelledCalibration:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_masks_equal_the_count_based_masks(self, n):
+        masks = component_class_masks(n)
+        reference = _reference_class_masks(n)
+        assert list(masks) == list(CLASS_NAMES)
+        for name in CLASS_NAMES:
+            assert np.array_equal(masks[name], reference[name]), name
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_labels_are_cached_and_read_only(self, n):
+        labels = component_class_labels(n)
+        assert labels is component_class_labels(n)
+        assert labels.shape == (2 * n,) * 4 and not labels.flags.writeable
+
+    @pytest.mark.parametrize("case", CALIBRATION_CASES)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_calibration_equals_the_class_by_table_loop(self, n, k, case):
+        for seed in range(4):
+            rng = np.random.default_rng([n, k, CALIBRATION_CASES.index(case), seed])
+            closed, orc = _calibration_tables(case, n, k, rng)
+            cal = calibrate_sign(closed, orc, n, ABS_TOL)
+            sign, underdetermined, per_class, mixed = _reference_calibrate_sign(
+                closed, orc, n, ABS_TOL
+            )
+            assert (cal.sign, cal.underdetermined, cal.mixed_classes) == (
+                sign, underdetermined, mixed
+            )
+            assert list(cal.per_class.items()) == list(per_class.items())
+
+    def test_cases_reach_each_outcome(self):
+        # the cases above cover determined, undetermined and mixed classes,
+        # both total signs, an underdetermined run and a zero class sum
+        outcomes = set()
+        for case in CALIBRATION_CASES:
+            for n, k, seed in itertools.product([2, 3], [1, 3], range(4)):
+                rng = np.random.default_rng([n, k, CALIBRATION_CASES.index(case), seed])
+                cal = calibrate_sign(*_calibration_tables(case, n, k, rng), n, ABS_TOL)
+                outcomes.add(("sign", cal.sign))
+                outcomes.add(("underdetermined", cal.underdetermined))
+                outcomes.add(("mixed", bool(cal.mixed_classes)))
+                outcomes.update(("class sign", s) for s in cal.per_class.values())
+        assert outcomes == {("sign", 1), ("sign", -1), ("underdetermined", True),
+                            ("underdetermined", False), ("mixed", True), ("mixed", False),
+                            ("class sign", 1), ("class sign", -1), ("class sign", None)}
+
+    def test_zero_class_sum_is_undetermined(self):
+        rng = np.random.default_rng(0)
+        closed, orc = _calibration_tables("zero sum", 2, 2, rng)
+        cal = calibrate_sign(closed, orc, 2, ABS_TOL)
+        assert cal.per_class["vvhh"] is None
+        assert (cal.sign, cal.underdetermined, cal.per_class["hhhh"]) == (1, False, 1)
+
+    def test_zero_total_calibrates_to_minus_one(self):
+        rng = np.random.default_rng(0)
+        cal = calibrate_sign(*_calibration_tables("opposed classes", 2, 1, rng), 2, ABS_TOL)
+        assert (cal.per_class["hhhh"], cal.per_class["vvvv"]) == (1, -1)
+        assert (cal.sign, cal.underdetermined, cal.mixed_classes) == (-1, False, ("hhhh",))
 
 
 class TestCompare:
