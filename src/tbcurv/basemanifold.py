@@ -64,12 +64,17 @@ CATALOG_IDS = ("euclidean", "sphere", "hyperbolic", "torus-conformal")
 
 def _check_spd(g: np.ndarray, x: np.ndarray, name: str = "x") -> None:
     """Cholesky test of g at x, or of each matrix of a stack at its row of
-    x; the error names the first point whose metric fails."""
+    x, after the test that g is finite; the error names the first point
+    whose metric fails."""
     try:
+        if not np.isfinite(g).all():
+            raise np.linalg.LinAlgError("metric not finite")
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         dim = x.shape[-1]
         for gi, xi in zip(g.reshape(-1, dim, dim), x.reshape(-1, dim)):
+            if not np.isfinite(gi).all():
+                raise SingularMetricError(f"metric not finite at {name}={xi.tolist()}")
             try:
                 np.linalg.cholesky(gi)
             except np.linalg.LinAlgError:
@@ -141,8 +146,11 @@ class ChartManifold:
     # -- basic access --------------------------------------------------------
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        g = self._eval(self.metric_fn, np.asarray(x, dtype=float))
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
+        """g at x (..., n).  Where the chart's metric overflows it is inf or
+        nan, without a warning: the SPD check names such a point."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self._eval(self.metric_fn, np.asarray(x, dtype=float))
+            return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def outside(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> np.ndarray:
         """Per point of x (..., n): the box x +- reach (per axis) is not
@@ -478,7 +486,7 @@ def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartM
     """Round sphere of the given radius: polar chart (dim 2 only) or the
     stereographic ball chart (any dim; the default for dim >= 3)."""
     try:
-        r = float(radius)
+        r = math.nan if isinstance(radius, bool) else float(radius)
     except (TypeError, ValueError):
         r = math.nan
     if not 0.0 < r < math.inf:
@@ -586,7 +594,8 @@ def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
     [coefficient, e_1, ..., e_n] monomial rows.  Exercises nabla R != 0.
 
     A row that is not dim + 1 finite numbers (a boolean is not one), or
-    whose exponents are not whole numbers >= 0, is a ValueError naming it."""
+    whose exponents are not whole numbers >= 0 that fit a 64-bit integer, is
+    a ValueError naming it."""
     c, e = [], []
     for row in coeffs:
         entries = list(row) if isinstance(row, (list, tuple, np.ndarray)) else []
@@ -603,6 +612,10 @@ def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
         if not all(float(k).is_integer() and k >= 0 for k in entries[1:]):
             raise ValueError(
                 f"manifold coeffs row {row!r} has an exponent that is not a whole number >= 0"
+            )
+        if max(entries[1:], default=0) >= 2**63:
+            raise ValueError(
+                f"manifold coeffs row {row!r} has an exponent that does not fit a 64-bit integer"
             )
         c.append(float(entries[0]))
         e.append([int(k) for k in entries[1:]])

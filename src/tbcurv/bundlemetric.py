@@ -47,9 +47,11 @@ class BundlePoint:
 
 
 def squared_norm(M: ChartManifold, x: np.ndarray, v: np.ndarray) -> float:
-    """|v|^2_g at x: the argument every family function is evaluated at."""
+    """|v|^2_g at x: the argument every family function is evaluated at;
+    inf or nan, without a warning, where the metric is not finite."""
     g = M.metric(x)
-    return float(v @ g @ v)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(v @ g @ v)
 
 
 def connection_split(

@@ -24,7 +24,7 @@ import math
 import re
 import sys
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,57 +40,133 @@ _ON_POINTS = TASKS[1:]
 _TABLES = ("curvature", "sectional", "ricci", "scalar", "scan")
 
 
-class _Flag(NamedTuple):
+class _Setting(NamedTuple):
     """A flag, the config entry (section, key) it sets, the tasks that read
-    it, its argparse settings and, for a JSON value, what it must be.  A
-    key of None sets the whole section; an entry of None marks a flag read
+    it, its argparse settings and ``check(value, name, dim)``, which raises a
+    config error naming the entry if its JSON value is wrong (dim is the
+    manifold's, or None).  A key of None is the whole section.  A flag of
+    None marks an entry only a document sets, an entry of None a flag read
     elsewhere: --config names the document, --samples goes to the family
-    check, and --point and --v pair into points."""
+    check, and --point and --v pair into points.  ``needed`` is the error for
+    a missing entry the task reads; ``json``, what a JSON flag's text must be."""
 
-    name: str
+    flag: Optional[str]
     entry: Optional[tuple]
     tasks: tuple
     settings: dict
+    check: Optional[Callable] = None
+    needed: str = ""
     json: str = ""
 
 
-_FLAGS = (
-    _Flag("--config", None, TASKS, {"help": "JSON config file; flags override it"}),
-    _Flag("--manifold", ("manifold", "id"), _ON_POINTS,
-          {"help": "catalog id (euclidean, sphere, hyperbolic, torus-conformal)"}),
-    _Flag("--dim", ("manifold", "dim"), _ON_POINTS, {"type": int}),
-    _Flag("--radius", ("manifold", "radius"), _ON_POINTS, {"type": float}),
-    _Flag("--chart", ("manifold", "chart"), _ON_POINTS,
-          {"help": "sphere chart: polar | stereographic"}),
-    _Flag("--coeffs", ("manifold", "coeffs"), _ON_POINTS,
-          {"help": "conformal monomials as JSON [[c, e1, ..., en], ...]"}, "a JSON array"),
-    _Flag("--family", ("family", "preset"), TASKS, {"help": f"preset: {', '.join(PRESET_NAMES)}"}),
-    _Flag("--alpha", ("family", "alpha"), TASKS,
-          {"help": "alpha(t) expression for a custom family"}),
-    _Flag("--beta", ("family", "beta"), TASKS, {"help": "beta(t) expression for a custom family"}),
-    _Flag("--beta-flatness", ("family", "beta_flatness"), TASKS,
-          {"action": "store_true", "default": None,
-           "help": "derive beta from alpha by the flatness formula"}),
-    _Flag("--t-max", ("family", "t_max"), TASKS,
-          {"type": float, "help": "validity horizon for t = |v|^2"}),
-    _Flag("--point", None, _ON_POINTS,
-          {"action": "append",
-           "help": "base point 'x1,x2,...' (repeatable); a value that starts with '-' "
-                   "must be joined with '=', as in --point=-1,0.3"}),
-    _Flag("--v", None, _ON_POINTS,
-          {"action": "append",
-           "help": "fiber vector 'v1,v2,...' (repeatable); a value that starts with '-' "
-                   "must be joined with '=', as in --v=-0.2,0.2"}),
-    _Flag("--grid", ("grid", None), _ON_POINTS,
-          {"help": 'JSON {"base_points": [[...]], "v_norms": [...], "v_directions": [[...]]}'},
-          "JSON"),
-    _Flag("--out", ("output", "path"), _ON_POINTS, {"help": "output file (default stdout)"}),
-    _Flag("--format", ("output", "format"), _TABLES, {"choices": ("csv", "json")}),
-    _Flag("--tol-abs", ("oracle", "tol_abs"), ("verify",), {"type": float}),
-    _Flag("--tol-rel", ("oracle", "tol_rel"), ("verify",), {"type": float}),
-    _Flag("--samples", None, ("family-check",),
-          {"type": int, "help": "family-check validation grid size"}),
+def _is(kind, what: str, test: Optional[Callable] = None, failed: str = "") -> Callable:
+    """The check of the value's JSON kind (a boolean is not a number), then of test."""
+    def check(value, name: str, dim: Optional[int]) -> None:
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ConfigError(f"{name} {json.dumps(value)} is not {what}")
+        if test is not None and not test(value):
+            raise ConfigError(failed.format(value))
+    return check
+
+
+def _numbers(values, key: str, dim: Optional[int] = None, finite: bool = False) -> None:
+    """Check a config list before any arithmetic: it is a list of numbers
+    (dim of them, for a point or a direction), with finite all finite."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1 or dim not in (None, arr.size):
+        if dim is None:
+            raise ConfigError(f"{key} {json.dumps(values)} is not a list of numbers")
+        raise ConfigError(f"{key} entry {json.dumps(values)} is not a list of "
+                          f"{dim} numbers (manifold dim {dim})")
+    for value in arr if finite else ():
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} holds {float(value)!r}, which is not a finite number")
+
+
+def _points(value, name: str, dim: Optional[int]) -> None:
+    _is(list, "a list of points")(value, name, dim)
+    for entry in value:
+        if not (isinstance(entry, dict) and "x" in entry and "v" in entry):
+            raise ConfigError(f"point {json.dumps(entry)} needs x and v")
+        for key in "xv":
+            _numbers(entry[key], f"point {key}", dim)
+
+
+def _grid(value, name: str, dim: Optional[int]) -> None:
+    if value and not value.get("base_points"):
+        raise ConfigError("grid needs base_points")
+
+
+def _vectors(values, name: str, dim: Optional[int]) -> None:
+    """Base points or directions: a list of dim finite numbers each."""
+    _is(list, "a list of lists")(values, name, dim)
+    for entry in values:
+        _numbers(entry, name, dim, finite=True)
+
+
+_EXPRESSION = _is((str, int, float), "an expression string or a number")
+
+_SETTINGS = (
+    _Setting("--config", None, TASKS, {"help": "JSON config file; flags override it"}),
+    _Setting("--manifold", ("manifold", "id"), _ON_POINTS,
+             {"help": "catalog id (euclidean, sphere, hyperbolic, torus-conformal)"},
+             _is(str, "a string"), "no manifold configured (--manifold or config.manifold.id)"),
+    _Setting("--dim", ("manifold", "dim"), _ON_POINTS, {"type": int},
+             _is(int, "an integer", lambda dim: dim >= 2, "manifold dim {} is not at least 2"),
+             "manifold dim missing (--dim)"),
+    _Setting("--radius", ("manifold", "radius"), _ON_POINTS, {"type": float}),
+    _Setting("--chart", ("manifold", "chart"), _ON_POINTS,
+             {"help": "sphere chart: polar | stereographic"}),
+    _Setting("--coeffs", ("manifold", "coeffs"), _ON_POINTS,
+             {"help": "conformal monomials as JSON [[c, e1, ..., en], ...]"},
+             _is(list, "a list of [c, e1, ..., en] rows"), json="a JSON array"),
+    _Setting("--family", ("family", "preset"), TASKS,
+             {"help": f"preset: {', '.join(PRESET_NAMES)}"},
+             _is(str, "a string", PRESET_NAMES.__contains__,
+                 f"unknown preset {{!r}}; choose from {PRESET_NAMES}")),
+    _Setting("--alpha", ("family", "alpha"), TASKS,
+             {"help": "alpha(t) expression for a custom family"}, _EXPRESSION),
+    _Setting("--beta", ("family", "beta"), TASKS,
+             {"help": "beta(t) expression for a custom family"}, _EXPRESSION),
+    _Setting("--beta-flatness", ("family", "beta_flatness"), TASKS,
+             {"action": "store_true", "default": None,
+              "help": "derive beta from alpha by the flatness formula"},
+             _is(bool, "true or false")),
+    _Setting("--t-max", ("family", "t_max"), TASKS,
+             {"type": float, "help": "validity horizon for t = |v|^2"}),
+    _Setting(None, ("points", None), _ON_POINTS, {}, _points),
+    _Setting("--point", None, _ON_POINTS,
+             {"action": "append",
+              "help": "base point 'x1,x2,...' (repeatable); a value that starts with '-' "
+                      "must be joined with '=', as in --point=-1,0.3"}),
+    _Setting("--v", None, _ON_POINTS,
+             {"action": "append",
+              "help": "fiber vector 'v1,v2,...' (repeatable); a value that starts with '-' "
+                      "must be joined with '=', as in --v=-0.2,0.2"}),
+    _Setting("--grid", ("grid", None), _ON_POINTS,
+             {"help": 'JSON {"base_points": [[...]], "v_norms": [...], "v_directions": [[...]]}'},
+             _grid, json="JSON"),
+    _Setting(None, ("grid", "base_points"), _ON_POINTS, {}, _vectors),
+    _Setting(None, ("grid", "v_norms"), _ON_POINTS, {},
+             lambda value, name, dim: _numbers(value, name, finite=True)),
+    _Setting(None, ("grid", "v_directions"), _ON_POINTS, {}, _vectors),
+    _Setting("--out", ("output", "path"), _ON_POINTS, {"help": "output file (default stdout)"},
+             _is(str, "a string")),  # an integer path would name a file descriptor
+    _Setting("--format", ("output", "format"), _TABLES, {"help": "csv (default) | json"},
+             _is(str, "a string", ("csv", "json").__contains__, "unknown output format {!r}")),
+    _Setting("--tol-abs", ("oracle", "tol_abs"), ("verify",), {"type": float}),
+    _Setting("--tol-rel", ("oracle", "tol_rel"), ("verify",), {"type": float}),
+    _Setting("--samples", None, ("family-check",),
+             {"type": int, "help": "family-check validation grid size"}),
 )
+
+# The rows by config section and key; the manifold comes first, for its dim.
+_ENTRIES: dict = {}
+for _row in (row for row in _SETTINGS if row.entry):
+    _ENTRIES.setdefault(_row.entry[0], {})[_row.entry[1]] = _row
 
 
 # --------------------------------------------------------------------------
@@ -111,65 +187,33 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-# What each top-level section of a config document must be, and what some
-# of its keys must be; null stands for a missing section or key, and a
-# boolean is not a number.
-_EXPRESSION = ((str, int, float), "an expression string or a number")
-_SECTIONS = {
-    "manifold": (dict, "a JSON object", {"id": (str, "a string"), "dim": (int, "an integer"),
-                                         "coeffs": (list, "a list of [c, e1, ..., en] rows")}),
-    "family": (dict, "a JSON object", {"alpha": _EXPRESSION, "beta": _EXPRESSION,
-                                       "beta_flatness": (bool, "true or false")}),
-    "points": (list, "a list of points", {}),
-    "grid": (dict, "a JSON object", {}),
-    "output": (dict, "a JSON object", {"path": (str, "a string")}),
-    "oracle": (dict, "a JSON object", {}),
-}
-
-
-def _check_section(section: str, value) -> None:
-    kind, what, keys = _SECTIONS.get(section, (object, "", {}))
-    if value is None:
-        return
-    if not isinstance(value, kind):
-        raise ConfigError(f"{section} {json.dumps(value)} is not {what}")
-    for key, (kind, what) in keys.items():
-        item = value.get(key)
-        if item is not None and (isinstance(item, bool) != (kind is bool)
-                                 or not isinstance(item, kind)):
-            raise ConfigError(f"{section} {key} {json.dumps(item)} is not {what}")
-
-
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """Overlay the task's flags on the config document: each flag given sets
-    its entry, in table order.  Each section of the document, and each
-    section a flag sets, is checked against ``_SECTIONS`` first (an integer
-    output path would name a file descriptor).  Two rules are not a
-    plain overlay: --family replaces the whole family entry and --alpha,
-    --beta and --beta-flatness drop a preset; --point and --v pair into
-    points."""
+    its entry, in table order, but not in a section of the wrong JSON type,
+    which ``_check_config`` names.  Two rules are not a plain overlay:
+    --family replaces the whole family entry and --alpha, --beta and
+    --beta-flatness drop a preset; --point and --v pair into points."""
     cfg = dict(cfg)
-    for section, value in cfg.items():
-        _check_section(section, value)
-    for flag in _FLAGS:
-        value = getattr(args, flag.name[2:].replace("-", "_"), None)
-        if flag.entry is None or value is None:
+    for row in _SETTINGS:
+        value = row.flag and getattr(args, row.flag[2:].replace("-", "_"), None)
+        if row.entry is None or value is None:
             continue
-        if flag.json:
+        if row.json:
             try:
                 value = json.loads(value)
             except json.JSONDecodeError as exc:
-                raise ConfigError(f"{flag.name} must be {flag.json}: {exc}")
-        section, key = flag.entry
+                raise ConfigError(f"{row.flag} must be {row.json}: {exc}")
+        section, key = row.entry
+        entry = cfg.get(section)
+        if entry is not None and not isinstance(entry, dict):
+            continue
         if key is not None:
-            entry = {} if key == "preset" else dict(cfg.get(section) or {})
+            value = {**({} if key == "preset" else entry or {}), key: value}
             if key in ("alpha", "beta", "beta_flatness"):
-                entry.pop("preset", None)
-            value = {**entry, key: value}
-        _check_section(section, value)
+                value.pop("preset", None)
         cfg[section] = value
     xs, vs = getattr(args, "point", None) or [], getattr(args, "v", None) or []
-    if xs or vs:
+    if (xs or vs) and isinstance(cfg.get("points") or [], list):
         if len(vs) != len(xs):
             raise ConfigError("--point and --v must be given the same number of times")
         cfg["points"] = [
@@ -186,20 +230,48 @@ def _parse_vector(text: str) -> list[float]:
         raise ConfigError(f"bad vector {text!r}: {exc}")
 
 
-def _resolve_manifold(cfg: dict) -> ChartManifold:
-    man = cfg.get("manifold")
-    if not man or "id" not in man:
-        raise ConfigError("no manifold configured (--manifold or config.manifold.id)")
-    dim = man.get("dim")
-    if dim is None:
-        raise ConfigError("manifold dim missing (--dim)")
-    if dim < 2:
-        raise ConfigError(f"manifold dim {dim} is not at least 2")
-    settings = {key: man[key] for key in ("radius", "chart", "coeffs") if key in man}
+def _check_config(cfg: dict, task: str) -> dict:
+    """The merged document, checked in one walk of the table before any
+    resolver reads it, less its null (missing) sections and keys.  Each entry
+    is checked whatever the task; a section or key the table does not list,
+    or a missing entry the task needs, is a config error."""
+    _check_known("config section", cfg, _ENTRIES)
+    checked: dict = {}
+    for section, rows in _ENTRIES.items():
+        value = cfg.get(section)
+        if value is not None and rows.keys() != {None}:
+            _is(dict, "a JSON object")(value, section, None)
+            _check_known(f"{section} key", value, rows)
+            value = {key: item for key, item in value.items() if item is not None}
+        for key, row in rows.items():
+            item = value if key is None else (value or {}).get(key)
+            if item is None and row.needed and task in row.tasks:
+                raise ConfigError(row.needed)
+            if item is not None and row.check:
+                name = section if key is None else f"{section} {key}"
+                row.check(item, name, checked.get("manifold", {}).get("dim"))
+        if value is not None:
+            checked[section] = value
+    return checked
+
+
+def _check_known(what: str, doc: dict, known: dict) -> None:
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown {what} {key!r}; choose from {tuple(filter(None, known))}")
+
+
+def _built(make: Callable, *args, **kwargs):
+    """make(*args, **kwargs); a KeyError or ValueError naming a value is a config error."""
     try:
-        return make_manifold(man["id"], dim=dim, **settings)
+        return make(*args, **kwargs)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
+
+
+def _resolve_manifold(cfg: dict) -> ChartManifold:
+    settings = dict(cfg["manifold"])
+    return _built(make_manifold, settings.pop("id"), **settings)
 
 
 def _resolve_family(cfg: dict) -> NaturalMetricFamily:
@@ -207,22 +279,15 @@ def _resolve_family(cfg: dict) -> NaturalMetricFamily:
     if not fam:
         raise ConfigError("no family configured (--family or --alpha/--beta)")
     if "preset" in fam:
-        name = fam["preset"]
-        if name not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-        make = functools.partial(preset, name)
+        make = functools.partial(preset, fam["preset"])
     else:
-        alpha = fam.get("alpha")
+        alpha, flat = fam.get("alpha"), fam.get("beta_flatness")
         if alpha is None:
             raise ConfigError("custom family needs alpha")
-        if fam.get("beta_flatness"):
-            beta = flatness_beta(alpha)
-            name = f"custom(alpha={alpha}, beta=flatness)"
-        else:
-            beta = fam.get("beta")
-            if beta is None:
-                raise ConfigError("custom family needs beta or beta_flatness")
-            name = f"custom(alpha={alpha}, beta={beta})"
+        beta = flatness_beta(alpha) if flat else fam.get("beta")
+        if beta is None:
+            raise ConfigError("custom family needs beta or beta_flatness")
+        name = f"custom(alpha={alpha}, beta={'flatness' if flat else beta})"
         make = functools.partial(NaturalMetricFamily, alpha, beta, name=name)
     try:
         return make(**({"t_max": fam["t_max"]} if "t_max" in fam else {}))
@@ -232,62 +297,14 @@ def _resolve_family(cfg: dict) -> NaturalMetricFamily:
         raise ConfigError(f"bad family expression: {exc}")
 
 
-def _numbers(values, key: str, dim: Optional[int] = None) -> np.ndarray:
-    """A config list as a 1-D float array, checked before any arithmetic:
-    one that is not a list of numbers (of dim numbers, for a point or a
-    direction) is a config error naming it."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 1 or dim not in (None, arr.size):
-        if dim is None:
-            raise ConfigError(f"{key} {json.dumps(values)} is not a list of numbers")
-        raise ConfigError(f"{key} entry {json.dumps(values)} is not a list of "
-                          f"{dim} numbers (manifold dim {dim})")
-    return arr
-
-
-def _finite(values, key: str, dim: Optional[int] = None) -> np.ndarray:
-    """``_numbers``, each of them finite, or a config error naming the value."""
-    arr = _numbers(values, key, dim)
-    for value in arr:
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} holds {float(value)!r}, which is not a finite number")
-    return arr
-
-
-def _entries(values, key: str) -> list:
-    """A config list of base points or directions; anything else is a
-    config error."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} {json.dumps(values)} is not a list of lists")
-    return values
-
-
 def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
-    points: list[BundlePoint] = []
-    for entry in cfg.get("points") or []:
-        if not (isinstance(entry, dict) and "x" in entry and "v" in entry):
-            raise ConfigError(f"point {json.dumps(entry)} needs x and v")
-        points.append(BundlePoint(*(_numbers(entry[key], f"point {key}", M.dim) for key in "xv")))
+    points = [BundlePoint.of(entry["x"], entry["v"]) for entry in cfg.get("points", [])]
     grid = cfg.get("grid")
     if grid:
-        base_points = grid.get("base_points")
-        if not base_points:
-            raise ConfigError("grid needs base_points")
-        v_norms = _finite(grid.get("v_norms", [0.0]), "grid v_norms")
-        directions = grid.get("v_directions")
-        if directions is None:
-            d = np.zeros(M.dim)
-            d[0] = 1.0
-            directions = [d.tolist()]
-        directions = [
-            _finite(d, "grid v_directions", M.dim)
-            for d in _entries(directions, "grid v_directions")
-        ]
-        for xs in _entries(base_points, "grid base_points"):
-            x = _finite(xs, "grid base_points", M.dim)
+        v_norms = grid.get("v_norms", [0.0])
+        directions = np.asarray(grid.get("v_directions", np.eye(M.dim)[:1]), dtype=float)
+        for xs in grid["base_points"]:
+            x = np.asarray(xs, dtype=float)
             try:
                 M.check_interior(x)
             except StencilOutOfDomainError as exc:
@@ -305,18 +322,6 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
     if not points:
         raise ConfigError("no points configured (--point/--v or config points/grid)")
     return points
-
-
-def _resolve_oracle(cfg: dict) -> OracleConfig:
-    orc = cfg.get("oracle") or {}
-    unknown = sorted(set(orc) - {"tol_abs", "tol_rel"})
-    if unknown:
-        raise ConfigError(f"unsupported oracle settings {unknown}: only tol_abs "
-                          "and tol_rel are settable, the steps are fixed")
-    try:
-        return OracleConfig(**orc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad oracle tolerance: {exc}")
 
 
 # --------------------------------------------------------------------------
@@ -346,12 +351,9 @@ def _emit(cfg: dict, blocks: list, note: str, payload_key: str, index: str = "")
     shape, and each row also carries its index cells.  Each column is
     formatted once: head cells once per block, index cells once per table,
     each value with one repr; a row is then one join of texts."""
-    out = cfg.get("output") or {}
-    fmt = out.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
+    out = cfg.get("output", {})
     index = tuple(index)
-    if fmt == "json":
+    if out.get("format") == "json":
         chunks = _json_chunks(blocks, note, payload_key, index)
     else:
         chunks = _csv_chunks(blocks, note, index)
@@ -597,11 +599,11 @@ def cmd_verify(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
     points = _resolve_points(cfg, M)
-    oracle_cfg = _resolve_oracle(cfg)
+    oracle_cfg = _built(OracleConfig, **cfg.get("oracle", {}))
     reports = compare(M, fam, points, oracle_cfg)
     for r in reports:
         print(r.summary_line())
-    path = (cfg.get("output") or {}).get("path")
+    path = cfg.get("output", {}).get("path")
     if path:
         doc = {
             "config": {
@@ -698,7 +700,7 @@ def cmd_scan(cfg: dict) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing leaves it unchanged.  Each
-    task takes the flags of ``_FLAGS`` that it reads, and no other."""
+    task takes the flags of ``_SETTINGS`` that it reads, and no other."""
     parser = argparse.ArgumentParser(
         prog="tbcurv",
         description="Tangent-bundle curvature tables and oracle verification.",
@@ -706,9 +708,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="task", required=True)
     for task in TASKS:
         p = sub.add_parser(task, help=f"run the {task} task")
-        for flag in _FLAGS:
-            if task in flag.tasks:
-                p.add_argument(flag.name, **flag.settings)
+        for row in _SETTINGS:
+            if row.flag and task in row.tasks:
+                p.add_argument(row.flag, **row.settings)
     return parser
 
 
@@ -716,17 +718,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_flags(_load_config(args.config), args)
         task = args.task
+        cfg = _check_config(_merge_flags(_load_config(args.config), args), task)
         if task == "family-check":
             return cmd_family_check(cfg, samples=args.samples)
-        if task in ("curvature", "sectional", "ricci", "scalar"):
-            return cmd_tables(cfg, task)
         if task == "verify":
             return cmd_verify(cfg)
         if task == "scan":
             return cmd_scan(cfg)
-        raise ConfigError(f"unknown task {task!r}")
+        return cmd_tables(cfg, task)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -185,7 +185,7 @@ class NaturalMetricFamily:
         self.beta = as_scalar_function(beta)
         self.name = name
         try:
-            self.t_max = float(t_max)
+            self.t_max = math.nan if isinstance(t_max, bool) else float(t_max)
         except (TypeError, ValueError):
             self.t_max = math.nan
         if not 0.0 < self.t_max < math.inf:

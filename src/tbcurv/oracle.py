@@ -17,6 +17,8 @@ with the others, which is reported as a formula erratum.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -52,6 +54,8 @@ __all__ = [
 class OracleConfig:
     """Tolerance policy of the comparison: a component passes when
     |closed - oracle| <= tol_abs + tol_rel * max(|closed|, |oracle|).
+    Each tolerance is a positive finite number (a boolean is not one): an
+    infinite one would pass every component, a NaN one fail it.
 
     The steps are not configurable; the oracle always differentiates on the
     ``numdiff.ORACLE`` stencil.
@@ -61,8 +65,12 @@ class OracleConfig:
     tol_rel: float = 1e-3
 
     def __post_init__(self):
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_abs", "tol_rel"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                0.0 < value < math.inf
+            ):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -278,6 +278,17 @@ class TestAdaptedFrame:
         fp = adapted_frame(M, np.array([math.pi / 4.0, 0.2]), np.array([0.0, 1.0]))
         assert fp.t == pytest.approx(0.7071067811865476, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_metric_that_is_not_finite_names_the_point(self):
+        # exp(2 * 1000 * 1.4) overflows: the metric is inf on the diagonal and
+        # nan off it, which the SPD check names, and evaluating it warns nothing
+        M = conformal_polynomial(2, [[1000.0, 1, 0]])
+        q = np.array([[0.2, 0.3], [1.4, 0.3], [0.2, 0.3]])
+        assert not np.isfinite(M.metric(q[1])).all()
+        with pytest.raises(SingularMetricError, match=re.escape("metric not finite at q=[1.4, 0.3]")):
+            adapted_frame(M, q, np.zeros((3, 2)))
+        assert adapted_frame(M, q[0], np.zeros(2)).t == 0.0
+
     def test_zero_vector_deterministic(self):
         M = sphere(2)
         q = np.array([0.9, 0.3])
@@ -349,11 +360,17 @@ class TestCatalogDispatch:
             ([0.1, float("inf"), 1], "is not 3 finite numbers"),
             ([0.1, 1.5, 1], "has an exponent that is not a whole number >= 0"),
             ([0.1, -1, 0], "has an exponent that is not a whole number >= 0"),
+            ([0.1, 1e300, 1], "has an exponent that does not fit a 64-bit integer"),
+            ([0.1, 2**63, 1], "has an exponent that does not fit a 64-bit integer"),
         ],
     )
     def test_conformal_row_is_checked(self, row, problem):
         with pytest.raises(ValueError, match=re.escape(f"manifold coeffs row {row!r} {problem}")):
             conformal_polynomial(2, [[0.1, 1, 1], row])
+
+    def test_conformal_largest_exponent_builds(self):
+        M = conformal_polynomial(2, [[0.1, 2**63 - 1, 0]])
+        assert np.array_equal(M.metric(np.array([0.5, 0.3])), np.eye(2))
 
     def test_conformal_whole_float_exponents(self):
         x = np.array([0.5, 0.3])
@@ -375,7 +392,7 @@ class TestCatalogDispatch:
             make_manifold("torus-conformal", dim=2)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, "abc"])
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, "abc", True])
     def test_bad_sphere_radius_is_rejected(self, dim, radius):
         message = f"sphere radius must be a positive finite number, got {radius!r}"
         with pytest.raises(ValueError, match=message):

@@ -7,7 +7,9 @@ import csv
 import io
 import json
 import math
+import re
 from itertools import chain
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,8 @@ from tbcurv.basemanifold import make_manifold
 from tbcurv.bundlemetric import BundlePoint
 from tbcurv.cli import (
     _NOTE,
+    _SETTINGS,
+    _TABLES,
     TASKS,
     _build_parser,
     _constant_curvature_of,
@@ -787,6 +791,8 @@ class TestConfigTypes:
              'manifold coeffs "x" is not a list of [c, e1, ..., en] rows'),
             (["--manifold", "euclidean", "--dim=-1"], "manifold dim -1 is not at least 2"),
             (["--manifold", "sphere", "--dim", "1"], "manifold dim 1 is not at least 2"),
+            (["--manifold", "euclidean", "--dim", "2", "--format", "xml"],
+             "unknown output format 'xml'"),
         ],
     )
     def test_flag_error_names_the_key(self, capsys, flags, message):
@@ -838,6 +844,8 @@ class TestCoeffsRows:
                              "not a whole number >= 0"),
             ([[math.nan, 1, 1]], "manifold coeffs row [nan, 1, 1] is not 3 finite numbers: "
                                  "a coefficient and 2 exponents"),
+            ([[0.1, 1e300, 1]], "manifold coeffs row [0.1, 1e+300, 1] has an exponent that "
+                                "does not fit a 64-bit integer"),
         ],
     )
     def test_bad_row_is_a_config_error(self, tmp_path, capsys, coeffs, message):
@@ -996,6 +1004,236 @@ class TestPositiveSettings:
         assert captured.err == (
             f"config error: sphere radius must be a positive finite number, got {float(value)!r}\n"
         )
+
+    # float(True) is 1.0: t_max true validated the family on [0, 1], and
+    # radius true ran the unit sphere
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"family": {"preset": "sasaki", "t_max": True}},
+             "t_max must be a positive finite number, got True"),
+            ({"manifold": {"id": "sphere", "dim": 2, "radius": True}},
+             "sphere radius must be a positive finite number, got True"),
+        ],
+    )
+    def test_boolean_in_config(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifold": {"id": "sphere", "dim": 2},
+                                    "family": {"preset": "sasaki"}, **doc}))
+        assert run(["scalar", "--config", str(path), "--point", "0.9,0.3", "--v", "0.1,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+
+class TestTolerances:
+    # an infinite tolerance turned this failing comparison into a pass, a
+    # NaN one printed "at nanx tol", and tol_abs true ran as 1.0
+    VERIFY = ["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
+              "--point", "0.9,0.3", "--v", "2.6,0"]
+
+    def test_the_point_fails_at_the_default_tolerances(self, capsys):
+        assert run(self.VERIFY) == 1
+        assert capsys.readouterr().out.endswith("at 20.5x tol\n")
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--tol-abs", "inf"), ("--tol-rel", "nan"), ("--tol-rel", "inf"),
+                       ("--tol-abs", "0"), ("--tol-rel", "-1e-3")]
+    )
+    def test_flag(self, capsys, flag, value):
+        assert run([*self.VERIFY, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = flag[2:].replace("-", "_")
+        assert captured.err == (
+            f"config error: {key} must be a positive finite number, got {float(value)!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key,value", [("tol_abs", math.inf), ("tol_rel", math.inf), ("tol_rel", math.nan),
+                      ("tol_abs", True), ("tol_rel", "1e-3")]
+    )
+    def test_config_value(self, tmp_path, capsys, recwarn, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"oracle": {key: value}}))
+        assert run([*self.VERIFY, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {key} must be a positive finite number, got {value!r}\n"
+        )
+        assert not recwarn.list
+
+
+class TestUnknownKeys:
+    # only the oracle section rejected a key it does not have: a misspelt
+    # radius ran the unit sphere with exit 0.  Every task checks the whole
+    # document.
+    @pytest.mark.parametrize("task", ["family-check", "scalar", "verify"])
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"manifold": {"id": "sphere", "dim": 2, "radus": 2}},
+             "unknown manifold key 'radus'; choose from ('id', 'dim', 'radius', 'chart', "
+             "'coeffs')"),
+            ({"family": {"preset": "sasaki", "tmax": 3}},
+             "unknown family key 'tmax'; choose from ('preset', 'alpha', 'beta', "
+             "'beta_flatness', 't_max')"),
+            ({"grid": {"base_points": [[0.9, 0.3]], "v_norm": [1]}},
+             "unknown grid key 'v_norm'; choose from ('base_points', 'v_norms', 'v_directions')"),
+            ({"output": {"fmt": "json"}},
+             "unknown output key 'fmt'; choose from ('path', 'format')"),
+            ({"oracle": {"base_step": 1e-3}},
+             "unknown oracle key 'base_step'; choose from ('tol_abs', 'tol_rel')"),
+            ({"manifolds": {"id": "sphere"}},
+             "unknown config section 'manifolds'; choose from ('manifold', 'family', 'points', "
+             "'grid', 'output', 'oracle')"),
+        ],
+    )
+    def test_config_error_names_it(self, tmp_path, capsys, task, doc, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"family": {"preset": "sasaki"}, **doc}))
+        args = [task, "--config", str(path)]
+        if task != "family-check":
+            args += ["--manifold", "sphere", "--dim", "2", "--point", "0.9,0.3", "--v", "0,0"]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+
+class TestConfigDocument:
+    def test_null_stands_for_a_missing_entry(self, tmp_path, capsys):
+        doc = {"manifold": {"id": "sphere", "dim": 2}, "family": {"preset": "exp+"},
+               "points": [{"x": [0.9, 0.3], "v": [0.3, 0.1]}]}
+        nulls = {"manifold": {**doc["manifold"], "radius": None, "chart": None},
+                 "family": {**doc["family"], "t_max": None, "alpha": None},
+                 "points": doc["points"], "grid": None, "output": {"format": None},
+                 "oracle": {"tol_abs": None, "tol_rel": None}}
+        outputs = []
+        for task in ("scalar", "verify"):
+            for d in (doc, nulls):
+                path = tmp_path / "run.json"
+                path.write_text(json.dumps(d))
+                assert run([task, "--config", str(path)]) == 0
+                outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+        assert outputs[0].err == outputs[2].err == ""
+
+    # a flag leaves a section of the wrong JSON type for the check to name
+    @pytest.mark.parametrize(
+        "doc,flags,message",
+        [
+            ({"output": "x"}, ["--out", "y.csv", "--point", "0,0", "--v", "0,0"],
+             'output "x" is not a JSON object'),
+            ({"grid": [[0, 0]]}, ["--grid", '{"base_points": [[0, 0]]}'],
+             "grid [[0, 0]] is not a JSON object"),
+            ({"points": 3}, ["--point", "0,0", "--v", "0,0"], "points 3 is not a list of points"),
+        ],
+    )
+    def test_flag_does_not_hide_a_section_of_the_wrong_type(self, tmp_path, capsys, doc,
+                                                            flags, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        args = ["scalar", "--config", str(path), "--manifold", "euclidean", "--dim", "2",
+                "--family", "sasaki", *flags]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+        assert not (tmp_path / "y.csv").exists()
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"manifold": {"dim": 1}}, "manifold dim 1 is not at least 2"),
+            ({"points": [{"x": [0, "a"], "v": [0, 0]}]},
+             'point x [0, "a"] is not a list of numbers'),
+            ({"output": {"format": "xml"}}, "unknown output format 'xml'"),
+        ],
+    )
+    def test_family_check_checks_every_entry(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert run(["family-check", "--config", str(path), "--family", "sasaki"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+class TestNonFiniteMetric:
+    # exp(2 * 1000 * x1) overflows past x1 = 0.355: such a point used to
+    # print RuntimeWarnings, then crash the command with "frame point is not
+    # in normal form" (exit 1), losing every row
+    ARGS = ["--manifold", "torus-conformal", "--dim", "2", "--coeffs", "[[1000, 1, 0]]",
+            "--family", "sasaki"]
+    GOOD = ["--point", "0.2,0.3", "--v", "0,0"]
+    BAD = ["--point", "1.4,0.3", "--v", "0,0"]
+    ERROR = "SingularMetricError: metric not finite at q=[1.4, 0.3]"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("task", _TABLES)
+    def test_error_row_and_the_good_row(self, capsys, task):
+        assert run([task, *self.ARGS, *self.GOOD, *self.BAD, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = json.loads(captured.out)[task]
+        cell = "status" if task == "scan" else "error"
+        assert [r[cell] for r in rows if r.get(cell, "ok") != "ok"] == [self.ERROR]
+        assert run([task, *self.ARGS, *self.GOOD, "--format", "json"]) == 0
+        good = json.loads(capsys.readouterr().out)[task]
+        assert [r for r in rows if r.get(cell, "ok") == "ok"] == good
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_line(self, capsys):
+        assert run(["verify", *self.ARGS, *self.GOOD, *self.BAD]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, second = captured.out.splitlines()
+        assert second.endswith(self.ERROR)
+        run(["verify", *self.ARGS, *self.GOOD])
+        assert capsys.readouterr().out == first + "\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_both_points_overflow(self, capsys):
+        # at x1 = 0.5 the metric is already exp(1000)
+        args = ["scalar", *self.ARGS, "--point", "0.5,0.3", "--v", "0,0", *self.BAD]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("SingularMetricError: metric not finite") == 2
+
+
+def _readme_settings_table() -> dict:
+    """The rows of the config key table in README's Command line section,
+    by key: each row's cells, split at the pipes that are not escaped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            rows[cells[0].strip("`")] = cells
+    return rows
+
+
+class TestSettingsTable:
+    READ_BY = {"every task": TASKS, "tables, `verify`": TASKS[1:], "tables": _TABLES,
+               "`verify`": ("verify",)}
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        code = {".".join(filter(None, row.entry)): row for row in _SETTINGS if row.entry}
+        readme = _readme_settings_table()
+        assert list(readme) == list(code)
+        for key, (_, flag, read_by, what) in readme.items():
+            row = code[key]
+            assert flag == (f"`{row.flag}`" if row.flag else
+                            {"points": "`--point`, `--v`"}.get(key, "none"))
+            assert self.READ_BY[read_by] == row.tasks
+            assert what
+
+    def test_every_flag_that_sets_an_entry_is_in_the_readme(self):
+        readme = _readme_settings_table()
+        flags = {row.flag for row in _SETTINGS if row.flag and row.entry}
+        assert flags <= {cells[1].strip("`") for cells in readme.values()}
 
 
 class TestNegativeCoordinates:

@@ -37,7 +37,7 @@ from tbcurv.errors import (
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta, preset
 from tbcurv import cli, oracle
 from tbcurv.numdiff import ORACLE, Stencil, frame_components, matrix_jets, pointwise
-from tbcurv.oracle import calibrate_sign, compare, numeric_tm_curvature
+from tbcurv.oracle import OracleConfig, calibrate_sign, compare, numeric_tm_curvature
 
 
 def _sphere_case(t=1.0):
@@ -395,6 +395,25 @@ class TestLabelledCalibration:
         cal = calibrate_sign(*_calibration_tables("opposed classes", 2, 1, rng), 2, ABS_TOL)
         assert (cal.per_class["hhhh"], cal.per_class["vvvv"]) == (1, -1)
         assert (cal.sign, cal.underdetermined, cal.mixed_classes) == (-1, False, ("hhhh",))
+
+
+class TestOracleConfig:
+    # an infinite tolerance passes every component and a NaN one fails it
+    # everywhere; a boolean is not a number
+    def test_infinite_tol_abs_is_rejected(self):
+        with pytest.raises(ValueError, match="tol_abs must be a positive finite number, got inf"):
+            OracleConfig(tol_abs=math.inf)
+
+    @pytest.mark.parametrize("key", ["tol_abs", "tol_rel"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-5, True, "1e-5", None])
+    def test_tolerance_is_a_positive_finite_number(self, key, value):
+        message = f"{key} must be a positive finite number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OracleConfig(**{key: value})
+
+    def test_positive_numbers_are_kept(self):
+        cfg = OracleConfig(tol_abs=1, tol_rel=np.float64(2e-3))
+        assert (cfg.tol_abs, cfg.tol_rel) == (1, 2e-3)
 
 
 class TestCompare:
