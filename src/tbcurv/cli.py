@@ -34,6 +34,7 @@ from .bundlemetric import BundlePoint, squared_norm
 from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from .metricfamily import NaturalMetricFamily, PRESET_NAMES, flatness_beta, flatness_jet, preset
 from .oracle import OracleConfig, compare
+from .scalarfun import as_scalar_function
 
 TASKS = ("family-check", "curvature", "sectional", "ricci", "scalar", "verify", "scan")
 _ON_POINTS = TASKS[1:]
@@ -284,11 +285,16 @@ def _resolve_family(cfg: dict) -> NaturalMetricFamily:
         alpha, flat = fam.get("alpha"), fam.get("beta_flatness")
         if alpha is None:
             raise ConfigError("custom family needs alpha")
-        beta = flatness_beta(alpha) if flat else fam.get("beta")
-        if beta is None:
+        beta = fam.get("beta")
+        if beta is None and not flat:
             raise ConfigError("custom family needs beta or beta_flatness")
         name = f"custom(alpha={alpha}, beta={'flatness' if flat else beta})"
-        make = functools.partial(NaturalMetricFamily, alpha, beta, name=name)
+
+        def make(**t_max):
+            alpha_fn = as_scalar_function(alpha)
+            beta_fn = flatness_beta(alpha_fn) if flat else beta
+            return NaturalMetricFamily(alpha_fn, beta_fn, name=name, **t_max)
+
     try:
         return make(**({"t_max": fam["t_max"]} if "t_max" in fam else {}))
     except ValueError as exc:
@@ -310,6 +316,8 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
             except StencilOutOfDomainError as exc:
                 raise ConfigError(f"grid base point: {exc}")
             g = M.metric(x)
+            if not np.isfinite(g).all():
+                raise ConfigError(f"grid base point: metric not finite at x={x.tolist()}")
             for d in directions:
                 nrm = float(np.sqrt(d @ g @ d))
                 if nrm == 0.0:

@@ -122,6 +122,92 @@ _DIP_RTOL = 1e-8
 # the float64 spacing at any t more than 2^-28 grid steps from 0, so the
 # halving reaches its fixed point first except at minima next to t = 0.
 _BISECTION_STEPS = 80
+# One evaluation takes the midpoints of the next k halvings of every
+# bracket, 2^k - 1 per bracket, for the largest k that keeps them within
+# this many points (k >= 1).  On arrays this small an evaluation costs
+# about the same whatever its size, nearly all of it the fixed cost of
+# walking the expressions, so one bracket takes 6 halvings per evaluation,
+# while the hundreds of noise brackets of a constant Delta take 1.
+_HALVING_POINTS = 64
+
+
+def _halvings_per_call(brackets: int, steps_left: int) -> int:
+    k = 1
+    while k < steps_left and (2 ** (k + 1) - 1) * brackets <= _HALVING_POINTS:
+        k += 1
+    return k
+
+
+def _halving_midpoints(lo: float, hi: float, k: int) -> list:
+    """The midpoints of the brackets that fewer than k halvings of [lo, hi]
+    reach, each ``0.5 * (lo + hi)`` of its own bracket, in heap order: the
+    halves of bracket n are 2n + 1 (the lower) and 2n + 2."""
+    brackets, mids = [(lo, hi)], []
+    for n in range(2**k - 1):
+        a, b = brackets[n]
+        mids.append(0.5 * (a + b))
+        brackets += [(a, mids[n]), (mids[n], b)]
+    return mids
+
+
+def _speculative_halvings(value_slope, lo: np.ndarray, hi: np.ndarray, k: int):
+    """The next k halvings of the brackets [lo, hi], read from one
+    evaluation at the midpoints of every bracket they can reach:
+    ``(lo, hi, fixed)``, where ``fixed`` tells that a halving moved none of
+    the brackets and the halving stopped there.  The midpoints on the
+    taken path are the floats the plain halving evaluates.
+
+    None where the function is undefined at some midpoint, or where
+    evaluating one sets a floating-point flag that numpy's error state does
+    not ignore (it would warn): the plain halving evaluates only the
+    midpoints it takes, and raises or warns only there."""
+    brackets = list(zip(lo.tolist(), hi.tolist()))
+    mids = [_halving_midpoints(a, b, k) for a, b in brackets]
+    heeded = {flag: "raise" for flag, action in np.geterr().items() if action != "ignore"}
+    try:
+        with np.errstate(**heeded):
+            slopes = value_slope(np.array(mids).ravel())[1]
+    except (DomainError, FloatingPointError):
+        return None
+    down = (slopes < 0.0).reshape(len(mids), -1).tolist()
+    at, fixed = [0] * len(mids), False
+    for _ in range(k):
+        halves = [
+            (m[n], b) if d[n] else (a, m[n]) for (a, b), m, d, n in zip(brackets, mids, down, at)
+        ]
+        fixed = halves == brackets
+        if fixed:
+            break
+        brackets = halves
+        at = [2 * n + 2 if d[n] else 2 * n + 1 for d, n in zip(down, at)]
+    lo, hi = (np.array(side) for side in zip(*brackets))
+    return lo, hi, fixed
+
+
+def _halve(value_slope, lo: np.ndarray, hi: np.ndarray):
+    """Halve every bracket towards the sign change of the slope, together,
+    at most ``_BISECTION_STEPS`` times, and stop at the first halving that
+    moves none of them: each halving depends only on the brackets, so every
+    later one would repeat it.  A few brackets take several halvings per
+    evaluation (``_speculative_halvings``); a halving is still one bracket
+    update at a time, so lo and hi are those of the plain loop."""
+    steps = 0
+    while steps < _BISECTION_STEPS:
+        k = _halvings_per_call(lo.size, _BISECTION_STEPS - steps)
+        taken = _speculative_halvings(value_slope, lo, hi, k) if k > 1 else None
+        if taken is not None:
+            lo, hi, fixed = taken
+            if fixed:
+                break
+            steps += k
+            continue
+        mid = 0.5 * (lo + hi)
+        down = value_slope(mid)[1] < 0.0
+        lo_next, hi_next = np.where(down, mid, lo), np.where(down, hi, mid)
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+            break
+        lo, hi, steps = lo_next, hi_next, steps + 1
+    return lo, hi
 
 
 def _first_nonpositive(value_slope, scan):
@@ -130,16 +216,14 @@ def _first_nonpositive(value_slope, scan):
     ``scan`` is ``_defined_prefix(value_slope, grid)``.
 
     Grid nodes are checked for outright nonpositivity.  A local minimum
-    bracketed by a sign change of the slope is refined by bisection and
-    counted as a violation when the refined value collapses relative to
-    the bracketing values (a tangential zero); an everywhere-positive
-    function that merely decays to tiny values is not flagged.  Events are
-    taken in grid order, a node before the bracket that ends at it.  All
-    brackets are halved together, at most ``_BISECTION_STEPS`` times, and
-    the halving stops at the first step that moves none of them: each step
-    depends only on the brackets, so every later step would repeat it.
-    Where the function is undefined from some node on, the nodes before it
-    are scanned, and the DomainError is raised if they hold no event.
+    bracketed by a sign change of the slope is refined by bisection
+    (``_halve``) and counted as a violation when the refined value
+    collapses relative to the bracketing values (a tangential zero); an
+    everywhere-positive function that merely decays to tiny values is not
+    flagged.  Events are taken in grid order, a node before the bracket
+    that ends at it.  Where the function is undefined from some node on,
+    the nodes before it are scanned, and the DomainError is raised if they
+    hold no event.
     """
     grid, (v, s), error = scan
     bad = np.flatnonzero(v <= 0.0)
@@ -147,14 +231,7 @@ def _first_nonpositive(value_slope, scan):
     ends = np.flatnonzero((s[:-1] < 0.0) & (0.0 <= s[1:])) + 1
     ends = ends[ends < end]
     if ends.size:
-        lo, hi = grid[ends - 1], grid[ends]
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            down = value_slope(mid)[1] < 0.0
-            lo_next, hi_next = np.where(down, mid, lo), np.where(down, hi, mid)
-            if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
-                break
-            lo, hi = lo_next, hi_next
+        lo, hi = _halve(value_slope, grid[ends - 1], grid[ends])
         tm = 0.5 * (lo + hi)
         dips = value_slope(tm)[0] <= _DIP_RTOL * np.maximum(v[ends - 1], v[ends])
         if dips.any():
@@ -183,6 +260,7 @@ class NaturalMetricFamily:
     ):
         self.alpha = as_scalar_function(alpha)
         self.beta = as_scalar_function(beta)
+        self._beta_from_alpha = _beta_rule(self.alpha, self.beta)
         self.name = name
         try:
             self.t_max = math.nan if isinstance(t_max, bool) else float(t_max)
@@ -199,11 +277,19 @@ class NaturalMetricFamily:
 
     # -- jets ------------------------------------------------------------
 
+    def _beta_jet(self, a: Jet2, t) -> Jet2:
+        """beta's jet at t, given alpha's jet ``a`` there: read from ``a``
+        where beta is a function of alpha's jet (``_beta_rule``), else
+        from beta's own walk."""
+        if self._beta_from_alpha is None:
+            return self.beta.jet(t)
+        return self._beta_from_alpha(a, t)
+
     def jets(self, t) -> FamilyJets:
         """The record at t (a number or an array), from one walk of alpha
-        and one of beta; raises ValidityError unless every t lies inside
-        [0, t_max] with alpha > 0 and alpha + t*beta > 0, naming the first
-        t that does not."""
+        and, unless beta is read from alpha's jet, one of beta; raises
+        ValidityError unless every t lies inside [0, t_max] with alpha > 0
+        and alpha + t*beta > 0, naming the first t that does not."""
         t = np.asarray(t, dtype=float)
         outside = ~((0.0 <= t) & (t <= self.t_max))
         if np.count_nonzero(outside):
@@ -213,7 +299,7 @@ class NaturalMetricFamily:
             )
         t = t[()]
         a = self.alpha.jet(t)
-        b = self.beta.jet(t)
+        b = self._beta_jet(a, t)
         delta = a.value + t * b.value
         bad = (a.value <= 0.0) | (delta <= 0.0)
         if np.count_nonzero(bad):
@@ -269,7 +355,7 @@ class NaturalMetricFamily:
         """Value and slope of alpha, Delta = alpha + t*beta or
         phi = alpha + t*alpha' at t."""
         a = self.alpha.jet(t)
-        return _value_slope_of(kind, t, a, self.beta.jet(t) if kind == "delta" else None)
+        return _value_slope_of(kind, t, a, self._beta_jet(a, t) if kind == "delta" else None)
 
     def validate(self, samples: int = 4096) -> FamilyValidation:
         """Densely sample positivity of alpha and alpha + t*beta on
@@ -281,13 +367,16 @@ class NaturalMetricFamily:
             raise ValueError("samples must be >= 2")
         grid = np.linspace(0.0, self.t_max, samples)
         # One walk of alpha on the grid serves all three kinds, and beta is
-        # walked on alpha's nodes when Delta's turn comes: each scan is what
-        # ``_defined_prefix`` gives for the kind's ``_value_slope``.
+        # had on alpha's nodes when Delta's turn comes: each scan is what
+        # ``_defined_prefix`` gives for the kind's ``_value_slope``.  Beta
+        # read from alpha's jet is defined wherever alpha is.
         t_a, a, error_a = _defined_prefix(self.alpha.jet, grid)
 
         def scan(kind: str):
             if kind != "delta":
                 return t_a, _value_slope_of(kind, t_a, a), error_a
+            if self._beta_from_alpha is not None:
+                return t_a, _value_slope_of(kind, t_a, a, self._beta_jet(a, t_a)), error_a
             t_d, b, error_b = _defined_prefix(self.beta.jet, t_a)
             a_d = Jet2(*(field[: t_d.size] for field in (a.value, a.d1, a.d2)))
             error = error_a if error_b is None else error_b
@@ -355,18 +444,49 @@ def flatness_jet(a: Jet2, t) -> Jet2:
         return Jet2(value, d1, value * math.nan)
 
 
+class _FlatnessBeta(ScalarFunction):
+    """The flatness beta of ``alpha``, which it keeps as ``of``."""
+
+    def __init__(self, alpha: ScalarFunction):
+        super().__init__(
+            lambda t: flatness_jet(alpha.jet(t), t), name=f"flatness_beta({alpha.name})"
+        )
+        self.of = alpha
+
+
 def flatness_beta(alpha: FunctionLike) -> ScalarFunction:
     """The beta making the fibers flat over a flat base:
     beta = (t*alpha'^2 + 2*alpha*alpha') / alpha.
 
-    Its value and exact first derivative (needed by H) come from one walk of
-    alpha (``flatness_jet``); its second derivative is undefined (NaN) since
-    it would require the third derivative of alpha.
+    Its value and exact first derivative (needed by H) come from alpha's jet
+    (``flatness_jet``), one walk of alpha per evaluation; a family whose
+    alpha has the same expression reads it from the jet of its own alpha,
+    so its alpha is walked once for both.  The second derivative is
+    undefined (NaN) since it would require the third derivative of alpha.
     """
-    alpha = as_scalar_function(alpha)
-    return ScalarFunction(
-        lambda t: flatness_jet(alpha.jet(t), t), name=f"flatness_beta({alpha.name})"
-    )
+    return _FlatnessBeta(as_scalar_function(alpha))
+
+
+def _same_expr(f: ScalarFunction, g: ScalarFunction) -> bool:
+    """f and g run equal syntax trees, so their jets are equal bit for bit.
+    Distinct trees that compare equal are also compared by their repr,
+    which tells 0.0 from -0.0 (an exponent of -0 gives derivatives of the
+    other sign of zero)."""
+    if f.expr is None or f.expr is g.expr:
+        return f.expr is not None
+    return f.expr == g.expr and repr(f.expr) == repr(g.expr)
+
+
+def _beta_rule(alpha: ScalarFunction, beta: ScalarFunction):
+    """How beta's jet at t follows from alpha's jet ``a`` there, as a
+    function of (a, t), or None when it does not: beta is alpha itself, or
+    the flatness beta of alpha, where each runs an equal syntax tree (a
+    caller may pass the same text twice, so identity is not required)."""
+    if _same_expr(beta, alpha):
+        return lambda a, t: a
+    if isinstance(beta, _FlatnessBeta) and _same_expr(beta.of, alpha):
+        return flatness_jet
+    return None
 
 
 def preset(name: str, t_max: float = 25.0) -> NaturalMetricFamily:
@@ -375,4 +495,6 @@ def preset(name: str, t_max: float = 25.0) -> NaturalMetricFamily:
     if key not in _PRESET_EXPRESSIONS:
         raise KeyError(f"unknown family preset {name!r}; choose from {PRESET_NAMES}")
     alpha_src, beta_src = _PRESET_EXPRESSIONS[key]
-    return NaturalMetricFamily(alpha_src, beta_src, name=key, t_max=t_max)
+    alpha = ScalarFunction.from_expression(alpha_src)
+    beta = alpha if beta_src == alpha_src else beta_src
+    return NaturalMetricFamily(alpha, beta, name=key, t_max=t_max)

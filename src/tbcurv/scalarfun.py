@@ -4,8 +4,9 @@ The metric families on the tangent bundle are parameterized by two scalar
 functions alpha(t), beta(t).  Everything downstream (the fiber block, the
 vertical curvature coefficients, validity checks) consumes not just values
 but first and second derivatives, so expressions are evaluated as order-2
-jets (f, f', f'') propagated structurally through the syntax tree.  t may be
-a number or an array: one walk of the tree covers every t.
+jets (f, f', f'') propagated structurally through the syntax tree, which is
+compiled once into closures.  t may be a number or an array: one evaluation
+covers every t.
 
 Grammar (precedence high to low): unary minus, ``^`` with a numeric
 exponent, ``*`` ``/``, ``+`` ``-``.  Parentheses group.  The only variable
@@ -23,9 +24,9 @@ unary minus binds tighter than the power operator, so ``-t^2`` is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "Pow",
     "Jet2",
     "parse",
+    "compile_jet",
     "eval_jet",
     "to_text",
     "ScalarFunction",
@@ -204,6 +206,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "num":
             raise ParseError("exponent must be a numeric constant", tok.pos)
+        if math.isinf(float(tok.text)):
+            raise ParseError("exponent must be finite", tok.pos)
         self.advance()
         return sign * float(tok.text)
 
@@ -270,52 +274,6 @@ class Jet2:
     d1: np.ndarray
     d2: np.ndarray
 
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value - other.value, self.d1 - other.d1, self.d2 - other.d2)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.d1, -self.d2)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        return Jet2(
-            self.value * other.value,
-            self.d1 * other.value + self.value * other.d1,
-            self.d2 * other.value + 2.0 * self.d1 * other.d1 + self.value * other.d2,
-        )
-
-    def __truediv__(self, other: "Jet2") -> "Jet2":
-        q = self.value / other.value
-        q1 = (self.d1 - q * other.d1) / other.value
-        q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / other.value
-        return Jet2(q, q1, q2)
-
-
-def _jet_exp(a: Jet2) -> Jet2:
-    e = np.exp(a.value)
-    return Jet2(e, e * a.d1, e * (a.d1 * a.d1 + a.d2))
-
-
-def _jet_ln(a: Jet2) -> Jet2:
-    r = a.d1 / a.value
-    return Jet2(np.log(a.value), r, a.d2 / a.value - r * r)
-
-
-def _jet_sqrt(a: Jet2) -> Jet2:
-    s = np.sqrt(a.value)
-    d1 = a.d1 / (2.0 * s)
-    return Jet2(s, d1, a.d2 / (2.0 * s) - a.d1 * a.d1 / (4.0 * np.power(s, 3)))
-
-
-# np.power, not **: numpy scalars and arrays take different routes for **.
-def _jet_pow(a: Jet2, p: float) -> Jet2:
-    v = np.power(a.value, p)
-    vp1 = p * np.power(a.value, p - 1.0)
-    vp2 = p * (p - 1.0) * np.power(a.value, p - 2.0)
-    return Jet2(v, vp1 * a.d1, vp2 * a.d1 * a.d1 + vp1 * a.d2)
-
 
 def _check(bad, message: str, node: str, t) -> None:
     """Raise DomainError at the first t where ``bad`` holds."""
@@ -323,66 +281,123 @@ def _check(bad, message: str, node: str, t) -> None:
         raise DomainError(message, node, float(np.ravel(t)[np.argmax(bad)]))
 
 
-def eval_jet(node: Expr, t) -> Jet2:
-    """Evaluate (f, f', f'') at t by forward propagation through the AST.
+# The chain rule of each node, from the jets (f, f', f'') of its operands to
+# its own, after the check of the node's real domain at t.
 
-    t is a number or an array; one walk of the tree covers every t.  Raises
+
+def _neg(a, t):
+    v, d1, d2 = a
+    return -v, -d1, -d2
+
+
+def _exp(a, t):
+    v, d1, d2 = a
+    e = np.exp(v)
+    _check(np.isinf(e), "exp overflows", "exp", t)
+    return e, e * d1, e * (d1 * d1 + d2)
+
+
+def _ln(a, t):
+    v, d1, d2 = a
+    _check(v <= 0.0, "ln of a nonpositive value", "ln", t)
+    r = d1 / v
+    return np.log(v), r, d2 / v - r * r
+
+
+def _sqrt(a, t):
+    v, d1, d2 = a
+    # 0 is excluded: the jet has infinite slope there.
+    _check(v <= 0.0, "sqrt of a nonpositive value", "sqrt", t)
+    s = np.sqrt(v)
+    return s, d1 / (2.0 * s), d2 / (2.0 * s) - d1 * d1 / (4.0 * np.power(s, 3))
+
+
+def _add(a, b, t):
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+def _sub(a, b, t):
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+
+
+def _mul(a, b, t):
+    (av, a1, a2), (bv, b1, b2) = a, b
+    return av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2
+
+
+def _div(a, b, t):
+    (av, a1, a2), (bv, b1, b2) = a, b
+    _check(bv == 0.0, "division by zero", "division", t)
+    q = av / bv
+    q1 = (a1 - q * b1) / bv
+    return q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / bv
+
+
+# np.power, not **: numpy scalars and arrays take different routes for **.
+def _pow(a, t, p, fractional, negative):
+    v, d1, d2 = a
+    if fractional:
+        _check(v <= 0.0, "fractional power of a nonpositive base", "power", t)
+    elif negative:
+        _check(v == 0.0, "zero base with negative exponent", "power", t)
+    out = np.power(v, p)
+    _check(np.isinf(out), "power overflows", "power", t)
+    vp1 = p * np.power(v, p - 1.0)
+    return out, vp1 * d1, p * (p - 1.0) * np.power(v, p - 2.0) * d1 * d1 + vp1 * d2
+
+
+_UNARY = {"neg": _neg, "exp": _exp, "ln": _ln, "sqrt": _sqrt}
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
+
+
+def _compile(node: Expr):
+    """node as a function of (t, zero) that returns its jet as a tuple; zero
+    is 0 in the shape of t.  The tree is dispatched on once, here."""
+    if isinstance(node, Const):
+        c = node.value
+        return lambda t, zero: (zero + c, zero, zero)
+    if isinstance(node, Var):
+        return lambda t, zero: (t, zero + 1.0, zero)
+    if isinstance(node, Unary):
+        arg, rule = _compile(node.arg), _UNARY[node.op]
+        return lambda t, zero: rule(arg(t, zero), t)
+    if isinstance(node, Binary):
+        left, right, rule = _compile(node.left), _compile(node.right), _BINARY[node.op]
+        return lambda t, zero: rule(left(t, zero), right(t, zero), t)
+    if isinstance(node, Pow):
+        base, p = _compile(node.base), node.exponent
+        fractional, negative = p != int(p), p < 0
+        return lambda t, zero: _pow(base(t, zero), t, p, fractional, negative)
+    raise AssertionError(type(node))
+
+
+def compile_jet(node: Expr) -> Callable[[np.ndarray], Jet2]:
+    """The jet function of node, for a number or an array of t: the tree is
+    compiled once into closures, so that an evaluation runs numpy operations
+    only.  The function raises what ``eval_jet`` raises."""
+    run = _compile(node)
+
+    def jet(t) -> Jet2:
+        t = np.asarray(t, dtype=float)
+        with np.errstate(all="ignore"):
+            return Jet2(*run(t[()], np.zeros_like(t)[()]))
+
+    return jet
+
+
+def eval_jet(node: Expr, t) -> Jet2:
+    """Evaluate (f, f', f'') at t by forward propagation through the AST,
+    compiled by ``compile_jet`` for this one call.
+
+    t is a number or an array; one evaluation covers every t.  Raises
     DomainError naming the offending node and the first t outside the real
     domain (division by zero, ln of a nonpositive value, sqrt of a
     nonpositive value, a negative power of zero or a fractional power of a
-    nonpositive base), or where exp or a power overflows.
+    nonpositive base), or where exp or a power overflows.  The checks run
+    in evaluation order: a node's operands before the node, the left
+    operand before the right.
     """
-    t = np.asarray(t, dtype=float)
-    zero = np.zeros_like(t)[()]
-    with np.errstate(all="ignore"):
-        return _walk(node, t[()], zero)
-
-
-def _walk(node: Expr, t, zero) -> Jet2:
-    if isinstance(node, Const):
-        return Jet2(zero + node.value, zero, zero)
-    if isinstance(node, Var):
-        return Jet2(t, zero + 1.0, zero)
-    if isinstance(node, Unary):
-        arg = _walk(node.arg, t, zero)
-        if node.op == "neg":
-            return -arg
-        if node.op == "exp":
-            out = _jet_exp(arg)
-            _check(np.isinf(out.value), "exp overflows", "exp", t)
-            return out
-        if node.op == "ln":
-            _check(arg.value <= 0.0, "ln of a nonpositive value", "ln", t)
-            return _jet_ln(arg)
-        if node.op == "sqrt":
-            # 0 is excluded: the jet has infinite slope there.
-            _check(arg.value <= 0.0, "sqrt of a nonpositive value", "sqrt", t)
-            return _jet_sqrt(arg)
-        raise AssertionError(node.op)
-    if isinstance(node, Binary):
-        left = _walk(node.left, t, zero)
-        right = _walk(node.right, t, zero)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            _check(right.value == 0.0, "division by zero", "division", t)
-            return left / right
-        raise AssertionError(node.op)
-    if isinstance(node, Pow):
-        base = _walk(node.base, t, zero)
-        p = node.exponent
-        if p != int(p):
-            _check(base.value <= 0.0, "fractional power of a nonpositive base", "power", t)
-        elif p < 0:
-            _check(base.value == 0.0, "zero base with negative exponent", "power", t)
-        out = _jet_pow(base, p)
-        _check(np.isinf(out.value), "power overflows", "power", t)
-        return out
-    raise AssertionError(type(node))
+    return compile_jet(node)(t)
 
 
 # --------------------------------------------------------------------------
@@ -437,23 +452,34 @@ class ScalarFunction:
     """A function of t >= 0 given by its order-2 jet function, which takes a
     number or an array of t.
 
-    Expression-backed instances evaluate the syntax tree.  Derived functions
-    such as the flatness beta supply their own jet function; its second
-    derivative may be NaN where it is not available.
+    Expression-backed instances run their syntax tree, compiled once, and
+    keep it as ``expr``.  Derived functions such as the flatness beta supply
+    their own jet function (``expr`` is None); its second derivative may be
+    NaN where it is not available.
     """
 
-    def __init__(self, jet: Callable[[np.ndarray], Jet2], name: str = "<callable>"):
+    def __init__(
+        self,
+        jet: Callable[[np.ndarray], Jet2],
+        name: str = "<callable>",
+        expr: Optional[Expr] = None,
+    ):
         self._jet = jet
         self.name = name
+        self.expr = expr
+
+    @classmethod
+    def from_expr(cls, node: Expr, name: str) -> "ScalarFunction":
+        return cls(compile_jet(node), name=name, expr=node)
 
     @classmethod
     def from_expression(cls, src: str, name: str = "") -> "ScalarFunction":
-        return cls(partial(eval_jet, parse(src)), name=name or src)
+        return cls.from_expr(parse(src), name or src)
 
     @classmethod
     def constant(cls, c: float) -> "ScalarFunction":
         node = Const(float(c))
-        return cls(partial(eval_jet, node), name=to_text(node))
+        return cls.from_expr(node, to_text(node))
 
     def jet(self, t) -> Jet2:
         return self._jet(t)

@@ -1201,6 +1201,32 @@ class TestNonFiniteMetric:
         assert captured.err == ""
         assert captured.out.count("SingularMetricError: metric not finite") == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("task", _TABLES)
+    def test_grid_base_point_is_a_config_error(self, capsys, task):
+        # a grid base point outside the chart is a config error, and so is
+        # one whose metric is not finite (it used to read as a NaN vector)
+        grid = json.dumps({"base_points": [[0.2, 0.3], [1.4, 0.3]], "v_norms": [0]})
+        assert run([task, *self.ARGS, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: grid base point: metric not finite at x=[1.4, 0.3]\n"
+
+
+class TestFlatnessOfABadAlpha:
+    # --beta-flatness derives beta from alpha: a bad alpha is the same
+    # config error as with an explicit beta, not an exit 1
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [("exp(", "expected a value (offset 4)"), ("foo(t)", "unknown identifier 'foo' (offset 0)"),
+         ("1+t^1e400", "exponent must be finite (offset 4)")],
+    )
+    @pytest.mark.parametrize("beta", [["--beta-flatness"], ["--beta", "0"]])
+    def test_bad_alpha_is_a_config_error(self, capsys, alpha, message, beta):
+        assert run(["family-check", "--alpha", alpha, *beta]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: bad family expression: {message}\n"
+
 
 def _readme_settings_table() -> dict:
     """The rows of the config key table in README's Command line section,

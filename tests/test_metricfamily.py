@@ -1,8 +1,11 @@
 """Tests for natural-metric families, their validity, and F/H."""
 
+import dataclasses
 import math
 import random
+import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from tbcurv.metricfamily import (
     flatness_beta,
     preset,
 )
+from tbcurv.scalarfun import ScalarFunction
 
 
 def fd_family_F(fam, t, h=1e-5):
@@ -360,6 +364,11 @@ def assert_bisection_matches_reference(fam, samples=4096):
     assert new == _outcome(lambda: _reference_validate(fam, samples))
 
 
+def assert_same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
 def _coefficient(lo, hi):
     return st.floats(min_value=lo, max_value=hi).map(lambda x: round(x, 6))
 
@@ -439,3 +448,118 @@ class TestBisectionFixedPoint:
         assert _first_nonpositive(value_slope, scan) is None
         assert calls[:2] == [4096, 561]
         assert len(calls) == 52
+
+    @pytest.mark.parametrize(
+        "alpha,beta,outcome",
+        [
+            # undefined on (3.3 - 1e-5, 3.3 + 1e-5), inside one grid step:
+            # the bisection's own midpoints meet the gap
+            ("sqrt((t-3.3)^2-1e-10)", "0",
+             ("DomainError", "sqrt of a nonpositive value: sqrt at t=3.2999942765567765",
+              3.2999942765567765)),
+            ("1", "sqrt((t-7.1)^2-1e-9)",
+             ("DomainError", "sqrt of a nonpositive value: sqrt at t=7.100026709401709",
+              7.100026709401709)),
+            # two tangential zeros, two brackets
+            ("((t-3.3)*(t-9.1))^2+1e-14", "0", 3.3),
+        ],
+    )
+    def test_several_halvings_per_evaluation(self, alpha, beta, outcome):
+        fam = NaturalMetricFamily(alpha, beta)
+        assert_bisection_matches_reference(fam)
+        kind = "alpha" if beta == "0" else "delta"
+        value_slope = partial(fam._value_slope, kind)
+        grid = np.linspace(0.0, fam.t_max, 4096)
+        assert _outcome(lambda: _first_nonpositive(value_slope, _defined_prefix(value_slope, grid))) == outcome
+
+    @pytest.mark.parametrize(
+        "alpha,beta,kind,brackets,count",
+        [
+            # one bracket: 6 halvings per evaluation, so the 47 halvings of the
+            # plain loop take 8; one call on the grid, one at the minimum
+            ("(1+t)^-0.4665", "0.881024*t/(1+t)", "delta", 1, 10),
+            # two brackets: 5 halvings per evaluation, 45 halvings in 9
+            ("((t-3.3)*(t-9.1))^2+1e-14", "0", "alpha", 2, 11),
+        ],
+    )
+    def test_few_bracket_call_count(self, alpha, beta, kind, brackets, count):
+        fam = NaturalMetricFamily(alpha, beta)
+        calls = []
+
+        def value_slope(t):
+            calls.append(np.size(t))
+            return fam._value_slope(kind, t)
+
+        scan = _defined_prefix(value_slope, np.linspace(0.0, fam.t_max, 4096))
+        expected = _reference_first_nonpositive(partial(fam._value_slope, kind), scan[0], 1e-8)
+        assert _first_nonpositive(value_slope, scan) == expected
+        assert calls[0] == 4096 and calls[-1] == brackets
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("off_path", ["undefined", "overflows"])
+    def test_midpoints_off_the_path_raise_and_warn_nothing(self, off_path):
+        # the bracket [1, 2] halves towards its minimum at 1.3, and never
+        # reaches 1.75, the midpoint of [1.5, 2] where the function is
+        # undefined or sets numpy's overflow flag; one evaluation of six
+        # halvings does reach it, and must not raise or warn for it
+        def value_slope(t):
+            near = np.abs(t - 1.75) < 0.01
+            if off_path == "undefined" and near.any():
+                raise DomainError("undefined", "test", t[near][0])
+            np.multiply(1e308, np.where(near, 10.0, 1.0))
+            return (t - 1.3) ** 2 + 1e-12, 2.0 * (t - 1.3)
+
+        grid = np.arange(4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _first_nonpositive(value_slope, _defined_prefix(value_slope, grid))
+        assert got == _reference_first_nonpositive(value_slope, grid, 1e-8)
+
+
+class TestSharedAlphaWalk:
+    """A beta that is alpha's own expression, or the flatness beta of it,
+    is read from alpha's jet: alpha is walked once per evaluation."""
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            preset("cheeger-gromoll"),
+            preset("exp+"),
+            preset("exp-"),
+            NaturalMetricFamily("1/(1+0.3*t)", flatness_beta("1/(1+0.3*t)")),
+            NaturalMetricFamily("sqrt(1+0.3*t)", "sqrt(1+0.3*t)"),
+        ],
+        ids=["cheeger-gromoll", "exp+", "exp-", "flat", "equal-text"],
+    )
+    @pytest.mark.parametrize("t", [0.5, np.linspace(0.0, 3.0, 7)], ids=["number", "array"])
+    def test_one_alpha_walk_per_jets_call(self, fam, t):
+        reference = NaturalMetricFamily(
+            fam.alpha, ScalarFunction(fam.beta.jet, name="opaque"), t_max=fam.t_max
+        )
+        with mock.patch.object(ScalarFunction, "jet", autospec=True, side_effect=ScalarFunction.jet) as jet:
+            got = fam.jets(t)
+        assert [call.args[0] for call in jet.call_args_list] == [fam.alpha]
+        want = reference.jets(t)
+        for field in dataclasses.fields(got):
+            assert_same_bits(getattr(got, field.name), getattr(want, field.name))
+        assert _outcome(lambda: fam.validate(97)) == _outcome(lambda: reference.validate(97))
+
+    @pytest.mark.parametrize(
+        "alpha,beta,shared",
+        [
+            ("1/(1+t)", "1/(1+t)", True),
+            ("exp(t)", flatness_beta("exp(t)"), True),
+            ("t^0", "t^-0", False),  # equal but for the sign of a zero exponent
+            ("1", flatness_beta("2"), False),
+            ("1+t", "1+t+0", False),
+        ],
+    )
+    def test_only_equal_trees_are_shared(self, alpha, beta, shared):
+        assert (NaturalMetricFamily(alpha, beta)._beta_from_alpha is not None) == shared
+
+    def test_signed_zero_exponent_keeps_its_own_walk(self):
+        # t^-0 has the slope -0.0 * t^-1 and t^0 the slope 0.0 * t^-1: a
+        # shared walk would give beta the sign of alpha's zero
+        jets = NaturalMetricFamily("t^0", "t^-0").jets(np.array([1.0]))
+        assert not np.signbit(jets.alpha_d1).any()
+        assert np.signbit(jets.beta_d1).all()
