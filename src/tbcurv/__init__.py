@@ -70,8 +70,6 @@ from .oracle import (
     CurvatureReport,
     OracleConfig,
     OracleResult,
-    SignCalibration,
-    calibrate_sign,
     compare,
     numeric_tm_curvature,
 )

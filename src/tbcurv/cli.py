@@ -523,12 +523,13 @@ def _max_abs_F_H(fam: NaturalMetricFamily) -> tuple:
 
 def _flatness_deviations(fam: NaturalMetricFamily) -> tuple:
     """How far beta is from the flatness combination, and alpha*Delta from
-    phi^2, on 512 points of [0, t_max], from one jet of beta and one of
-    alpha.  Deviations are relative to the reference value (absolute below
-    1), so a 1e-8 bound stays above one ulp where the family grows large."""
+    phi^2, on 512 points of [0, t_max], from one jet of alpha and beta's
+    jet by the family's rule (``NaturalMetricFamily.beta_jet``).  Deviations
+    are relative to the reference value (absolute below 1), so a 1e-8 bound
+    stays above one ulp where the family grows large."""
     t = np.linspace(0.0, fam.t_max, 512)
-    b = fam.beta.jet(t)
     a = fam.alpha.jet(t)
+    b = fam.beta_jet(a, t)
 
     def rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
         return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))

@@ -277,7 +277,7 @@ class NaturalMetricFamily:
 
     # -- jets ------------------------------------------------------------
 
-    def _beta_jet(self, a: Jet2, t) -> Jet2:
+    def beta_jet(self, a: Jet2, t) -> Jet2:
         """beta's jet at t, given alpha's jet ``a`` there: read from ``a``
         where beta is a function of alpha's jet (``_beta_rule``), else
         from beta's own walk."""
@@ -299,7 +299,7 @@ class NaturalMetricFamily:
             )
         t = t[()]
         a = self.alpha.jet(t)
-        b = self._beta_jet(a, t)
+        b = self.beta_jet(a, t)
         delta = a.value + t * b.value
         bad = (a.value <= 0.0) | (delta <= 0.0)
         if np.count_nonzero(bad):
@@ -355,7 +355,7 @@ class NaturalMetricFamily:
         """Value and slope of alpha, Delta = alpha + t*beta or
         phi = alpha + t*alpha' at t."""
         a = self.alpha.jet(t)
-        return _value_slope_of(kind, t, a, self._beta_jet(a, t) if kind == "delta" else None)
+        return _value_slope_of(kind, t, a, self.beta_jet(a, t) if kind == "delta" else None)
 
     def validate(self, samples: int = 4096) -> FamilyValidation:
         """Densely sample positivity of alpha and alpha + t*beta on
@@ -376,7 +376,7 @@ class NaturalMetricFamily:
             if kind != "delta":
                 return t_a, _value_slope_of(kind, t_a, a), error_a
             if self._beta_from_alpha is not None:
-                return t_a, _value_slope_of(kind, t_a, a, self._beta_jet(a, t_a)), error_a
+                return t_a, _value_slope_of(kind, t_a, a, self.beta_jet(a, t_a)), error_a
             t_d, b, error_b = _defined_prefix(self.beta.jet, t_a)
             a_d = Jet2(*(field[: t_d.size] for field in (a.value, a.d1, a.d2)))
             error = error_a if error_b is None else error_b

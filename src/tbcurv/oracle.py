@@ -8,10 +8,10 @@ evaluates any closed-form curvature expression, so agreement between the
 two tables is a genuine two-route check.
 
 Both routes use one pinned sign convention, so the comparison is
-``closed - oracle`` and never absorbs a sign.  A global sign is still
-calibrated per (manifold, family) run as a diagnostic: a calibrated -1 (one
-route has the opposite sign) fails, and so does a class whose sign disagrees
-with the others, which is reported as a formula erratum.
+``closed - oracle``, point by point.  It never absorbs a sign: where the two
+have opposite signs, |closed - oracle| >= max(|closed|, |oracle|), so with
+tol_rel < 1 a flip larger than tol_abs / (1 - tol_rel) always fails.  A
+failing report names each class that the oracle's negative would pass.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ from .numdiff import (
 __all__ = [
     "OracleConfig",
     "OracleResult",
-    "SignCalibration",
     "CurvatureReport",
     "numeric_tm_curvature",
-    "calibrate_sign",
     "compare",
 ]
 
@@ -55,7 +53,8 @@ class OracleConfig:
     """Tolerance policy of the comparison: a component passes when
     |closed - oracle| <= tol_abs + tol_rel * max(|closed|, |oracle|).
     Each tolerance is a positive finite number (a boolean is not one): an
-    infinite one would pass every component, a NaN one fail it.
+    infinite one would pass every component, a NaN one fail it.  tol_rel is
+    below 1, so that no sign flip above tol_abs / (1 - tol_rel) passes.
 
     The steps are not configurable; the oracle always differentiates on the
     ``numdiff.ORACLE`` stencil.
@@ -71,6 +70,8 @@ class OracleConfig:
                 0.0 < value < math.inf
             ):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if self.tol_rel >= 1.0:
+            raise ValueError(f"tol_rel must be below 1, got {self.tol_rel!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -112,52 +113,6 @@ def numeric_tm_curvature(
     _, rlow = riemann_from_christoffels(g0, gamma, dgamma)
     table = frame_components(adapted_frame_vectors(M, fp), rlow)
     return OracleResult(table=table, cond=cond)
-
-
-# --------------------------------------------------------------------------
-# Sign calibration
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignCalibration:
-    sign: int
-    underdetermined: bool
-    per_class: dict  # class name -> +1 | -1 | None (undetermined)
-    mixed_classes: tuple
-
-
-def calibrate_sign(
-    closed_tables: Sequence[np.ndarray],
-    oracle_tables: Sequence[np.ndarray],
-    n: int,
-    abs_tol: float,
-) -> SignCalibration:
-    """Global sign s minimizing the total deviation |closed - s*oracle|,
-    pooled over tables.
-
-    A diagnostic: the comparison itself pins s = +1, and a calibrated -1
-    fails it (``CurvatureReport.finalize``).  Components enter only where
-    both tables exceed 100x the absolute tolerance, and a class's sign is
-    that of its sum of closed*oracle over them (None where the sum is 0),
-    read in one pass with ``component_class_labels``.  The per-class signs
-    must agree; disagreement is reported in ``mixed_classes`` (a formula
-    erratum, never silently fixed).  With no usable component anywhere the
-    result is underdetermined and s = +1.
-    """
-    floor = 100.0 * abs_tol
-    closed, orc = np.stack(closed_tables), np.stack(oracle_tables)
-    keep = (np.abs(closed) > floor) & (np.abs(orc) > floor)
-    labels = np.broadcast_to(component_class_labels(n), keep.shape)[keep]
-    dots = np.bincount(labels, closed[keep] * orc[keep], minlength=len(CLASS_NAMES))
-    per_class = {
-        name: None if dot == 0.0 else (1 if dot > 0 else -1)
-        for name, dot in zip(CLASS_NAMES, dots)
-    }
-    determined = [s for s in per_class.values() if s is not None]
-    sign = 1 if not determined or dots.sum() > 0 else -1
-    mixed = tuple(name for name, s in per_class.items() if s not in (None, sign))
-    return SignCalibration(sign, not determined, per_class, mixed)
 
 
 # --------------------------------------------------------------------------
@@ -210,21 +165,17 @@ class CurvatureReport:
     class_deviations: Optional[dict] = None  # class name -> its max_abs_dev, max_rel_dev
     worst_component: Optional[dict] = None  # index, class, dev_over_tol
     oracle_symmetry_residual: Optional[float] = None
-    sign: int = 1
-    sign_underdetermined: bool = False
-    mixed_sign_classes: tuple = ()
     cond: Optional[float] = None
     passed: bool = False
+    negated_classes: tuple = ()  # of a failing report; written as a note
     notes: list = field(default_factory=list)
 
-    def finalize(self, calibration: SignCalibration, abs_tol: float, rel_tol: float):
+    def finalize(self, abs_tol: float, rel_tol: float):
         """Compare the tables: a component passes when |closed - oracle| <=
         abs_tol + rel_tol * max(|closed|, |oracle|), and the report passes
-        when every component does, the calibrated sign is +1 (as it is when
-        underdetermined) and no class's sign disagrees with it."""
-        self.sign = calibration.sign
-        self.sign_underdetermined = calibration.underdetermined
-        self.mixed_sign_classes = calibration.mixed_classes
+        when every component does.  A failing report names its negated
+        classes: those with a component outside its bound whose every
+        component is within it with the oracle's sign flipped."""
         dev = np.abs(self.closed - self.oracle)
         scale = np.maximum(np.abs(self.closed), np.abs(self.oracle))
         bound = abs_tol + rel_tol * scale
@@ -245,19 +196,19 @@ class CurvatureReport:
             "dev_over_tol": float(over[worst]),
         }
         self.oracle_symmetry_residual = _symmetry_residual(self.oracle)
-        self.passed = (
-            bool(np.all(dev <= bound)) and not calibration.mixed_classes and self.sign == 1
-        )
+        within = dev <= bound
+        self.passed = bool(np.all(within))
+        if not self.passed:
+            flipped = np.abs(self.closed + self.oracle) <= bound
+            self.negated_classes = tuple(
+                name for k, name in enumerate(CLASS_NAMES)
+                if not np.all(within[labels == k]) and np.all(flipped[labels == k])
+            )
         if self.cond > 1e8:
             self.notes.append(f"bundle metric condition number {self.cond:.3g} exceeds 1e8")
-        if self.sign == -1:
-            self.notes.append("sign calibrates to -1: the closed form and the oracle "
-                              "have opposite curvature signs")
-        if calibration.mixed_classes:
-            self.notes.append(
-                "sign calibration disagrees across component classes: "
-                + ", ".join(calibration.mixed_classes)
-            )
+        if self.negated_classes:
+            self.notes.append("the closed form is the negated oracle, within tolerance, "
+                              "in classes: " + ", ".join(self.negated_classes))
 
     def to_json_dict(self) -> dict:
         """The report as JSON values.  Each table is written as its
@@ -285,9 +236,6 @@ class CurvatureReport:
             "class_deviations": self.class_deviations,
             "worst_component": self.worst_component,
             "oracle_symmetry_residual": self.oracle_symmetry_residual,
-            "sign": self.sign,
-            "sign_underdetermined": self.sign_underdetermined,
-            "mixed_sign_classes": list(self.mixed_sign_classes),
             "condition_number": self.cond,
             "passed": self.passed,
             "notes": list(self.notes),
@@ -295,8 +243,8 @@ class CurvatureReport:
 
     def summary_line(self) -> str:
         """One line per report; a FAIL line also names the worst component,
-        its class and its deviation over the tolerance, and any class whose
-        sign disagrees."""
+        its class and its deviation over the tolerance, and the negated
+        classes, if any."""
         if self.status == "error":
             return (
                 f"ERROR  {self.manifold_id}+{self.family_name} at t={self.t:.4g}: "
@@ -305,15 +253,14 @@ class CurvatureReport:
         verdict = "pass" if self.passed else "FAIL"
         line = (
             f"{verdict:5s}  {self.manifold_id}+{self.family_name} t={self.t:.4g} "
-            f"max_abs={self.max_abs_dev:.3e} max_rel={self.max_rel_dev:.3e} "
-            f"sign={self.sign:+d}"
+            f"max_abs={self.max_abs_dev:.3e} max_rel={self.max_rel_dev:.3e}"
         )
         if self.passed:
             return line
         worst = self.worst_component
         line += f" worst={worst['class']}{worst['index']} at {worst['dev_over_tol']:.3g}x tol"
-        if self.mixed_sign_classes:
-            line += " mixed=" + ",".join(self.mixed_sign_classes)
+        if self.negated_classes:
+            line += " negated=" + ",".join(self.negated_classes)
         return line
 
 
@@ -323,14 +270,13 @@ def compare(
     points: Sequence[BundlePoint],
     cfg: OracleConfig = OracleConfig(),
 ) -> list[CurvatureReport]:
-    """Run closed form and oracle over the stack of points, calibrate the
-    sign once per (manifold, family), and emit one report per point, in
-    point order.
+    """Run closed form and oracle over the stack of points and emit one
+    report per point, in point order.
 
-    A point that fails (validity, domain) gets in its report the error it
-    would get alone (``closedform.on_points``); the remaining points still
-    get full comparisons.  A condition number above 1e8 is a note of the
-    report, not a ``ConditioningWarning``.
+    Each point gets in its report what it would get alone: an error
+    (validity, domain) from ``closedform.on_points``, or its own comparison
+    (``CurvatureReport.finalize``).  A condition number above 1e8 is a note
+    of the report, not a ``ConditioningWarning``.
     """
 
     def both_routes(fp):
@@ -356,13 +302,6 @@ def compare(
             report.error = f"{type(result).__name__}: {result}"
         else:
             report.closed, report.oracle, report.cond = result
+            report.finalize(cfg.tol_abs, cfg.tol_rel)
         reports.append(report)
-
-    ok = [r for r in reports if r.status == "ok"]
-    if ok:
-        calibration = calibrate_sign(
-            [r.closed for r in ok], [r.oracle for r in ok], M.dim, cfg.tol_abs
-        )
-        for r in ok:
-            r.finalize(calibration, cfg.tol_abs, cfg.tol_rel)
     return reports

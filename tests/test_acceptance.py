@@ -78,17 +78,14 @@ def test_criterion_1_oracle_equivalence_theorem_coverage():
     for label, M, q, d in _acceptance_manifolds():
         for fam_name in FAMILIES:
             reports = compare(M, preset(fam_name), _points_for(M, q, d), cfg)
-            signs = {r.sign for r in reports}
             for r in reports:
                 assert r.status == "ok", f"{label}+{fam_name}: {r.error}"
                 assert r.passed, (
                     f"{label}+{fam_name} t={r.t}: max_abs={r.max_abs_dev:.2e} "
                     f"max_rel={r.max_rel_dev:.2e}"
                 )
-                assert r.mixed_sign_classes == ()
                 worst = max(worst, r.max_abs_dev)
                 count += 1
-            assert len(signs) == 1, f"{label}+{fam_name}: inconsistent signs {signs}"
     elapsed = time.perf_counter() - started
     _verdict(
         1,

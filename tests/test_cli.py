@@ -39,6 +39,7 @@ from tbcurv.cli import (
 from tbcurv.errors import ConfigError, TbcurvError
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta
 from tbcurv.oracle import OracleConfig, compare
+from tbcurv.scalarfun import ScalarFunction
 
 
 def run(args):
@@ -101,8 +102,8 @@ class TestFamilyCheck:
 class TestFamilyCheckSharedWalk:
     # family-check reads max |F| and max |H| from one jets record on the
     # 2048-point grid, and the flat-fiber deviations from one jet of alpha
-    # and one of beta on the 512-point grid; each equals, bit for bit, the
-    # value the public helpers give
+    # on the 512-point grid and beta's by the family's rule; each equals,
+    # bit for bit, the value the public helpers give
     FAMILIES = [
         *({"preset": name, "t_max": t_max} for name in PRESET_NAMES for t_max in (25.0, 3.0)),
         *({"alpha": alpha.format(c=c), "beta_flatness": True}
@@ -134,6 +135,18 @@ class TestFamilyCheckSharedWalk:
         assert ("F == 0 consequence" in out) == (max_f <= 1e-10)
         assert code == 0 and "FAILED" not in out
 
+    def test_one_alpha_walk_per_grid(self, capsys):
+        # validation, the F and H table, the maxima and the deviations: beta
+        # is read from alpha's jet, so each grid walks alpha once (the
+        # deviations walked it twice)
+        with mock.patch.object(ScalarFunction, "jet", autospec=True,
+                               side_effect=ScalarFunction.jet) as jet:
+            assert run(["family-check", "--alpha=1/(1+0.3*t)", "--beta-flatness"]) == 0
+        assert "F == 0 consequence" in capsys.readouterr().out
+        calls = jet.call_args_list
+        assert [np.size(call.args[1]) for call in calls] == [4096, 4, 2048, 512]
+        assert len({id(call.args[0]) for call in calls}) == 1
+
 
 class TestVerify:
     GRID = '{"base_points": [[0.9, 0.3]], "v_norms": [0.0, 1.0]}'
@@ -159,7 +172,6 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert len(doc["reports"]) == 2
         assert all(r["passed"] for r in doc["reports"])
-        assert all(r["sign"] == 1 for r in doc["reports"])
 
     def test_flatness_construction_near_zero_tables(self, tmp_path):
         out = tmp_path / "flat.json"
@@ -1026,9 +1038,18 @@ class TestPositiveSettings:
         assert captured.err == f"config error: {message}\n"
 
 
+def _tolerance_error(key, value) -> str:
+    """The config error of a bad tolerance: one that is not a positive
+    finite number, else a tol_rel that is not below 1."""
+    below_one = isinstance(value, float) and 1.0 <= value < math.inf
+    rule = "must be below 1" if below_one else "must be a positive finite number"
+    return f"config error: {key} {rule}, got {value!r}\n"
+
+
 class TestTolerances:
     # an infinite tolerance turned this failing comparison into a pass, a
-    # NaN one printed "at nanx tol", and tol_abs true ran as 1.0
+    # NaN one printed "at nanx tol", tol_abs true ran as 1.0, and a tol_rel
+    # of 1 or more would pass a sign flip of any size
     VERIFY = ["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
               "--point", "0.9,0.3", "--v", "2.6,0"]
 
@@ -1038,20 +1059,18 @@ class TestTolerances:
 
     @pytest.mark.parametrize(
         "flag,value", [("--tol-abs", "inf"), ("--tol-rel", "nan"), ("--tol-rel", "inf"),
-                       ("--tol-abs", "0"), ("--tol-rel", "-1e-3")]
+                       ("--tol-abs", "0"), ("--tol-rel", "-1e-3"), ("--tol-rel", "1.0"),
+                       ("--tol-rel", "2.5")]
     )
     def test_flag(self, capsys, flag, value):
         assert run([*self.VERIFY, f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        key = flag[2:].replace("-", "_")
-        assert captured.err == (
-            f"config error: {key} must be a positive finite number, got {float(value)!r}\n"
-        )
+        assert captured.err == _tolerance_error(flag[2:].replace("-", "_"), float(value))
 
     @pytest.mark.parametrize(
         "key,value", [("tol_abs", math.inf), ("tol_rel", math.inf), ("tol_rel", math.nan),
-                      ("tol_abs", True), ("tol_rel", "1e-3")]
+                      ("tol_abs", True), ("tol_rel", "1e-3"), ("tol_rel", 1.0), ("tol_rel", 2.5)]
     )
     def test_config_value(self, tmp_path, capsys, recwarn, key, value):
         path = tmp_path / "run.json"
@@ -1059,9 +1078,7 @@ class TestTolerances:
         assert run([*self.VERIFY, "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"config error: {key} must be a positive finite number, got {value!r}\n"
-        )
+        assert captured.err == _tolerance_error(key, value)
         assert not recwarn.list
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tbcurv.basemanifold import (
     ChartManifold,
     adapted_frame,
+    conformal_polynomial,
     euclidean,
     hyperbolic,
     rotate_completion,
@@ -37,7 +38,10 @@ from tbcurv.errors import (
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta, preset
 from tbcurv import cli, oracle
 from tbcurv.numdiff import ORACLE, Stencil, frame_components, matrix_jets, pointwise
-from tbcurv.oracle import OracleConfig, calibrate_sign, compare, numeric_tm_curvature
+from tbcurv.oracle import CurvatureReport, OracleConfig, compare, numeric_tm_curvature
+
+
+NEGATED_NOTE = "the closed form is the negated oracle, within tolerance, in classes: "
 
 
 def _sphere_case(t=1.0):
@@ -151,7 +155,7 @@ class TestNumericTable:
         d = np.array([1.0, 2.0, -1.0, 0.5])
         v = d / np.linalg.norm(d) * 1.1
         rep = compare(M, fam, [BundlePoint(np.zeros(4), v)])[0]
-        assert rep.passed and rep.sign == 1
+        assert rep.passed
 
     def test_agrees_on_rotated_completion_frame(self):
         # closed form and oracle stay in lockstep for any normal-form frame,
@@ -195,41 +199,9 @@ def test_frame_components_equal_einsum(rank, size):
     np.testing.assert_allclose(frame_components(u, tensor), want, rtol=1e-12, atol=1e-12)
 
 
-class TestCalibration:
-    def test_flat_underdetermined(self):
-        zero = [np.zeros((4, 4, 4, 4))]
-        cal = calibrate_sign(zero, zero, 2, abs_tol=1e-5)
-        assert cal.underdetermined and cal.sign == 1
-
-    def test_sphere_consistent_sign(self):
-        M, q, v = _sphere_case(1.0)
-        fam = preset("cheeger-gromoll")
-        fp = adapted_frame(M, q, v)
-        closed = tm_curvature(M, fam, fp).table
-        orc = numeric_tm_curvature(M, fam, fp).table
-        cal = calibrate_sign([closed], [orc], 2, abs_tol=1e-5)
-        assert not cal.underdetermined
-        assert cal.sign == 1
-        assert cal.mixed_classes == ()
-
-    def test_negated_mixed_block_flags_erratum(self):
-        # fixture: flip the sign of the hvhv class only; calibration must
-        # report the mixed-sign erratum instead of absorbing it
-        M, q, v = _sphere_case(1.0)
-        fam = preset("sasaki")
-        fp = adapted_frame(M, q, v)
-        closed = tm_curvature(M, fam, fp).table.copy()
-        orc = numeric_tm_curvature(M, fam, fp).table
-        masks = component_class_masks(2)
-        closed[masks["hvhv"]] *= -1.0
-        cal = calibrate_sign([closed], [orc], 2, abs_tol=1e-5)
-        assert "hvhv" in cal.mixed_classes
-
-
 # --------------------------------------------------------------------------
-# The classes are one label array and calibration is one labelled
-# reduction: both must give what the count-based masks and the class by
-# table loop below give.
+# The classes are one label array: it must give what the count-based masks
+# below give.
 # --------------------------------------------------------------------------
 
 
@@ -252,91 +224,7 @@ def _reference_class_masks(n):
     }
 
 
-def _reference_calibrate_sign(closed_tables, oracle_tables, n, abs_tol):
-    """(sign, underdetermined, per_class, mixed_classes)."""
-    floor = 100.0 * abs_tol
-    masks = _reference_class_masks(n)
-    per_class = {}
-    total_dot = 0.0
-    for name in CLASS_NAMES:
-        mask = masks[name]
-        dot = 0.0
-        seen = False
-        for closed, orc in zip(closed_tables, oracle_tables):
-            c = closed[mask]
-            o = orc[mask]
-            keep = (np.abs(c) > floor) & (np.abs(o) > floor)
-            if np.any(keep):
-                seen = True
-                dot += float(c[keep] @ o[keep])
-        if not seen or dot == 0.0:
-            per_class[name] = None
-        else:
-            per_class[name] = 1 if dot > 0 else -1
-            total_dot += dot
-    determined = [s for s in per_class.values() if s is not None]
-    if not determined:
-        return 1, True, per_class, ()
-    sign = 1 if total_dot > 0 else -1
-    mixed = tuple(name for name, s in per_class.items() if s is not None and s != sign)
-    return sign, False, per_class, mixed
-
-
-ABS_TOL = 1e-5  # floor 1e-3
-
-
-def _calibration_tables(case, n, k, rng):
-    """k closed and k oracle tables of the (2n)^4 shape for one case."""
-    shape = (2 * n,) * 4
-    masks = _reference_class_masks(n)
-    closed = [rng.normal(size=shape) for _ in range(k)]
-    orc = [c * rng.uniform(0.5, 1.5, size=shape) for c in closed]
-    if case in ("negate one", "negate two"):
-        names = rng.choice(CLASS_NAMES, size=1 if case == "negate one" else 2, replace=False)
-        for c in closed:
-            for name in names:
-                c[masks[name]] *= -1.0
-    elif case == "below floor":
-        # one class is below the floor in every closed table, and the
-        # others in part, in either table
-        name = rng.choice(CLASS_NAMES)
-        for c in closed:
-            c[masks[name]] *= 1e-4
-            small = rng.random(shape) < 0.7
-            c[small] *= 1e-4
-        for o in orc:
-            small = rng.random(shape) < 0.3
-            o[small] *= 1e-4
-    elif case == "all zero":
-        closed[0][...] = 0.0
-        orc[-1][...] = 0.0
-    elif case == "single kept":
-        closed = [np.zeros(shape) for _ in range(k)]
-        orc = [np.zeros(shape) for _ in range(k)]
-        index = tuple(rng.integers(2 * n, size=4))
-        closed[-1][index] = rng.choice([-1.0, 1.0]) * 0.5
-        orc[-1][index] = rng.choice([-1.0, 1.0]) * 0.5
-    elif case == "zero sum":
-        closed = [np.zeros(shape) for _ in range(k)]
-        orc = [np.zeros(shape) for _ in range(k)]
-        first, second = np.argwhere(masks["vvhh"])[:2]
-        closed[0][tuple(first)], orc[0][tuple(first)] = 2.0, 1.0
-        closed[-1][tuple(second)], orc[-1][tuple(second)] = 2.0, -1.0
-        closed[0][masks["hhhh"]] = orc[0][masks["hhhh"]] = -0.5
-    elif case == "opposed classes":
-        # two classes of opposite sign whose sums cancel: the total is 0
-        closed = [np.zeros(shape) for _ in range(k)]
-        orc = [np.zeros(shape) for _ in range(k)]
-        closed[0][(0,) * 4], orc[0][(0,) * 4] = 2.0, 1.0
-        closed[-1][(2 * n - 1,) * 4], orc[-1][(2 * n - 1,) * 4] = 2.0, -1.0
-    return closed, orc
-
-
-CALIBRATION_CASES = ("random", "negate one", "negate two", "below floor", "all zero",
-                     "single kept", "zero sum", "opposed classes")
-
-
-class TestLabelledCalibration:
+class TestClassLabels:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_masks_equal_the_count_based_masks(self, n):
         masks = component_class_masks(n)
@@ -351,63 +239,173 @@ class TestLabelledCalibration:
         assert labels is component_class_labels(n)
         assert labels.shape == (2 * n,) * 4 and not labels.flags.writeable
 
-    @pytest.mark.parametrize("case", CALIBRATION_CASES)
-    @pytest.mark.parametrize("k", [1, 2, 3])
+
+# --------------------------------------------------------------------------
+# A report's comparison is one labelled reduction over its tables: it must
+# give what a class-by-class loop over the count-based masks gives.
+# --------------------------------------------------------------------------
+
+
+def _reference_finalize(closed, orc, n, abs_tol, rel_tol):
+    """(passed, max_abs_dev, max_rel_dev, class_deviations, worst_component,
+    negated_classes), one class at a time."""
+    masks = _reference_class_masks(n)
+    class_deviations = {}
+    negated = []
+    passed = True
+    worst_over = -1.0
+    worst_index = None
+    worst_class = None
+    for name in CLASS_NAMES:
+        mask = masks[name]
+        c, o = closed[mask], orc[mask]
+        dev = np.abs(c - o)
+        scale = np.maximum(np.abs(c), np.abs(o))
+        bound = abs_tol + rel_tol * scale
+        kept = scale > abs_tol
+        rel = np.zeros_like(dev)
+        rel[kept] = dev[kept] / scale[kept]
+        class_deviations[name] = {"max_abs_dev": float(dev.max()),
+                                  "max_rel_dev": float(rel.max())}
+        if np.any(dev > bound):
+            passed = False
+            if np.all(np.abs(c + o) <= bound):
+                negated.append(name)
+        # the first component, in row-major order, of the largest dev / bound
+        over = dev / bound
+        first = np.argwhere(mask)[np.flatnonzero(over == over.max())[0]]
+        if over.max() > worst_over or (
+            over.max() == worst_over and tuple(first) < tuple(worst_index)
+        ):
+            worst_over, worst_index, worst_class = float(over.max()), first, name
+    worst = {"index": [int(i) for i in worst_index], "class": worst_class,
+             "dev_over_tol": worst_over}
+    max_abs = max(d["max_abs_dev"] for d in class_deviations.values())
+    max_rel = max(d["max_rel_dev"] for d in class_deviations.values())
+    return passed, max_abs, max_rel, class_deviations, worst, tuple(negated)
+
+
+FINALIZE_CONFIGS = (OracleConfig(), OracleConfig(tol_abs=1e-9, tol_rel=1e-7),
+                    OracleConfig(tol_abs=1e-2, tol_rel=0.5))
+FINALIZE_CASES = ("agree", "noise", "negate one", "negate two", "negate and perturb",
+                  "below floor", "all zero", "single off")
+
+
+def _finalize_tables(case, n, cfg, rng):
+    """A closed and an oracle table of the (2n)^4 shape for one case."""
+    shape = (2 * n,) * 4
+    masks = _reference_class_masks(n)
+    closed = rng.normal(size=shape)
+    # within every bound: |dev| <= (tol_abs + tol_rel |closed|) / 2
+    orc = (closed * (1.0 + 0.5 * cfg.tol_rel * rng.uniform(-1, 1, size=shape))
+           + 0.5 * cfg.tol_abs * rng.uniform(-1, 1, size=shape))
+    names = rng.choice(CLASS_NAMES, size=2, replace=False)
+    if case == "noise":
+        orc = closed * rng.uniform(0.5, 1.5, size=shape)
+    elif case in ("negate one", "negate and perturb"):
+        closed[masks[names[0]]] *= -1.0
+    elif case == "negate two":
+        for name in names:
+            closed[masks[name]] *= -1.0
+    if case == "negate and perturb":
+        # one component of a second class outside its bound, not negated
+        index = tuple(rng.choice(np.argwhere(masks[names[1]])))
+        orc[index] += 10.0 * (cfg.tol_abs + cfg.tol_rel * abs(closed[index])) + 1.0
+    elif case == "below floor":
+        # a negated class below tol_abs, and components of the others
+        # whose scale is below it
+        closed[masks[names[0]]] *= -0.1 * cfg.tol_abs
+        orc[masks[names[0]]] *= 0.1 * cfg.tol_abs
+        small = rng.random(shape) < 0.3
+        closed[small] *= 0.1 * cfg.tol_abs
+        orc[small] *= 0.1 * cfg.tol_abs
+    elif case == "all zero":
+        closed[...] = orc[...] = 0.0
+    elif case == "single off":
+        closed[...] = orc[...] = 0.0
+        index = tuple(rng.integers(2 * n, size=4))
+        closed[index] = 1.0
+        orc[index] = rng.choice([-1.0, 0.5])
+    return closed, orc
+
+
+def _finalized(closed, orc, cfg):
+    report = CurvatureReport(manifold_id="test", manifold_params={}, family_name="test",
+                             x=[], v=[], t=0.0, config=cfg.to_dict(), closed=closed,
+                             oracle=orc, cond=1.0)
+    report.finalize(cfg.tol_abs, cfg.tol_rel)
+    return report
+
+
+class TestLabelledFinalize:
+    @pytest.mark.parametrize("cfg", FINALIZE_CONFIGS, ids=["default", "tight", "loose"])
+    @pytest.mark.parametrize("case", FINALIZE_CASES)
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_calibration_equals_the_class_by_table_loop(self, n, k, case):
+    def test_finalize_equals_the_class_by_class_loop(self, n, case, cfg):
         for seed in range(4):
-            rng = np.random.default_rng([n, k, CALIBRATION_CASES.index(case), seed])
-            closed, orc = _calibration_tables(case, n, k, rng)
-            cal = calibrate_sign(closed, orc, n, ABS_TOL)
-            sign, underdetermined, per_class, mixed = _reference_calibrate_sign(
-                closed, orc, n, ABS_TOL
+            rng = np.random.default_rng(
+                [n, FINALIZE_CASES.index(case), FINALIZE_CONFIGS.index(cfg), seed]
             )
-            assert (cal.sign, cal.underdetermined, cal.mixed_classes) == (
-                sign, underdetermined, mixed
+            closed, orc = _finalize_tables(case, n, cfg, rng)
+            report = _finalized(closed, orc, cfg)
+            passed, max_abs, max_rel, class_deviations, worst, negated = _reference_finalize(
+                closed, orc, n, cfg.tol_abs, cfg.tol_rel
             )
-            assert list(cal.per_class.items()) == list(per_class.items())
+            assert (report.passed, report.max_abs_dev, report.max_rel_dev) == (
+                passed, max_abs, max_rel
+            )
+            assert list(report.class_deviations.items()) == list(class_deviations.items())
+            assert report.worst_component == worst
+            assert report.negated_classes == negated
+            assert report.notes == ([NEGATED_NOTE + ", ".join(negated)] if negated else [])
 
     def test_cases_reach_each_outcome(self):
-        # the cases above cover determined, undetermined and mixed classes,
-        # both total signs, an underdetermined run and a zero class sum
+        # the cases above cover a pass and a fail, none, one and two negated
+        # classes, a fail with no class negated, and a zero worst component
         outcomes = set()
-        for case in CALIBRATION_CASES:
-            for n, k, seed in itertools.product([2, 3], [1, 3], range(4)):
-                rng = np.random.default_rng([n, k, CALIBRATION_CASES.index(case), seed])
-                cal = calibrate_sign(*_calibration_tables(case, n, k, rng), n, ABS_TOL)
-                outcomes.add(("sign", cal.sign))
-                outcomes.add(("underdetermined", cal.underdetermined))
-                outcomes.add(("mixed", bool(cal.mixed_classes)))
-                outcomes.update(("class sign", s) for s in cal.per_class.values())
-        assert outcomes == {("sign", 1), ("sign", -1), ("underdetermined", True),
-                            ("underdetermined", False), ("mixed", True), ("mixed", False),
-                            ("class sign", 1), ("class sign", -1), ("class sign", None)}
+        for case, cfg in itertools.product(FINALIZE_CASES, FINALIZE_CONFIGS):
+            for n, seed in itertools.product([2, 3], range(4)):
+                rng = np.random.default_rng(
+                    [n, FINALIZE_CASES.index(case), FINALIZE_CONFIGS.index(cfg), seed]
+                )
+                report = _finalized(*_finalize_tables(case, n, cfg, rng), cfg)
+                outcomes.add(("passed", report.passed))
+                outcomes.add(("negated", len(report.negated_classes)))
+                outcomes.add(("fail, none negated",
+                              not report.passed and not report.negated_classes))
+                outcomes.add(("zero worst", report.worst_component["dev_over_tol"] == 0.0))
+        assert outcomes == {("passed", True), ("passed", False), ("negated", 0),
+                            ("negated", 1), ("negated", 2), ("fail, none negated", True),
+                            ("fail, none negated", False), ("zero worst", True),
+                            ("zero worst", False)}
 
-    def test_zero_class_sum_is_undetermined(self):
+    def test_negated_class_below_tol_abs_passes(self):
+        # a class of opposite sign whose components are all below tol_abs is
+        # within its bound: the report passes and names no class
+        cfg = OracleConfig()
         rng = np.random.default_rng(0)
-        closed, orc = _calibration_tables("zero sum", 2, 2, rng)
-        cal = calibrate_sign(closed, orc, 2, ABS_TOL)
-        assert cal.per_class["vvhh"] is None
-        assert (cal.sign, cal.underdetermined, cal.per_class["hhhh"]) == (1, False, 1)
-
-    def test_zero_total_calibrates_to_minus_one(self):
-        rng = np.random.default_rng(0)
-        cal = calibrate_sign(*_calibration_tables("opposed classes", 2, 1, rng), 2, ABS_TOL)
-        assert (cal.per_class["hhhh"], cal.per_class["vvvv"]) == (1, -1)
-        assert (cal.sign, cal.underdetermined, cal.mixed_classes) == (-1, False, ("hhhh",))
+        closed, orc = _finalize_tables("below floor", 2, cfg, rng)
+        report = _finalized(closed, orc, cfg)
+        assert report.passed and report.negated_classes == () and report.notes == []
 
 
 class TestOracleConfig:
     # an infinite tolerance passes every component and a NaN one fails it
-    # everywhere; a boolean is not a number
+    # everywhere; a boolean is not a number; a tol_rel of 1 or more would
+    # pass a sign flip of any size
     def test_infinite_tol_abs_is_rejected(self):
         with pytest.raises(ValueError, match="tol_abs must be a positive finite number, got inf"):
             OracleConfig(tol_abs=math.inf)
 
-    @pytest.mark.parametrize("key", ["tol_abs", "tol_rel"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-5, True, "1e-5", None])
+    @pytest.mark.parametrize("value,key", [
+        *itertools.product([math.inf, -math.inf, math.nan, 0.0, -1e-5, True, "1e-5", None],
+                           ["tol_abs", "tol_rel"]),
+        (1.0, "tol_rel"), (2.5, "tol_rel"),
+    ])
     def test_tolerance_is_a_positive_finite_number(self, key, value):
-        message = f"{key} must be a positive finite number, got {value!r}"
+        below_one = isinstance(value, float) and 1.0 <= value < math.inf
+        rule = "must be below 1" if below_one else "must be a positive finite number"
+        message = f"{key} {rule}, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             OracleConfig(**{key: value})
 
@@ -427,7 +425,6 @@ class TestCompare:
         reports = compare(M, preset("sasaki"), points)
         assert len(reports) == 3
         assert all(r.status == "ok" and r.passed for r in reports)
-        assert all(r.sign == 1 for r in reports)
 
     def test_invalid_point_isolated(self):
         M = euclidean(2)
@@ -446,13 +443,12 @@ class TestCompare:
         rep = compare(M, preset("sasaki"), [BundlePoint(q, v)])[0]
         parsed = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert parsed["passed"] is True
-        assert parsed["sign"] == 1
         assert parsed["config"] == {"base_step": 1e-3, "tol_abs": 1e-5, "tol_rel": 1e-3}
         assert parsed["table_shape"] == [4, 4, 4, 4] and "deviations" not in parsed
         assert len(parsed["closed_table"]) == len(parsed["oracle_table"]) == 21
         table = full_table(parsed, "closed_table")
         assert np.max(np.abs(table - rep.closed)) <= 1e-14 * np.max(np.abs(rep.closed))
-        assert re.fullmatch(r"pass   sphere\+sasaki t=0\.5 max_abs=\S+e-\d\d max_rel=\S+ sign=\+1",
+        assert re.fullmatch(r"pass   sphere\+sasaki t=0\.5 max_abs=\S+e-\d\d max_rel=\S+",
                             rep.summary_line())
 
     def test_report_fields_explain_the_comparison(self):
@@ -492,8 +488,8 @@ class TestCompare:
         ["--grid", '{"base_points": [[0.2, -0.1, 0.3], [0.1, 0.1, 0.0]], "v_norms": [0.4, 1.1]}'],
     ])
     def test_negated_closed_form_fails(self, monkeypatch, capsys, tmp_path, task_args):
-        # one route with the opposite curvature sign: the sign calibrates to
-        # -1 and no longer absorbs it
+        # one route with the opposite curvature sign fails at every point,
+        # and each line names the classes the oracle's negative would pass
         closed_form = oracle.tm_curvature
 
         def negated(M, fam, fp):
@@ -506,16 +502,18 @@ class TestCompare:
                 *task_args, "--out", str(out)]
         assert cli.main(args) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert lines and all(line.startswith("FAIL ") and " sign=-1 " in line for line in lines)
+        assert lines and all(line.startswith("FAIL ") for line in lines)
+        assert all(line.endswith(" negated=hhhh,vvvv,vvhh,hvhv") for line in lines)
         for report in json.loads(out.read_text())["reports"]:
-            assert report["passed"] is False and report["sign"] == -1
-            assert report["mixed_sign_classes"] == []
-            assert "sign calibrates to -1" in " ".join(report["notes"])
+            assert report["passed"] is False
+            assert report["notes"] == [NEGATED_NOTE + "hhhh, vvvv, vvhh, hvhv"]
 
-    def test_flipped_class_is_reported_mixed(self, monkeypatch):
-        # the hvhv-flip fixture of TestCalibration, through compare
+    @staticmethod
+    def flip_class(monkeypatch, name):
+        """Let compare see the closed form with the sign of one class of
+        n = 2 flipped."""
         closed_form = oracle.tm_curvature
-        mask = component_class_masks(2)["hvhv"]
+        mask = component_class_masks(2)[name]
 
         def flipped(M, fam, fp):
             res = closed_form(M, fam, fp)
@@ -524,15 +522,32 @@ class TestCompare:
             return dataclasses.replace(res, table=table)
 
         monkeypatch.setattr(oracle, "tm_curvature", flipped)
+
+    def test_flipped_class_is_reported_negated(self, monkeypatch):
+        self.flip_class(monkeypatch, "hvhv")
         M, q, v = _sphere_case(1.0)
         rep = compare(M, preset("sasaki"), [BundlePoint(q, v)])[0]
-        assert not rep.passed and rep.sign == 1
-        assert rep.mixed_sign_classes == ("hvhv",)
+        assert not rep.passed
+        assert rep.negated_classes == ("hvhv",) and rep.notes == [NEGATED_NOTE + "hvhv"]
         assert rep.worst_component["class"] == "hvhv"
         assert rep.class_deviations["hvhv"]["max_abs_dev"] > 0.1
         assert rep.class_deviations["hhhh"]["max_abs_dev"] < 1e-5
         line = rep.summary_line()
-        assert line.startswith("FAIL ") and " worst=hvhv[" in line and line.endswith(" mixed=hvhv")
+        assert line.startswith("FAIL ") and " worst=hvhv[" in line and line.endswith(" negated=hvhv")
+
+    def test_a_failing_point_leaves_its_neighbour_alone(self, monkeypatch):
+        # hhvh flipped: at v = 0 that class vanishes, so B is within every
+        # bound; A fails in hhvh alone.  A sign pooled over the call failed B
+        # and named hhhh, vvhh and hvhv for both.
+        self.flip_class(monkeypatch, "hhvh")
+        M, fam = conformal_polynomial(2, [[0.3, 1, 0], [0.2, 1, 2]]), preset("sasaki")
+        a = BundlePoint.of([0.2, 0.3], [0.8, 0.5])
+        b = BundlePoint.of([0.2, 0.3], [0.0, 0.0])
+        rep_a, rep_b = compare(M, fam, [a, b])
+        assert rep_b.passed and rep_b.notes == []
+        assert rep_b.to_json_dict() == compare(M, fam, [b])[0].to_json_dict()
+        assert not rep_a.passed and rep_a.negated_classes == ("hhvh",)
+        assert rep_a.summary_line().endswith(" negated=hhvh")
 
     def test_ill_conditioned_metric_is_a_report_note(self):
         M = ChartManifold(2, lambda x: np.diag([1e-4, 1e5]), lo=-np.ones(2) * 10,

@@ -27,7 +27,6 @@ from tbcurv.numdiff import ORACLE
 from tbcurv.oracle import (
     CurvatureReport,
     OracleConfig,
-    calibrate_sign,
     compare,
     numeric_tm_curvature,
 )
@@ -288,7 +287,7 @@ def test_oracle_stack_equals_single_points_bit_for_bit(chart):
 
 def _reference_reports(M, fam, points, cfg):
     """Reports from one point at a time: frame, closed form and oracle, each
-    failure caught at its point; then one sign pooled over the good ones."""
+    failure caught at its point, and each comparison finalized alone."""
     reports = []
     for p in points:
         report = CurvatureReport(
@@ -309,13 +308,9 @@ def _reference_reports(M, fam, points, cfg):
         except TbcurvError as exc:
             report.status = "error"
             report.error = f"{type(exc).__name__}: {exc}"
+        else:
+            report.finalize(cfg.tol_abs, cfg.tol_rel)
         reports.append(report)
-    ok = [r for r in reports if r.status == "ok"]
-    calibration = calibrate_sign(
-        [r.closed for r in ok], [r.oracle for r in ok], M.dim, cfg.tol_abs
-    )
-    for r in ok:
-        r.finalize(calibration, cfg.tol_abs, cfg.tol_rel)
     return reports
 
 
