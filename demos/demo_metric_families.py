@@ -16,8 +16,9 @@ for name in ("sasaki", "cheeger-gromoll", "exp+", "exp-"):
     print(f"\n{name}: alpha = {fam.alpha.name}, beta = {fam.beta.name}")
     print(f"  validation: {fam.validate().summary()}")
     ts = [0.0, 1.0, 4.0]
-    print("  F:", ", ".join(f"F({t:g}) = {fam.F(t): .5f}" for t in ts))
-    print("  H:", ", ".join(f"H({t:g}) = {fam.H(t): .5f}" for t in ts))
+    jets = fam.jets(np.array(ts))
+    print("  F:", ", ".join(f"F({t:g}) = {f: .5f}" for t, f in zip(ts, jets.F)))
+    print("  H:", ", ".join(f"H({t:g}) = {h: .5f}" for t, h in zip(ts, jets.H)))
 
 print()
 print("=" * 72)
@@ -28,9 +29,11 @@ print("=" * 72)
 for alpha in ("exp(t)", "1+t", "exp(0.2*t)+0.5"):
     beta = flatness_beta(alpha)
     fam = NaturalMetricFamily(alpha, beta, name=f"flatness({alpha})", t_max=10.0)
+    t = np.linspace(0.0, 10.0, 2048)
+    max_f, max_h, _, _ = fam.jets(t).flatness(t)
     print(
         f"\nalpha = {alpha:16s} beta(0) = {beta.value(0.0):.4f}   "
-        f"max|F| = {fam.max_abs_F(10.0):.2e}   max|H| = {fam.max_abs_H(10.0):.2e}"
+        f"max|F| = {max_f:.2e}   max|H| = {max_h:.2e}"
     )
 
 print()

@@ -81,9 +81,9 @@ def induced_metric(
         M.check_interior(x, M.christoffel_reach(x))
     g, gamma = M.metric_and_christoffels(x)
     gv = np.einsum("...ab,...b->...a", g, v)
-    alpha, beta = fam.check_point(np.einsum("...a,...a->...", v, gv))
-    alpha = alpha[..., None, None]
-    beta = beta[..., None, None]
+    j = fam.jets(np.einsum("...a,...a->...", v, gv))
+    alpha = j.alpha[..., None, None]
+    beta = j.beta[..., None, None]
 
     # K(d/dx^c)^a = w[a, c];  K(d/dv^c)^a = delta_ac.
     w = np.einsum("...abc,...b->...ac", gamma, v)

@@ -32,7 +32,7 @@ from . import closedform
 from .basemanifold import ChartManifold, make_manifold
 from .bundlemetric import BundlePoint, squared_norm
 from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
-from .metricfamily import NaturalMetricFamily, PRESET_NAMES, flatness_beta, flatness_jet, preset
+from .metricfamily import F_ZERO, NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
 from .oracle import OracleConfig, compare
 from .scalarfun import as_scalar_function
 
@@ -485,19 +485,20 @@ def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
         return 2
     t_hi = fam.t_max
     ts = np.array([0.0, 0.25 * t_hi, 0.5 * t_hi, t_hi])
-    jets = fam.jets(ts)
+    # the flatness numbers on 2048 points, read from the walk that gives the table
+    grid = np.linspace(0.0, t_hi, 2048)
+    jets = fam.jets(np.concatenate((ts, grid)))
     print("      t        F(t)            H(t)")
     for t, f, h in zip(ts, jets.F, jets.H):
         print(f"{t:9.4f}  {f: .8e}  {h: .8e}")
-    max_f, max_h = _max_abs_F_H(fam)
+    max_f, max_h, beta_dev, prod_dev = jets[ts.size:].flatness(grid)
     print(f"max |F| = {max_f:.3e}, max |H| = {max_h:.3e} on [0, {t_hi:g}]")
 
     failures = 0
-    f_zero = max_f <= 1e-10
+    f_zero = max_f <= F_ZERO
     h_zero = max_h <= 1e-8
     if f_zero:
         # F == 0 forces the flatness beta, alpha*Delta = phi^2, phi > 0, H == 0.
-        beta_dev, prod_dev = _flatness_deviations(fam)
         checks = [
             ("beta equals the flatness combination", beta_dev <= 1e-8),
             ("alpha*(alpha+t*beta) == (alpha+t*alpha')^2", prod_dev <= 1e-8),
@@ -512,31 +513,6 @@ def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
               f"{'ok' if f_zero else 'FAILED'}")
         failures += 0 if f_zero else 1
     return 1 if failures else 0
-
-
-def _max_abs_F_H(fam: NaturalMetricFamily) -> tuple:
-    """``fam.max_abs_F(fam.t_max)`` and ``fam.max_abs_H(fam.t_max)``, from
-    one jets record on their 2048-point grid."""
-    jets = fam.jets(np.linspace(0.0, fam.t_max, 2048))
-    return float(np.max(np.abs(jets.F))), float(np.max(np.abs(jets.H)))
-
-
-def _flatness_deviations(fam: NaturalMetricFamily) -> tuple:
-    """How far beta is from the flatness combination, and alpha*Delta from
-    phi^2, on 512 points of [0, t_max], from one jet of alpha and beta's
-    jet by the family's rule (``NaturalMetricFamily.beta_jet``).  Deviations
-    are relative to the reference value (absolute below 1), so a 1e-8 bound
-    stays above one ulp where the family grows large."""
-    t = np.linspace(0.0, fam.t_max, 512)
-    a = fam.alpha.jet(t)
-    b = fam.beta_jet(a, t)
-
-    def rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
-        return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
-
-    beta_dev = rel_dev(b.value, flatness_jet(a, t).value)
-    prod_dev = rel_dev(a.value * (a.value + t * b.value), (a.value + t * a.d1) ** 2)
-    return beta_dev, prod_dev
 
 
 def _coords(values) -> str:

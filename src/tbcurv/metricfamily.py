@@ -22,6 +22,7 @@ from .errors import DomainError, ValidityError
 from .scalarfun import FunctionLike, Jet2, ScalarFunction, as_scalar_function
 
 __all__ = [
+    "F_ZERO",
     "FamilyJets",
     "FamilyValidation",
     "NaturalMetricFamily",
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("sasaki", "cheeger-gromoll", "exp+", "exp-")
+
+# max |F| at most this on a grid reads as F == 0 there: flat fibers, whose
+# consequences ``FamilyJets.flatness`` measures.
+F_ZERO = 1e-10
 
 _PRESET_EXPRESSIONS = {
     "sasaki": ("1", "0"),
@@ -55,6 +60,30 @@ class FamilyJets:
     F: np.ndarray
     H: np.ndarray
 
+    def __getitem__(self, index) -> "FamilyJets":
+        """The record at the points that ``index`` selects."""
+        return FamilyJets(**{name: field[index] for name, field in vars(self).items()})
+
+    def flatness(self, t) -> tuple:
+        """How far the fibers are from flat at t, the points of this record:
+        ``(max |F|, max |H|, beta_dev, product_dev)``.  Where F vanishes
+        (max |F| <= F_ZERO), beta_dev is the deviation of beta from the
+        flatness combination of alpha and product_dev that of alpha*Delta
+        from phi^2, phi = alpha + t*alpha', two consequences of F == 0;
+        elsewhere both are None.  Deviations are relative to the reference
+        value (absolute below 1), so a 1e-8 bound stays above one ulp where
+        the family grows large."""
+        max_f, max_h = float(np.max(np.abs(self.F))), float(np.max(np.abs(self.H)))
+        if max_f > F_ZERO:
+            return max_f, max_h, None, None
+
+        def rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
+            return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
+
+        flat = flatness_jet(Jet2(self.alpha, self.alpha_d1, self.alpha_d2), t).value
+        phi = self.alpha + t * self.alpha_d1
+        return max_f, max_h, rel_dev(self.beta, flat), rel_dev(self.alpha * self.delta, phi**2)
+
 
 @dataclass(frozen=True)
 class FamilyValidation:
@@ -62,30 +91,68 @@ class FamilyValidation:
 
     ``violation_t`` is the first t where alpha or alpha + t*beta fails to
     be positive (local minima dipping to zero are located by bisection on
-    the derivative, so tangential zeros between grid points are caught).
+    the derivative, so tangential zeros between grid points are caught),
+    or where a field of the family's ``jets`` record is not finite
+    (``nonfinite``; ``violation_kind`` then names the field).
     ``phi_violation_t`` reports the same for phi = alpha + t*alpha', whose
     positivity is a precondition of the flat-fiber construction.
     """
 
     valid: bool
     violation_t: Optional[float]
-    violation_kind: Optional[str]  # "alpha" | "delta"
+    violation_kind: Optional[str]  # "alpha" | "delta", or a FamilyJets field
     phi_positive: bool
     phi_violation_t: Optional[float]
     samples: int
     t_max: float
+    nonfinite: bool = False
 
     def summary(self) -> str:
+        scope = f"on [0, {self.t_max:g}] ({self.samples} samples)"
+        if self.nonfinite:  # every scan stopped there, phi's too
+            head = f"INVALID: {self.violation_kind} is not finite at t={self.violation_t:.6g}"
+            return f"{head} {scope}"
         if self.valid:
             head = "valid"
         else:
             head = f"INVALID: {self.violation_kind} <= 0 near t={self.violation_t:.6g}"
-        phi = (
-            "phi > 0"
-            if self.phi_positive
-            else f"phi <= 0 near t={self.phi_violation_t:.6g}"
-        )
-        return f"{head}; {phi} on [0, {self.t_max:g}] ({self.samples} samples)"
+        phi = "phi > 0" if self.phi_positive else f"phi <= 0 near t={self.phi_violation_t:.6g}"
+        return f"{head}; {phi} {scope}"
+
+
+def _record(t, a: Jet2, b: Jet2, delta_vs: tuple, phi_vs: tuple) -> FamilyJets:
+    """The record at t from the jets a of alpha and b of beta there, and the
+    value and slope there of Delta and of phi (``_value_slope_of``).  The
+    callers run it under ``np.errstate``: a value may be NaN or infinite,
+    and ``_fault`` names it."""
+    (delta, delta_d1), (phi, phi_d1) = delta_vs, phi_vs
+    # F: vertical plane coefficient away from the radial direction,
+    # (alpha*beta - t*alpha'^2 - 2*alpha*alpha') / Delta.
+    num = a.value * b.value - t * (a.d1 * a.d1) - 2.0 * a.value * a.d1
+    # H: radial vertical plane coefficient, phi * d/dt ln(alpha*Delta)
+    # - 2*phi', with phi = alpha + t*alpha'.
+    log_d1 = (a.d1 * delta + a.value * delta_d1) / (a.value * delta)
+    return FamilyJets(
+        alpha=a.value, alpha_d1=a.d1, alpha_d2=a.d2, beta=b.value, beta_d1=b.d1,
+        delta=delta, F=num / delta, H=phi * log_d1 - 2.0 * phi_d1,
+    )
+
+
+def _nonfinite(j: FamilyJets) -> np.ndarray:
+    """Where some field of j is not finite.  F and H are built from every
+    other field, and a NaN or an infinity in any field leaves H not finite,
+    so F and H tell for all."""
+    return ~(np.isfinite(j.F) & np.isfinite(j.H))
+
+
+def _fault(j: FamilyJets, i) -> tuple:
+    """Why the record j fails at index i: ``(kind, False)`` for the first
+    of alpha and Delta (kind "delta") that is <= 0 there, else
+    ``(field, True)`` for the first field that is not finite there."""
+    alpha, delta = np.ravel(j.alpha)[i], np.ravel(j.delta)[i]
+    if alpha <= 0.0 or delta <= 0.0:
+        return ("alpha" if alpha <= 0.0 else "delta"), False
+    return next(k for k, x in vars(j).items() if not np.isfinite(np.ravel(x)[i])), True
 
 
 def _defined_prefix(evaluate, grid: np.ndarray):
@@ -288,8 +355,9 @@ class NaturalMetricFamily:
     def jets(self, t) -> FamilyJets:
         """The record at t (a number or an array), from one walk of alpha
         and, unless beta is read from alpha's jet, one of beta; raises
-        ValidityError unless every t lies inside [0, t_max] with alpha > 0
-        and alpha + t*beta > 0, naming the first t that does not."""
+        ValidityError unless every t lies inside [0, t_max] with alpha > 0,
+        alpha + t*beta > 0 and every field finite, naming the first t that
+        does not."""
         t = np.asarray(t, dtype=float)
         outside = ~((0.0 <= t) & (t <= self.t_max))
         if np.count_nonzero(outside):
@@ -298,58 +366,21 @@ class NaturalMetricFamily:
                 f"[0, {self.t_max:g}] for family {self.name!r}"
             )
         t = t[()]
-        a = self.alpha.jet(t)
-        b = self.beta_jet(a, t)
-        delta = a.value + t * b.value
-        bad = (a.value <= 0.0) | (delta <= 0.0)
+        with np.errstate(all="ignore"):
+            a = self.alpha.jet(t)
+            b = self.beta_jet(a, t)
+            delta, phi = _value_slope_of("delta", t, a, b), _value_slope_of("phi", t, a)
+            j = _record(t, a, b, delta, phi)
+        bad = (j.alpha <= 0.0) | (j.delta <= 0.0) | _nonfinite(j)
         if np.count_nonzero(bad):
             i = np.argmax(bad)
-            raise ValidityError(
-                f"family {self.name!r} invalid at t={np.ravel(t)[i]:g}: "
-                f"alpha={np.ravel(a.value)[i]:g}, alpha+t*beta={np.ravel(delta)[i]:g}"
-            )
-        # F: vertical plane coefficient away from the radial direction,
-        # (alpha*beta - t*alpha'^2 - 2*alpha*alpha') / Delta.
-        num = a.value * b.value - t * (a.d1 * a.d1) - 2.0 * a.value * a.d1
-        # H: radial vertical plane coefficient, phi * d/dt ln(alpha*Delta)
-        # - 2*phi', with phi = alpha + t*alpha'.
-        delta_d1 = a.d1 + b.value + t * b.d1
-        phi = a.value + t * a.d1
-        phi_d1 = 2.0 * a.d1 + t * a.d2
-        log_d1 = (a.d1 * delta + a.value * delta_d1) / (a.value * delta)
-        return FamilyJets(
-            alpha=a.value,
-            alpha_d1=a.d1,
-            alpha_d2=a.d2,
-            beta=b.value,
-            beta_d1=b.d1,
-            delta=delta,
-            F=num / delta,
-            H=phi * log_d1 - 2.0 * phi_d1,
-        )
-
-    def alpha_at(self, t):
-        return self.alpha.value(t)
-
-    def beta_at(self, t):
-        return self.beta.value(t)
-
-    def delta_at(self, t):
-        """alpha(t) + t*beta(t), the squared-norm weight along xi."""
-        return self.alpha.value(t) + t * self.beta.value(t)
-
-    def phi_at(self, t):
-        """alpha(t) + t*alpha'(t)."""
-        a = self.alpha.jet(t)
-        return a.value + t * a.d1
+            kind, nonfinite = _fault(j, i)
+            why = (f"{kind} is not finite" if nonfinite else
+                   f"alpha={np.ravel(j.alpha)[i]:g}, alpha+t*beta={np.ravel(j.delta)[i]:g}")
+            raise ValidityError(f"family {self.name!r} invalid at t={np.ravel(t)[i]:g}: {why}")
+        return j
 
     # -- validity ----------------------------------------------------------
-
-    def check_point(self, t):
-        """(alpha(t), beta(t)) for a number or an array t, after the checks
-        of ``jets``."""
-        j = self.jets(t)
-        return j.alpha, j.beta
 
     def _value_slope(self, kind: str, t: np.ndarray):
         """Value and slope of alpha, Delta = alpha + t*beta or
@@ -358,40 +389,48 @@ class NaturalMetricFamily:
         return _value_slope_of(kind, t, a, self.beta_jet(a, t) if kind == "delta" else None)
 
     def validate(self, samples: int = 4096) -> FamilyValidation:
-        """Densely sample positivity of alpha and alpha + t*beta on
-        [0, t_max]; also report where phi = alpha + t*alpha' fails.  A
-        bisected local minimum counts as a violation when it is at most
-        ``_DIP_RTOL`` of its bracketing grid values.
+        """Densely sample positivity of alpha and alpha + t*beta, and the
+        finiteness of the ``jets`` record, on [0, t_max]; also report where
+        phi = alpha + t*alpha' fails.  A bisected local minimum counts as a
+        violation when it is at most ``_DIP_RTOL`` of its bracketing grid
+        values.
         """
         if samples < 2:
             raise ValueError("samples must be >= 2")
         grid = np.linspace(0.0, self.t_max, samples)
-        # One walk of alpha on the grid serves all three kinds, and beta is
-        # had on alpha's nodes when Delta's turn comes: each scan is what
-        # ``_defined_prefix`` gives for the kind's ``_value_slope``.  Beta
-        # read from alpha's jet is defined wherever alpha is.
-        t_a, a, error_a = _defined_prefix(self.alpha.jet, grid)
-
-        def scan(kind: str):
-            if kind != "delta":
-                return t_a, _value_slope_of(kind, t_a, a), error_a
-            if self._beta_from_alpha is not None:
-                return t_a, _value_slope_of(kind, t_a, a, self.beta_jet(a, t_a)), error_a
-            t_d, b, error_b = _defined_prefix(self.beta.jet, t_a)
+        with np.errstate(all="ignore"):
+            # One walk of alpha on the grid serves all three kinds and the
+            # record, and beta is had on alpha's nodes; beta read from
+            # alpha's jet is defined wherever alpha is.
+            t_a, a, error_a = _defined_prefix(self.alpha.jet, grid)
+            if self._beta_from_alpha is None:
+                t_d, b, error_b = _defined_prefix(self.beta.jet, t_a)
+                error_d = error_a if error_b is None else error_b
+            else:
+                t_d, b, error_d = t_a, self.beta_jet(a, t_a), error_a
             a_d = Jet2(*(field[: t_d.size] for field in (a.value, a.d1, a.d2)))
-            error = error_a if error_b is None else error_b
-            return t_d, _value_slope_of(kind, t_d, a_d, b), error
-
-        bad_alpha, bad_delta, bad_phi = (
-            _first_nonpositive(partial(self._value_slope, kind), scan(kind))
-            for kind in ("alpha", "delta", "phi")
-        )
+            delta, phi = _value_slope_of("delta", t_d, a_d, b), _value_slope_of("phi", t_a, a)
+            record = _record(t_d, a_d, b, delta, [field[: t_d.size] for field in phi])
+            # A value that is not finite is a violation, and every scan stops
+            # before it, as it does at a value <= 0; up to there, each scan is
+            # what ``_defined_prefix`` gives for the kind's ``_value_slope``.
+            stop = np.flatnonzero(_nonfinite(record))[:1]
+            end = stop[0] if stop.size else None
+            bad_alpha, bad_delta, bad_phi = (
+                _first_nonpositive(
+                    partial(self._value_slope, kind),
+                    (t[:end], (v[:end], s[:end]), None if stop.size else error),
+                )
+                for kind, t, (v, s), error in (("alpha", t_a, (a.value, a.d1), error_a),
+                                               ("delta", t_d, delta, error_d),
+                                               ("phi", t_a, phi, error_a))
+            )
         candidates = [
-            (t, kind)
+            (t, kind, False)
             for t, kind in ((bad_alpha, "alpha"), (bad_delta, "delta"))
             if t is not None
-        ]
-        violation_t, kind = min(candidates) if candidates else (None, None)
+        ] + [(float(t_d[k]), *_fault(record, k)) for k in stop]
+        violation_t, kind, nonfinite = min(candidates) if candidates else (None, None, False)
         return FamilyValidation(
             valid=not candidates,
             violation_t=violation_t,
@@ -400,6 +439,7 @@ class NaturalMetricFamily:
             phi_violation_t=bad_phi,
             samples=samples,
             t_max=self.t_max,
+            nonfinite=nonfinite,
         )
 
     # -- derived quantities --------------------------------------------------
@@ -411,25 +451,8 @@ class NaturalMetricFamily:
         (eigenvalues alpha with multiplicity n-1 and alpha + |xi|^2 beta).
         """
         xi = np.asarray(xi, dtype=float)
-        alpha, beta = self.check_point(float(xi @ xi))
-        return alpha * np.eye(xi.shape[0]) + beta * np.outer(xi, xi)
-
-    def F(self, t):
-        """Vertical plane coefficient away from the radial direction:
-        (alpha*beta - t*alpha'^2 - 2*alpha*alpha') / (alpha + t*beta)."""
-        return self.jets(t).F
-
-    def H(self, t):
-        """Radial vertical plane coefficient:
-        phi * d/dt ln(alpha*Delta) - 2*phi', with phi = alpha + t*alpha'
-        and Delta = alpha + t*beta."""
-        return self.jets(t).H
-
-    def max_abs_F(self, t_hi: float, samples: int = 2048) -> float:
-        return float(np.max(np.abs(self.F(np.linspace(0.0, t_hi, samples)))))
-
-    def max_abs_H(self, t_hi: float, samples: int = 2048) -> float:
-        return float(np.max(np.abs(self.H(np.linspace(0.0, t_hi, samples)))))
+        j = self.jets(float(xi @ xi))
+        return j.alpha * np.eye(xi.shape[0]) + j.beta * np.outer(xi, xi)
 
 
 def flatness_jet(a: Jet2, t) -> Jet2:

@@ -79,7 +79,7 @@ class TestInducedMetric:
         g = M.metric(p.x)
         assert np.allclose(G[:2, :2], g, atol=1e-15)
         assert np.allclose(G[:2, 2:], 0.0, atol=1e-15)
-        assert np.allclose(G[2:, 2:], fam.alpha_at(0.0) * g, atol=1e-15)
+        assert np.allclose(G[2:, 2:], fam.jets(0.0).alpha * g, atol=1e-15)
 
     def test_spd_at_random_points(self):
         M = hyperbolic(2)
@@ -209,11 +209,9 @@ class TestAdaptedFrameVectors:
         fam = preset("exp+")
         fp = adapted_frame(M, np.array([0.9, 0.3]), np.array([0.4, -0.2]))
         gram = frame_gram(M, fam, fp)
-        t_sq = fp.t**2
-        assert gram[2, 2] == pytest.approx(
-            fam.alpha_at(t_sq) + t_sq * fam.beta_at(t_sq), rel=1e-12
-        )
-        assert gram[3, 3] == pytest.approx(fam.alpha_at(t_sq), rel=1e-12)
+        j = fam.jets(fp.t**2)
+        assert gram[2, 2] == pytest.approx(j.alpha + fp.t**2 * j.beta, rel=1e-12)
+        assert gram[3, 3] == pytest.approx(j.alpha, rel=1e-12)
 
     def test_squared_norm_helper(self):
         M = sphere(2)

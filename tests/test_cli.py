@@ -27,8 +27,6 @@ from tbcurv.cli import (
     TASKS,
     _build_parser,
     _constant_curvature_of,
-    _flatness_deviations,
-    _max_abs_F_H,
     _merge_flags,
     _parse_vector,
     _resolve_family,
@@ -37,7 +35,7 @@ from tbcurv.cli import (
     main,
 )
 from tbcurv.errors import ConfigError, TbcurvError
-from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta
+from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily
 from tbcurv.oracle import OracleConfig, compare
 from tbcurv.scalarfun import ScalarFunction
 
@@ -77,8 +75,12 @@ class TestFamilyCheck:
         assert "FAILED" not in out
         assert code == 0
 
+    # 0 times the overflowing node keeps every value finite up to the node's
+    # overflow; exp(t^3) and (t+1)^400 alone have a derivative that
+    # overflows first, and are invalid (test_family_that_is_zero_or_not_finite)
     @pytest.mark.parametrize(
-        "alpha,node", [("exp(t^3)", "exp"), ("(t+1)^400", "power"), ("ln(t-1)", "ln")]
+        "alpha,node",
+        [("1+0*exp(700+t)", "exp"), ("1+0*(1e153*t)^2", "power"), ("ln(t-1)", "ln")],
     )
     def test_undefined_or_overflowing_family_is_an_error(self, capsys, alpha, node):
         assert run(["family-check", "--alpha", alpha, "--beta", "0"]) == 1
@@ -100,10 +102,11 @@ class TestFamilyCheck:
 
 
 class TestFamilyCheckSharedWalk:
-    # family-check reads max |F| and max |H| from one jets record on the
-    # 2048-point grid, and the flat-fiber deviations from one jet of alpha
-    # on the 512-point grid and beta's by the family's rule; each equals,
-    # bit for bit, the value the public helpers give
+    # family-check reads max |F|, max |H| and the flat-fiber deviations from
+    # the jets record on the 2048-point grid (FamilyJets.flatness), which one
+    # walk gives together with the F and H table; each equals, bit for bit,
+    # the defining formula on the jets of alpha and beta, evaluated here with
+    # plain numpy in the same order of operations
     FAMILIES = [
         *({"preset": name, "t_max": t_max} for name in PRESET_NAMES for t_max in (25.0, 3.0)),
         *({"alpha": alpha.format(c=c), "beta_flatness": True}
@@ -111,40 +114,53 @@ class TestFamilyCheckSharedWalk:
           for c in (0.2, 0.314159)),
     ]
 
-    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: json.dumps(f))
-    def test_maxima_and_deviations_equal_the_helpers(self, capsys, family):
-        fam = _resolve_family({"family": family})
-        t_hi = fam.t_max
-        max_f, max_h = fam.max_abs_F(t_hi), fam.max_abs_H(t_hi)
-        assert _max_abs_F_H(fam) == (max_f, max_h)
-
-        grid = np.linspace(0.0, t_hi, 512)
+    @staticmethod
+    def reference(fam, t):
+        a, b = fam.alpha.jet(t), fam.beta.jet(t)
+        alpha, d1, d2 = a.value, a.d1, a.d2
+        delta = alpha + t * b.value
+        phi = alpha + t * d1
+        F = (alpha * b.value - t * d1**2 - 2 * alpha * d1) / delta
+        dlog = (d1 * delta + alpha * (d1 + b.value + t * b.d1)) / (alpha * delta)
+        H = phi * dlog - 2 * (2 * d1 + t * d2)
+        flat_beta = (t * d1**2 + 2 * alpha * d1) / alpha
 
         def rel_dev(value, ref):
-            return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
+            return np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref)))
 
-        beta_dev = rel_dev(fam.beta_at(grid), flatness_beta(fam.alpha).value(grid))
-        prod_dev = rel_dev(fam.alpha_at(grid) * fam.delta_at(grid), fam.phi_at(grid) ** 2)
-        assert _flatness_deviations(fam) == (beta_dev, prod_dev)
+        return tuple(map(float, (np.max(np.abs(F)), np.max(np.abs(H)),
+                                 rel_dev(b.value, flat_beta), rel_dev(alpha * delta, phi**2))))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: json.dumps(f))
+    def test_flatness_equals_the_numpy_reference(self, capsys, family):
+        fam = _resolve_family({"family": family})
+        t = np.linspace(0.0, fam.t_max, 2048)
+        max_f, max_h, beta_dev, prod_dev = got = fam.jets(t).flatness(t)
+        want = self.reference(fam, t)
+        assert got == (want if max_f <= 1e-10 else (*want[:2], None, None))
+        # the record of a longer walk, cut to the grid, gives the same numbers
+        assert fam.jets(np.concatenate(([0.5, 1.0], t)))[2:].flatness(t) == got
 
         flags = [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
                  for key, value in family.items()]
         code = run(["family-check", *[f.replace("--preset", "--family") for f in flags]])
         out = capsys.readouterr().out
+        t_hi = fam.t_max
         assert f"max |F| = {max_f:.3e}, max |H| = {max_h:.3e} on [0, {t_hi:g}]" in out
         assert ("F == 0 consequence" in out) == (max_f <= 1e-10)
+        if max_f <= 1e-10:
+            assert beta_dev <= 1e-8 and prod_dev <= 1e-8
         assert code == 0 and "FAILED" not in out
 
     def test_one_alpha_walk_per_grid(self, capsys):
-        # validation, the F and H table, the maxima and the deviations: beta
-        # is read from alpha's jet, so each grid walks alpha once (the
-        # deviations walked it twice)
+        # validation, then the F and H table with the maxima and the
+        # deviations: beta is read from alpha's jet, so each walks alpha once
         with mock.patch.object(ScalarFunction, "jet", autospec=True,
                                side_effect=ScalarFunction.jet) as jet:
             assert run(["family-check", "--alpha=1/(1+0.3*t)", "--beta-flatness"]) == 0
         assert "F == 0 consequence" in capsys.readouterr().out
         calls = jet.call_args_list
-        assert [np.size(call.args[1]) for call in calls] == [4096, 4, 2048, 512]
+        assert [np.size(call.args[1]) for call in calls] == [4096, 2052]
         assert len({id(call.args[0]) for call in calls}) == 1
 
 
@@ -925,15 +941,50 @@ class TestFamilyKeyTypes:
         assert capsys.readouterr().out.startswith(f"family {name}: valid;")
 
 
-def test_flat_family_whose_alpha_reaches_zero_warns_nothing(capsys):
-    # flatness_jet divides by alpha = 0 at t = 20; under the test
-    # configuration a RuntimeWarning would raise
-    assert run(["family-check", "--alpha", "1-0.05*t", "--beta-flatness"]) == 2
+OVERFLOW = ["--alpha=1+1e308*t", "--beta=1e308*t"]
+OVERFLOW_NAME = "custom(alpha=1+1e308*t, beta=1e308*t)"
+EUCLIDEAN_POINT = ["--manifold", "euclidean", "--dim", "2", "--point", "0.1,0.1", "--v", "1.1,0"]
+TABLE_HEAD = "# {} of (TM, G); family functions take t = |v|^2_g (squared norm) as argument\n"
+
+
+@pytest.mark.parametrize(
+    "args,code,out",
+    [
+        # flatness_jet divides by alpha = 0 at t = 20
+        (["family-check", "--alpha", "1-0.05*t", "--beta-flatness"], 2,
+         "family custom(alpha=1-0.05*t, beta=flatness): INVALID: delta <= 0 near t=10; "
+         "phi <= 0 near t=10 on [0, 25] (4096 samples)\n"),
+        # 1e308*t overflows, and F = -2*alpha*alpha' is -inf from t = 0 on
+        (["family-check", *OVERFLOW], 2,
+         f"family {OVERFLOW_NAME}: INVALID: F is not finite at t=0 on [0, 25] (4096 samples)\n"),
+        # alpha' overflows before alpha does: the scan stops at F
+        (["family-check", "--alpha", "exp(t^3)", "--beta", "0"], 2,
+         "family custom(alpha=exp(t^3), beta=0): INVALID: F is not finite at t=7.04518 "
+         "on [0, 25] (4096 samples)\n"),
+        (["family-check", "--alpha", "(t+1)^400", "--beta", "0"], 2,
+         "family custom(alpha=(t+1)^400, beta=0): INVALID: F is not finite at t=1.39805 "
+         "on [0, 25] (4096 samples)\n"),
+        # Delta = alpha + t*beta overflows at t = 1.21
+        (["scalar", *EUCLIDEAN_POINT, *OVERFLOW], 1,
+         TABLE_HEAD.format("scalar") + "x,v,t,error\n"
+         f'0.1;0.1,1.1;0.0,1.1,"ValidityError: family \'{OVERFLOW_NAME}\' invalid at t=1.21: '
+         'delta is not finite"\n'),
+        # alpha*beta in F overflows at t = 0.25: one row, not a table of NaN
+        (["curvature", "--manifold", "sphere", "--dim", "2", "--point", "0.9,0.3", "--v", "0.5,0",
+          *OVERFLOW], 1,
+         TABLE_HEAD.format("curvature") + "x,v,t,error\n"
+         f'0.9;0.3,0.5;0.0,0.5,"ValidityError: family \'{OVERFLOW_NAME}\' invalid at t=0.25: '
+         'F is not finite"\n'),
+        (["verify", *EUCLIDEAN_POINT, *OVERFLOW], 1,
+         f"ERROR  euclidean+{OVERFLOW_NAME} at t=1.1: ValidityError: family '{OVERFLOW_NAME}' "
+         "invalid at t=1.21: delta is not finite\n"),
+    ],
+)
+def test_family_that_is_zero_or_not_finite_warns_nothing(capsys, args, code, out):
+    # under the test configuration a RuntimeWarning would raise
+    assert run(args) == code
     captured = capsys.readouterr()
-    assert captured.out == (
-        "family custom(alpha=1-0.05*t, beta=flatness): INVALID: delta <= 0 near t=10; "
-        "phi <= 0 near t=10 on [0, 25] (4096 samples)\n"
-    )
+    assert captured.out == out
     assert captured.err == ""
 
 

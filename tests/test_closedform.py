@@ -188,9 +188,8 @@ class TestSectional:
         fam = preset("exp-")
         t_sq = fp.t**2
         sec = tm_sectional(M, fam, fp)
-        assert sec.vv[0, 1] == pytest.approx(
-            fam.H(t_sq) / (fam.alpha_at(t_sq) * fam.delta_at(t_sq)), rel=1e-13
-        )
+        j = fam.jets(t_sq)
+        assert sec.vv[0, 1] == pytest.approx(j.H / (j.alpha * j.delta), rel=1e-13)
 
     def test_exp_metrics_not_constant_curvature(self):
         # flat base, t = 1: the sectional table of either exponential metric
@@ -252,9 +251,8 @@ class TestRicci:
         ricci = tm_ricci(M, fam, fp)
         t_sq = fp.t**2
         n = 2
-        assert ricci[n, n] == pytest.approx(
-            (n - 1) * fam.H(t_sq) / fam.alpha_at(t_sq), rel=1e-12
-        )
+        j = fam.jets(t_sq)
+        assert ricci[n, n] == pytest.approx((n - 1) * j.H / j.alpha, rel=1e-12)
         assert ricci[n, n + 1] == 0.0
 
 

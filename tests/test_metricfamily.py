@@ -22,31 +22,29 @@ from tbcurv.metricfamily import (
     flatness_beta,
     preset,
 )
-from tbcurv.scalarfun import ScalarFunction
+from tbcurv.scalarfun import Binary, Const, ScalarFunction
+
+from test_scalarfun import _any_ast
 
 
 def fd_family_F(fam, t, h=1e-5):
     """Independent F oracle: the defining combination with finite-difference
     derivatives of the alpha values."""
-    a = fam.alpha_at(t)
-    b = fam.beta_at(t)
-    ad1 = (fam.alpha_at(t + h) - fam.alpha_at(max(t - h, 0.0))) / (
-        h + min(t, h)
-    )
+    j = fam.jets(t)
+    a, b = j.alpha, j.beta
+    ad1 = (fam.jets(t + h).alpha - fam.jets(max(t - h, 0.0)).alpha) / (h + min(t, h))
     return (a * b - t * ad1**2 - 2 * a * ad1) / (a + t * b)
 
 
 class TestPresets:
     def test_expansions(self):
-        sas = preset("sasaki")
-        assert sas.alpha_at(3.0) == 1.0 and sas.beta_at(3.0) == 0.0
-        cg = preset("cheeger-gromoll")
-        assert cg.alpha_at(1.0) == pytest.approx(0.5, abs=1e-15)
-        assert cg.beta_at(1.0) == pytest.approx(0.5, abs=1e-15)
-        ep = preset("exp+")
-        assert ep.alpha_at(1.0) == pytest.approx(math.e, rel=1e-15)
-        em = preset("exp-")
-        assert em.beta_at(1.0) == pytest.approx(1.0 / math.e, rel=1e-15)
+        sas = preset("sasaki").jets(3.0)
+        assert sas.alpha == 1.0 and sas.beta == 0.0
+        cg = preset("cheeger-gromoll").jets(1.0)
+        assert cg.alpha == pytest.approx(0.5, abs=1e-15)
+        assert cg.beta == pytest.approx(0.5, abs=1e-15)
+        assert preset("exp+").jets(1.0).alpha == pytest.approx(math.e, rel=1e-15)
+        assert preset("exp-").jets(1.0).beta == pytest.approx(1.0 / math.e, rel=1e-15)
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
@@ -74,7 +72,7 @@ class TestValidate:
         v = fam.validate()
         assert v.valid
         # Delta(t) = e^t (1 + t) > 0
-        assert fam.delta_at(2.0) == pytest.approx(3.0 * math.exp(2.0), rel=1e-14)
+        assert fam.jets(2.0).delta == pytest.approx(3.0 * math.exp(2.0), rel=1e-14)
 
     def test_exp_minus_valid_despite_tiny_values(self):
         # alpha = e^-t decays to ~1e-11 on [0, 25] but never vanishes; the
@@ -123,7 +121,7 @@ class TestFiberBlock:
     def test_zero_vector(self):
         fam = preset("cheeger-gromoll")
         block = fam.fiber_block(np.zeros(2))
-        assert np.allclose(block, fam.alpha_at(0.0) * np.eye(2), atol=1e-15)
+        assert np.allclose(block, fam.jets(0.0).alpha * np.eye(2), atol=1e-15)
 
     def test_exp_plus_example(self):
         # xi = (1, 0): alpha(1) Id + beta(1) xi^T xi = [[2e, 0], [0, e]]
@@ -155,53 +153,80 @@ class TestFH:
     def test_sasaki_all_zero(self):
         fam = preset("sasaki")
         for t in np.linspace(0.0, 25.0, 40):
-            assert fam.F(float(t)) == 0.0
-            assert fam.H(float(t)) == 0.0
+            j = fam.jets(float(t))
+            assert j.F == 0.0 and j.H == 0.0
 
     def test_cheeger_gromoll_F0(self):
         fam = preset("cheeger-gromoll")
         # substitution: alpha(0) = beta(0) = 1, alpha'(0) = -1 -> F(0) = 3
-        assert fam.F(0.0) == pytest.approx(3.0, abs=1e-14)
+        assert fam.jets(0.0).F == pytest.approx(3.0, abs=1e-14)
         # cross-check against finite-difference jets of the values
         assert fd_family_F(fam, 0.0) == pytest.approx(3.0, abs=1e-4)
         # closed form F(t) = (t^2 + 3 t + 3) / (1 + t)^4
         for t in (0.5, 2.0, 10.0):
             expected = (t * t + 3 * t + 3) / (1 + t) ** 4
-            assert fam.F(t) == pytest.approx(expected, rel=1e-13)
+            assert fam.jets(t).F == pytest.approx(expected, rel=1e-13)
 
     def test_exp_minus_F0(self):
-        assert preset("exp-").F(0.0) == pytest.approx(3.0, abs=1e-14)
+        assert preset("exp-").jets(0.0).F == pytest.approx(3.0, abs=1e-14)
         assert fd_family_F(preset("exp-"), 0.0) == pytest.approx(3.0, abs=1e-4)
 
     def test_exp_plus_H_is_minus_exp(self):
         # phi = Delta = e^t (1 + t) gives H(t) = -e^t identically
         fam = preset("exp+")
         for t in (0.0, 0.7, 3.0, 10.0):
-            assert fam.H(t) == pytest.approx(-math.exp(t), rel=1e-12)
-        assert fam.H(0.0) == pytest.approx(-1.0, abs=1e-14)
+            assert fam.jets(t).H == pytest.approx(-math.exp(t), rel=1e-12)
+        assert fam.jets(0.0).H == pytest.approx(-1.0, abs=1e-14)
 
     def test_cheeger_gromoll_H(self):
         # phi = 1/(1+t)^2, Delta = 1: H(t) = 3/(1+t)^3
         fam = preset("cheeger-gromoll")
         for t in (0.0, 1.0, 4.0):
-            assert fam.H(t) == pytest.approx(3.0 / (1 + t) ** 3, rel=1e-12)
+            assert fam.jets(t).H == pytest.approx(3.0 / (1 + t) ** 3, rel=1e-12)
 
     def test_F_zero_implies_H_zero(self):
         for alpha in ("exp(0.2*t)", "1+0.5*t", "2/(1+t)"):
             fam = NaturalMetricFamily(alpha, flatness_beta(alpha), t_max=10.0)
             v = fam.validate()
             assert v.valid and v.phi_positive
-            assert fam.max_abs_F(10.0, 512) <= 1e-10
-            assert fam.max_abs_H(10.0, 512) <= 1e-8
+            t = np.linspace(0.0, 10.0, 512)
+            max_f, max_h, _, _ = fam.jets(t).flatness(t)
+            assert max_f <= 1e-10 and max_h <= 1e-8
 
     def test_alpha_delta_equals_phi_squared_when_F_zero(self):
         alpha = "exp(0.1*t)"
         fam = NaturalMetricFamily(alpha, flatness_beta(alpha), t_max=10.0)
         for t in np.linspace(0.0, 10.0, 64):
-            t = float(t)
-            assert fam.alpha_at(t) * fam.delta_at(t) == pytest.approx(
-                fam.phi_at(t) ** 2, rel=1e-12
-            )
+            j = fam.jets(float(t))
+            assert j.alpha * j.delta == pytest.approx((j.alpha + t * j.alpha_d1) ** 2, rel=1e-12)
+
+
+# Any tree of the grammar, and 1 + c*tree with c up to 1e308: products,
+# sums and chain rules overflow somewhere on [0, t_max] without any node
+# raising, so F or H is not finite where alpha and Delta look positive.
+_huge_tree = st.builds(
+    lambda c, tree: Binary("+", Const(1.0), Binary("*", Const(c), tree)),
+    st.floats(min_value=0.0, max_value=1e308),
+    _any_ast,
+)
+
+
+@given(alpha=_any_ast | _huge_tree, beta=_any_ast | _huge_tree)
+@settings(max_examples=300, deadline=None)
+def test_a_valid_family_has_finite_jets_on_its_grid(alpha, beta):
+    fam = NaturalMetricFamily(
+        ScalarFunction.from_expr(alpha, "alpha"), ScalarFunction.from_expr(beta, "beta")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            valid = fam.validate(samples=512).valid
+        except DomainError:  # undefined before any violation
+            return
+        if valid:
+            jets = fam.jets(np.linspace(0.0, fam.t_max, 512))
+    if valid:
+        assert all(np.isfinite(field).all() for field in vars(jets).values())
 
 
 class TestFlatnessBeta:
@@ -282,8 +307,9 @@ def random_flatness_families(count, seed=20240811):
 
 def test_random_flatness_families_have_zero_F_and_H():
     for fam in random_flatness_families(12):
-        assert fam.max_abs_F(10.0, 512) <= 1e-10
-        assert fam.max_abs_H(10.0, 512) <= 1e-8
+        t = np.linspace(0.0, 10.0, 512)
+        max_f, max_h, _, _ = fam.jets(t).flatness(t)
+        assert max_f <= 1e-10 and max_h <= 1e-8
 
 
 # --------------------------------------------------------------------------

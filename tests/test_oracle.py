@@ -94,7 +94,8 @@ class TestNumericTable:
         v = np.array([1.0, 0.0, 0.0])
         fp = adapted_frame(M, np.zeros(3), v)
         res = numeric_tm_curvature(M, fam, fp)
-        f_val, h_val = fam.F(1.0), fam.H(1.0)
+        j = fam.jets(1.0)
+        f_val, h_val = j.F, j.H
         vv = res.table[3:, 3:, 3:, 3:]
         assert vv[1, 2, 2, 1] == pytest.approx(f_val, abs=1e-6)
         assert vv[0, 1, 1, 0] == pytest.approx(h_val, abs=1e-6)
