@@ -33,9 +33,8 @@ from .numdiff import (
     NABLA_FD,
     ORACLE,
     Stencil,
-    christoffel_jacobian_from_jets,
-    christoffels_from_jets,
     frame_components,
+    levi_civita,
     matrix_jets,
     pointwise,
     project_curvature_symmetries,
@@ -101,11 +100,13 @@ class ChartManifold:
 
     A chart is analytic, with both connection functions, or metric-only,
     with neither; a metric-only chart's connection is differentiated from g
-    on the stencils of ``numdiff``'s step table.  The point methods accept
-    a point or a stack of points of shape (..., n) and return one value per
-    point.  Each public method checks its point once against the reach of
-    everything it evaluates; the points inside a stencil are not checked
-    again (``check=False`` marks those calls).
+    on the stencils of ``numdiff``'s step table.  ``connection`` (g, Gamma,
+    d Gamma) and ``curvature`` (R, nabla R) give the Levi-Civita data; a
+    caller asks for the derivatives it reads.  The point methods accept a
+    point or a stack of points (..., n) and return one value per point.
+    Each checks its point once against the reach of everything it
+    evaluates; the points inside a stencil are not checked again
+    (``check=False`` marks those calls).
     """
 
     def __init__(
@@ -193,68 +194,52 @@ class ChartManifold:
         Christoffel stencils at its points included."""
         return ORACLE.reach(x, inner=self.christoffel_reach)
 
-    # -- connection ----------------------------------------------------------
+    # -- connection and curvature --------------------------------------------
 
-    def metric_and_christoffels(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(g_ab, Gamma^a_bc) at x, after the SPD check of that g; the
-        metric is evaluated once at x.  Does not check the chart box."""
+    def connection(
+        self, x: np.ndarray, *, second: bool = True, check: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """(g_ab, Gamma^a_bc, d_p Gamma^a_bc) at x, after the SPD check of
+        that g; d_p Gamma is None unless ``second``.  The metric is
+        evaluated once at x on an analytic chart, and each chart function
+        once; a metric-only chart differentiates g on one CONNECTION
+        stencil."""
         x = np.asarray(x, dtype=float)
+        if check:
+            self.check_interior(x, self.christoffel_reach(x))
         if self.christoffels_fn is not None:
             g = self.metric(x)
             _check_spd(g, x)
-            return g, self._eval(self.christoffels_fn, x)
-        g, dg, _ = matrix_jets(self.metric, x, CONNECTION, second=False)
+            gamma = self._eval(self.christoffels_fn, x)
+            return g, gamma, self._eval(self.christoffel_jacobian_fn, x) if second else None
+        g, dg, d2g = matrix_jets(self.metric, x, CONNECTION, second=second)
         _check_spd(g, x)
-        return g, christoffels_from_jets(g, dg)
+        return (g, *levi_civita(g, dg, d2g))
 
-    def christoffels(self, x: np.ndarray, *, check: bool = True) -> np.ndarray:
-        """Gamma^a_bc at x; analytic when the catalog provides it."""
+    def curvature(
+        self, x: np.ndarray, *, nabla: bool = False, check: bool = True
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Coordinate curvature rlow at x under the pinned convention, and
+        with ``nabla`` its covariant derivative (nabla_p R)_abcd, the
+        tensorial formula d_p R_abcd minus Gamma corrections on all four
+        slots (else None).  R at x is then the centre value of the nabla R
+        stencil."""
         x = np.asarray(x, dtype=float)
+        if not nabla:
+            return riemann_from_christoffels(*self.connection(x, check=check)), None
         if check:
-            self.check_interior(x, self.christoffel_reach(x))
-        return self.metric_and_christoffels(x)[1]
-
-    def christoffel_jacobian(self, x: np.ndarray, *, check: bool = True) -> np.ndarray:
-        """d_p Gamma^a_bc at x."""
-        x = np.asarray(x, dtype=float)
-        if check:
-            self.check_interior(x, self.christoffel_reach(x))
-        if self.christoffel_jacobian_fn is not None:
-            return self._eval(self.christoffel_jacobian_fn, x)
-        return christoffel_jacobian_from_jets(*matrix_jets(self.metric, x, CONNECTION))
-
-    # -- curvature -----------------------------------------------------------
-
-    def riemann(
-        self, x: np.ndarray, *, check: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate curvature (rup, rlow) at x under the pinned convention."""
-        x = np.asarray(x, dtype=float)
-        if check:
-            self.check_interior(x, self.christoffel_reach(x))
-        g, gamma = self.metric_and_christoffels(x)
-        dgamma = self.christoffel_jacobian(x, check=False)
-        return riemann_from_christoffels(g, gamma, dgamma)
-
-    def riemann_lowered(self, x: np.ndarray) -> np.ndarray:
-        return self.riemann(x)[1]
-
-    def nabla_riemann(self, x: np.ndarray) -> np.ndarray:
-        """Covariant derivative (nabla_p R)_abcd, the tensorial formula
-        d_p R_abcd minus Gamma corrections on all four slots."""
-        x = np.asarray(x, dtype=float)
-        self.check_interior(x, self.nabla_reach(x))
-        gamma = self.christoffels(x, check=False)
+            self.check_interior(x, self.nabla_reach(x))
         rlow, drlow, _ = matrix_jets(
-            lambda ys: self.riemann(ys, check=False)[1], x, self._nabla_stencil(), second=False
+            lambda ys: self.curvature(ys, check=False)[0], x, self._nabla_stencil(), second=False
         )
+        _, gamma, _ = self.connection(x, second=False, check=False)
         corr = (
             np.einsum("...mpa,...mbcd->...pabcd", gamma, rlow)
             + np.einsum("...mpb,...amcd->...pabcd", gamma, rlow)
             + np.einsum("...mpc,...abmd->...pabcd", gamma, rlow)
             + np.einsum("...mpd,...abcm->...pabcd", gamma, rlow)
         )
-        return drlow - corr
+        return rlow, drlow - corr
 
 
 # --------------------------------------------------------------------------
@@ -262,13 +247,20 @@ class ChartManifold:
 # --------------------------------------------------------------------------
 
 
-def _at_distinct(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+def _at_distinct(fun: Callable, x: np.ndarray):
     """fun(x) for a point or a stack of points (..., n), with fun evaluated
     in one call on the distinct points: everything at a base point depends
-    on q alone, and a grid repeats each base point for every vector."""
+    on q alone, and a grid repeats each base point for every vector.  fun
+    returns an array, or a tuple of arrays and Nones."""
     rows, inverse = np.unique(x.reshape(-1, x.shape[-1]), axis=0, return_inverse=True)
+
+    def spread(values):
+        if values is None:
+            return None
+        return values[inverse.ravel()].reshape(x.shape[:-1] + values.shape[1:])
+
     values = fun(rows)
-    return values[inverse.ravel()].reshape(x.shape[:-1] + values.shape[1:])
+    return tuple(map(spread, values)) if isinstance(values, tuple) else spread(values)
 
 
 @dataclass(frozen=True)
@@ -384,14 +376,10 @@ def frame_curvature(
     M: ChartManifold, fp: AdaptedFramePoint, include_nabla: bool = True
 ) -> FrameCurvature:
     """Base curvature in the frame of fp, one table per point of a stack;
-    R and nabla R are evaluated once per distinct base point."""
-    u = fp.u
-    rlow = _at_distinct(M.riemann_lowered, fp.q)
-    rt = project_curvature_symmetries(frame_components(u, rlow))
-    drt = None
-    if include_nabla:
-        nabla = _at_distinct(M.nabla_riemann, fp.q)
-        drt = project_curvature_symmetries(frame_components(u, nabla))
+    R and nabla R come from one pass over the distinct base points."""
+    rlow, nabla = _at_distinct(lambda q: M.curvature(q, nabla=include_nabla), fp.q)
+    rt = project_curvature_symmetries(frame_components(fp.u, rlow))
+    drt = None if nabla is None else project_curvature_symmetries(frame_components(fp.u, nabla))
     return FrameCurvature(Rtable=rt, dRtable=drt)
 
 

@@ -61,7 +61,7 @@ def connection_split(
     n = M.dim
     A = np.asarray(A, dtype=float)
     hor = A[:n]
-    gamma = M.christoffels(p.x)
+    _, gamma, _ = M.connection(p.x, second=False)
     ver = A[n:] + np.einsum("abc,b,c->a", gamma, p.v, hor)
     return hor, ver
 
@@ -77,9 +77,7 @@ def induced_metric(
     """
     n = M.dim
     x, v = p.x, p.v
-    if check:
-        M.check_interior(x, M.christoffel_reach(x))
-    g, gamma = M.metric_and_christoffels(x)
+    g, gamma, _ = M.connection(x, second=False, check=check)
     gv = np.einsum("...ab,...b->...a", g, v)
     j = fam.jets(np.einsum("...a,...a->...", v, gv))
     alpha = j.alpha[..., None, None]
@@ -107,7 +105,7 @@ def adapted_frame_vectors(M: ChartManifold, fp: AdaptedFramePoint) -> np.ndarray
     points, one (2n, 2n) matrix per point.
     """
     n = M.dim
-    gamma = M.christoffels(fp.q)
+    _, gamma, _ = M.connection(fp.q, second=False)
     w = np.einsum("...abc,...b->...ac", gamma, fp.v)
     frame = np.zeros(fp.u.shape[:-2] + (2 * n, 2 * n))
     frame[..., :n, :n] = fp.u

@@ -72,17 +72,19 @@ class FamilyJets:
         from phi^2, phi = alpha + t*alpha', two consequences of F == 0;
         elsewhere both are None.  Deviations are relative to the reference
         value (absolute below 1), so a 1e-8 bound stays above one ulp where
-        the family grows large."""
+        the family grows large.  The products are compared scaled by
+        max(1, |phi|) in each factor, so neither is formed: they overflow
+        for a large flat family whose F and H are exact zeros."""
         max_f, max_h = float(np.max(np.abs(self.F))), float(np.max(np.abs(self.H)))
         if max_f > F_ZERO:
             return max_f, max_h, None, None
-
-        def rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
-            return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
-
         flat = flatness_jet(Jet2(self.alpha, self.alpha_d1, self.alpha_d2), t).value
-        phi = self.alpha + t * self.alpha_d1
-        return max_f, max_h, rel_dev(self.beta, flat), rel_dev(self.alpha * self.delta, phi**2)
+        with np.errstate(all="ignore"):
+            beta_dev = np.abs(self.beta - flat) / np.maximum(1.0, np.abs(flat))
+            phi = self.alpha + t * self.alpha_d1
+            s = np.maximum(1.0, np.abs(phi))
+            product_dev = np.abs((self.alpha / s) * (self.delta / s) - (phi / s) ** 2)
+        return max_f, max_h, float(np.max(beta_dev)), float(np.max(product_dev))
 
 
 @dataclass(frozen=True)

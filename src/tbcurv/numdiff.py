@@ -29,8 +29,7 @@ __all__ = [
     "ORACLE",
     "matrix_jets",
     "pointwise",
-    "christoffels_from_jets",
-    "christoffel_jacobian_from_jets",
+    "levi_civita",
     "riemann_from_christoffels",
     "project_curvature_symmetries",
     "frame_components",
@@ -187,50 +186,41 @@ def matrix_jets(
     return m0, dm, d2m
 
 
-def christoffels_from_jets(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc), at one
-    point or at each of a stack of points (leading axes)."""
+def levi_civita(
+    g: np.ndarray, dg: np.ndarray, d2g: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(Gamma^a_bc, d_p Gamma^a_bc) from the metric and its partials, at one
+    point or at each of a stack of points (leading axes):
+    Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc), and its
+    partials from the second partials d2g; None without d2g."""
     ginv = np.linalg.inv(g)
     s = np.einsum("...bdc->...dbc", dg) + np.einsum("...cbd->...dbc", dg) - dg
-    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, s)
-
-
-def christoffel_jacobian_from_jets(
-    g: np.ndarray, dg: np.ndarray, d2g: np.ndarray
-) -> np.ndarray:
-    """d_p Gamma^a_bc from metric first and second derivatives, at one
-    point or at each of a stack of points (leading axes)."""
-    ginv = np.linalg.inv(g)
+    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, s)
+    if d2g is None:
+        return gamma, None
     dginv = -np.einsum("...ae,...pef,...fd->...pad", ginv, dg, ginv)
-    s = np.einsum("...bdc->...dbc", dg) + np.einsum("...cbd->...dbc", dg) - dg
-    ds = (
-        np.einsum("...pbdc->...pdbc", d2g)
-        + np.einsum("...pcbd->...pdbc", d2g)
-        - d2g
-    )
-    return 0.5 * (
+    ds = np.einsum("...pbdc->...pdbc", d2g) + np.einsum("...pcbd->...pdbc", d2g) - d2g
+    dgamma = 0.5 * (
         np.einsum("...pad,...dbc->...pabc", dginv, s)
         + np.einsum("...ad,...pdbc->...pabc", ginv, ds)
     )
+    return gamma, dgamma
 
 
 def riemann_from_christoffels(
     g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature of the Levi-Civita connection.
-
-    Returns (rup, rlow) with R(d_i, d_j) d_k = rup[a, i, j, k] d_a and
+) -> np.ndarray:
+    """Curvature of the Levi-Civita connection, lowered:
     rlow[i, j, k, l] = g(R(d_i, d_j) d_k, d_l), at one point or at each of
-    a stack of points (leading axes).
-    """
-    rup = (
+    a stack of points (leading axes)."""
+    # R(d_i, d_j) d_k = r[a, i, j, k] d_a
+    r = (
         np.einsum("...iajk->...aijk", dgamma)
         - np.einsum("...jaik->...aijk", dgamma)
         + np.einsum("...aim,...mjk->...aijk", gamma, gamma)
         - np.einsum("...ajm,...mik->...aijk", gamma, gamma)
     )
-    rlow = np.einsum("...la,...aijk->...ijkl", g, rup)
-    return rup, rlow
+    return np.einsum("...la,...aijk->...ijkl", g, r)
 
 
 def project_curvature_symmetries(r: np.ndarray) -> np.ndarray:

@@ -32,9 +32,8 @@ from .errors import ConditioningWarning, TbcurvError
 from .metricfamily import NaturalMetricFamily
 from .numdiff import (
     ORACLE,
-    christoffel_jacobian_from_jets,
-    christoffels_from_jets,
     frame_components,
+    levi_civita,
     matrix_jets,
     riemann_from_christoffels,
 )
@@ -108,9 +107,7 @@ def numeric_tm_curvature(
     cond = np.linalg.cond(g0)
     for c in np.ravel(cond)[np.ravel(cond) > 1e8]:
         warnings.warn(f"bundle metric condition number {c:.3g} exceeds 1e8", ConditioningWarning)
-    gamma = christoffels_from_jets(g0, dg)
-    dgamma = christoffel_jacobian_from_jets(g0, dg, d2g)
-    _, rlow = riemann_from_christoffels(g0, gamma, dgamma)
+    rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
     table = frame_components(adapted_frame_vectors(M, fp), rlow)
     return OracleResult(table=table, cond=cond)
 

@@ -36,36 +36,54 @@ def fd_only(M):
     )
 
 
+def christoffels(M, x):
+    """Gamma^a_bc at x."""
+    return M.connection(x, second=False)[1]
+
+
+def counted(fn, calls):
+    """fn, recording the shape of each argument it is called with."""
+
+    def wrapped(x):
+        calls.append(np.shape(x))
+        return fn(x)
+
+    return wrapped
+
+
 class TestChristoffels:
     def test_euclidean_zero(self):
         M = euclidean(3)
-        assert np.allclose(M.christoffels(np.array([0.5, -1.0, 2.0])), 0.0)
+        assert np.allclose(christoffels(M, np.array([0.5, -1.0, 2.0])), 0.0)
 
     def test_sphere_polar_classical(self):
         # g = diag(1, sin^2 theta): Gamma^theta_phiphi = -sin cos,
         # Gamma^phi_thetaphi = cot theta
         M = sphere(2)
         theta = 0.8
-        gamma = M.christoffels(np.array([theta, 0.3]))
+        gamma = christoffels(M, np.array([theta, 0.3]))
         assert gamma[0, 1, 1] == pytest.approx(-math.sin(theta) * math.cos(theta))
         assert gamma[1, 0, 1] == pytest.approx(math.cos(theta) / math.sin(theta))
         # finite differences of g reproduce the classical values
-        gamma_fd = fd_only(M).christoffels(np.array([theta, 0.3]))
+        gamma_fd = christoffels(fd_only(M), np.array([theta, 0.3]))
         assert np.allclose(gamma_fd, gamma, atol=1e-9)
 
     def test_poincare_disk_origin(self):
         M = hyperbolic(2)
-        assert np.allclose(M.christoffels(np.zeros(2)), 0.0, atol=1e-15)
+        assert np.allclose(christoffels(M, np.zeros(2)), 0.0, atol=1e-15)
 
-    def test_singular_metric(self):
+    @pytest.mark.parametrize("second", [False, True])
+    @pytest.mark.parametrize("diagonal", [[1.0, -1.0], [1.0, 0.0]])
+    def test_singular_metric(self, diagonal, second):
+        # checked before g is inverted, with or without d Gamma
         M = ChartManifold(
             2,
-            lambda x: np.diag([1.0, -1.0]),
+            lambda x: np.diag(diagonal),
             lo=-np.ones(2),
             hi=np.ones(2),
         )
-        with pytest.raises(SingularMetricError):
-            M.christoffels(np.zeros(2))
+        with pytest.raises(SingularMetricError, match=re.escape("at x=[0.0, 0.0]")):
+            M.connection(np.zeros(2), second=second)
 
     def test_analytic_or_metric_only(self):
         M = sphere(2)
@@ -84,13 +102,13 @@ class TestChristoffels:
     def test_stencil_out_of_domain(self):
         M = sphere(2)
         with pytest.raises(StencilOutOfDomainError):
-            M.christoffels(np.array([0.1, 0.0]))  # on the boundary
+            M.connection(np.array([0.1, 0.0]))  # on the boundary
 
 
 class TestRiemann:
     def test_euclidean_flat(self):
         M = euclidean(2)
-        _, rlow = M.riemann(np.array([1.0, -2.0]))
+        rlow, _ = M.curvature(np.array([1.0, -2.0]))
         assert np.max(np.abs(rlow)) == 0.0
 
     @pytest.mark.parametrize("use_fd", [False, True])
@@ -128,7 +146,7 @@ class TestRiemann:
         # raw coordinate tensor from the FD path satisfies the symmetries
         # within the stencil tolerance
         M = fd_only(conformal_polynomial(2, [[0.1, 2, 1]]))
-        rlow = M.riemann_lowered(np.array([0.4, -0.2]))
+        rlow, _ = M.curvature(np.array([0.4, -0.2]))
         scale = np.max(np.abs(rlow)) + 1.0
         assert np.max(np.abs(rlow + rlow.transpose(1, 0, 2, 3))) <= 1e-8 * scale
         assert np.max(np.abs(rlow + rlow.transpose(0, 1, 3, 2))) <= 1e-8 * scale
@@ -156,7 +174,7 @@ class TestRiemann:
         ]
         for M, points in catalog:
             for x in points:
-                rlow = M.riemann_lowered(x)
+                rlow, _ = M.curvature(x)
                 scale = np.max(np.abs(rlow)) + 1.0
                 tol = 1e-10 * scale
                 assert np.max(np.abs(rlow + rlow.transpose(1, 0, 2, 3))) <= tol
@@ -182,7 +200,7 @@ def _geodesic_parallel_oracle(M, q, u, p, h=1e-3, nsteps=8):
         x = state[0]
         vel = state[1]
         frame = state[2:]
-        gamma = M.christoffels(x)
+        gamma = christoffels(M, x)
         acc = -np.einsum("abc,b,c->a", gamma, vel, vel)
         dframe = -np.einsum("abc,b,ic->ia", gamma, vel, frame)
         return np.concatenate([[vel], [acc], dframe], axis=0)
@@ -198,7 +216,7 @@ def _geodesic_parallel_oracle(M, q, u, p, h=1e-3, nsteps=8):
             state = state + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         x = state[0]
         frame = state[2:]
-        rlow = M.riemann_lowered(x)
+        rlow, _ = M.curvature(x)
         return np.einsum(
             "ia,jb,kc,ld,abcd->ijkl", frame, frame, frame, frame, rlow, optimize=True
         )
@@ -212,14 +230,14 @@ class TestNablaRiemann:
             x = 0.3 * np.ones(M.dim) / M.dim
             if M.catalog_id == "sphere" and M.dim == 2:
                 x = np.array([0.9, 0.3])
-            assert np.max(np.abs(M.nabla_riemann(x))) <= 1e-8
+            assert np.max(np.abs(M.curvature(x, nabla=True)[1])) <= 1e-8
 
     def test_conformal_2d_nonharmonic(self):
         # f = 0.1 x1^2 x2 has a nonzero Laplacian, so the surface is curved
         # and its curvature gradient does not vanish
         M = conformal_polynomial(2, [[0.1, 2, 1]])
         q = np.array([0.4, -0.2])
-        nabla = M.nabla_riemann(q)
+        _, nabla = M.curvature(q, nabla=True)
         assert np.max(np.abs(nabla)) > 1e-4
         fp = adapted_frame(M, q, np.zeros(2))
         drt = frame_curvature(M, fp).dRtable
@@ -240,7 +258,7 @@ class TestNablaRiemann:
 
     def test_second_bianchi(self):
         M = conformal_polynomial(2, [[0.1, 2, 1], [0.05, 0, 3]])
-        nabla = M.nabla_riemann(np.array([0.3, 0.5]))
+        _, nabla = M.curvature(np.array([0.3, 0.5]), nabla=True)
         # cyclic sum over (p, a, b) of (nabla_p R)_abcd vanishes
         cyc = (
             nabla
@@ -415,12 +433,71 @@ class TestStacks:
     def test_rows_equal_single_point_calls(self, M, x):
         rng = np.random.default_rng(3)
         xs = x + 0.05 * rng.normal(size=(2, 3, M.dim))
-        for method in (M.metric, M.christoffels, M.christoffel_jacobian):
-            stacked = method(xs)
-            assert stacked.shape[:2] == (2, 3)
-            for idx in np.ndindex(2, 3):
-                np.testing.assert_allclose(stacked[idx], method(xs[idx]), rtol=1e-14, atol=1e-14)
+
+        def values(x):
+            # g, Gamma, d Gamma, R and nabla R
+            return M.connection(x) + M.curvature(x, nabla=True)
+
+        stacked = values(xs)
+        for idx in np.ndindex(2, 3):
+            for a, b in zip(stacked, values(xs[idx])):
+                assert a.shape[:2] == (2, 3)
+                np.testing.assert_allclose(a[idx], b, rtol=1e-14, atol=1e-14)
 
     def test_only_catalog_charts_are_vectorized(self):
         assert all(M.vectorized for M, _ in self.CHARTS[:-1])
         assert not self.CHARTS[-1][0].vectorized
+
+    @pytest.mark.parametrize("M, x", CHARTS, ids=lambda c: getattr(c, "catalog_id", ""))
+    def test_nabla_stencil_centre_is_the_curvature(self, M, x):
+        # with nabla, R is the centre value of the nabla R stencil: the same
+        # bits as R on its own
+        xs = x + 0.05 * np.random.default_rng(4).normal(size=(3, M.dim))
+        assert np.array_equal(M.curvature(xs, nabla=True)[0], M.curvature(xs)[0])
+
+
+class TestEvaluations:
+    """Each piece of Levi-Civita data at a point is computed once."""
+
+    @staticmethod
+    def counted_chart(M, vectorized):
+        """M with counted chart functions; a metric-only chart unless
+        vectorized.  Returns the chart and the calls of each function."""
+        calls = {"metric": [], "gamma": [], "dgamma": []}
+        fns = (
+            (counted(M.christoffels_fn, calls["gamma"]),
+             counted(M.christoffel_jacobian_fn, calls["dgamma"]))
+            if vectorized else (None, None)
+        )
+        chart = ChartManifold(
+            M.dim, counted(M.metric_fn, calls["metric"]), M.lo, M.hi, *fns, vectorized=vectorized
+        )
+        return chart, calls
+
+    @pytest.mark.parametrize("second", [False, True])
+    def test_analytic_connection_calls_each_function_once(self, second):
+        M, calls = self.counted_chart(hyperbolic(3), vectorized=True)
+        M.connection(np.array([0.1, 0.2, -0.1]), second=second)
+        assert calls == {"metric": [(3,)], "gamma": [(3,)], "dgamma": [(3,)] if second else []}
+
+    def test_metric_only_curvature_is_one_stencil(self):
+        n = 2
+        M, calls = self.counted_chart(hyperbolic(n), vectorized=False)
+        M.curvature(np.array([0.2, -0.3]))
+        # the centre and both Richardson levels of one CONNECTION stencil
+        assert len(calls["metric"]) == 1 + 2 * (2 * n + 4 * math.comb(n, 2))  # 17
+        assert set(calls["metric"]) == {(n,)}
+
+    def test_frame_curvature_with_nabla_differentiates_gamma_once(self):
+        n = 2
+        M, calls = self.counted_chart(conformal_polynomial(n, [[0.1, 2, 1]]), vectorized=True)
+        q = np.array([[0.4, -0.2], [0.1, 0.3], [0.4, -0.2]])
+        fp = adapted_frame(M, q, np.full((3, n), 0.2))
+        for c in calls.values():
+            c.clear()
+        frame_curvature(M, fp, include_nabla=True)
+        # the two distinct base points: d Gamma on the nabla R stencil (its
+        # centre gives R), Gamma there and at the points for the correction
+        stencil = (2, 1 + 2 * n, n)
+        assert calls == {"metric": [stencil, (2, n)], "gamma": [stencil, (2, n)],
+                         "dgamma": [stencil]}

@@ -54,7 +54,7 @@ class TestConnectionSplit:
         x = np.array([0.9, 0.3])
         v = np.array([0.4, -0.2])
         u = np.array([0.7, 0.5])
-        gamma = M.christoffels(x)
+        _, gamma, _ = M.connection(x, second=False)
         assert np.max(np.abs(gamma)) > 0.01  # the point genuinely curves
         A = np.concatenate([u, -np.einsum("abc,b,c->a", gamma, v, u)])
         hor, ver = connection_split(M, BundlePoint(x, v), A)
@@ -125,8 +125,7 @@ class TestInducedMetric:
         fam = preset("exp+")
         x = np.array([0.9, 0.3])
         v = np.array([0.4, -0.2])
-        g = M.metric(x)
-        gamma = M.christoffels(x)
+        g, gamma, _ = M.connection(x, second=False)
         G = induced_metric(M, fam, BundlePoint(x, v))
         rng = np.random.default_rng(2)
         for _ in range(5):

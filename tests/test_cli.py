@@ -124,12 +124,12 @@ class TestFamilyCheckSharedWalk:
         dlog = (d1 * delta + alpha * (d1 + b.value + t * b.d1)) / (alpha * delta)
         H = phi * dlog - 2 * (2 * d1 + t * d2)
         flat_beta = (t * d1**2 + 2 * alpha * d1) / alpha
-
-        def rel_dev(value, ref):
-            return np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref)))
-
+        beta_dev = np.abs(b.value - flat_beta) / np.maximum(1.0, np.abs(flat_beta))
+        # |alpha*Delta - phi^2| / max(1, phi^2), each factor scaled by max(1, |phi|)
+        s = np.maximum(1.0, np.abs(phi))
+        product_dev = np.abs((alpha / s) * (delta / s) - (phi / s) ** 2)
         return tuple(map(float, (np.max(np.abs(F)), np.max(np.abs(H)),
-                                 rel_dev(b.value, flat_beta), rel_dev(alpha * delta, phi**2))))
+                                 np.max(beta_dev), np.max(product_dev))))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: json.dumps(f))
     def test_flatness_equals_the_numpy_reference(self, capsys, family):
@@ -964,6 +964,19 @@ TABLE_HEAD = "# {} of (TM, G); family functions take t = |v|^2_g (squared norm) 
         (["family-check", "--alpha", "(t+1)^400", "--beta", "0"], 2,
          "family custom(alpha=(t+1)^400, beta=0): INVALID: F is not finite at t=1.39805 "
          "on [0, 25] (4096 samples)\n"),
+        # a flat family whose alpha*Delta and phi^2 overflow: compared scaled
+        (["family-check", "--alpha=1e160", "--beta=0"], 0,
+         "family custom(alpha=1e160, beta=0): valid; phi > 0 on [0, 25] (4096 samples)\n"
+         "      t        F(t)            H(t)\n"
+         + "".join(f"{t:9.4f}   0.00000000e+00   0.00000000e+00\n" for t in (0, 6.25, 12.5, 25))
+         + "max |F| = 0.000e+00, max |H| = 0.000e+00 on [0, 25]\n"
+         + "".join(f"  F == 0 consequence: {label}: ok\n" for label in (
+             "beta equals the flatness combination",
+             "alpha*(alpha+t*beta) == (alpha+t*alpha')^2",
+             "alpha + t*alpha' > 0",
+             "H vanishes",
+         ))
+         + "  H == 0 (with phi > 0) consequence: F vanishes: ok\n"),
         # Delta = alpha + t*beta overflows at t = 1.21
         (["scalar", *EUCLIDEAN_POINT, *OVERFLOW], 1,
          TABLE_HEAD.format("scalar") + "x,v,t,error\n"
