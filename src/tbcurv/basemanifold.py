@@ -252,7 +252,11 @@ def _at_distinct(fun: Callable, x: np.ndarray):
     in one call on the distinct points: everything at a base point depends
     on q alone, and a grid repeats each base point for every vector.  fun
     returns an array, or a tuple of arrays and Nones."""
-    rows, inverse = np.unique(x.reshape(-1, x.shape[-1]), axis=0, return_inverse=True)
+    rows = x.reshape(-1, x.shape[-1])
+    if len(rows) == 1:
+        inverse = np.zeros(1, dtype=int)
+    else:
+        rows, inverse = np.unique(rows, axis=0, return_inverse=True)
 
     def spread(values):
         if values is None:

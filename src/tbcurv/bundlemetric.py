@@ -75,9 +75,16 @@ def induced_metric(
     (..., 2n, 2n), one matrix per row.  ``check=False``: the caller has
     checked p.x (stencil points).
     """
-    n = M.dim
-    x, v = p.x, p.v
-    g, gamma, _ = M.connection(x, second=False, check=check)
+    g, gamma, _ = M.connection(p.x, second=False, check=check)
+    return _metric_from(fam, g, gamma, p.v)
+
+
+def _metric_from(
+    fam: NaturalMetricFamily, g: np.ndarray, gamma: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """G at (x, v) from g and Gamma at x: G reads the base only through
+    them.  g (..., n, n), Gamma (..., n, n, n) and v (..., n) stack alike."""
+    n = v.shape[-1]
     gv = np.einsum("...ab,...b->...a", g, v)
     j = fam.jets(np.einsum("...a,...a->...", v, gv))
     alpha = j.alpha[..., None, None]
@@ -88,7 +95,7 @@ def induced_metric(
     wt_g = np.swapaxes(w, -1, -2) @ g
     wt_gv = np.einsum("...ca,...a->...c", wt_g, v)
 
-    G = np.empty(x.shape[:-1] + (2 * n, 2 * n))
+    G = np.empty(v.shape[:-1] + (2 * n, 2 * n))
     G[..., :n, :n] = g + alpha * (wt_g @ w) + beta * (wt_gv[..., :, None] * wt_gv[..., None, :])
     G[..., :n, n:] = alpha * wt_g + beta * (wt_gv[..., :, None] * gv[..., None, :])
     G[..., n:, :n] = np.swapaxes(G[..., :n, n:], -1, -2)

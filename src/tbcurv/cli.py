@@ -307,7 +307,7 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
     points = [BundlePoint.of(entry["x"], entry["v"]) for entry in cfg.get("points", [])]
     grid = cfg.get("grid")
     if grid:
-        v_norms = grid.get("v_norms", [0.0])
+        v_norms = np.asarray(grid.get("v_norms", [0.0]), dtype=float)
         directions = np.asarray(grid.get("v_directions", np.eye(M.dim)[:1]), dtype=float)
         for xs in grid["base_points"]:
             x = np.asarray(xs, dtype=float)
@@ -322,13 +322,14 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
                 nrm = float(np.sqrt(d @ g @ d))
                 if nrm == 0.0:
                     raise ConfigError("grid direction has zero length")
-                for s in v_norms:
-                    points.append(BundlePoint(x, (float(s) / nrm) * d))
-    for p in points:
-        if not (np.isfinite(p.x).all() and np.isfinite(p.v).all()):
-            raise ConfigError(f"point x={p.x.tolist()} v={p.v.tolist()} is not finite")
+                # v = (s / nrm) d for each norm s, as one broadcast
+                points += [BundlePoint(x, v) for v in (v_norms / nrm)[:, None] * d]
     if not points:
         raise ConfigError("no points configured (--point/--v or config points/grid)")
+    finite = np.isfinite([(p.x, p.v) for p in points]).all(axis=(1, 2))
+    if not finite.all():
+        p = points[int(np.argmin(finite))]
+        raise ConfigError(f"point x={p.x.tolist()} v={p.v.tolist()} is not finite")
     return points
 
 
@@ -515,9 +516,10 @@ def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
     return 1 if failures else 0
 
 
-def _coords(values) -> str:
-    """A point or vector as one CSV cell: its coordinates joined by ';'."""
-    return ";".join(repr(float(c)) for c in values)
+def _coords(rows) -> list[str]:
+    """Each point or vector of a stack as one CSV cell: its coordinates
+    joined by ';', one repr per coordinate."""
+    return [";".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
 
 
 def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
@@ -570,8 +572,9 @@ def cmd_tables(cfg: dict, task: str) -> int:
 
     results = closedform.on_points(M, fam, points, point_columns)
     blocks = []
-    for p, (t, result) in zip(points, results):
-        head = {"x": _coords(p.x), "v": _coords(p.v)}
+    xs, vs = _coords([p.x for p in points]), _coords([p.v for p in points])
+    for p, x, v, (t, result) in zip(points, xs, vs, results):
+        head = {"x": x, "v": v}
         if isinstance(result, TbcurvError):
             blocks.append(({**head, "t": _v_norm(M, p), "error": _error_cell(result)}, None))
         else:
@@ -665,7 +668,7 @@ def cmd_scan(cfg: dict) -> int:
         rows.append((t, s_general, s_special, f_val, h_val, status))
     v_norm, s_general, s_special, f_val, h_val, status = zip(*rows)
     columns = {
-        "x": [_coords(p.x) for p in points],
+        "x": _coords([p.x for p in points]),
         "v_norm": np.array(v_norm),
         "scalar_general": np.array(s_general),
         "scalar_special": np.array(s_special),

@@ -130,6 +130,13 @@ def _w(x, axes: int) -> np.ndarray:
     return np.asarray(x)[(...,) + (None,) * axes]
 
 
+def _perm(a: np.ndarray, src: str, dst: str) -> np.ndarray:
+    """The view ``np.einsum(f"...{src}->...{dst}", a)`` of a permutation
+    of the last axes, as a transpose."""
+    k = a.ndim - len(src)
+    return a.transpose(*range(k), *(k + src.index(c) for c in dst))
+
+
 def _check_normal_form(fp: AdaptedFramePoint) -> None:
     """u_0 g v = t and u_i g v = 0 at every point with t > 0, with the metric
     that ``adapted_frame`` evaluated at q."""
@@ -214,22 +221,22 @@ def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict
     # (delta_j0 + delta_l0) * alpha' * t^2 / 2 * (R_{kil1} - R_{kij1}).
     dsum = delta_i0[None, :, None, None] + delta_i0[None, None, None, :]
     hvhv = (
-        0.5 * alpha * np.einsum("...kilj->...ijkl", rt)
+        0.5 * alpha * _perm(rt, "kilj", "ijkl")
         + (alpha**2 * t_sq / 4.0) * np.einsum("...krj,...ril->...ijkl", r1, r1)
         + 0.5
         * t_sq
         * alpha_d1
         * dsum
         * (
-            np.einsum("...kil->...ikl", r1)[..., :, None, :, :]
-            - np.einsum("...kij->...ijk", r1)[..., None]
+            _perm(r1, "kil", "ikl")[..., :, None, :, :]
+            - _perm(r1, "kij", "ijk")[..., None]
         )
     )
 
     # hhvh: the nabla-R block,
     # (alpha t / 2) [ (nabla_j R)(u_i, u_l) u_k - (nabla_i R)(u_j, u_l) u_k ]_1.
     hhvh = (alpha * t / 2.0) * (
-        np.einsum("...jilk->...ijkl", dr1) - np.einsum("...ijlk->...ijkl", dr1)
+        _perm(dr1, "jilk", "ijkl") - _perm(dr1, "ijlk", "ijkl")
     )
 
     return {
@@ -256,15 +263,15 @@ def _assemble(blocks: dict, n: int) -> np.ndarray:
     T[..., V, V, V, V] = vvvv
     # hvvv class vanishes in all placements.
     T[..., V, V, H, H] = vvhh
-    T[..., H, H, V, V] = np.einsum("...klij->...ijkl", vvhh)  # pair symmetry
+    T[..., H, H, V, V] = _perm(vvhh, "klij", "ijkl")  # pair symmetry
     T[..., H, V, H, V] = hvhv
-    T[..., V, H, H, V] = -np.einsum("...jikl->...ijkl", hvhv)
-    T[..., H, V, V, H] = -np.einsum("...ijlk->...ijkl", hvhv)
-    T[..., V, H, V, H] = np.einsum("...jilk->...ijkl", hvhv)
+    T[..., V, H, H, V] = -_perm(hvhv, "jikl", "ijkl")
+    T[..., H, V, V, H] = -_perm(hvhv, "ijlk", "ijkl")
+    T[..., V, H, V, H] = _perm(hvhv, "jilk", "ijkl")
     T[..., H, H, V, H] = hhvh
-    T[..., H, H, H, V] = -np.einsum("...ijlk->...ijkl", hhvh)
-    T[..., V, H, H, H] = np.einsum("...klij->...ijkl", hhvh)  # pair symmetry
-    T[..., H, V, H, H] = -np.einsum("...klji->...ijkl", hhvh)
+    T[..., H, H, H, V] = -_perm(hhvh, "ijlk", "ijkl")
+    T[..., V, H, H, H] = _perm(hhvh, "klij", "ijkl")  # pair symmetry
+    T[..., H, V, H, H] = -_perm(hhvh, "klji", "ijkl")
     return T
 
 

@@ -16,6 +16,7 @@ K(X, Y) = g(R(X, Y)Y, X) for orthonormal X, Y.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,6 +54,18 @@ class Stencil:
 
     def steps(self, x: np.ndarray) -> np.ndarray:
         return self.base * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
+
+    @functools.lru_cache(maxsize=None)
+    def units(self, dim: int, second: bool = True) -> np.ndarray:
+        """Every offset the stencil evaluates, at unit steps, shape (m, dim),
+        read-only: the centre (zeros), the level at h (``_unit_offsets``),
+        then with ``richardson`` the level at h/2.  ``matrix_jets``
+        evaluates x + steps(x) * units, rows in this order."""
+        level = _unit_offsets(dim, second)
+        levels = [np.zeros((1, dim)), level] + ([level / 2.0] if self.richardson else [])
+        units = np.concatenate(levels)
+        units.flags.writeable = False
+        return units
 
     def reach(
         self,
@@ -104,27 +117,41 @@ def pointwise(fun: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray],
     return batched
 
 
-def _offsets(steps: np.ndarray, second: bool) -> np.ndarray:
-    """Stencil offsets of one level, shape (..., k, dim) for steps of shape
-    (..., dim): +-h_p e_p for each p, then for p < q the four corners
-    (+h_p, +h_q), (+h_p, -h_q), (-h_p, +h_q), (-h_p, -h_q)."""
-    dim = steps.shape[-1]
-    e = steps[..., None, :] * np.eye(dim)
+@functools.lru_cache(maxsize=None)
+def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The axis pairs p < q of the mixed second differences, in
+    ``np.triu_indices(dim, 1)`` order; read-only."""
+    pairs = np.triu_indices(dim, 1)
+    for axis in pairs:
+        axis.flags.writeable = False
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_offsets(dim: int, second: bool) -> np.ndarray:
+    """The offsets of one level at unit steps, shape (k, dim), read-only:
+    +-e_p for each p, then for p < q the four corners e_p + e_q, e_p - e_q,
+    -e_p + e_q and -e_p - e_q.  Each zero carries the sign that these sums
+    give it (-e_p and -e_p - e_q have -0.0 off their axes), so that steps
+    times the pattern equals, bit for bit, the same sums of steps."""
+    e = np.eye(dim)
     rows = [np.stack([e, -e], axis=-2)]
     if second:
-        p, q = np.triu_indices(dim, 1)
-        ep, eq = e[..., p, :], e[..., q, :]
+        p, q = _pairs(dim)
+        ep, eq = e[p], e[q]
         rows.append(np.stack([ep + eq, ep - eq, -ep + eq, -ep - eq], axis=-2))
-    return np.concatenate([r.reshape(steps.shape[:-1] + (-1, dim)) for r in rows], axis=-2)
+    units = np.concatenate([r.reshape(-1, dim) for r in rows])
+    units.flags.writeable = False
+    return units
 
 
 def _plain_jets(
     m: np.ndarray, h: np.ndarray, m0: np.ndarray, second: bool
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Second-order central first (and second) derivatives, derivative axes
-    first, from the values ``m`` at the offsets ``_offsets(steps, second)``
-    (stencil axis first) and the steps ``h`` (shape (dim, ...), broadcasting
-    against a value)."""
+    first, from the values ``m`` at the offsets ``_unit_offsets`` times the
+    steps (stencil axis first) and the steps ``h`` (shape (dim, ...),
+    broadcasting against a value)."""
     dim = h.shape[0]
     mp, mm = m[0 : 2 * dim : 2], m[1 : 2 * dim : 2]
     dm = (mp - mm) / (2.0 * h)
@@ -133,7 +160,7 @@ def _plain_jets(
     d2m = np.empty((dim, dim) + m0.shape)
     idx = np.arange(dim)
     d2m[idx, idx] = (mp - 2.0 * m0 + mm) / h**2
-    p, q = np.triu_indices(dim, 1)
+    p, q = _pairs(dim)
     corners = m[2 * dim :].reshape((p.shape[0], 4) + m0.shape)
     hp, hq = h[p], h[q]
     mixed = (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3]) / (4.0 * hp * hq)
@@ -155,8 +182,8 @@ def matrix_jets(
     derivative axes follow the stack axes, df[..., p, :] = d_p f.  ``fun``
     takes a stack of points, shape (..., m, dim), and returns the stack of
     their values: the stencils of all points, centres and both Richardson
-    levels, are evaluated in one call.  Wrap a function of one point in
-    ``pointwise``.
+    levels, are evaluated in one call, in the row order of
+    ``stencil.units``.  Wrap a function of one point in ``pointwise``.
 
     Nothing here checks a domain: callers check x against the reach of the
     whole computation once, before differentiating.
@@ -164,12 +191,8 @@ def matrix_jets(
     x = np.asarray(x, dtype=float)
     lead = x.ndim - 1
     steps = stencil.steps(x)
-    offsets = _offsets(steps, second)
-    k = offsets.shape[-2]
-    if stencil.richardson:
-        offsets = np.concatenate([offsets, _offsets(steps / 2.0, second)], axis=-2)
-    centre = np.zeros(x.shape[:-1] + (1, x.shape[-1]))
-    values = fun(x[..., None, :] + np.concatenate([centre, offsets], axis=-2))
+    k = _unit_offsets(x.shape[-1], second).shape[0]
+    values = fun(x[..., None, :] + steps[..., None, :] * stencil.units(x.shape[-1], second))
     # Stencil and derivative axes first, so that the differences index them.
     values = np.moveaxis(values, lead, 0)
     m0 = values[0]
@@ -194,12 +217,12 @@ def levi_civita(
     Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc), and its
     partials from the second partials d2g; None without d2g."""
     ginv = np.linalg.inv(g)
-    s = np.einsum("...bdc->...dbc", dg) + np.einsum("...cbd->...dbc", dg) - dg
+    s = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
     gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, s)
     if d2g is None:
         return gamma, None
     dginv = -np.einsum("...ae,...pef,...fd->...pad", ginv, dg, ginv)
-    ds = np.einsum("...pbdc->...pdbc", d2g) + np.einsum("...pcbd->...pdbc", d2g) - d2g
+    ds = np.swapaxes(d2g, -3, -2) + np.swapaxes(d2g, -3, -1) - d2g
     dgamma = 0.5 * (
         np.einsum("...pad,...dbc->...pabc", dginv, s)
         + np.einsum("...ad,...pdbc->...pabc", ginv, ds)
@@ -213,10 +236,11 @@ def riemann_from_christoffels(
     """Curvature of the Levi-Civita connection, lowered:
     rlow[i, j, k, l] = g(R(d_i, d_j) d_k, d_l), at one point or at each of
     a stack of points (leading axes)."""
-    # R(d_i, d_j) d_k = r[a, i, j, k] d_a
+    # R(d_i, d_j) d_k = r[a, i, j, k] d_a; d_i Gamma^a_jk - d_j Gamma^a_ik
+    # are transposed views of dgamma
     r = (
-        np.einsum("...iajk->...aijk", dgamma)
-        - np.einsum("...jaik->...aijk", dgamma)
+        np.swapaxes(dgamma, -4, -3)
+        - np.moveaxis(dgamma, -4, -2)
         + np.einsum("...aim,...mjk->...aijk", gamma, gamma)
         - np.einsum("...ajm,...mik->...aijk", gamma, gamma)
     )

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basemanifold import AdaptedFramePoint, ChartManifold
-from .bundlemetric import BundlePoint, adapted_frame_vectors, induced_metric
+from .bundlemetric import BundlePoint, _metric_from, adapted_frame_vectors
 from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
 from .errors import ConditioningWarning, TbcurvError
 from .metricfamily import NaturalMetricFamily
@@ -88,20 +88,52 @@ class OracleResult:
     cond: float  # condition number of G at the point
 
 
+@functools.lru_cache(maxsize=None)
+def _base_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base points of the oracle's stencil at unit steps.
+
+    The x part of each row of the 2n-dimensional ``ORACLE`` stencil, in the
+    order ``matrix_jets`` evaluates them, is a row of the first n axes of
+    ``ORACLE.units(2n)``.  Returns the distinct ones (by their bits, so that
+    signed zeros stay apart), in first-seen order, and for each stencil row
+    the index of its x part among them: 22, 44, 74 and 112 distinct of 65,
+    145, 257 and 401 rows at n = 2..5.  Both are read-only."""
+    units = np.ascontiguousarray(ORACLE.units(2 * n)[:, :n])
+    _, first, inverse = np.unique(
+        units.view(np.int64), axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rows, index = units[first[order]], rank[inverse.ravel()]
+    rows.flags.writeable = index.flags.writeable = False
+    return rows, index
+
+
 def numeric_tm_curvature(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> OracleResult:
     """Curvature table of the 2n-dimensional metric G in the adapted frame
     of fp, or one per point of a stack of frame points, from finite
-    differences of induced_metric values only."""
+    differences of induced-metric values only.
+
+    G at (x, v) reads the base only through g and Gamma at x, and the
+    stencil's x parts repeat: the chart's connection is evaluated once per
+    distinct base point of the stencil (``_base_rows``), in one call, and
+    gathered to the stencil rows."""
     n = M.dim
     # One check for the whole stencil, Christoffel stencils at its points included.
     M.check_interior(fp.q, M.oracle_reach(fp.q))
     z0 = np.concatenate([fp.q, fp.v], axis=-1)
+    rows, index = _base_rows(n)
+    xs = fp.q[..., None, :] + ORACLE.steps(fp.q)[..., None, :] * rows
+    g, gamma, _ = M.connection(xs, second=False, check=False)
+    g, gamma = g[..., index, :, :], gamma[..., index, :, :, :]
 
     def gfun(z: np.ndarray) -> np.ndarray:
-        # z stacks every stencil point: one induced_metric call for all.
-        return induced_metric(M, fam, BundlePoint(z[..., :n], z[..., n:]), check=False)
+        # z stacks every stencil point, in the order of ORACLE.units: one
+        # evaluation of G for all, on the gathered base values.
+        return _metric_from(fam, g, gamma, z[..., n:])
 
     g0, dg, d2g = matrix_jets(gfun, z0, ORACLE)
     cond = np.linalg.cond(g0)
@@ -129,6 +161,18 @@ def _written_components(m: int) -> tuple:
     for axis in index:
         axis.flags.writeable = False
     return index
+
+
+@functools.lru_cache(maxsize=None)
+def _class_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The components of the (2n)^4 table, flattened, grouped by symmetry
+    class in CLASS_NAMES order, and where each class starts: the segments
+    of one ``reduceat``.  Read-only."""
+    labels = component_class_labels(n).ravel()
+    order = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(len(CLASS_NAMES)))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
 
 
 def _symmetry_residual(table: np.ndarray) -> float:
@@ -179,11 +223,14 @@ class CurvatureReport:
         rel = np.divide(dev, scale, out=np.zeros_like(dev), where=scale > abs_tol)
         self.max_abs_dev = float(np.max(dev))
         self.max_rel_dev = float(np.max(rel))
-        labels = component_class_labels(dev.shape[0] // 2)
+        n = dev.shape[0] // 2
+        labels = component_class_labels(n)
+        order, starts = _class_order(n)
+        maxima = np.maximum.reduceat(np.stack([dev.ravel()[order], rel.ravel()[order]]),
+                                     starts, axis=1)
         self.class_deviations = {
-            name: {"max_abs_dev": float(np.max(dev[labels == k])),
-                   "max_rel_dev": float(np.max(rel[labels == k]))}
-            for k, name in enumerate(CLASS_NAMES)
+            name: {"max_abs_dev": abs_dev, "max_rel_dev": rel_dev}
+            for name, abs_dev, rel_dev in zip(CLASS_NAMES, *maxima.tolist())
         }
         over = dev / bound
         worst = np.unravel_index(np.argmax(over), over.shape)
@@ -197,9 +244,11 @@ class CurvatureReport:
         self.passed = bool(np.all(within))
         if not self.passed:
             flipped = np.abs(self.closed + self.oracle) <= bound
+            all_within, all_flipped = np.logical_and.reduceat(
+                np.stack([within.ravel()[order], flipped.ravel()[order]]), starts, axis=1
+            )
             self.negated_classes = tuple(
-                name for k, name in enumerate(CLASS_NAMES)
-                if not np.all(within[labels == k]) and np.all(flipped[labels == k])
+                name for name, w, f in zip(CLASS_NAMES, all_within, all_flipped) if f and not w
             )
         if self.cond > 1e8:
             self.notes.append(f"bundle metric condition number {self.cond:.3g} exceeds 1e8")

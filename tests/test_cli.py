@@ -30,6 +30,7 @@ from tbcurv.cli import (
     _merge_flags,
     _parse_vector,
     _resolve_family,
+    _resolve_points,
     _v_norm,
     _verify_text,
     main,
@@ -682,6 +683,28 @@ class TestNonFinitePoints:
         x, v = ([float(c) for c in text.split(",")] for text in (x, v))
         assert captured.out == ""
         assert captured.err == f"config error: point x={x} v={v} is not finite\n"
+
+
+def test_grid_vectors_equal_the_scalar_formula_bit_for_bit():
+    # each (base point, direction) row of v is one broadcast of s / |d|_g
+    # times d, the IEEE operations of (float(s) / nrm) * d; points before
+    # the grid keep their place
+    M = make_manifold("sphere", 3)
+    grid = {"base_points": [[0.1, -0.2, 0.3], [0.0, -0.0, 0.2]],
+            "v_norms": [0, 0.3, 1.7, 2, 1e-300, 7],
+            "v_directions": [[1, 2, -3], [-0.0, 1, 0.5]]}
+    points = _resolve_points({"points": [{"x": [0.1, 0.1, 0.1], "v": [0, -0.0, 1]}],
+                              "grid": grid}, M)
+    expected = [(np.array([0.1, 0.1, 0.1]), np.array([0.0, -0.0, 1.0]))]
+    for xs in grid["base_points"]:
+        x = np.asarray(xs, dtype=float)
+        g = M.metric(x)
+        for d in np.asarray(grid["v_directions"], dtype=float):
+            nrm = float(np.sqrt(d @ g @ d))
+            expected += [(x, (float(s) / nrm) * d) for s in grid["v_norms"]]
+    assert len(points) == len(expected) == 25
+    for p, (x, v) in zip(points, expected):
+        assert p.x.tobytes() == x.tobytes() and p.v.tobytes() == v.tobytes()
 
 
 class TestNonFiniteGrid:

@@ -16,6 +16,7 @@ from tbcurv.basemanifold import (
     sphere,
 )
 from tbcurv.closedform import (
+    _perm,
     component_class_masks,
     gram_diagonal,
     minus_exp_flat_threshold,
@@ -319,3 +320,20 @@ class TestScalar:
     def test_bad_which(self):
         with pytest.raises(ValueError):
             scalar_exp_specials(0.0, 3, 1.0, "both")
+
+
+@pytest.mark.parametrize(
+    "src,dst",
+    [("kilj", "ijkl"), ("kil", "ikl"), ("kij", "ijk"), ("jilk", "ijkl"), ("ijlk", "ijkl"),
+     ("klij", "ijkl"), ("jikl", "ijkl"), ("klji", "ijkl")],
+)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_perm_is_the_einsum_view(src, dst, lead):
+    # the transposes of _blocks and _assemble are the views einsum returns:
+    # same memory, same strides, so what reads them gets the same bits
+    a = np.random.default_rng(0).normal(size=lead + tuple(range(2, 2 + len(src))))
+    expected = np.einsum(f"...{src}->...{dst}", a)
+    got = _perm(a, src, dst)
+    assert np.shares_memory(got, a)
+    assert (got.shape, got.strides) == (expected.shape, expected.strides)
+    assert np.array_equal(got, expected)

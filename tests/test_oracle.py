@@ -21,7 +21,7 @@ from tbcurv.basemanifold import (
     rotate_completion,
     sphere,
 )
-from tbcurv.bundlemetric import BundlePoint
+from tbcurv.bundlemetric import BundlePoint, adapted_frame_vectors, induced_metric
 from tbcurv.closedform import (
     CLASS_NAMES,
     component_class_labels,
@@ -37,7 +37,15 @@ from tbcurv.errors import (
 )
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta, preset
 from tbcurv import cli, oracle
-from tbcurv.numdiff import ORACLE, Stencil, frame_components, matrix_jets, pointwise
+from tbcurv.numdiff import (
+    ORACLE,
+    Stencil,
+    frame_components,
+    levi_civita,
+    matrix_jets,
+    pointwise,
+    riemann_from_christoffels,
+)
 from tbcurv.oracle import CurvatureReport, OracleConfig, compare, numeric_tm_curvature
 
 
@@ -606,9 +614,17 @@ class TestCustomCharts:
         assert report.status == "ok" and report.passed, report.summary_line()
 
 
+# Distinct base points of the oracle's stencil per bundle point, n = 2..5:
+# 1 + 4n^2 offsets of the n-dimensional stencil, plus the rows whose zeros
+# carry another sign (-e_p off its axis +0.0, and all -0.0).
+BASE_ROWS = {2: 22, 3: 44, 4: 74, 5: 112}
+STENCIL_ROWS = {2: 65, 3: 145, 4: 257, 5: 401}
+
+
 class TestStencilEvaluation:
-    """The oracle evaluates its whole stencil, centre and both Richardson
-    levels, in one induced_metric call."""
+    """The oracle evaluates the chart once per distinct base point of its
+    stencil, all of them in one call, and G on the whole stencil (centre
+    and both Richardson levels) in one evaluation."""
 
     @staticmethod
     def counted(M, vectorized):
@@ -628,10 +644,9 @@ class TestStencilEvaluation:
         fp = adapted_frame(M, x, np.full(n, 0.2))
         calls.clear()
         numeric_tm_curvature(M, preset("exp+"), fp)
-        dim = 2 * n
-        stencil_points = 2 * (2 * dim + 2 * dim * (dim - 1)) + 1  # 65 at n = 2, 145 at n = 3
-        # the stack, and the base point of the frame vectors
-        assert sorted(calls) == [(n,), (stencil_points, n)]
+        # the distinct base points of the stencil (22 at n = 2, 44 at n = 3,
+        # of 65 and 145 stencil points), and the base point of the frame vectors
+        assert sorted(calls) == [(n,), (BASE_ROWS[n], n)]
 
     def test_one_metric_evaluation_per_stencil_point_on_custom_charts(self):
         n = 2
@@ -640,9 +655,10 @@ class TestStencilEvaluation:
         fp = adapted_frame(M, x, np.array([0.3, 0.1]))
         calls.clear()
         numeric_tm_curvature(M, preset("exp+"), fp)
-        # each stencil point and the frame's base point: g there, once, and
-        # at the 4n other points of its Richardson Christoffel stencil
-        assert len(calls) == (65 + 1) * (4 * n + 1)
+        # each distinct base point of the stencil and the frame's base point:
+        # g there, once, and at the 4n other points of its Richardson
+        # Christoffel stencil
+        assert len(calls) == (BASE_ROWS[n] + 1) * (4 * n + 1)
         assert set(calls) == {(n,)}
 
     @pytest.mark.parametrize("vectorized", [True, False])
@@ -669,6 +685,139 @@ class TestStencilEvaluation:
         with pytest.raises(ValidityError, match=f"t={t_bad:g} outside"):
             M = euclidean(2)
             numeric_tm_curvature(M, fam, adapted_frame(M, np.zeros(2), v))
+
+
+def _old_offsets(steps, second):
+    """The stencil offsets of one level as sums of steps, the construction
+    that ``Stencil.units`` scales: +-h_p e_p, then the corners."""
+    dim = steps.shape[-1]
+    e = steps[..., None, :] * np.eye(dim)
+    rows = [np.stack([e, -e], axis=-2)]
+    if second:
+        p, q = np.triu_indices(dim, 1)
+        ep, eq = e[..., p, :], e[..., q, :]
+        rows.append(np.stack([ep + eq, ep - eq, -ep + eq, -ep - eq], axis=-2))
+    return np.concatenate([r.reshape(steps.shape[:-1] + (-1, dim)) for r in rows], axis=-2)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _stencil_points(x, stencil, second=True):
+    """The points ``matrix_jets`` hands to its function."""
+    seen = []
+
+    def record(z):
+        seen.append(z)
+        return np.zeros(z.shape[:-1] + (1, 1))
+
+    matrix_jets(record, x, stencil, second=second)
+    return seen[0]
+
+
+def _plain_oracle(M, fam, fp):
+    """The oracle's table with G from ``induced_metric`` at every stencil
+    point, the chart evaluated there too."""
+    n = M.dim
+    z0 = np.concatenate([fp.q, fp.v], axis=-1)
+    g0, dg, d2g = matrix_jets(
+        lambda z: induced_metric(M, fam, BundlePoint(z[..., :n], z[..., n:]), check=False),
+        z0, ORACLE,
+    )
+    rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
+    return frame_components(adapted_frame_vectors(M, fp), rlow)
+
+
+class TestStencilTables:
+    """The per-dimension tables of the stencils are built once, read-only,
+    and give the points of the sums they replace, bit for bit."""
+
+    @pytest.mark.parametrize("stencil", [ORACLE, Stencil(2e-3, richardson=False)])
+    @pytest.mark.parametrize("second", [True, False])
+    @pytest.mark.parametrize("dim", [2, 3, 6, 10])
+    def test_units_give_the_old_stencil_points(self, dim, second, stencil):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(scale=3.0, size=(2, dim))
+        x[0, 0], x[1, -1] = -0.0, 0.0
+        steps = stencil.steps(x)
+        offsets = [np.zeros(x.shape[:-1] + (1, dim)), _old_offsets(steps, second)]
+        if stencil.richardson:
+            offsets.append(_old_offsets(steps / 2.0, second))
+        old = x[..., None, :] + np.concatenate(offsets, axis=-2)
+        units = stencil.units(dim, second)
+        assert not units.flags.writeable
+        assert units is stencil.units(dim, second)
+        scaled = steps[..., None, :] * units
+        assert np.array_equal(_bits(scaled), _bits(np.concatenate(offsets, axis=-2)))
+        assert np.array_equal(_bits(_stencil_points(x, stencil, second)), _bits(old))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_base_rows_are_the_x_parts_of_the_stencil(self, n):
+        rows, index = oracle._base_rows(n)
+        assert not rows.flags.writeable and not index.flags.writeable
+        assert rows.shape == (BASE_ROWS[n], n) and index.shape == (STENCIL_ROWS[n],)
+        # distinct by their bits, first-seen order
+        assert len({r.tobytes() for r in rows}) == BASE_ROWS[n]
+        first = np.unique(index, return_index=True)[1]
+        assert first.size == BASE_ROWS[n] and np.all(np.diff(first) > 0)
+        rng = np.random.default_rng(n)
+        q = rng.uniform(-0.3, 0.3, size=(3, n))
+        q[0, 0], q[1, 1], q[2] = -0.0, 0.0, -0.0
+        v = rng.normal(size=(3, n))
+        z = _stencil_points(np.concatenate([q, v], axis=-1), ORACLE)
+        gathered = (q[..., None, :] + ORACLE.steps(q)[..., None, :] * rows)[:, index]
+        assert np.array_equal(_bits(gathered), _bits(z[..., :n]))
+
+    @pytest.mark.parametrize("chart", ["sphere2", "sphere3", "hyperbolic5", "torus3",
+                                       "euclidean4", "pointwise2"])
+    def test_oracle_equals_induced_metric_on_the_full_stencil(self, chart):
+        M, x = {
+            "sphere2": (sphere(2), [0.9, -0.0]),
+            "sphere3": (sphere(3), [0.1, -0.0, 0.2]),
+            "hyperbolic5": (hyperbolic(5), [0.1, 0.05, -0.0, 0.02, 0.1]),
+            "torus3": (conformal_polynomial(3, [[0.1, 1, 1, 0], [0.04, 0, 2, 1]]),
+                       [0.2, -0.0, 0.3]),
+            "euclidean4": (euclidean(4), [1.0, 2.0, -0.0, 0.0]),
+            "pointwise2": (ChartManifold(2, lambda x: np.diag([1.0 + x[0] ** 2, np.exp(x[1])]),
+                                         lo=-np.ones(2), hi=np.ones(2)), [0.1, -0.0]),
+        }[chart]
+        q = np.array([x, np.multiply(x, 0.5)])
+        v = np.full(q.shape, 0.3)
+        v[1, 0] = -0.0
+        for name in ("sasaki", "exp+", "cheeger-gromoll"):
+            fam = preset(name)
+            fp = adapted_frame(M, q, v)
+            for point in (fp, fp[0]):
+                table = numeric_tm_curvature(M, fam, point).table
+                assert np.array_equal(_bits(table), _bits(_plain_oracle(M, fam, point)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_class_maxima_equal_the_masked_maxima(self, n):
+        rng = np.random.default_rng(100 + n)
+        masks = _reference_class_masks(n)
+        for case in range(6):
+            closed = rng.normal(size=(2 * n,) * 4) * 10.0 ** rng.integers(-8, 3)
+            orc = closed + rng.normal(size=closed.shape) * 10.0 ** rng.integers(-12, 0)
+            if case >= 3:
+                closed[rng.random(closed.shape) < 0.3] = 0.0
+                orc[rng.random(closed.shape) < 0.3] = -0.0
+            if case == 5:
+                orc[tuple(rng.integers(2 * n, size=4))] = np.nan
+            cfg = OracleConfig()
+            with np.errstate(invalid="ignore"):
+                report = _finalized(closed, orc, cfg)
+                dev = np.abs(closed - orc)
+                scale = np.maximum(np.abs(closed), np.abs(orc))
+                rel = np.divide(dev, scale, out=np.zeros_like(dev), where=scale > cfg.tol_abs)
+            expected = {name: {"max_abs_dev": float(np.max(dev[masks[name]])),
+                               "max_rel_dev": float(np.max(rel[masks[name]]))}
+                        for name in CLASS_NAMES}
+            assert list(report.class_deviations) == list(CLASS_NAMES)
+            for name in CLASS_NAMES:
+                for key in ("max_abs_dev", "max_rel_dev"):
+                    assert (np.float64(report.class_deviations[name][key]).tobytes()
+                            == np.float64(expected[name][key]).tobytes())
 
 
 class TestChartBoundary:

@@ -1,0 +1,126 @@
+"""Byte census: does a change move any output of the benchmark's jobs?
+
+    python3 tools/census.py --other ../parent --workload verify tables families --seed 1 2 3
+
+Runs every perfbench job of the given workloads and seeds in process, as
+``perfbench/run.py`` does, once on this checkout's ``src/`` and once on the
+other checkout's (for example ``git worktree add ../parent HEAD~1``).  The
+job lists come from this checkout's ``perfbench/workloads.py`` for both,
+so both sides run the same command lines.  A verify job writes its report
+to a file that is unlinked before the job.  Each side runs in its own
+interpreter, so the two ``tbcurv`` packages never meet.
+
+Prints, per workload, how many jobs differ in stdout, in stderr, in report
+bytes and in exit code, and names the first differing jobs.  Exit code 0
+when every job matches, 1 when any differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELDS = ("stdout", "stderr", "report", "exit code")
+SHOWN = 10
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def collect(checkout: Path, workloads: list, seeds: list) -> dict:
+    """Per job, "<workload>/<seed>/<index> <name>", the digests of its
+    stdout, stderr and report and its exit code, run on checkout's src/."""
+    sys.path[:0] = [str(checkout / "src"), str(ROOT / "perfbench")]
+    import tbcurv.cli
+    import workloads as perfbench_workloads
+
+    if Path(tbcurv.__file__).resolve().parent != (checkout / "src" / "tbcurv").resolve():
+        raise SystemExit(f"tbcurv resolved to {tbcurv.__file__}, not to {checkout}/src")
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        for workload in workloads:
+            for seed in seeds:
+                for i, job in enumerate(perfbench_workloads.build(workload, seed)):
+                    argv = list(job.argv)
+                    if job.check == "verify":
+                        report.unlink(missing_ok=True)
+                        argv += ["--out", str(report)]
+                    stdout, stderr = io.StringIO(), io.StringIO()
+                    with redirect_stdout(stdout), redirect_stderr(stderr):
+                        try:
+                            code = tbcurv.cli.main(argv)
+                        except SystemExit as exc:
+                            code = exc.code
+                        except Exception:
+                            code = "crash: " + traceback.format_exc(limit=1).strip()
+                    wrote = job.check == "verify" and report.exists()
+                    written = report.read_bytes() if wrote else b""
+                    out[f"{workload}/{seed}/{i} {job.name}"] = [
+                        _digest(stdout.getvalue().encode()),
+                        _digest(stderr.getvalue().encode()),
+                        _digest(written),
+                        code,
+                    ]
+    return out
+
+
+def run_side(checkout: Path, workloads: list, seeds: list) -> dict:
+    """collect() on checkout, in a fresh interpreter."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--collect", str(checkout),
+           "--workload", *workloads, "--seed", *map(str, seeds)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"census of {checkout} failed:\n{proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--other", type=Path, help="the checkout to compare with")
+    parser.add_argument("--workload", nargs="+", default=["verify", "tables", "families"])
+    parser.add_argument("--seed", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect is not None:
+        json.dump(collect(args.collect.resolve(), args.workload, args.seed), sys.stdout)
+        return 0
+    if args.other is None:
+        parser.error("--other is required")
+    other = args.other.resolve()
+    if not (other / "src" / "tbcurv").is_dir():
+        parser.error(f"no src/tbcurv in {other}")
+    here = run_side(ROOT, args.workload, args.seed)
+    there = run_side(other, args.workload, args.seed)
+    differing = 0
+    for workload in args.workload:
+        keys = [key for key in here if key.startswith(workload + "/")]
+        counts = [0] * len(FIELDS)
+        names = []
+        for key in keys:
+            moved = [a != b for a, b in zip(here[key], there[key])]
+            counts = [c + m for c, m in zip(counts, moved)]
+            if any(moved):
+                names.append(key)
+        differing += len(names)
+        cells = ", ".join(f"{field} {count}" for field, count in zip(FIELDS, counts))
+        print(f"{workload}: {len(keys)} jobs, {len(names)} differ ({cells})")
+        for key in names[:SHOWN]:
+            print(f"  differs: {key}")
+        if len(names) > SHOWN:
+            print(f"  ... {len(names) - SHOWN} more")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
