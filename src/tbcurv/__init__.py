@@ -52,6 +52,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DomainError,
+    NonFiniteError,
     ParseError,
     SingularMetricError,
     StencilOutOfDomainError,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
+    NonFiniteError,
     SingularMetricError,
     StencilOutOfDomainError,
 )
@@ -247,21 +248,30 @@ class ChartManifold:
 # --------------------------------------------------------------------------
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a float array (m, n) in first-seen order, found
+    in one dict pass over their bits, so that a -0.0 stays apart from a
+    +0.0 and each row is its own bits; and for each row the index of its
+    own among them."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    rank: dict = {}
+    inverse = np.array([rank.setdefault(key, len(rank)) for key in keys], dtype=np.intp)
+    distinct = np.frombuffer(b"".join(rank), dtype=float).reshape(len(rank), rows.shape[1])
+    return distinct.copy(), inverse
+
+
 def _at_distinct(fun: Callable, x: np.ndarray):
     """fun(x) for a point or a stack of points (..., n), with fun evaluated
-    in one call on the distinct points: everything at a base point depends
-    on q alone, and a grid repeats each base point for every vector.  fun
-    returns an array, or a tuple of arrays and Nones."""
-    rows = x.reshape(-1, x.shape[-1])
-    if len(rows) == 1:
-        inverse = np.zeros(1, dtype=int)
-    else:
-        rows, inverse = np.unique(rows, axis=0, return_inverse=True)
+    in one call on the distinct points (``_distinct_rows``): everything at
+    a base point depends on q alone, and a grid repeats each base point for
+    every vector.  fun returns an array, or a tuple of arrays and Nones."""
+    rows, inverse = _distinct_rows(x.reshape(-1, x.shape[-1]))
 
     def spread(values):
         if values is None:
             return None
-        return values[inverse.ravel()].reshape(x.shape[:-1] + values.shape[1:])
+        return values[inverse].reshape(x.shape[:-1] + values.shape[1:])
 
     values = fun(rows)
     return tuple(map(spread, values)) if isinstance(values, tuple) else spread(values)
@@ -290,6 +300,18 @@ class AdaptedFramePoint:
         return AdaptedFramePoint(
             q=self.q[idx], u=self.u[idx], v=self.v[idx], t=self.t[idx], g=self.g[idx]
         )
+
+    def named(self, k: tuple = ()) -> str:
+        """Point k of the stack, or the single point, as its x and v."""
+        return f"x={self.q[k].tolist()}, v={self.v[k].tolist()}"
+
+    def require_finite(self, quantity: str, values: np.ndarray) -> None:
+        """NonFiniteError naming quantity and the first point whose values
+        (leading with the stack axes) are not all finite."""
+        bad = ~np.isfinite(values).reshape(np.shape(self.t) + (-1,)).all(axis=-1)
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise NonFiniteError(f"{quantity} is not finite at {self.named(k)}")
 
 
 def _g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -380,10 +402,14 @@ def frame_curvature(
     M: ChartManifold, fp: AdaptedFramePoint, include_nabla: bool = True
 ) -> FrameCurvature:
     """Base curvature in the frame of fp, one table per point of a stack;
-    R and nabla R come from one pass over the distinct base points."""
-    rlow, nabla = _at_distinct(lambda q: M.curvature(q, nabla=include_nabla), fp.q)
-    rt = project_curvature_symmetries(frame_components(fp.u, rlow))
-    drt = None if nabla is None else project_curvature_symmetries(frame_components(fp.u, nabla))
+    R and nabla R come from one pass over the distinct base points.  Where
+    the chart's curvature overflows a value is inf or nan, without a
+    warning: the closed forms name such a point."""
+    with np.errstate(all="ignore"):
+        rlow, nabla = _at_distinct(lambda q: M.curvature(q, nabla=include_nabla), fp.q)
+        rt = project_curvature_symmetries(frame_components(fp.u, rlow))
+        drt = None if nabla is None else project_curvature_symmetries(
+            frame_components(fp.u, nabla))
     return FrameCurvature(Rtable=rt, dRtable=drt)
 
 

@@ -8,8 +8,9 @@ shortest round-trip decimal representation.
 
 Tables (curvature, sectional, ricci, scalar, scan) are written by one
 column-wise writer, ``_emit``, in CSV or JSON, one point block at a time:
-a point's shared cells (x, v, t) are formatted once, the index cells once
-per table, each value with one repr, and each row is one join of texts.
+each value column is formatted once per table, one repr per value, and the
+index cells once per table; a point's shared cells (x, v, t) are formatted
+once, and its block of rows is one join of texts.
 
 Exit codes: 0 success, 1 verification or property failure, 2 bad
 configuration or invalid family.
@@ -23,13 +24,14 @@ import json
 import math
 import re
 import sys
-from itertools import chain, repeat
+from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import closedform
-from .basemanifold import ChartManifold, make_manifold
+from .basemanifold import ChartManifold, _distinct_rows, make_manifold
 from .bundlemetric import BundlePoint, squared_norm
 from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from .metricfamily import F_ZERO, NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
@@ -355,11 +357,14 @@ def _emit(cfg: dict, blocks: list, note: str, payload_key: str, index: str = "")
     to the cells every row of the block shares (strings and floats), and
     values is None for a block of one row, or maps column names to the
     block's value columns, one cell per row: a list of strings, or a float
-    array whose cells in C order are the rows.  In a table with an
-    ``index`` (one letter per axis), every value array has the index's
-    shape, and each row also carries its index cells.  Each column is
-    formatted once: head cells once per block, index cells once per table,
-    each value with one repr; a row is then one join of texts."""
+    array whose cells in C order are the rows.  Every block with values
+    has the same value columns.  In a table with an ``index`` (one letter
+    per axis), every value array has the index's shape, and each row also
+    carries its index cells.  Each column is formatted once per table: a
+    value column over all its blocks (``_column_texts``), the index cells
+    from one template; each block then takes its slice of the texts, its
+    head cells are formatted once, and its rows are one join
+    (``_block_text``)."""
     out = cfg.get("output", {})
     index = tuple(index)
     if out.get("format") == "json":
@@ -380,25 +385,29 @@ def _csv_chunks(blocks: list, note: str, index: tuple) -> Iterator[str]:
     keys = [(*head, *index, *values) if values else tuple(head) for head, values in blocks]
     cols = list(dict.fromkeys(chain.from_iterable(dict.fromkeys(keys))))
     yield f"# {note}\n" + ",".join(cols) + "\n"
-    index_cells = None
+    texts = _column_texts(blocks, _csv_cell)
+    index_cells = _index_cells(blocks, ",".join(["%d"] * len(index)))
+    start = 0
     for head, values in blocks:
         cells = {key: _csv_cell(str(cell)) for key, cell in head.items()}
         skip = ()
         if values:
-            cells.update((key, _texts(col, _csv_cell)) for key, col in values.items())
-            if index:  # the index columns as one text per row, once per table
-                if index_cells is None:
-                    shape = np.shape(next(iter(values.values())))
-                    index_cells = [",".join(map(str, i)) for i in np.ndindex(shape)]
+            stop = start + _row_count(values)
+            cells.update((key, texts[key][start:stop]) for key in values)
+            start = stop
+            if index:  # the index columns as one text per row
                 cells[index[0]], skip = index_cells, index[1:]
-        parts = [cells.get(col, "") for col in cols if col not in skip]
-        yield "\n".join(_joined_rows(parts, ",")) + "\n"
+        pieces = [p for col in cols if col not in skip for p in (",", cells.get(col, ""))]
+        yield _block_text(pieces[1:], "\n") + "\n"
+
+
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
 
 
 def _csv_cell(text: str) -> str:
     """A CSV cell: quoted, its quotes doubled, if it holds a comma, a quote
     or a line break."""
-    if any(c in text for c in ',"\r\n'):
+    if _CSV_SPECIAL(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -412,60 +421,104 @@ def _json_chunks(blocks: list, note: str, payload_key: str, index: tuple) -> Ite
     """The text of ``json.dumps({payload_key: rows, "note": note},
     sort_keys=True, indent=2) + "\\n"`` for the table's rows, a point block
     at a time.  A row's keys are sorted; the index names sort next to each
-    other, so their cells are one text per row, made once per table."""
-    note_item = '"note": ' + json.dumps(note)
+    other, so their cells are one text per row."""
+    note_item = _json_key("note") + encode_basestring_ascii(note)
     yield "{\n  " + (note_item + ",\n  " if "note" < payload_key else "")
-    yield json.dumps(payload_key) + ": [\n    "
-    index_cells = None
+    yield _json_key(payload_key) + "[\n    "
+    texts = _column_texts(blocks, encode_basestring_ascii, json_floats=True)
+    index_cells = _index_cells(blocks, _JSON_CELL_SEP.join(f'"{name}": %d' for name in index))
+    start = 0
     for k, (head, values) in enumerate(blocks):
-        cells = {key: f"{json.dumps(key)}: {json.dumps(cell)}" for key, cell in head.items()}
+        # each cell as its pieces: the key text, then the value's text or texts
+        cells = {key: (_json_key(key) + _json_value(cell),) for key, cell in head.items()}
         skip = ()
         if values:
-            for key, col in values.items():
-                texts = _texts(col, json.dumps, json_floats=True)
-                cells[key] = list(map(f"{json.dumps(key)}: ".__add__, texts))
+            stop = start + _row_count(values)
+            cells.update((key, (_json_key(key), texts[key][start:stop])) for key in values)
+            start = stop
             if index:
-                if index_cells is None:
-                    shape = np.shape(next(iter(values.values())))
-                    index_cells = [
-                        _JSON_CELL_SEP.join(f'"{name}": {i}' for name, i in zip(index, idx))
-                        for idx in np.ndindex(shape)
-                    ]
-                cells[index[0]], skip = index_cells, index[1:]
-        parts = [cells[key] for key in sorted(cells) if key not in skip]
-        rows = _JSON_ROW_SEP.join(_joined_rows(parts, _JSON_CELL_SEP))
+                cells[index[0]], skip = (index_cells,), index[1:]
+        pieces = [p for key in sorted(cells) if key not in skip
+                  for p in (_JSON_CELL_SEP, *cells[key])]
+        rows = _block_text(pieces[1:], _JSON_ROW_SEP)
         yield ("{\n      " if k == 0 else ",\n    {\n      ") + rows + "\n    }"
     yield "\n  ]" + ("" if "note" < payload_key else ",\n  " + note_item) + "\n}\n"
+
+
+@functools.cache
+def _json_key(key: str) -> str:
+    """The text of a JSON object key and its separator, as json.dumps writes them."""
+    return encode_basestring_ascii(key) + ": "
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _texts(col, quote, json_floats: bool = False) -> list:
-    """The cells of a value column as texts: a list of strings through
-    quote, a float array (any shape, C order) as the repr of each value,
-    or with json_floats as NaN or Infinity where it is not finite."""
-    if not isinstance(col, np.ndarray):
-        return list(map(quote, col))
-    texts = list(map(repr, col.ravel().tolist()))
-    if json_floats and not np.isfinite(col).all():
+def _json_value(cell) -> str:
+    """``json.dumps(cell)`` of a head cell, a string or a float."""
+    if isinstance(cell, str):
+        return encode_basestring_ascii(cell)
+    text = float.__repr__(cell)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _column_texts(blocks: list, quote: Callable, json_floats: bool = False) -> dict:
+    """Each value column of a table as texts over all its blocks, in block
+    order: one ``_texts`` per column, so a block takes its rows as a slice."""
+    parts: dict = {}
+    for _, values in blocks:
+        for key, col in (values or {}).items():
+            parts.setdefault(key, []).append(col)
+    return {key: _texts(cols, quote, json_floats) for key, cols in parts.items()}
+
+
+def _texts(cols: list, quote: Callable, json_floats: bool = False) -> list:
+    """The cells of the parts of a column as texts, in order: lists of
+    strings through quote, or float arrays (any shape, C order) as the repr
+    of each value, or with json_floats as NaN or Infinity where it is not
+    finite.  The arrays take one tolist, one map and one finiteness check."""
+    if not isinstance(cols[0], np.ndarray):
+        return list(map(quote, chain.from_iterable(cols)))
+    values = np.concatenate([col.ravel() for col in cols])
+    texts = list(map(repr, values.tolist()))
+    if json_floats and not np.isfinite(values).all():
         texts = [_JSON_NONFINITE.get(text, text) for text in texts]
     return texts
 
 
-def _joined_rows(parts: list, sep: str) -> list:
-    """The rows of one point block, each its cells joined by sep.  A part is
-    a text every row shares or a list of per-row texts; neighbouring shared
-    texts are joined once."""
-    merged: list = []
-    for part in parts:
-        if isinstance(part, str) and merged and isinstance(merged[-1], str):
-            merged[-1] += sep + part
+def _row_count(values: dict) -> int:
+    """The number of rows of a block: the cells of any of its value columns."""
+    col = next(iter(values.values()))
+    return col.size if isinstance(col, np.ndarray) else len(col)
+
+
+def _index_cells(blocks: list, template: str) -> list:
+    """The index cells of a table's rows, the same in every block with
+    values: ``template % index`` per row, over the shape of its value
+    arrays in C order (empty without an index or such a block)."""
+    shape = next((np.shape(next(iter(v.values()))) for _, v in blocks if v), ())
+    if not template or not shape:
+        return []
+    return [template % i for i in product(*map(range, shape))]
+
+
+def _block_text(pieces: list, row_sep: str) -> str:
+    """The rows of one point block, joined by row_sep.  A row is its pieces
+    in order, each a text every row shares or a list of per-row texts.  The
+    block is one join: neighbouring shared texts are merged, and each
+    piece fills its every k-th slot of one list by slice assignment."""
+    merged = [row_sep]  # every row starts with row_sep; the first one is cut
+    for piece in pieces:
+        if isinstance(piece, str) and isinstance(merged[-1], str):
+            merged[-1] += piece
         else:
-            merged.append(part)
-    if len(merged) == 1 and isinstance(merged[0], str):  # a row of shared cells
-        return merged
-    return list(map(sep.join, zip(*(repeat(p) if isinstance(p, str) else p for p in merged))))
+            merged.append(piece)
+    lists = [piece for piece in merged if not isinstance(piece, str)]
+    rows = len(lists[0]) if lists else 1
+    flat = [""] * (rows * len(merged))
+    for j, piece in enumerate(merged):
+        flat[j :: len(merged)] = [piece] * rows if isinstance(piece, str) else piece
+    return "".join(flat)[len(row_sep) :]
 
 
 _NOTE = "family functions take t = |v|^2_g (squared norm) as argument"
@@ -518,8 +571,11 @@ def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
 
 def _coords(rows) -> list[str]:
     """Each point or vector of a stack as one CSV cell: its coordinates
-    joined by ';', one repr per coordinate."""
-    return [";".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+    joined by ';', one repr per coordinate, made once per distinct row (by
+    its bits, so that -0.0 is written as such)."""
+    distinct, inverse = _distinct_rows(np.asarray(rows, dtype=float))
+    texts = [";".join(map(repr, row)) for row in distinct.tolist()]
+    return [texts[i] for i in inverse.tolist()]
 
 
 def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
@@ -601,32 +657,40 @@ def cmd_verify(cfg: dict) -> int:
             },
             "reports": [r.to_json_dict() for r in reports],
         }
-        _write_text(path, [_verify_text(doc), "\n"])
+        _write_text(path, [_verify_text(doc, [r.written_tables() for r in reports]), "\n"])
     ok = all(r.status == "ok" and r.passed for r in reports)
     return 0 if ok else 1
 
 
-def _verify_text(doc: dict) -> str:
-    """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` for a verify
-    document.  json's indenting encoder formats float by float; each
-    report's closed_table and oracle_table are written instead as one join
-    of reprs, spliced in where the index of the table was dumped."""
-    tables: list = []
+_TABLE_KEYS = ("closed_table", "oracle_table")
 
-    def indexed(report: dict) -> dict:
-        for key in ("closed_table", "oracle_table"):
-            if report[key] is not None:
-                tables.append(report[key])
-                report = {**report, key: len(tables) - 1}
+
+def _verify_text(doc: dict, tables: list) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` for a verify
+    document whose reports write ``tables``: per report, its closed_table
+    and oracle_table as float arrays (``written_tables``) or Nones.  json's
+    indenting encoder formats float by float; the tables are formatted
+    instead as one ``_texts`` for the document, and each is spliced in
+    where its position among them was dumped."""
+    arrays: list = []
+
+    def indexed(report: dict, pair: tuple) -> dict:
+        for key, table in zip(_TABLE_KEYS, pair):
+            if table is not None:
+                report = {**report, key: len(arrays)}
+                arrays.append(table)
         return report
 
-    text = json.dumps({**doc, "reports": list(map(indexed, doc["reports"]))},
+    text = json.dumps({**doc, "reports": list(map(indexed, doc["reports"], tables))},
                       sort_keys=True, indent=2)
+    texts = _texts(arrays, repr, json_floats=True) if arrays else []
+    bounds = np.cumsum([0] + [table.size for table in arrays]).tolist()
 
     def table(match) -> str:
-        texts = _texts(np.asarray(tables[int(match[2])], dtype=float), repr, json_floats=True)
-        return f'"{match[1]}": ' + ("[\n        " + ",\n        ".join(texts) + "\n      ]"
-                                     if texts else "[]")
+        k = int(match[2])
+        cells = texts[bounds[k] : bounds[k + 1]]
+        return f'"{match[1]}": ' + ("[\n        " + ",\n        ".join(cells) + "\n      ]"
+                                     if cells else "[]")
 
     return re.sub(r'"(closed_table|oracle_table)": (\d+)', table, text)
 

@@ -163,7 +163,29 @@ def _point_inputs(
     and scalar curvature do not."""
     _check_normal_form(fp)
     jets = fam.jets(fp.t * fp.t)
-    return jets, frame_curvature(M, fp, include_nabla=include_nabla)
+    frame = frame_curvature(M, fp, include_nabla=include_nabla)
+    fp.require_finite("closed form: base curvature R", frame.Rtable)
+    if include_nabla:
+        fp.require_finite("closed form: base nabla R", frame.dRtable)
+    return jets, frame
+
+
+def _finite(quantity: str, values: Callable = lambda out: out) -> Callable:
+    """A closed form computed under ``np.errstate``, whose values(result)
+    are checked: where one overflowed, a NonFiniteError names the quantity
+    and the first such point, so a non-finite number is never a result."""
+
+    def decorate(form: Callable) -> Callable:
+        @functools.wraps(form)
+        def checked(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint):
+            with np.errstate(all="ignore"):
+                out = form(M, fam, fp)
+            fp.require_finite(f"closed form: {quantity}", values(out))
+            return out
+
+        return checked
+
+    return decorate
 
 
 def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict:
@@ -275,6 +297,7 @@ def _assemble(blocks: dict, n: int) -> np.ndarray:
     return T
 
 
+@_finite("curvature of (TM, G)", lambda out: out.table)
 def tm_curvature(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> TMCurvatureTable:
@@ -311,6 +334,8 @@ def _vertical_sectional(j: FamilyJets, n: int) -> np.ndarray:
     return vv
 
 
+@_finite("sectional curvature of (TM, G)",
+         lambda out: np.stack((out.hh, out.vv, out.hv), axis=-3))
 def tm_sectional(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> TMSectional:
@@ -387,6 +412,7 @@ def tm_sectional_constcurv(
 # --------------------------------------------------------------------------
 
 
+@_finite("ricci curvature of (TM, G)")
 def tm_ricci(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> np.ndarray:
@@ -429,6 +455,7 @@ def tm_ricci(
     return out
 
 
+@_finite("scalar curvature of (TM, G)")
 def tm_scalar(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint):
     """Scalar curvature of (TM, G) at v, a number (or one per point of a
     stack):

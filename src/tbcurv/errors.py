@@ -31,6 +31,10 @@ class ValidityError(TbcurvError):
     """Metric family violates alpha > 0 or alpha + t*beta > 0."""
 
 
+class NonFiniteError(TbcurvError):
+    """A computed value is not finite (it overflowed), so it is not a result."""
+
+
 class SingularMetricError(TbcurvError):
     """Metric matrix failed a positive-definiteness (Cholesky) check."""
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basemanifold import AdaptedFramePoint, ChartManifold
+from .basemanifold import AdaptedFramePoint, ChartManifold, _distinct_rows
 from .bundlemetric import BundlePoint, _metric_from, adapted_frame_vectors
 from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
 from .errors import ConditioningWarning, TbcurvError
@@ -98,14 +98,7 @@ def _base_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     signed zeros stay apart), in first-seen order, and for each stencil row
     the index of its x part among them: 22, 44, 74 and 112 distinct of 65,
     145, 257 and 401 rows at n = 2..5.  Both are read-only."""
-    units = np.ascontiguousarray(ORACLE.units(2 * n)[:, :n])
-    _, first, inverse = np.unique(
-        units.view(np.int64), axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    rows, index = units[first[order]], rank[inverse.ravel()]
+    rows, index = _distinct_rows(ORACLE.units(2 * n)[:, :n])
     rows.flags.writeable = index.flags.writeable = False
     return rows, index
 
@@ -120,27 +113,40 @@ def numeric_tm_curvature(
     G at (x, v) reads the base only through g and Gamma at x, and the
     stencil's x parts repeat: the chart's connection is evaluated once per
     distinct base point of the stencil (``_base_rows``), in one call, and
-    gathered to the stencil rows."""
+    gathered to the stencil rows.
+
+    A check that fails at a stencil point (the metric's, the family's)
+    names fp's point as well; a table that overflowed is a NonFiniteError
+    naming it, computed without a warning."""
     n = M.dim
     # One check for the whole stencil, Christoffel stencils at its points included.
     M.check_interior(fp.q, M.oracle_reach(fp.q))
     z0 = np.concatenate([fp.q, fp.v], axis=-1)
     rows, index = _base_rows(n)
     xs = fp.q[..., None, :] + ORACLE.steps(fp.q)[..., None, :] * rows
-    g, gamma, _ = M.connection(xs, second=False, check=False)
-    g, gamma = g[..., index, :, :], gamma[..., index, :, :, :]
 
     def gfun(z: np.ndarray) -> np.ndarray:
         # z stacks every stencil point, in the order of ORACLE.units: one
         # evaluation of G for all, on the gathered base values.
         return _metric_from(fam, g, gamma, z[..., n:])
 
-    g0, dg, d2g = matrix_jets(gfun, z0, ORACLE)
-    cond = np.linalg.cond(g0)
+    with np.errstate(all="ignore"):
+        try:
+            g, gamma, _ = M.connection(xs, second=False, check=False)
+            g, gamma = g[..., index, :, :], gamma[..., index, :, :, :]
+            g0, dg, d2g = matrix_jets(gfun, z0, ORACLE)
+        except TbcurvError as exc:
+            lead = fp.q.shape[:-1]
+            count = math.prod(lead)
+            where = fp.named((0,) * len(lead)) if count == 1 else f"one of {count} points"
+            exc.args = (f"oracle: stencil of {where}: {exc}",)
+            raise
+        cond = np.linalg.cond(g0)
+        rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
+        table = frame_components(adapted_frame_vectors(M, fp), rlow)
+    fp.require_finite("oracle: curvature of (TM, G)", table)
     for c in np.ravel(cond)[np.ravel(cond) > 1e8]:
         warnings.warn(f"bundle metric condition number {c:.3g} exceeds 1e8", ConditioningWarning)
-    rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
-    table = frame_components(adapted_frame_vectors(M, fp), rlow)
     return OracleResult(table=table, cond=cond)
 
 
@@ -256,16 +262,20 @@ class CurvatureReport:
             self.notes.append("the closed form is the negated oracle, within tolerance, "
                               "in classes: " + ", ".join(self.negated_classes))
 
+    def written_tables(self) -> tuple:
+        """The closed and oracle tables as a report writes them: the
+        components with a < b, c < d and pair (a, b) <= pair (c, d), pairs in
+        row-major order, as float arrays; Nones in an error report."""
+        return tuple(
+            None if table is None else table[_written_components(table.shape[0])]
+            for table in (self.closed, self.oracle)
+        )
+
     def to_json_dict(self) -> dict:
         """The report as JSON values.  Each table is written as its
-        components with a < b, c < d and pair (a, b) <= pair (c, d), pairs in
-        row-major order; ``table_shape`` is the full shape."""
-
-        def written(table):
-            if table is None:
-                return None
-            return table[_written_components(table.shape[0])].tolist()
-
+        ``written_tables`` list; ``table_shape`` is the full shape."""
+        closed, oracle = (None if table is None else table.tolist()
+                          for table in self.written_tables())
         shape = None if self.closed is None else list(self.closed.shape)
         return {
             "manifold": {"id": self.manifold_id, "params": self.manifold_params},
@@ -275,8 +285,8 @@ class CurvatureReport:
             "status": self.status,
             "error": self.error,
             "table_shape": shape,
-            "closed_table": written(self.closed),
-            "oracle_table": written(self.oracle),
+            "closed_table": closed,
+            "oracle_table": oracle,
             "max_abs_dev": self.max_abs_dev,
             "max_rel_dev": self.max_rel_dev,
             "class_deviations": self.class_deviations,

@@ -8,6 +8,8 @@ import pytest
 
 from tbcurv.basemanifold import (
     ChartManifold,
+    _at_distinct,
+    _distinct_rows,
     adapted_frame,
     base_invariants,
     conformal_polynomial,
@@ -19,6 +21,7 @@ from tbcurv.basemanifold import (
     sphere,
 )
 from tbcurv.errors import (
+    NonFiniteError,
     SingularMetricError,
     StencilOutOfDomainError,
 )
@@ -454,6 +457,76 @@ class TestStacks:
         # bits as R on its own
         xs = x + 0.05 * np.random.default_rng(4).normal(size=(3, M.dim))
         assert np.array_equal(M.curvature(xs, nabla=True)[0], M.curvature(xs)[0])
+
+
+class TestDistinctRows:
+    """Distinct base points are told apart by their bits, in first-seen order."""
+
+    ROWS = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, 2.0], [0.0, 1.0], [-0.0, 1.0],
+                     [math.nan, 0.0], [0.5, 2.0], [math.nan, 0.0]])
+
+    def test_first_seen_order_and_inverse(self):
+        rows, inverse = _distinct_rows(self.ROWS)
+        assert rows.tobytes() == self.ROWS[[0, 1, 2, 5]].tobytes()
+        assert inverse.tolist() == [0, 1, 2, 0, 1, 3, 2, 3]
+        assert rows[inverse].tobytes() == self.ROWS.tobytes()
+        rows[0, 0] = 7.0  # a copy, which the caller may write
+        assert self.ROWS[0, 0] == 0.0
+
+    def test_empty_and_single(self):
+        rows, inverse = _distinct_rows(np.zeros((0, 3)))
+        assert rows.shape == (0, 3) and inverse.tolist() == []
+        rows, inverse = _distinct_rows(np.array([[-0.0, 2.0]]))
+        assert np.signbit(rows[0, 0]) and inverse.tolist() == [0]
+
+    @pytest.mark.parametrize("fun", [
+        lambda q: np.arctan2(q[..., :1], -1.0),  # +pi at +0.0, -pi at -0.0
+        lambda q: np.copysign(1.0, q),
+    ])
+    def test_signed_zero_twins_get_their_single_point_values(self, fun):
+        # the twins were one row of np.unique (0.0 == -0.0), so one of them
+        # got the other's value; each now gets its own, bit for bit
+        x = self.ROWS[:5].reshape(5, 1, 2)
+        calls = []
+        values = _at_distinct(lambda q: calls.append(len(q)) or fun(q), x)
+        assert calls == [3]
+        for idx in np.ndindex(5, 1):
+            assert values[idx].tobytes() == fun(x[idx]).tobytes()
+        assert values[1, 0, 0] == -values[0, 0, 0] != 0.0
+
+    def test_signed_zero_twins_on_a_chart(self):
+        # the polar sphere at theta = pi/2 +- 0.0 offsets and phi = +-0.0
+        M = sphere(2)
+        x = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]])
+        rlow, nabla = _at_distinct(lambda q: M.curvature(q, nabla=True), x)
+        for k in range(3):
+            one = M.curvature(x[k : k + 1], nabla=True)
+            assert rlow[k].tobytes() == one[0][0].tobytes()
+            assert nabla[k].tobytes() == one[1][0].tobytes()
+
+
+class TestNonFiniteCurvature:
+    # g = e^(2 * 709 * x_1): the lowered curvature overflows at x_1 = 0.5
+    M = conformal_polynomial(3, [[709, 1, 0, 0]])
+
+    def test_frame_curvature_warns_nothing(self):
+        # under the test configuration a RuntimeWarning would raise
+        fp = adapted_frame(self.M, [0.5, 0.0, 0.0], [1e-155, 0.0, 0.0])
+        frame = frame_curvature(self.M, fp)
+        assert not np.isfinite(frame.Rtable).all()
+
+    def test_require_finite_names_the_first_point(self):
+        q = np.array([[0.1, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        v = np.array([[0.0, 1e-60, 0.0], [2e-155, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        fp = adapted_frame(self.M, q, v)
+        fp.require_finite("R", frame_curvature(self.M, fp[:1], include_nabla=False).Rtable[:1])
+        values = frame_curvature(self.M, fp, include_nabla=False).Rtable
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "R is not finite at x=[0.5, 0.0, 0.0], v=[2e-155, 0.0, 0.0]")):
+            fp.require_finite("R", values)
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "R is not finite at x=[0.5, 0.0, 0.0], v=[0.0, 0.0, 0.0]")):
+            fp[2].require_finite("R", values[2])
 
 
 class TestEvaluations:

@@ -28,4 +28,14 @@ def test_a_moved_output_is_counted_and_named(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "families: 13 jobs, 13 differ (stdout 13, stderr 0, report 0, exit code 0)"
     assert out[1] == "  differs: families/1/0 family-check/sasaki/0"
+    assert out[2] == ("    stdout line 1: "
+                      "'family sasaki: valid; phi > 0 on [0, 25] (4096 samples)\\n' != 'moved\\n'")
     assert out[-1] == "  ... 3 more"
+
+
+def test_first_differing_line():
+    line = census.first_differing_line
+    assert line("a\nb\nc\n", "a\nB\nc\n") == "line 2: 'b\\n' != 'B\\n'"
+    assert line("a\nb\n", "a\n") == "line 2: 'b\\n' != None"
+    assert line("a\n", "a") == "line 1: 'a\\n' != 'a'"
+    assert line("x" * 300, "y") == f"line 1: {'x' * 200!r} != 'y'"

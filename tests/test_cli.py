@@ -27,6 +27,9 @@ from tbcurv.cli import (
     TASKS,
     _build_parser,
     _constant_curvature_of,
+    _coords,
+    _csv_chunks,
+    _json_chunks,
     _merge_flags,
     _parse_vector,
     _resolve_family,
@@ -1024,6 +1027,70 @@ def test_family_that_is_zero_or_not_finite_warns_nothing(capsys, args, code, out
     assert captured.err == ""
 
 
+def _tables_of(doc):
+    """Per report of a verify document, its two tables as float arrays or Nones."""
+    return [tuple(None if r[key] is None else np.array(r[key], dtype=float)
+                  for key in ("closed_table", "oracle_table")) for r in doc["reports"]]
+
+
+def _conformal(c):
+    """A conformal metric g = e^(2 c x_1) on a 3-dimensional chart, Sasaki family."""
+    return ["--manifold", "torus-conformal", "--dim", "3", "--coeffs", f"[[{c}, 1, 0, 0]]",
+            "--family", "sasaki"]
+
+
+NONFINITE_GRID = ["--grid", '{"base_points": [[0.5, 0, 0]], "v_norms": [0.5], '
+                            '"v_directions": [[1, 0, 0]]}']
+# at c = 709 the lowered curvature overflows where g = e^709
+NONFINITE_ERROR = ("NonFiniteError: closed form: base curvature R is not finite at "
+                   "x=[0.5, 0.0, 0.0], v=[5.515389266913585e-155, 0.0, 0.0]")
+
+
+class TestNonFiniteValues:
+    # a point whose base curvature overflowed used to print nan values (exit
+    # 0, and RuntimeWarnings on stderr); it is an error row naming the point
+    # and the quantity, exit 1, with nothing on stderr
+    @pytest.mark.parametrize("task", _TABLES)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_tasks_write_an_error_row(self, capsys, task, fmt):
+        code = run([task, *_conformal(709), *NONFINITE_GRID, "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        if fmt == "json":
+            rows = json.loads(captured.out)[task]
+        else:
+            rows = list(csv.DictReader(io.StringIO(captured.out.split("\n", 1)[1])))
+        assert len(rows) == 1
+        assert rows[0]["status" if task == "scan" else "error"] == NONFINITE_ERROR
+
+    def test_the_other_points_keep_their_rows(self, capsys):
+        grid = '{"base_points": [[0.1, 0, 0], [0.5, 0, 0]], "v_norms": [0.5]}'
+        assert run(["ricci", *_conformal(709), "--grid", grid]) == 1
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out.split("\n", 1)[1])))
+        assert len(rows) == 36 + 1 and rows[-1]["error"] == NONFINITE_ERROR
+        assert all(r["error"] == "" and math.isfinite(float(r["value"])) for r in rows[:-1])
+
+    def test_verify_names_the_route(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify", *_conformal(709), *NONFINITE_GRID, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == f"ERROR  torus-conformal+sasaki at t=0.5: {NONFINITE_ERROR}\n"
+        report, = json.loads(out.read_text())["reports"]
+        assert (report["status"], report["error"]) == ("error", NONFINITE_ERROR)
+
+    def test_oracle_stencil_failure_names_the_point(self, capsys):
+        # at c = 600 the closed form is finite, but the oracle's stencil
+        # steps v by 1e-3, so its t reaches 1e-6 * e^600
+        assert run(["verify", *_conformal(600), *NONFINITE_GRID]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "ERROR  torus-conformal+sasaki at t=0.5: ValidityError: oracle: stencil of "
+            "x=[0.5, 0.0, 0.0], v=[2.574100111206007e-131, 0.0, 0.0]: t=3.77302e+254 "
+            "outside validated range [0, 25] for family 'sasaki'\n")
+
+
 class TestVerifyReportText:
     # the report is written with one repr join per table; its bytes are
     # those of json.dumps(doc, sort_keys=True, indent=2)
@@ -1049,7 +1116,7 @@ class TestVerifyReportText:
         doc = self._doc(self.POINTS, "exp+")
         assert [r["status"] for r in doc["reports"]] == ["ok", "error"]
         assert doc["reports"][1]["closed_table"] is None
-        assert _verify_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        assert _verify_text(doc, _tables_of(doc)) == json.dumps(doc, sort_keys=True, indent=2)
         out = tmp_path / "r.json"
         code = run(["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
                     "--point", "0.9,0.3", "--v", "0.3,0.1", "--point", "0.9,0.3", "--v", "6,0",
@@ -1066,7 +1133,7 @@ class TestVerifyReportText:
             {**report, "closed_table": [], "oracle_table": [math.nan]},
             {**report, "closed_table": None, "oracle_table": None},
         ]
-        assert _verify_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        assert _verify_text(doc, _tables_of(doc)) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 class TestPositiveSettings:
@@ -1609,6 +1676,116 @@ class TestColumnWriter:
         M = make_manifold("sphere", dim=2)
         _assert_same_text(text, _reference_output(task, fmt, M, "exp+", bundle_points, results))
         assert code == int(order != "all-good")
+
+
+# --------------------------------------------------------------------------
+# The text layer on hand-made point blocks.  Each column is formatted once per
+# table and each block takes its slice of the texts; the reference is the
+# row-dict writer above, which formats each row on its own (JSON through
+# json.dumps(..., sort_keys=True, indent=2)), and in JSON each block's rows
+# are also those the block gets written as a table alone.
+# --------------------------------------------------------------------------
+
+
+def _block_rows(blocks, index):
+    """The rows of the blocks as dicts, for the row-dict writer."""
+    rows = []
+    for head, values in blocks:
+        if not values:
+            rows.append(dict(head))
+            continue
+        cells = {key: np.ravel(col).tolist() if isinstance(col, np.ndarray) else list(col)
+                 for key, col in values.items()}
+        shape = np.shape(next(iter(values.values())))
+        count = len(next(iter(cells.values())))
+        idx = list(np.ndindex(shape)) if index else [()] * count
+        for r in range(count):
+            rows.append({**head, **dict(zip(index, idx[r])),
+                         **{key: col[r] for key, col in cells.items()}})
+    return rows
+
+
+def _table_block(k, shape=(2, 2), names=("value",), values=None):
+    base = np.arange(math.prod(shape), dtype=float).reshape(shape) * 0.1 + k
+    if values is not None:
+        base = np.resize(np.array(values, dtype=float), shape)
+    return ({"x": f"{0.1 * k!r};-0.0", "v": "0.0;1.0", "t": 0.5 * k},
+            {name: np.asarray(base * (j + 1)) for j, name in enumerate(names)})
+
+
+def _error_block(k, text='ValidityError: t=36, outside "[0, 25]"'):
+    return {"x": f"{0.1 * k!r};-0.0", "v": "0.0;1.0", "t": math.nan, "error": text}, None
+
+
+TEXT_CASES = {
+    "an error block between good blocks":
+        ("ab", [_table_block(1), _error_block(2), _table_block(3), _error_block(4, "x\ny")]),
+    "single-row blocks": ("", [_table_block(k, shape=(), names=("scalar",)) for k in range(4)]),
+    "single-row blocks with an index": ("ab", [_table_block(1, shape=(1, 1)), _error_block(2),
+                                               _table_block(3, shape=(1, 1))]),
+    "NaN and infinities in one block only": (
+        "ij", [_table_block(1, names=("K_hh", "K_vv")),
+               _table_block(2, names=("K_hh", "K_vv"),
+                            values=[math.nan, math.inf, -math.inf, -0.0]),
+               _table_block(3, names=("K_hh", "K_vv"))]),
+    "scan's list columns": ("", [({}, {
+        "x": ["0.1;-0.0", "-0.0;0.2", "0.3;0.4"],
+        "v_norm": np.array([0.5, math.nan, 0.0]),
+        "scalar_general": np.array([1.5, math.nan, -math.inf]),
+        "status": ["ok", 'ValidityError: a, "b"\r\nc', "ok"],
+    })]),
+    "coordinates with signed zeros": ("", [
+        ({"x": x, "v": v, "t": 0.25}, {"scalar": np.array(-0.0)})
+        for x, v in zip(_coords([[0.0, 0.3], [-0.0, 0.3], [0.0, -0.0], [-0.0, 0.3]]),
+                        _coords([[-0.0, 0.5], [0.0, 0.5], [-0.0, 0.5], [-0.0, 0.5]]))
+    ]),
+}
+
+
+class TestTextLayer:
+    @pytest.mark.parametrize("case", TEXT_CASES)
+    def test_csv_equals_row_by_row_formatting(self, case):
+        index, blocks = TEXT_CASES[case]
+        text = "".join(_csv_chunks(blocks, "a note", tuple(index)))
+        _assert_same_text(text, _ref_emit("csv", _block_rows(blocks, index), "a note", "t"))
+        if all(block[1] for block in blocks):  # one header: each block's rows alone
+            alone = ["".join(_csv_chunks([block], "a note", tuple(index))).split("\n", 2)[2]
+                     for block in blocks]
+            assert text.split("\n", 2)[2] == "".join(alone)
+
+    @pytest.mark.parametrize("case", TEXT_CASES)
+    def test_json_equals_json_dumps_and_each_block_alone(self, case):
+        index, blocks = TEXT_CASES[case]
+
+        def rows_text(blocks):
+            text = "".join(_json_chunks(blocks, "a note", "rows", tuple(index)))
+            return text, text[text.index("[\n") + 2 : text.rindex("\n  ]")]
+
+        text, rows = rows_text(blocks)
+        assert text == json.dumps({"rows": _block_rows(blocks, index), "note": "a note"},
+                                  sort_keys=True, indent=2) + "\n"
+        assert rows == ",\n".join(rows_text([block])[1] for block in blocks)
+
+    def test_coordinates_keep_signed_zeros(self):
+        assert _coords([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]) == [
+            "0.0;-0.0", "-0.0;0.0", "0.0;-0.0", "-0.0;-0.0"]
+
+    @pytest.mark.parametrize("task", TABLE_TASKS)
+    def test_grid_of_signed_zero_twins_equals_single_points(self, task):
+        # the twins are distinct base points: each row is its point's alone
+        base = [task, "--manifold", "sphere", "--dim", "2", "--family", "exp+"]
+        grid = {"base_points": [[1.0, -0.0], [1.0, 0.0], [1.0, -0.0]], "v_norms": [0.5, 0.0],
+                "v_directions": [[0.0, -1.0]]}
+        code, text = _run_captured(base + ["--grid", json.dumps(grid)])
+        assert code == 0
+        points = [(x, norm) for x in grid["base_points"] for norm in grid["v_norms"]]
+        alone = []
+        for x, norm in points:
+            v = [0.0 * norm, -1.0 * norm / math.sin(1.0)]  # |d|_g = sin(theta) for d = -e_phi
+            args = base + ["--point=" + ",".join(map(repr, x)), "--v=" + ",".join(map(repr, v))]
+            alone.append(_run_captured(args)[1].split("\n", 2)[2])
+        _assert_same_text(text.split("\n", 2)[2], "".join(alone))
+        assert text.split("\n")[2].startswith("1.0;-0.0,")
 
 
 # --------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from tbcurv import closedform
 from tbcurv.basemanifold import (
+    FrameCurvature,
     adapted_frame,
     base_invariants,
     conformal_polynomial,
@@ -29,6 +32,7 @@ from tbcurv.closedform import (
     tm_sectional,
     tm_sectional_constcurv,
 )
+from tbcurv.errors import NonFiniteError
 from tbcurv.metricfamily import NaturalMetricFamily, flatness_beta, preset
 
 
@@ -337,3 +341,33 @@ def test_perm_is_the_einsum_view(src, dst, lead):
     assert np.shares_memory(got, a)
     assert (got.shape, got.strides) == (expected.shape, expected.strides)
     assert np.array_equal(got, expected)
+
+
+class TestNonFiniteValues:
+    # a base curvature of 1e160 at the second point is finite, but its
+    # square in the closed forms overflows: an error naming the quantity and
+    # the point, and no RuntimeWarning (which the test configuration raises)
+    @pytest.mark.parametrize("form, quantity", [
+        (tm_curvature, "curvature"),
+        (tm_sectional, "sectional curvature"),
+        (tm_ricci, "ricci curvature"),
+        (tm_scalar, "scalar curvature"),
+    ])
+    def test_overflow_names_the_quantity_and_the_point(self, monkeypatch, form, quantity):
+        M = sphere(2)
+        q = np.array([[0.9, 0.3], [1.0, 0.3], [1.1, 0.3]])
+        v = np.array([[0.3, 0.7], [0.3, 0.7], [0.0, 0.5]])
+        fp = adapted_frame(M, q, v)
+        base = closedform.frame_curvature
+
+        def huge(M, fp, include_nabla=True):
+            frame = base(M, fp, include_nabla)
+            scale = np.where(fp.q[:, 0] == 1.0, 1e160, 1.0)[:, None, None, None, None]
+            nabla = None if frame.dRtable is None else frame.dRtable * scale[..., None]
+            return FrameCurvature(Rtable=frame.Rtable * scale, dRtable=nabla)
+
+        monkeypatch.setattr(closedform, "frame_curvature", huge)
+        form(M, preset("sasaki"), fp[::2])
+        with pytest.raises(NonFiniteError, match=re.escape(
+                f"closed form: {quantity} of (TM, G) is not finite at x=[1.0, 0.3], v=[0.3, 0.7]")):
+            form(M, preset("sasaki"), fp)

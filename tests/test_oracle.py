@@ -31,6 +31,7 @@ from tbcurv.closedform import (
 )
 from tbcurv.errors import (
     ConditioningWarning,
+    NonFiniteError,
     SingularMetricError,
     StencilOutOfDomainError,
     ValidityError,
@@ -851,3 +852,16 @@ class TestChartBoundary:
         x[0] += 1.01 * ORACLE.reach(x, inner=M.christoffel_reach)[0]
         res = numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, x, np.array([0.1, 0.2])))
         assert np.all(np.isfinite(res.table))
+
+
+def test_oracle_table_that_overflows_names_the_point(monkeypatch):
+    # the second point's table is made infinite: an error naming it, and no
+    # RuntimeWarning for inf * 0 (which the test configuration raises)
+    M = sphere(2)
+    fp = adapted_frame(M, [[0.9, 0.3], [1.0, 0.3]], [[0.3, 0.1], [0.2, -0.1]])
+    contract = oracle.frame_components
+    monkeypatch.setattr(oracle, "frame_components", lambda u, rlow: contract(u, rlow) * np.array(
+        [1.0, math.inf])[:, None, None, None, None])
+    with pytest.raises(NonFiniteError, match=re.escape(
+            "oracle: curvature of (TM, G) is not finite at x=[1.0, 0.3], v=[0.2, -0.1]")):
+        numeric_tm_curvature(M, preset("sasaki"), fp)

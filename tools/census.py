@@ -11,14 +11,15 @@ to a file that is unlinked before the job.  Each side runs in its own
 interpreter, so the two ``tbcurv`` packages never meet.
 
 Prints, per workload, how many jobs differ in stdout, in stderr, in report
-bytes and in exit code, and names the first differing jobs.  Exit code 0
-when every job matches, 1 when any differs.
+bytes and in exit code, and names the first differing jobs, each with the
+first line of its stdout and of its report that differs (this checkout's
+line, then the other's).  Exit code 0 when every job matches, 1 when any
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import subprocess
@@ -31,15 +32,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("stdout", "stderr", "report", "exit code")
 SHOWN = 10
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+LINE_CHARS = 200  # of a differing line shown
 
 
 def collect(checkout: Path, workloads: list, seeds: list) -> dict:
-    """Per job, "<workload>/<seed>/<index> <name>", the digests of its
-    stdout, stderr and report and its exit code, run on checkout's src/."""
+    """Per job, "<workload>/<seed>/<index> <name>", its stdout, stderr and
+    report text and its exit code, run on checkout's src/."""
     sys.path[:0] = [str(checkout / "src"), str(ROOT / "perfbench")]
     import tbcurv.cli
     import workloads as perfbench_workloads
@@ -65,14 +63,20 @@ def collect(checkout: Path, workloads: list, seeds: list) -> dict:
                         except Exception:
                             code = "crash: " + traceback.format_exc(limit=1).strip()
                     wrote = job.check == "verify" and report.exists()
-                    written = report.read_bytes() if wrote else b""
+                    written = report.read_text(encoding="utf-8") if wrote else ""
                     out[f"{workload}/{seed}/{i} {job.name}"] = [
-                        _digest(stdout.getvalue().encode()),
-                        _digest(stderr.getvalue().encode()),
-                        _digest(written),
-                        code,
+                        stdout.getvalue(), stderr.getvalue(), written, code,
                     ]
     return out
+
+
+def first_differing_line(here: str, there: str) -> str:
+    """Where two texts first differ, as "line <k>: <here> != <there>", each
+    line with its line break, a missing line shown as None."""
+    a, b = here.splitlines(keepends=True), there.splitlines(keepends=True)
+    k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    shown = [repr(lines[k][:LINE_CHARS]) if k < len(lines) else "None" for lines in (a, b)]
+    return f"line {k + 1}: {shown[0]} != {shown[1]}"
 
 
 def run_side(checkout: Path, workloads: list, seeds: list) -> dict:
@@ -117,6 +121,10 @@ def main(argv=None) -> int:
         print(f"{workload}: {len(keys)} jobs, {len(names)} differ ({cells})")
         for key in names[:SHOWN]:
             print(f"  differs: {key}")
+            for field in ("stdout", "report"):
+                k = FIELDS.index(field)
+                if here[key][k] != there[key][k]:
+                    print(f"    {field} {first_differing_line(here[key][k], there[key][k])}")
         if len(names) > SHOWN:
             print(f"  ... {len(names) - SHOWN} more")
     return 1 if differing else 0
