@@ -7,7 +7,6 @@ Run with:  python3 demos/demo_sphere_bundle_curvature.py
 import numpy as np
 
 from tbcurv import (
-    BundlePoint,
     OracleConfig,
     adapted_frame,
     base_invariants,
@@ -34,8 +33,10 @@ print("(Richardson stencils, tolerance abs 1e-5 / rel 1e-3)")
 print("=" * 72)
 for fam_name in ("sasaki", "cheeger-gromoll", "exp+", "exp-"):
     fam = preset(fam_name)
-    points = [BundlePoint(q, unit * s) for s in (0.0, 0.5, 1.5)]
-    for report in compare(M, fam, points, OracleConfig()):
+    # the points (q, s * unit) as stacks of base points and vectors
+    speeds = np.array([0.0, 0.5, 1.5])
+    xs, vs = np.broadcast_to(q, (3, 2)), speeds[:, None] * unit
+    for report in compare(M, fam, xs, vs, OracleConfig()):
         print(report.summary_line())
 
 print()

@@ -23,12 +23,10 @@ from .basemanifold import (
     sphere,
 )
 from .bundlemetric import (
-    BundlePoint,
     adapted_frame_vectors,
     connection_split,
     frame_gram,
     induced_metric,
-    squared_norm,
 )
 from .closedform import (
     ConstCurvSectional,

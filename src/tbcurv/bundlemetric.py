@@ -17,16 +17,12 @@ the closed forms square it where they evaluate the family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basemanifold import AdaptedFramePoint, ChartManifold
 from .metricfamily import NaturalMetricFamily
 
 __all__ = [
-    "BundlePoint",
-    "squared_norm",
     "connection_split",
     "induced_metric",
     "adapted_frame_vectors",
@@ -34,49 +30,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BundlePoint:
-    """Base coordinates x and fiber components v in the induced chart."""
-
-    x: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def of(cls, x, v) -> "BundlePoint":
-        return cls(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-
-
-def squared_norm(M: ChartManifold, x: np.ndarray, v: np.ndarray) -> float:
-    """|v|^2_g at x: the argument every family function is evaluated at;
-    inf or nan, without a warning, where the metric is not finite."""
-    g = M.metric(x)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return float(v @ g @ v)
-
-
 def connection_split(
-    M: ChartManifold, p: BundlePoint, A: np.ndarray
+    M: ChartManifold, x: np.ndarray, v: np.ndarray, A: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 2n induced-coordinate vector into (pi_* A, K A)."""
+    """Split a 2n induced-coordinate vector A at the point (x, v), each of
+    shape (n,), into (pi_* A, K A)."""
     n = M.dim
     A = np.asarray(A, dtype=float)
     hor = A[:n]
-    _, gamma, _ = M.connection(p.x, second=False)
-    ver = A[n:] + np.einsum("abc,b,c->a", gamma, p.v, hor)
+    _, gamma, _ = M.connection(x, second=False)
+    ver = A[n:] + np.einsum("abc,b,c->a", gamma, v, hor)
     return hor, ver
 
 
 def induced_metric(
-    M: ChartManifold, fam: NaturalMetricFamily, p: BundlePoint, *, check: bool = True
+    M: ChartManifold, fam: NaturalMetricFamily, x: np.ndarray, v: np.ndarray, *,
+    check: bool = True
 ) -> np.ndarray:
-    """The 2n x 2n matrix of G over (d/dx^1..d/dx^n, d/dv^1..d/dv^n).
+    """The 2n x 2n matrix of G over (d/dx^1..d/dx^n, d/dv^1..d/dv^n) at the
+    point (x, v).
 
-    p.x and p.v may be stacks of shape (..., n); G then has shape
-    (..., 2n, 2n), one matrix per row.  ``check=False``: the caller has
-    checked p.x (stencil points).
+    x and v have shape (n,), or are stacks of shape (..., n); G then has
+    shape (..., 2n, 2n), one matrix per row.  ``check=False``: the caller
+    has checked x (stencil points).
     """
-    g, gamma, _ = M.connection(p.x, second=False, check=check)
-    return _metric_from(fam, g, gamma, p.v)
+    g, gamma, _ = M.connection(x, second=False, check=check)
+    return _metric_from(fam, g, gamma, np.asarray(v, dtype=float))
 
 
 def _metric_from(
@@ -126,6 +105,6 @@ def frame_gram(
 ) -> np.ndarray:
     """Gram matrix of the adapted frame under G; equals the fiber-block
     matrix with xi = (t, 0, ..., 0) in the vertical corner."""
-    G = induced_metric(M, fam, BundlePoint(fp.q, fp.v))
+    G = induced_metric(M, fam, fp.q, fp.v)
     frame = adapted_frame_vectors(M, fp)
     return frame @ G @ frame.T

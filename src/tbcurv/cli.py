@@ -32,7 +32,6 @@ import numpy as np
 
 from . import closedform
 from .basemanifold import ChartManifold, _distinct_rows, make_manifold
-from .bundlemetric import BundlePoint, squared_norm
 from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from .metricfamily import F_ZERO, NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
 from .oracle import OracleConfig, compare
@@ -305,34 +304,47 @@ def _resolve_family(cfg: dict) -> NaturalMetricFamily:
         raise ConfigError(f"bad family expression: {exc}")
 
 
-def _resolve_points(cfg: dict, M: ChartManifold) -> list[BundlePoint]:
-    points = [BundlePoint.of(entry["x"], entry["v"]) for entry in cfg.get("points", [])]
+def _resolve_points(cfg: dict, M: ChartManifold) -> tuple[np.ndarray, np.ndarray]:
+    """The configured points as base points x and vectors v, each (m, n):
+    the explicit points first, then the grid's, base point by direction by
+    norm, with v = (s / |d|_g) d for each norm s and direction d.  The grid
+    is checked as a whole, each check over all its base points or
+    directions: the chart, the metric, the directions' lengths; then every
+    point must be finite."""
+    n = M.dim
+    entries = cfg.get("points", [])
+    xs = [np.array([entry["x"] for entry in entries], dtype=float).reshape(-1, n)]
+    vs = [np.array([entry["v"] for entry in entries], dtype=float).reshape(-1, n)]
     grid = cfg.get("grid")
     if grid:
+        base = np.asarray(grid["base_points"], dtype=float)
         v_norms = np.asarray(grid.get("v_norms", [0.0]), dtype=float)
-        directions = np.asarray(grid.get("v_directions", np.eye(M.dim)[:1]), dtype=float)
-        for xs in grid["base_points"]:
-            x = np.asarray(xs, dtype=float)
-            try:
-                M.check_interior(x)
-            except StencilOutOfDomainError as exc:
-                raise ConfigError(f"grid base point: {exc}")
-            g = M.metric(x)
-            if not np.isfinite(g).all():
-                raise ConfigError(f"grid base point: metric not finite at x={x.tolist()}")
-            for d in directions:
-                nrm = float(np.sqrt(d @ g @ d))
-                if nrm == 0.0:
-                    raise ConfigError("grid direction has zero length")
-                # v = (s / nrm) d for each norm s, as one broadcast
-                points += [BundlePoint(x, v) for v in (v_norms / nrm)[:, None] * d]
-    if not points:
+        directions = np.asarray(grid.get("v_directions", np.eye(n)[:1]), dtype=float)
+        directions = directions.reshape(-1, n)
+        try:
+            M.check_interior(base)
+        except StencilOutOfDomainError as exc:
+            raise ConfigError(f"grid base point: {exc}")
+        g = M.metric(base)
+        bad = ~np.isfinite(g).all(axis=(1, 2))
+        if bad.any():
+            x = base[np.argmax(bad)]
+            raise ConfigError(f"grid base point: metric not finite at x={x.tolist()}")
+        # |d|_g per base point and direction, summed as (d^T g) d, as d @ g @ d does
+        nrm = np.sqrt((directions[:, None, :] @ g[:, None]) @ directions[:, :, None])[..., 0]
+        if (nrm == 0.0).any():
+            raise ConfigError("grid direction has zero length")
+        shape = nrm.shape[:2] + v_norms.shape + (n,)
+        xs.append(np.broadcast_to(base[:, None, None, :], shape).reshape(-1, n))
+        vs.append(((v_norms / nrm)[..., None] * directions[:, None, :]).reshape(-1, n))
+    x, v = np.concatenate(xs), np.concatenate(vs)
+    if not x.size:
         raise ConfigError("no points configured (--point/--v or config points/grid)")
-    finite = np.isfinite([(p.x, p.v) for p in points]).all(axis=(1, 2))
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
     if not finite.all():
-        p = points[int(np.argmin(finite))]
-        raise ConfigError(f"point x={p.x.tolist()} v={p.v.tolist()} is not finite")
-    return points
+        k = np.argmin(finite)
+        raise ConfigError(f"point x={x[k].tolist()} v={v[k].tolist()} is not finite")
+    return x, v
 
 
 # --------------------------------------------------------------------------
@@ -569,24 +581,13 @@ def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
     return 1 if failures else 0
 
 
-def _coords(rows) -> list[str]:
-    """Each point or vector of a stack as one CSV cell: its coordinates
-    joined by ';', one repr per coordinate, made once per distinct row (by
-    its bits, so that -0.0 is written as such)."""
-    distinct, inverse = _distinct_rows(np.asarray(rows, dtype=float))
+def _coords(rows: np.ndarray) -> list[str]:
+    """Each point or vector of a stack (m, n) as one CSV cell: its
+    coordinates joined by ';', one repr per coordinate, made once per
+    distinct row (by its bits, so that -0.0 is written as such)."""
+    distinct, inverse = _distinct_rows(rows)
     texts = [";".join(map(repr, row)) for row in distinct.tolist()]
     return [texts[i] for i in inverse.tolist()]
-
-
-def _v_norm(M: ChartManifold, p: BundlePoint) -> float:
-    """|v|_g for an error row; nan for a base point outside the chart, where
-    the metric is not evaluated, or where the metric gives no real norm."""
-    if M.outside(p.x):
-        return float("nan")
-    try:
-        return math.sqrt(squared_norm(M, p.x, p.v))
-    except (ArithmeticError, ValueError):
-        return float("nan")
 
 
 # The index of each table task, one letter per axis of its value columns.
@@ -620,21 +621,20 @@ def cmd_tables(cfg: dict, task: str) -> int:
     """curvature | sectional | ricci | scalar closed-form tables."""
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
-    points = _resolve_points(cfg, M)
+    x, v = _resolve_points(cfg, M)
 
     def point_columns(fp):
         columns = _table_columns(M, fam, fp, task)
         return [{key: col[k, ...] for key, col in columns.items()} for k in range(len(fp.t))]
 
-    results = closedform.on_points(M, fam, points, point_columns)
+    results = closedform.on_points(M, fam, x, v, point_columns)
     blocks = []
-    xs, vs = _coords([p.x for p in points]), _coords([p.v for p in points])
-    for p, x, v, (t, result) in zip(points, xs, vs, results):
-        head = {"x": x, "v": v}
+    for x_cell, v_cell, (t, result) in zip(_coords(x), _coords(v), results):
+        head = {"x": x_cell, "v": v_cell, "t": t}
         if isinstance(result, TbcurvError):
-            blocks.append(({**head, "t": _v_norm(M, p), "error": _error_cell(result)}, None))
+            blocks.append(({**head, "error": _error_cell(result)}, None))
         else:
-            blocks.append(({**head, "t": t}, result))
+            blocks.append((head, result))
     _emit(cfg, blocks, f"{task} of (TM, G); {_NOTE}", task, _TABLE_INDEX[task])
     return _exit_code(results)
 
@@ -642,9 +642,9 @@ def cmd_tables(cfg: dict, task: str) -> int:
 def cmd_verify(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
-    points = _resolve_points(cfg, M)
+    x, v = _resolve_points(cfg, M)
     oracle_cfg = _built(OracleConfig, **cfg.get("oracle", {}))
-    reports = compare(M, fam, points, oracle_cfg)
+    reports = compare(M, fam, x, v, oracle_cfg)
     for r in reports:
         print(r.summary_line())
     path = cfg.get("output", {}).get("path")
@@ -710,29 +710,29 @@ def _constant_curvature_of(M: ChartManifold) -> Optional[float]:
 def cmd_scan(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
-    points = _resolve_points(cfg, M)
+    x, v = _resolve_points(cfg, M)
 
     def scalar_f_h(fp):
         jets = fam.jets(fp.t * fp.t)
         s_general = closedform.tm_scalar(M, fam, fp)
         return list(zip(s_general.tolist(), jets.F.tolist(), jets.H.tolist()))
 
-    results = closedform.on_points(M, fam, points, scalar_f_h)
+    results = closedform.on_points(M, fam, x, v, scalar_f_h)
     special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
     k0 = _constant_curvature_of(M)
     nan = float("nan")
     rows = []  # v_norm, the three values and status, per point
-    for p, (t, result) in zip(points, results):
+    for t, result in results:
         s_special, status = nan, "ok"
         if isinstance(result, TbcurvError):
-            t, status, result = _v_norm(M, p), _error_cell(result), (nan, nan, nan)
+            status, result = _error_cell(result), (nan, nan, nan)
         elif special is not None and k0 is not None:
             s_special = float(closedform.scalar_exp_specials(k0, M.dim, t * t, special).value)
         s_general, f_val, h_val = result
         rows.append((t, s_general, s_special, f_val, h_val, status))
     v_norm, s_general, s_special, f_val, h_val, status = zip(*rows)
     columns = {
-        "x": _coords([p.x for p in points]),
+        "x": _coords(x),
         "v_norm": np.array(v_norm),
         "scalar_general": np.array(s_general),
         "scalar_special": np.array(s_special),

@@ -19,8 +19,8 @@ Each class is produced by its own formula; every other index placement is
 generated from these by the algebraic curvature symmetries, never by new
 formulas.
 
-``on_points`` runs a computation over the stack of frames of a list of
-bundle points and returns one (t, result) per point.  A point that must
+``on_points`` runs a computation over the stack of frames of the points
+(x, v) and returns one (t, result) per point.  A point that must
 run alone runs as a stack of one and its result is kept; a failing point
 gets the error it gets alone.  The CLI tables, the scan and the oracle
 comparison all run on it.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .basemanifold import (
     adapted_frame,
     frame_curvature,
 )
-from .bundlemetric import BundlePoint
 from .errors import TbcurvError
 from .metricfamily import FamilyJets, NaturalMetricFamily
 
@@ -541,13 +540,16 @@ def table_scalar_trace(table: np.ndarray, gram_diag: np.ndarray) -> float:
 
 
 def on_points(
-    M: ChartManifold, fam: NaturalMetricFamily, points: Sequence[BundlePoint], fun: Callable
+    M: ChartManifold, fam: NaturalMetricFamily, x: np.ndarray, v: np.ndarray, fun: Callable
 ) -> list[tuple]:
-    """fun on the adapted frames of the bundle points, as one stack;
-    ``fun(fp)`` returns one result per point of the stack fp.
+    """fun on the adapted frames of the points (x, v), base points and
+    vectors of shape (m, n), as one stack; ``fun(fp)`` returns one result
+    per point of the stack fp.
 
-    Returns one ``(t, result)`` per point: t = |v|_g of its frame (0.0
-    where none was built), and fun's result at the point, or the
+    Returns one ``(t, result)`` per point: t = |v|_g, the t of its frame,
+    or where no frame was built sqrt((v^T g) v) with the metric at x, nan
+    outside the chart, where the metric is not evaluated, or where the
+    metric gives no real norm; and fun's result at the point, or the
     ``TbcurvError`` the point gets alone.  Checks that evaluate nothing flag
     the points a computation may refuse: the chart box, t^2 outside the
     family's range, and the chart's edge within the reach of the nabla R
@@ -556,17 +558,17 @@ def on_points(
     one on the frame already built, and so does every point of a stack that
     still fails.  Every result is kept: apart from the failed stack, no
     point is computed twice."""
-    q = np.array([p.x for p in points])
-    v = np.array([p.v for p in points])
-    t = np.zeros(len(points))
-    results: list = [None] * len(points)
+    q, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    t = np.full(len(q), np.nan)
+    framed = np.zeros(len(q), dtype=bool)
+    results: list = [None] * len(q)
 
     def run(sel: np.ndarray, fp: Optional[AdaptedFramePoint] = None) -> bool:
         """fun on the points at positions sel as one stack, on their frames
         fp (built here if not given); False if a stack of several fails."""
         try:
             fp = adapted_frame(M, q[sel], v[sel]) if fp is None else fp
-            t[sel] = fp.t
+            t[sel], framed[sel] = fp.t, True
             out = fun(fp)
         except TbcurvError as exc:
             if len(sel) > 1:
@@ -580,7 +582,7 @@ def on_points(
         for j in range(len(sel)):
             run(sel[j : j + 1], None if fp is None else fp[j : j + 1])
 
-    every = np.arange(len(points))
+    every = np.arange(len(q))
     outside = M.outside(q)
     alone(every[outside])  # each fails on the chart box
     rest, fp = every[~outside], None
@@ -596,4 +598,9 @@ def on_points(
         good = ~flagged
         if good.any() and not run(rest[good], fp[good]):
             alone(rest[good], fp[good])
+    bare = ~(framed | outside)  # a frame that failed: the metric at x was evaluated
+    if bare.any():
+        g, w = M.metric(q[bare]), v[bare]
+        with np.errstate(invalid="ignore", over="ignore"):
+            t[bare] = np.sqrt(((w[:, None, :] @ g) @ w[:, :, None])[:, 0, 0])
     return list(zip(t.tolist(), results))

@@ -21,12 +21,12 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .basemanifold import AdaptedFramePoint, ChartManifold, _distinct_rows
-from .bundlemetric import BundlePoint, _metric_from, adapted_frame_vectors
+from .bundlemetric import _metric_from, adapted_frame_vectors
 from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
 from .errors import ConditioningWarning, TbcurvError
 from .metricfamily import NaturalMetricFamily
@@ -323,11 +323,13 @@ class CurvatureReport:
 def compare(
     M: ChartManifold,
     fam: NaturalMetricFamily,
-    points: Sequence[BundlePoint],
+    x: np.ndarray,
+    v: np.ndarray,
     cfg: OracleConfig = OracleConfig(),
 ) -> list[CurvatureReport]:
-    """Run closed form and oracle over the stack of points and emit one
-    report per point, in point order.
+    """Run closed form and oracle over the stack of points (x, v), base
+    points and vectors of shape (m, n), and emit one report per point, in
+    point order; a report's t is the t of ``closedform.on_points``.
 
     Each point gets in its report what it would get alone: an error
     (validity, domain) from ``closedform.on_points``, or its own comparison
@@ -342,14 +344,15 @@ def compare(
             orc = numeric_tm_curvature(M, fam, fp)
         return list(zip(closed, orc.table, orc.cond.tolist()))
 
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     reports = []
-    for p, (t, result) in zip(points, on_points(M, fam, points, both_routes)):
+    for k, (t, result) in enumerate(on_points(M, fam, x, v, both_routes)):
         report = CurvatureReport(
             manifold_id=M.catalog_id,
             manifold_params=M.params,
             family_name=fam.name,
-            x=[float(c) for c in np.atleast_1d(p.x)],
-            v=[float(c) for c in np.atleast_1d(p.v)],
+            x=x[k].tolist(),
+            v=v[k].tolist(),
             t=t,
             config=cfg.to_dict(),
         )

@@ -17,7 +17,7 @@ from tbcurv.basemanifold import (
     hyperbolic,
     sphere,
 )
-from tbcurv.bundlemetric import BundlePoint, frame_gram
+from tbcurv.bundlemetric import frame_gram
 from tbcurv.cli import main as cli_main
 from tbcurv.closedform import (
     component_class_masks,
@@ -62,7 +62,7 @@ def _acceptance_manifolds():
 def _points_for(M, q, direction, speeds=SPEEDS):
     g = M.metric(q)
     unit = direction / math.sqrt(direction @ g @ direction)
-    return [BundlePoint(q, unit * s) for s in speeds]
+    return [q] * len(speeds), [unit * s for s in speeds]
 
 
 def _verdict(number, ok, text):
@@ -77,7 +77,7 @@ def test_criterion_1_oracle_equivalence_theorem_coverage():
     count = 0
     for label, M, q, d in _acceptance_manifolds():
         for fam_name in FAMILIES:
-            reports = compare(M, preset(fam_name), _points_for(M, q, d), cfg)
+            reports = compare(M, preset(fam_name), *_points_for(M, q, d), cfg)
             for r in reports:
                 assert r.status == "ok", f"{label}+{fam_name}: {r.error}"
                 assert r.passed, (
@@ -99,7 +99,7 @@ def test_criterion_2_nabla_r_block_on_conformal_metric():
     M = conformal_polynomial(3, [[0.1, 1, 1, 0]])
     cfg = OracleConfig(tol_abs=ABS_TOL, tol_rel=REL_TOL)
     masks = component_class_masks(3)
-    points = []
+    xs, vs = [], []
     for q in (
         np.array([0.2, -0.3, 0.4]),
         np.array([-0.5, 0.1, 0.3]),
@@ -107,8 +107,9 @@ def test_criterion_2_nabla_r_block_on_conformal_metric():
     ):
         g = M.metric(q)
         d = np.array([0.5, -0.3, 0.8])
-        points.append(BundlePoint(q, d / math.sqrt(d @ g @ d)))
-    reports = compare(M, preset("exp+"), points, cfg)
+        xs.append(q)
+        vs.append(d / math.sqrt(d @ g @ d))
+    reports = compare(M, preset("exp+"), xs, vs, cfg)
     hhvh_max = 0.0
     for r in reports:
         assert r.status == "ok" and r.passed, r.error or r.max_abs_dev
@@ -171,8 +172,8 @@ def test_criterion_5_sectional_properties():
     for label, M, q, d in _acceptance_manifolds():
         for fam_name in FAMILIES:
             fam = preset(fam_name)
-            for p in _points_for(M, q, d):
-                fp = adapted_frame(M, p.x, p.v)
+            for x, v in zip(*_points_for(M, q, d)):
+                fp = adapted_frame(M, x, v)
                 sec = tm_sectional(M, fam, fp)
                 min_mixed = min(min_mixed, float(np.min(sec.hv)))
                 radial_exact &= bool(np.all(sec.hv[:, 0] == 0.0))
@@ -238,7 +239,7 @@ def test_criterion_7_constant_curvature_adjudication():
 
     # general theorem mixed planes vs oracle sectional
     cfg = OracleConfig(tol_abs=ABS_TOL, tol_rel=REL_TOL)
-    rep = compare(M, fam, [BundlePoint(q, v)], cfg)[0]
+    rep = compare(M, fam, [q], [v], cfg)[0]
     assert rep.passed
     sec = tm_sectional(M, fam, fp)
     orc = numeric_tm_curvature(M, fam, fp)

@@ -12,12 +12,10 @@ from tbcurv.basemanifold import (
     sphere,
 )
 from tbcurv.bundlemetric import (
-    BundlePoint,
     adapted_frame_vectors,
     connection_split,
     frame_gram,
     induced_metric,
-    squared_norm,
 )
 from tbcurv.errors import ValidityError
 from tbcurv.metricfamily import preset
@@ -31,18 +29,16 @@ def fd_only(M):
 class TestConnectionSplit:
     def test_euclidean_plain_split(self):
         M = euclidean(2)
-        p = BundlePoint.of([0.1, 0.2], [1.0, -1.0])
-        hor, ver = connection_split(M, p, np.array([1.0, 2.0, 3.0, 4.0]))
+        hor, ver = connection_split(M, [0.1, 0.2], [1.0, -1.0], np.array([1.0, 2.0, 3.0, 4.0]))
         assert np.array_equal(hor, [1.0, 2.0])
         assert np.array_equal(ver, [3.0, 4.0])
 
     def test_vertical_basis_vectors(self):
         M = sphere(2)
-        p = BundlePoint.of([0.9, 0.3], [0.4, -0.2])
         for a in range(2):
             A = np.zeros(4)
             A[2 + a] = 1.0
-            hor, ver = connection_split(M, p, A)
+            hor, ver = connection_split(M, [0.9, 0.3], [0.4, -0.2], A)
             assert np.array_equal(hor, np.zeros(2))
             expected = np.zeros(2)
             expected[a] = 1.0
@@ -57,7 +53,7 @@ class TestConnectionSplit:
         _, gamma, _ = M.connection(x, second=False)
         assert np.max(np.abs(gamma)) > 0.01  # the point genuinely curves
         A = np.concatenate([u, -np.einsum("abc,b,c->a", gamma, v, u)])
-        hor, ver = connection_split(M, BundlePoint(x, v), A)
+        hor, ver = connection_split(M, x, v, A)
         assert np.array_equal(hor, u)
         assert np.max(np.abs(ver)) <= 1e-15
 
@@ -68,15 +64,15 @@ class TestInducedMetric:
         fam = preset("sasaki")
         rng = np.random.default_rng(5)
         for _ in range(4):
-            p = BundlePoint(rng.normal(size=3), rng.normal(size=3))
-            assert np.allclose(induced_metric(M, fam, p), np.eye(6), atol=1e-15)
+            G = induced_metric(M, fam, rng.normal(size=3), rng.normal(size=3))
+            assert np.allclose(G, np.eye(6), atol=1e-15)
 
     def test_zero_vector_block_diagonal(self):
         M = sphere(2)
         fam = preset("cheeger-gromoll")
-        p = BundlePoint.of([0.9, 0.3], [0.0, 0.0])
-        G = induced_metric(M, fam, p)
-        g = M.metric(p.x)
+        x = np.array([0.9, 0.3])
+        G = induced_metric(M, fam, x, np.zeros(2))
+        g = M.metric(x)
         assert np.allclose(G[:2, :2], g, atol=1e-15)
         assert np.allclose(G[:2, 2:], 0.0, atol=1e-15)
         assert np.allclose(G[2:, 2:], fam.jets(0.0).alpha * g, atol=1e-15)
@@ -86,8 +82,8 @@ class TestInducedMetric:
         fam = preset("exp-")
         rng = np.random.default_rng(9)
         for _ in range(6):
-            p = BundlePoint(0.2 * rng.normal(size=2), 0.4 * rng.normal(size=2))
-            eig = np.linalg.eigvalsh(induced_metric(M, fam, p))
+            x, v = 0.2 * rng.normal(size=2), 0.4 * rng.normal(size=2)
+            eig = np.linalg.eigvalsh(induced_metric(M, fam, x, v))
             assert np.all(eig > 0)
 
     @pytest.mark.parametrize(
@@ -107,17 +103,17 @@ class TestInducedMetric:
         rng = np.random.default_rng(4)
         xs = np.asarray(x) + 0.05 * rng.normal(size=(5, M.dim))
         vs = 0.5 * rng.normal(size=(5, M.dim))
-        G = induced_metric(M, fam, BundlePoint(xs, vs))
+        G = induced_metric(M, fam, xs, vs)
         assert G.shape == (5, 2 * M.dim, 2 * M.dim)
         for i in range(5):
-            single = induced_metric(M, fam, BundlePoint(xs[i], vs[i]))
+            single = induced_metric(M, fam, xs[i], vs[i])
             np.testing.assert_allclose(G[i], single, rtol=1e-14, atol=1e-14)
 
     def test_validity_horizon_enforced(self):
         M = euclidean(2)
         fam = preset("sasaki", t_max=4.0)
         with pytest.raises(ValidityError):
-            induced_metric(M, fam, BundlePoint.of([0, 0], [3.0, 0.0]))
+            induced_metric(M, fam, [0.0, 0.0], [3.0, 0.0])
 
     def test_riemannian_submersion_on_horizontal_lifts(self):
         # G(A, B) = g(pi_* A, pi_* B) for horizontal A, B
@@ -126,7 +122,7 @@ class TestInducedMetric:
         x = np.array([0.9, 0.3])
         v = np.array([0.4, -0.2])
         g, gamma, _ = M.connection(x, second=False)
-        G = induced_metric(M, fam, BundlePoint(x, v))
+        G = induced_metric(M, fam, x, v)
         rng = np.random.default_rng(2)
         for _ in range(5):
             a = rng.normal(size=2)
@@ -145,12 +141,11 @@ class TestAdaptedFrameVectors:
         v = np.array([0.4, -0.2])
         fp = adapted_frame(M, x, v)
         frame = adapted_frame_vectors(M, fp)
-        p = BundlePoint(x, v)
         for i in range(2):
-            hor, ver = connection_split(M, p, frame[i])
+            hor, ver = connection_split(M, x, v, frame[i])
             assert np.array_equal(hor, fp.u[i])
             assert np.max(np.abs(ver)) <= 1e-15
-            hor, ver = connection_split(M, p, frame[2 + i])
+            hor, ver = connection_split(M, x, v, frame[2 + i])
             assert np.array_equal(hor, np.zeros(2))
             assert np.array_equal(ver, fp.u[i])
 
@@ -211,10 +206,3 @@ class TestAdaptedFrameVectors:
         j = fam.jets(fp.t**2)
         assert gram[2, 2] == pytest.approx(j.alpha + fp.t**2 * j.beta, rel=1e-12)
         assert gram[3, 3] == pytest.approx(j.alpha, rel=1e-12)
-
-    def test_squared_norm_helper(self):
-        M = sphere(2)
-        x = np.array([np.pi / 4.0, 0.2])
-        assert squared_norm(M, x, np.array([0.0, 1.0])) == pytest.approx(
-            0.5, abs=1e-15
-        )

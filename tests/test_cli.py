@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from tbcurv import closedform
 from tbcurv.basemanifold import make_manifold
-from tbcurv.bundlemetric import BundlePoint
 from tbcurv.cli import (
     _NOTE,
     _SETTINGS,
@@ -34,11 +33,10 @@ from tbcurv.cli import (
     _parse_vector,
     _resolve_family,
     _resolve_points,
-    _v_norm,
     _verify_text,
     main,
 )
-from tbcurv.errors import ConfigError, TbcurvError
+from tbcurv.errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily
 from tbcurv.oracle import OracleConfig, compare
 from tbcurv.scalarfun import ScalarFunction
@@ -696,8 +694,8 @@ def test_grid_vectors_equal_the_scalar_formula_bit_for_bit():
     grid = {"base_points": [[0.1, -0.2, 0.3], [0.0, -0.0, 0.2]],
             "v_norms": [0, 0.3, 1.7, 2, 1e-300, 7],
             "v_directions": [[1, 2, -3], [-0.0, 1, 0.5]]}
-    points = _resolve_points({"points": [{"x": [0.1, 0.1, 0.1], "v": [0, -0.0, 1]}],
-                              "grid": grid}, M)
+    x_got, v_got = _resolve_points({"points": [{"x": [0.1, 0.1, 0.1], "v": [0, -0.0, 1]}],
+                                    "grid": grid}, M)
     expected = [(np.array([0.1, 0.1, 0.1]), np.array([0.0, -0.0, 1.0]))]
     for xs in grid["base_points"]:
         x = np.asarray(xs, dtype=float)
@@ -705,9 +703,179 @@ def test_grid_vectors_equal_the_scalar_formula_bit_for_bit():
         for d in np.asarray(grid["v_directions"], dtype=float):
             nrm = float(np.sqrt(d @ g @ d))
             expected += [(x, (float(s) / nrm) * d) for s in grid["v_norms"]]
-    assert len(points) == len(expected) == 25
-    for p, (x, v) in zip(points, expected):
-        assert p.x.tobytes() == x.tobytes() and p.v.tobytes() == v.tobytes()
+    assert x_got.shape == v_got.shape == (25, 3) and len(expected) == 25
+    assert x_got.tobytes() == np.array([x for x, _ in expected]).tobytes()
+    assert v_got.tobytes() == np.array([v for _, v in expected]).tobytes()
+
+
+def _reference_points(cfg, M):
+    """The configured points as (x, v) pairs, built one base point and one
+    direction at a time, and checked in that order: the per-point loop that
+    the stacked ``_resolve_points`` replaced."""
+    points = [(np.asarray(entry["x"], dtype=float), np.asarray(entry["v"], dtype=float))
+              for entry in cfg.get("points", [])]
+    grid = cfg.get("grid")
+    if grid:
+        v_norms = np.asarray(grid.get("v_norms", [0.0]), dtype=float)
+        directions = np.asarray(grid.get("v_directions", np.eye(M.dim)[:1]), dtype=float)
+        for xs in grid["base_points"]:
+            x = np.asarray(xs, dtype=float)
+            try:
+                M.check_interior(x)
+            except StencilOutOfDomainError as exc:
+                raise ConfigError(f"grid base point: {exc}")
+            g = M.metric(x)
+            if not np.isfinite(g).all():
+                raise ConfigError(f"grid base point: metric not finite at x={x.tolist()}")
+            for d in directions:
+                nrm = float(np.sqrt(d @ g @ d))
+                if nrm == 0.0:
+                    raise ConfigError("grid direction has zero length")
+                points += [(x, v) for v in (v_norms / nrm)[:, None] * d]
+    if not points:
+        raise ConfigError("no points configured (--point/--v or config points/grid)")
+    for x, v in points:
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise ConfigError(f"point x={x.tolist()} v={v.tolist()} is not finite")
+    return points
+
+
+# charts whose boxes hold the drawn coordinates, -0.3 to 0.3 (theta shifted
+# by 1 on the polar sphere); on the torus the metric exp(2000 x_1) overflows
+# past x_1 = 0.355
+POINT_CHARTS = {
+    "sphere-3": lambda: make_manifold("sphere", 3),
+    "sphere-polar": lambda: make_manifold("sphere", 2, chart="polar"),
+    "hyperbolic-2": lambda: make_manifold("hyperbolic", 2),
+    "euclidean-4": lambda: make_manifold("euclidean", 4),
+    "torus-2": lambda: make_manifold("torus-conformal", 2, coeffs=[[1000, 1, 0]]),
+}
+coordinate = st.integers(-3, 3).map(lambda k: k / 10) | st.just(-0.0)
+direction_entry = st.integers(-20, 20).map(lambda k: k / 10) | st.just(-0.0)
+v_norm = st.sampled_from([0.0, -0.0, 0.5, 1.7, 2.0, 1e-300]) | st.floats(0.0, 5.0)
+
+
+@st.composite
+def point_configs(draw, fault=None):
+    """A config of explicit points and a grid on a drawn chart: -0.0
+    coordinates, zero norms, several directions, defaults left out; with a
+    fault, that one fault at a drawn place."""
+    name = "torus-2" if fault == "metric" else draw(st.sampled_from(sorted(POINT_CHARTS)))
+    M = POINT_CHARTS[name]()
+    n = M.dim
+    shift = 1.0 if name == "sphere-polar" else 0.0  # theta in (0.1, 3.04)
+
+    def vectors(entry, min_size=0, max_size=3):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=min_size, max_size=max_size))
+
+    def place(items, item):
+        items.insert(draw(st.integers(0, len(items))), item)
+
+    base_points = [[c + shift * (k == 0) for k, c in enumerate(x)]
+                   for x in vectors(coordinate, 1, 3)]
+    points = [{"x": [c + shift * (k == 0) for k, c in enumerate(x)], "v": v}
+              for x, v in zip(vectors(coordinate), vectors(direction_entry))]
+    grid = {"base_points": base_points}
+    directions = [d for d in vectors(direction_entry, 1, 4) if any(d)]
+    if directions or fault == "direction":
+        grid["v_directions"] = directions
+    if draw(st.booleans()):
+        grid["v_norms"] = draw(st.lists(v_norm, max_size=4))
+    if fault == "outside":
+        place(base_points, [float(M.hi[0]) + 0.25] + [0.0] * (n - 1))
+    elif fault == "metric":
+        place(base_points, [1.4, draw(coordinate)])
+    elif fault == "direction":
+        place(directions, [-0.0] * n)
+    elif fault == "point":  # one or two such points: the first is named
+        for _ in range(draw(st.integers(1, 2))):
+            bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            x, v = [0.1 + shift] + [0.0] * (n - 1), [0.2] * n
+            (x if draw(st.booleans()) else v)[draw(st.integers(0, n - 1))] = bad
+            place(points, {"x": x, "v": v})
+    return M, {"points": points, "grid": grid}
+
+
+class TestStackedPoints:
+    # the stacked _resolve_points gives the points of the per-point loop, in
+    # its order and with its bits, and names a single fault in its words
+    @given(case=point_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_in_the_same_order(self, case):
+        M, cfg = case
+        try:
+            expected = _reference_points(cfg, M)
+        except ConfigError as exc:  # an empty grid and no explicit points
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                _resolve_points(cfg, M)
+            return
+        x, v = _resolve_points(cfg, M)
+        assert x.shape == v.shape == (len(expected), M.dim)
+        assert x.tobytes() == np.array([p[0] for p in expected]).tobytes()
+        assert v.tobytes() == np.array([p[1] for p in expected]).tobytes()
+
+    @pytest.mark.parametrize("fault", ["outside", "metric", "direction", "point"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_single_fault_has_the_same_message(self, fault, data):
+        M, cfg = data.draw(point_configs(fault))
+        with pytest.raises(ConfigError) as expected:
+            _reference_points(cfg, M)
+        with pytest.raises(ConfigError) as got:
+            _resolve_points(cfg, M)
+        assert str(got.value) == str(expected.value)
+
+    def test_two_faults_name_the_first_check_that_fails(self):
+        # the per-point loop named the first faulty base point; the stacked
+        # checks name the first fault of the first check that fails
+        M = POINT_CHARTS["torus-2"]()
+        cfg = {"grid": {"base_points": [[1.4, 0.0], [1.6, 0.0]]}}
+        with pytest.raises(ConfigError, match="metric not finite at x=\\[1.4, 0.0\\]"):
+            _reference_points(cfg, M)
+        with pytest.raises(ConfigError, match="point \\[1.6, 0.0\\] is not inside"):
+            _resolve_points(cfg, M)
+
+
+class TestErrorPointT:
+    # verify's ERROR line and report give a failed point the t of its
+    # table error row: nan outside the chart (verify used to say 0), 3.0
+    # beyond t_max, 0.0 where the metric is zero and not positive definite,
+    # nan where it overflows (verify used to say 0)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args,t,error",
+        [
+            (["--manifold", "hyperbolic", "--dim", "2", "--point", "1.5,0", "--v", "1,0"],
+             "nan", "StencilOutOfDomainError"),
+            (["--manifold", "euclidean", "--dim", "2", "--t-max", "4", "--point", "0,0",
+              "--v", "3,0"], "3.0", "ValidityError"),
+            (["--manifold", "torus-conformal", "--dim", "2", "--coeffs", "[[-1000, 1, 0]]",
+              "--point", "1.4,0.3", "--v", "1,0"], "0.0",
+             "SingularMetricError: metric not positive definite"),
+            (["--manifold", "torus-conformal", "--dim", "2", "--coeffs", "[[1000, 1, 0]]",
+              "--point", "1.4,0.3", "--v", "1,0"], "nan",
+             "SingularMetricError: metric not finite"),
+        ],
+        ids=["outside", "validity", "zero-metric", "overflowing-metric"],
+    )
+    def test_verify_t_equals_the_table_t(self, tmp_path, capsys, args, t, error):
+        good = ["--point", "0.1,0.2", "--v", "0.2,0.1"]
+        args = [*args, *good, "--family", "sasaki"]
+        assert run(["scalar", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _, header, row, _ = captured.out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",", 3)))
+        assert cells["t"] == t and cells["error"].lstrip('"').startswith(error)
+        out = tmp_path / "r.json"
+        assert run(["verify", *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[0].startswith(
+            f"ERROR  {args[1]}+sasaki at t={float(t):.4g}: {error}")
+        report = json.loads(out.read_text())["reports"][0]
+        assert repr(report["point"]["t"]) == t
 
 
 class TestNonFiniteGrid:
@@ -1094,11 +1262,11 @@ class TestNonFiniteValues:
 class TestVerifyReportText:
     # the report is written with one repr join per table; its bytes are
     # those of json.dumps(doc, sort_keys=True, indent=2)
-    def _doc(self, points, family="sasaki"):
+    def _doc(self, vs, family="sasaki"):
         M = make_manifold("sphere", dim=2)
         fam = _resolve_family({"family": {"preset": family}})
         oracle_cfg = OracleConfig()
-        reports = compare(M, fam, points, oracle_cfg)
+        reports = compare(M, fam, [[0.9, 0.3]] * len(vs), vs, oracle_cfg)
         return {
             "config": {
                 "manifold": {"id": M.catalog_id, "params": M.params},
@@ -1108,12 +1276,10 @@ class TestVerifyReportText:
             "reports": [r.to_json_dict() for r in reports],
         }
 
-    X = np.array([0.9, 0.3])
-    POINTS = [BundlePoint(X, np.array([0.3, 0.1])),
-              BundlePoint(X, np.array([6.0, 0.0]))]  # |v|^2 = 36 > t_max
+    VS = [[0.3, 0.1], [6.0, 0.0]]  # at x = (0.9, 0.3); the second |v|^2 = 36 > t_max
 
     def test_ok_and_error_reports(self, tmp_path):
-        doc = self._doc(self.POINTS, "exp+")
+        doc = self._doc(self.VS, "exp+")
         assert [r["status"] for r in doc["reports"]] == ["ok", "error"]
         assert doc["reports"][1]["closed_table"] is None
         assert _verify_text(doc, _tables_of(doc)) == json.dumps(doc, sort_keys=True, indent=2)
@@ -1125,7 +1291,7 @@ class TestVerifyReportText:
         assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_non_finite_and_empty_tables(self):
-        doc = self._doc(self.POINTS[:1])
+        doc = self._doc(self.VS[:1])
         report = doc["reports"][0]
         doc["reports"] = [
             {**report, "closed_table": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300],
@@ -1497,29 +1663,42 @@ def _ref_table_rows(x, v, t, names, columns):
     return [dict(zip(keys, (x, v, t) + i + c)) for i, c in zip(index, zip(*cells))]
 
 
-def _reference_output(task, fmt, M, fam_name, points, results):
-    """The bytes the row-dict writer gives for the results of on_points."""
+def _ref_v_norm(M, x, v):
+    """|v|_g of an error row, point by point: nan for a base point outside
+    the chart, where the metric is not evaluated, or where the metric gives
+    no real norm."""
+    if M.outside(x):
+        return math.nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        squared = float(v @ M.metric(x) @ v)
+    return math.sqrt(squared) if squared >= 0.0 else math.nan
+
+
+def _reference_output(task, fmt, M, fam_name, xs, vs, results):
+    """The bytes the row-dict writer gives for the results of on_points at
+    the points (xs, vs); an error row's t is ``_ref_v_norm``."""
     error_cell = lambda exc: f"{type(exc).__name__}: {exc}"
     rows = []
     if task != "scan":
-        for p, (t, result) in zip(points, results):
-            x, v = _ref_coords(p.x), _ref_coords(p.v)
+        for x, v, (t, result) in zip(xs, vs, results):
+            x_cell, v_cell = _ref_coords(x), _ref_coords(v)
             if isinstance(result, TbcurvError):
-                rows.append({"x": x, "v": v, "t": _v_norm(M, p), "error": error_cell(result)})
+                rows.append({"x": x_cell, "v": v_cell, "t": _ref_v_norm(M, x, v),
+                             "error": error_cell(result)})
             else:
-                rows.extend(_ref_table_rows(x, v, t, REF_INDEX[task], result))
+                rows.extend(_ref_table_rows(x_cell, v_cell, t, REF_INDEX[task], result))
         return _ref_emit(fmt, rows, f"{task} of (TM, G); {_NOTE}", task)
     special = {"exp+": "plus", "exp-": "minus"}.get(fam_name)
     k0 = _constant_curvature_of(M)
     nan = float("nan")
-    for p, (t, result) in zip(points, results):
+    for x, v, (t, result) in zip(xs, vs, results):
         s_special, status = nan, "ok"
         if isinstance(result, TbcurvError):
-            t, status, result = _v_norm(M, p), error_cell(result), (nan, nan, nan)
+            t, status, result = _ref_v_norm(M, x, v), error_cell(result), (nan, nan, nan)
         elif special is not None and k0 is not None:
             s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special).value
         s_general, f_val, h_val = result
-        rows.append({"x": _ref_coords(p.x), "v_norm": t, "scalar_general": s_general,
+        rows.append({"x": _ref_coords(x), "v_norm": t, "scalar_general": s_general,
                      "scalar_special": float(s_special), "F": f_val, "H": h_val,
                      "status": status})
     return _ref_emit(fmt, rows, f"scalar curvature scan; {_NOTE}", "scan")
@@ -1588,13 +1767,15 @@ def point_outcomes(draw, task):
 def _assert_writer_matches_reference(task, fmt, outcomes):
     """Run the command on made-up results of on_points, so values and t take
     NaN and +-inf and error texts any character, and compare its bytes with
-    the row-dict writer's.  A good point's columns are tiled to their shape."""
-    points = [BundlePoint(np.array([0.1 * k, -0.2]), np.array([0.3, 0.1 * k]))
-              for k in range(len(outcomes))]
+    the row-dict writer's.  A good point's columns are tiled to their shape;
+    a failed point's t is that of its error row."""
+    M = make_manifold("euclidean", dim=2)
+    xs = [np.array([0.1 * k, -0.2]) for k in range(len(outcomes))]
+    vs = [np.array([0.3, 0.1 * k]) for k in range(len(outcomes))]
     results = []
-    for outcome in outcomes:
+    for x, v, outcome in zip(xs, vs, outcomes):
         if isinstance(outcome, str):
-            results.append((0.0, TbcurvError(outcome)))
+            results.append((_ref_v_norm(M, x, v), TbcurvError(outcome)))
             continue
         t, columns = outcome
         columns = {name: np.resize(np.array(values), TABLE_SHAPES[task][name])
@@ -1605,13 +1786,12 @@ def _assert_writer_matches_reference(task, fmt, outcomes):
         results.append((t, columns))
     args = [task, "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
             "--format", fmt]
-    for p in points:
-        args += ["--point=" + ",".join(map(repr, p.x.tolist())),
-                 "--v=" + ",".join(map(repr, p.v.tolist()))]
+    for x, v in zip(xs, vs):
+        args += ["--point=" + ",".join(map(repr, x.tolist())),
+                 "--v=" + ",".join(map(repr, v.tolist()))]
     with mock.patch.object(closedform, "on_points", lambda *_: results):
         code, text = _run_captured(args)
-    M = make_manifold("euclidean", dim=2)
-    _assert_same_text(text, _reference_output(task, fmt, M, "sasaki", points, results))
+    _assert_same_text(text, _reference_output(task, fmt, M, "sasaki", xs, vs, results))
     assert code == int(any(isinstance(outcome, str) for outcome in outcomes))
 
 
@@ -1662,9 +1842,9 @@ class TestColumnWriter:
         seen = []
         on_points = closedform.on_points
 
-        def spy(M, fam, bundle_points, fun):
-            seen.append((bundle_points, on_points(M, fam, bundle_points, fun)))
-            return seen[-1][1]
+        def spy(M, fam, x, v, fun):
+            seen.append((x, v, on_points(M, fam, x, v, fun)))
+            return seen[-1][2]
 
         with mock.patch.object(closedform, "on_points", spy):
             code, text = _run_captured(args)
@@ -1672,9 +1852,9 @@ class TestColumnWriter:
         assert _run_captured(args + ["--out", str(out)]) == (code, "")
         _assert_same_text(out.read_bytes().decode("utf-8"), text)
         assert b"\r" not in out.read_bytes()  # text mode wrote no other line ends
-        (bundle_points, results), = seen
+        (x, v, results), = seen
         M = make_manifold("sphere", dim=2)
-        _assert_same_text(text, _reference_output(task, fmt, M, "exp+", bundle_points, results))
+        _assert_same_text(text, _reference_output(task, fmt, M, "exp+", x, v, results))
         assert code == int(order != "all-good")
 
 

@@ -21,7 +21,7 @@ from tbcurv.basemanifold import (
     rotate_completion,
     sphere,
 )
-from tbcurv.bundlemetric import BundlePoint, adapted_frame_vectors, induced_metric
+from tbcurv.bundlemetric import adapted_frame_vectors, induced_metric
 from tbcurv.closedform import (
     CLASS_NAMES,
     component_class_labels,
@@ -164,7 +164,7 @@ class TestNumericTable:
         fam = preset("cheeger-gromoll")
         d = np.array([1.0, 2.0, -1.0, 0.5])
         v = d / np.linalg.norm(d) * 1.1
-        rep = compare(M, fam, [BundlePoint(np.zeros(4), v)])[0]
+        rep = compare(M, fam, [np.zeros(4)], [v])[0]
         assert rep.passed
 
     def test_agrees_on_rotated_completion_frame(self):
@@ -431,26 +431,23 @@ class TestCompare:
         d = np.array([0.3, 0.7]) / math.sqrt(
             np.array([0.3, 0.7]) @ g @ np.array([0.3, 0.7])
         )
-        points = [BundlePoint(q, d * t) for t in (0.0, 0.5, 1.5)]
-        reports = compare(M, preset("sasaki"), points)
+        ts = (0.0, 0.5, 1.5)
+        reports = compare(M, preset("sasaki"), [q] * len(ts), [d * t for t in ts])
         assert len(reports) == 3
         assert all(r.status == "ok" and r.passed for r in reports)
 
     def test_invalid_point_isolated(self):
         M = euclidean(2)
         fam = preset("sasaki", t_max=4.0)
-        points = [
-            BundlePoint.of([0, 0], [1.0, 0.0]),
-            BundlePoint.of([0, 0], [3.0, 0.0]),  # |v|^2 = 9 > t_max
-        ]
-        reports = compare(M, fam, points)
+        # the second |v|^2 = 9 > t_max
+        reports = compare(M, fam, [[0, 0], [0, 0]], [[1.0, 0.0], [3.0, 0.0]])
         assert reports[0].status == "ok" and reports[0].passed
         assert reports[1].status == "error"
         assert "ValidityError" in reports[1].error
 
     def test_report_json_roundtrip(self):
         M, q, v = _sphere_case(0.5)
-        rep = compare(M, preset("sasaki"), [BundlePoint(q, v)])[0]
+        rep = compare(M, preset("sasaki"), [q], [v])[0]
         parsed = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert parsed["passed"] is True
         assert parsed["config"] == {"base_step": 1e-3, "tol_abs": 1e-5, "tol_rel": 1e-3}
@@ -463,7 +460,7 @@ class TestCompare:
 
     def test_report_fields_explain_the_comparison(self):
         M, q, v = _sphere_case(1.2)
-        rep = compare(M, preset("cheeger-gromoll"), [BundlePoint(q, v)])[0]
+        rep = compare(M, preset("cheeger-gromoll"), [q], [v])[0]
         doc = rep.to_json_dict()
         classes = doc["class_deviations"]
         assert list(classes) == ["hhhh", "vvvv", "hvvv", "vvhh", "hvhv", "hhvh"]
@@ -485,7 +482,7 @@ class TestCompare:
         M = hyperbolic(5)
         q = np.array([0.1, 0.2, -0.1, 0.05, 0.1])
         v = np.array([0.3, 0.1, 0.2, -0.1, 0.2])
-        rep = compare(M, preset("exp+"), [BundlePoint(q, v)])[0]
+        rep = compare(M, preset("exp+"), [q], [v])[0]
         doc = json.loads(json.dumps(rep.to_json_dict()))
         assert len(doc["closed_table"]) == len(doc["oracle_table"]) == 1035
         closed = full_table(doc, "closed_table")
@@ -536,7 +533,7 @@ class TestCompare:
     def test_flipped_class_is_reported_negated(self, monkeypatch):
         self.flip_class(monkeypatch, "hvhv")
         M, q, v = _sphere_case(1.0)
-        rep = compare(M, preset("sasaki"), [BundlePoint(q, v)])[0]
+        rep = compare(M, preset("sasaki"), [q], [v])[0]
         assert not rep.passed
         assert rep.negated_classes == ("hvhv",) and rep.notes == [NEGATED_NOTE + "hvhv"]
         assert rep.worst_component["class"] == "hvhv"
@@ -551,11 +548,10 @@ class TestCompare:
         # and named hhhh, vvhh and hvhv for both.
         self.flip_class(monkeypatch, "hhvh")
         M, fam = conformal_polynomial(2, [[0.3, 1, 0], [0.2, 1, 2]]), preset("sasaki")
-        a = BundlePoint.of([0.2, 0.3], [0.8, 0.5])
-        b = BundlePoint.of([0.2, 0.3], [0.0, 0.0])
-        rep_a, rep_b = compare(M, fam, [a, b])
+        x, va, vb = [0.2, 0.3], [0.8, 0.5], [0.0, 0.0]
+        rep_a, rep_b = compare(M, fam, [x, x], [va, vb])
         assert rep_b.passed and rep_b.notes == []
-        assert rep_b.to_json_dict() == compare(M, fam, [b])[0].to_json_dict()
+        assert rep_b.to_json_dict() == compare(M, fam, [x], [vb])[0].to_json_dict()
         assert not rep_a.passed and rep_a.negated_classes == ("hhvh",)
         assert rep_a.summary_line().endswith(" negated=hhvh")
 
@@ -564,7 +560,7 @@ class TestCompare:
                           hi=np.ones(2) * 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConditioningWarning)
-            rep = compare(M, preset("sasaki"), [BundlePoint.of([0, 0], [0, 0])])[0]
+            rep = compare(M, preset("sasaki"), [[0, 0]], [[0, 0]])[0]
         assert rep.status == "ok" and rep.cond > 1e8
         assert rep.notes == [f"bundle metric condition number {rep.cond:.3g} exceeds 1e8"]
 
@@ -600,7 +596,8 @@ class TestCustomCharts:
         g = M.metric(q)
         d = np.array([0.3, 0.7])
         d = d / math.sqrt(d @ g @ d)
-        reports = compare(M, preset(name), [BundlePoint(q, t * d) for t in (0.5, 0.8, 1.2)])
+        ts = (0.5, 0.8, 1.2)
+        reports = compare(M, preset(name), [q] * len(ts), [t * d for t in ts])
         assert [r.passed for r in reports] == [True, True, True]
 
 
@@ -611,7 +608,7 @@ class TestCustomCharts:
         q = np.array([0.2, -0.3])
         g = M.metric(q)
         d = np.ones(2) / math.sqrt(np.ones(2) @ g @ np.ones(2))
-        report = compare(M, preset("exp+"), [BundlePoint(q, 1.5 * d)])[0]
+        report = compare(M, preset("exp+"), [q], [1.5 * d])[0]
         assert report.status == "ok" and report.passed, report.summary_line()
 
 
@@ -723,7 +720,7 @@ def _plain_oracle(M, fam, fp):
     n = M.dim
     z0 = np.concatenate([fp.q, fp.v], axis=-1)
     g0, dg, d2g = matrix_jets(
-        lambda z: induced_metric(M, fam, BundlePoint(z[..., :n], z[..., n:]), check=False),
+        lambda z: induced_metric(M, fam, z[..., :n], z[..., n:], check=False),
         z0, ORACLE,
     )
     rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
@@ -828,7 +825,7 @@ class TestChartBoundary:
         M = sphere(2)
         with pytest.raises(StencilOutOfDomainError, match=r"\[0\.1005, 0\.3\]"):
             numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, [0.1005, 0.3], [0.0, 0.0]))
-        report = compare(M, preset("sasaki"), [BundlePoint.of([0.1005, 0.3], [0.2, 0.1])])[0]
+        report = compare(M, preset("sasaki"), [[0.1005, 0.3]], [[0.2, 0.1]])[0]
         assert report.status == "error"
         assert "StencilOutOfDomainError" in report.error and "[0.1005, 0.3]" in report.error
 

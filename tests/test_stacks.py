@@ -18,7 +18,6 @@ from tbcurv.basemanifold import (
     hyperbolic,
     sphere,
 )
-from tbcurv.bundlemetric import BundlePoint
 from tbcurv.cli import _TABLE_INDEX, _table_columns, main
 from tbcurv.closedform import on_points, tm_curvature, tm_ricci, tm_scalar, tm_sectional
 from tbcurv.errors import SingularMetricError, TbcurvError
@@ -241,21 +240,26 @@ def test_a_failed_stack_keeps_the_results_of_its_points(monkeypatch, capsys):
 
 def test_a_failed_frame_stack_runs_each_point_alone():
     # the metric is not positive definite at x_0 <= -1: the stack of frames
-    # fails, so each point runs alone, frame and all, and keeps its result
+    # fails, so each point runs alone, frame and all, and keeps its result;
+    # the point without a frame gets t from its metric, here
+    # sqrt(0.1 (1 - 1.5) 0.1), which is not real
     M = ChartManifold(2, lambda x: np.diag([1.0 + x[0], 1.0]), lo=[-2, -2], hi=[2, 2])
-    points = [BundlePoint(np.array(x), np.array(v)) for x, v in
-              [([0.5, 0.0], [0.3, 0.0]), ([-1.5, 0.0], [0.1, 0.0]), ([0.0, 0.5], [0.0, 0.0])]]
+    x = np.array([[0.5, 0.0], [-1.5, 0.0], [0.0, 0.5]])
+    v = np.array([[0.3, 0.0], [0.1, 0.0], [0.0, 0.0]])
     sizes = []
     def fun(fp):
         sizes.append(np.size(fp.t))
         return (2.0 * fp.t).tolist()
 
-    results = on_points(M, preset("sasaki"), points, fun)
+    results = on_points(M, preset("sasaki"), x, v, fun)
     assert sizes == [1, 1]
     (t0, r0), (t1, r1), (t2, r2) = results
     assert t0 == pytest.approx(np.sqrt(1.5) * 0.3) and r0 == 2.0 * t0
-    assert t1 == 0.0 and isinstance(r1, SingularMetricError)
+    assert np.isnan(t1) and isinstance(r1, SingularMetricError)
     assert (t2, r2) == (0.0, 0.0)
+    # where that metric gives a real norm, t is its |v|_g
+    (t1, r1), = on_points(M, preset("sasaki"), x[1:2], [[0.0, 0.2]], fun)
+    assert t1 == 0.2 and isinstance(r1, SingularMetricError)
 
 
 def test_polar_sphere_point_has_the_same_bits_in_any_stack():
@@ -285,22 +289,23 @@ def test_oracle_stack_equals_single_points_bit_for_bit(chart):
         assert orc.cond[i] == one.cond
 
 
-def _reference_reports(M, fam, points, cfg):
+def _reference_reports(M, fam, xs, vs, cfg):
     """Reports from one point at a time: frame, closed form and oracle, each
-    failure caught at its point, and each comparison finalized alone."""
+    failure caught at its point, and each comparison finalized alone.  A
+    point whose frame fails is outside the chart here: its t is nan."""
     reports = []
-    for p in points:
+    for x, v in zip(xs, vs):
         report = CurvatureReport(
             manifold_id=M.catalog_id,
             manifold_params=M.params,
             family_name=fam.name,
-            x=[float(c) for c in p.x],
-            v=[float(c) for c in p.v],
-            t=0.0,
+            x=[float(c) for c in x],
+            v=[float(c) for c in v],
+            t=float("nan"),
             config=cfg.to_dict(),
         )
         try:
-            fp = adapted_frame(M, p.x, p.v)
+            fp = adapted_frame(M, x, v)
             report.t = fp.t
             closed = tm_curvature(M, fam, fp).table
             orc = numeric_tm_curvature(M, fam, fp)
@@ -326,17 +331,19 @@ def test_compare_equals_point_by_point_reports(chart):
     outside = x0.copy()
     outside[0] = M.hi[0] + 0.01
     rng = np.random.default_rng(3)
-    points = []
-    for x, norm in [(x0, 0.0), (x0, 0.5), (near_edge, 0.5), (x0, 1.9999), (x0, 3.0),
-                    (x0 + 0.05, 1.2), (outside, 0.5), (x0, 1.2)]:
+    xs = [x0, x0, near_edge, x0, x0, x0 + 0.05, outside, x0]
+    vs = []
+    for x, norm in zip(xs, [0.0, 0.5, 0.5, 1.9999, 3.0, 1.2, 0.5, 1.2]):
         d = rng.normal(size=M.dim)
         g = np.eye(M.dim) if M.outside(x) else M.metric(x)
-        points.append(BundlePoint(x, norm * d / np.sqrt(d @ g @ d)))
+        vs.append(norm * d / np.sqrt(d @ g @ d))
     fam, cfg = preset("exp-", t_max=4.0), OracleConfig()
-    reports = compare(M, fam, points, cfg)
-    expected = _reference_reports(M, fam, points, cfg)
-    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in expected]
+    reports = compare(M, fam, xs, vs, cfg)
+    expected = _reference_reports(M, fam, xs, vs, cfg)
+    # as JSON text, where a nan t equals a nan t
+    assert ([json.dumps(r.to_json_dict()) for r in reports]
+            == [json.dumps(r.to_json_dict()) for r in expected])
     errors = [r.error.split(":")[0] for r in expected if r.status == "error"]
     assert errors == ["StencilOutOfDomainError", "ValidityError", "ValidityError",
                       "StencilOutOfDomainError"]
-    assert [r.t for r in expected if r.status == "error"][-1] == 0.0
+    assert np.isnan([r.t for r in reports if r.status == "error"][-1])
