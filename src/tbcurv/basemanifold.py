@@ -317,8 +317,10 @@ class AdaptedFramePoint:
 def _g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sqrt(max(w g w, 0)) of columns w (..., n, 1), as (..., 1, 1), with
     w g w summed as the matrix products (w^T g) w, which for a single point
-    sum in the order of ``w @ g @ w`` on vectors."""
-    return np.sqrt(np.maximum((w.swapaxes(-1, -2) @ g) @ w, 0.0))
+    sum in the order of ``w @ g @ w`` on vectors.  A norm that overflows is
+    inf, without a warning: the family's validity check names its point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.maximum((w.swapaxes(-1, -2) @ g) @ w, 0.0))
 
 
 def _gram_schmidt(g: np.ndarray, seeds: np.ndarray) -> np.ndarray:

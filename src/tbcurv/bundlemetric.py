@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basemanifold import AdaptedFramePoint, ChartManifold
+from .basemanifold import AdaptedFramePoint, ChartManifold, _at_distinct
 from .metricfamily import NaturalMetricFamily
 
 __all__ = [
@@ -51,18 +51,16 @@ def induced_metric(
     point (x, v).
 
     x and v have shape (n,), or are stacks of shape (..., n); G then has
-    shape (..., 2n, 2n), one matrix per row.  ``check=False``: the caller
-    has checked x (stencil points).
+    shape (..., 2n, 2n), one matrix per row.  G reads the base only through
+    g and Gamma at x, and a stack repeats its base points (a grid, the x
+    parts of the oracle's stencil): the chart's connection is evaluated
+    once per distinct x, in one call (``_at_distinct``).  ``check=False``:
+    the caller has checked x (stencil points).
     """
-    g, gamma, _ = M.connection(x, second=False, check=check)
-    return _metric_from(fam, g, gamma, np.asarray(v, dtype=float))
-
-
-def _metric_from(
-    fam: NaturalMetricFamily, g: np.ndarray, gamma: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """G at (x, v) from g and Gamma at x: G reads the base only through
-    them.  g (..., n, n), Gamma (..., n, n, n) and v (..., n) stack alike."""
+    g, gamma, _ = _at_distinct(
+        lambda rows: M.connection(rows, second=False, check=check), np.asarray(x, dtype=float)
+    )
+    v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     gv = np.einsum("...ab,...b->...a", g, v)
     j = fam.jets(np.einsum("...a,...a->...", v, gv))

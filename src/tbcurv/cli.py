@@ -76,6 +76,8 @@ def _numbers(values, key: str, dim: Optional[int] = None, finite: bool = False) 
     (dim of them, for a point or a direction), with finite all finite."""
     try:
         arr = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer beyond the range of a double
+        raise ConfigError(f"{key} {json.dumps(values)} holds a number too large for a double")
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != 1 or dim not in (None, arr.size):
@@ -330,13 +332,15 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> tuple[np.ndarray, np.ndarray
         if bad.any():
             x = base[np.argmax(bad)]
             raise ConfigError(f"grid base point: metric not finite at x={x.tolist()}")
-        # |d|_g per base point and direction, summed as (d^T g) d, as d @ g @ d does
-        nrm = np.sqrt((directions[:, None, :] @ g[:, None]) @ directions[:, :, None])[..., 0]
+        # |d|_g per base point and direction, summed as (d^T g) d, as d @ g @ d does;
+        # where a norm or a vector overflows, the finiteness check below names its point
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            nrm = np.sqrt((directions[:, None, :] @ g[:, None]) @ directions[:, :, None])[..., 0]
+            vectors = (v_norms / nrm)[..., None] * directions[:, None, :]
         if (nrm == 0.0).any():
             raise ConfigError("grid direction has zero length")
-        shape = nrm.shape[:2] + v_norms.shape + (n,)
-        xs.append(np.broadcast_to(base[:, None, None, :], shape).reshape(-1, n))
-        vs.append(((v_norms / nrm)[..., None] * directions[:, None, :]).reshape(-1, n))
+        xs.append(np.broadcast_to(base[:, None, None, :], vectors.shape).reshape(-1, n))
+        vs.append(vectors.reshape(-1, n))
     x, v = np.concatenate(xs), np.concatenate(vs)
     if not x.size:
         raise ConfigError("no points configured (--point/--v or config points/grid)")

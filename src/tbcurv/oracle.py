@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basemanifold import AdaptedFramePoint, ChartManifold, _distinct_rows
-from .bundlemetric import _metric_from, adapted_frame_vectors
+from .basemanifold import AdaptedFramePoint, ChartManifold
+from .bundlemetric import adapted_frame_vectors, induced_metric
 from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
 from .errors import ConditioningWarning, TbcurvError
 from .metricfamily import NaturalMetricFamily
@@ -88,19 +88,15 @@ class OracleResult:
     cond: float  # condition number of G at the point
 
 
-@functools.lru_cache(maxsize=None)
-def _base_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The base points of the oracle's stencil at unit steps.
+# A condition number of G above this limit is a ConditioningWarning of the
+# oracle and a note of a report; the text as the message writes it.
+_COND_LIMIT = "1e8"
 
-    The x part of each row of the 2n-dimensional ``ORACLE`` stencil, in the
-    order ``matrix_jets`` evaluates them, is a row of the first n axes of
-    ``ORACLE.units(2n)``.  Returns the distinct ones (by their bits, so that
-    signed zeros stay apart), in first-seen order, and for each stencil row
-    the index of its x part among them: 22, 44, 74 and 112 distinct of 65,
-    145, 257 and 401 rows at n = 2..5.  Both are read-only."""
-    rows, index = _distinct_rows(ORACLE.units(2 * n)[:, :n])
-    rows.flags.writeable = index.flags.writeable = False
-    return rows, index
+
+def _cond_notes(cond) -> list[str]:
+    """One message per condition number of G above the limit, in order."""
+    return [f"bundle metric condition number {c:.3g} exceeds {_COND_LIMIT}"
+            for c in np.ravel(cond) if c > float(_COND_LIMIT)]
 
 
 def numeric_tm_curvature(
@@ -108,12 +104,9 @@ def numeric_tm_curvature(
 ) -> OracleResult:
     """Curvature table of the 2n-dimensional metric G in the adapted frame
     of fp, or one per point of a stack of frame points, from finite
-    differences of induced-metric values only.
-
-    G at (x, v) reads the base only through g and Gamma at x, and the
-    stencil's x parts repeat: the chart's connection is evaluated once per
-    distinct base point of the stencil (``_base_rows``), in one call, and
-    gathered to the stencil rows.
+    differences of induced-metric values only: ``induced_metric`` on the
+    whole stencil, in one call, which evaluates the chart's connection
+    once per distinct base point of the stencil's x parts.
 
     A check that fails at a stencil point (the metric's, the family's)
     names fp's point as well; a table that overflowed is a NonFiniteError
@@ -122,19 +115,11 @@ def numeric_tm_curvature(
     # One check for the whole stencil, Christoffel stencils at its points included.
     M.check_interior(fp.q, M.oracle_reach(fp.q))
     z0 = np.concatenate([fp.q, fp.v], axis=-1)
-    rows, index = _base_rows(n)
-    xs = fp.q[..., None, :] + ORACLE.steps(fp.q)[..., None, :] * rows
-
-    def gfun(z: np.ndarray) -> np.ndarray:
-        # z stacks every stencil point, in the order of ORACLE.units: one
-        # evaluation of G for all, on the gathered base values.
-        return _metric_from(fam, g, gamma, z[..., n:])
-
     with np.errstate(all="ignore"):
         try:
-            g, gamma, _ = M.connection(xs, second=False, check=False)
-            g, gamma = g[..., index, :, :], gamma[..., index, :, :, :]
-            g0, dg, d2g = matrix_jets(gfun, z0, ORACLE)
+            g0, dg, d2g = matrix_jets(
+                lambda z: induced_metric(M, fam, z[..., :n], z[..., n:], check=False), z0, ORACLE
+            )
         except TbcurvError as exc:
             lead = fp.q.shape[:-1]
             count = math.prod(lead)
@@ -145,8 +130,8 @@ def numeric_tm_curvature(
         rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
         table = frame_components(adapted_frame_vectors(M, fp), rlow)
     fp.require_finite("oracle: curvature of (TM, G)", table)
-    for c in np.ravel(cond)[np.ravel(cond) > 1e8]:
-        warnings.warn(f"bundle metric condition number {c:.3g} exceeds 1e8", ConditioningWarning)
+    for note in _cond_notes(cond):
+        warnings.warn(note, ConditioningWarning)
     return OracleResult(table=table, cond=cond)
 
 
@@ -256,8 +241,7 @@ class CurvatureReport:
             self.negated_classes = tuple(
                 name for name, w, f in zip(CLASS_NAMES, all_within, all_flipped) if f and not w
             )
-        if self.cond > 1e8:
-            self.notes.append(f"bundle metric condition number {self.cond:.3g} exceeds 1e8")
+        self.notes.extend(_cond_notes(self.cond))
         if self.negated_classes:
             self.notes.append("the closed form is the negated oracle, within tolerance, "
                               "in classes: " + ", ".join(self.negated_classes))
@@ -333,8 +317,8 @@ def compare(
 
     Each point gets in its report what it would get alone: an error
     (validity, domain) from ``closedform.on_points``, or its own comparison
-    (``CurvatureReport.finalize``).  A condition number above 1e8 is a note
-    of the report, not a ``ConditioningWarning``.
+    (``CurvatureReport.finalize``).  A condition number of G above the
+    limit is a note of the report, not a ``ConditioningWarning``.
     """
 
     def both_routes(fp):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbcurv.basemanifold import (
     ChartManifold,
@@ -18,12 +20,20 @@ from tbcurv.bundlemetric import (
     induced_metric,
 )
 from tbcurv.errors import ValidityError
-from tbcurv.metricfamily import preset
+from tbcurv.metricfamily import PRESET_NAMES, preset
 
 
 def fd_only(M):
     """The chart without its analytic connection data, evaluated point by point."""
     return ChartManifold(M.dim, M.metric_fn, lo=M.lo, hi=M.hi, catalog_id="custom")
+
+
+def _signed_zero_metric(x):
+    """diag(1, 2 + sign of x_0): 3 at x_0 = +0.0, 1 at x_0 = -0.0."""
+    g = np.zeros(np.shape(x)[:-1] + (2, 2))
+    g[..., 0, 0] = 1.0
+    g[..., 1, 1] = 2.0 + np.copysign(1.0, x[..., 0])
+    return g
 
 
 class TestConnectionSplit:
@@ -108,6 +118,44 @@ class TestInducedMetric:
         for i in range(5):
             single = induced_metric(M, fam, xs[i], vs[i])
             np.testing.assert_allclose(G[i], single, rtol=1e-14, atol=1e-14)
+
+    # Charts and the shift of their base points off the origin, whose
+    # coordinates within 0.15 of it stay inside every chart.  The metric of
+    # "signed-zero" tells x_0 = -0.0 from +0.0, so that twins merged by
+    # value would get one another's G.
+    CHARTS = {
+        "euclidean3": (euclidean(3), 0.0),
+        "sphere2": (sphere(2), np.array([1.5, 0.0])),  # polar: theta near pi/2
+        "sphere3": (sphere(3), 0.0),
+        "hyperbolic2": (hyperbolic(2), 0.0),
+        "torus3": (conformal_polynomial(3, [[0.1, 1, 1, 0], [0.04, 0, 2, 1]]), 0.0),
+        "fd-hyperbolic2": (fd_only(hyperbolic(2)), 0.0),
+        "signed-zero": (ChartManifold(2, _signed_zero_metric, lo=-np.ones(2), hi=np.ones(2),
+                                      vectorized=True), 0.0),
+    }
+
+    @pytest.mark.parametrize("chart", list(CHARTS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_repeated_and_signed_zero_base_points_equal_single_points(self, chart, data):
+        # the chart is evaluated once per distinct x, told apart by its bits:
+        # each row of the stack gets its own point's G, bit for bit
+        M, shift = self.CHARTS[chart]
+        n = M.dim
+        coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.15, 0.15))
+        vec = st.lists(coord, min_size=n, max_size=n)
+        base = np.array(data.draw(st.lists(vec, min_size=1, max_size=3))) + shift
+        # the first base point's twin with the signs of its zeros flipped
+        base = np.concatenate([base, np.where(base[:1] == 0.0, -base[:1], base[:1])])
+        # every base point, some again, in any order
+        pick = list(range(len(base))) + data.draw(
+            st.lists(st.integers(0, len(base) - 1), max_size=3))
+        x = base[data.draw(st.permutations(pick))]
+        v = 4.0 * np.array(data.draw(st.lists(vec, min_size=len(x), max_size=len(x))))
+        fam = preset(data.draw(st.sampled_from(PRESET_NAMES)))
+        G = induced_metric(M, fam, x, v)
+        for k in range(len(x)):
+            assert G[k].tobytes() == induced_metric(M, fam, x[k], v[k]).tobytes()
 
     def test_validity_horizon_enforced(self):
         M = euclidean(2)

@@ -901,6 +901,52 @@ class TestNonFiniteGrid:
         assert not recwarn.list
 
 
+class TestOverflowingInput:
+    # numbers beyond the range of a double used to print RuntimeWarnings
+    # before their error, or to crash with a traceback (exit 1)
+    def test_grid_vector_that_overflows_is_a_config_error(self, capsys, recwarn):
+        # s / |d|_g = 1e200 / 1e-150 overflows; the finiteness check names the point
+        grid = {"base_points": [[0.1, 0.2]], "v_norms": [1e200], "v_directions": [[1e-150, 0]]}
+        args = ["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                "--grid", json.dumps(grid)]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: point x=[0.1, 0.2] v=[inf, nan] is not finite\n"
+        assert not recwarn.list
+
+    def test_vector_whose_norm_overflows_is_a_validity_error_row(self, capsys, recwarn):
+        args = ["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                "--point", "0.1,0.2", "--v", "1e200,1e200"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[2:] == [
+            "0.1;0.2,1e+200;1e+200,inf,\"ValidityError: t=inf outside validated range "
+            "[0, 25] for family 'sasaki'\""
+        ]
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("task", ["scalar", "verify"])
+    @pytest.mark.parametrize("where", ["grid", "points"])
+    def test_integer_too_large_for_a_double_is_a_config_error(self, tmp_path, capsys, task,
+                                                              where):
+        x = [10 ** 400, 0.2]
+        key, doc = {
+            "grid": ("grid base_points", {"grid": {"base_points": [x]}}),
+            "points": ("point x", {"points": [{"x": x, "v": [0, 0]}]}),
+        }[where]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        args = [task, "--config", str(path), "--manifold", "euclidean", "--dim", "2",
+                "--family", "sasaki"]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {key} {json.dumps(x)} holds a number too large for a double\n")
+
+
 class TestRepeatedCalls:
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()

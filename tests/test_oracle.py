@@ -612,11 +612,10 @@ class TestCustomCharts:
         assert report.status == "ok" and report.passed, report.summary_line()
 
 
-# Distinct base points of the oracle's stencil per bundle point, n = 2..5:
-# 1 + 4n^2 offsets of the n-dimensional stencil, plus the rows whose zeros
-# carry another sign (-e_p off its axis +0.0, and all -0.0).
-BASE_ROWS = {2: 22, 3: 44, 4: 74, 5: 112}
-STENCIL_ROWS = {2: 65, 3: 145, 4: 257, 5: 401}
+# Distinct x parts of the oracle's stencil at a base point with no -0.0
+# coordinate: the 1 + 4n^2 offsets of the n-dimensional stencil,
+# since x_p + (+-0.0) has the bits of x_p.
+BASE_ROWS = {2: 17, 3: 37}
 
 
 class TestStencilEvaluation:
@@ -629,7 +628,7 @@ class TestStencilEvaluation:
         calls = []
 
         def metric_fn(x):
-            calls.append(np.shape(x))
+            calls.append(np.array(x))
             return M.metric_fn(x)
 
         fns = (M.christoffels_fn, M.christoffel_jacobian_fn) if vectorized else (None, None)
@@ -642,9 +641,9 @@ class TestStencilEvaluation:
         fp = adapted_frame(M, x, np.full(n, 0.2))
         calls.clear()
         numeric_tm_curvature(M, preset("exp+"), fp)
-        # the distinct base points of the stencil (22 at n = 2, 44 at n = 3,
+        # the distinct base points of the stencil (17 at n = 2, 37 at n = 3,
         # of 65 and 145 stencil points), and the base point of the frame vectors
-        assert sorted(calls) == [(n,), (BASE_ROWS[n], n)]
+        assert sorted(np.shape(c) for c in calls) == [(n,), (BASE_ROWS[n], n)]
 
     def test_one_metric_evaluation_per_stencil_point_on_custom_charts(self):
         n = 2
@@ -657,7 +656,26 @@ class TestStencilEvaluation:
         # g there, once, and at the 4n other points of its Richardson
         # Christoffel stencil
         assert len(calls) == (BASE_ROWS[n] + 1) * (4 * n + 1)
-        assert set(calls) == {(n,)}
+        assert {np.shape(c) for c in calls} == {(n,)}
+
+    def test_a_grid_of_one_base_point_calls_the_chart_once(self):
+        # 1 base point x 2 directions x 2 norms: the four stencils share
+        # their x parts, so the chart sees one call with the rows of a
+        # single point's stencil, then the frame vectors' base points
+        n = 2
+        M, calls = self.counted(hyperbolic(n), vectorized=True)
+        x = np.array([0.2, -0.3])
+        d = np.array([[1.0, 0.0], [0.3, -0.5]])
+        v = (d[:, None, :] * np.array([0.5, 1.2])[:, None]).reshape(-1, n)
+        fp = adapted_frame(M, np.broadcast_to(x, v.shape), v)
+        rows = []
+        for point in (fp[0], fp):
+            calls.clear()
+            numeric_tm_curvature(M, preset("exp+"), point)
+            assert len(calls) == 2 and np.array_equal(_bits(calls[1]), _bits(point.q))
+            rows.append(calls[0])
+        assert rows[1].shape == (BASE_ROWS[n], n)
+        assert np.array_equal(_bits(rows[1]), _bits(rows[0]))
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_spd_failure_names_the_stencil_point(self, vectorized):
@@ -749,23 +767,6 @@ class TestStencilTables:
         scaled = steps[..., None, :] * units
         assert np.array_equal(_bits(scaled), _bits(np.concatenate(offsets, axis=-2)))
         assert np.array_equal(_bits(_stencil_points(x, stencil, second)), _bits(old))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_base_rows_are_the_x_parts_of_the_stencil(self, n):
-        rows, index = oracle._base_rows(n)
-        assert not rows.flags.writeable and not index.flags.writeable
-        assert rows.shape == (BASE_ROWS[n], n) and index.shape == (STENCIL_ROWS[n],)
-        # distinct by their bits, first-seen order
-        assert len({r.tobytes() for r in rows}) == BASE_ROWS[n]
-        first = np.unique(index, return_index=True)[1]
-        assert first.size == BASE_ROWS[n] and np.all(np.diff(first) > 0)
-        rng = np.random.default_rng(n)
-        q = rng.uniform(-0.3, 0.3, size=(3, n))
-        q[0, 0], q[1, 1], q[2] = -0.0, 0.0, -0.0
-        v = rng.normal(size=(3, n))
-        z = _stencil_points(np.concatenate([q, v], axis=-1), ORACLE)
-        gathered = (q[..., None, :] + ORACLE.steps(q)[..., None, :] * rows)[:, index]
-        assert np.array_equal(_bits(gathered), _bits(z[..., :n]))
 
     @pytest.mark.parametrize("chart", ["sphere2", "sphere3", "hyperbolic5", "torus3",
                                        "euclidean4", "pointwise2"])
