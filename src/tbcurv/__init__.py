@@ -72,6 +72,6 @@ from .oracle import (
     compare,
     numeric_tm_curvature,
 )
-from .scalarfun import Jet2, ScalarFunction, eval_jet, parse, to_text
+from .scalarfun import Jet2, ScalarFunction, eval_jet, parse
 
 __version__ = "0.1.0"

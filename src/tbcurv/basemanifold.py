@@ -16,7 +16,6 @@ component R_1221, and the unit sphere calibrates to R_1221 = +1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -27,6 +26,8 @@ from .errors import (
     NonFiniteError,
     SingularMetricError,
     StencilOutOfDomainError,
+    check_positive,
+    is_finite_real,
 )
 from .numdiff import (
     CONNECTION,
@@ -505,13 +506,8 @@ def _conformal_chart(
 def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartManifold:
     """Round sphere of the given radius: polar chart (dim 2 only) or the
     stereographic ball chart (any dim; the default for dim >= 3)."""
-    try:
-        r = math.nan if isinstance(radius, bool) else float(radius)
-    except (TypeError, ValueError):
-        r = math.nan
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"sphere radius must be a positive finite number, got {radius!r}")
-    radius = r
+    check_positive(radius, "sphere radius")
+    radius = float(radius)
     if chart is None:
         chart = "polar" if dim == 2 else "stereographic"
     if chart == "polar":
@@ -619,10 +615,7 @@ def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
     c, e = [], []
     for row in coeffs:
         entries = list(row) if isinstance(row, (list, tuple, np.ndarray)) else []
-        if len(entries) != dim + 1 or not all(
-            isinstance(k, numbers.Real) and not isinstance(k, bool) and math.isfinite(k)
-            for k in entries
-        ):
+        if len(entries) != dim + 1 or not all(map(is_finite_real, entries)):
             raise ValueError(
                 f"manifold coeffs row {row!r} is not {dim + 1} finite numbers: "
                 f"a coefficient and {dim} exponents"

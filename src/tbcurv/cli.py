@@ -24,7 +24,7 @@ import json
 import math
 import re
 import sys
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import closedform
 from .basemanifold import ChartManifold, _distinct_rows, make_manifold
-from .errors import ConfigError, StencilOutOfDomainError, TbcurvError
+from .errors import ConfigError, StencilOutOfDomainError, TbcurvError, check_positive
 from .metricfamily import F_ZERO, NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
 from .oracle import OracleConfig, compare
 from .scalarfun import as_scalar_function
@@ -72,22 +72,26 @@ def _is(kind, what: str, test: Optional[Callable] = None, failed: str = "") -> C
 
 
 def _numbers(values, key: str, dim: Optional[int] = None, finite: bool = False) -> None:
-    """Check a config list before any arithmetic: it is a list of numbers
-    (dim of them, for a point or a direction), with finite all finite."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except OverflowError:  # an integer beyond the range of a double
-        raise ConfigError(f"{key} {json.dumps(values)} holds a number too large for a double")
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 1 or dim not in (None, arr.size):
+    """Check a config list before any arithmetic: it is a list of JSON
+    numbers, ints or floats (a boolean or a string is not one), dim of them
+    for a point or a direction, with finite all finite."""
+    if not (isinstance(values, list) and all(type(k) in (int, float) for k in values)
+            and dim in (None, len(values))):
         if dim is None:
             raise ConfigError(f"{key} {json.dumps(values)} is not a list of numbers")
         raise ConfigError(f"{key} entry {json.dumps(values)} is not a list of "
                           f"{dim} numbers (manifold dim {dim})")
-    for value in arr if finite else ():
+    for value in values if finite else ():
         if not math.isfinite(value):
             raise ConfigError(f"{key} holds {float(value)!r}, which is not a finite number")
+
+
+def _positive(what: str, below: float = math.inf) -> Callable:
+    """The check of a positive finite number below ``below`` by the
+    library's rule, named as the library names it (``what``)."""
+    def check(value, name: str, dim: Optional[int]) -> None:
+        _built(check_positive, value, what, below)
+    return check
 
 
 def _points(value, name: str, dim: Optional[int]) -> None:
@@ -121,7 +125,8 @@ _SETTINGS = (
     _Setting("--dim", ("manifold", "dim"), _ON_POINTS, {"type": int},
              _is(int, "an integer", lambda dim: dim >= 2, "manifold dim {} is not at least 2"),
              "manifold dim missing (--dim)"),
-    _Setting("--radius", ("manifold", "radius"), _ON_POINTS, {"type": float}),
+    _Setting("--radius", ("manifold", "radius"), _ON_POINTS, {"type": float},
+             _positive("sphere radius")),
     _Setting("--chart", ("manifold", "chart"), _ON_POINTS,
              {"help": "sphere chart: polar | stereographic"}),
     _Setting("--coeffs", ("manifold", "coeffs"), _ON_POINTS,
@@ -161,8 +166,10 @@ _SETTINGS = (
              _is(str, "a string")),  # an integer path would name a file descriptor
     _Setting("--format", ("output", "format"), _TABLES, {"help": "csv (default) | json"},
              _is(str, "a string", ("csv", "json").__contains__, "unknown output format {!r}")),
-    _Setting("--tol-abs", ("oracle", "tol_abs"), ("verify",), {"type": float}),
-    _Setting("--tol-rel", ("oracle", "tol_rel"), ("verify",), {"type": float}),
+    _Setting("--tol-abs", ("oracle", "tol_abs"), ("verify",), {"type": float},
+             _positive("tol_abs")),
+    _Setting("--tol-rel", ("oracle", "tol_rel"), ("verify",), {"type": float},
+             _positive("tol_rel", below=1.0)),
     _Setting("--samples", None, ("family-check",),
              {"type": int, "help": "family-check validation grid size"}),
 )
@@ -178,13 +185,24 @@ for _row in (row for row in _SETTINGS if row.entry):
 # --------------------------------------------------------------------------
 
 
+def _json_int(text: str):
+    """A JSON integer as an exact int, or as +-inf where it is beyond the
+    range of a double, as json reads 1e400."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
+# JSON text as Python values, its numbers read as doubles (RFC 8259 section 6)
+_json = functools.partial(json.loads, parse_int=_json_int)
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            cfg = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = _json(handle.read())
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -204,7 +222,7 @@ def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
             continue
         if row.json:
             try:
-                value = json.loads(value)
+                value = _json(value)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{row.flag} must be {row.json}: {exc}")
         section, key = row.entry
@@ -496,10 +514,14 @@ def _texts(cols: list, quote: Callable, json_floats: bool = False) -> list:
     if not isinstance(cols[0], np.ndarray):
         return list(map(quote, chain.from_iterable(cols)))
     values = np.concatenate([col.ravel() for col in cols])
-    texts = list(map(repr, values.tolist()))
-    if json_floats and not np.isfinite(values).all():
-        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
-    return texts
+    return _float_texts(values.tolist(), json_floats and not np.isfinite(values).all())
+
+
+def _float_texts(values: list, nonfinite: bool) -> list:
+    """The repr of each float; with nonfinite (some value is not finite),
+    NaN or Infinity as JSON writes them where a value is not finite."""
+    texts = list(map(repr, values))
+    return [_JSON_NONFINITE.get(text, text) for text in texts] if nonfinite else texts
 
 
 def _row_count(values: dict) -> int:
@@ -661,7 +683,7 @@ def cmd_verify(cfg: dict) -> int:
             },
             "reports": [r.to_json_dict() for r in reports],
         }
-        _write_text(path, [_verify_text(doc, [r.written_tables() for r in reports]), "\n"])
+        _write_text(path, [_verify_text(doc), "\n"])
     ok = all(r.status == "ok" and r.passed for r in reports)
     return 0 if ok else 1
 
@@ -669,26 +691,28 @@ def cmd_verify(cfg: dict) -> int:
 _TABLE_KEYS = ("closed_table", "oracle_table")
 
 
-def _verify_text(doc: dict, tables: list) -> str:
+def _verify_text(doc: dict) -> str:
     """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` for a verify
-    document whose reports write ``tables``: per report, its closed_table
-    and oracle_table as float arrays (``written_tables``) or Nones.  json's
-    indenting encoder formats float by float; the tables are formatted
-    instead as one ``_texts`` for the document, and each is spliced in
-    where its position among them was dumped."""
-    arrays: list = []
+    document, whose reports hold their closed_table and oracle_table as
+    lists of floats or Nones.  json's indenting encoder formats float by
+    float; the tables are formatted instead as one ``_float_texts`` for the
+    document, and each is spliced in where its position among them was
+    dumped."""
+    tables: list = []
 
-    def indexed(report: dict, pair: tuple) -> dict:
-        for key, table in zip(_TABLE_KEYS, pair):
-            if table is not None:
-                report = {**report, key: len(arrays)}
-                arrays.append(table)
+    def indexed(report: dict) -> dict:
+        for key in _TABLE_KEYS:
+            if report[key] is not None:
+                tables.append(report[key])
+                report = {**report, key: len(tables) - 1}
         return report
 
-    text = json.dumps({**doc, "reports": list(map(indexed, doc["reports"], tables))},
+    text = json.dumps({**doc, "reports": list(map(indexed, doc["reports"]))},
                       sort_keys=True, indent=2)
-    texts = _texts(arrays, repr, json_floats=True) if arrays else []
-    bounds = np.cumsum([0] + [table.size for table in arrays]).tolist()
+    values = list(chain.from_iterable(tables))
+    # the sum is finite only if every value is; an overflow takes the exact branch
+    texts = _float_texts(values, not math.isfinite(sum(values)))
+    bounds = list(accumulate(map(len, tables), initial=0))
 
     def table(match) -> str:
         k = int(match[2])

@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the rule
+for a positive finite number given from outside it."""
+
+import math
+import numbers
 
 
 class TbcurvError(Exception):
@@ -53,3 +57,23 @@ class ConfigError(TbcurvError):
 
 class ConditioningWarning(UserWarning):
     """Bundle metric condition number is large; results may lose digits."""
+
+
+def is_finite_real(value) -> bool:
+    """Whether value is a real number (a boolean or a string is not one)
+    that is finite as a double."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the range of a double
+        return False
+
+
+def check_positive(value, name: str, below: float = math.inf) -> None:
+    """Raise a ValueError naming value unless it is a real number, finite as
+    a double, with 0 < value < below."""
+    if not (is_finite_real(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    if value >= below:
+        raise ValueError(f"{name} must be below {below:g}, got {value!r}")

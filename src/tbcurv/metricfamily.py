@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ValidityError
+from .errors import DomainError, ValidityError, check_positive
 from .scalarfun import FunctionLike, Jet2, ScalarFunction, as_scalar_function
 
 __all__ = [
@@ -331,12 +331,8 @@ class NaturalMetricFamily:
         self.beta = as_scalar_function(beta)
         self._beta_from_alpha = _beta_rule(self.alpha, self.beta)
         self.name = name
-        try:
-            self.t_max = math.nan if isinstance(t_max, bool) else float(t_max)
-        except (TypeError, ValueError):
-            self.t_max = math.nan
-        if not 0.0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be a positive finite number, got {t_max!r}")
+        check_positive(t_max, "t_max")
+        self.t_max = float(t_max)
 
     def __repr__(self) -> str:
         return (

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,7 +27,7 @@ import numpy as np
 from .basemanifold import AdaptedFramePoint, ChartManifold
 from .bundlemetric import adapted_frame_vectors, induced_metric
 from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
-from .errors import ConditioningWarning, TbcurvError
+from .errors import ConditioningWarning, TbcurvError, check_positive
 from .metricfamily import NaturalMetricFamily
 from .numdiff import (
     ORACLE,
@@ -63,14 +62,8 @@ class OracleConfig:
     tol_rel: float = 1e-3
 
     def __post_init__(self):
-        for name in ("tol_abs", "tol_rel"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                0.0 < value < math.inf
-            ):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if self.tol_rel >= 1.0:
-            raise ValueError(f"tol_rel must be below 1, got {self.tol_rel!r}")
+        check_positive(self.tol_abs, "tol_abs")
+        check_positive(self.tol_rel, "tol_rel", below=1.0)
 
     def to_dict(self) -> dict:
         return {
@@ -246,20 +239,14 @@ class CurvatureReport:
             self.notes.append("the closed form is the negated oracle, within tolerance, "
                               "in classes: " + ", ".join(self.negated_classes))
 
-    def written_tables(self) -> tuple:
-        """The closed and oracle tables as a report writes them: the
-        components with a < b, c < d and pair (a, b) <= pair (c, d), pairs in
-        row-major order, as float arrays; Nones in an error report."""
-        return tuple(
-            None if table is None else table[_written_components(table.shape[0])]
-            for table in (self.closed, self.oracle)
-        )
-
     def to_json_dict(self) -> dict:
-        """The report as JSON values.  Each table is written as its
-        ``written_tables`` list; ``table_shape`` is the full shape."""
-        closed, oracle = (None if table is None else table.tolist()
-                          for table in self.written_tables())
+        """The report as JSON values.  The closed and oracle tables are
+        written as lists of their components with a < b, c < d and pair
+        (a, b) <= pair (c, d), pairs in row-major order (Nones in an error
+        report); ``table_shape`` is the full shape."""
+        closed, oracle = (None if table is None else
+                          table[_written_components(table.shape[0])].tolist()
+                          for table in (self.closed, self.oracle))
         shape = None if self.closed is None else list(self.closed.shape)
         return {
             "manifold": {"id": self.manifold_id, "params": self.manifold_params},

@@ -43,7 +43,6 @@ __all__ = [
     "parse",
     "compile_jet",
     "eval_jet",
-    "to_text",
     "ScalarFunction",
 ]
 
@@ -401,49 +400,6 @@ def eval_jet(node: Expr, t) -> Jet2:
 
 
 # --------------------------------------------------------------------------
-# Printing
-# --------------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _fmt_number(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
-def _print(node: Expr, parent_prec: int) -> str:
-    if isinstance(node, Const):
-        return _fmt_number(node.value)
-    if isinstance(node, Var):
-        return "t"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            text = "-" + _print(node.arg, _PREC_NEG)
-            return f"({text})" if parent_prec > _PREC_NEG else text
-        return f"{node.op}({_print(node.arg, 0)})"
-    if isinstance(node, Binary):
-        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-        left = _print(node.left, prec)
-        right = _print(node.right, prec + 1)  # left-associative
-        text = f"{left}{node.op}{right}"
-        return f"({text})" if parent_prec > prec else text
-    if isinstance(node, Pow):
-        base = _print(node.base, _PREC_NEG)
-        text = f"{base}^{_fmt_number(node.exponent)}"
-        return f"({text})" if parent_prec > _PREC_POW else text
-    raise AssertionError(type(node))
-
-
-def to_text(node: Expr) -> str:
-    """Render an AST back to expression text; parse(to_text(a)) == a for
-    parsed ASTs (programmatic trees with negative Const literals print as
-    a unary minus instead)."""
-    return _print(node, 0)
-
-
-# --------------------------------------------------------------------------
 # ScalarFunction
 # --------------------------------------------------------------------------
 
@@ -478,8 +434,11 @@ class ScalarFunction:
 
     @classmethod
     def constant(cls, c: float) -> "ScalarFunction":
-        node = Const(float(c))
-        return cls.from_expr(node, to_text(node))
+        try:
+            value = float(c)
+        except OverflowError:  # an integer beyond the range of a double
+            raise ValueError(f"constant {c!r} is beyond the range of a double") from None
+        return cls.from_expr(Const(value), repr(value))
 
     def jet(self, t) -> Jet2:
         return self._jet(t)
@@ -502,4 +461,4 @@ def as_scalar_function(f: FunctionLike) -> ScalarFunction:
         return f
     if isinstance(f, str):
         return ScalarFunction.from_expression(f)
-    return ScalarFunction.constant(float(f))
+    return ScalarFunction.constant(f)

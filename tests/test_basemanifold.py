@@ -383,6 +383,9 @@ class TestCatalogDispatch:
             ([0.1, -1, 0], "has an exponent that is not a whole number >= 0"),
             ([0.1, 1e300, 1], "has an exponent that does not fit a 64-bit integer"),
             ([0.1, 2**63, 1], "has an exponent that does not fit a 64-bit integer"),
+            # integers beyond the range of a double
+            ([10**400, 1, 1], "is not 3 finite numbers"),
+            ([0.1, 10**400, 1], "is not 3 finite numbers"),
         ],
     )
     def test_conformal_row_is_checked(self, row, problem):
@@ -413,7 +416,7 @@ class TestCatalogDispatch:
             make_manifold("torus-conformal", dim=2)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, "abc", True])
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, "abc", "2", True, 10**400])
     def test_bad_sphere_radius_is_rejected(self, dim, radius):
         message = f"sphere radius must be a positive finite number, got {radius!r}"
         with pytest.raises(ValueError, match=message):

@@ -927,14 +927,17 @@ class TestOverflowingInput:
         ]
         assert not recwarn.list
 
+    # a JSON integer beyond the range of a double reads as infinite, as 1e400 does
     @pytest.mark.parametrize("task", ["scalar", "verify"])
     @pytest.mark.parametrize("where", ["grid", "points"])
     def test_integer_too_large_for_a_double_is_a_config_error(self, tmp_path, capsys, task,
                                                               where):
         x = [10 ** 400, 0.2]
-        key, doc = {
-            "grid": ("grid base_points", {"grid": {"base_points": [x]}}),
-            "points": ("point x", {"points": [{"x": x, "v": [0, 0]}]}),
+        message, doc = {
+            "grid": ("grid base_points holds inf, which is not a finite number",
+                     {"grid": {"base_points": [x]}}),
+            "points": ("point x=[inf, 0.2] v=[0.0, 0.0] is not finite",
+                       {"points": [{"x": x, "v": [0, 0]}]}),
         }[where]
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
@@ -943,8 +946,75 @@ class TestOverflowingInput:
         assert run(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"config error: {key} {json.dumps(x)} holds a number too large for a double\n")
+        assert captured.err == f"config error: {message}\n"
+
+    # each used to crash with a traceback (exit 1): OverflowError where the
+    # integer met a float, or ValueError past int's 4300-digit limit
+    SPHERE = ["--manifold", "sphere", "--dim", "2", "--family", "sasaki",
+              "--point", "0.9,0.3", "--v", "0.1,0"]
+    CONFORMAL = ["scalar", "--manifold", "torus-conformal", "--dim", "2", "--family", "sasaki",
+                 "--point", "0.5,0.3", "--v", "0.1,0"]
+    EUCLIDEAN = ["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki"]
+    COEFFS_ROW = "is not 3 finite numbers: a coefficient and 2 exponents"
+
+    @pytest.mark.parametrize(
+        "args,doc,message",
+        [
+            (["verify", *SPHERE], '{"oracle": {"tol_abs": <401>}}',
+             "tol_abs must be a positive finite number, got inf"),
+            (["verify", *SPHERE], '{"oracle": {"tol_rel": -<401>}}',
+             "tol_rel must be a positive finite number, got -inf"),
+            (["scalar", *SPHERE], '{"manifold": {"radius": <401>}}',
+             "sphere radius must be a positive finite number, got inf"),
+            (["family-check"], '{"family": {"preset": "sasaki", "t_max": <401>}}',
+             "t_max must be a positive finite number, got inf"),
+            (CONFORMAL, '{"manifold": {"coeffs": [[<401>, 1, 0]]}}',
+             f"manifold coeffs row [inf, 1, 0] {COEFFS_ROW}"),
+            (CONFORMAL, '{"manifold": {"coeffs": [[0.1, <401>, 0]]}}',
+             f"manifold coeffs row [0.1, inf, 0] {COEFFS_ROW}"),
+            ([*CONFORMAL, "--coeffs", "[[<401>, 1, 0]]"], None,
+             f"manifold coeffs row [inf, 1, 0] {COEFFS_ROW}"),
+            ([*CONFORMAL, "--coeffs", "[[0.1, 1, <401>]]"], None,
+             f"manifold coeffs row [0.1, 1, inf] {COEFFS_ROW}"),
+            (EUCLIDEAN, '{"grid": {"base_points": [[0.1, <5001>]]}}',
+             "grid base_points holds inf, which is not a finite number"),
+            ([*EUCLIDEAN, "--grid", '{"base_points": [[0.1, 0.2]], "v_norms": [-<5001>]}'], None,
+             "grid v_norms holds -inf, which is not a finite number"),
+        ],
+    )
+    def test_integer_beyond_a_double_reads_as_infinite(self, tmp_path, capsys, args, doc,
+                                                       message):
+        def digits(text):
+            return text.replace("<401>", "1" + "0" * 400).replace("<5001>", "1" + "0" * 5000)
+
+        args = list(map(digits, args))
+        if doc is not None:
+            path = tmp_path / "run.json"
+            path.write_text(digits(doc))
+            args += ["--config", str(path)]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    # a constant alpha or beta used to be named by printing it, which
+    # crashed on an infinite one (OverflowError, exit 1) and made a NaN one
+    # a config error; it is an INVALID family, as the same text is
+    @pytest.mark.parametrize("value", ["1e400", "Infinity", "NaN", "<401>"])
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_non_finite_constant_family_is_invalid(self, tmp_path, capsys, recwarn, key,
+                                                   value):
+        family = {"alpha": 1, "beta": 0, key: "<value>"}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"family": family}).replace(
+            '"<value>"', value.replace("<401>", "1" + "0" * 400)))
+        assert run(["family-check", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"INVALID: {key} is not finite at t=0 on [0, 25]" in captured.out
+        assert not recwarn.list
+        assert run(["family-check", "--alpha", "1", "--beta", "0", f"--{key}", "1e400"]) == 2
+        assert f"INVALID: {key} is not finite at t=0 on [0, 25]" in capsys.readouterr().out
 
 
 class TestRepeatedCalls:
@@ -1014,6 +1084,41 @@ class TestConfigPoints:
     def test_config_error_names_the_entry(self, tmp_path, capsys, task, points, message):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"points": points}))
+        args = [task, "--config", str(path), "--manifold", "euclidean", "--dim", "2",
+                "--family", "sasaki"]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+
+class TestListsOfNumbers:
+    # numpy read a boolean as 0 or 1 and a numeric string as its number:
+    # base point [true, 0.2] ran at x = (1.0, 0.2) with exit 0
+    ROW = "is not a list of 2 numbers (manifold dim 2)"
+
+    @pytest.mark.parametrize("task", ["scalar", "verify"])
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"grid": {"base_points": [[True, 0.2]]}},
+             f"grid base_points entry [true, 0.2] {ROW}"),
+            ({"grid": {"base_points": [["0.1", "0.2"]]}},
+             f'grid base_points entry ["0.1", "0.2"] {ROW}'),
+            ({"grid": {"base_points": [[0.1, 0.2]], "v_norms": [True]}},
+             "grid v_norms [true] is not a list of numbers"),
+            ({"grid": {"base_points": [[0.1, 0.2]], "v_norms": ["0.5"]}},
+             'grid v_norms ["0.5"] is not a list of numbers'),
+            ({"grid": {"base_points": [[0.1, 0.2]], "v_directions": [[1, False]]}},
+             f"grid v_directions entry [1, false] {ROW}"),
+            ({"points": [{"x": [True, 0.2], "v": [0, 0]}]}, f"point x entry [true, 0.2] {ROW}"),
+            ({"points": [{"x": [0.1, 0.2], "v": ["0", 0]}]}, f'point v entry ["0", 0] {ROW}'),
+        ],
+    )
+    def test_a_boolean_or_a_string_is_not_a_number(self, tmp_path, capsys, task, doc,
+                                                    message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
         args = [task, "--config", str(path), "--manifold", "euclidean", "--dim", "2",
                 "--family", "sasaki"]
         assert run(args) == 2
@@ -1241,12 +1346,6 @@ def test_family_that_is_zero_or_not_finite_warns_nothing(capsys, args, code, out
     assert captured.err == ""
 
 
-def _tables_of(doc):
-    """Per report of a verify document, its two tables as float arrays or Nones."""
-    return [tuple(None if r[key] is None else np.array(r[key], dtype=float)
-                  for key in ("closed_table", "oracle_table")) for r in doc["reports"]]
-
-
 def _conformal(c):
     """A conformal metric g = e^(2 c x_1) on a 3-dimensional chart, Sasaki family."""
     return ["--manifold", "torus-conformal", "--dim", "3", "--coeffs", f"[[{c}, 1, 0, 0]]",
@@ -1328,7 +1427,7 @@ class TestVerifyReportText:
         doc = self._doc(self.VS, "exp+")
         assert [r["status"] for r in doc["reports"]] == ["ok", "error"]
         assert doc["reports"][1]["closed_table"] is None
-        assert _verify_text(doc, _tables_of(doc)) == json.dumps(doc, sort_keys=True, indent=2)
+        assert _verify_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
         out = tmp_path / "r.json"
         code = run(["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
                     "--point", "0.9,0.3", "--v", "0.3,0.1", "--point", "0.9,0.3", "--v", "6,0",
@@ -1345,7 +1444,7 @@ class TestVerifyReportText:
             {**report, "closed_table": [], "oracle_table": [math.nan]},
             {**report, "closed_table": None, "oracle_table": None},
         ]
-        assert _verify_text(doc, _tables_of(doc)) == json.dumps(doc, sort_keys=True, indent=2)
+        assert _verify_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 class TestPositiveSettings:
@@ -1384,7 +1483,8 @@ class TestPositiveSettings:
         )
 
     # float(True) is 1.0: t_max true validated the family on [0, 1], and
-    # radius true ran the unit sphere
+    # radius true ran the unit sphere; float("2") is 2.0, so a numeric
+    # string ran too, where a string tolerance was rejected
     @pytest.mark.parametrize(
         "doc,message",
         [
@@ -1392,6 +1492,10 @@ class TestPositiveSettings:
              "t_max must be a positive finite number, got True"),
             ({"manifold": {"id": "sphere", "dim": 2, "radius": True}},
              "sphere radius must be a positive finite number, got True"),
+            ({"family": {"preset": "sasaki", "t_max": "5"}},
+             "t_max must be a positive finite number, got '5'"),
+            ({"manifold": {"id": "sphere", "dim": 2, "radius": "2"}},
+             "sphere radius must be a positive finite number, got '2'"),
         ],
     )
     def test_boolean_in_config(self, tmp_path, capsys, doc, message):
@@ -1402,6 +1506,34 @@ class TestPositiveSettings:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
+
+
+    # family-check reads neither entry, and used to exit 0
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"oracle": {"tol_abs": -1}}, "tol_abs must be a positive finite number, got -1"),
+            ({"oracle": {"tol_rel": 1}}, "tol_rel must be below 1, got 1"),
+            ({"manifold": {"radius": 0}}, "sphere radius must be a positive finite number, got 0"),
+        ],
+    )
+    def test_checked_whatever_the_task(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert run(["family-check", "--family", "sasaki", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    def test_two_faults_name_the_first_in_table_order(self, tmp_path, capsys):
+        # the radius used to be checked when the sphere was built, after the table
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifold": {"radius": -1}, "output": {"format": "xml"}}))
+        args = ["scalar", "--config", str(path), "--manifold", "sphere", "--dim", "2",
+                "--family", "sasaki", "--point", "0.9,0.3", "--v", "0.1,0"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            "config error: sphere radius must be a positive finite number, got -1\n")
 
 
 def _tolerance_error(key, value) -> str:
@@ -1446,6 +1578,45 @@ class TestTolerances:
         assert captured.out == ""
         assert captured.err == _tolerance_error(key, value)
         assert not recwarn.list
+
+
+class TestUserErrors:
+    # each of these errors was pinned by no test
+    SPHERE = ["scalar", "--manifold", "sphere", "--family", "sasaki"]
+
+    @pytest.mark.parametrize(
+        "args,config,message",
+        [
+            (["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+              "--grid", '{"v_norms": [1]}'], None, "grid needs base_points"),
+            (["family-check"], b"[1]", "config must be a JSON object"),
+            (["family-check"], b"\xff{}",
+             "cannot read config {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte"),
+            (["family-check"], None, "no family configured (--family or --alpha/--beta)"),
+            (["family-check", "--beta", "0"], None, "custom family needs alpha"),
+            (["family-check", "--alpha", "1"], None, "custom family needs beta or beta_flatness"),
+            ([*SPHERE, "--dim", "3", "--chart", "polar", "--point", "0.1,0.2,0.3",
+              "--v", "0,0,0"], None, "polar chart implemented for dim=2 only"),
+            ([*SPHERE, "--dim", "2", "--chart", "bogus", "--point", "0.9,0.3", "--v", "0,0"],
+             None, "unknown sphere chart 'bogus'"),
+            (["family-check", "--alpha", "1.2.3", "--beta", "0"], None,
+             "bad family expression: bad numeric literal '1.2.3' (offset 0)"),
+            (["family-check", "--alpha", "t$", "--beta", "0"], None,
+             "bad family expression: unexpected character '$' (offset 1)"),
+            (["family-check", "--alpha", "exp(t", "--beta", "0"], None,
+             "bad family expression: expected ')' (offset 5)"),
+        ],
+    )
+    def test_config_error(self, tmp_path, capsys, args, config, message):
+        path = tmp_path / "run.json"
+        if config is not None:
+            path.write_bytes(config)
+            args = [*args, "--config", str(path)]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message.format(path=path)}\n"
 
 
 class TestUnknownKeys:

@@ -52,8 +52,9 @@ class TestPresets:
 
     # t_max bounds every validity check: a horizon that is not a positive
     # finite number is rejected by name, for a preset and a custom family;
-    # a boolean is not a number, though float(True) is 1.0
-    @pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan, math.inf, "abc", None, True])
+    # a boolean or a string is not a number, though float(True) is 1.0
+    @pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan, math.inf, "abc", "5", None, True,
+                                       10**400])
     def test_bad_t_max_is_rejected(self, t_max):
         message = f"t_max must be a positive finite number, got {t_max!r}"
         with pytest.raises(ValueError, match=message):

@@ -408,7 +408,8 @@ class TestOracleConfig:
             OracleConfig(tol_abs=math.inf)
 
     @pytest.mark.parametrize("value,key", [
-        *itertools.product([math.inf, -math.inf, math.nan, 0.0, -1e-5, True, "1e-5", None],
+        *itertools.product([math.inf, -math.inf, math.nan, 0.0, -1e-5, True, "1e-5", None,
+                            10**400],
                            ["tol_abs", "tol_rel"]),
         (1.0, "tol_rel"), (2.5, "tol_rel"),
     ])
