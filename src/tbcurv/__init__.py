@@ -46,7 +46,6 @@ from .closedform import (
     tm_sectional_constcurv,
 )
 from .errors import (
-    ConditioningWarning,
     ConfigError,
     DegenerateInputError,
     DomainError,

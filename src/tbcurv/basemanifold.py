@@ -28,6 +28,7 @@ from .errors import (
     StencilOutOfDomainError,
     check_positive,
     is_finite_real,
+    shown,
 )
 from .numdiff import (
     CONNECTION,
@@ -38,7 +39,6 @@ from .numdiff import (
     frame_components,
     levi_civita,
     matrix_jets,
-    pointwise,
     project_curvature_symmetries,
     riemann_from_christoffels,
 )
@@ -96,9 +96,8 @@ class ChartManifold:
     christoffels_fn : x -> gamma[a, b, c] = Gamma^a_bc
     christoffel_jacobian_fn : x -> dgamma[p, a, b, c] = d_p Gamma^a_bc
     catalog_id, params : provenance for reports
-    vectorized : the three functions take a stack x of shape (..., n) and
-        return the stack of their values (the catalog's charts); otherwise
-        they are called once per point
+    Each function takes a stack x (..., n) and returns one value per point;
+    a function of one point goes through ``numdiff.pointwise``.
 
     A chart is analytic, with both connection functions, or metric-only,
     with neither; a metric-only chart's connection is differentiated from g
@@ -121,7 +120,6 @@ class ChartManifold:
         christoffel_jacobian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         catalog_id: str = "custom",
         params: Optional[dict] = None,
-        vectorized: bool = False,
     ):
         if dim < 2:
             raise ValueError("dim must be >= 2")
@@ -137,14 +135,19 @@ class ChartManifold:
         self.christoffel_jacobian_fn = christoffel_jacobian_fn
         self.catalog_id = catalog_id
         self.params = dict(params or {})
-        self.vectorized = bool(vectorized)
 
     def __repr__(self) -> str:
         return f"ChartManifold({self.catalog_id!r}, dim={self.dim})"
 
-    def _eval(self, fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-        """A chart function at x of shape (..., n)."""
-        return np.asarray(fn(x), dtype=float) if self.vectorized else pointwise(fn)(x)
+    def _eval(self, name: str, x: np.ndarray, rank: int) -> np.ndarray:
+        """The chart function of that name at x of shape (..., n): a
+        ValueError unless its value has shape x.shape[:-1] + (n,) * rank."""
+        value = np.asarray(getattr(self, name)(x), dtype=float)
+        shape = x.shape[:-1] + (self.dim,) * rank
+        if value.shape != shape:
+            raise ValueError(f"{name} gave shape {value.shape} at x of shape {x.shape}, not "
+                             f"{shape}: wrap a function of one point in numdiff.pointwise")
+        return value
 
     # -- basic access --------------------------------------------------------
 
@@ -152,7 +155,7 @@ class ChartManifold:
         """g at x (..., n).  Where the chart's metric overflows it is inf or
         nan, without a warning: the SPD check names such a point."""
         with np.errstate(over="ignore", invalid="ignore"):
-            g = self._eval(self.metric_fn, np.asarray(x, dtype=float))
+            g = self._eval("metric_fn", np.asarray(x, dtype=float), 2)
             return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def outside(self, x: np.ndarray, reach: np.ndarray | float = 0.0) -> np.ndarray:
@@ -212,8 +215,8 @@ class ChartManifold:
         if self.christoffels_fn is not None:
             g = self.metric(x)
             _check_spd(g, x)
-            gamma = self._eval(self.christoffels_fn, x)
-            return g, gamma, self._eval(self.christoffel_jacobian_fn, x) if second else None
+            gamma = self._eval("christoffels_fn", x, 3)
+            return g, gamma, self._eval("christoffel_jacobian_fn", x, 4) if second else None
         g, dg, d2g = matrix_jets(self.metric, x, CONNECTION, second=second)
         _check_spd(g, x)
         return (g, *levi_civita(g, dg, d2g))
@@ -440,19 +443,18 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x, x)
 
 
-def euclidean(dim: int, half_width: float = 10.0) -> ChartManifold:
-    """Flat R^n in cartesian coordinates."""
+def euclidean(dim: int) -> ChartManifold:
+    """Flat R^n in cartesian coordinates, on the box [-10, 10]^n."""
     eye = np.eye(dim)
     return ChartManifold(
         dim,
         lambda x: np.zeros(x.shape[:-1] + (dim, dim)) + eye,
-        lo=-half_width * np.ones(dim),
-        hi=half_width * np.ones(dim),
+        lo=-10.0 * np.ones(dim),
+        hi=10.0 * np.ones(dim),
         christoffels_fn=lambda x: np.zeros(x.shape[:-1] + (dim,) * 3),
         christoffel_jacobian_fn=lambda x: np.zeros(x.shape[:-1] + (dim,) * 4),
         catalog_id="euclidean",
         params={"dim": dim},
-        vectorized=True,
     )
 
 
@@ -499,7 +501,6 @@ def _conformal_chart(
         christoffel_jacobian_fn=dgammas,
         catalog_id=catalog_id,
         params=params,
-        vectorized=True,
     )
 
 
@@ -550,8 +551,7 @@ def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartM
             christoffel_jacobian_fn=dgammas,
             catalog_id="sphere",
             params={"dim": 2, "radius": radius, "chart": "polar"},
-            vectorized=True,
-        )
+            )
     if chart != "stereographic":
         raise ValueError(f"unknown sphere chart {chart!r}")
     eye = np.eye(dim)
@@ -617,18 +617,18 @@ def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
         entries = list(row) if isinstance(row, (list, tuple, np.ndarray)) else []
         if len(entries) != dim + 1 or not all(map(is_finite_real, entries)):
             raise ValueError(
-                f"manifold coeffs row {row!r} is not {dim + 1} finite numbers: "
+                f"manifold coeffs row {shown(row)} is not {dim + 1} finite numbers: "
                 f"a coefficient and {dim} exponents"
             )
         # The derivative tables below clip exponents at 0, which is exact
         # only for whole exponents >= 0.
         if not all(float(k).is_integer() and k >= 0 for k in entries[1:]):
             raise ValueError(
-                f"manifold coeffs row {row!r} has an exponent that is not a whole number >= 0"
+                f"manifold coeffs row {shown(row)} has an exponent that is not a whole number >= 0"
             )
         if max(entries[1:], default=0) >= 2**63:
             raise ValueError(
-                f"manifold coeffs row {row!r} has an exponent that does not fit a 64-bit integer"
+                f"manifold coeffs row {shown(row)} has an exponent that does not fit a 64-bit integer"
             )
         c.append(float(entries[0]))
         e.append([int(k) for k in entries[1:]])
@@ -672,15 +672,15 @@ def make_manifold(
     chart: Optional[str] = None,
     coeffs=None,
 ) -> ChartManifold:
-    """Catalog dispatcher used by the CLI and config files."""
-    key = catalog_id.lower()
-    if key == "euclidean":
+    """Catalog dispatcher used by the CLI and config files: catalog_id is
+    one of CATALOG_IDS, exactly."""
+    if catalog_id == "euclidean":
         return euclidean(dim)
-    if key == "sphere":
+    if catalog_id == "sphere":
         return sphere(dim, radius=radius, chart=chart)
-    if key == "hyperbolic":
+    if catalog_id == "hyperbolic":
         return hyperbolic(dim)
-    if key in ("torus-conformal", "conformal"):
+    if catalog_id == "torus-conformal":
         if coeffs is None:
             raise ValueError("torus-conformal requires conformal coefficients")
         return conformal_polynomial(dim, coeffs)

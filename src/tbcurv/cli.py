@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import closedform
-from .basemanifold import ChartManifold, _distinct_rows, make_manifold
-from .errors import ConfigError, StencilOutOfDomainError, TbcurvError, check_positive
+from .basemanifold import CATALOG_IDS, ChartManifold, _distinct_rows, make_manifold
+from .errors import ConfigError, StencilOutOfDomainError, TbcurvError, check_positive, error_text
 from .metricfamily import F_ZERO, NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
 from .oracle import OracleConfig, compare
 from .scalarfun import as_scalar_function
@@ -48,9 +48,9 @@ class _Setting(NamedTuple):
     config error naming the entry if its JSON value is wrong (dim is the
     manifold's, or None).  A key of None is the whole section.  A flag of
     None marks an entry only a document sets, an entry of None a flag read
-    elsewhere: --config names the document, --samples goes to the family
-    check, and --point and --v pair into points.  ``needed`` is the error for
-    a missing entry the task reads; ``json``, what a JSON flag's text must be."""
+    elsewhere: --config names the document, and --point and --v pair into
+    points.  ``needed`` is the error for a missing entry the task reads;
+    ``json``, what a JSON flag's text must be."""
 
     flag: Optional[str]
     entry: Optional[tuple]
@@ -120,8 +120,10 @@ _EXPRESSION = _is((str, int, float), "an expression string or a number")
 _SETTINGS = (
     _Setting("--config", None, TASKS, {"help": "JSON config file; flags override it"}),
     _Setting("--manifold", ("manifold", "id"), _ON_POINTS,
-             {"help": "catalog id (euclidean, sphere, hyperbolic, torus-conformal)"},
-             _is(str, "a string"), "no manifold configured (--manifold or config.manifold.id)"),
+             {"help": f"catalog id: {', '.join(CATALOG_IDS)}"},
+             _is(str, "a string", CATALOG_IDS.__contains__,
+                 f"unknown manifold {{!r}}; choose from {CATALOG_IDS}"),
+             "no manifold configured (--manifold or config.manifold.id)"),
     _Setting("--dim", ("manifold", "dim"), _ON_POINTS, {"type": int},
              _is(int, "an integer", lambda dim: dim >= 2, "manifold dim {} is not at least 2"),
              "manifold dim missing (--dim)"),
@@ -170,8 +172,6 @@ _SETTINGS = (
              _positive("tol_abs")),
     _Setting("--tol-rel", ("oracle", "tol_rel"), ("verify",), {"type": float},
              _positive("tol_rel", below=1.0)),
-    _Setting("--samples", None, ("family-check",),
-             {"type": int, "help": "family-check validation grid size"}),
 )
 
 # The rows by config section and key; the manifold comes first, for its dim.
@@ -284,10 +284,10 @@ def _check_known(what: str, doc: dict, known: dict) -> None:
 
 
 def _built(make: Callable, *args, **kwargs):
-    """make(*args, **kwargs); a KeyError or ValueError naming a value is a config error."""
+    """make(*args, **kwargs); a ValueError naming a value is a config error."""
     try:
         return make(*args, **kwargs)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
 
 
@@ -567,11 +567,9 @@ _NOTE = "family functions take t = |v|^2_g (squared norm) as argument"
 # --------------------------------------------------------------------------
 
 
-def cmd_family_check(cfg: dict, samples: Optional[int] = None) -> int:
-    if samples is not None and samples < 2:
-        raise ConfigError(f"--samples must be at least 2, got {samples}")
+def cmd_family_check(cfg: dict) -> int:
     fam = _resolve_family(cfg)
-    validation = fam.validate() if samples is None else fam.validate(samples=samples)
+    validation = fam.validate()
     print(f"family {fam.name}: {validation.summary()}")
     if not validation.valid:
         return 2
@@ -634,10 +632,6 @@ def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str) ->
     return {"scalar": np.asarray(closedform.tm_scalar(M, fam, fp))}
 
 
-def _error_cell(exc: TbcurvError) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _exit_code(results: list) -> int:
     """1 if a point of ``closedform.on_points`` failed, else 0."""
     return int(any(isinstance(result, TbcurvError) for _, result in results))
@@ -658,7 +652,7 @@ def cmd_tables(cfg: dict, task: str) -> int:
     for x_cell, v_cell, (t, result) in zip(_coords(x), _coords(v), results):
         head = {"x": x_cell, "v": v_cell, "t": t}
         if isinstance(result, TbcurvError):
-            blocks.append(({**head, "error": _error_cell(result)}, None))
+            blocks.append(({**head, "error": error_text(result)}, None))
         else:
             blocks.append((head, result))
     _emit(cfg, blocks, f"{task} of (TM, G); {_NOTE}", task, _TABLE_INDEX[task])
@@ -753,7 +747,7 @@ def cmd_scan(cfg: dict) -> int:
     for t, result in results:
         s_special, status = nan, "ok"
         if isinstance(result, TbcurvError):
-            status, result = _error_cell(result), (nan, nan, nan)
+            status, result = error_text(result), (nan, nan, nan)
         elif special is not None and k0 is not None:
             s_special = float(closedform.scalar_exp_specials(k0, M.dim, t * t, special).value)
         s_general, f_val, h_val = result
@@ -801,7 +795,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         task = args.task
         cfg = _check_config(_merge_flags(_load_config(args.config), args), task)
         if task == "family-check":
-            return cmd_family_check(cfg, samples=args.samples)
+            return cmd_family_check(cfg)
         if task == "verify":
             return cmd_verify(cfg)
         if task == "scan":

@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the package, and the rule
-for a positive finite number given from outside it."""
+"""Exception types shared across the package, the rule for a positive
+finite number given from outside it, and the texts of values and errors
+in messages."""
 
 import math
 import numbers
@@ -55,10 +56,6 @@ class ConfigError(TbcurvError):
     """Bad run configuration (CLI exit code 2)."""
 
 
-class ConditioningWarning(UserWarning):
-    """Bundle metric condition number is large; results may lose digits."""
-
-
 def is_finite_real(value) -> bool:
     """Whether value is a real number (a boolean or a string is not one)
     that is finite as a double."""
@@ -70,10 +67,32 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """repr(value), with each integer in it beyond the range of a double
+    (alone, or in lists and tuples) as inf or -inf, as the command line reads it."""
+
+    def read(item):
+        if isinstance(item, (list, tuple)):
+            return (list if isinstance(item, list) else tuple)(map(read, item))
+        if isinstance(item, int):
+            try:
+                float(item)
+            except OverflowError:
+                return math.inf if item > 0 else -math.inf
+        return item
+
+    return repr(read(value))
+
+
+def error_text(exc: Exception) -> str:
+    """An error as a report or a table row gives it: its type and message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def check_positive(value, name: str, below: float = math.inf) -> None:
     """Raise a ValueError naming value unless it is a real number, finite as
     a double, with 0 < value < below."""
     if not (is_finite_real(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        raise ValueError(f"{name} must be a positive finite number, got {shown(value)}")
     if value >= below:
-        raise ValueError(f"{name} must be below {below:g}, got {value!r}")
+        raise ValueError(f"{name} must be below {below:g}, got {shown(value)}")

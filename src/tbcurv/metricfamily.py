@@ -511,11 +511,11 @@ def _beta_rule(alpha: ScalarFunction, beta: ScalarFunction):
 
 
 def preset(name: str, t_max: float = 25.0) -> NaturalMetricFamily:
-    """Look up one of the named families: sasaki, cheeger-gromoll, exp+, exp-."""
-    key = name.lower()
-    if key not in _PRESET_EXPRESSIONS:
+    """Look up one of the named families by its exact name: sasaki,
+    cheeger-gromoll, exp+, exp-."""
+    if name not in _PRESET_EXPRESSIONS:
         raise KeyError(f"unknown family preset {name!r}; choose from {PRESET_NAMES}")
-    alpha_src, beta_src = _PRESET_EXPRESSIONS[key]
+    alpha_src, beta_src = _PRESET_EXPRESSIONS[name]
     alpha = ScalarFunction.from_expression(alpha_src)
     beta = alpha if beta_src == alpha_src else beta_src
-    return NaturalMetricFamily(alpha, beta, name=key, t_max=t_max)
+    return NaturalMetricFamily(alpha, beta, name=name, t_max=t_max)

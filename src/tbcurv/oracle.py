@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +26,7 @@ import numpy as np
 from .basemanifold import AdaptedFramePoint, ChartManifold
 from .bundlemetric import adapted_frame_vectors, induced_metric
 from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
-from .errors import ConditioningWarning, TbcurvError, check_positive
+from .errors import TbcurvError, check_positive, error_text
 from .metricfamily import NaturalMetricFamily
 from .numdiff import (
     ORACLE,
@@ -81,17 +80,6 @@ class OracleResult:
     cond: float  # condition number of G at the point
 
 
-# A condition number of G above this limit is a ConditioningWarning of the
-# oracle and a note of a report; the text as the message writes it.
-_COND_LIMIT = "1e8"
-
-
-def _cond_notes(cond) -> list[str]:
-    """One message per condition number of G above the limit, in order."""
-    return [f"bundle metric condition number {c:.3g} exceeds {_COND_LIMIT}"
-            for c in np.ravel(cond) if c > float(_COND_LIMIT)]
-
-
 def numeric_tm_curvature(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
 ) -> OracleResult:
@@ -123,8 +111,6 @@ def numeric_tm_curvature(
         rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
         table = frame_components(adapted_frame_vectors(M, fp), rlow)
     fp.require_finite("oracle: curvature of (TM, G)", table)
-    for note in _cond_notes(cond):
-        warnings.warn(note, ConditioningWarning)
     return OracleResult(table=table, cond=cond)
 
 
@@ -234,7 +220,8 @@ class CurvatureReport:
             self.negated_classes = tuple(
                 name for name, w, f in zip(CLASS_NAMES, all_within, all_flipped) if f and not w
             )
-        self.notes.extend(_cond_notes(self.cond))
+        if self.cond > 1e8:
+            self.notes.append(f"bundle metric condition number {self.cond:.3g} exceeds 1e8")
         if self.negated_classes:
             self.notes.append("the closed form is the negated oracle, within tolerance, "
                               "in classes: " + ", ".join(self.negated_classes))
@@ -304,15 +291,13 @@ def compare(
 
     Each point gets in its report what it would get alone: an error
     (validity, domain) from ``closedform.on_points``, or its own comparison
-    (``CurvatureReport.finalize``).  A condition number of G above the
-    limit is a note of the report, not a ``ConditioningWarning``.
+    (``CurvatureReport.finalize``).  A condition number of G above 1e8 is
+    a note of the report.
     """
 
     def both_routes(fp):
         closed = tm_curvature(M, fam, fp).table
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            orc = numeric_tm_curvature(M, fam, fp)
+        orc = numeric_tm_curvature(M, fam, fp)
         return list(zip(closed, orc.table, orc.cond.tolist()))
 
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
@@ -329,7 +314,7 @@ def compare(
         )
         if isinstance(result, TbcurvError):
             report.status = "error"
-            report.error = f"{type(result).__name__}: {result}"
+            report.error = error_text(result)
         else:
             report.closed, report.oracle, report.cond = result
             report.finalize(cfg.tol_abs, cfg.tol_rel)

@@ -25,16 +25,18 @@ from tbcurv.errors import (
     SingularMetricError,
     StencilOutOfDomainError,
 )
+from tbcurv.numdiff import pointwise
 
 
-def fd_only(M):
-    """Strip analytic connection data so the pure finite-difference path runs."""
+def fd_only(M, per_point=True):
+    """Strip analytic connection data so the pure finite-difference path
+    runs, with the metric evaluated point by point unless not per_point."""
     return ChartManifold(
         M.dim,
-        M.metric_fn,
+        pointwise(M.metric_fn) if per_point else M.metric_fn,
         lo=M.lo,
         hi=M.hi,
-        catalog_id=M.catalog_id + "-fd",
+        catalog_id=M.catalog_id + ("-fd" if per_point else "-fd-stack"),
         params=M.params,
     )
 
@@ -81,7 +83,7 @@ class TestChristoffels:
         # checked before g is inverted, with or without d Gamma
         M = ChartManifold(
             2,
-            lambda x: np.diag(diagonal),
+            pointwise(lambda x: np.diag(diagonal)),
             lo=-np.ones(2),
             hi=np.ones(2),
         )
@@ -93,7 +95,7 @@ class TestChristoffels:
         for fns in ({"christoffels_fn": M.christoffels_fn},
                     {"christoffel_jacobian_fn": M.christoffel_jacobian_fn}):
             with pytest.raises(ValueError, match="or neither"):
-                ChartManifold(2, M.metric_fn, M.lo, M.hi, vectorized=True, **fns)
+                ChartManifold(2, M.metric_fn, M.lo, M.hi, **fns)
 
     def test_nan_is_outside(self):
         M = sphere(2)
@@ -389,7 +391,9 @@ class TestCatalogDispatch:
         ],
     )
     def test_conformal_row_is_checked(self, row, problem):
-        with pytest.raises(ValueError, match=re.escape(f"manifold coeffs row {row!r} {problem}")):
+        # an integer beyond a double is written as the command line reads it
+        text = repr(row).replace(repr(10**400), "inf")
+        with pytest.raises(ValueError, match=re.escape(f"manifold coeffs row {text} {problem}")):
             conformal_polynomial(2, [[0.1, 1, 1], row])
 
     def test_conformal_largest_exponent_builds(self):
@@ -412,13 +416,18 @@ class TestCatalogDispatch:
         )
         with pytest.raises(KeyError):
             make_manifold("klein-bottle", dim=2)
+        # only the exact catalog ids: no case folding, no alias
+        for catalog_id in ("Sphere", "EUCLIDEAN", "conformal"):
+            with pytest.raises(KeyError, match=f"unknown manifold '{catalog_id}'"):
+                make_manifold(catalog_id, dim=2, coeffs=[[0.1, 1, 1]])
         with pytest.raises(ValueError):
             make_manifold("torus-conformal", dim=2)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, "abc", "2", True, 10**400])
     def test_bad_sphere_radius_is_rejected(self, dim, radius):
-        message = f"sphere radius must be a positive finite number, got {radius!r}"
+        got = "inf" if radius == 10**400 else repr(radius)
+        message = f"sphere radius must be a positive finite number, got {got}"
         with pytest.raises(ValueError, match=message):
             make_manifold("sphere", dim=dim, radius=radius)
 
@@ -433,6 +442,7 @@ class TestStacks:
         (hyperbolic(3), np.array([0.1, 0.2, -0.1])),
         (conformal_polynomial(3, [[0.1, 1, 1, 0], [0.04, 0, 2, 1]]), np.array([0.2, -0.3, 0.4])),
         (fd_only(hyperbolic(2)), np.array([0.2, -0.3])),
+        (fd_only(hyperbolic(2), per_point=False), np.array([0.2, -0.3])),
     ]
 
     @pytest.mark.parametrize("M, x", CHARTS, ids=lambda c: getattr(c, "catalog_id", ""))
@@ -450,16 +460,65 @@ class TestStacks:
                 assert a.shape[:2] == (2, 3)
                 np.testing.assert_allclose(a[idx], b, rtol=1e-14, atol=1e-14)
 
-    def test_only_catalog_charts_are_vectorized(self):
-        assert all(M.vectorized for M, _ in self.CHARTS[:-1])
-        assert not self.CHARTS[-1][0].vectorized
-
     @pytest.mark.parametrize("M, x", CHARTS, ids=lambda c: getattr(c, "catalog_id", ""))
     def test_nabla_stencil_centre_is_the_curvature(self, M, x):
         # with nabla, R is the centre value of the nabla R stencil: the same
         # bits as R on its own
         xs = x + 0.05 * np.random.default_rng(4).normal(size=(3, M.dim))
         assert np.array_equal(M.curvature(xs, nabla=True)[0], M.curvature(xs)[0])
+
+
+class TestChartFunctionShapes:
+    """Each chart function takes a stack of points (..., n); a value of
+    another shape than one per point is a ValueError naming the function
+    and numdiff.pointwise, which adapts a function of one point."""
+
+    RANKS = {"metric_fn": 2, "christoffels_fn": 3, "christoffel_jacobian_fn": 4}
+
+    @staticmethod
+    def replaced(M, name, fn):
+        """M with its chart function of that name replaced by fn."""
+        fns = {key: getattr(M, key) for key in TestChartFunctionShapes.RANKS}
+        return ChartManifold(M.dim, lo=M.lo, hi=M.hi, **{**fns, name: fn})
+
+    @pytest.mark.parametrize("name", list(RANKS))
+    def test_a_function_of_one_point_fed_a_stack_is_named(self, name):
+        # the value at the first point of the stack: right for one point only
+        M = hyperbolic(2)
+        first = getattr(M, name)
+        x = np.array([[0.1, 0.2], [0.3, -0.1]])
+        one = (2,) * self.RANKS[name]
+        message = (f"{name} gave shape {one} at x of shape (2, 2), not {(2, *one)}: "
+                   "wrap a function of one point in numdiff.pointwise")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.replaced(M, name, lambda x: first(x.reshape(-1, 2)[0])).connection(x)
+        wrapped = self.replaced(M, name, pointwise(first))
+        for a, b in zip(wrapped.connection(x), M.connection(x)):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14)
+
+    def test_a_value_of_the_wrong_rank_is_named(self):
+        M = ChartManifold(2, lambda x: np.ones(x.shape), lo=-np.ones(2), hi=np.ones(2))
+        with pytest.raises(ValueError, match=re.escape(
+                "metric_fn gave shape (2,) at x of shape (2,), not (2, 2)")):
+            M.metric(np.zeros(2))
+
+    def test_a_per_point_metric_fed_a_stack_is_named(self):
+        # on a stack of three points x[0] and x[1] are points, and np.diag
+        # takes the diagonal of their 2 x 2 array
+        def metric(x):
+            return np.diag([1.0 + x[0] ** 2, np.exp(x[1])])
+
+        x = np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.5]])
+        v = np.full((3, 2), 0.2)
+        M = ChartManifold(2, metric, lo=-np.ones(2), hi=np.ones(2))
+        with pytest.raises(ValueError, match=re.escape(
+                "metric_fn gave shape (2,) at x of shape (3, 2), not (3, 2, 2)")):
+            adapted_frame(M, x, v)
+        M = ChartManifold(2, pointwise(metric), lo=-np.ones(2), hi=np.ones(2))
+        stacked = frame_curvature(M, adapted_frame(M, x, v)).Rtable
+        for k in range(3):
+            one = frame_curvature(M, adapted_frame(M, x[k], v[k])).Rtable
+            np.testing.assert_array_equal(stacked[k], one)
 
 
 class TestDistinctRows:
@@ -536,29 +595,27 @@ class TestEvaluations:
     """Each piece of Levi-Civita data at a point is computed once."""
 
     @staticmethod
-    def counted_chart(M, vectorized):
-        """M with counted chart functions; a metric-only chart unless
-        vectorized.  Returns the chart and the calls of each function."""
+    def counted_chart(M, analytic):
+        """M with counted chart functions, or unless analytic its metric-only
+        chart, evaluated point by point.  Returns the chart and the calls of
+        each function."""
         calls = {"metric": [], "gamma": [], "dgamma": []}
-        fns = (
-            (counted(M.christoffels_fn, calls["gamma"]),
-             counted(M.christoffel_jacobian_fn, calls["dgamma"]))
-            if vectorized else (None, None)
-        )
-        chart = ChartManifold(
-            M.dim, counted(M.metric_fn, calls["metric"]), M.lo, M.hi, *fns, vectorized=vectorized
-        )
-        return chart, calls
+        metric = counted(M.metric_fn, calls["metric"])
+        if not analytic:
+            return ChartManifold(M.dim, pointwise(metric), M.lo, M.hi), calls
+        fns = (counted(M.christoffels_fn, calls["gamma"]),
+               counted(M.christoffel_jacobian_fn, calls["dgamma"]))
+        return ChartManifold(M.dim, metric, M.lo, M.hi, *fns), calls
 
     @pytest.mark.parametrize("second", [False, True])
     def test_analytic_connection_calls_each_function_once(self, second):
-        M, calls = self.counted_chart(hyperbolic(3), vectorized=True)
+        M, calls = self.counted_chart(hyperbolic(3), analytic=True)
         M.connection(np.array([0.1, 0.2, -0.1]), second=second)
         assert calls == {"metric": [(3,)], "gamma": [(3,)], "dgamma": [(3,)] if second else []}
 
     def test_metric_only_curvature_is_one_stencil(self):
         n = 2
-        M, calls = self.counted_chart(hyperbolic(n), vectorized=False)
+        M, calls = self.counted_chart(hyperbolic(n), analytic=False)
         M.curvature(np.array([0.2, -0.3]))
         # the centre and both Richardson levels of one CONNECTION stencil
         assert len(calls["metric"]) == 1 + 2 * (2 * n + 4 * math.comb(n, 2))  # 17
@@ -566,7 +623,7 @@ class TestEvaluations:
 
     def test_frame_curvature_with_nabla_differentiates_gamma_once(self):
         n = 2
-        M, calls = self.counted_chart(conformal_polynomial(n, [[0.1, 2, 1]]), vectorized=True)
+        M, calls = self.counted_chart(conformal_polynomial(n, [[0.1, 2, 1]]), analytic=True)
         q = np.array([[0.4, -0.2], [0.1, 0.3], [0.4, -0.2]])
         fp = adapted_frame(M, q, np.full((3, n), 0.2))
         for c in calls.values():

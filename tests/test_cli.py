@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbcurv import closedform
-from tbcurv.basemanifold import make_manifold
+from tbcurv.basemanifold import conformal_polynomial, make_manifold, sphere
 from tbcurv.cli import (
     _NOTE,
     _SETTINGS,
@@ -96,11 +96,17 @@ class TestFamilyCheck:
         assert run(["family-check", "--alpha", "ln(2-t)", "--beta", "0"]) == 2
         assert "INVALID: alpha <= 0 near t=1.0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("samples", ["1", "0", "-5"])
-    def test_bad_samples_is_config_error(self, capsys, samples):
-        assert run(["family-check", "--family", "sasaki", f"--samples={samples}"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"got {samples}" in err
+    # family-check validates on validate()'s 4096-point grid, which no flag
+    # sets; a 401-digit size used to end in a traceback from np.linspace
+    @pytest.mark.parametrize("samples", ["5", "1" + "0" * 400], ids=["5", "401-digits"])
+    def test_samples_is_not_a_flag(self, capsys, samples):
+        with pytest.raises(SystemExit) as info:
+            run(["family-check", "--family", "sasaki", "--samples", samples])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: --samples {samples}\n" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestFamilyCheckSharedWalk:
@@ -997,6 +1003,24 @@ class TestOverflowingInput:
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
 
+    # through the library such an integer is written as the command line
+    # reads it; its repr raised ValueError past int's 4300-digit limit
+    @pytest.mark.parametrize("make,message", [
+        (lambda: OracleConfig(tol_abs=10**5000),
+         "tol_abs must be a positive finite number, got inf"),
+        (lambda: sphere(2, 10**5000), "sphere radius must be a positive finite number, got inf"),
+        (lambda: NaturalMetricFamily("1", "0", t_max=10**5000),
+         "t_max must be a positive finite number, got inf"),
+        (lambda: conformal_polynomial(2, [[10**5000, 1, 0]]),
+         f"manifold coeffs row [inf, 1, 0] {COEFFS_ROW}"),
+        (lambda: conformal_polynomial(2, [(0.1, -10**5000, 0)]),
+         f"manifold coeffs row (0.1, -inf, 0) {COEFFS_ROW}"),
+    ], ids=["tol_abs", "radius", "t_max", "coeffs", "coeffs-tuple"])
+    def test_library_writes_an_integer_beyond_a_double_as_infinite(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
     # a constant alpha or beta used to be named by printing it, which
     # crashed on an infinite one (OverflowError, exit 1) and made a NaN one
     # a config error; it is an INVALID family, as the same text is
@@ -1583,6 +1607,9 @@ class TestTolerances:
 class TestUserErrors:
     # each of these errors was pinned by no test
     SPHERE = ["scalar", "--manifold", "sphere", "--family", "sasaki"]
+    POINT = ["--dim", "2", "--family", "sasaki", "--point", "0.9,0.3", "--v", "0.1,0"]
+    UNKNOWN_MANIFOLD = ("unknown manifold '{}'; choose from "
+                        "('euclidean', 'sphere', 'hyperbolic', 'torus-conformal')")
 
     @pytest.mark.parametrize(
         "args,config,message",
@@ -1606,6 +1633,15 @@ class TestUserErrors:
              "bad family expression: unexpected character '$' (offset 1)"),
             (["family-check", "--alpha", "exp(t", "--beta", "0"], None,
              "bad family expression: expected ')' (offset 5)"),
+            # a catalog id or preset is accepted only as written, whatever the task
+            (["scalar", "--manifold", "SPHERE", *POINT], None, UNKNOWN_MANIFOLD.format("SPHERE")),
+            (["scalar", "--manifold", "conformal", "--coeffs", "[[0.1, 1, 1]]", *POINT], None,
+             UNKNOWN_MANIFOLD.format("conformal")),
+            (["scalar", "--manifold", "bogus", *POINT], None, UNKNOWN_MANIFOLD.format("bogus")),
+            (["family-check", "--family", "sasaki"], b'{"manifold": {"id": "bogus", "dim": 2}}',
+             UNKNOWN_MANIFOLD.format("bogus")),
+            (["family-check", "--family", "SASAKI"], None,
+             "unknown preset 'SASAKI'; choose from ('sasaki', 'cheeger-gromoll', 'exp+', 'exp-')"),
         ],
     )
     def test_config_error(self, tmp_path, capsys, args, config, message):
@@ -2194,7 +2230,7 @@ _FAMILY_FLAGS = {"--family", "--alpha", "--beta", "--beta-flatness", "--t-max"}
 _POINT_FLAGS = {"--manifold", "--dim", "--radius", "--chart", "--coeffs", "--point", "--v",
                 "--grid", "--out"}
 ACCEPTED_FLAGS = {
-    "family-check": {"--config", *_FAMILY_FLAGS, "--samples"},
+    "family-check": {"--config", *_FAMILY_FLAGS},
     **{task: {"--config", *_FAMILY_FLAGS, *_POINT_FLAGS, "--format"} for task in TABLE_TASKS},
     "verify": {"--config", *_FAMILY_FLAGS, *_POINT_FLAGS, "--tol-abs", "--tol-rel"},
 }
@@ -2215,9 +2251,9 @@ class TestFlagTable:
         assert _task_flags(task) == ACCEPTED_FLAGS[task]
 
     def test_pair_count(self):
-        assert len(ALL_FLAGS) == 19
-        assert sum(map(len, ACCEPTED_FLAGS.values())) == 104
-        assert len(REMOVED_PAIRS) == 29
+        assert len(ALL_FLAGS) == 18
+        assert sum(map(len, ACCEPTED_FLAGS.values())) == 103
+        assert len(REMOVED_PAIRS) == 23
 
     @pytest.mark.parametrize("task,flag", REMOVED_PAIRS)
     def test_flag_the_task_does_not_read_is_rejected(self, capsys, task, flag):
@@ -2299,7 +2335,7 @@ def _ref_merge_flags(cfg, args):
 
 # the namespace the reference reads: every flag of every task, unset
 REF_ARGS = {**{flag[2:].replace("-", "_"): None for flag in ALL_FLAGS},
-            "beta_flatness": False, "samples": 4096}
+            "beta_flatness": False}
 
 MERGE_CONFIGS = {
     "none": {},

@@ -49,6 +49,8 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
             preset("nope")
+        with pytest.raises(KeyError, match="unknown family preset 'SASAKI'"):
+            preset("SASAKI")  # only the exact name
 
     # t_max bounds every validity check: a horizon that is not a positive
     # finite number is rejected by name, for a preset and a custom family;
@@ -56,7 +58,8 @@ class TestPresets:
     @pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan, math.inf, "abc", "5", None, True,
                                        10**400])
     def test_bad_t_max_is_rejected(self, t_max):
-        message = f"t_max must be a positive finite number, got {t_max!r}"
+        got = "inf" if t_max == 10**400 else repr(t_max)  # as the command line reads it
+        message = f"t_max must be a positive finite number, got {got}"
         with pytest.raises(ValueError, match=message):
             preset("sasaki", t_max=t_max)
         with pytest.raises(ValueError, match=message):

@@ -22,7 +22,7 @@ from tbcurv.cli import _TABLE_INDEX, _table_columns, main
 from tbcurv.closedform import on_points, tm_curvature, tm_ricci, tm_scalar, tm_sectional
 from tbcurv.errors import SingularMetricError, TbcurvError
 from tbcurv.metricfamily import preset
-from tbcurv.numdiff import ORACLE
+from tbcurv.numdiff import ORACLE, pointwise
 from tbcurv.oracle import (
     CurvatureReport,
     OracleConfig,
@@ -183,7 +183,7 @@ def test_cli_rows_match_single_points(tmp_path, chart, task):
 
 
 def test_custom_chart_stack_matches_single_points():
-    # a chart without connection data, evaluated point by point
+    # a chart without connection data
     base = hyperbolic(2)
     M = ChartManifold(2, base.metric_fn, lo=base.lo, hi=base.hi)
     q = np.array([[0.2, -0.3], [0.2, -0.3], [0.1, 0.1]])
@@ -243,7 +243,7 @@ def test_a_failed_frame_stack_runs_each_point_alone():
     # fails, so each point runs alone, frame and all, and keeps its result;
     # the point without a frame gets t from its metric, here
     # sqrt(0.1 (1 - 1.5) 0.1), which is not real
-    M = ChartManifold(2, lambda x: np.diag([1.0 + x[0], 1.0]), lo=[-2, -2], hi=[2, 2])
+    M = ChartManifold(2, pointwise(lambda x: np.diag([1.0 + x[0], 1.0])), lo=[-2, -2], hi=[2, 2])
     x = np.array([[0.5, 0.0], [-1.5, 0.0], [0.0, 0.5]])
     v = np.array([[0.3, 0.0], [0.1, 0.0], [0.0, 0.0]])
     sizes = []
