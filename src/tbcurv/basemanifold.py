@@ -141,9 +141,20 @@ class ChartManifold:
 
     def _eval(self, name: str, x: np.ndarray, rank: int) -> np.ndarray:
         """The chart function of that name at x of shape (..., n): a
-        ValueError unless its value has shape x.shape[:-1] + (n,) * rank."""
-        value = np.asarray(getattr(self, name)(x), dtype=float)
+        ValueError unless its value has shape x.shape[:-1] + (n,) * rank,
+        or where a stack makes it fail as a function of one point does (an
+        IndexError, TypeError or ValueError, chained).  A stack of no points
+        calls no function."""
         shape = x.shape[:-1] + (self.dim,) * rank
+        if x.size == 0:
+            return np.empty(shape)
+        try:
+            value = np.asarray(getattr(self, name)(x), dtype=float)
+        except (IndexError, TypeError, ValueError) as exc:
+            if x.ndim == 1:
+                raise
+            raise ValueError(f"{name} failed at x of shape {x.shape} ({type(exc).__name__}: "
+                             f"{exc}): wrap a function of one point in numdiff.pointwise") from exc
         if value.shape != shape:
             raise ValueError(f"{name} gave shape {value.shape} at x of shape {x.shape}, not "
                              f"{shape}: wrap a function of one point in numdiff.pointwise")
@@ -238,13 +249,32 @@ class ChartManifold:
             lambda ys: self.curvature(ys, check=False)[0], x, self._nabla_stencil(), second=False
         )
         _, gamma, _ = self.connection(x, second=False, check=False)
-        corr = (
-            np.einsum("...mpa,...mbcd->...pabcd", gamma, rlow)
-            + np.einsum("...mpb,...amcd->...pabcd", gamma, rlow)
-            + np.einsum("...mpc,...abmd->...pabcd", gamma, rlow)
-            + np.einsum("...mpd,...abcm->...pabcd", gamma, rlow)
-        )
-        return rlow, drlow - corr
+        return rlow, drlow - _slot_corrections(gamma, rlow)
+
+
+def _slot_corrections(gamma: np.ndarray, rlow: np.ndarray) -> np.ndarray:
+    """The Gamma corrections of nabla_p R_abcd on its four slots,
+    Gamma^m_pa R_mbcd + Gamma^m_pb R_amcd + Gamma^m_pc R_abmd + Gamma^m_pd R_abcm,
+    at each point of a stack (leading axes): per slot one matrix product of
+    Gamma^m_p. with the axes of rlow after the slot, the axes before it
+    batched, and p moved to the front by a transposed view."""
+    n = gamma.shape[-1]
+    lead = gamma.shape[:-3]
+    k = len(lead)
+    gt = np.swapaxes(gamma.reshape(lead + (n, n * n)), -1, -2)  # Gamma^m_ps as (p s, m)
+    # each product has p where its slot was: p a b c d, a p b c d, a b p c d, a b c p d
+    by_slot = [
+        gt @ rlow.reshape(lead + (n, n**3)),
+        gt[..., None, :, :] @ rlow.reshape(lead + (n, n, n * n)),
+        gt[..., None, :, :] @ rlow.reshape(lead + (n * n, n, n)),
+        rlow.reshape(lead + (n**3, n)) @ gamma.reshape(lead + (n, n * n)),
+    ]
+    t0, t1, t2, t3 = (
+        t.reshape(lead + (n,) * 5).transpose(
+            (*range(k), k + slot, *range(k, k + slot), *range(k + slot + 1, k + 5)))
+        for slot, t in enumerate(by_slot)
+    )
+    return t0 + t1 + t2 + t3
 
 
 # --------------------------------------------------------------------------

@@ -67,17 +67,29 @@ def induced_metric(
     alpha = j.alpha[..., None, None]
     beta = j.beta[..., None, None]
 
-    # K(d/dx^c)^a = w[a, c];  K(d/dv^c)^a = delta_ac.
-    w = np.einsum("...abc,...b->...ac", gamma, v)
-    wt_g = np.swapaxes(w, -1, -2) @ g
-    wt_gv = np.einsum("...ca,...a->...c", wt_g, v)
-
+    # G = A^T diag(g, H) A with A = [[1, 0], [w, 1]], the split into
+    # (pi_*, K), and H = alpha g + beta gv gv^T, exactly symmetric; so
+    # G = [[g + w^T H w, w^T H], [H w, H]], and only w^T H w, a product of
+    # three matrices, is symmetrized.
+    w = _vertical_of_horizontal(gamma, v)
+    H = alpha * g + beta * (gv[..., :, None] * gv[..., None, :])
+    wt_h = np.swapaxes(w, -1, -2) @ H
+    wt_h_w = wt_h @ w
     G = np.empty(v.shape[:-1] + (2 * n, 2 * n))
-    G[..., :n, :n] = g + alpha * (wt_g @ w) + beta * (wt_gv[..., :, None] * wt_gv[..., None, :])
-    G[..., :n, n:] = alpha * wt_g + beta * (wt_gv[..., :, None] * gv[..., None, :])
-    G[..., n:, :n] = np.swapaxes(G[..., :n, n:], -1, -2)
-    G[..., n:, n:] = alpha * g + beta * (gv[..., :, None] * gv[..., None, :])
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
+    G[..., :n, :n] = g + 0.5 * (wt_h_w + np.swapaxes(wt_h_w, -1, -2))
+    G[..., :n, n:] = wt_h
+    G[..., n:, :n] = np.swapaxes(wt_h, -1, -2)
+    G[..., n:, n:] = H
+    return G
+
+
+def _vertical_of_horizontal(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w[..., a, c] = Gamma^a_bc v^b, so that K(d/dx^c)^a = w[a, c] and
+    K(d/dv^c)^a = delta_ac: per point the row v times Gamma as a (b, a c)
+    matrix."""
+    n = v.shape[-1]
+    by_b = np.swapaxes(gamma, -3, -2).reshape(gamma.shape[:-3] + (n, n * n))
+    return (v[..., None, :] @ by_b).reshape(v.shape[:-1] + (n, n))
 
 
 def adapted_frame_vectors(M: ChartManifold, fp: AdaptedFramePoint) -> np.ndarray:
@@ -90,7 +102,7 @@ def adapted_frame_vectors(M: ChartManifold, fp: AdaptedFramePoint) -> np.ndarray
     """
     n = M.dim
     _, gamma, _ = M.connection(fp.q, second=False)
-    w = np.einsum("...abc,...b->...ac", gamma, fp.v)
+    w = _vertical_of_horizontal(gamma, fp.v)
     frame = np.zeros(fp.u.shape[:-2] + (2 * n, 2 * n))
     frame[..., :n, :n] = fp.u
     frame[..., :n, n:] = -fp.u @ np.swapaxes(w, -1, -2)

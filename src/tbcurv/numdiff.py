@@ -193,8 +193,9 @@ def matrix_jets(
     steps = stencil.steps(x)
     k = _unit_offsets(x.shape[-1], second).shape[0]
     values = fun(x[..., None, :] + steps[..., None, :] * stencil.units(x.shape[-1], second))
-    # Stencil and derivative axes first, so that the differences index them.
-    values = np.moveaxis(values, lead, 0)
+    # Stencil and derivative axes first, so that the differences index them,
+    # and contiguous, so that each difference reads whole blocks of values.
+    values = np.ascontiguousarray(np.moveaxis(values, lead, 0))
     m0 = values[0]
     h = np.moveaxis(steps, -1, 0).reshape(steps.shape[-1:] + x.shape[:-1] + (1,) * (m0.ndim - lead))
     dm, d2m = _plain_jets(values[1 : k + 1], h, m0, second)
@@ -215,19 +216,25 @@ def levi_civita(
     """(Gamma^a_bc, d_p Gamma^a_bc) from the metric and its partials, at one
     point or at each of a stack of points (leading axes):
     Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc), and its
-    partials from the second partials d2g; None without d2g."""
+    partials from the second partials d2g; None without d2g.
+
+    Each contraction is one matrix product per point over the flattened
+    free axes: g^ad s_d(bc) is (D, D) @ (D, D^2)."""
+    lead, dim = g.shape[:-2], g.shape[-1]
     ginv = np.linalg.inv(g)
-    s = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
-    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, s)
+    s = (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg).reshape(lead + (dim, dim * dim))
+    gamma = 0.5 * (ginv @ s).reshape(lead + (dim,) * 3)
     if d2g is None:
         return gamma, None
-    dginv = -np.einsum("...ae,...pef,...fd->...pad", ginv, dg, ginv)
+    # d_p g^ad = -g^ae d_p g_ef g^fd, one (D, D) product pair per p
+    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
     ds = np.swapaxes(d2g, -3, -2) + np.swapaxes(d2g, -3, -1) - d2g
     dgamma = 0.5 * (
-        np.einsum("...pad,...dbc->...pabc", dginv, s)
-        + np.einsum("...ad,...pdbc->...pabc", ginv, ds)
+        (dginv.reshape(lead + (dim * dim, dim)) @ s)
+        + (ginv[..., None, :, :] @ ds.reshape(lead + (dim, dim, dim * dim))).reshape(
+            lead + (dim * dim, dim * dim))
     )
-    return gamma, dgamma
+    return gamma, dgamma.reshape(lead + (dim,) * 4)
 
 
 def riemann_from_christoffels(
@@ -235,16 +242,19 @@ def riemann_from_christoffels(
 ) -> np.ndarray:
     """Curvature of the Levi-Civita connection, lowered:
     rlow[i, j, k, l] = g(R(d_i, d_j) d_k, d_l), at one point or at each of
-    a stack of points (leading axes)."""
+    a stack of points (leading axes).  The Gamma Gamma term and the
+    lowering are one matrix product each per point."""
+    lead, dim = g.shape[:-2], g.shape[-1]
+    # Gamma^a_im Gamma^m_jk as (a i, m) @ (m, j k); the term with i and j
+    # exchanged is its transposed view
+    gg = (gamma.reshape(lead + (dim * dim, dim)) @ gamma.reshape(lead + (dim, dim * dim))).reshape(
+        lead + (dim,) * 4)
     # R(d_i, d_j) d_k = r[a, i, j, k] d_a; d_i Gamma^a_jk - d_j Gamma^a_ik
     # are transposed views of dgamma
-    r = (
-        np.swapaxes(dgamma, -4, -3)
-        - np.moveaxis(dgamma, -4, -2)
-        + np.einsum("...aim,...mjk->...aijk", gamma, gamma)
-        - np.einsum("...ajm,...mik->...aijk", gamma, gamma)
-    )
-    return np.einsum("...la,...aijk->...ijkl", g, r)
+    r = np.swapaxes(dgamma, -4, -3) - np.moveaxis(dgamma, -4, -2) + gg - np.swapaxes(gg, -3, -2)
+    # g_la r^a_ijk as (i j k, a) @ (a, l)
+    rlow = np.swapaxes(r.reshape(lead + (dim, dim**3)), -1, -2) @ np.swapaxes(g, -1, -2)
+    return rlow.reshape(lead + (dim,) * 4)
 
 
 def project_curvature_symmetries(r: np.ndarray) -> np.ndarray:

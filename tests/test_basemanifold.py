@@ -520,6 +520,33 @@ class TestChartFunctionShapes:
             one = frame_curvature(M, adapted_frame(M, x[k], v[k])).Rtable
             np.testing.assert_array_equal(stacked[k], one)
 
+    def test_a_per_point_metric_that_fails_on_a_stack_is_named(self):
+        # a stack of one distinct base point: x[1] is out of bounds inside
+        # the function, which the error chains
+        M = ChartManifold(2, lambda x: np.diag([1 + x[0]**2, np.exp(x[1])]), -np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match=re.escape(
+                "metric_fn failed at x of shape (1, 2) (IndexError: index 1 is out of bounds "
+                "for axis 0 with size 1): wrap a function of one point in numdiff.pointwise")
+        ) as info:
+            adapted_frame(M, np.array([[0.1, 0.2], [0.1, 0.2]]), np.full((2, 2), 0.2))
+        assert isinstance(info.value.__cause__, IndexError)
+        assert M.metric(np.array([0.1, 0.2])).shape == (2, 2)  # one point is no stack
+
+    @pytest.mark.parametrize("chart", ["catalog", "pointwise"])
+    def test_an_empty_stack_calls_no_chart_function(self, chart):
+        calls = []
+
+        def metric(x):
+            calls.append(x)
+            return hyperbolic(2).metric_fn(x)
+
+        fn = metric if chart == "catalog" else pointwise(lambda x: metric(x[None])[0])
+        M = ChartManifold(2, fn, -0.5 * np.ones(2), 0.5 * np.ones(2))
+        fp = adapted_frame(M, np.zeros((0, 2)), np.zeros((0, 2)))
+        assert calls == []
+        assert (fp.q.shape, fp.u.shape, fp.v.shape, fp.t.shape, fp.g.shape) == (
+            (0, 2), (0, 2, 2), (0, 2), (0,), (0, 2, 2))
+
 
 class TestDistinctRows:
     """Distinct base points are told apart by their bits, in first-seen order."""

@@ -1577,7 +1577,7 @@ class TestTolerances:
 
     def test_the_point_fails_at_the_default_tolerances(self, capsys):
         assert run(self.VERIFY) == 1
-        assert capsys.readouterr().out.endswith("at 20.5x tol\n")
+        assert capsys.readouterr().out.endswith("at 19.1x tol\n")
 
     @pytest.mark.parametrize(
         "flag,value", [("--tol-abs", "inf"), ("--tol-rel", "nan"), ("--tol-rel", "inf"),
