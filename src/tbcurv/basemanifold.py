@@ -342,7 +342,9 @@ class AdaptedFramePoint:
     def require_finite(self, quantity: str, values: np.ndarray) -> None:
         """NonFiniteError naming quantity and the first point whose values
         (leading with the stack axes) are not all finite."""
-        bad = ~np.isfinite(values).reshape(np.shape(self.t) + (-1,)).all(axis=-1)
+        lead = np.shape(self.t)  # the row size is explicit: -1 fails on an empty stack
+        rows = np.isfinite(values).reshape(lead + (values.size // max(math.prod(lead), 1),))
+        bad = ~rows.all(axis=-1)
         if bad.any():
             k = np.unravel_index(np.argmax(bad), bad.shape)
             raise NonFiniteError(f"{quantity} is not finite at {self.named(k)}")

@@ -510,11 +510,15 @@ def _texts(cols: list, quote: Callable, json_floats: bool = False) -> list:
     """The cells of the parts of a column as texts, in order: lists of
     strings through quote, or float arrays (any shape, C order) as the repr
     of each value, or with json_floats as NaN or Infinity where it is not
-    finite.  The arrays take one tolist, one map and one finiteness check."""
+    finite.  The arrays format each distinct value once, told apart by its
+    bits so that -0.0 keeps its sign, and spread the texts back by one take."""
     if not isinstance(cols[0], np.ndarray):
         return list(map(quote, chain.from_iterable(cols)))
     values = np.concatenate([col.ravel() for col in cols])
-    return _float_texts(values.tolist(), json_floats and not np.isfinite(values).all())
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(float)
+    texts = _float_texts(distinct.tolist(), json_floats and not np.isfinite(distinct).all())
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _float_texts(values: list, nonfinite: bool) -> list:

@@ -17,6 +17,7 @@ K(X, Y) = g(R(X, Y)Y, X) for orthonormal X, Y.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -289,7 +290,7 @@ def frame_components(u: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     first_last = (*range(k), *range(k + 1, tensor.ndim), k)  # first frame axis to the end
     for _ in range(tensor.ndim - k):
         rest = tensor.shape[k + 1 :]
-        tensor = (tensor.transpose(first_last).reshape(lead + (-1, n)) @ ut).reshape(
-            lead + rest + (n,)
-        )
+        # the sizes are explicit: -1 cannot be inferred on an empty stack
+        flat = tensor.transpose(first_last).reshape(lead + (math.prod(rest), n))
+        tensor = (flat @ ut).reshape(lead + rest + (n,))
     return tensor

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbcurv import closedform
@@ -33,6 +33,7 @@ from tbcurv.cli import (
     _parse_vector,
     _resolve_family,
     _resolve_points,
+    _texts,
     _verify_text,
     main,
 )
@@ -2175,7 +2176,36 @@ TEXT_CASES = {
 }
 
 
+def _bits_of(*floats):
+    return np.array(floats).view(np.uint64).tolist()
+
+
+# Bit patterns of floats that formatting by value would merge or mistake:
+# both zeros, both infinities, the least subnormal, and NaNs of either sign
+# and of other payloads.
+_SPECIALS = _bits_of(0.0, -0.0, math.inf, -math.inf, 5e-324) + [
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123]
+# a value's bits: a special one, a plain value to repeat, or any float
+_bits = st.one_of(st.sampled_from(_SPECIALS + _bits_of(1.0, -2.5, 0.1)),
+                  st.floats().map(lambda x: _bits_of(x)[0]))
+
+
 class TestTextLayer:
+    @given(blocks=st.lists(st.lists(_bits, max_size=40), min_size=1, max_size=4),
+           json_floats=st.booleans())
+    @example(blocks=[[]], json_floats=True)
+    @example(blocks=[_SPECIALS * 5, [], _SPECIALS[::-1] * 2, _SPECIALS[3:4]], json_floats=True)
+    @example(blocks=[_SPECIALS * 5, [], _SPECIALS[::-1] * 2, _SPECIALS[3:4]], json_floats=False)
+    @settings(max_examples=200, deadline=None)
+    def test_float_column_texts_equal_each_repr(self, blocks, json_floats):
+        # the column's blocks in C order, the first one as a 2-row array
+        cols = [np.array(bits, dtype=np.uint64).view(float) for bits in blocks]
+        if len(cols[0]) % 2 == 0:
+            cols[0] = cols[0].reshape(2, len(cols[0]) // 2)
+        values = [x for col in cols for x in col.ravel().tolist()]
+        assert _texts(cols, str, json_floats) == [
+            json.dumps(x) if json_floats else repr(x) for x in values]
+
     @pytest.mark.parametrize("case", TEXT_CASES)
     def test_csv_equals_row_by_row_formatting(self, case):
         index, blocks = TEXT_CASES[case]

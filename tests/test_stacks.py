@@ -112,6 +112,20 @@ def test_single_point_has_no_leading_axis():
     assert np.ndim(tm_scalar(M, preset("sasaki"), fp)) == 0
 
 
+@pytest.mark.parametrize("chart", CHARTS)
+def test_an_empty_stack_gives_empty_tables(chart):
+    M, _, _ = CHARTS[chart]
+    n, fam = M.dim, preset("sasaki")
+    fp = adapted_frame(M, np.zeros((0, n)), np.zeros((0, n)))
+    sec = tm_sectional(M, fam, fp)
+    oracle = numeric_tm_curvature(M, fam, fp)
+    assert tm_curvature(M, fam, fp).table.shape == (0,) + (2 * n,) * 4
+    assert oracle.table.shape == (0,) + (2 * n,) * 4 and oracle.cond.shape == (0,)
+    assert tm_ricci(M, fam, fp).shape == (0, 2 * n, 2 * n)
+    assert (sec.hh.shape, sec.vv.shape, sec.hv.shape) == ((0, n, n),) * 3
+    assert tm_scalar(M, fam, fp).shape == (0,)
+
+
 def _points(M, x0):
     """A mixed list of bundle points: v = 0, repeated base points, |v|_g = 3
     (t = 9 beyond t_max = 4), a base point whose nabla R stencil leaves the
