@@ -50,5 +50,7 @@ print()
 print("=" * 72)
 print("Fiber Gram block alpha*Id + beta*xi^T xi for exp+ at xi = (1, 0):")
 print("=" * 72)
-print(np.array2string(preset("exp+").fiber_block(np.array([1.0, 0.0])), precision=5))
+xi = np.array([1.0, 0.0])
+j = preset("exp+").jets(float(xi @ xi))
+print(np.array2string(j.alpha * np.eye(2) + j.beta * np.outer(xi, xi), precision=5))
 print("eigenvalues are alpha(1) = e and alpha(1) + 1*beta(1) = 2e")

@@ -33,14 +33,14 @@ vs[:, 0] = np.sqrt(v_sqs)
 fp = adapted_frame(M, np.zeros(n), vs)
 s_general = tm_scalar(M, preset("exp-"), fp)
 for v_sq, general in zip(v_sqs, s_general):
-    s_plus = scalar_exp_specials(0.0, n, v_sq, "plus").value
-    s_minus = scalar_exp_specials(0.0, n, v_sq, "minus").value
+    s_plus = scalar_exp_specials(0.0, n, v_sq, "plus")
+    s_minus = scalar_exp_specials(0.0, n, v_sq, "minus")
     print(f"{v_sq:8.4f} {s_plus:14.6f} {s_minus:14.6f} {general:14.6f}")
 
 print()
 print("The sign change sits exactly at the threshold:")
 for v_sq in (threshold - 1e-9, threshold, threshold + 1e-9):
-    s = scalar_exp_specials(0.0, n, v_sq, "minus").value
+    s = scalar_exp_specials(0.0, n, v_sq, "minus")
     print(f"  S_minus({v_sq:.9f}) = {s: .3e}")
 
 print()
@@ -55,5 +55,5 @@ d = np.array([0.3, 0.7])
 ts = np.array([0.5, 1.0, 1.8])
 fp = adapted_frame(M2, q, np.outer(ts, d / math.sqrt(d @ g @ d)))
 for t, general in zip(ts, tm_scalar(M2, preset("exp+"), fp)):
-    special = scalar_exp_specials(1.0, 2, t * t, "plus").value
+    special = scalar_exp_specials(1.0, 2, t * t, "plus")
     print(f"  |v| = {t:3.1f}: general = {general:12.6f}, specialized = {special:12.6f}")

@@ -19,26 +19,18 @@ from .basemanifold import (
     frame_curvature,
     hyperbolic,
     make_manifold,
-    rotate_completion,
     sphere,
 )
 from .bundlemetric import (
     adapted_frame_vectors,
-    connection_split,
-    frame_gram,
     induced_metric,
 )
 from .closedform import (
     ConstCurvSectional,
-    ExpScalarResult,
-    TMCurvatureTable,
     TMSectional,
     component_class_masks,
-    gram_diagonal,
     minus_exp_flat_threshold,
     scalar_exp_specials,
-    table_ricci_trace,
-    table_scalar_trace,
     tm_curvature,
     tm_ricci,
     tm_scalar,

@@ -16,7 +16,7 @@ component R_1221, and the unit sphere calibrates to R_1221 = +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "adapted_frame",
     "frame_curvature",
     "base_invariants",
-    "rotate_completion",
     "euclidean",
     "sphere",
     "hyperbolic",
@@ -341,8 +340,15 @@ class AdaptedFramePoint:
 
     def require_finite(self, quantity: str, values: np.ndarray) -> None:
         """NonFiniteError naming quantity and the first point whose values
-        (leading with the stack axes) are not all finite."""
-        lead = np.shape(self.t)  # the row size is explicit: -1 fails on an empty stack
+        (leading with the stack axes) are not all finite; ValueError if the
+        values do not lead with the stack's shape."""
+        lead = np.shape(self.t)
+        if values.shape[: len(lead)] != lead:
+            raise ValueError(
+                f"{quantity}: values of shape {values.shape} do not lead with "
+                f"the stack shape {lead}"
+            )
+        # the row size is explicit: -1 fails on an empty stack
         rows = np.isfinite(values).reshape(lead + (values.size // max(math.prod(lead), 1),))
         bad = ~rows.all(axis=-1)
         if bad.any():
@@ -411,16 +417,6 @@ def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFram
     u = _gram_schmidt(g, seeds)
     u[..., 0, :] = np.where(aligned, radial, u[..., 0, :])  # exact alignment
     return AdaptedFramePoint(q=q, u=u, v=v, t=t[..., 0][()], g=g)
-
-
-def rotate_completion(
-    fp: AdaptedFramePoint, rotation: np.ndarray
-) -> AdaptedFramePoint:
-    """Replace u[1:] by rotation @ u[1:] (rotation orthogonal, (n-1)x(n-1));
-    used to check that scalar invariants ignore the completion choice."""
-    u = fp.u.copy()
-    u[..., 1:, :] = np.asarray(rotation, dtype=float) @ u[..., 1:, :]
-    return replace(fp, u=u)
 
 
 @dataclass(frozen=True)

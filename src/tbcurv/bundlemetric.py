@@ -23,24 +23,9 @@ from .basemanifold import AdaptedFramePoint, ChartManifold, _at_distinct
 from .metricfamily import NaturalMetricFamily
 
 __all__ = [
-    "connection_split",
     "induced_metric",
     "adapted_frame_vectors",
-    "frame_gram",
 ]
-
-
-def connection_split(
-    M: ChartManifold, x: np.ndarray, v: np.ndarray, A: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 2n induced-coordinate vector A at the point (x, v), each of
-    shape (n,), into (pi_* A, K A)."""
-    n = M.dim
-    A = np.asarray(A, dtype=float)
-    hor = A[:n]
-    _, gamma, _ = M.connection(x, second=False)
-    ver = A[n:] + np.einsum("abc,b,c->a", gamma, v, hor)
-    return hor, ver
 
 
 def induced_metric(
@@ -108,13 +93,3 @@ def adapted_frame_vectors(M: ChartManifold, fp: AdaptedFramePoint) -> np.ndarray
     frame[..., :n, n:] = -fp.u @ np.swapaxes(w, -1, -2)
     frame[..., n:, n:] = fp.u
     return frame
-
-
-def frame_gram(
-    M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
-) -> np.ndarray:
-    """Gram matrix of the adapted frame under G; equals the fiber-block
-    matrix with xi = (t, 0, ..., 0) in the vertical corner."""
-    G = induced_metric(M, fam, fp.q, fp.v)
-    frame = adapted_frame_vectors(M, fp)
-    return frame @ G @ frame.T

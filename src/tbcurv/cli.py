@@ -627,7 +627,7 @@ def _table_columns(M: ChartManifold, fam: NaturalMetricFamily, fp, task: str) ->
     shape, a leading point axis first when fp is a stack, then one axis per
     index name of the task."""
     if task == "curvature":
-        return {"value": closedform.tm_curvature(M, fam, fp).table}
+        return {"value": closedform.tm_curvature(M, fam, fp)}
     if task == "sectional":
         sec = closedform.tm_sectional(M, fam, fp)
         return {"K_hh": sec.hh, "K_vv": sec.vv, "K_hv": sec.hv}
@@ -753,7 +753,7 @@ def cmd_scan(cfg: dict) -> int:
         if isinstance(result, TbcurvError):
             status, result = error_text(result), (nan, nan, nan)
         elif special is not None and k0 is not None:
-            s_special = float(closedform.scalar_exp_specials(k0, M.dim, t * t, special).value)
+            s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special)
         s_general, f_val, h_val = result
         rows.append((t, s_general, s_special, f_val, h_val, status))
     v_norm, s_general, s_special, f_val, h_val, status = zip(*rows)

@@ -46,10 +46,8 @@ from .errors import TbcurvError
 from .metricfamily import FamilyJets, NaturalMetricFamily
 
 __all__ = [
-    "TMCurvatureTable",
     "TMSectional",
     "ConstCurvSectional",
-    "ExpScalarResult",
     "tm_curvature",
     "tm_sectional",
     "tm_sectional_constcurv",
@@ -59,9 +57,6 @@ __all__ = [
     "minus_exp_flat_threshold",
     "component_class_labels",
     "component_class_masks",
-    "gram_diagonal",
-    "table_ricci_trace",
-    "table_scalar_trace",
     "on_points",
     "CLASS_NAMES",
 ]
@@ -73,13 +68,6 @@ def _epsilon(n: int) -> np.ndarray:
     """epsilon_ijkl = delta_il delta_jk - delta_jl delta_ik."""
     eye = np.eye(n)
     return np.einsum("il,jk->ijkl", eye, eye) - np.einsum("jl,ik->ijkl", eye, eye)
-
-
-def gram_diagonal(fam: NaturalMetricFamily, t: float, n: int) -> np.ndarray:
-    """Diagonal of the adapted-frame Gram matrix: n ones, then
-    alpha + t^2 beta (radial vertical), then alpha for the rest."""
-    j = fam.jets(t * t)
-    return np.array([1.0] * n + [j.delta] + [j.alpha] * (n - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,16 +99,6 @@ def component_class_masks(n: int) -> dict[str, np.ndarray]:
     CLASS_NAMES order."""
     labels = component_class_labels(n)
     return {name: labels == k for k, name in enumerate(CLASS_NAMES)}
-
-
-@dataclass(frozen=True)
-class TMCurvatureTable:
-    """Components <Rbar(e_a, e_b) e_c, e_d> for a, b, c, d in 0..2n-1,
-    stored as the six class blocks plus the assembled full table; for a
-    stack of points, the blocks and the table lead with the point axes."""
-
-    blocks: dict
-    table: np.ndarray
 
 
 def _w(x, axes: int) -> np.ndarray:
@@ -263,7 +241,6 @@ def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict
     return {
         "hhhh": hhhh,
         "vvvv": vvvv,
-        "hvvv": np.zeros(hhhh.shape),
         "vvhh": vvhh,
         "hvhv": hvhv,
         "hhvh": hhvh,
@@ -296,15 +273,17 @@ def _assemble(blocks: dict, n: int) -> np.ndarray:
     return T
 
 
-@_finite("curvature of (TM, G)", lambda out: out.table)
+@_finite("curvature of (TM, G)")
 def tm_curvature(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
-) -> TMCurvatureTable:
+) -> np.ndarray:
     """Full closed-form curvature table of (TM, G) at a normal-form point,
-    or one table per point of a stack of them."""
+    the components <Rbar(e_a, e_b) e_c, e_d> for a, b, c, d in 0..2n-1 of
+    shape (2n, 2n, 2n, 2n), or one table per point of a stack of them.  A
+    class block is a slice of it: hhhh is ``table[..., :n, :n, :n, :n]``,
+    vvvv ``table[..., n:, n:, n:, n:]``."""
     jets, frame = _point_inputs(M, fam, fp, include_nabla=True)
-    blocks = _blocks(jets, fp, frame)
-    return TMCurvatureTable(blocks=blocks, table=_assemble(blocks, fp.dim))
+    return _assemble(_blocks(jets, fp, frame), fp.dim)
 
 
 # --------------------------------------------------------------------------
@@ -483,13 +462,6 @@ def tm_scalar(M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpScalarResult:
-    value: float
-    flat_threshold: Optional[float]  # |v|^2 where the flat-base minus-exponential
-    # scalar crosses zero (dim >= 3); None otherwise
-
-
 def minus_exp_flat_threshold(n: int) -> float:
     """Positivity threshold of the flat-base minus-exponential scalar:
     |v|^2 = ((n-1) + sqrt(4 n (n-2) + 1)) / (n-2), for n >= 3."""
@@ -498,40 +470,24 @@ def minus_exp_flat_threshold(n: int) -> float:
     return ((n - 1) + math.sqrt(4.0 * n * (n - 2) + 1.0)) / (n - 2)
 
 
-def scalar_exp_specials(k0: float, n: int, v_sq: float, which: str) -> ExpScalarResult:
+def scalar_exp_specials(k0: float, n: int, v_sq: float, which: str) -> float:
     """Specialized scalar curvature of the exponential metrics over a
-    constant-curvature base (curvature k0), as a function of |v|^2."""
+    constant-curvature base (curvature k0), as a function of |v|^2.  The
+    flat-base minus-exponential value crosses zero at
+    ``minus_exp_flat_threshold(n)``."""
     s = float(v_sq)
     if which == "plus":
-        value = (n - 1) * (
+        return (n - 1) * (
             k0 * (n - 0.5 * k0 * s * math.exp(s))
             - math.exp(-s) * (2.0 + (n - 2) * (1.0 + s)) / (1.0 + s)
         )
-        return ExpScalarResult(value=value, flat_threshold=None)
     if which == "minus":
-        value = (n - 1) * (
+        return (n - 1) * (
             k0 * (n - 0.5 * k0 * s * math.exp(-s))
             + (math.exp(s) / (1.0 + s))
             * ((n - 2) * (3.0 - s) + (6.0 + 2.0 * s) / (1.0 + s))
         )
-        threshold = minus_exp_flat_threshold(n) if n >= 3 else None
-        return ExpScalarResult(value=value, flat_threshold=threshold)
     raise ValueError("which must be 'plus' or 'minus'")
-
-
-# --------------------------------------------------------------------------
-# Trace helpers (internal consistency between table, Ricci and scalar)
-# --------------------------------------------------------------------------
-
-
-def table_ricci_trace(table: np.ndarray, gram_diag: np.ndarray) -> np.ndarray:
-    """Ricci of a full component table over the orthogonal adapted frame."""
-    return np.einsum("accb,c->ab", table, 1.0 / gram_diag)
-
-
-def table_scalar_trace(table: np.ndarray, gram_diag: np.ndarray) -> float:
-    ricci = table_ricci_trace(table, gram_diag)
-    return float(np.einsum("aa,a->", ricci, 1.0 / gram_diag))
 
 
 # --------------------------------------------------------------------------

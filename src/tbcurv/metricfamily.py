@@ -440,18 +440,6 @@ class NaturalMetricFamily:
             nonfinite=nonfinite,
         )
 
-    # -- derived quantities --------------------------------------------------
-
-    def fiber_block(self, xi: np.ndarray) -> np.ndarray:
-        """alpha(|xi|^2)*Id + beta(|xi|^2)*xi^T xi, the vertical Gram block.
-
-        Symmetric positive definite whenever the family is valid at |xi|^2
-        (eigenvalues alpha with multiplicity n-1 and alpha + |xi|^2 beta).
-        """
-        xi = np.asarray(xi, dtype=float)
-        j = self.jets(float(xi @ xi))
-        return j.alpha * np.eye(xi.shape[0]) + j.beta * np.outer(xi, xi)
-
 
 def flatness_jet(a: Jet2, t) -> Jet2:
     """The jet of the flatness beta at t, from the jet ``a`` of alpha there:

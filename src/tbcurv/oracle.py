@@ -309,7 +309,7 @@ def compare(
         results = []
         for k in range(0, len(fp.t), _BLOCK_POINTS):
             block = fp[k : k + _BLOCK_POINTS]
-            closed = tm_curvature(M, fam, block).table
+            closed = tm_curvature(M, fam, block)
             orc = numeric_tm_curvature(M, fam, block)
             results += zip(closed, orc.table, orc.cond.tolist())
         return results

@@ -17,7 +17,6 @@ from tbcurv.basemanifold import (
     frame_curvature,
     hyperbolic,
     make_manifold,
-    rotate_completion,
     sphere,
 )
 from tbcurv.errors import (
@@ -26,6 +25,8 @@ from tbcurv.errors import (
     StencilOutOfDomainError,
 )
 from tbcurv.numdiff import pointwise
+
+from references import rotate_completion
 
 
 def fd_only(M, per_point=True):
@@ -608,7 +609,7 @@ class TestNonFiniteCurvature:
         q = np.array([[0.1, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
         v = np.array([[0.0, 1e-60, 0.0], [2e-155, 0.0, 0.0], [0.0, 0.0, 0.0]])
         fp = adapted_frame(self.M, q, v)
-        fp.require_finite("R", frame_curvature(self.M, fp[:1], include_nabla=False).Rtable[:1])
+        fp[:1].require_finite("R", frame_curvature(self.M, fp[:1], include_nabla=False).Rtable)
         values = frame_curvature(self.M, fp, include_nabla=False).Rtable
         with pytest.raises(NonFiniteError, match=re.escape(
                 "R is not finite at x=[0.5, 0.0, 0.0], v=[2e-155, 0.0, 0.0]")):
@@ -616,6 +617,16 @@ class TestNonFiniteCurvature:
         with pytest.raises(NonFiniteError, match=re.escape(
                 "R is not finite at x=[0.5, 0.0, 0.0], v=[0.0, 0.0, 0.0]")):
             fp[2].require_finite("R", values[2])
+
+    def test_require_finite_rejects_values_of_another_stack(self):
+        q = np.array([[0.1, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        fp = adapted_frame(self.M, q, np.zeros((3, 3)))
+        one = frame_curvature(self.M, fp[:1], include_nabla=False).Rtable
+        with pytest.raises(ValueError, match=re.escape(
+                "R: values of shape (1, 3, 3, 3, 3) do not lead with the stack shape (3,)")):
+            fp.require_finite("R", one)
+        with pytest.raises(ValueError, match=re.escape("shape (3,) do not lead with the stack shape (1,)")):
+            fp[:1].require_finite("R", np.zeros(3))
 
 
 class TestEvaluations:

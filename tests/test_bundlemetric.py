@@ -13,20 +13,28 @@ from tbcurv.basemanifold import (
     hyperbolic,
     sphere,
 )
-from tbcurv.bundlemetric import (
-    adapted_frame_vectors,
-    connection_split,
-    frame_gram,
-    induced_metric,
-)
+from tbcurv.bundlemetric import adapted_frame_vectors, induced_metric
 from tbcurv.errors import ValidityError
 from tbcurv.metricfamily import PRESET_NAMES, preset
 from tbcurv.numdiff import pointwise
+
+from references import fiber_block, frame_gram
 
 
 def fd_only(M):
     """The chart without its analytic connection data, evaluated point by point."""
     return ChartManifold(M.dim, pointwise(M.metric_fn), lo=M.lo, hi=M.hi, catalog_id="custom")
+
+
+def _connection_split(M, x, v, A):
+    """Split a 2n induced-coordinate vector A at the point (x, v), each of
+    shape (n,), into (pi_* A, K A)."""
+    n = M.dim
+    A = np.asarray(A, dtype=float)
+    hor = A[:n]
+    _, gamma, _ = M.connection(x, second=False)
+    ver = A[n:] + np.einsum("abc,b,c->a", gamma, v, hor)
+    return hor, ver
 
 
 def _signed_zero_metric(x):
@@ -40,7 +48,7 @@ def _signed_zero_metric(x):
 class TestConnectionSplit:
     def test_euclidean_plain_split(self):
         M = euclidean(2)
-        hor, ver = connection_split(M, [0.1, 0.2], [1.0, -1.0], np.array([1.0, 2.0, 3.0, 4.0]))
+        hor, ver = _connection_split(M, [0.1, 0.2], [1.0, -1.0], np.array([1.0, 2.0, 3.0, 4.0]))
         assert np.array_equal(hor, [1.0, 2.0])
         assert np.array_equal(ver, [3.0, 4.0])
 
@@ -49,7 +57,7 @@ class TestConnectionSplit:
         for a in range(2):
             A = np.zeros(4)
             A[2 + a] = 1.0
-            hor, ver = connection_split(M, [0.9, 0.3], [0.4, -0.2], A)
+            hor, ver = _connection_split(M, [0.9, 0.3], [0.4, -0.2], A)
             assert np.array_equal(hor, np.zeros(2))
             expected = np.zeros(2)
             expected[a] = 1.0
@@ -64,7 +72,7 @@ class TestConnectionSplit:
         _, gamma, _ = M.connection(x, second=False)
         assert np.max(np.abs(gamma)) > 0.01  # the point genuinely curves
         A = np.concatenate([u, -np.einsum("abc,b,c->a", gamma, v, u)])
-        hor, ver = connection_split(M, x, v, A)
+        hor, ver = _connection_split(M, x, v, A)
         assert np.array_equal(hor, u)
         assert np.max(np.abs(ver)) <= 1e-15
 
@@ -191,10 +199,10 @@ class TestAdaptedFrameVectors:
         fp = adapted_frame(M, x, v)
         frame = adapted_frame_vectors(M, fp)
         for i in range(2):
-            hor, ver = connection_split(M, x, v, frame[i])
+            hor, ver = _connection_split(M, x, v, frame[i])
             assert np.array_equal(hor, fp.u[i])
             assert np.max(np.abs(ver)) <= 1e-15
-            hor, ver = connection_split(M, x, v, frame[2 + i])
+            hor, ver = _connection_split(M, x, v, frame[2 + i])
             assert np.array_equal(hor, np.zeros(2))
             assert np.array_equal(ver, fp.u[i])
 
@@ -222,7 +230,7 @@ class TestAdaptedFrameVectors:
             xi[0] = fp.t
             expected = np.zeros((2 * n, 2 * n))
             expected[:n, :n] = np.eye(n)
-            expected[n:, n:] = fam.fiber_block(xi)
+            expected[n:, n:] = fiber_block(fam, xi)
             assert np.max(np.abs(gram - expected)) <= 1e-10
 
     def test_gram_identity_numeric_christoffels(self):
@@ -243,7 +251,7 @@ class TestAdaptedFrameVectors:
         xi = np.array([fp.t, 0.0])
         expected = np.zeros((4, 4))
         expected[:2, :2] = np.eye(2)
-        expected[2:, 2:] = fam.fiber_block(xi)
+        expected[2:, 2:] = fiber_block(fam, xi)
         assert np.max(np.abs(gram - expected)) <= 1e-6
 
     def test_radial_vertical_norm(self):

@@ -1950,7 +1950,7 @@ def _reference_output(task, fmt, M, fam_name, xs, vs, results):
         if isinstance(result, TbcurvError):
             t, status, result = _ref_v_norm(M, x, v), error_cell(result), (nan, nan, nan)
         elif special is not None and k0 is not None:
-            s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special).value
+            s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special)
         s_general, f_val, h_val = result
         rows.append({"x": _ref_coords(x), "v_norm": t, "scalar_general": s_general,
                      "scalar_special": float(s_special), "F": f_val, "H": h_val,

@@ -58,7 +58,7 @@ def _close(stacked, single):
 def _closed_forms(M, fam, fp):
     sec = tm_sectional(M, fam, fp)
     return (
-        tm_curvature(M, fam, fp).table,
+        tm_curvature(M, fam, fp),
         sec.hh,
         sec.vv,
         sec.hv,
@@ -108,7 +108,7 @@ def test_single_point_has_no_leading_axis():
     M, _, x0 = CHARTS["hyperbolic"]
     fp = adapted_frame(M, x0, [0.3, 0.0, 0.1])
     assert fp.u.shape == (3, 3) and isinstance(fp.t, float)
-    assert tm_curvature(M, preset("sasaki"), fp).table.shape == (6, 6, 6, 6)
+    assert tm_curvature(M, preset("sasaki"), fp).shape == (6, 6, 6, 6)
     assert np.ndim(tm_scalar(M, preset("sasaki"), fp)) == 0
 
 
@@ -119,7 +119,7 @@ def test_an_empty_stack_gives_empty_tables(chart):
     fp = adapted_frame(M, np.zeros((0, n)), np.zeros((0, n)))
     sec = tm_sectional(M, fam, fp)
     oracle = numeric_tm_curvature(M, fam, fp)
-    assert tm_curvature(M, fam, fp).table.shape == (0,) + (2 * n,) * 4
+    assert tm_curvature(M, fam, fp).shape == (0,) + (2 * n,) * 4
     assert oracle.table.shape == (0,) + (2 * n,) * 4 and oracle.cond.shape == (0,)
     assert tm_ricci(M, fam, fp).shape == (0, 2 * n, 2 * n)
     assert (sec.hh.shape, sec.vv.shape, sec.hv.shape) == ((0, n, n),) * 3
@@ -321,7 +321,7 @@ def _reference_reports(M, fam, xs, vs, cfg):
         try:
             fp = adapted_frame(M, x, v)
             report.t = fp.t
-            closed = tm_curvature(M, fam, fp).table
+            closed = tm_curvature(M, fam, fp)
             orc = numeric_tm_curvature(M, fam, fp)
             report.closed, report.oracle, report.cond = closed, orc.table, float(orc.cond)
         except TbcurvError as exc:
