@@ -409,7 +409,14 @@ def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFram
     M.check_interior(q)
     g = _at_distinct(M.metric, q)
     _check_spd(g, q, "q")
-    t = _g_norm(g, v[..., None])[..., 0]
+    t = _g_norm(g, v[..., None])
+    # below |v|_g = 2^-511 (about 1e-154), v g v is subnormal or 0 and t keeps
+    # few bits or none: there t is formed from 2^600 v and scaled back, exactly
+    small = t < 2.0**-511
+    if small.any():
+        scale = np.where(small, 2.0**600, 1.0)
+        t = _g_norm(g, v[..., None] * scale) / scale
+    t = t[..., 0]
     aligned = t > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         radial = np.where(aligned, v / t, 0.0)  # a zero seed is skipped

@@ -24,7 +24,7 @@ import json
 import math
 import re
 import sys
-from itertools import accumulate, chain, product
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -379,8 +379,11 @@ def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
     if path is None:
         sys.stdout.writelines(chunks)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(chunks)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror}")
 
 
 def _emit(cfg: dict, blocks: list, note: str, payload_key: str, index: str = "") -> None:
@@ -517,15 +520,10 @@ def _texts(cols: list, quote: Callable, json_floats: bool = False) -> list:
     values = np.concatenate([col.ravel() for col in cols])
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     distinct = bits.view(float)
-    texts = _float_texts(distinct.tolist(), json_floats and not np.isfinite(distinct).all())
+    texts = list(map(repr, distinct.tolist()))
+    if json_floats and not np.isfinite(distinct).all():
+        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
     return np.array(texts, dtype=object)[inverse].tolist()
-
-
-def _float_texts(values: list, nonfinite: bool) -> list:
-    """The repr of each float; with nonfinite (some value is not finite),
-    NaN or Infinity as JSON writes them where a value is not finite."""
-    texts = list(map(repr, values))
-    return [_JSON_NONFINITE.get(text, text) for text in texts] if nonfinite else texts
 
 
 def _row_count(values: dict) -> int:
@@ -673,52 +671,17 @@ def cmd_verify(cfg: dict) -> int:
         print(r.summary_line())
     path = cfg.get("output", {}).get("path")
     if path:
-        doc = {
-            "config": {
-                "manifold": {"id": M.catalog_id, "params": M.params},
-                "family": fam.name,
-                "oracle": oracle_cfg.to_dict(),
-            },
-            "reports": [r.to_json_dict() for r in reports],
+        config = {
+            "manifold": {"id": M.catalog_id, "params": M.params},
+            "family": fam.name,
+            "oracle": oracle_cfg.to_dict(),
         }
-        _write_text(path, [_verify_text(doc), "\n"])
+        # one line per report, in point order; _resolve_points gives at least one
+        lines = (json.dumps(r.to_json_dict(), sort_keys=True) for r in reports)
+        head = '{"config": ' + json.dumps(config, sort_keys=True) + ', "reports": [\n'
+        _write_text(path, chain([head, next(lines)], (",\n" + line for line in lines), ["\n]}\n"]))
     ok = all(r.status == "ok" and r.passed for r in reports)
     return 0 if ok else 1
-
-
-_TABLE_KEYS = ("closed_table", "oracle_table")
-
-
-def _verify_text(doc: dict) -> str:
-    """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` for a verify
-    document, whose reports hold their closed_table and oracle_table as
-    lists of floats or Nones.  json's indenting encoder formats float by
-    float; the tables are formatted instead as one ``_float_texts`` for the
-    document, and each is spliced in where its position among them was
-    dumped."""
-    tables: list = []
-
-    def indexed(report: dict) -> dict:
-        for key in _TABLE_KEYS:
-            if report[key] is not None:
-                tables.append(report[key])
-                report = {**report, key: len(tables) - 1}
-        return report
-
-    text = json.dumps({**doc, "reports": list(map(indexed, doc["reports"]))},
-                      sort_keys=True, indent=2)
-    values = list(chain.from_iterable(tables))
-    # the sum is finite only if every value is; an overflow takes the exact branch
-    texts = _float_texts(values, not math.isfinite(sum(values)))
-    bounds = list(accumulate(map(len, tables), initial=0))
-
-    def table(match) -> str:
-        k = int(match[2])
-        cells = texts[bounds[k] : bounds[k + 1]]
-        return f'"{match[1]}": ' + ("[\n        " + ",\n        ".join(cells) + "\n      ]"
-                                     if cells else "[]")
-
-    return re.sub(r'"(closed_table|oracle_table)": (\d+)', table, text)
 
 
 def _constant_curvature_of(M: ChartManifold) -> Optional[float]:

@@ -296,6 +296,16 @@ class TestAdaptedFrame:
                 assert np.max(np.abs(fp.u @ g @ fp.u.T - np.eye(M.dim))) <= 1e-12
                 assert np.allclose(fp.u[0] * fp.t, v, atol=1e-12 * (1 + fp.t))
 
+    def test_tiny_vectors_keep_u0_unit(self):
+        # below |v|_g of about 1e-154, v g v is subnormal or 0: t used to keep
+        # few bits there (u_0 g u_0 = 0.978 at s = 1e-162) or read 0
+        M = hyperbolic(2)
+        s = np.r_[1.0, 10.0 ** -np.arange(150, 301, 2)]
+        fp = adapted_frame(M, np.array([0.1, 0.2]), s[:, None] * np.array([1.0, 0.3]))
+        u0 = fp.u[:, 0]
+        assert np.max(np.abs(np.einsum("ma,mab,mb->m", u0, fp.g, u0) - 1.0)) <= 1e-14
+        assert np.all(fp.t > 0.0)
+
     def test_sphere_chart_vector_norm(self):
         # |(0, 1)|_g at theta = pi/4 is sin(pi/4)
         M = sphere(2)

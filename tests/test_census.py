@@ -13,7 +13,7 @@ _spec.loader.exec_module(census)
 def test_a_checkout_matches_itself(capsys):
     assert census.main(["--other", str(ROOT), "--workload", "families", "--seed", "1"]) == 0
     assert capsys.readouterr().out == (
-        "families: 13 jobs, 0 differ (stdout 0, stderr 0, report 0, exit code 0)\n"
+        "families: 13 jobs, 0 differ (stdout 0, stderr 0, report 0 (0 layout only), exit code 0)\n"
     )
 
 
@@ -26,7 +26,8 @@ def test_a_moved_output_is_counted_and_named(tmp_path, capsys):
                    "    print('moved')\n    return _main(argv)\n")
     assert census.main(["--other", str(tmp_path), "--workload", "families", "--seed", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "families: 13 jobs, 13 differ (stdout 13, stderr 0, report 0, exit code 0)"
+    assert out[0] == ("families: 13 jobs, 13 differ "
+                      "(stdout 13, stderr 0, report 0 (0 layout only), exit code 0)")
     assert out[1] == "  differs: families/1/0 family-check/sasaki/0"
     assert out[2] == ("    stdout line 1: "
                       "'family sasaki: valid; phi > 0 on [0, 25] (4096 samples)\\n' != 'moved\\n'")
@@ -39,3 +40,10 @@ def test_first_differing_line():
     assert line("a\nb\n", "a\n") == "line 2: 'b\\n' != None"
     assert line("a\n", "a") == "line 1: 'a\\n' != 'a'"
     assert line("x" * 300, "y") == f"line 1: {'x' * 200!r} != 'y'"
+
+
+def test_same_document():
+    same = census.same_document
+    assert same('{"b": [NaN, -0.0], "a": 1}', '{\n  "a": 1,\n  "b": [\n    NaN,\n    -0.0\n  ]\n}')
+    assert not same('{"a": [0.0]}', '{"a": [-0.0]}')
+    assert not same('{"a": 1}', "")

@@ -34,12 +34,11 @@ from tbcurv.cli import (
     _resolve_family,
     _resolve_points,
     _texts,
-    _verify_text,
     main,
 )
 from tbcurv.errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily
-from tbcurv.oracle import OracleConfig, compare
+from tbcurv.oracle import CurvatureReport, OracleConfig, compare
 from tbcurv.scalarfun import ScalarFunction
 
 
@@ -1429,10 +1428,12 @@ class TestNonFiniteValues:
             "outside validated range [0, 25] for family 'sasaki'\n")
 
 
-class TestVerifyReportText:
-    # the report is written with one repr join per table; its bytes are
-    # those of json.dumps(doc, sort_keys=True, indent=2)
-    def _doc(self, vs, family="sasaki"):
+class TestVerifyReportLines:
+    # the report is json's own output: a head line with the config, one
+    # json.dumps line per report in point order, and "]}"
+    VS = ["0.3,0.1", "6,0"]  # at x = (0.9, 0.3); the second |v|^2 = 36 > t_max
+
+    def _doc(self, vs, family):
         M = make_manifold("sphere", dim=2)
         fam = _resolve_family({"family": {"preset": family}})
         oracle_cfg = OracleConfig()
@@ -1446,22 +1447,37 @@ class TestVerifyReportText:
             "reports": [r.to_json_dict() for r in reports],
         }
 
-    VS = [[0.3, 0.1], [6.0, 0.0]]  # at x = (0.9, 0.3); the second |v|^2 = 36 > t_max
+    def _run(self, tmp_path, family, vs):
+        out = tmp_path / "r.json"
+        args = ["verify", "--manifold", "sphere", "--dim", "2", "--family", family,
+                "--out", str(out)]
+        for v in vs:
+            args += ["--point", "0.9,0.3", "--v", v]
+        code = run(args)
+        return code, out.read_text()
+
+    def _assert_lines(self, text, doc):
+        lines = text.split("\n")
+        assert lines[0] == ('{"config": ' + json.dumps(doc["config"], sort_keys=True)
+                            + ', "reports": [')
+        assert lines[-2:] == ["]}", ""]
+        reports = lines[1:-2]
+        assert [line.endswith(",") for line in reports] == [True] * (len(reports) - 1) + [False]
+        assert [line.removesuffix(",") for line in reports] == [
+            json.dumps(r, sort_keys=True) for r in doc["reports"]]
+        assert json.dumps(json.loads(text), sort_keys=True) == json.dumps(doc, sort_keys=True)
 
     def test_ok_and_error_reports(self, tmp_path):
-        doc = self._doc(self.VS, "exp+")
+        doc = self._doc([[0.3, 0.1], [6.0, 0.0]], "exp+")
         assert [r["status"] for r in doc["reports"]] == ["ok", "error"]
         assert doc["reports"][1]["closed_table"] is None
-        assert _verify_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
-        out = tmp_path / "r.json"
-        code = run(["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
-                    "--point", "0.9,0.3", "--v", "0.3,0.1", "--point", "0.9,0.3", "--v", "6,0",
-                    "--out", str(out)])
+        code, text = self._run(tmp_path, "exp+", self.VS)
         assert code == 1
-        assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        self._assert_lines(text, doc)
+        assert json.loads(text) == doc
 
-    def test_non_finite_and_empty_tables(self):
-        doc = self._doc(self.VS[:1])
+    def test_non_finite_and_empty_tables(self, tmp_path):
+        doc = self._doc([[0.3, 0.1]], "sasaki")
         report = doc["reports"][0]
         doc["reports"] = [
             {**report, "closed_table": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300],
@@ -1469,7 +1485,29 @@ class TestVerifyReportText:
             {**report, "closed_table": [], "oracle_table": [math.nan]},
             {**report, "closed_table": None, "oracle_table": None},
         ]
-        assert _verify_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        with mock.patch.object(CurvatureReport, "to_json_dict", side_effect=doc["reports"]):
+            code, text = self._run(tmp_path, "sasaki", [self.VS[0]] * 3)
+        assert code == 0
+        self._assert_lines(text, doc)
+        assert "NaN, Infinity, -Infinity, -0.0, 5e-324, 1e+300]" in text
+
+
+class TestUnwritableOutput:
+    # a path that cannot be written is a config error, after the work is done
+    TASKS = {
+        "scalar": ["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                   "--point", "0.1,0.2", "--v", "0.3,0"],
+        "verify": ["verify", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                   "--point", "0.1,0.2", "--v", "0.3,0"],
+    }
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    @pytest.mark.parametrize("where, reason", [("missing/r.out", "No such file or directory"),
+                                               ("", "Is a directory")])
+    def test_config_error(self, tmp_path, capsys, task, where, reason):
+        path = str(tmp_path / where)
+        assert run([*self.TASKS[task], "--out", path]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write output {path}: {reason}\n"
 
 
 class TestPositiveSettings:

@@ -13,8 +13,9 @@ interpreter, so the two ``tbcurv`` packages never meet.
 Prints, per workload, how many jobs differ in stdout, in stderr, in report
 bytes and in exit code, and names the first differing jobs, each with the
 first line of its stdout and of its report that differs (this checkout's
-line, then the other's).  Exit code 0 when every job matches, 1 when any
-differs.
+line, then the other's).  Of the reports whose bytes differ, it also counts
+those that differ in layout only: the same JSON document once both are
+parsed.  Exit code 0 when every job matches, 1 when any byte differs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("stdout", "stderr", "report", "exit code")
+REPORT = FIELDS.index("report")
 SHOWN = 10
 LINE_CHARS = 200  # of a differing line shown
 
@@ -79,6 +81,17 @@ def first_differing_line(here: str, there: str) -> str:
     return f"line {k + 1}: {shown[0]} != {shown[1]}"
 
 
+def same_document(here: str, there: str) -> bool:
+    """Whether two report texts are one JSON document in different layouts:
+    equal once each is parsed and dumped with sorted keys (so that a NaN
+    matches a NaN)."""
+    try:
+        return json.dumps(json.loads(here), sort_keys=True) == json.dumps(
+            json.loads(there), sort_keys=True)
+    except ValueError:  # a side wrote no report, or not JSON
+        return False
+
+
 def run_side(checkout: Path, workloads: list, seeds: list) -> dict:
     """collect() on checkout, in a fresh interpreter."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--collect", str(checkout),
@@ -110,15 +123,19 @@ def main(argv=None) -> int:
     for workload in args.workload:
         keys = [key for key in here if key.startswith(workload + "/")]
         counts = [0] * len(FIELDS)
+        layout_only = 0
         names = []
         for key in keys:
             moved = [a != b for a, b in zip(here[key], there[key])]
             counts = [c + m for c, m in zip(counts, moved)]
             if any(moved):
                 names.append(key)
+            if moved[REPORT] and same_document(here[key][REPORT], there[key][REPORT]):
+                layout_only += 1
         differing += len(names)
-        cells = ", ".join(f"{field} {count}" for field, count in zip(FIELDS, counts))
-        print(f"{workload}: {len(keys)} jobs, {len(names)} differ ({cells})")
+        cells = [f"{field} {count}" for field, count in zip(FIELDS, counts)]
+        cells[REPORT] += f" ({layout_only} layout only)"
+        print(f"{workload}: {len(keys)} jobs, {len(names)} differ ({', '.join(cells)})")
         for key in names[:SHOWN]:
             print(f"  differs: {key}")
             for field in ("stdout", "report"):
