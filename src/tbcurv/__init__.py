@@ -59,7 +59,6 @@ from .metricfamily import (
 from .oracle import (
     CurvatureReport,
     OracleConfig,
-    OracleResult,
     compare,
     numeric_tm_curvature,
 )

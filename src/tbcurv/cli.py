@@ -19,6 +19,7 @@ configuration or invalid family.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -26,7 +27,7 @@ import re
 import sys
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -374,20 +375,24 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> tuple[np.ndarray, np.ndarray
 # --------------------------------------------------------------------------
 
 
-def _write_text(path: Optional[str], chunks: Iterable[str]) -> None:
-    """Write the text chunks, in order, to stdout or to the file at path."""
+@contextlib.contextmanager
+def _write_text(path: Optional[str]) -> Iterator[TextIO]:
+    """The stream a command writes its text to: stdout, or the file at path,
+    opened before the command computes anything, so that it fails first; an
+    error of the file, opening or writing, is a config error."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+            yield handle
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc.strerror}")
 
 
-def _emit(cfg: dict, blocks: list, note: str, payload_key: str, index: str = "") -> None:
-    """Write a table as CSV (default) or JSON, one point block at a time.
+def _emit(out: TextIO, cfg: dict, blocks: list, note: str, payload_key: str,
+          index: str = "") -> None:
+    """Write a table to out, as CSV (default) or JSON, a point block at a time.
 
     ``blocks`` holds ``(head, values)`` per block of rows, which is one
     point of a table task, or the whole of a scan: head maps column names
@@ -402,13 +407,11 @@ def _emit(cfg: dict, blocks: list, note: str, payload_key: str, index: str = "")
     from one template; each block then takes its slice of the texts, its
     head cells are formatted once, and its rows are one join
     (``_block_text``)."""
-    out = cfg.get("output", {})
     index = tuple(index)
-    if out.get("format") == "json":
-        chunks = _json_chunks(blocks, note, payload_key, index)
+    if cfg.get("output", {}).get("format") == "json":
+        out.writelines(_json_chunks(blocks, note, payload_key, index))
     else:
-        chunks = _csv_chunks(blocks, note, index)
-    _write_text(out.get("path"), chunks)
+        out.writelines(_csv_chunks(blocks, note, index))
 
 
 def _csv_chunks(blocks: list, note: str, index: tuple) -> Iterator[str]:
@@ -649,15 +652,16 @@ def cmd_tables(cfg: dict, task: str) -> int:
         columns = _table_columns(M, fam, fp, task)
         return [{key: col[k, ...] for key, col in columns.items()} for k in range(len(fp.t))]
 
-    results = closedform.on_points(M, fam, x, v, point_columns)
-    blocks = []
-    for x_cell, v_cell, (t, result) in zip(_coords(x), _coords(v), results):
-        head = {"x": x_cell, "v": v_cell, "t": t}
-        if isinstance(result, TbcurvError):
-            blocks.append(({**head, "error": error_text(result)}, None))
-        else:
-            blocks.append((head, result))
-    _emit(cfg, blocks, f"{task} of (TM, G); {_NOTE}", task, _TABLE_INDEX[task])
+    with _write_text(cfg.get("output", {}).get("path")) as out:
+        results = closedform.on_points(M, fam, x, v, point_columns)
+        blocks = []
+        for x_cell, v_cell, (t, result) in zip(_coords(x), _coords(v), results):
+            head = {"x": x_cell, "v": v_cell, "t": t}
+            if isinstance(result, TbcurvError):
+                blocks.append(({**head, "error": error_text(result)}, None))
+            else:
+                blocks.append((head, result))
+        _emit(out, cfg, blocks, f"{task} of (TM, G); {_NOTE}", task, _TABLE_INDEX[task])
     return _exit_code(results)
 
 
@@ -666,21 +670,25 @@ def cmd_verify(cfg: dict) -> int:
     fam = _resolve_family(cfg)
     x, v = _resolve_points(cfg, M)
     oracle_cfg = _built(OracleConfig, **cfg.get("oracle", {}))
-    reports = compare(M, fam, x, v, oracle_cfg)
-    for r in reports:
-        print(r.summary_line())
     path = cfg.get("output", {}).get("path")
-    if path:
-        config = {
-            "manifold": {"id": M.catalog_id, "params": M.params},
-            "family": fam.name,
-            "oracle": oracle_cfg.to_dict(),
-        }
-        # one line per report, in point order; _resolve_points gives at least one
-        lines = (json.dumps(r.to_json_dict(), sort_keys=True) for r in reports)
-        head = '{"config": ' + json.dumps(config, sort_keys=True) + ', "reports": [\n'
-        _write_text(path, chain([head, next(lines)], (",\n" + line for line in lines), ["\n]}\n"]))
-    ok = all(r.status == "ok" and r.passed for r in reports)
+    config = {
+        "manifold": {"id": M.catalog_id, "params": M.params},
+        "family": fam.name,
+        "oracle": oracle_cfg.to_dict(),
+    }
+    # the config line, then one line per report in point order, each written
+    # as its block is done, then "]}"; _resolve_points gives at least one
+    lead = '{"config": ' + json.dumps(config, sort_keys=True) + ', "reports": [\n'
+    ok = True
+    with _write_text(path) as out:
+        for report in compare(M, fam, x, v, oracle_cfg):
+            print(report.summary_line())
+            if path:
+                out.write(lead + json.dumps(report.to_json_dict(), sort_keys=True))
+                lead = ",\n"
+            ok = ok and report.status == "ok" and report.passed
+        if path:
+            out.write("\n]}\n")
     return 0 if ok else 1
 
 
@@ -706,30 +714,31 @@ def cmd_scan(cfg: dict) -> int:
         s_general = closedform.tm_scalar(M, fam, fp)
         return list(zip(s_general.tolist(), jets.F.tolist(), jets.H.tolist()))
 
-    results = closedform.on_points(M, fam, x, v, scalar_f_h)
-    special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
-    k0 = _constant_curvature_of(M)
-    nan = float("nan")
-    rows = []  # v_norm, the three values and status, per point
-    for t, result in results:
-        s_special, status = nan, "ok"
-        if isinstance(result, TbcurvError):
-            status, result = error_text(result), (nan, nan, nan)
-        elif special is not None and k0 is not None:
-            s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special)
-        s_general, f_val, h_val = result
-        rows.append((t, s_general, s_special, f_val, h_val, status))
-    v_norm, s_general, s_special, f_val, h_val, status = zip(*rows)
-    columns = {
-        "x": _coords(x),
-        "v_norm": np.array(v_norm),
-        "scalar_general": np.array(s_general),
-        "scalar_special": np.array(s_special),
-        "F": np.array(f_val),
-        "H": np.array(h_val),
-        "status": list(status),
-    }
-    _emit(cfg, [({}, columns)], f"scalar curvature scan; {_NOTE}", "scan")
+    with _write_text(cfg.get("output", {}).get("path")) as out:
+        results = closedform.on_points(M, fam, x, v, scalar_f_h)
+        special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
+        k0 = _constant_curvature_of(M)
+        nan = float("nan")
+        rows = []  # v_norm, the three values and status, per point
+        for t, result in results:
+            s_special, status = nan, "ok"
+            if isinstance(result, TbcurvError):
+                status, result = error_text(result), (nan, nan, nan)
+            elif special is not None and k0 is not None:
+                s_special = closedform.scalar_exp_specials(k0, M.dim, t * t, special)
+            s_general, f_val, h_val = result
+            rows.append((t, s_general, s_special, f_val, h_val, status))
+        v_norm, s_general, s_special, f_val, h_val, status = zip(*rows)
+        columns = {
+            "x": _coords(x),
+            "v_norm": np.array(v_norm),
+            "scalar_general": np.array(s_general),
+            "scalar_special": np.array(s_special),
+            "F": np.array(f_val),
+            "H": np.array(h_val),
+            "status": list(status),
+        }
+        _emit(out, cfg, [({}, columns)], f"scalar curvature scan; {_NOTE}", "scan")
     return _exit_code(results)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .numdiff import (
 
 __all__ = [
     "OracleConfig",
-    "OracleResult",
     "CurvatureReport",
     "numeric_tm_curvature",
     "compare",
@@ -72,19 +71,12 @@ class OracleConfig:
         }
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """For a stack of frame points, both lead with the point axes."""
-
-    table: np.ndarray  # raw frame-contracted curvature, no symmetry projection
-    cond: float  # condition number of G at the point
-
-
 def numeric_tm_curvature(
     M: ChartManifold, fam: NaturalMetricFamily, fp: AdaptedFramePoint
-) -> OracleResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Curvature table of the 2n-dimensional metric G in the adapted frame
-    of fp, or one per point of a stack of frame points, from finite
+    of fp, raw (no symmetry projection), and the condition number of G, or
+    one of each per point of a stack of frame points, from finite
     differences of induced-metric values only: ``induced_metric`` on the
     whole stencil, in one call, which evaluates the chart's connection
     once per distinct base point of the stencil's x parts.
@@ -111,7 +103,7 @@ def numeric_tm_curvature(
         rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
         table = frame_components(adapted_frame_vectors(M, fp), rlow)
     fp.require_finite("oracle: curvature of (TM, G)", table)
-    return OracleResult(table=table, cond=cond)
+    return table, cond
 
 
 # --------------------------------------------------------------------------
@@ -120,16 +112,15 @@ def numeric_tm_curvature(
 
 
 @functools.lru_cache(maxsize=None)
-def _written_components(m: int) -> tuple:
-    """Index arrays (a, b, c, d) of the components of an m^4 table that a
-    report writes: a < b, c < d and pair (a, b) <= pair (c, d), with the
-    pairs in row-major order.  The others follow by R_abcd = -R_bacd =
-    -R_abdc = R_cdab, and vanish where a = b or c = d."""
+def _written_components(m: int) -> np.ndarray:
+    """Flat (C order) indices of the components (a, b, c, d) of an m^4
+    table that a report writes: a < b, c < d and pair (a, b) <= pair
+    (c, d), with the pairs in row-major order.  The others follow by
+    R_abcd = -R_bacd = -R_abdc = R_cdab, and vanish where a = b or c = d."""
     a, b = np.triu_indices(m, k=1)
     p, q = np.triu_indices(len(a))
-    index = (a[p], b[p], a[q], b[q])
-    for axis in index:
-        axis.flags.writeable = False
+    index = np.ravel_multi_index((a[p], b[p], a[q], b[q]), (m,) * 4)
+    index.flags.writeable = False
     return index
 
 
@@ -169,7 +160,7 @@ class CurvatureReport:
     config: dict
     status: str = "ok"  # "ok" | "error"
     error: Optional[str] = None
-    closed: Optional[np.ndarray] = None
+    closed: Optional[np.ndarray] = None  # the written components of each table
     oracle: Optional[np.ndarray] = None
     max_abs_dev: Optional[float] = None
     max_rel_dev: Optional[float] = None
@@ -181,14 +172,17 @@ class CurvatureReport:
     negated_classes: tuple = ()  # of a failing report; written as a note
     notes: list = field(default_factory=list)
 
-    def finalize(self, abs_tol: float, rel_tol: float):
-        """Compare the tables: a component passes when |closed - oracle| <=
-        abs_tol + rel_tol * max(|closed|, |oracle|), and the report passes
-        when every component does.  A failing report names its negated
-        classes: those with a component outside its bound whose every
-        component is within it with the oracle's sign flipped."""
-        dev = np.abs(self.closed - self.oracle)
-        scale = np.maximum(np.abs(self.closed), np.abs(self.oracle))
+    def finalize(self, closed: np.ndarray, oracle: np.ndarray, cond: float,
+                 abs_tol: float, rel_tol: float):
+        """Compare the (2n)^4 tables of both routes: a component passes when
+        |closed - oracle| <= abs_tol + rel_tol * max(|closed|, |oracle|),
+        and the report passes when every component does.  A failing report
+        names its negated classes: those with a component outside its bound
+        whose every component is within it with the oracle's sign flipped.
+        The report keeps the components of each table that it writes."""
+        self.cond = cond
+        dev = np.abs(closed - oracle)
+        scale = np.maximum(np.abs(closed), np.abs(oracle))
         bound = abs_tol + rel_tol * scale
         rel = np.divide(dev, scale, out=np.zeros_like(dev), where=scale > abs_tol)
         self.max_abs_dev = float(np.max(dev))
@@ -209,11 +203,11 @@ class CurvatureReport:
             "class": CLASS_NAMES[labels[worst]],
             "dev_over_tol": float(over[worst]),
         }
-        self.oracle_symmetry_residual = _symmetry_residual(self.oracle)
+        self.oracle_symmetry_residual = _symmetry_residual(oracle)
         within = dev <= bound
         self.passed = bool(np.all(within))
         if not self.passed:
-            flipped = np.abs(self.closed + self.oracle) <= bound
+            flipped = np.abs(closed + oracle) <= bound
             all_within, all_flipped = np.logical_and.reduceat(
                 np.stack([within.ravel()[order], flipped.ravel()[order]]), starts, axis=1
             )
@@ -225,16 +219,17 @@ class CurvatureReport:
         if self.negated_classes:
             self.notes.append("the closed form is the negated oracle, within tolerance, "
                               "in classes: " + ", ".join(self.negated_classes))
+        written = _written_components(2 * n)
+        self.closed, self.oracle = closed.take(written), oracle.take(written)
 
     def to_json_dict(self) -> dict:
         """The report as JSON values.  The closed and oracle tables are
         written as lists of their components with a < b, c < d and pair
         (a, b) <= pair (c, d), pairs in row-major order (Nones in an error
-        report); ``table_shape`` is the full shape."""
-        closed, oracle = (None if table is None else
-                          table[_written_components(table.shape[0])].tolist()
+        report); ``table_shape`` is the full shape, [2n] * 4."""
+        closed, oracle = (None if table is None else table.tolist()
                           for table in (self.closed, self.oracle))
-        shape = None if self.closed is None else list(self.closed.shape)
+        shape = None if self.closed is None else [2 * len(self.x)] * 4
         return {
             "manifold": {"id": self.manifold_id, "params": self.manifold_params},
             "family": self.family_name,
@@ -278,12 +273,12 @@ class CurvatureReport:
         return line
 
 
-# Points per block of a comparison: both routes run a stack in blocks of
-# this many points, so that their intermediate values (at n = 5 about 1.3 MB
-# a point for the oracle's stencil, 0.2 MB for the closed form) take a
-# bounded amount of memory however long the stack; what a report keeps, its
-# two tables, still grows with it.  Each point gets the bits it gets alone,
-# so the block size moves no result.
+# Points per block of a comparison: compare runs the stack in blocks of this
+# many points, closed form then oracle, and yields a block's reports before
+# it starts the next, so that their intermediate values (at n = 5 about
+# 1.3 MB a point for the oracle's stencil, 0.2 MB for the closed form) take
+# a bounded amount of memory however long the stack.  Each point gets the
+# bits it gets alone, so the block size moves no result.
 _BLOCK_POINTS = 16
 
 
@@ -293,44 +288,39 @@ def compare(
     x: np.ndarray,
     v: np.ndarray,
     cfg: OracleConfig = OracleConfig(),
-) -> list[CurvatureReport]:
+) -> Iterator[CurvatureReport]:
     """Run closed form and oracle over the stack of points (x, v), base
-    points and vectors of shape (m, n), and emit one report per point, in
+    points and vectors of shape (m, n), and yield one report per point, in
     point order; a report's t is the t of ``closedform.on_points``.
 
     Each point gets in its report what it would get alone: an error
     (validity, domain) from ``closedform.on_points``, or its own comparison
     (``CurvatureReport.finalize``).  A condition number of G above 1e8 is
-    a note of the report.  Both routes run on blocks of ``_BLOCK_POINTS``
-    points of the stack, one after the other.
+    a note of the report.  The points run in blocks of ``_BLOCK_POINTS``,
+    one ``on_points`` call each.
     """
 
     def both_routes(fp):
-        results = []
-        for k in range(0, len(fp.t), _BLOCK_POINTS):
-            block = fp[k : k + _BLOCK_POINTS]
-            closed = tm_curvature(M, fam, block)
-            orc = numeric_tm_curvature(M, fam, block)
-            results += zip(closed, orc.table, orc.cond.tolist())
-        return results
+        closed = tm_curvature(M, fam, fp)
+        table, cond = numeric_tm_curvature(M, fam, fp)
+        return list(zip(closed, table, cond.tolist()))
+
+    def report(x_k: list, v_k: list, point: tuple) -> CurvatureReport:
+        t, result = point
+        rep = CurvatureReport(manifold_id=M.catalog_id, manifold_params=M.params,
+                              family_name=fam.name, x=x_k, v=v_k, t=t, config=cfg.to_dict())
+        if isinstance(result, TbcurvError):
+            rep.status, rep.error = "error", error_text(result)
+        else:
+            rep.finalize(*result, cfg.tol_abs, cfg.tol_rel)
+        return rep
 
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    reports = []
-    for k, (t, result) in enumerate(on_points(M, fam, x, v, both_routes)):
-        report = CurvatureReport(
-            manifold_id=M.catalog_id,
-            manifold_params=M.params,
-            family_name=fam.name,
-            x=x[k].tolist(),
-            v=v[k].tolist(),
-            t=t,
-            config=cfg.to_dict(),
-        )
-        if isinstance(result, TbcurvError):
-            report.status = "error"
-            report.error = error_text(result)
-        else:
-            report.closed, report.oracle, report.cond = result
-            report.finalize(cfg.tol_abs, cfg.tol_rel)
-        reports.append(report)
-    return reports
+    for k in range(0, len(x), _BLOCK_POINTS):
+        xs, vs = x[k : k + _BLOCK_POINTS], v[k : k + _BLOCK_POINTS]
+        # a block's results, and so its two tables (2.6 MB at n = 5), are held
+        # until the next block's are done: freed at once, they let malloc give
+        # the top of the heap back after every block, and each block then
+        # faulted its pages in again (5x the page faults, 25% more time a point)
+        results = on_points(M, fam, xs, vs, both_routes)
+        yield from map(report, xs.tolist(), vs.tolist(), results)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tbcurv import closedform
+from tbcurv import closedform, oracle
 from tbcurv.basemanifold import conformal_polynomial, make_manifold, sphere
 from tbcurv.cli import (
     _NOTE,
@@ -1493,12 +1493,13 @@ class TestVerifyReportLines:
 
 
 class TestUnwritableOutput:
-    # a path that cannot be written is a config error, after the work is done
+    # a path that cannot be written is a config error, found when the file
+    # is opened, before any point is computed: on_points (of the tables and
+    # of compare) is never called, and nothing is written to stdout
     TASKS = {
-        "scalar": ["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
-                   "--point", "0.1,0.2", "--v", "0.3,0"],
-        "verify": ["verify", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
-                   "--point", "0.1,0.2", "--v", "0.3,0"],
+        task: [task, "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+               "--point", "0.1,0.2", "--v", "0.3,0"]
+        for task in ("scalar", "scan", "verify")
     }
 
     @pytest.mark.parametrize("task", sorted(TASKS))
@@ -1506,8 +1507,15 @@ class TestUnwritableOutput:
                                                ("", "Is a directory")])
     def test_config_error(self, tmp_path, capsys, task, where, reason):
         path = str(tmp_path / where)
-        assert run([*self.TASKS[task], "--out", path]) == 2
-        assert capsys.readouterr().err == f"config error: cannot write output {path}: {reason}\n"
+        tables = mock.Mock(wraps=closedform.on_points)
+        reports = mock.Mock(wraps=oracle.on_points)
+        with mock.patch.object(closedform, "on_points", tables), \
+                mock.patch.object(oracle, "on_points", reports):
+            assert run([*self.TASKS[task], "--out", path]) == 2
+        assert tables.call_count == reports.call_count == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: cannot write output {path}: {reason}\n"
 
 
 class TestPositiveSettings:

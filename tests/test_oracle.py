@@ -63,30 +63,29 @@ def _sphere_case(t=1.0):
 class TestNumericTable:
     def test_euclidean_sasaki_constant_metric(self):
         M = euclidean(2)
-        res = numeric_tm_curvature(
+        table, _ = numeric_tm_curvature(
             M, preset("sasaki"), adapted_frame(M, [0.1, -0.2], [0.5, 0.3])
         )
-        assert np.max(np.abs(res.table)) <= 1e-10
+        assert np.max(np.abs(table)) <= 1e-10
 
     def test_flat_plus_flatness_family(self):
         M = euclidean(2)
         fam = NaturalMetricFamily("exp(t)", flatness_beta("exp(t)"), t_max=10.0)
-        res = numeric_tm_curvature(M, fam, adapted_frame(M, [0.3, -0.2], [0.8, 0.4]))
-        assert np.max(np.abs(res.table)) <= 1e-6
+        table, _ = numeric_tm_curvature(M, fam, adapted_frame(M, [0.3, -0.2], [0.8, 0.4]))
+        assert np.max(np.abs(table)) <= 1e-6
 
     def test_sphere_sasaki_matches_closed_form(self):
         M, q, v = _sphere_case(1.0)
         fam = preset("sasaki")
         fp = adapted_frame(M, q, v)
         closed = tm_curvature(M, fam, fp)
-        res = numeric_tm_curvature(M, fam, fp)
-        assert np.max(np.abs(closed - res.table)) <= 1e-5
+        table, _ = numeric_tm_curvature(M, fam, fp)
+        assert np.max(np.abs(closed - table)) <= 1e-5
 
     def test_oracle_self_consistency(self):
         # antisymmetries, pair symmetry, first Bianchi of the raw table
         M, q, v = _sphere_case(1.2)
-        res = numeric_tm_curvature(M, preset("cheeger-gromoll"), adapted_frame(M, q, v))
-        T = res.table
+        T, _ = numeric_tm_curvature(M, preset("cheeger-gromoll"), adapted_frame(M, q, v))
         scale = np.max(np.abs(T)) + 1.0
         assert np.max(np.abs(T + T.transpose(1, 0, 2, 3))) <= 1e-6 * scale
         assert np.max(np.abs(T + T.transpose(0, 1, 3, 2))) <= 1e-6 * scale
@@ -100,10 +99,10 @@ class TestNumericTable:
         fam = preset("cheeger-gromoll")
         v = np.array([1.0, 0.0, 0.0])
         fp = adapted_frame(M, np.zeros(3), v)
-        res = numeric_tm_curvature(M, fam, fp)
+        table, _ = numeric_tm_curvature(M, fam, fp)
         j = fam.jets(1.0)
         f_val, h_val = j.F, j.H
-        vv = res.table[3:, 3:, 3:, 3:]
+        vv = table[3:, 3:, 3:, 3:]
         assert vv[1, 2, 2, 1] == pytest.approx(f_val, abs=1e-6)
         assert vv[0, 1, 1, 0] == pytest.approx(h_val, abs=1e-6)
         assert abs(vv[1, 2, 1, 2] + f_val) <= 1e-6
@@ -142,8 +141,8 @@ class TestNumericTable:
         gd = gram_diagonal(fam, fp.t, 3)
 
         def invariants(fp_used):
-            res = numeric_tm_curvature(M, fam, fp_used)
-            ricci = np.einsum("accb,c->ab", res.table, 1.0 / gd)
+            table, _ = numeric_tm_curvature(M, fam, fp_used)
+            ricci = np.einsum("accb,c->ab", table, 1.0 / gd)
             scalar = float(np.einsum("aa,a->", ricci, 1.0 / gd))
             # eigenvalues of Ricci w.r.t. the orthonormalized frame
             ricci_on = ricci / np.sqrt(np.outer(gd, gd))
@@ -162,7 +161,7 @@ class TestNumericTable:
         fam = preset("cheeger-gromoll")
         d = np.array([1.0, 2.0, -1.0, 0.5])
         v = d / np.linalg.norm(d) * 1.1
-        rep = compare(M, fam, [np.zeros(4)], [v])[0]
+        rep = next(compare(M, fam, [np.zeros(4)], [v]))
         assert rep.passed
 
     def test_agrees_on_rotated_completion_frame(self):
@@ -179,8 +178,8 @@ class TestNumericTable:
         rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         fp2 = rotate_completion(fp, rot)
         closed = tm_curvature(M, fam, fp2)
-        orc = numeric_tm_curvature(M, fam, fp2)
-        assert np.max(np.abs(closed - orc.table)) <= 1e-5
+        orc, _ = numeric_tm_curvature(M, fam, fp2)
+        assert np.max(np.abs(closed - orc)) <= 1e-5
 
     def test_conditioning_warning(self):
         # the condition number is the result's cond, not a warning
@@ -192,8 +191,8 @@ class TestNumericTable:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, [0, 0], [0, 0]))
-        assert res.cond > 1e8
+            _, cond = numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, [0, 0], [0, 0]))
+        assert cond > 1e8
 
 
 @pytest.mark.parametrize(
@@ -342,9 +341,8 @@ def _finalize_tables(case, n, cfg, rng):
 
 def _finalized(closed, orc, cfg):
     report = CurvatureReport(manifold_id="test", manifold_params={}, family_name="test",
-                             x=[], v=[], t=0.0, config=cfg.to_dict(), closed=closed,
-                             oracle=orc, cond=1.0)
-    report.finalize(cfg.tol_abs, cfg.tol_rel)
+                             x=[], v=[], t=0.0, config=cfg.to_dict())
+    report.finalize(closed, orc, 1.0, cfg.tol_abs, cfg.tol_rel)
     return report
 
 
@@ -435,7 +433,7 @@ class TestCompare:
             np.array([0.3, 0.7]) @ g @ np.array([0.3, 0.7])
         )
         ts = (0.0, 0.5, 1.5)
-        reports = compare(M, preset("sasaki"), [q] * len(ts), [d * t for t in ts])
+        reports = list(compare(M, preset("sasaki"), [q] * len(ts), [d * t for t in ts]))
         assert len(reports) == 3
         assert all(r.status == "ok" and r.passed for r in reports)
 
@@ -443,27 +441,30 @@ class TestCompare:
         M = euclidean(2)
         fam = preset("sasaki", t_max=4.0)
         # the second |v|^2 = 9 > t_max
-        reports = compare(M, fam, [[0, 0], [0, 0]], [[1.0, 0.0], [3.0, 0.0]])
+        reports = list(compare(M, fam, [[0, 0], [0, 0]], [[1.0, 0.0], [3.0, 0.0]]))
         assert reports[0].status == "ok" and reports[0].passed
         assert reports[1].status == "error"
         assert "ValidityError" in reports[1].error
 
     def test_report_json_roundtrip(self):
         M, q, v = _sphere_case(0.5)
-        rep = compare(M, preset("sasaki"), [q], [v])[0]
+        rep = next(compare(M, preset("sasaki"), [q], [v]))
         parsed = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert parsed["passed"] is True
         assert parsed["config"] == {"base_step": 1e-3, "tol_abs": 1e-5, "tol_rel": 1e-3}
         assert parsed["table_shape"] == [4, 4, 4, 4] and "deviations" not in parsed
         assert len(parsed["closed_table"]) == len(parsed["oracle_table"]) == 21
+        assert parsed["closed_table"] == rep.closed.tolist()
         table = full_table(parsed, "closed_table")
-        assert np.max(np.abs(table - rep.closed)) <= 1e-14 * np.max(np.abs(rep.closed))
+        closed = tm_curvature(M, preset("sasaki"), adapted_frame(M, q, v))
+        assert np.max(np.abs(table - closed)) <= 1e-14 * np.max(np.abs(closed))
         assert re.fullmatch(r"pass   sphere\+sasaki t=0\.5 max_abs=\S+e-\d\d max_rel=\S+",
                             rep.summary_line())
 
     def test_report_fields_explain_the_comparison(self):
         M, q, v = _sphere_case(1.2)
-        rep = compare(M, preset("cheeger-gromoll"), [q], [v])[0]
+        fam = preset("cheeger-gromoll")
+        rep = next(compare(M, fam, [q], [v]))
         doc = rep.to_json_dict()
         classes = doc["class_deviations"]
         assert list(classes) == ["hhhh", "vvvv", "hvvv", "vvhh", "hvhv", "hhvh"]
@@ -471,8 +472,10 @@ class TestCompare:
         assert max(c["max_rel_dev"] for c in classes.values()) == rep.max_rel_dev
         worst = doc["worst_component"]
         assert component_class_masks(2)[worst["class"]][tuple(worst["index"])]
-        dev = np.abs(rep.closed - rep.oracle)
-        bound = 1e-5 + 1e-3 * np.maximum(np.abs(rep.closed), np.abs(rep.oracle))
+        fp = adapted_frame(M, q, v)
+        closed, (orc, _) = tm_curvature(M, fam, fp), numeric_tm_curvature(M, fam, fp)
+        dev = np.abs(closed - orc)
+        bound = 1e-5 + 1e-3 * np.maximum(np.abs(closed), np.abs(orc))
         assert worst["dev_over_tol"] == np.max(dev / bound) < 1.0
         # the residual sees the oracle's rounding, far below the tolerance
         assert 0.0 < doc["oracle_symmetry_residual"] <= 1e-6
@@ -485,13 +488,15 @@ class TestCompare:
         M = hyperbolic(5)
         q = np.array([0.1, 0.2, -0.1, 0.05, 0.1])
         v = np.array([0.3, 0.1, 0.2, -0.1, 0.2])
-        rep = compare(M, preset("exp+"), [q], [v])[0]
-        doc = json.loads(json.dumps(rep.to_json_dict()))
+        fam, fp = preset("exp+"), adapted_frame(M, q, v)
+        doc = json.loads(json.dumps(next(compare(M, fam, [q], [v])).to_json_dict()))
         assert len(doc["closed_table"]) == len(doc["oracle_table"]) == 1035
-        closed = full_table(doc, "closed_table")
-        assert np.max(np.abs(closed - rep.closed)) <= 1e-14 * np.max(np.abs(rep.closed))
-        orc = full_table(doc, "oracle_table")
-        assert np.max(np.abs(orc - rep.oracle)) <= 3.0 * doc["oracle_symmetry_residual"]
+        assert doc["table_shape"] == [10, 10, 10, 10]
+        closed, (orc, _) = tm_curvature(M, fam, fp), numeric_tm_curvature(M, fam, fp)
+        assert np.max(np.abs(full_table(doc, "closed_table") - closed)) <= (
+            1e-14 * np.max(np.abs(closed)))
+        assert np.max(np.abs(full_table(doc, "oracle_table") - orc)) <= (
+            3.0 * doc["oracle_symmetry_residual"])
 
     @pytest.mark.parametrize("task_args", [
         ["--point", "0.2,-0.1,0.3", "--v", "0.5,0.1,-0.3"],
@@ -534,7 +539,7 @@ class TestCompare:
     def test_flipped_class_is_reported_negated(self, monkeypatch):
         self.flip_class(monkeypatch, "hvhv")
         M, q, v = _sphere_case(1.0)
-        rep = compare(M, preset("sasaki"), [q], [v])[0]
+        rep = next(compare(M, preset("sasaki"), [q], [v]))
         assert not rep.passed
         assert rep.negated_classes == ("hvhv",) and rep.notes == [NEGATED_NOTE + "hvhv"]
         assert rep.worst_component["class"] == "hvhv"
@@ -552,7 +557,7 @@ class TestCompare:
         x, va, vb = [0.2, 0.3], [0.8, 0.5], [0.0, 0.0]
         rep_a, rep_b = compare(M, fam, [x, x], [va, vb])
         assert rep_b.passed and rep_b.notes == []
-        assert rep_b.to_json_dict() == compare(M, fam, [x], [vb])[0].to_json_dict()
+        assert rep_b.to_json_dict() == next(compare(M, fam, [x], [vb])).to_json_dict()
         assert not rep_a.passed and rep_a.negated_classes == ("hhvh",)
         assert rep_a.summary_line().endswith(" negated=hhvh")
 
@@ -561,7 +566,7 @@ class TestCompare:
                           hi=np.ones(2) * 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = compare(M, preset("sasaki"), [[0, 0]], [[0, 0]])[0]
+            rep = next(compare(M, preset("sasaki"), [[0, 0]], [[0, 0]]))
         assert rep.status == "ok" and rep.cond > 1e8
         assert rep.notes == [f"bundle metric condition number {rep.cond:.3g} exceeds 1e8"]
 
@@ -598,7 +603,7 @@ class TestCustomCharts:
         d = np.array([0.3, 0.7])
         d = d / math.sqrt(d @ g @ d)
         ts = (0.5, 0.8, 1.2)
-        reports = compare(M, preset(name), [q] * len(ts), [t * d for t in ts])
+        reports = list(compare(M, preset(name), [q] * len(ts), [t * d for t in ts]))
         assert [r.passed for r in reports] == [True, True, True]
 
 
@@ -609,7 +614,7 @@ class TestCustomCharts:
         q = np.array([0.2, -0.3])
         g = M.metric(q)
         d = np.ones(2) / math.sqrt(np.ones(2) @ g @ np.ones(2))
-        report = compare(M, preset("exp+"), [q], [1.5 * d])[0]
+        report = next(compare(M, preset("exp+"), [q], [1.5 * d]))
         assert report.status == "ok" and report.passed, report.summary_line()
 
 
@@ -795,7 +800,7 @@ class TestStencilTables:
             fam = preset(name)
             fp = adapted_frame(M, q, v)
             for point in (fp, fp[0]):
-                table = numeric_tm_curvature(M, fam, point).table
+                table, _ = numeric_tm_curvature(M, fam, point)
                 assert np.array_equal(_bits(table), _bits(_plain_oracle(M, fam, point)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -833,7 +838,7 @@ class TestChartBoundary:
         M = sphere(2)
         with pytest.raises(StencilOutOfDomainError, match=r"\[0\.1005, 0\.3\]"):
             numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, [0.1005, 0.3], [0.0, 0.0]))
-        report = compare(M, preset("sasaki"), [[0.1005, 0.3]], [[0.2, 0.1]])[0]
+        report = next(compare(M, preset("sasaki"), [[0.1005, 0.3]], [[0.2, 0.1]]))
         assert report.status == "error"
         assert "StencilOutOfDomainError" in report.error and "[0.1005, 0.3]" in report.error
 
@@ -855,8 +860,9 @@ class TestChartBoundary:
         M = fd_only(sphere(2)) if custom else sphere(2)
         x = np.array([M.lo[0], 0.3])
         x[0] += 1.01 * ORACLE.reach(x, inner=M.christoffel_reach)[0]
-        res = numeric_tm_curvature(M, preset("sasaki"), adapted_frame(M, x, np.array([0.1, 0.2])))
-        assert np.all(np.isfinite(res.table))
+        fp = adapted_frame(M, x, np.array([0.1, 0.2]))
+        table, _ = numeric_tm_curvature(M, preset("sasaki"), fp)
+        assert np.all(np.isfinite(table))
 
 
 def test_oracle_table_that_overflows_names_the_point(monkeypatch):

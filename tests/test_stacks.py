@@ -3,6 +3,7 @@ the CLI tables and verify computed over a leading point axis equal each
 point's single-point call."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,9 +119,9 @@ def test_an_empty_stack_gives_empty_tables(chart):
     n, fam = M.dim, preset("sasaki")
     fp = adapted_frame(M, np.zeros((0, n)), np.zeros((0, n)))
     sec = tm_sectional(M, fam, fp)
-    oracle = numeric_tm_curvature(M, fam, fp)
+    table, cond = numeric_tm_curvature(M, fam, fp)
     assert tm_curvature(M, fam, fp).shape == (0,) + (2 * n,) * 4
-    assert oracle.table.shape == (0,) + (2 * n,) * 4 and oracle.cond.shape == (0,)
+    assert table.shape == (0,) + (2 * n,) * 4 and cond.shape == (0,)
     assert tm_ricci(M, fam, fp).shape == (0, 2 * n, 2 * n)
     assert (sec.hh.shape, sec.vv.shape, sec.hv.shape) == ((0, n, n),) * 3
     assert tm_scalar(M, fam, fp).shape == (0,)
@@ -296,11 +297,11 @@ def test_oracle_stack_equals_single_points_bit_for_bit(chart):
     q = np.array([x0, x0, x0, x0 + 0.05])
     v = [0.0 * x0] + [norm * rng.normal(size=M.dim) for norm in (0.3, 0.8, 0.5)]
     fam = preset("cheeger-gromoll")
-    orc = numeric_tm_curvature(M, fam, adapted_frame(M, q, v))
+    table, cond = numeric_tm_curvature(M, fam, adapted_frame(M, q, v))
     for i in range(len(q)):
-        one = numeric_tm_curvature(M, fam, adapted_frame(M, q[i], v[i]))
-        assert np.array_equal(orc.table[i], one.table)
-        assert orc.cond[i] == one.cond
+        one_table, one_cond = numeric_tm_curvature(M, fam, adapted_frame(M, q[i], v[i]))
+        assert np.array_equal(table[i], one_table)
+        assert cond[i] == one_cond
 
 
 def _reference_reports(M, fam, xs, vs, cfg):
@@ -322,13 +323,12 @@ def _reference_reports(M, fam, xs, vs, cfg):
             fp = adapted_frame(M, x, v)
             report.t = fp.t
             closed = tm_curvature(M, fam, fp)
-            orc = numeric_tm_curvature(M, fam, fp)
-            report.closed, report.oracle, report.cond = closed, orc.table, float(orc.cond)
+            orc, cond = numeric_tm_curvature(M, fam, fp)
         except TbcurvError as exc:
             report.status = "error"
             report.error = f"{type(exc).__name__}: {exc}"
         else:
-            report.finalize(cfg.tol_abs, cfg.tol_rel)
+            report.finalize(closed, orc, float(cond), cfg.tol_abs, cfg.tol_rel)
         reports.append(report)
     return reports
 
@@ -352,7 +352,7 @@ def test_compare_equals_point_by_point_reports(chart):
         g = np.eye(M.dim) if M.outside(x) else M.metric(x)
         vs.append(norm * d / np.sqrt(d @ g @ d))
     fam, cfg = preset("exp-", t_max=4.0), OracleConfig()
-    reports = compare(M, fam, xs, vs, cfg)
+    reports = list(compare(M, fam, xs, vs, cfg))
     expected = _reference_reports(M, fam, xs, vs, cfg)
     # as JSON text, where a nan t equals a nan t
     assert ([json.dumps(r.to_json_dict()) for r in reports]
@@ -361,3 +361,46 @@ def test_compare_equals_point_by_point_reports(chart):
     assert errors == ["StencilOutOfDomainError", "ValidityError", "ValidityError",
                       "StencilOutOfDomainError"]
     assert np.isnan([r.t for r in reports if r.status == "error"][-1])
+
+
+def test_the_first_report_costs_one_block(monkeypatch):
+    # compare yields a block's reports before it starts the next block: the
+    # first of 40 reports has run the oracle once, on the first 16 points
+    import tbcurv.oracle as oracle
+
+    sizes = []
+    numeric = oracle.numeric_tm_curvature
+    def counted(M, fam, fp):
+        sizes.append(np.size(fp.t))
+        return numeric(M, fam, fp)
+
+    monkeypatch.setattr(oracle, "numeric_tm_curvature", counted)
+    M = euclidean(2)
+    x = np.tile([0.1, 0.2], (40, 1))
+    v = np.linspace(0.0, 1.0, 80).reshape(40, 2)
+    reports = compare(M, preset("sasaki"), x, v)
+    assert next(reports).passed
+    assert sizes == [16]
+    assert sum(1 for _ in reports) == 39 and sizes == [16, 16, 8]
+
+
+def test_compare_memory_is_flat_in_the_number_of_points():
+    # a report keeps only its written components (2 x 1035 of 10000 at
+    # n = 5), and compare holds no block's tables after the next block, so
+    # the peak does not grow with the stack; reports that kept their full
+    # tables added 160 KB a point, 1.8x the 16-point peak at 128 points
+    M, fam = hyperbolic(5), preset("cheeger-gromoll")
+    rng = np.random.default_rng(5)
+    x, v = rng.uniform(-0.2, 0.2, (128, 5)), rng.uniform(-0.5, 0.5, (128, 5))
+
+    def peak(m):
+        tracemalloc.start()
+        try:
+            for _ in compare(M, fam, x[:m], v[:m]):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # the caches of the first call are not a point's memory
+    assert peak(128) <= 1.5 * peak(16)
