@@ -15,6 +15,7 @@ component R_1221, and the unit sphere calibrates to R_1221 = +1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -237,17 +238,22 @@ class ChartManifold:
         """Coordinate curvature rlow at x under the pinned convention, and
         with ``nabla`` its covariant derivative (nabla_p R)_abcd, the
         tensorial formula d_p R_abcd minus Gamma corrections on all four
-        slots (else None).  R at x is then the centre value of the nabla R
-        stencil."""
+        slots (else None).  R and Gamma at x are then the centre values of
+        the nabla R stencil, so the connection is evaluated once, on it."""
         x = np.asarray(x, dtype=float)
         if not nabla:
             return riemann_from_christoffels(*self.connection(x, check=check)), None
         if check:
             self.check_interior(x, self.nabla_reach(x))
-        rlow, drlow, _ = matrix_jets(
-            lambda ys: self.curvature(ys, check=False)[0], x, self._nabla_stencil(), second=False
-        )
-        _, gamma, _ = self.connection(x, second=False, check=False)
+        gamma = None
+
+        def rlow_at(ys):
+            nonlocal gamma
+            g, gammas, dgammas = self.connection(ys, check=False)
+            gamma = gammas[..., 0, :, :, :].copy()  # the centre row: x
+            return riemann_from_christoffels(g, gammas, dgammas)
+
+        rlow, drlow, _ = matrix_jets(rlow_at, x, self._nabla_stencil(), second=False)
         return rlow, drlow - _slot_corrections(gamma, rlow)
 
 
@@ -360,38 +366,54 @@ def _g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sqrt(max(w g w, 0)) of columns w (..., n, 1), as (..., 1, 1), with
     w g w summed as the matrix products (w^T g) w, which for a single point
     sum in the order of ``w @ g @ w`` on vectors.  A norm that overflows is
-    inf, without a warning: the family's validity check names its point."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.maximum((w.swapaxes(-1, -2) @ g) @ w, 0.0))
+    inf: the family's validity check names its point, and the caller runs
+    this under ``np.errstate``."""
+    return np.sqrt(np.maximum((w.swapaxes(-1, -2) @ g) @ w, 0.0))
 
 
-def _gram_schmidt(g: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """g-orthonormal rows from the seeds (..., m, n) in order, at each point
-    of a stack.  A seed is skipped where its g-norm is zero or its remainder
-    after the projections is at most 1e-10 of it; each point stops at n
-    rows.  Vectors are columns, so each projection is one matrix product."""
+@functools.lru_cache(maxsize=None)
+def _chart_basis(n: int) -> np.ndarray:
+    """The chart basis e_0, ..., e_{n-1} as columns, shape (n, n, 1): the
+    seeds after the radial one of an adapted frame; read-only."""
+    basis = np.eye(n)[:, :, None]
+    basis.flags.writeable = False
+    return basis
+
+
+def _gram_schmidt(g: np.ndarray, radial: np.ndarray) -> np.ndarray:
+    """g-orthonormal rows at each point of a stack from the seeds in order:
+    the column radial (..., n, 1), then the chart basis.  A seed is skipped
+    where its g-norm is zero or its remainder after the projections is at
+    most 1e-10 of it; each point stops at n rows.  Vectors are columns, so
+    each projection is one matrix product.
+
+    The g-norm of e_k is sqrt(g_kk), which (e_k^T g) e_k gives exactly on
+    an SPD g, and a seed that no projection changed is its own remainder:
+    neither norm is taken again.  The caller runs this under
+    ``np.errstate``: a zero remainder divides by zero."""
     n = g.shape[-1]
     lead = g.shape[:-2]
     basis = np.zeros(lead + (n, n))  # found vectors as columns, zero until found
     gbasis = np.zeros(lead + (n, n))  # the same as rows b^T g
     count = np.zeros(lead + (1, 1), dtype=int)
     slots = np.arange(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(seeds.shape[-2]):
-            if count.min(initial=n) == n:
-                break
-            w = seeds[..., s, :, None]
-            scale = _g_norm(g, w)
-            for _ in range(2):  # re-orthogonalize for 1e-12 Gram accuracy
-                for j in range(count.max(initial=0)):
-                    w = w - (gbasis[..., j : j + 1, :] @ w) * basis[..., :, j : j + 1]
-            nrm = _g_norm(g, w)
-            keep = (count < n) & ~((scale == 0.0) | (nrm <= 1e-10 * scale))
-            slot = keep & (slots == count)  # (..., 1, n): the column this seed fills
-            b = w / nrm
-            basis = np.where(slot, b, basis)
-            gbasis = np.where(slot.swapaxes(-1, -2), b.swapaxes(-1, -2) @ g, gbasis)
-            count = count + keep
+    unit_scales = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))[..., None, None]
+    seeds = [(radial, _g_norm(g, radial))]
+    seeds += [(e, unit_scales[..., k, :, :]) for k, e in enumerate(_chart_basis(n))]
+    for w, scale in seeds:
+        if count.min(initial=n) == n:
+            break
+        found = count.max(initial=0)
+        for _ in range(2):  # re-orthogonalize for 1e-12 Gram accuracy
+            for j in range(found):
+                w = w - (gbasis[..., j : j + 1, :] @ w) * basis[..., :, j : j + 1]
+        nrm = _g_norm(g, w) if found else scale
+        keep = (count < n) & ~((scale == 0.0) | (nrm <= 1e-10 * scale))
+        slot = keep & (slots == count)  # (..., 1, n): the column this seed fills
+        b = w / nrm
+        basis = np.where(slot, b, basis)
+        gbasis = np.where(slot.swapaxes(-1, -2), b.swapaxes(-1, -2) @ g, gbasis)
+        count = count + keep
     if count.min(initial=n) < n:
         raise DegenerateInputError("seed vectors do not span the tangent space")
     return basis.swapaxes(-1, -2)
@@ -409,19 +431,19 @@ def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFram
     M.check_interior(q)
     g = _at_distinct(M.metric, q)
     _check_spd(g, q, "q")
-    t = _g_norm(g, v[..., None])
-    # below |v|_g = 2^-511 (about 1e-154), v g v is subnormal or 0 and t keeps
-    # few bits or none: there t is formed from 2^600 v and scaled back, exactly
-    small = t < 2.0**-511
-    if small.any():
-        scale = np.where(small, 2.0**600, 1.0)
-        t = _g_norm(g, v[..., None] * scale) / scale
-    t = t[..., 0]
-    aligned = t > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # norms that overflow are inf, and zero seeds divide by zero: no warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = _g_norm(g, v[..., None])
+        # below |v|_g = 2^-511 (about 1e-154), v g v is subnormal or 0 and t keeps
+        # few bits or none: there t is formed from 2^600 v and scaled back, exactly
+        small = t < 2.0**-511
+        if small.any():
+            scale = np.where(small, 2.0**600, 1.0)
+            t = _g_norm(g, v[..., None] * scale) / scale
+        t = t[..., 0]
+        aligned = t > 0.0
         radial = np.where(aligned, v / t, 0.0)  # a zero seed is skipped
-    seeds = np.concatenate([radial[..., None, :], np.broadcast_to(np.eye(M.dim), g.shape)], -2)
-    u = _gram_schmidt(g, seeds)
+        u = _gram_schmidt(g, radial[..., None])
     u[..., 0, :] = np.where(aligned, radial, u[..., 0, :])  # exact alignment
     return AdaptedFramePoint(q=q, u=u, v=v, t=t[..., 0][()], g=g)
 

@@ -42,6 +42,14 @@ def induced_metric(
     once per distinct x, in one call (``_at_distinct``).  ``check=False``:
     the caller has checked x (stencil points).
     """
+    return _metric_and_connection(M, fam, x, v, check)[0]
+
+
+def _metric_and_connection(
+    M: ChartManifold, fam: NaturalMetricFamily, x: np.ndarray, v: np.ndarray, check: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``induced_metric`` at (x, v), and the Christoffel symbols at each x
+    that it was assembled from."""
     g, gamma, _ = _at_distinct(
         lambda rows: M.connection(rows, second=False, check=check), np.asarray(x, dtype=float)
     )
@@ -65,7 +73,7 @@ def induced_metric(
     G[..., :n, n:] = wt_h
     G[..., n:, :n] = np.swapaxes(wt_h, -1, -2)
     G[..., n:, n:] = H
-    return G
+    return G, gamma
 
 
 def _vertical_of_horizontal(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -83,10 +91,16 @@ def adapted_frame_vectors(M: ChartManifold, fp: AdaptedFramePoint) -> np.ndarray
     Row i (< n) is the horizontal lift of u_i: x-slots u_i, v-slots
     -Gamma^a_bc v^b u_i^c, so the connection split returns (u_i, 0)
     exactly.  Row n+i is the vertical lift (0, u_i).  For a stack of frame
-    points, one (2n, 2n) matrix per point.
+    points, one (2n, 2n) matrix per point.  Gamma is the chart's connection
+    at fp.q; ``_lifted_frame`` builds the rows from a Gamma at hand.
     """
-    n = M.dim
-    _, gamma, _ = M.connection(fp.q, second=False)
+    return _lifted_frame(fp, M.connection(fp.q, second=False)[1])
+
+
+def _lifted_frame(fp: AdaptedFramePoint, gamma: np.ndarray) -> np.ndarray:
+    """``adapted_frame_vectors`` of fp with the Christoffel symbols gamma
+    at fp.q."""
+    n = fp.dim
     w = _vertical_of_horizontal(gamma, fp.v)
     frame = np.zeros(fp.u.shape[:-2] + (2 * n, 2 * n))
     frame[..., :n, :n] = fp.u

@@ -535,21 +535,28 @@ def _row_count(values: dict) -> int:
     return col.size if isinstance(col, np.ndarray) else len(col)
 
 
-def _index_cells(blocks: list, template: str) -> list:
+def _index_cells(blocks: list, template: str) -> tuple:
     """The index cells of a table's rows, the same in every block with
     values: ``template % index`` per row, over the shape of its value
     arrays in C order (empty without an index or such a block)."""
     shape = next((np.shape(next(iter(v.values()))) for _, v in blocks if v), ())
     if not template or not shape:
-        return []
-    return [template % i for i in product(*map(range, shape))]
+        return ()
+    return _index_texts(template, shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _index_texts(template: str, shape: tuple) -> tuple:
+    """``template % index`` for each index of shape in C order, built once
+    per template and shape; a tuple, so that no table changes it."""
+    return tuple(template % i for i in product(*map(range, shape)))
 
 
 def _block_text(pieces: list, row_sep: str) -> str:
     """The rows of one point block, joined by row_sep.  A row is its pieces
-    in order, each a text every row shares or a list of per-row texts.  The
-    block is one join: neighbouring shared texts are merged, and each
-    piece fills its every k-th slot of one list by slice assignment."""
+    in order, each a text every row shares or a list (or tuple) of per-row
+    texts.  The block is one join: neighbouring shared texts are merged, and
+    each piece fills its every k-th slot of one list by slice assignment."""
     merged = [row_sep]  # every row starts with row_sep; the first one is cut
     for piece in pieces:
         if isinstance(piece, str) and isinstance(merged[-1], str):

@@ -64,10 +64,13 @@ __all__ = [
 CLASS_NAMES = ("hhhh", "vvvv", "hvvv", "vvhh", "hvhv", "hhvh")
 
 
+@functools.lru_cache(maxsize=None)
 def _epsilon(n: int) -> np.ndarray:
-    """epsilon_ijkl = delta_il delta_jk - delta_jl delta_ik."""
+    """epsilon_ijkl = delta_il delta_jk - delta_jl delta_ik; read-only."""
     eye = np.eye(n)
-    return np.einsum("il,jk->ijkl", eye, eye) - np.einsum("jl,ik->ijkl", eye, eye)
+    epsilon = np.einsum("il,jk->ijkl", eye, eye) - np.einsum("jl,ik->ijkl", eye, eye)
+    epsilon.flags.writeable = False
+    return epsilon
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,7 +121,7 @@ def _check_normal_form(fp: AdaptedFramePoint) -> None:
     """u_0 g v = t and u_i g v = 0 at every point with t > 0, with the metric
     that ``adapted_frame`` evaluated at q."""
     xi = fp.u @ (fp.g @ fp.v[..., None])
-    expected = np.zeros_like(xi)
+    expected = np.zeros(xi.shape)
     expected[..., 0, 0] = fp.t
     atol = _w(1e-9 * np.maximum(1.0, fp.t), 2)
     close = np.abs(xi - expected) <= atol + 1e-5 * np.abs(expected)
@@ -165,8 +168,27 @@ def _finite(quantity: str, values: Callable = lambda out: out) -> Callable:
     return decorate
 
 
+@functools.lru_cache(maxsize=None)
+def _radial_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The radial patterns of the class blocks, read-only: where any of the
+    four indices is 0 (bool, n^4), delta_i0, and delta_i0 + delta_j0 on the
+    pair axes of vvhh (n, n, 1, 1) and on the j and l axes of hvhv
+    (1, n, 1, n)."""
+    radial = np.zeros((n, n, n, n), dtype=bool)
+    radial[0], radial[:, 0], radial[:, :, 0], radial[:, :, :, 0] = True, True, True, True
+    delta_i0 = np.zeros(n)
+    delta_i0[0] = 1.0
+    radial_pair = (delta_i0[:, None] + delta_i0[None, :])[:, :, None, None]
+    dsum = delta_i0[None, :, None, None] + delta_i0[None, None, None, :]
+    masks = (radial, delta_i0, radial_pair, dsum)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict:
     n = fp.dim
+    radial, delta_i0, radial_pair, dsum = _radial_masks(n)
     t = _w(fp.t, 4)
     t_sq = t * t
     alpha, alpha_d1, beta = _w(j.alpha, 4), _w(j.alpha_d1, 4), _w(j.beta, 4)
@@ -188,19 +210,9 @@ def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict
     )
 
     # vvvv: epsilon pattern, weight F away from the radial index, H with it.
-    radial = np.zeros((n, n, n, n), dtype=bool)
-    radial[0], radial[:, 0], radial[:, :, 0], radial[:, :, :, 0] = (
-        True,
-        True,
-        True,
-        True,
-    )
     vvvv = _epsilon(n) * np.where(radial, _w(j.H, 4), _w(j.F, 4))
 
     # vvhh: vertical pair against horizontal pair.
-    delta_i0 = np.zeros(n)
-    delta_i0[0] = 1.0
-    radial_pair = (delta_i0[:, None] + delta_i0[None, :])[:, :, None, None]
     vvhh = 0.5 * (2.0 * alpha + radial_pair * beta * t_sq) * rt
     vvhh += (
         0.5
@@ -218,7 +230,6 @@ def _blocks(j: FamilyJets, fp: AdaptedFramePoint, frame: FrameCurvature) -> dict
 
     # hvhv: mixed plane block, with the radial correction
     # (delta_j0 + delta_l0) * alpha' * t^2 / 2 * (R_{kil1} - R_{kij1}).
-    dsum = delta_i0[None, :, None, None] + delta_i0[None, None, None, :]
     hvhv = (
         0.5 * alpha * _perm(rt, "kilj", "ijkl")
         + (alpha**2 * t_sq / 4.0) * np.einsum("...krj,...ril->...ijkl", r1, r1)

@@ -149,24 +149,24 @@ def _unit_offsets(dim: int, second: bool) -> np.ndarray:
 def _plain_jets(
     m: np.ndarray, h: np.ndarray, m0: np.ndarray, second: bool
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Second-order central first (and second) derivatives, derivative axes
-    first, from the values ``m`` at the offsets ``_unit_offsets`` times the
-    steps (stencil axis first) and the steps ``h`` (shape (dim, ...),
-    broadcasting against a value)."""
-    dim = h.shape[0]
-    mp, mm = m[0 : 2 * dim : 2], m[1 : 2 * dim : 2]
+    """Second-order central first (and second) derivatives at each step
+    level, level axis first, then the derivative axes.  ``m`` holds the
+    values at the offsets ``_unit_offsets`` times each level's steps, level
+    and stencil axes first; ``h`` holds those steps, shape (levels, dim,
+    ...), broadcasting against a value."""
+    dim = h.shape[1]
+    mp, mm = m[:, 0 : 2 * dim : 2], m[:, 1 : 2 * dim : 2]
     dm = (mp - mm) / (2.0 * h)
     if not second:
         return dm, None
-    d2m = np.empty((dim, dim) + m0.shape)
+    d2m = np.empty(m.shape[:1] + (dim, dim) + m0.shape)
     idx = np.arange(dim)
-    d2m[idx, idx] = (mp - 2.0 * m0 + mm) / h**2
+    d2m[:, idx, idx] = (mp - 2.0 * m0 + mm) / h**2
     p, q = _pairs(dim)
-    corners = m[2 * dim :].reshape((p.shape[0], 4) + m0.shape)
-    hp, hq = h[p], h[q]
-    mixed = (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3]) / (4.0 * hp * hq)
-    d2m[p, q] = mixed
-    d2m[q, p] = mixed
+    c = [m[:, 2 * dim + k :: 4] for k in range(4)]  # the four corners of each pair
+    mixed = (c[0] - c[1] - c[2] + c[3]) / (4.0 * h[:, p] * h[:, q])
+    d2m[:, p, q] = mixed
+    d2m[:, q, p] = mixed
     return dm, d2m
 
 
@@ -192,22 +192,29 @@ def matrix_jets(
     x = np.asarray(x, dtype=float)
     lead = x.ndim - 1
     steps = stencil.steps(x)
-    k = _unit_offsets(x.shape[-1], second).shape[0]
-    values = fun(x[..., None, :] + steps[..., None, :] * stencil.units(x.shape[-1], second))
+    units = stencil.units(x.shape[-1], second)
+    values = fun(x[..., None, :] + steps[..., None, :] * units)
     # Stencil and derivative axes first, so that the differences index them,
     # and contiguous, so that each difference reads whole blocks of values.
-    values = np.ascontiguousarray(np.moveaxis(values, lead, 0))
+    values = np.ascontiguousarray(
+        values.transpose((lead, *range(lead), *range(lead + 1, values.ndim))))
     m0 = values[0]
-    h = np.moveaxis(steps, -1, 0).reshape(steps.shape[-1:] + x.shape[:-1] + (1,) * (m0.ndim - lead))
-    dm, d2m = _plain_jets(values[1 : k + 1], h, m0, second)
+    h = steps.transpose((lead, *range(lead))).reshape(
+        steps.shape[-1:] + x.shape[:-1] + (1,) * (m0.ndim - lead))
+    # both levels in one pass: level axis first, the steps h then h / 2
+    h = np.stack((h, h / 2.0)) if stencil.richardson else h[None]
+    dm, d2m = _plain_jets(
+        values[1:].reshape((len(h), (len(units) - 1) // len(h)) + m0.shape), h, m0, second)
     if stencil.richardson:
-        dm_half, d2m_half = _plain_jets(values[k + 1 :], h / 2.0, m0, second)
-        dm = (4.0 * dm_half - dm) / 3.0
-        if second:
-            d2m = (4.0 * d2m_half - d2m) / 3.0
-    dm = np.moveaxis(dm, 0, lead)
+        dm = (4.0 * dm[1] - dm[0]) / 3.0
+        d2m = None if d2m is None else (4.0 * d2m[1] - d2m[0]) / 3.0
+    else:
+        dm, d2m = dm[0], None if d2m is None else d2m[0]
+    # the derivative axes back after the stack axes
+    rest = range(lead + 1, m0.ndim + 1)
+    dm = dm.transpose((*range(1, lead + 1), 0, *rest))
     if second:
-        d2m = np.moveaxis(d2m, (0, 1), (lead, lead + 1))
+        d2m = d2m.transpose((*range(2, lead + 2), 0, 1, *(r + 1 for r in rest)))
     return m0, dm, d2m
 
 
@@ -252,7 +259,9 @@ def riemann_from_christoffels(
         lead + (dim,) * 4)
     # R(d_i, d_j) d_k = r[a, i, j, k] d_a; d_i Gamma^a_jk - d_j Gamma^a_ik
     # are transposed views of dgamma
-    r = np.swapaxes(dgamma, -4, -3) - np.moveaxis(dgamma, -4, -2) + gg - np.swapaxes(gg, -3, -2)
+    k = dgamma.ndim - 4
+    r = (np.swapaxes(dgamma, -4, -3) - dgamma.transpose((*range(k), k + 1, k + 2, k, k + 3))
+         + gg - np.swapaxes(gg, -3, -2))
     # g_la r^a_ijk as (i j k, a) @ (a, l)
     rlow = np.swapaxes(r.reshape(lead + (dim, dim**3)), -1, -2) @ np.swapaxes(g, -1, -2)
     return rlow.reshape(lead + (dim,) * 4)

@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .basemanifold import AdaptedFramePoint, ChartManifold
-from .bundlemetric import adapted_frame_vectors, induced_metric
+from .bundlemetric import _lifted_frame, _metric_and_connection
 from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
 from .errors import TbcurvError, check_positive, error_text
 from .metricfamily import NaturalMetricFamily
@@ -79,7 +79,9 @@ def numeric_tm_curvature(
     one of each per point of a stack of frame points, from finite
     differences of induced-metric values only: ``induced_metric`` on the
     whole stencil, in one call, which evaluates the chart's connection
-    once per distinct base point of the stencil's x parts.
+    once per distinct base point of the stencil's x parts.  The frame
+    vectors (``adapted_frame_vectors``) take Gamma at fp.q from that call:
+    it is the centre of the stencil.
 
     A check that fails at a stencil point (the metric's, the family's)
     names fp's point as well; a table that overflowed is a NonFiniteError
@@ -88,11 +90,17 @@ def numeric_tm_curvature(
     # One check for the whole stencil, Christoffel stencils at its points included.
     M.check_interior(fp.q, M.oracle_reach(fp.q))
     z0 = np.concatenate([fp.q, fp.v], axis=-1)
+    gamma = None
+
+    def metric_at(z):
+        nonlocal gamma
+        G, gammas = _metric_and_connection(M, fam, z[..., :n], z[..., n:], check=False)
+        gamma = gammas[..., 0, :, :, :].copy()  # the centre row: fp.q
+        return G
+
     with np.errstate(all="ignore"):
         try:
-            g0, dg, d2g = matrix_jets(
-                lambda z: induced_metric(M, fam, z[..., :n], z[..., n:], check=False), z0, ORACLE
-            )
+            g0, dg, d2g = matrix_jets(metric_at, z0, ORACLE)
         except TbcurvError as exc:
             lead = fp.q.shape[:-1]
             count = math.prod(lead)
@@ -101,7 +109,7 @@ def numeric_tm_curvature(
             raise
         cond = np.linalg.cond(g0)
         rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
-        table = frame_components(adapted_frame_vectors(M, fp), rlow)
+        table = frame_components(_lifted_frame(fp, gamma), rlow)
     fp.require_finite("oracle: curvature of (TM, G)", table)
     return table, cond
 
@@ -184,7 +192,7 @@ class CurvatureReport:
         dev = np.abs(closed - oracle)
         scale = np.maximum(np.abs(closed), np.abs(oracle))
         bound = abs_tol + rel_tol * scale
-        rel = np.divide(dev, scale, out=np.zeros_like(dev), where=scale > abs_tol)
+        rel = np.divide(dev, scale, out=np.zeros(dev.shape), where=scale > abs_tol)
         self.max_abs_dev = float(np.max(dev))
         self.max_rel_dev = float(np.max(rel))
         n = dev.shape[0] // 2

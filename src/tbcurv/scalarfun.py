@@ -379,7 +379,7 @@ def compile_jet(node: Expr) -> Callable[[np.ndarray], Jet2]:
     def jet(t) -> Jet2:
         t = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            return Jet2(*run(t[()], np.zeros_like(t)[()]))
+            return Jet2(*run(t[()], np.zeros(t.shape)[()]))
 
     return jet
 

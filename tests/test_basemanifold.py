@@ -10,6 +10,7 @@ from tbcurv.basemanifold import (
     ChartManifold,
     _at_distinct,
     _distinct_rows,
+    _slot_corrections,
     adapted_frame,
     base_invariants,
     conformal_polynomial,
@@ -24,7 +25,13 @@ from tbcurv.errors import (
     SingularMetricError,
     StencilOutOfDomainError,
 )
-from tbcurv.numdiff import pointwise
+from tbcurv.numdiff import (
+    NABLA_EXACT,
+    frame_components,
+    matrix_jets,
+    pointwise,
+    project_curvature_symmetries,
+)
 
 from references import rotate_completion
 
@@ -677,8 +684,23 @@ class TestEvaluations:
         for c in calls.values():
             c.clear()
         frame_curvature(M, fp, include_nabla=True)
-        # the two distinct base points: d Gamma on the nabla R stencil (its
-        # centre gives R), Gamma there and at the points for the correction
+        # the two distinct base points: d Gamma on the nabla R stencil, whose
+        # centre gives R and the Gamma of the correction
         stencil = (2, 1 + 2 * n, n)
-        assert calls == {"metric": [stencil, (2, n)], "gamma": [stencil, (2, n)],
-                         "dgamma": [stencil]}
+        assert calls == {"metric": [stencil], "gamma": [stencil], "dgamma": [stencil]}
+
+    def test_nabla_r_at_a_negative_zero_coordinate_equals_the_one_with_gamma_at_x(self):
+        # the nabla R stencil's centre row is x + 0.0, a +0.0 where x has a
+        # -0.0; nabla R with Gamma from there has the bits of nabla R with
+        # Gamma from a connection call at x itself
+        M = hyperbolic(3)
+        x = np.array([-0.0, 0.1, 0.2])
+        fp = adapted_frame(M, x, np.array([0.3, -0.0, 0.1]))
+        rlow, drlow, _ = matrix_jets(
+            lambda ys: M.curvature(ys, check=False)[0], x, NABLA_EXACT, second=False)
+        _, gamma, _ = M.connection(x, second=False)
+        reference = project_curvature_symmetries(
+            frame_components(fp.u, drlow - _slot_corrections(gamma, rlow)))
+        bits = [np.ascontiguousarray(a).view(np.int64)
+                for a in (frame_curvature(M, fp).dRtable, reference)]
+        assert np.array_equal(*bits)

@@ -652,8 +652,8 @@ class TestStencilEvaluation:
         calls.clear()
         numeric_tm_curvature(M, preset("exp+"), fp)
         # the distinct base points of the stencil (17 at n = 2, 37 at n = 3,
-        # of 65 and 145 stencil points), and the base point of the frame vectors
-        assert sorted(np.shape(c) for c in calls) == [(n,), (BASE_ROWS[n], n)]
+        # of 65 and 145 stencil points); the frame vectors read Gamma at its centre
+        assert [np.shape(c) for c in calls] == [(BASE_ROWS[n], n)]
 
     def test_one_metric_evaluation_per_stencil_point_on_custom_charts(self):
         n = 2
@@ -662,16 +662,15 @@ class TestStencilEvaluation:
         fp = adapted_frame(M, x, np.array([0.3, 0.1]))
         calls.clear()
         numeric_tm_curvature(M, preset("exp+"), fp)
-        # each distinct base point of the stencil and the frame's base point:
-        # g there, once, and at the 4n other points of its Richardson
-        # Christoffel stencil
-        assert len(calls) == (BASE_ROWS[n] + 1) * (4 * n + 1)
+        # each distinct base point of the stencil: g there, once, and at the
+        # 4n other points of its Richardson Christoffel stencil
+        assert len(calls) == BASE_ROWS[n] * (4 * n + 1)
         assert {np.shape(c) for c in calls} == {(n,)}
 
     def test_a_grid_of_one_base_point_calls_the_chart_once(self):
         # 1 base point x 2 directions x 2 norms: the four stencils share
         # their x parts, so the chart sees one call with the rows of a
-        # single point's stencil, then the frame vectors' base points
+        # single point's stencil
         n = 2
         M, calls = self.counted(hyperbolic(n), analytic=True)
         x = np.array([0.2, -0.3])
@@ -682,10 +681,47 @@ class TestStencilEvaluation:
         for point in (fp[0], fp):
             calls.clear()
             numeric_tm_curvature(M, preset("exp+"), point)
-            assert len(calls) == 2 and np.array_equal(_bits(calls[1]), _bits(point.q))
+            assert len(calls) == 1
             rows.append(calls[0])
         assert rows[1].shape == (BASE_ROWS[n], n)
         assert np.array_equal(_bits(rows[1]), _bits(rows[0]))
+
+    def test_a_one_point_compare_evaluates_each_chart_function_once_per_route(self):
+        n = 3
+        M = hyperbolic(n)
+        calls = {"metric": [], "gamma": [], "dgamma": []}
+
+        def counted(fn, key):
+            def wrapped(x):
+                calls[key].append(np.shape(x))
+                return fn(x)
+            return wrapped
+
+        M = ChartManifold(n, counted(M.metric_fn, "metric"), M.lo, M.hi,
+                          counted(M.christoffels_fn, "gamma"),
+                          counted(M.christoffel_jacobian_fn, "dgamma"))
+        report, = compare(M, preset("exp+"), [[0.1, 0.2, -0.1]], [[0.3, 0.1, 0.2]])
+        assert report.passed
+        # the frame reads g at x; the closed form the nabla R stencil, whose
+        # centre gives R and Gamma at x; the oracle the distinct base points
+        # of its stencil, whose centre gives the frame vectors' Gamma
+        nabla = (1, 1 + 2 * n, n)
+        assert calls == {"metric": [(1, n), nabla, (BASE_ROWS[n], n)],
+                         "gamma": [nabla, (BASE_ROWS[n], n)], "dgamma": [nabla]}
+
+    def test_frame_vectors_at_a_negative_zero_coordinate_equal_those_at_x(self, monkeypatch):
+        # the stencil's centre row is x + 0.0, a +0.0 where x has a -0.0; the
+        # frame vectors from Gamma there have the bits of those from a
+        # connection call at x itself
+        M = hyperbolic(3)
+        fp = adapted_frame(M, np.array([-0.0, 0.1, 0.2]), np.array([0.3, -0.0, 0.1]))
+        built = []
+        lifted = oracle._lifted_frame
+        monkeypatch.setattr(oracle, "_lifted_frame",
+                            lambda *args: built.append(lifted(*args)) or built[-1])
+        numeric_tm_curvature(M, preset("exp+"), fp)
+        assert len(built) == 1
+        assert np.array_equal(_bits(built[0]), _bits(adapted_frame_vectors(M, fp)))
 
     @pytest.mark.parametrize("per_point", [False, True])
     def test_spd_failure_names_the_stencil_point(self, per_point):
