@@ -28,7 +28,6 @@ from .bundlemetric import (
 from .closedform import (
     ConstCurvSectional,
     TMSectional,
-    component_class_masks,
     minus_exp_flat_threshold,
     scalar_exp_specials,
     tm_curvature,

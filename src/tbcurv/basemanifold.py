@@ -233,18 +233,19 @@ class ChartManifold:
         return (g, *levi_civita(g, dg, d2g))
 
     def curvature(
-        self, x: np.ndarray, *, nabla: bool = False, check: bool = True
+        self, x: np.ndarray, *, nabla: bool = False
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Coordinate curvature rlow at x under the pinned convention, and
         with ``nabla`` its covariant derivative (nabla_p R)_abcd, the
         tensorial formula d_p R_abcd minus Gamma corrections on all four
         slots (else None).  R and Gamma at x are then the centre values of
-        the nabla R stencil, so the connection is evaluated once, on it."""
+        the nabla R stencil, so the connection is evaluated once, on it.
+        x is checked against the reach of what it evaluates, the nabla R
+        stencil's included."""
         x = np.asarray(x, dtype=float)
         if not nabla:
-            return riemann_from_christoffels(*self.connection(x, check=check)), None
-        if check:
-            self.check_interior(x, self.nabla_reach(x))
+            return riemann_from_christoffels(*self.connection(x)), None
+        self.check_interior(x, self.nabla_reach(x))
         gamma = None
 
         def rlow_at(ys):

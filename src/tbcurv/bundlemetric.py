@@ -31,25 +31,19 @@ __all__ = [
 def induced_metric(
     M: ChartManifold, fam: NaturalMetricFamily, x: np.ndarray, v: np.ndarray, *,
     check: bool = True
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The 2n x 2n matrix of G over (d/dx^1..d/dx^n, d/dv^1..d/dv^n) at the
-    point (x, v).
+    point (x, v), and the Christoffel symbols Gamma^a_bc at x that it was
+    assembled from.
 
     x and v have shape (n,), or are stacks of shape (..., n); G then has
-    shape (..., 2n, 2n), one matrix per row.  G reads the base only through
-    g and Gamma at x, and a stack repeats its base points (a grid, the x
-    parts of the oracle's stencil): the chart's connection is evaluated
-    once per distinct x, in one call (``_at_distinct``).  ``check=False``:
-    the caller has checked x (stencil points).
+    shape (..., 2n, 2n) and Gamma (..., n, n, n), one of each per row.  G
+    reads the base only through g and Gamma at x, and a stack repeats its
+    base points (a grid, the x parts of the oracle's stencil): the chart's
+    connection is evaluated once per distinct x, in one call
+    (``_at_distinct``).  ``check=False``: the caller has checked x
+    (stencil points).
     """
-    return _metric_and_connection(M, fam, x, v, check)[0]
-
-
-def _metric_and_connection(
-    M: ChartManifold, fam: NaturalMetricFamily, x: np.ndarray, v: np.ndarray, check: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """``induced_metric`` at (x, v), and the Christoffel symbols at each x
-    that it was assembled from."""
     g, gamma, _ = _at_distinct(
         lambda rows: M.connection(rows, second=False, check=check), np.asarray(x, dtype=float)
     )
@@ -85,21 +79,16 @@ def _vertical_of_horizontal(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ by_b).reshape(v.shape[:-1] + (n, n))
 
 
-def adapted_frame_vectors(M: ChartManifold, fp: AdaptedFramePoint) -> np.ndarray:
-    """The 2n adapted frame vectors in induced coordinates, as rows.
+def adapted_frame_vectors(fp: AdaptedFramePoint, gamma: np.ndarray) -> np.ndarray:
+    """The 2n adapted frame vectors in induced coordinates, as rows, from
+    the Christoffel symbols gamma at fp.q (those ``induced_metric``
+    returns, or ``M.connection(fp.q, second=False)[1]``).
 
     Row i (< n) is the horizontal lift of u_i: x-slots u_i, v-slots
     -Gamma^a_bc v^b u_i^c, so the connection split returns (u_i, 0)
     exactly.  Row n+i is the vertical lift (0, u_i).  For a stack of frame
-    points, one (2n, 2n) matrix per point.  Gamma is the chart's connection
-    at fp.q; ``_lifted_frame`` builds the rows from a Gamma at hand.
+    points, one (2n, 2n) matrix per point.
     """
-    return _lifted_frame(fp, M.connection(fp.q, second=False)[1])
-
-
-def _lifted_frame(fp: AdaptedFramePoint, gamma: np.ndarray) -> np.ndarray:
-    """``adapted_frame_vectors`` of fp with the Christoffel symbols gamma
-    at fp.q."""
     n = fp.dim
     w = _vertical_of_horizontal(gamma, fp.v)
     frame = np.zeros(fp.u.shape[:-2] + (2 * n, 2 * n))

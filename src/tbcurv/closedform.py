@@ -56,7 +56,6 @@ __all__ = [
     "scalar_exp_specials",
     "minus_exp_flat_threshold",
     "component_class_labels",
-    "component_class_masks",
     "on_points",
     "CLASS_NAMES",
 ]
@@ -95,13 +94,6 @@ def component_class_labels(n: int) -> np.ndarray:
         labels[where] = CLASS_NAMES.index(name)
     labels.flags.writeable = False
     return labels
-
-
-def component_class_masks(n: int) -> dict[str, np.ndarray]:
-    """Boolean masks over the (2n)^4 table, one per symmetry class, in
-    CLASS_NAMES order."""
-    labels = component_class_labels(n)
-    return {name: labels == k for k, name in enumerate(CLASS_NAMES)}
 
 
 def _w(x, axes: int) -> np.ndarray:

@@ -187,6 +187,8 @@ def _value_slope_of(kind: str, t, a: Jet2, b: Optional[Jet2] = None):
 # grid's resolution, while a positive function that only decays keeps the
 # order of its neighbours.
 _DIP_RTOL = 1e-8
+# ``validate`` samples [0, t_max] at this many evenly spaced points.
+_VALIDATION_SAMPLES = 4096
 # At most this many halvings of a bracket.  2^-80 of a grid step is below
 # the float64 spacing at any t more than 2^-28 grid steps from 0, so the
 # halving reaches its fixed point first except at minima next to t = 0.
@@ -386,16 +388,14 @@ class NaturalMetricFamily:
         a = self.alpha.jet(t)
         return _value_slope_of(kind, t, a, self.beta_jet(a, t) if kind == "delta" else None)
 
-    def validate(self, samples: int = 4096) -> FamilyValidation:
+    def validate(self) -> FamilyValidation:
         """Densely sample positivity of alpha and alpha + t*beta, and the
-        finiteness of the ``jets`` record, on [0, t_max]; also report where
-        phi = alpha + t*alpha' fails.  A bisected local minimum counts as a
-        violation when it is at most ``_DIP_RTOL`` of its bracketing grid
-        values.
+        finiteness of the ``jets`` record, on ``_VALIDATION_SAMPLES`` evenly
+        spaced points of [0, t_max]; also report where phi = alpha +
+        t*alpha' fails.  A bisected local minimum counts as a violation when
+        it is at most ``_DIP_RTOL`` of its bracketing grid values.
         """
-        if samples < 2:
-            raise ValueError("samples must be >= 2")
-        grid = np.linspace(0.0, self.t_max, samples)
+        grid = np.linspace(0.0, self.t_max, _VALIDATION_SAMPLES)
         with np.errstate(all="ignore"):
             # One walk of alpha on the grid serves all three kinds and the
             # record, and beta is had on alpha's nodes; beta read from
@@ -435,7 +435,7 @@ class NaturalMetricFamily:
             violation_kind=kind,
             phi_positive=bad_phi is None,
             phi_violation_t=bad_phi,
-            samples=samples,
+            samples=_VALIDATION_SAMPLES,
             t_max=self.t_max,
             nonfinite=nonfinite,
         )

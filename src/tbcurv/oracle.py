@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .basemanifold import AdaptedFramePoint, ChartManifold
-from .bundlemetric import _lifted_frame, _metric_and_connection
+from .bundlemetric import adapted_frame_vectors, induced_metric
 from .closedform import CLASS_NAMES, component_class_labels, on_points, tm_curvature
 from .errors import TbcurvError, check_positive, error_text
 from .metricfamily import NaturalMetricFamily
@@ -80,8 +80,8 @@ def numeric_tm_curvature(
     differences of induced-metric values only: ``induced_metric`` on the
     whole stencil, in one call, which evaluates the chart's connection
     once per distinct base point of the stencil's x parts.  The frame
-    vectors (``adapted_frame_vectors``) take Gamma at fp.q from that call:
-    it is the centre of the stencil.
+    vectors (``adapted_frame_vectors``) are lifted with the Gamma at fp.q
+    that the same call returned: fp.q is the centre of the stencil.
 
     A check that fails at a stencil point (the metric's, the family's)
     names fp's point as well; a table that overflowed is a NonFiniteError
@@ -94,7 +94,7 @@ def numeric_tm_curvature(
 
     def metric_at(z):
         nonlocal gamma
-        G, gammas = _metric_and_connection(M, fam, z[..., :n], z[..., n:], check=False)
+        G, gammas = induced_metric(M, fam, z[..., :n], z[..., n:], check=False)
         gamma = gammas[..., 0, :, :, :].copy()  # the centre row: fp.q
         return G
 
@@ -109,7 +109,7 @@ def numeric_tm_curvature(
             raise
         cond = np.linalg.cond(g0)
         rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
-        table = frame_components(_lifted_frame(fp, gamma), rlow)
+        table = frame_components(adapted_frame_vectors(fp, gamma), rlow)
     fp.require_finite("oracle: curvature of (TM, G)", table)
     return table, cond
 

@@ -13,8 +13,8 @@ from tbcurv.bundlemetric import adapted_frame_vectors, induced_metric
 def frame_gram(M, fam, fp) -> np.ndarray:
     """Gram matrix of the adapted frame under G; equals the fiber-block
     matrix with xi = (t, 0, ..., 0) in the vertical corner."""
-    G = induced_metric(M, fam, fp.q, fp.v)
-    frame = adapted_frame_vectors(M, fp)
+    G, _ = induced_metric(M, fam, fp.q, fp.v)
+    frame = adapted_frame_vectors(fp, M.connection(fp.q, second=False)[1])
     return frame @ G @ frame.T
 
 

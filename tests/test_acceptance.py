@@ -19,7 +19,8 @@ from tbcurv.basemanifold import (
 )
 from tbcurv.cli import main as cli_main
 from tbcurv.closedform import (
-    component_class_masks,
+    CLASS_NAMES,
+    component_class_labels,
     minus_exp_flat_threshold,
     scalar_exp_specials,
     tm_curvature,
@@ -98,7 +99,7 @@ def test_criterion_1_oracle_equivalence_theorem_coverage():
 def test_criterion_2_nabla_r_block_on_conformal_metric():
     M = conformal_polynomial(3, [[0.1, 1, 1, 0]])
     cfg = OracleConfig(tol_abs=ABS_TOL, tol_rel=REL_TOL)
-    masks = component_class_masks(3)
+    hhvh = component_class_labels(3) == CLASS_NAMES.index("hhvh")
     xs, vs = [], []
     for q in (
         np.array([0.2, -0.3, 0.4]),
@@ -113,7 +114,7 @@ def test_criterion_2_nabla_r_block_on_conformal_metric():
     for r in compare(M, fam, xs, vs, cfg):
         assert r.status == "ok" and r.passed, r.error or r.max_abs_dev
     closed = tm_curvature(M, fam, adapted_frame(M, np.array(xs), np.array(vs)))
-    hhvh_max = float(np.max(np.abs(closed[:, masks["hhvh"]])))
+    hhvh_max = float(np.max(np.abs(closed[:, hhvh])))
     _verdict(
         2,
         hhvh_max > 1e-4,

@@ -697,7 +697,7 @@ class TestEvaluations:
         x = np.array([-0.0, 0.1, 0.2])
         fp = adapted_frame(M, x, np.array([0.3, -0.0, 0.1]))
         rlow, drlow, _ = matrix_jets(
-            lambda ys: M.curvature(ys, check=False)[0], x, NABLA_EXACT, second=False)
+            lambda ys: M.curvature(ys)[0], x, NABLA_EXACT, second=False)
         _, gamma, _ = M.connection(x, second=False)
         reference = project_curvature_symmetries(
             frame_components(fp.u, drlow - _slot_corrections(gamma, rlow)))

@@ -83,14 +83,14 @@ class TestInducedMetric:
         fam = preset("sasaki")
         rng = np.random.default_rng(5)
         for _ in range(4):
-            G = induced_metric(M, fam, rng.normal(size=3), rng.normal(size=3))
+            G, _ = induced_metric(M, fam, rng.normal(size=3), rng.normal(size=3))
             assert np.allclose(G, np.eye(6), atol=1e-15)
 
     def test_zero_vector_block_diagonal(self):
         M = sphere(2)
         fam = preset("cheeger-gromoll")
         x = np.array([0.9, 0.3])
-        G = induced_metric(M, fam, x, np.zeros(2))
+        G, _ = induced_metric(M, fam, x, np.zeros(2))
         g = M.metric(x)
         assert np.allclose(G[:2, :2], g, atol=1e-15)
         assert np.allclose(G[:2, 2:], 0.0, atol=1e-15)
@@ -102,7 +102,7 @@ class TestInducedMetric:
         rng = np.random.default_rng(9)
         for _ in range(6):
             x, v = 0.2 * rng.normal(size=2), 0.4 * rng.normal(size=2)
-            eig = np.linalg.eigvalsh(induced_metric(M, fam, x, v))
+            eig = np.linalg.eigvalsh(induced_metric(M, fam, x, v)[0])
             assert np.all(eig > 0)
 
     @pytest.mark.parametrize(
@@ -122,11 +122,13 @@ class TestInducedMetric:
         rng = np.random.default_rng(4)
         xs = np.asarray(x) + 0.05 * rng.normal(size=(5, M.dim))
         vs = 0.5 * rng.normal(size=(5, M.dim))
-        G = induced_metric(M, fam, xs, vs)
+        G, gamma = induced_metric(M, fam, xs, vs)
         assert G.shape == (5, 2 * M.dim, 2 * M.dim)
+        assert gamma.shape == (5,) + (M.dim,) * 3
         for i in range(5):
-            single = induced_metric(M, fam, xs[i], vs[i])
+            single, single_gamma = induced_metric(M, fam, xs[i], vs[i])
             np.testing.assert_allclose(G[i], single, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(gamma[i], single_gamma, rtol=1e-14, atol=1e-14)
 
     # Charts and the shift of their base points off the origin, whose
     # coordinates within 0.15 of it stay inside every chart.  The metric of
@@ -162,9 +164,9 @@ class TestInducedMetric:
         x = base[data.draw(st.permutations(pick))]
         v = 4.0 * np.array(data.draw(st.lists(vec, min_size=len(x), max_size=len(x))))
         fam = preset(data.draw(st.sampled_from(PRESET_NAMES)))
-        G = induced_metric(M, fam, x, v)
+        G, _ = induced_metric(M, fam, x, v)
         for k in range(len(x)):
-            assert G[k].tobytes() == induced_metric(M, fam, x[k], v[k]).tobytes()
+            assert G[k].tobytes() == induced_metric(M, fam, x[k], v[k])[0].tobytes()
 
     def test_validity_horizon_enforced(self):
         M = euclidean(2)
@@ -179,7 +181,7 @@ class TestInducedMetric:
         x = np.array([0.9, 0.3])
         v = np.array([0.4, -0.2])
         g, gamma, _ = M.connection(x, second=False)
-        G = induced_metric(M, fam, x, v)
+        G, _ = induced_metric(M, fam, x, v)
         rng = np.random.default_rng(2)
         for _ in range(5):
             a = rng.normal(size=2)
@@ -197,7 +199,7 @@ class TestAdaptedFrameVectors:
         x = np.array([0.9, 0.3])
         v = np.array([0.4, -0.2])
         fp = adapted_frame(M, x, v)
-        frame = adapted_frame_vectors(M, fp)
+        frame = adapted_frame_vectors(fp, M.connection(fp.q, second=False)[1])
         for i in range(2):
             hor, ver = _connection_split(M, x, v, frame[i])
             assert np.array_equal(hor, fp.u[i])

@@ -19,8 +19,9 @@ from tbcurv.basemanifold import (
     sphere,
 )
 from tbcurv.closedform import (
+    CLASS_NAMES,
     _perm,
-    component_class_masks,
+    component_class_labels,
     minus_exp_flat_threshold,
     scalar_exp_specials,
     tm_curvature,
@@ -98,10 +99,10 @@ class TestTable:
         assert np.max(np.abs(bianchi)) <= 1e-9 * (1.0 + np.max(np.abs(T)))
 
     def test_class_masks_partition(self):
-        masks = component_class_masks(3)
+        labels = component_class_labels(3)
         total = np.zeros((6, 6, 6, 6), dtype=int)
-        for mask in masks.values():
-            total += mask.astype(int)
+        for name in CLASS_NAMES:
+            total += (labels == CLASS_NAMES.index(name)).astype(int)
         assert np.array_equal(total, np.ones_like(total))
 
     def test_flatness_construction(self):

@@ -149,6 +149,6 @@ def test_induced_metric_equals_its_componentwise_definition(n, chart, lead):
     v = rng.normal(scale=0.4, size=lead + (n,))
     for name in ("sasaki", "cheeger-gromoll", "exp+"):
         fam = preset(name)
-        G = induced_metric(M, fam, x, v)
+        G, _ = induced_metric(M, fam, x, v)
         _agree(G, induced_metric_reference(M, fam, x, v))
         assert np.array_equal(G, np.swapaxes(G, -1, -2))

@@ -17,6 +17,7 @@ from tbcurv.metricfamily import (
     PRESET_NAMES,
     FamilyValidation,
     NaturalMetricFamily,
+    _VALIDATION_SAMPLES,
     _defined_prefix,
     _first_nonpositive,
     flatness_beta,
@@ -112,10 +113,6 @@ class TestValidate:
         assert v.violation_t == pytest.approx(1.0, abs=1e-6)
         assert not v.phi_positive
         assert v.phi_violation_t == pytest.approx(1.0, abs=0.05)
-
-    def test_samples_guard(self):
-        with pytest.raises(ValueError):
-            preset("sasaki").validate(samples=1)
 
 
 class TestFiberBlock:
@@ -225,11 +222,11 @@ def test_a_valid_family_has_finite_jets_on_its_grid(alpha, beta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            valid = fam.validate(samples=512).valid
+            valid = fam.validate().valid
         except DomainError:  # undefined before any violation
             return
         if valid:
-            jets = fam.jets(np.linspace(0.0, fam.t_max, 512))
+            jets = fam.jets(np.linspace(0.0, fam.t_max, _VALIDATION_SAMPLES))
     if valid:
         assert all(np.isfinite(field).all() for field in vars(jets).values())
 
@@ -301,7 +298,7 @@ def random_flatness_families(count, seed=20240811):
     while len(fams) < count:
         for text in _random_positive_alpha_texts(count, seed=seed + batch):
             fam = NaturalMetricFamily(text, flatness_beta(text), name="random", t_max=10.0)
-            v = fam.validate(samples=1024)
+            v = fam.validate()
             if v.valid and v.phi_positive:
                 fams.append(fam)
                 if len(fams) == count:
@@ -383,7 +380,9 @@ def _reference_validate(fam, samples, dip_rtol=1e-8):
     )
 
 
-def assert_bisection_matches_reference(fam, samples=4096):
+def assert_bisection_matches_reference(fam, samples=_VALIDATION_SAMPLES):
+    """The bisection on a grid of ``samples`` points, and ``validate`` on
+    its own grid, each against the reference loop."""
     grid = np.linspace(0.0, fam.t_max, samples)
     for kind in KINDS:
         value_slope = partial(fam._value_slope, kind)
@@ -391,8 +390,8 @@ def assert_bisection_matches_reference(fam, samples=4096):
             lambda: _first_nonpositive(value_slope, _defined_prefix(value_slope, grid))
         )
         assert new == _outcome(lambda: _reference_first_nonpositive(value_slope, grid, 1e-8))
-    new = _outcome(lambda: fam.validate(samples=samples))
-    assert new == _outcome(lambda: _reference_validate(fam, samples))
+    new = _outcome(fam.validate)
+    assert new == _outcome(lambda: _reference_validate(fam, _VALIDATION_SAMPLES))
 
 
 def assert_same_bits(x, y):
@@ -573,7 +572,7 @@ class TestSharedAlphaWalk:
         want = reference.jets(t)
         for field in dataclasses.fields(got):
             assert_same_bits(getattr(got, field.name), getattr(want, field.name))
-        assert _outcome(lambda: fam.validate(97)) == _outcome(lambda: reference.validate(97))
+        assert _outcome(fam.validate) == _outcome(reference.validate)
 
     @pytest.mark.parametrize(
         "alpha,beta,shared",

@@ -20,12 +20,7 @@ from tbcurv.basemanifold import (
     sphere,
 )
 from tbcurv.bundlemetric import adapted_frame_vectors, induced_metric
-from tbcurv.closedform import (
-    CLASS_NAMES,
-    component_class_labels,
-    component_class_masks,
-    tm_curvature,
-)
+from tbcurv.closedform import CLASS_NAMES, component_class_labels, tm_curvature
 from tbcurv.errors import (
     NonFiniteError,
     SingularMetricError,
@@ -237,11 +232,10 @@ def _reference_class_masks(n):
 class TestClassLabels:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_masks_equal_the_count_based_masks(self, n):
-        masks = component_class_masks(n)
+        labels = component_class_labels(n)
         reference = _reference_class_masks(n)
-        assert list(masks) == list(CLASS_NAMES)
         for name in CLASS_NAMES:
-            assert np.array_equal(masks[name], reference[name]), name
+            assert np.array_equal(labels == CLASS_NAMES.index(name), reference[name]), name
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_labels_are_cached_and_read_only(self, n):
@@ -471,7 +465,8 @@ class TestCompare:
         assert max(c["max_abs_dev"] for c in classes.values()) == rep.max_abs_dev
         assert max(c["max_rel_dev"] for c in classes.values()) == rep.max_rel_dev
         worst = doc["worst_component"]
-        assert component_class_masks(2)[worst["class"]][tuple(worst["index"])]
+        label = component_class_labels(2)[tuple(worst["index"])]
+        assert label == CLASS_NAMES.index(worst["class"])
         fp = adapted_frame(M, q, v)
         closed, (orc, _) = tm_curvature(M, fam, fp), numeric_tm_curvature(M, fam, fp)
         dev = np.abs(closed - orc)
@@ -527,7 +522,7 @@ class TestCompare:
         """Let compare see the closed form with the sign of one class of
         n = 2 flipped."""
         closed_form = oracle.tm_curvature
-        mask = component_class_masks(2)[name]
+        mask = component_class_labels(2) == CLASS_NAMES.index(name)
 
         def flipped(M, fam, fp):
             table = closed_form(M, fam, fp)
@@ -716,12 +711,32 @@ class TestStencilEvaluation:
         M = hyperbolic(3)
         fp = adapted_frame(M, np.array([-0.0, 0.1, 0.2]), np.array([0.3, -0.0, 0.1]))
         built = []
-        lifted = oracle._lifted_frame
-        monkeypatch.setattr(oracle, "_lifted_frame",
-                            lambda *args: built.append(lifted(*args)) or built[-1])
+        monkeypatch.setattr(oracle, "adapted_frame_vectors",
+                            lambda *args: built.append(adapted_frame_vectors(*args)) or built[-1])
         numeric_tm_curvature(M, preset("exp+"), fp)
         assert len(built) == 1
-        assert np.array_equal(_bits(built[0]), _bits(adapted_frame_vectors(M, fp)))
+        gamma = M.connection(fp.q, second=False)[1]
+        assert np.array_equal(_bits(built[0]), _bits(adapted_frame_vectors(fp, gamma)))
+
+    @pytest.mark.parametrize("n,frames", [(2, 1), (2, 3), (3, 2)])
+    def test_the_oracle_reads_the_bundle_metric_through_one_induced_metric_call(
+            self, monkeypatch, n, frames):
+        # G and the Gamma of the frame vectors come from the public function,
+        # called once on the whole stencil stack of every frame point
+        M = hyperbolic(n)
+        rng = np.random.default_rng(n + frames)
+        x, v = rng.uniform(-0.2, 0.2, (frames, n)), rng.uniform(-0.5, 0.5, (frames, n))
+        fp = adapted_frame(M, x, v)
+        shapes = []
+
+        def counted(M, fam, x, v, **kwargs):
+            shapes.append((np.shape(x), np.shape(v)))
+            return induced_metric(M, fam, x, v, **kwargs)
+
+        monkeypatch.setattr(oracle, "induced_metric", counted)
+        numeric_tm_curvature(M, preset("exp+"), fp)
+        m = len(ORACLE.units(2 * n))
+        assert shapes == [((frames, m, n), (frames, m, n))]
 
     @pytest.mark.parametrize("per_point", [False, True])
     def test_spd_failure_names_the_stencil_point(self, per_point):
@@ -785,11 +800,11 @@ def _plain_oracle(M, fam, fp):
     n = M.dim
     z0 = np.concatenate([fp.q, fp.v], axis=-1)
     g0, dg, d2g = matrix_jets(
-        lambda z: induced_metric(M, fam, z[..., :n], z[..., n:], check=False),
+        lambda z: induced_metric(M, fam, z[..., :n], z[..., n:], check=False)[0],
         z0, ORACLE,
     )
     rlow = riemann_from_christoffels(g0, *levi_civita(g0, dg, d2g))
-    return frame_components(adapted_frame_vectors(M, fp), rlow)
+    return frame_components(adapted_frame_vectors(fp, M.connection(fp.q, second=False)[1]), rlow)
 
 
 class TestStencilTables:
