@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -317,14 +316,14 @@ def _at_distinct(fun: Callable, x: np.ndarray):
     return tuple(map(spread, values)) if isinstance(values, tuple) else spread(values)
 
 
-@dataclass(frozen=True)
-class AdaptedFramePoint:
+class AdaptedFramePoint(NamedTuple):
     """A base point q, a g-orthonormal frame u (rows), a tangent vector v
     with t = |v|_g, and u[0] = v / t whenever t > 0 (normal form); g is the
     metric at q.
 
     Every field may carry leading stack axes, one frame per point: q, v
-    (..., n), u, g (..., n, n) and t (...).  Indexing selects points."""
+    (..., n), u, g (..., n, n) and t (...).  Indexing selects points;
+    fields are read by name (iterating gives the five fields)."""
 
     q: np.ndarray
     u: np.ndarray
@@ -337,9 +336,7 @@ class AdaptedFramePoint:
         return self.u.shape[-1]
 
     def __getitem__(self, idx) -> "AdaptedFramePoint":
-        return AdaptedFramePoint(
-            q=self.q[idx], u=self.u[idx], v=self.v[idx], t=self.t[idx], g=self.g[idx]
-        )
+        return AdaptedFramePoint._make(field[idx] for field in self)
 
     def named(self, k: tuple = ()) -> str:
         """Point k of the stack, or the single point, as its x and v."""
@@ -449,8 +446,7 @@ def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFram
     return AdaptedFramePoint(q=q, u=u, v=v, t=t[..., 0][()], g=g)
 
 
-@dataclass(frozen=True)
-class FrameCurvature:
+class FrameCurvature(NamedTuple):
     """Frame components R_ijkl = g(R(u_i,u_j)u_k, u_l) and optionally
     (nabla R)_p;ijkl = g((nabla_{u_p} R)(u_i,u_j)u_k, u_l).
 
@@ -477,8 +473,7 @@ def frame_curvature(
     return FrameCurvature(Rtable=rt, dRtable=drt)
 
 
-@dataclass(frozen=True)
-class BaseInvariants:
+class BaseInvariants(NamedTuple):
     sectional: np.ndarray  # K[i, j] = R_ijji
     ricci: np.ndarray
     scalar: float  # an array for a stack of frames

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -294,8 +293,7 @@ def tm_curvature(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TMSectional:
+class TMSectional(NamedTuple):
     """Sectional curvature tables over adapted-frame planes.  Diagonals of
     the hh and vv tables are not planes and are left at zero."""
 
@@ -339,8 +337,7 @@ def tm_sectional(
     return TMSectional(hh=hh, vv=vv, hv=hv)
 
 
-@dataclass(frozen=True)
-class ConstCurvSectional:
+class ConstCurvSectional(NamedTuple):
     """Sectional shortcut for a constant-curvature base.
 
     ``hv`` comes from substituting the constant-curvature tensor into the

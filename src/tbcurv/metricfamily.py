@@ -12,9 +12,8 @@ which happens iff beta equals the flatness combination
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,10 +45,11 @@ _PRESET_EXPRESSIONS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyJets:
+class FamilyJets(NamedTuple):
     """Everything consumers of a family need at t, for a number or an
-    array of t: the jets of alpha and beta, Delta = alpha + t*beta, F and H."""
+    array of t: the jets of alpha and beta, Delta = alpha + t*beta, F and H.
+    Indexing selects points; fields are read by name (iterating gives the
+    eight fields)."""
 
     alpha: np.ndarray
     alpha_d1: np.ndarray
@@ -62,7 +62,7 @@ class FamilyJets:
 
     def __getitem__(self, index) -> "FamilyJets":
         """The record at the points that ``index`` selects."""
-        return FamilyJets(**{name: field[index] for name, field in vars(self).items()})
+        return FamilyJets._make(field[index] for field in self)
 
     def flatness(self, t) -> tuple:
         """How far the fibers are from flat at t, the points of this record:
@@ -87,8 +87,7 @@ class FamilyJets:
         return max_f, max_h, float(np.max(beta_dev)), float(np.max(product_dev))
 
 
-@dataclass(frozen=True)
-class FamilyValidation:
+class FamilyValidation(NamedTuple):
     """Outcome of dense positivity sampling on [0, t_max].
 
     ``violation_t`` is the first t where alpha or alpha + t*beta fails to
@@ -154,7 +153,7 @@ def _fault(j: FamilyJets, i) -> tuple:
     alpha, delta = np.ravel(j.alpha)[i], np.ravel(j.delta)[i]
     if alpha <= 0.0 or delta <= 0.0:
         return ("alpha" if alpha <= 0.0 else "delta"), False
-    return next(k for k, x in vars(j).items() if not np.isfinite(np.ravel(x)[i])), True
+    return next(k for k, x in j._asdict().items() if not np.isfinite(np.ravel(x)[i])), True
 
 
 def _defined_prefix(evaluate, grid: np.ndarray):

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,8 +39,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class Stencil:
+class Stencil(NamedTuple):
     """Central differences with per-axis steps h_p = base * max(1, |x_p|).
 
     With ``richardson`` the O(h^2) estimates at h and h/2 are combined into

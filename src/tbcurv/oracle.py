@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,24 +43,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class _Tolerances(NamedTuple):
+    tol_abs: float = 1e-5
+    tol_rel: float = 1e-3
+
+
+class OracleConfig(_Tolerances):
     """Tolerance policy of the comparison: a component passes when
     |closed - oracle| <= tol_abs + tol_rel * max(|closed|, |oracle|).
     Each tolerance is a positive finite number (a boolean is not one): an
     infinite one would pass every component, a NaN one fail it.  tol_rel is
     below 1, so that no sign flip above tol_abs / (1 - tol_rel) passes.
+    Every config is checked when it is built, by ``_replace`` too.
 
     The steps are not configurable; the oracle always differentiates on the
     ``numdiff.ORACLE`` stencil.
     """
 
-    tol_abs: float = 1e-5
-    tol_rel: float = 1e-3
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_positive(self.tol_abs, "tol_abs")
-        check_positive(self.tol_rel, "tol_rel", below=1.0)
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        check_positive(config.tol_abs, "tol_abs")
+        check_positive(config.tol_rel, "tol_rel", below=1.0)
+        return config
+
+    @classmethod
+    def _make(cls, iterable) -> "OracleConfig":
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         return {
@@ -155,17 +164,10 @@ def _symmetry_residual(table: np.ndarray) -> float:
     ))
 
 
-@dataclass
 class CurvatureReport:
-    """Closed-form vs oracle comparison at one bundle point."""
+    """Closed-form vs oracle comparison at one bundle point, filled in by
+    ``finalize`` or, for a point that failed, by setting the error."""
 
-    manifold_id: str
-    manifold_params: dict
-    family_name: str
-    x: list
-    v: list
-    t: float
-    config: dict
     status: str = "ok"  # "ok" | "error"
     error: Optional[str] = None
     closed: Optional[np.ndarray] = None  # the written components of each table
@@ -178,7 +180,17 @@ class CurvatureReport:
     cond: Optional[float] = None
     passed: bool = False
     negated_classes: tuple = ()  # of a failing report; written as a note
-    notes: list = field(default_factory=list)
+
+    def __init__(self, manifold_id: str, manifold_params: dict, family_name: str,
+                 x: list, v: list, t: float, config: dict):
+        self.manifold_id = manifold_id
+        self.manifold_params = manifold_params
+        self.family_name = family_name
+        self.x = x
+        self.v = v
+        self.t = t
+        self.config = config
+        self.notes: list = []
 
     def finalize(self, closed: np.ndarray, oracle: np.ndarray, cond: float,
                  abs_tol: float, rel_tol: float):

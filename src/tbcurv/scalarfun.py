@@ -25,8 +25,7 @@ unary minus binds tighter than the power operator, so ``-t^2`` is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -52,40 +51,36 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Base node; concrete nodes are Const, Var, Unary, Binary, Pow."""
-
-
-@dataclass(frozen=True)
-class Const(Expr):
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var(Expr):
+class Var(NamedTuple):
     """The variable t."""
 
 
-@dataclass(frozen=True)
-class Unary(Expr):
+class Unary(NamedTuple):
     op: str  # "neg" | "exp" | "ln" | "sqrt"
     arg: Expr
 
 
-@dataclass(frozen=True)
-class Binary(Expr):
+class Binary(NamedTuple):
     op: str  # "+" | "-" | "*" | "/"
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Pow(Expr):
+class Pow(NamedTuple):
     """Power with a constant (rational) exponent, e.g. t^2 or (1+t)^-0.5."""
 
     base: Expr
     exponent: float
+
+
+# A node is a tuple, equal to another when their fields are.  The kinds of
+# node differ in their number of fields or, for Unary and Pow, in the type of
+# the first one, so equal nodes are of one kind.
+Expr = Union[Const, Var, Unary, Binary, Pow]
 
 
 _FUNCTIONS = ("exp", "ln", "sqrt")
@@ -96,8 +91,7 @@ _FUNCTIONS = ("exp", "ln", "sqrt")
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     pos: int
@@ -262,8 +256,7 @@ def parse(src: str) -> Expr:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Value with first and second derivative: (f(t), f'(t), f''(t)).
 
     The fields are numbers for a number t, or arrays of the shape of t.

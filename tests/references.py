@@ -3,8 +3,6 @@ against: the adapted-frame Gram matrix and its diagonal, the vertical
 Gram block of a family, and a frame with another completion.  Written
 from the definitions, with no shortcut the library takes."""
 
-from dataclasses import replace
-
 import numpy as np
 
 from tbcurv.bundlemetric import adapted_frame_vectors, induced_metric
@@ -42,4 +40,4 @@ def rotate_completion(fp, rotation: np.ndarray):
     that invariants ignore the completion choice."""
     u = fp.u.copy()
     u[..., 1:, :] = np.asarray(rotation, dtype=float) @ u[..., 1:, :]
-    return replace(fp, u=u)
+    return fp._replace(u=u)

@@ -1,6 +1,5 @@
 """Tests for the closed-form curvature engine on (TM, G)."""
 
-import dataclasses
 import math
 import re
 
@@ -119,7 +118,7 @@ class TestTable:
         q = np.array([0.9, 0.3])
         fp = adapted_frame(M, q, np.array([0.4, -0.2]))
         # swap the frame rows: u_0 no longer parallel to v
-        bad = dataclasses.replace(fp, u=fp.u[::-1].copy())
+        bad = fp._replace(u=fp.u[::-1].copy())
         with pytest.raises(ValueError):
             tm_curvature(M, preset("sasaki"), bad)
 

@@ -1,6 +1,5 @@
 """Tests for natural-metric families, their validity, and F/H."""
 
-import dataclasses
 import math
 import random
 import warnings
@@ -228,7 +227,7 @@ def test_a_valid_family_has_finite_jets_on_its_grid(alpha, beta):
         if valid:
             jets = fam.jets(np.linspace(0.0, fam.t_max, _VALIDATION_SAMPLES))
     if valid:
-        assert all(np.isfinite(field).all() for field in vars(jets).values())
+        assert all(np.isfinite(field).all() for field in jets._asdict().values())
 
 
 class TestFlatnessBeta:
@@ -570,8 +569,8 @@ class TestSharedAlphaWalk:
             got = fam.jets(t)
         assert [call.args[0] for call in jet.call_args_list] == [fam.alpha]
         want = reference.jets(t)
-        for field in dataclasses.fields(got):
-            assert_same_bits(getattr(got, field.name), getattr(want, field.name))
+        for name in got._fields:
+            assert_same_bits(getattr(got, name), getattr(want, name))
         assert _outcome(fam.validate) == _outcome(reference.validate)
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from tbcurv.basemanifold import (
@@ -418,6 +418,12 @@ class TestOracleConfig:
         cfg = OracleConfig(tol_abs=1, tol_rel=np.float64(2e-3))
         assert (cfg.tol_abs, cfg.tol_rel) == (1, 2e-3)
 
+    def test_replace_checks_like_the_constructor(self):
+        cfg = OracleConfig()._replace(tol_abs=2e-5)
+        assert type(cfg) is OracleConfig and cfg == (2e-5, 1e-3)
+        with pytest.raises(ValueError, match="tol_rel must be below 1, got 1.0"):
+            cfg._replace(tol_rel=1.0)
+
 
 class TestCompare:
     def test_three_passing_reports(self):
@@ -564,6 +570,48 @@ class TestCompare:
             rep = next(compare(M, preset("sasaki"), [[0, 0]], [[0, 0]]))
         assert rep.status == "ok" and rep.cond > 1e8
         assert rep.notes == [f"bundle metric condition number {rep.cond:.3g} exceeds 1e8"]
+
+
+# The paper's class is every pair (alpha, beta) with alpha > 0 and
+# alpha + t beta > 0, not the four presets.  Families are drawn from six
+# alpha and six beta templates (None is the flatness beta of alpha) on
+# [0, 4]; those that validate() rejects are skipped.
+_ALPHA_TEMPLATES = ("1+{a}*t", "exp({a}*t)", "1/(1+{a}*t)", "(1+t)^{p}", "exp(-{a}*t)",
+                    "sqrt(1+{a}*t)")
+_BETA_TEMPLATES = ("0", "{b}", "{b}*t", "exp(-{b}*t)", "1/(1+{b}*t)", None)
+
+
+@st.composite
+def _class_cases(draw):
+    """A valid family of the templates, a random conformal_polynomial chart
+    (n = 2..5, one or two monomials) and four points on it with |v|_g <= 1.9.
+    The numbers come from a drawn seed, uniform over their ranges."""
+    alpha, beta = draw(st.sampled_from(_ALPHA_TEMPLATES)), draw(st.sampled_from(_BETA_TEMPLATES))
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, p, b = rng.uniform([0.05, -1.0, -0.2], [1.0, 2.0, 1.0]).round(6).tolist()
+    alpha = alpha.format(a=a, p=p)
+    beta = flatness_beta(alpha) if beta is None else beta.format(b=b)
+    fam = NaturalMetricFamily(alpha, beta, t_max=4.0)
+    assume(fam.validate().valid)
+    terms = rng.integers(1, 3)
+    coeffs = np.column_stack([rng.uniform(-0.5, 0.5, terms), rng.integers(0, 3, (terms, n))])
+    M = conformal_polynomial(n, coeffs.tolist())
+    x, d = rng.uniform(-1.0, 1.0, (2, 4, n))
+    norms = np.sqrt(np.einsum("ka,kab,kb->k", d, M.metric(x), d))
+    v = d * (rng.uniform(0.0, 1.9, 4) / norms)[:, None]
+    return M, fam, x, v
+
+
+@seed(20260)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=_class_cases())
+def test_the_two_routes_agree_over_the_whole_class(case):
+    M, fam, x, v = case
+    for rep in compare(M, fam, x, v):
+        why = f"{fam!r} on {M.params} at x={rep.x}, v={rep.v}: {rep.summary_line()}"
+        assert rep.status == "ok" and rep.passed, why
+        assert rep.worst_component["dev_over_tol"] < 0.5, why
 
 
 def full_table(report, key):
