@@ -56,11 +56,9 @@ __all__ = [
     "hyperbolic",
     "conformal_polynomial",
     "make_manifold",
+    "constant_curvature",
     "CATALOG_IDS",
 ]
-
-CATALOG_IDS = ("euclidean", "sphere", "hyperbolic", "torus-conformal")
-
 
 def _check_spd(g: np.ndarray, x: np.ndarray, name: str = "x") -> None:
     """Cholesky test of g at x, or of each matrix of a stack at its row of
@@ -496,32 +494,17 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x, x)
 
 
-def euclidean(dim: int) -> ChartManifold:
-    """Flat R^n in cartesian coordinates, on the box [-10, 10]^n."""
-    eye = np.eye(dim)
-    return ChartManifold(
-        dim,
-        lambda x: np.zeros(x.shape[:-1] + (dim, dim)) + eye,
-        lo=-10.0 * np.ones(dim),
-        hi=10.0 * np.ones(dim),
-        christoffels_fn=lambda x: np.zeros(x.shape[:-1] + (dim,) * 3),
-        christoffel_jacobian_fn=lambda x: np.zeros(x.shape[:-1] + (dim,) * 4),
-        catalog_id="euclidean",
-        params={"dim": dim},
-    )
-
-
 def _conformal_chart(
     dim: int,
     f: Callable[[np.ndarray], np.ndarray],
     grad: Callable[[np.ndarray], np.ndarray],
     hess: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
+    half: float,
     catalog_id: str,
     params: dict,
 ) -> ChartManifold:
-    """g = exp(2 f) * delta from f, grad f and hess f over x of shape (..., n)."""
+    """g = exp(2 f) * delta on the box [-half, half]^n from f, grad f and
+    hess f over x of shape (..., n)."""
     eye = np.eye(dim)
 
     def metric(x):
@@ -548,8 +531,8 @@ def _conformal_chart(
     return ChartManifold(
         dim,
         metric,
-        lo=lo,
-        hi=hi,
+        lo=-half * np.ones(dim),
+        hi=half * np.ones(dim),
         christoffels_fn=gammas,
         christoffel_jacobian_fn=dgammas,
         catalog_id=catalog_id,
@@ -557,9 +540,43 @@ def _conformal_chart(
     )
 
 
-def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartManifold:
-    """Round sphere of the given radius: polar chart (dim 2 only) or the
-    stereographic ball chart (any dim; the default for dim >= 3)."""
+def euclidean(dim: int) -> ChartManifold:
+    """Flat R^n in cartesian coordinates, on the box [-10, 10]^n: the
+    conformal chart of f = 0."""
+
+    def zeros(rank):  # +0.0 everywhere: so is every Christoffel symbol
+        return lambda x: np.zeros(x.shape[:-1] + (dim,) * rank)
+
+    return _conformal_chart(dim, zeros(0), zeros(1), zeros(2), 10.0, "euclidean", {"dim": dim})
+
+
+def _ball(dim: int, sign: float, radius: float, half: float, catalog_id: str,
+          params: dict) -> ChartManifold:
+    """The conformal chart of f = log(2R) - log1p(s |x|^2): for s = +1 the
+    stereographic sphere of radius R, for s = -1 and R = 1 the Poincare
+    ball.  With s = +-1 each product by s is exact, and 1 + (-y) is 1 - y."""
+    eye = np.eye(dim)
+
+    def f(x):
+        return math.log(2.0 * radius) - np.log1p(sign * _sq(x))
+
+    def grad(x):
+        return -2.0 * sign * x / (1.0 + sign * _sq(x))[..., None]
+
+    def hess(x):
+        d = (1.0 + sign * _sq(x))[..., None, None]
+        return -2.0 * sign * eye / d + 4.0 * (x[..., :, None] * x[..., None, :]) / d**2
+
+    return _conformal_chart(dim, f, grad, hess, half, catalog_id, params)
+
+
+def sphere(
+    dim: int, radius: Optional[float] = None, chart: Optional[str] = None
+) -> ChartManifold:
+    """Round sphere of the given radius (default 1): polar chart (dim 2
+    only; its default) or the stereographic ball chart (any dim; the
+    default for dim >= 3)."""
+    radius = 1.0 if radius is None else radius
     check_positive(radius, "sphere radius")
     radius = float(radius)
     if chart is None:
@@ -604,58 +621,16 @@ def sphere(dim: int, radius: float = 1.0, chart: Optional[str] = None) -> ChartM
             christoffel_jacobian_fn=dgammas,
             catalog_id="sphere",
             params={"dim": 2, "radius": radius, "chart": "polar"},
-            )
+        )
     if chart != "stereographic":
         raise ValueError(f"unknown sphere chart {chart!r}")
-    eye = np.eye(dim)
-
-    def f(x):
-        return math.log(2.0 * radius) - np.log1p(_sq(x))
-
-    def grad(x):
-        return -2.0 * x / (1.0 + _sq(x))[..., None]
-
-    def hess(x):
-        d = (1.0 + _sq(x))[..., None, None]
-        return -2.0 * eye / d + 4.0 * (x[..., :, None] * x[..., None, :]) / d**2
-
-    return _conformal_chart(
-        dim,
-        f,
-        grad,
-        hess,
-        lo=-0.9 * np.ones(dim),
-        hi=0.9 * np.ones(dim),
-        catalog_id="sphere",
-        params={"dim": dim, "radius": radius, "chart": "stereographic"},
-    )
+    params = {"dim": dim, "radius": radius, "chart": "stereographic"}
+    return _ball(dim, 1.0, radius, 0.9, "sphere", params)
 
 
 def hyperbolic(dim: int) -> ChartManifold:
     """Poincare ball, g = 4 delta / (1 - |x|^2)^2, constant curvature -1."""
-    half = 0.78 / math.sqrt(dim)
-    eye = np.eye(dim)
-
-    def f(x):
-        return math.log(2.0) - np.log1p(-_sq(x))
-
-    def grad(x):
-        return 2.0 * x / (1.0 - _sq(x))[..., None]
-
-    def hess(x):
-        d = (1.0 - _sq(x))[..., None, None]
-        return 2.0 * eye / d + 4.0 * (x[..., :, None] * x[..., None, :]) / d**2
-
-    return _conformal_chart(
-        dim,
-        f,
-        grad,
-        hess,
-        lo=-half * np.ones(dim),
-        hi=half * np.ones(dim),
-        catalog_id="hyperbolic",
-        params={"dim": dim},
-    )
+    return _ball(dim, -1.0, 1.0, 0.78 / math.sqrt(dim), "hyperbolic", {"dim": dim})
 
 
 def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
@@ -664,7 +639,9 @@ def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
 
     A row that is not dim + 1 finite numbers (a boolean is not one), or
     whose exponents are not whole numbers >= 0 that fit a 64-bit integer, is
-    a ValueError naming it."""
+    a ValueError naming it, and so is coeffs of None."""
+    if coeffs is None:
+        raise ValueError("torus-conformal requires conformal coefficients")
     c, e = [], []
     for row in coeffs:
         entries = list(row) if isinstance(row, (list, tuple, np.ndarray)) else []
@@ -706,35 +683,44 @@ def conformal_polynomial(dim: int, coeffs) -> ChartManifold:
     def hess(x):
         return (c2 * np.prod(x[..., None, None, None, :] ** e2, axis=-1)).sum(axis=-1)
 
-    return _conformal_chart(
-        dim,
-        f,
-        grad,
-        hess,
-        lo=-1.5 * np.ones(dim),
-        hi=1.5 * np.ones(dim),
-        catalog_id="torus-conformal",
-        params={"dim": dim, "coeffs": [list(map(float, row)) for row in coeffs]},
-    )
+    params = {"dim": dim, "coeffs": [list(map(float, row)) for row in coeffs]}
+    return _conformal_chart(dim, f, grad, hess, 1.5, "torus-conformal", params)
+
+
+# The catalog, one row per id: the builder, the settings of make_manifold
+# that it reads (its keywords, None for a default), and the constant
+# sectional curvature of its space form from the chart's params, or None.
+_CATALOG = {
+    "euclidean": (euclidean, (), lambda params: 0.0),
+    "sphere": (sphere, ("radius", "chart"),
+               lambda params: 1.0 / (params["radius"] * params["radius"])),
+    "hyperbolic": (hyperbolic, (), lambda params: -1.0),
+    "torus-conformal": (conformal_polynomial, ("coeffs",), lambda params: None),
+}
+CATALOG_IDS = tuple(_CATALOG)
 
 
 def make_manifold(
     catalog_id: str,
     dim: int,
-    radius: float = 1.0,
+    radius: Optional[float] = None,
     chart: Optional[str] = None,
     coeffs=None,
 ) -> ChartManifold:
     """Catalog dispatcher used by the CLI and config files: catalog_id is
-    one of CATALOG_IDS, exactly."""
-    if catalog_id == "euclidean":
-        return euclidean(dim)
-    if catalog_id == "sphere":
-        return sphere(dim, radius=radius, chart=chart)
-    if catalog_id == "hyperbolic":
-        return hyperbolic(dim)
-    if catalog_id == "torus-conformal":
-        if coeffs is None:
-            raise ValueError("torus-conformal requires conformal coefficients")
-        return conformal_polynomial(dim, coeffs)
-    raise KeyError(f"unknown manifold {catalog_id!r}; choose from {CATALOG_IDS}")
+    one of CATALOG_IDS, exactly.  A setting of None is not given; one that
+    the chart does not read is a ValueError naming it."""
+    if catalog_id not in _CATALOG:
+        raise KeyError(f"unknown manifold {catalog_id!r}; choose from {CATALOG_IDS}")
+    build, reads, _ = _CATALOG[catalog_id]
+    settings = {"radius": radius, "chart": chart, "coeffs": coeffs}
+    unread = [key for key, value in settings.items() if value is not None and key not in reads]
+    if unread:
+        raise ValueError(f"manifold {catalog_id} does not read {', '.join(unread)}")
+    return build(dim, **{key: settings[key] for key in reads})
+
+
+def constant_curvature(M: ChartManifold) -> Optional[float]:
+    """The sectional curvature of a catalog space form, else None."""
+    row = _CATALOG.get(M.catalog_id)
+    return None if row is None else row[2](M.params)

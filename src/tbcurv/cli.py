@@ -32,7 +32,9 @@ from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 import numpy as np
 
 from . import closedform
-from .basemanifold import CATALOG_IDS, ChartManifold, _distinct_rows, make_manifold
+from .basemanifold import (
+    CATALOG_IDS, ChartManifold, _distinct_rows, constant_curvature, make_manifold,
+)
 from .errors import ConfigError, StencilOutOfDomainError, TbcurvError, check_positive, error_text
 from .metricfamily import F_ZERO, NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
 from .oracle import OracleConfig, compare
@@ -109,6 +111,14 @@ def _grid(value, name: str, dim: Optional[int]) -> None:
         raise ConfigError("grid needs base_points")
 
 
+def _norms(values, name: str, dim: Optional[int]) -> None:
+    """Values of |v|_g: finite numbers, none below 0 (-0.0 is 0)."""
+    _numbers(values, name, finite=True)
+    for value in values:
+        if value < 0:
+            raise ConfigError(f"{name} holds {value!r}, which is below 0")
+
+
 def _vectors(values, name: str, dim: Optional[int]) -> None:
     """Base points or directions: a list of dim finite numbers each."""
     _is(list, "a list of lists")(values, name, dim)
@@ -162,8 +172,7 @@ _SETTINGS = (
              {"help": 'JSON {"base_points": [[...]], "v_norms": [...], "v_directions": [[...]]}'},
              _grid, json="JSON"),
     _Setting(None, ("grid", "base_points"), _ON_POINTS, {}, _vectors),
-    _Setting(None, ("grid", "v_norms"), _ON_POINTS, {},
-             lambda value, name, dim: _numbers(value, name, finite=True)),
+    _Setting(None, ("grid", "v_norms"), _ON_POINTS, {}, _norms),
     _Setting(None, ("grid", "v_directions"), _ON_POINTS, {}, _vectors),
     _Setting("--out", ("output", "path"), _ON_POINTS, {"help": "output file (default stdout)"},
              _is(str, "a string")),  # an integer path would name a file descriptor
@@ -310,6 +319,8 @@ def _resolve_family(cfg: dict) -> NaturalMetricFamily:
         beta = fam.get("beta")
         if beta is None and not flat:
             raise ConfigError("custom family needs beta or beta_flatness")
+        if beta is not None and flat:
+            raise ConfigError("custom family takes beta or beta_flatness true, not both")
         name = f"custom(alpha={alpha}, beta={'flatness' if flat else beta})"
 
         def make(**t_max):
@@ -699,18 +710,6 @@ def cmd_verify(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-def _constant_curvature_of(M: ChartManifold) -> Optional[float]:
-    """Sectional curvature constant of catalog space forms, else None."""
-    if M.catalog_id == "euclidean":
-        return 0.0
-    if M.catalog_id == "sphere":
-        radius = M.params["radius"]
-        return 1.0 / (radius * radius)
-    if M.catalog_id == "hyperbolic":
-        return -1.0
-    return None
-
-
 def cmd_scan(cfg: dict) -> int:
     M = _resolve_manifold(cfg)
     fam = _resolve_family(cfg)
@@ -724,7 +723,7 @@ def cmd_scan(cfg: dict) -> int:
     with _write_text(cfg.get("output", {}).get("path")) as out:
         results = closedform.on_points(M, fam, x, v, scalar_f_h)
         special = {"exp+": "plus", "exp-": "minus"}.get(fam.name)
-        k0 = _constant_curvature_of(M)
+        k0 = constant_curvature(M)
         nan = float("nan")
         rows = []  # v_norm, the three values and status, per point
         for t, result in results:

@@ -1,7 +1,10 @@
 """Reference constructions that several test modules compare the library
 against: the adapted-frame Gram matrix and its diagonal, the vertical
-Gram block of a family, and a frame with another completion.  Written
-from the definitions, with no shortcut the library takes."""
+Gram block of a family, a frame with another completion, and the metric
+and connection of the catalog's space forms.  Written from the
+definitions, with no shortcut the library takes."""
+
+import math
 
 import numpy as np
 
@@ -41,3 +44,65 @@ def rotate_completion(fp, rotation: np.ndarray):
     u = fp.u.copy()
     u[..., 1:, :] = np.asarray(rotation, dtype=float) @ u[..., 1:, :]
     return fp._replace(u=u)
+
+
+# --------------------------------------------------------------------------
+# Space forms in their catalog charts, one component at a time
+# --------------------------------------------------------------------------
+
+
+def _conformal_components(x, f, df, ddf):
+    """g_ab, Gamma^a_bc and d_p Gamma^a_bc of g = exp(2 f) delta at x, from
+    f, df[a] = d_a f and ddf[a][b] = d_a d_b f, by the component formulas
+    g_ab = delta_ab exp(2 f), Gamma^a_bc = delta_ab f_c + delta_ac f_b -
+    delta_bc f_a and d_p Gamma^a_bc = delta_ab f_cp + delta_ac f_bp -
+    delta_bc f_ap, each summed left to right."""
+    n = len(x)
+    idx = range(n)
+
+    def delta(a, b):
+        return float(a == b)
+
+    scale = float(np.exp(2.0 * f))
+    g = [[scale * delta(a, b) for b in idx] for a in idx]
+    gamma = [[[delta(a, b) * df[c] + delta(a, c) * df[b] - delta(b, c) * df[a]
+               for c in idx] for b in idx] for a in idx]
+    dgamma = [[[[delta(a, b) * ddf[c][p] + delta(a, c) * ddf[b][p] - delta(b, c) * ddf[a][p]
+                 for c in idx] for b in idx] for a in idx] for p in idx]
+    return np.array(g), np.array(gamma), np.array(dgamma)
+
+
+def flat_connection(x):
+    """Flat R^n in cartesian coordinates: f = 0, so g = delta and every
+    Christoffel symbol and its derivative is +0.0."""
+    n = len(x)
+    return _conformal_components(x, 0.0, [0.0] * n, [[0.0] * n] * n)
+
+
+def stereographic_sphere_connection(x, radius):
+    """The sphere of radius R through stereographic projection,
+    g = 4 R^2 delta / (1 + |x|^2)^2: f = log(2 R) - log(1 + |x|^2),
+    f_a = -2 x_a / (1 + |x|^2) and
+    f_ab = -2 delta_ab / (1 + |x|^2) + 4 x_a x_b / (1 + |x|^2)^2."""
+    n = len(x)
+    r2 = sum(xi * xi for xi in x)
+    d = 1.0 + r2
+    f = math.log(2.0 * radius) - np.log1p(r2)
+    df = [-2.0 * x[a] / d for a in range(n)]
+    ddf = [[-2.0 * float(a == b) / d + 4.0 * (x[a] * x[b]) / (d * d) for b in range(n)]
+           for a in range(n)]
+    return _conformal_components(x, f, df, ddf)
+
+
+def poincare_ball_connection(x):
+    """The Poincare ball, g = 4 delta / (1 - |x|^2)^2: f = log 2 -
+    log(1 - |x|^2), f_a = 2 x_a / (1 - |x|^2) and
+    f_ab = 2 delta_ab / (1 - |x|^2) + 4 x_a x_b / (1 - |x|^2)^2."""
+    n = len(x)
+    r2 = sum(xi * xi for xi in x)
+    d = 1.0 - r2
+    f = math.log(2.0) - np.log1p(-r2)
+    df = [2.0 * x[a] / d for a in range(n)]
+    ddf = [[2.0 * float(a == b) / d + 4.0 * (x[a] * x[b]) / (d * d) for b in range(n)]
+           for a in range(n)]
+    return _conformal_components(x, f, df, ddf)

@@ -1,5 +1,6 @@
 """Tests for chart manifolds, frames, and base curvature."""
 
+import functools
 import math
 import re
 
@@ -14,6 +15,7 @@ from tbcurv.basemanifold import (
     adapted_frame,
     base_invariants,
     conformal_polynomial,
+    constant_curvature,
     euclidean,
     frame_curvature,
     hyperbolic,
@@ -33,7 +35,12 @@ from tbcurv.numdiff import (
     project_curvature_symmetries,
 )
 
-from references import rotate_completion
+from references import (
+    flat_connection,
+    poincare_ball_connection,
+    rotate_completion,
+    stereographic_sphere_connection,
+)
 
 
 def fd_only(M, per_point=True):
@@ -448,6 +455,98 @@ class TestCatalogDispatch:
         message = f"sphere radius must be a positive finite number, got {got}"
         with pytest.raises(ValueError, match=message):
             make_manifold("sphere", dim=dim, radius=radius)
+
+    @pytest.mark.parametrize(
+        "catalog_id,settings,unread",
+        [
+            ("hyperbolic", {"radius": 5.0, "chart": "polar", "coeffs": [[1, 1, 0]]},
+             "radius, chart, coeffs"),
+            ("euclidean", {"radius": 2.0}, "radius"),
+            ("sphere", {"coeffs": [[1, 1, 0]]}, "coeffs"),
+            ("torus-conformal", {"chart": "polar", "coeffs": [[1, 1, 0]]}, "chart"),
+        ],
+    )
+    def test_a_setting_the_chart_does_not_read_is_named(self, catalog_id, settings, unread):
+        # these settings used to be dropped without a word
+        with pytest.raises(ValueError, match=f"^manifold {catalog_id} does not read {unread}$"):
+            make_manifold(catalog_id, 2, **settings)
+
+    @pytest.mark.parametrize("catalog_id", ["euclidean", "sphere", "hyperbolic"])
+    def test_a_setting_of_none_is_not_given(self, catalog_id):
+        M = make_manifold(catalog_id, 3, radius=None, chart=None, coeffs=None)
+        assert M.catalog_id == catalog_id and M.dim == 3
+
+    @pytest.mark.parametrize(
+        "M,curvature",
+        [
+            (euclidean(3), 0.0),
+            (sphere(2), 1.0),
+            (sphere(2, 2.5), 0.16),
+            (sphere(4, 0.5, "stereographic"), 4.0),
+            (hyperbolic(5), -1.0),
+            (conformal_polynomial(2, [[0.1, 1, 1]]), None),
+            (fd_only(sphere(2)), None),
+            (ChartManifold(2, lambda x: np.zeros(x.shape[:-1] + (2, 2)) + np.eye(2),
+                           lo=-np.ones(2), hi=np.ones(2)), None),
+        ],
+        ids=["euclidean", "sphere", "sphere-2.5", "sphere-stereographic-0.5", "hyperbolic",
+             "torus-conformal", "sphere-fd", "custom"],
+    )
+    def test_space_form_constant(self, M, curvature):
+        assert constant_curvature(M) == curvature
+        assert type(constant_curvature(M)) is type(curvature)
+
+
+def _near_edge(half: float) -> float:
+    """The largest multiple of 1/256 strictly below half: squares and sums
+    of such coordinates are exact, so the order of a sum does not show."""
+    return (math.ceil(half * 256) - 1) / 256
+
+
+def _space_form_points(n: int, half: float) -> list:
+    """The origin, points with -0.0 coordinates, and points within 1/256
+    of the box edge, on an axis and at a corner."""
+    edge = _near_edge(half)
+    return [
+        [0.0] * n,
+        [-0.0] * n,
+        [-0.0] + [(-1) ** k * 0.0625 * k for k in range(1, n)],
+        [edge] + [-0.0] * (n - 1),
+        [(-1) ** k * edge for k in range(n)],
+    ]
+
+
+SPACE_FORM_CHARTS = {
+    **{f"euclidean-{n}": (lambda n=n: euclidean(n), flat_connection, 10.0)
+       for n in range(2, 6)},
+    **{f"sphere-{n}-r{radius}": (
+        lambda n=n, radius=radius: sphere(n, radius, "stereographic"),
+        functools.partial(stereographic_sphere_connection, radius=radius), 0.9)
+       for n in range(2, 6) for radius in (1.0, 2.5)},
+    **{f"hyperbolic-{n}": (lambda n=n: hyperbolic(n), poincare_ball_connection,
+                           0.78 / math.sqrt(n))
+       for n in range(2, 6)},
+}
+
+
+class TestSpaceFormBits:
+    """Each space form's g, Gamma and d Gamma are the bits of its component
+    formulas, at single points and in a stack."""
+
+    @pytest.mark.parametrize("name", SPACE_FORM_CHARTS)
+    def test_connection_is_the_closed_form_bit_for_bit(self, name):
+        build, reference, half = SPACE_FORM_CHARTS[name]
+        M = build()
+        points = _space_form_points(M.dim, half)
+        assert np.array_equal(M.hi, np.full(M.dim, half)) and np.array_equal(M.lo, -M.hi)
+        expected = [reference(x) for x in points]
+        for x, want in zip(points, expected):
+            got = M.connection(np.array(x))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], x
+        stacked = M.connection(np.array(points))
+        for got, want in zip(stacked, zip(*expected)):
+            assert got.tobytes() == np.array(want).tobytes()
+        assert M.metric(np.array(points)).tobytes() == stacked[0].tobytes()
 
 
 class TestStacks:

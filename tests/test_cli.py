@@ -18,14 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbcurv import closedform, oracle
-from tbcurv.basemanifold import conformal_polynomial, make_manifold, sphere
+from tbcurv.basemanifold import conformal_polynomial, constant_curvature, make_manifold, sphere
 from tbcurv.cli import (
     _NOTE,
     _SETTINGS,
     _TABLES,
     TASKS,
     _build_parser,
-    _constant_curvature_of,
     _coords,
     _csv_chunks,
     _json_chunks,
@@ -1689,6 +1688,25 @@ class TestUserErrors:
              UNKNOWN_MANIFOLD.format("bogus")),
             (["family-check", "--family", "SASAKI"], None,
              "unknown preset 'SASAKI'; choose from ('sasaki', 'cheeger-gromoll', 'exp+', 'exp-')"),
+            # settings the chart does not read, a negative norm and beta beside
+            # beta_flatness true used to be dropped or applied without a word
+            (["scalar", "--manifold", "hyperbolic", "--dim", "2", "--radius", "5", "--chart",
+              "polar", "--coeffs", "[[1,1,0]]", "--family", "sasaki", "--point", "0.1,0.2",
+              "--v", "0.3,0"], None, "manifold hyperbolic does not read radius, chart, coeffs"),
+            (["scalar", "--manifold", "euclidean", "--radius", "2", *POINT], None,
+             "manifold euclidean does not read radius"),
+            (["scalar", *POINT], b'{"manifold": {"id": "sphere", "coeffs": [[1, 1, 0]]}}',
+             "manifold sphere does not read coeffs"),
+            (["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+              "--grid", '{"base_points": [[0.1, 0.2]], "v_norms": [-1, 1]}'], None,
+             "grid v_norms holds -1, which is below 0"),
+            (["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki"],
+             b'{"grid": {"base_points": [[0.1, 0.2]], "v_norms": [0.5, -1e-300]}}',
+             "grid v_norms holds -1e-300, which is below 0"),
+            (["family-check", "--alpha", "1+t", "--beta", "5", "--beta-flatness"], None,
+             "custom family takes beta or beta_flatness true, not both"),
+            (["family-check", "--beta-flatness"], b'{"family": {"alpha": "1+t", "beta": 0}}',
+             "custom family takes beta or beta_flatness true, not both"),
         ],
     )
     def test_config_error(self, tmp_path, capsys, args, config, message):
@@ -1743,7 +1761,8 @@ class TestConfigDocument:
     def test_null_stands_for_a_missing_entry(self, tmp_path, capsys):
         doc = {"manifold": {"id": "sphere", "dim": 2}, "family": {"preset": "exp+"},
                "points": [{"x": [0.9, 0.3], "v": [0.3, 0.1]}]}
-        nulls = {"manifold": {**doc["manifold"], "radius": None, "chart": None},
+        # a null setting the chart does not read (coeffs) is not given either
+        nulls = {"manifold": {**doc["manifold"], "radius": None, "chart": None, "coeffs": None},
                  "family": {**doc["family"], "t_max": None, "alpha": None},
                  "points": doc["points"], "grid": None, "output": {"format": None},
                  "oracle": {"tol_abs": None, "tol_rel": None}}
@@ -1756,6 +1775,12 @@ class TestConfigDocument:
                 outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
         assert outputs[0].err == outputs[2].err == ""
+
+    def test_a_negative_zero_norm_is_not_below_0(self, capsys):
+        grid = '{"base_points": [[0.1, 0.2]], "v_norms": [-0.0, 1]}'
+        assert run(["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+                    "--grid", grid]) == 0
+        assert capsys.readouterr().err == ""
 
     # a flag leaves a section of the wrong JSON type for the check to name
     @pytest.mark.parametrize(
@@ -1989,7 +2014,7 @@ def _reference_output(task, fmt, M, fam_name, xs, vs, results):
                 rows.extend(_ref_table_rows(x_cell, v_cell, t, REF_INDEX[task], result))
         return _ref_emit(fmt, rows, f"{task} of (TM, G); {_NOTE}", task)
     special = {"exp+": "plus", "exp-": "minus"}.get(fam_name)
-    k0 = _constant_curvature_of(M)
+    k0 = constant_curvature(M)
     nan = float("nan")
     for x, v, (t, result) in zip(xs, vs, results):
         s_special, status = nan, "ok"
