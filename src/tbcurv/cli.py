@@ -53,7 +53,9 @@ class _Setting(NamedTuple):
     None marks an entry only a document sets, an entry of None a flag read
     elsewhere: --config names the document, and --point and --v pair into
     points.  ``needed`` is the error for a missing entry the task reads;
-    ``json``, what a JSON flag's text must be."""
+    ``json``, what a JSON flag's text must be; ``kind``, which kind of its
+    section's entry a key belongs to, where a section holds one of several
+    kinds (a key of no kind belongs to every one)."""
 
     flag: Optional[str]
     entry: Optional[tuple]
@@ -62,6 +64,7 @@ class _Setting(NamedTuple):
     check: Optional[Callable] = None
     needed: str = ""
     json: str = ""
+    kind: str = ""
 
 
 def _is(kind, what: str, test: Optional[Callable] = None, failed: str = "") -> Callable:
@@ -126,6 +129,24 @@ def _vectors(values, name: str, dim: Optional[int]) -> None:
         _numbers(entry, name, dim, finite=True)
 
 
+def _family(value: dict, name: str, dim: Optional[int]) -> None:
+    """A family entry is of one kind: a preset, or a custom pair of alpha
+    with beta or beta_flatness true."""
+    rows = _ENTRIES["family"]
+    keys = [key for key in rows if key in value and rows[key].kind]
+    if len({rows[key].kind for key in keys}) > 1:
+        raise ConfigError(f"family takes a preset or a custom pair, not both: {', '.join(keys)}")
+    if "preset" in value:
+        return
+    if "alpha" not in value:
+        raise ConfigError("custom family needs alpha")
+    flat = value.get("beta_flatness")
+    if "beta" not in value and not flat:
+        raise ConfigError("custom family needs beta or beta_flatness")
+    if "beta" in value and flat:
+        raise ConfigError("custom family takes beta or beta_flatness true, not both")
+
+
 _EXPRESSION = _is((str, int, float), "an expression string or a number")
 
 _SETTINGS = (
@@ -148,17 +169,19 @@ _SETTINGS = (
     _Setting("--family", ("family", "preset"), TASKS,
              {"help": f"preset: {', '.join(PRESET_NAMES)}"},
              _is(str, "a string", PRESET_NAMES.__contains__,
-                 f"unknown preset {{!r}}; choose from {PRESET_NAMES}")),
+                 f"unknown preset {{!r}}; choose from {PRESET_NAMES}"), kind="preset"),
     _Setting("--alpha", ("family", "alpha"), TASKS,
-             {"help": "alpha(t) expression for a custom family"}, _EXPRESSION),
+             {"help": "alpha(t) expression for a custom family"}, _EXPRESSION, kind="custom"),
     _Setting("--beta", ("family", "beta"), TASKS,
-             {"help": "beta(t) expression for a custom family"}, _EXPRESSION),
+             {"help": "beta(t) expression for a custom family"}, _EXPRESSION, kind="custom"),
     _Setting("--beta-flatness", ("family", "beta_flatness"), TASKS,
              {"action": "store_true", "default": None,
               "help": "derive beta from alpha by the flatness formula"},
-             _is(bool, "true or false")),
+             _is(bool, "true or false"), kind="custom"),
     _Setting("--t-max", ("family", "t_max"), TASKS,
              {"type": float, "help": "validity horizon for t = |v|^2"}),
+    _Setting(None, ("family", None), TASKS, {}, _family,
+             "no family configured (--family or --alpha/--beta)"),
     _Setting(None, ("points", None), _ON_POINTS, {}, _points),
     _Setting("--point", None, _ON_POINTS,
              {"action": "append",
@@ -222,14 +245,20 @@ def _load_config(path: Optional[str]) -> dict:
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """Overlay the task's flags on the config document: each flag given sets
     its entry, in table order, but not in a section of the wrong JSON type,
-    which ``_check_config`` names.  Two rules are not a plain overlay:
-    --family replaces the whole family entry and --alpha, --beta and
-    --beta-flatness drop a preset; --point and --v pair into points."""
+    which ``_check_config`` names.  A flag of one kind first drops the
+    document's keys of the other kinds from its section; --point and --v
+    pair into points."""
     cfg = dict(cfg)
-    for row in _SETTINGS:
-        value = row.flag and getattr(args, row.flag[2:].replace("-", "_"), None)
-        if row.entry is None or value is None:
-            continue
+    given = [(row, getattr(args, row.flag[2:].replace("-", "_"), None))
+             for row in _SETTINGS if row.flag and row.entry]
+    given = [(row, value) for row, value in given if value is not None]
+    for row, _ in given:
+        section = row.entry[0]
+        entry, rows = cfg.get(section), _ENTRIES[section]
+        if row.kind and isinstance(entry, dict):
+            cfg[section] = {key: item for key, item in entry.items()
+                            if key not in rows or rows[key].kind in ("", row.kind)}
+    for row, value in given:
         if row.json:
             try:
                 value = _json(value)
@@ -240,10 +269,10 @@ def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
         if entry is not None and not isinstance(entry, dict):
             continue
         if key is not None:
-            value = {**({} if key == "preset" else entry or {}), key: value}
-            if key in ("alpha", "beta", "beta_flatness"):
-                value.pop("preset", None)
+            value = {**(entry or {}), key: value}
         cfg[section] = value
+    # code, not table rows: points is a list section, and _check_config
+    # reads any section whose rows carry keys as a JSON object
     xs, vs = getattr(args, "point", None) or [], getattr(args, "v", None) or []
     if (xs or vs) and isinstance(cfg.get("points") or [], list):
         if len(vs) != len(xs):
@@ -264,9 +293,10 @@ def _parse_vector(text: str) -> list[float]:
 
 def _check_config(cfg: dict, task: str) -> dict:
     """The merged document, checked in one walk of the table before any
-    resolver reads it, less its null (missing) sections and keys.  Each entry
-    is checked whatever the task; a section or key the table does not list,
-    or a missing entry the task needs, is a config error."""
+    resolver reads it, less its null (missing) keys and its null or empty
+    (missing) sections.  Each entry is checked whatever the task; a section
+    or key the table does not list, or a missing entry the task needs, is a
+    config error."""
     _check_known("config section", cfg, _ENTRIES)
     checked: dict = {}
     for section, rows in _ENTRIES.items():
@@ -274,7 +304,7 @@ def _check_config(cfg: dict, task: str) -> dict:
         if value is not None and rows.keys() != {None}:
             _is(dict, "a JSON object")(value, section, None)
             _check_known(f"{section} key", value, rows)
-            value = {key: item for key, item in value.items() if item is not None}
+            value = {key: item for key, item in value.items() if item is not None} or None
         for key, row in rows.items():
             item = value if key is None else (value or {}).get(key)
             if item is None and row.needed and task in row.tasks:
@@ -307,20 +337,12 @@ def _resolve_manifold(cfg: dict) -> ChartManifold:
 
 
 def _resolve_family(cfg: dict) -> NaturalMetricFamily:
-    fam = cfg.get("family")
-    if not fam:
-        raise ConfigError("no family configured (--family or --alpha/--beta)")
+    """The family of the checked document's family entry (``_family``)."""
+    fam = cfg["family"]
     if "preset" in fam:
         make = functools.partial(preset, fam["preset"])
     else:
-        alpha, flat = fam.get("alpha"), fam.get("beta_flatness")
-        if alpha is None:
-            raise ConfigError("custom family needs alpha")
-        beta = fam.get("beta")
-        if beta is None and not flat:
-            raise ConfigError("custom family needs beta or beta_flatness")
-        if beta is not None and flat:
-            raise ConfigError("custom family takes beta or beta_flatness true, not both")
+        alpha, beta, flat = fam["alpha"], fam.get("beta"), fam.get("beta_flatness")
         name = f"custom(alpha={alpha}, beta={'flatness' if flat else beta})"
 
         def make(**t_max):

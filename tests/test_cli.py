@@ -1650,6 +1650,9 @@ class TestTolerances:
         assert not recwarn.list
 
 
+BOTH_KINDS = "family takes a preset or a custom pair, not both: "
+
+
 class TestUserErrors:
     # each of these errors was pinned by no test
     SPHERE = ["scalar", "--manifold", "sphere", "--family", "sasaki"]
@@ -1707,6 +1710,13 @@ class TestUserErrors:
              "custom family takes beta or beta_flatness true, not both"),
             (["family-check", "--beta-flatness"], b'{"family": {"alpha": "1+t", "beta": 0}}',
              "custom family takes beta or beta_flatness true, not both"),
+            # a preset beside a custom key ran one of them without a word
+            (["family-check"], b'{"family": {"preset": "sasaki", "alpha": "1+t", "beta": 5}}',
+             f"{BOTH_KINDS}preset, alpha, beta"),
+            (["family-check", "--family", "exp+", "--alpha", "t", "--beta", "1"], None,
+             f"{BOTH_KINDS}preset, alpha, beta"),
+            (["family-check", "--family", "exp-", "--beta", "1"], None,
+             f"{BOTH_KINDS}preset, beta"),
         ],
     )
     def test_config_error(self, tmp_path, capsys, args, config, message):
@@ -1718,6 +1728,14 @@ class TestUserErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: {message.format(path=path)}\n"
+
+    def test_family_flag_keeps_the_documents_t_max(self, tmp_path, capsys):
+        # --family used to replace the whole family entry, t_max included
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"family": {"t_max": 30}}))
+        assert run(["family-check", "--config", str(path), "--family", "exp+"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "family exp+: valid; phi > 0 on [0, 30] (4096 samples)\n")
 
 
 class TestUnknownKeys:
@@ -2385,17 +2403,21 @@ def _ref_merge_flags(cfg, args):
     if man:
         cfg["manifold"] = man
 
+    # a family flag drops the document's keys of the other kind, a preset or
+    # a custom pair, and keeps its t_max; flags of both kinds all stay
     fam = dict(cfg.get("family") or {})
     if args.family is not None:
-        fam = {"preset": args.family}
-    if args.alpha is not None:
+        for key in ("alpha", "beta", "beta_flatness"):
+            fam.pop(key, None)
+    if args.alpha is not None or args.beta is not None or args.beta_flatness:
         fam.pop("preset", None)
+    if args.family is not None:
+        fam["preset"] = args.family
+    if args.alpha is not None:
         fam["alpha"] = args.alpha
     if args.beta is not None:
-        fam.pop("preset", None)
         fam["beta"] = args.beta
     if args.beta_flatness:
-        fam.pop("preset", None)
         fam["beta_flatness"] = True
     if args.t_max is not None:
         fam["t_max"] = args.t_max
@@ -2449,6 +2471,8 @@ MERGE_CONFIGS = {
                "grid": {"base_points": [[0.1, 0.2]], "v_norms": [0.5]}},
     "flat": {"family": {"alpha": "exp(0.3*t)", "beta_flatness": True},
              "oracle": {"tol_rel": 1e-2}},
+    "t_max": {"family": {"t_max": 30}},
+    "both kinds": {"family": {"preset": "sasaki", "alpha": "1+t", "beta": 5, "t_max": 30}},
     "empty sections": {"manifold": None, "family": {}, "output": {}, "oracle": None,
                        "points": []},
 }
@@ -2460,6 +2484,7 @@ MERGE_FLAGS = {
     "alpha": ["--alpha", "exp(-t)"],
     "flatness": ["--alpha", "exp(t)", "--beta-flatness", "--t-max", "3"],
     "preset, beta": ["--family", "exp-", "--beta", "1"],
+    "preset, alpha": ["--family", "sasaki", "--alpha", "t"],
     "points": ["--point", "0.1,0.2", "--v", "0.3,0", "--point=-1,0", "--v=0,-1"],
     "point without v": ["--point", "0.1,0.2"],
     "v without point": ["--v", "0,0"],
