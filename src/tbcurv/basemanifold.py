@@ -48,6 +48,7 @@ __all__ = [
     "AdaptedFramePoint",
     "FrameCurvature",
     "BaseInvariants",
+    "vector_norm",
     "adapted_frame",
     "frame_curvature",
     "base_invariants",
@@ -358,12 +359,39 @@ class AdaptedFramePoint(NamedTuple):
             raise NonFiniteError(f"{quantity} is not finite at {self.named(k)}")
 
 
+def _quadratic_norm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sqrt((v^T g) v) of vectors v (..., n) in metrics g (..., n, n),
+    broadcast, as (...); for a single point the matrix products sum in the
+    order of ``v @ g @ v``.  A -0.0 sum is a zero length, 0.0."""
+    w = v[..., None]
+    return np.sqrt(((w.swapaxes(-1, -2) @ g) @ w)[..., 0, 0] + 0.0)
+
+
+def vector_norm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|v|_g of vectors v (..., n) in metrics g (..., n, n), broadcast, as
+    (...): the square root of v g v, summed as the matrix products
+    (v^T g) v.  Below |v|_g = 2^-450 (about 3e-136), where a subnormal term
+    of that sum may move its rounding, and where the sum overflows while v
+    and g are finite, the length is formed from 2^600 v or 2^-600 v and
+    scaled back exactly: |2^k v|_g = 2^k |v|_g over the whole range of a
+    double.  nan where v g v < 0; no warnings."""
+    g, v = np.asarray(g, dtype=float), np.asarray(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _quadratic_norm(g, v)
+        small, big = t < 2.0**-450, np.isinf(t)
+        if small.any() or big.any():
+            big &= np.isfinite(v).all(axis=-1) & np.isfinite(g).all(axis=(-2, -1))
+            scale = np.where(small, 2.0**600, np.where(big, 2.0**-600, 1.0))
+            t = np.where(small | big, _quadratic_norm(g, v * scale[..., None]) / scale, t)
+    return t
+
+
 def _g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sqrt(max(w g w, 0)) of columns w (..., n, 1), as (..., 1, 1), with
-    w g w summed as the matrix products (w^T g) w, which for a single point
-    sum in the order of ``w @ g @ w`` on vectors.  A norm that overflows is
-    inf: the family's validity check names its point, and the caller runs
-    this under ``np.errstate``."""
+    w g w summed as the matrix products (w^T g) w: the length of a
+    Gram-Schmidt remainder, which rounding may leave a little below 0.  A
+    norm that overflows is inf: the family's validity check names its
+    point, and the caller runs this under ``np.errstate``."""
     return np.sqrt(np.maximum((w.swapaxes(-1, -2) @ g) @ w, 0.0))
 
 
@@ -427,21 +455,13 @@ def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFram
     M.check_interior(q)
     g = _at_distinct(M.metric, q)
     _check_spd(g, q, "q")
-    # norms that overflow are inf, and zero seeds divide by zero: no warnings
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = _g_norm(g, v[..., None])
-        # below |v|_g = 2^-511 (about 1e-154), v g v is subnormal or 0 and t keeps
-        # few bits or none: there t is formed from 2^600 v and scaled back, exactly
-        small = t < 2.0**-511
-        if small.any():
-            scale = np.where(small, 2.0**600, 1.0)
-            t = _g_norm(g, v[..., None] * scale) / scale
-        t = t[..., 0]
+    t = vector_norm(g, v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # zero seeds divide by zero
         aligned = t > 0.0
-        radial = np.where(aligned, v / t, 0.0)  # a zero seed is skipped
+        radial = np.where(aligned[..., None], v / t[..., None], 0.0)  # a zero seed is skipped
         u = _gram_schmidt(g, radial[..., None])
-    u[..., 0, :] = np.where(aligned, radial, u[..., 0, :])  # exact alignment
-    return AdaptedFramePoint(q=q, u=u, v=v, t=t[..., 0][()], g=g)
+    u[..., 0, :] = np.where(aligned[..., None], radial, u[..., 0, :])  # exact alignment
+    return AdaptedFramePoint(q=q, u=u, v=v, t=t[()], g=g)
 
 
 class FrameCurvature(NamedTuple):

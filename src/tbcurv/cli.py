@@ -33,9 +33,13 @@ import numpy as np
 
 from . import closedform
 from .basemanifold import (
-    CATALOG_IDS, ChartManifold, _distinct_rows, constant_curvature, make_manifold,
+    CATALOG_IDS, ChartManifold, _check_spd, _distinct_rows, constant_curvature, make_manifold,
+    vector_norm,
 )
-from .errors import ConfigError, StencilOutOfDomainError, TbcurvError, check_positive, error_text
+from .errors import (
+    ConfigError, SingularMetricError, StencilOutOfDomainError, TbcurvError, check_positive,
+    error_text,
+)
 from .metricfamily import F_ZERO, NaturalMetricFamily, PRESET_NAMES, flatness_beta, preset
 from .oracle import OracleConfig, compare
 from .scalarfun import as_scalar_function
@@ -363,8 +367,8 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> tuple[np.ndarray, np.ndarray
     the explicit points first, then the grid's, base point by direction by
     norm, with v = (s / |d|_g) d for each norm s and direction d.  The grid
     is checked as a whole, each check over all its base points or
-    directions: the chart, the metric, the directions' lengths; then every
-    point must be finite."""
+    directions: the chart, the metric (finite and positive definite), the
+    directions' lengths; then every point must be finite."""
     n = M.dim
     entries = cfg.get("points", [])
     xs = [np.array([entry["x"] for entry in entries], dtype=float).reshape(-1, n)]
@@ -377,20 +381,16 @@ def _resolve_points(cfg: dict, M: ChartManifold) -> tuple[np.ndarray, np.ndarray
         directions = directions.reshape(-1, n)
         try:
             M.check_interior(base)
-        except StencilOutOfDomainError as exc:
+            g = M.metric(base)
+            _check_spd(g, base)
+        except (StencilOutOfDomainError, SingularMetricError) as exc:
             raise ConfigError(f"grid base point: {exc}")
-        g = M.metric(base)
-        bad = ~np.isfinite(g).all(axis=(1, 2))
-        if bad.any():
-            x = base[np.argmax(bad)]
-            raise ConfigError(f"grid base point: metric not finite at x={x.tolist()}")
-        # |d|_g per base point and direction, summed as (d^T g) d, as d @ g @ d does;
-        # where a norm or a vector overflows, the finiteness check below names its point
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            nrm = np.sqrt((directions[:, None, :] @ g[:, None]) @ directions[:, :, None])[..., 0]
-            vectors = (v_norms / nrm)[..., None] * directions[:, None, :]
+        nrm = vector_norm(g[:, None], directions)  # per base point and direction
         if (nrm == 0.0).any():
             raise ConfigError("grid direction has zero length")
+        # where a vector overflows, the finiteness check below names its point
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors = (v_norms / nrm[..., None])[..., None] * directions[:, None, :]
         xs.append(np.broadcast_to(base[:, None, None, :], vectors.shape).reshape(-1, n))
         vs.append(vectors.reshape(-1, n))
     x, v = np.concatenate(xs), np.concatenate(vs)
@@ -620,8 +620,9 @@ def cmd_family_check(cfg: dict) -> int:
         return 2
     t_hi = fam.t_max
     ts = np.array([0.0, 0.25 * t_hi, 0.5 * t_hi, t_hi])
-    # the flatness numbers on 2048 points, read from the walk that gives the table
-    grid = np.linspace(0.0, t_hi, 2048)
+    # the flatness numbers on 2048 points, read from the walk that gives the table;
+    # below a subnormal t_max, linspace rounds some nodes above it
+    grid = np.minimum(np.linspace(0.0, t_hi, 2048), t_hi)
     jets = fam.jets(np.concatenate((ts, grid)))
     print("      t        F(t)            H(t)")
     for t, f, h in zip(ts, jets.F, jets.H):
@@ -738,7 +739,8 @@ def cmd_scan(cfg: dict) -> int:
     x, v = _resolve_points(cfg, M)
 
     def scalar_f_h(fp):
-        jets = fam.jets(fp.t * fp.t)
+        with np.errstate(over="ignore"):  # a t^2 that overflows is the family's error
+            jets = fam.jets(fp.t * fp.t)
         s_general = closedform.tm_scalar(M, fam, fp)
         return list(zip(s_general.tolist(), jets.F.tolist(), jets.H.tolist()))
 

@@ -40,6 +40,7 @@ from .basemanifold import (
     FrameCurvature,
     adapted_frame,
     frame_curvature,
+    vector_norm,
 )
 from .errors import TbcurvError
 from .metricfamily import FamilyJets, NaturalMetricFamily
@@ -503,7 +504,7 @@ def on_points(
     per point of the stack fp.
 
     Returns one ``(t, result)`` per point: t = |v|_g, the t of its frame,
-    or where no frame was built sqrt((v^T g) v) with the metric at x, nan
+    or where no frame was built ``vector_norm`` with the metric at x, nan
     outside the chart, where the metric is not evaluated, or where the
     metric gives no real norm; and fun's result at the point, or the
     ``TbcurvError`` the point gets alone.  Checks that evaluate nothing flag
@@ -547,7 +548,8 @@ def on_points(
     except TbcurvError:
         alone(rest)
     if fp is not None:
-        t_sq = fp.t * fp.t
+        with np.errstate(over="ignore"):  # a finite t may square to inf: flagged below
+            t_sq = fp.t * fp.t
         reach = np.maximum(M.nabla_reach(fp.q), M.oracle_reach(fp.q))
         flagged = ~((0.0 <= t_sq) & (t_sq <= fam.t_max)) | M.outside(fp.q, reach)
         alone(rest[flagged], fp[flagged])
@@ -556,7 +558,5 @@ def on_points(
             alone(rest[good], fp[good])
     bare = ~(framed | outside)  # a frame that failed: the metric at x was evaluated
     if bare.any():
-        g, w = M.metric(q[bare]), v[bare]
-        with np.errstate(invalid="ignore", over="ignore"):
-            t[bare] = np.sqrt(((w[:, None, :] @ g) @ w[:, :, None])[:, 0, 0])
+        t[bare] = vector_norm(M.metric(q[bare]), v[bare])
     return list(zip(t.tolist(), results))

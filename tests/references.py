@@ -1,12 +1,15 @@
 """Reference constructions that several test modules compare the library
 against: the adapted-frame Gram matrix and its diagonal, the vertical
 Gram block of a family, a frame with another completion, and the metric
-and connection of the catalog's space forms.  Written from the
-definitions, with no shortcut the library takes."""
+and connection of the catalog's space forms; and, for the properties of
+|2^k v|_g, the vector entries and the powers of two that scale them
+exactly.  Written from the definitions, with no shortcut the library
+takes."""
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tbcurv.bundlemetric import adapted_frame_vectors, induced_metric
 
@@ -24,6 +27,21 @@ def gram_diagonal(fam, t: float, n: int) -> np.ndarray:
     alpha + t^2 beta (radial vertical), then alpha for the rest."""
     j = fam.jets(t * t)
     return np.array([1.0] * n + [j.delta] + [j.alpha] * (n - 1))
+
+
+# a vector entry: 0, or of a size within 2^22 of the others
+sized_entry = st.just(0.0) | st.builds(lambda m, s: m * s, st.floats(2.0**-20, 4.0),
+                                       st.sampled_from([-1.0, 1.0]))
+
+
+def exact_scalings(values, quotients=()) -> tuple[int, int]:
+    """The range lo..hi of the k for which 2^k times each nonzero value,
+    and 2^-k times each nonzero quotient, is a normal double below 2^1023:
+    where each such product is exact."""
+    exps = [math.frexp(x)[1] for x in values if x != 0.0]  # x in [2^(e-1), 2^e)
+    quotient_exps = [math.frexp(x)[1] for x in quotients if x != 0.0]
+    return (max([-1021 - e for e in exps] + [e - 1023 for e in quotient_exps]),
+            min([1023 - e for e in exps] + [e + 1021 for e in quotient_exps]))
 
 
 def fiber_block(fam, xi: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tbcurv.basemanifold import (
     ChartManifold,
@@ -36,9 +38,11 @@ from tbcurv.numdiff import (
 )
 
 from references import (
+    exact_scalings,
     flat_connection,
     poincare_ball_connection,
     rotate_completion,
+    sized_entry,
     stereographic_sphere_connection,
 )
 
@@ -319,6 +323,45 @@ class TestAdaptedFrame:
         u0 = fp.u[:, 0]
         assert np.max(np.abs(np.einsum("ma,mab,mb->m", u0, fp.g, u0) - 1.0)) <= 1e-14
         assert np.all(fp.t > 0.0)
+
+    def test_large_vector_keeps_its_length(self):
+        # v g v = 1e320 overflows: t used to be inf, and u_0 = (0, 0)
+        fp = adapted_frame(euclidean(2), np.zeros(2), np.array([1e160, 0.0]))
+        assert fp.t == 1e160
+        assert fp.u.tobytes() == np.eye(2).tobytes()
+
+    def test_vector_near_underflow_scales_exactly(self):
+        # |2^-511 v|_g = 5.2e-154 is above 2^-511, but its term 0.35^2 2^-1022
+        # of v g v is subnormal: summed unscaled, t read 5.217193307108023e-154
+        M, v = euclidean(2), np.array([0.35, 3.48])
+        t = adapted_frame(M, np.zeros(2), v).t
+        assert adapted_frame(M, np.zeros(2), np.ldexp(v, -511)).t == math.ldexp(t, -511)
+
+    # base points inside each chart; the polar sphere's theta is shifted by 1
+    SCALED_CHARTS = [
+        (sphere(3), 0.0),
+        (sphere(2, chart="polar"), 1.0),
+        (hyperbolic(2), 0.0),
+        (euclidean(4), 0.0),
+        (conformal_polynomial(2, [[0.5, 1, 1]]), 0.0),
+    ]
+
+    @seed(35)
+    @settings(max_examples=75, deadline=None, database=None)
+    @given(data=st.data())
+    def test_scaled_vector_scales_t_and_keeps_the_frame(self, data):
+        # |2^k v|_g = 2^k |v|_g bit for bit, over the whole range of a
+        # double, so the frame of 2^k v is the frame of v
+        M, shift = data.draw(st.sampled_from(self.SCALED_CHARTS))
+        q = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=M.dim, max_size=M.dim)))
+        q = q / 10.0 + shift * (np.arange(M.dim) == 0)
+        v = np.array(data.draw(st.lists(sized_entry, min_size=M.dim, max_size=M.dim)
+                               .filter(lambda v: any(v))))
+        fp = adapted_frame(M, q, v)
+        k = data.draw(st.integers(*exact_scalings([*v, fp.t])))
+        scaled = adapted_frame(M, q, np.ldexp(v, k))
+        assert scaled.t == math.ldexp(fp.t, k)
+        assert scaled.u.tobytes() == fp.u.tobytes()
 
     def test_sphere_chart_vector_norm(self):
         # |(0, 1)|_g at theta = pi/4 is sin(pi/4)

@@ -14,11 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from tbcurv import closedform, oracle
-from tbcurv.basemanifold import conformal_polynomial, constant_curvature, make_manifold, sphere
+from tbcurv.basemanifold import (
+    conformal_polynomial, constant_curvature, make_manifold, sphere, vector_norm,
+)
 from tbcurv.cli import (
     _NOTE,
     _SETTINGS,
@@ -39,6 +41,8 @@ from tbcurv.errors import ConfigError, StencilOutOfDomainError, TbcurvError
 from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily
 from tbcurv.oracle import CurvatureReport, OracleConfig, compare
 from tbcurv.scalarfun import ScalarFunction
+
+from references import exact_scalings, sized_entry
 
 
 def run(args):
@@ -106,6 +110,14 @@ class TestFamilyCheck:
         assert captured.out == ""
         assert f"error: unrecognized arguments: --samples {samples}\n" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_subnormal_t_max_keeps_the_flatness_grid_inside_it(self, capsys):
+        # linspace(0, t_max, 2048) rounds 22 nodes above a t_max of 1e-320,
+        # which the family then refused as outside its range (exit 1)
+        assert run(["family-check", "--family", "sasaki", "--t-max", "1e-320"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "max |F| = 0.000e+00, max |H| = 0.000e+00 on [0, 9.99989e-321]" in captured.out
 
 
 class TestFamilyCheckSharedWalk:
@@ -732,6 +744,9 @@ def _reference_points(cfg, M):
             g = M.metric(x)
             if not np.isfinite(g).all():
                 raise ConfigError(f"grid base point: metric not finite at x={x.tolist()}")
+            if not np.all(np.linalg.eigvalsh(g) > 0.0):
+                raise ConfigError(
+                    f"grid base point: metric not positive definite at x={x.tolist()}")
             for d in directions:
                 nrm = float(np.sqrt(d @ g @ d))
                 if nrm == 0.0:
@@ -842,6 +857,56 @@ class TestStackedPoints:
             _resolve_points(cfg, M)
 
 
+class TestGridLengths:
+    # |d|_g of a grid direction is basemanifold.vector_norm, exact at any
+    # size, and the grid's metrics pass its SPD check
+    GRID_ARGS = ["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki"]
+
+    # each used to be wrong: a config error "grid direction has zero length",
+    # t = 1.0000055664551362, and v = (0, 0) with t = 0.0
+    @pytest.mark.parametrize("direction", [[1e-170, 0], [3e-160, 0], [1e200, 0]])
+    def test_direction_of_any_size_gives_the_unit_vector(self, capsys, direction):
+        grid = {"base_points": [[0.1, 0.2]], "v_norms": [1], "v_directions": [direction]}
+        assert run([*self.GRID_ARGS, "--grid", json.dumps(grid)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, row = captured.out.splitlines()[1:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["v"], cells["t"]) == ("1.0;0.0", "1.0")
+
+    def test_base_point_whose_metric_vanishes_is_a_config_error(self, capsys):
+        # exp(-2800) is 0: this used to read "grid direction has zero length"
+        args = ["scalar", "--manifold", "torus-conformal", "--dim", "2",
+                "--coeffs", "[[-1000, 1, 0]]", "--family", "sasaki",
+                "--grid", json.dumps({"base_points": [[1.4, 0.3]]})]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: grid base point: metric not positive definite at x=[1.4, 0.3]\n")
+
+    @seed(35)
+    @settings(max_examples=75, deadline=None, database=None)
+    @given(data=st.data())
+    def test_scaled_directions_give_the_same_vectors(self, data):
+        # |2^k d|_g = 2^k |d|_g bit for bit, so (s / |d|_g) d is unchanged
+        name = data.draw(st.sampled_from(sorted(POINT_CHARTS)))
+        M = POINT_CHARTS[name]()
+        n = M.dim
+        x = [c + (name == "sphere-polar") * (k == 0)
+             for k, c in enumerate(data.draw(st.lists(coordinate, min_size=n, max_size=n)))]
+        d = np.array(data.draw(st.lists(sized_entry, min_size=n, max_size=n)
+                               .filter(lambda d: any(d))))
+        v_norms = data.draw(st.lists(st.just(0.0) | st.floats(0.5, 4.0), min_size=1, max_size=3))
+        length = float(vector_norm(M.metric(np.array(x)), d))
+        k = data.draw(st.integers(*exact_scalings([*d, length], [s / length for s in v_norms])))
+        cfg = {"grid": {"base_points": [x], "v_norms": v_norms, "v_directions": [d.tolist()]}}
+        _, v = _resolve_points(cfg, M)
+        cfg["grid"]["v_directions"] = [np.ldexp(d, k).tolist()]
+        _, v_scaled = _resolve_points(cfg, M)
+        assert v_scaled.tobytes() == v.tobytes()
+
+
 class TestErrorPointT:
     # verify's ERROR line and report give a failed point the t of its
     # table error row: nan outside the chart (verify used to say 0), 3.0
@@ -921,13 +986,15 @@ class TestOverflowingInput:
         assert not recwarn.list
 
     def test_vector_whose_norm_overflows_is_a_validity_error_row(self, capsys, recwarn):
+        # |v|_g is finite, and it is the t cell; t^2 = |v|^2_g overflows
         args = ["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
                 "--point", "0.1,0.2", "--v", "1e200,1e200"]
         assert run(args) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines()[2:] == [
-            "0.1;0.2,1e+200;1e+200,inf,\"ValidityError: t=inf outside validated range "
+            "0.1;0.2,1e+200;1e+200,1.414213562373095e+200,"
+            "\"ValidityError: t=inf outside validated range "
             "[0, 25] for family 'sasaki'\""
         ]
         assert not recwarn.list
