@@ -5,8 +5,6 @@ the plus family is always negative, the minus family changes sign at
 Run with:  python3 demos/demo_scalar_scan.py
 """
 
-import math
-
 import numpy as np
 
 from tbcurv import (
@@ -47,13 +45,13 @@ print()
 print("Same comparison on the unit sphere (constant curvature 1), where the")
 print("specialized forms take the base curvature into account:")
 from tbcurv import sphere  # noqa: E402
+from tbcurv.basemanifold import vector_norm  # noqa: E402
 
 M2 = sphere(2)
 q = np.array([0.9, 0.3])
-g = M2.metric(q)
 d = np.array([0.3, 0.7])
 ts = np.array([0.5, 1.0, 1.8])
-fp = adapted_frame(M2, q, np.outer(ts, d / math.sqrt(d @ g @ d)))
+fp = adapted_frame(M2, q, np.outer(ts, d / vector_norm(M2.metric(q), d)))
 for t, general in zip(ts, tm_scalar(M2, preset("exp+"), fp)):
     special = scalar_exp_specials(1.0, 2, t * t, "plus")
     print(f"  |v| = {t:3.1f}: general = {general:12.6f}, specialized = {special:12.6f}")

@@ -15,12 +15,12 @@ from tbcurv import (
     sphere,
     tm_sectional,
 )
+from tbcurv.basemanifold import vector_norm
 
 M = sphere(2)
 q = np.array([0.9, 0.3])
-g = M.metric(q)
 direction = np.array([0.3, 0.7])
-unit = direction / np.sqrt(direction @ g @ direction)
+unit = direction / vector_norm(M.metric(q), direction)
 
 print("Base manifold: unit sphere, polar chart, at (theta, phi) =", q.tolist())
 inv = base_invariants(M, adapted_frame(M, q, np.zeros(2)))

@@ -26,7 +26,6 @@ from .bundlemetric import (
     induced_metric,
 )
 from .closedform import (
-    ConstCurvSectional,
     TMSectional,
     minus_exp_flat_threshold,
     scalar_exp_specials,
@@ -34,7 +33,6 @@ from .closedform import (
     tm_ricci,
     tm_scalar,
     tm_sectional,
-    tm_sectional_constcurv,
 )
 from .errors import (
     ConfigError,
@@ -61,6 +59,6 @@ from .oracle import (
     compare,
     numeric_tm_curvature,
 )
-from .scalarfun import Jet2, ScalarFunction, eval_jet, parse
+from .scalarfun import Jet2, ScalarFunction, parse
 
 __version__ = "0.1.0"

@@ -367,21 +367,27 @@ def _quadratic_norm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(((w.swapaxes(-1, -2) @ g) @ w)[..., 0, 0] + 0.0)
 
 
+# Below this |v|_g (about 3e-136) a subnormal term of v g v may move its
+# rounding; the length is then formed from _SMALL_SCALE v, whose terms are
+# normal.
+_SMALL_NORM = 2.0**-450
+_SMALL_SCALE = 2.0**600
+
+
 def vector_norm(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|v|_g of vectors v (..., n) in metrics g (..., n, n), broadcast, as
     (...): the square root of v g v, summed as the matrix products
-    (v^T g) v.  Below |v|_g = 2^-450 (about 3e-136), where a subnormal term
-    of that sum may move its rounding, and where the sum overflows while v
-    and g are finite, the length is formed from 2^600 v or 2^-600 v and
-    scaled back exactly: |2^k v|_g = 2^k |v|_g over the whole range of a
-    double.  nan where v g v < 0; no warnings."""
+    (v^T g) v.  Below |v|_g = _SMALL_NORM (2^-450), and where the sum overflows
+    while v and g are finite, the length is formed from 2^600 v or
+    2^-600 v and scaled back exactly: |2^k v|_g = 2^k |v|_g over the whole
+    range of a double.  nan where v g v < 0; no warnings."""
     g, v = np.asarray(g, dtype=float), np.asarray(v, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         t = _quadratic_norm(g, v)
-        small, big = t < 2.0**-450, np.isinf(t)
+        small, big = t < _SMALL_NORM, np.isinf(t)
         if small.any() or big.any():
             big &= np.isfinite(v).all(axis=-1) & np.isfinite(g).all(axis=(-2, -1))
-            scale = np.where(small, 2.0**600, np.where(big, 2.0**-600, 1.0))
+            scale = np.where(small, _SMALL_SCALE, np.where(big, 1.0 / _SMALL_SCALE, 1.0))
             t = np.where(small | big, _quadratic_norm(g, v * scale[..., None]) / scale, t)
     return t
 
@@ -459,6 +465,10 @@ def adapted_frame(M: ChartManifold, q: np.ndarray, v: np.ndarray) -> AdaptedFram
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # zero seeds divide by zero
         aligned = t > 0.0
         radial = np.where(aligned[..., None], v / t[..., None], 0.0)  # a zero seed is skipped
+        tiny = aligned & (t < _SMALL_NORM)
+        if tiny.any():  # a subnormal t keeps few bits: these rows divide w = 2^600 v by |w|_g
+            w = v[tiny] * _SMALL_SCALE
+            radial[tiny] = w / _quadratic_norm(g[tiny], w)[..., None]
         u = _gram_schmidt(g, radial[..., None])
     u[..., 0, :] = np.where(aligned[..., None], radial, u[..., 0, :])  # exact alignment
     return AdaptedFramePoint(q=q, u=u, v=v, t=t[()], g=g)

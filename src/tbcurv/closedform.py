@@ -47,10 +47,8 @@ from .metricfamily import FamilyJets, NaturalMetricFamily
 
 __all__ = [
     "TMSectional",
-    "ConstCurvSectional",
     "tm_curvature",
     "tm_sectional",
-    "tm_sectional_constcurv",
     "tm_ricci",
     "tm_scalar",
     "scalar_exp_specials",
@@ -303,17 +301,6 @@ class TMSectional(NamedTuple):
     hv: np.ndarray  # Kbar(e_i, e_{n+j})
 
 
-def _vertical_sectional(j: FamilyJets, n: int) -> np.ndarray:
-    """Kbar(e_{n+i}, e_{n+j}): F / alpha^2, and H / (alpha Delta) on planes
-    holding the radial index 0; zero on the diagonal."""
-    off = _w(j.F / j.alpha**2, 2)
-    vv = np.broadcast_to(off, off.shape[:-2] + (n, n)).copy()
-    radial = _w(j.H / (j.alpha * j.delta), 1)
-    vv[..., 0, :] = vv[..., :, 0] = radial
-    vv[..., range(n), range(n)] = 0.0
-    return vv
-
-
 @_finite("sectional curvature of (TM, G)",
          lambda out: np.stack((out.hh, out.vv, out.hv), axis=-3))
 def tm_sectional(
@@ -330,60 +317,16 @@ def tm_sectional(
     # |R(u_i, u_j) v|^2 = t^2 sum_r R_{ij1r}^2 = t^2 sum_r R_{ijr1}^2
     hh = kbase - 0.75 * alpha * t_sq * np.einsum("...ijr,...ijr->...ij", r1, r1)
 
-    vv = _vertical_sectional(j, n)
+    # F / alpha^2, and H / (alpha Delta) on planes holding the radial index 0
+    off = _w(j.F / j.alpha**2, 2)
+    vv = np.broadcast_to(off, off.shape[:-2] + (n, n)).copy()
+    vv[..., 0, :] = vv[..., :, 0] = _w(j.H / (j.alpha * j.delta), 1)
+    vv[..., range(n), range(n)] = 0.0
 
     # |R(u_j, v) u_i|^2 = t^2 sum_r R_{j 1 i r}^2
     r0 = rt[..., :, 0, :, :]
     hv = (alpha / 4.0) * t_sq * np.einsum("...jir,...jir->...ij", r0, r0)
     return TMSectional(hh=hh, vv=vv, hv=hv)
-
-
-class ConstCurvSectional(NamedTuple):
-    """Sectional shortcut for a constant-curvature base.
-
-    ``hv`` comes from substituting the constant-curvature tensor into the
-    general mixed-plane formula: quadratic in the curvature constant and
-    zero on the aligned plane.  ``hv_shortcut`` is the simpler variant that
-    is linear in the constant and nonzero at i = j = 0; the two disagree
-    there, so reports must surface ``shortcut_deviation`` instead of
-    silently preferring one.
-    """
-
-    hh: np.ndarray
-    vv: np.ndarray
-    hv: np.ndarray
-    hv_shortcut: np.ndarray
-    shortcut_deviation: float
-
-
-def tm_sectional_constcurv(
-    k0: float, fam: NaturalMetricFamily, t: float, n: int
-) -> ConstCurvSectional:
-    t_sq = t * t
-    j = fam.jets(t_sq)
-    alpha = j.alpha
-    d0 = np.zeros(n)
-    d0[0] = 1.0
-
-    hh = k0 - 0.75 * k0 * k0 * alpha * t_sq * (d0[:, None] + d0[None, :])
-    np.fill_diagonal(hh, 0.0)
-
-    vv = _vertical_sectional(j, n)
-
-    # General-theorem mixed planes with the constant-curvature tensor:
-    # sum_r R_{j1ir}^2 = k0^2 (delta_i0 + delta_ij - 2 [i == j == 0]).
-    pattern = d0[:, None] + np.eye(n)
-    pattern[0, 0] = 0.0
-    hv = (alpha / 4.0) * t_sq * k0 * k0 * pattern
-
-    shortcut = (alpha / 4.0) * k0 * t_sq * (np.eye(n) + d0[:, None])
-    return ConstCurvSectional(
-        hh=hh,
-        vv=vv,
-        hv=hv,
-        hv_shortcut=shortcut,
-        shortcut_deviation=float(np.max(np.abs(hv - shortcut))),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -88,7 +88,8 @@ class FamilyJets(NamedTuple):
 
 
 class FamilyValidation(NamedTuple):
-    """Outcome of dense positivity sampling on [0, t_max].
+    """Outcome of dense positivity sampling on [0, t_max], at
+    ``_VALIDATION_SAMPLES`` evenly spaced points.
 
     ``violation_t`` is the first t where alpha or alpha + t*beta fails to
     be positive (local minima dipping to zero are located by bisection on
@@ -104,12 +105,11 @@ class FamilyValidation(NamedTuple):
     violation_kind: Optional[str]  # "alpha" | "delta", or a FamilyJets field
     phi_positive: bool
     phi_violation_t: Optional[float]
-    samples: int
     t_max: float
     nonfinite: bool = False
 
     def summary(self) -> str:
-        scope = f"on [0, {self.t_max:g}] ({self.samples} samples)"
+        scope = f"on [0, {self.t_max:g}] ({_VALIDATION_SAMPLES} samples)"
         if self.nonfinite:  # every scan stopped there, phi's too
             head = f"INVALID: {self.violation_kind} is not finite at t={self.violation_t:.6g}"
             return f"{head} {scope}"
@@ -434,7 +434,6 @@ class NaturalMetricFamily:
             violation_kind=kind,
             phi_positive=bad_phi is None,
             phi_violation_t=bad_phi,
-            samples=_VALIDATION_SAMPLES,
             t_max=self.t_max,
             nonfinite=nonfinite,
         )
@@ -444,7 +443,7 @@ def flatness_jet(a: Jet2, t) -> Jet2:
     """The jet of the flatness beta at t, from the jet ``a`` of alpha there:
     its value and exact first derivative; the second derivative is NaN.
     Where alpha is 0 they are not finite, with no numpy warning (as in
-    ``eval_jet``); the family's checks reject such t."""
+    ``compile_jet``); the family's checks reject such t."""
     with np.errstate(all="ignore"):
         value = (t * (a.d1 * a.d1) + 2.0 * a.value * a.d1) / a.value
         num_d1 = 3.0 * (a.d1 * a.d1) + 2.0 * t * a.d1 * a.d2 + 2.0 * a.value * a.d2

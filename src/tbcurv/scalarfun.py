@@ -14,11 +14,11 @@ is ``t``; the only functions are ``exp``, ``ln`` and ``sqrt``.  Note that
 unary minus binds tighter than the power operator, so ``-t^2`` is
 ``(-t)^2``.
 
-    >>> f = parse("1/(1+t)")
-    >>> jet = eval_jet(f, 0.0)
-    >>> float(jet.value), float(jet.d1), float(jet.d2)
+    >>> jet = compile_jet(parse("1/(1+t)"))
+    >>> j = jet(0.0)
+    >>> float(j.value), float(j.d1), float(j.d2)
     (1.0, -1.0, 2.0)
-    >>> eval_jet(f, [0.0, 1.0]).d1
+    >>> jet([0.0, 1.0]).d1
     array([-1.  , -0.25])
 """
 
@@ -41,7 +41,6 @@ __all__ = [
     "Jet2",
     "parse",
     "compile_jet",
-    "eval_jet",
     "ScalarFunction",
 ]
 
@@ -364,9 +363,18 @@ def _compile(node: Expr):
 
 
 def compile_jet(node: Expr) -> Callable[[np.ndarray], Jet2]:
-    """The jet function of node, for a number or an array of t: the tree is
-    compiled once into closures, so that an evaluation runs numpy operations
-    only.  The function raises what ``eval_jet`` raises."""
+    """The jet function of node: (f, f', f'') at t by forward propagation
+    through the tree, which is compiled once into closures, so that an
+    evaluation runs numpy operations only.
+
+    t is a number or an array; one evaluation covers every t.  The function
+    raises DomainError naming the offending node and the first t outside
+    the real domain (division by zero, ln of a nonpositive value, sqrt of a
+    nonpositive value, a negative power of zero or a fractional power of a
+    nonpositive base), or where exp or a power overflows.  The checks run
+    in evaluation order: a node's operands before the node, the left
+    operand before the right.
+    """
     run = _compile(node)
 
     def jet(t) -> Jet2:
@@ -375,21 +383,6 @@ def compile_jet(node: Expr) -> Callable[[np.ndarray], Jet2]:
             return Jet2(*run(t[()], np.zeros(t.shape)[()]))
 
     return jet
-
-
-def eval_jet(node: Expr, t) -> Jet2:
-    """Evaluate (f, f', f'') at t by forward propagation through the AST,
-    compiled by ``compile_jet`` for this one call.
-
-    t is a number or an array; one evaluation covers every t.  Raises
-    DomainError naming the offending node and the first t outside the real
-    domain (division by zero, ln of a nonpositive value, sqrt of a
-    nonpositive value, a negative power of zero or a fractional power of a
-    nonpositive base), or where exp or a power overflows.  The checks run
-    in evaluation order: a node's operands before the node, the left
-    operand before the right.
-    """
-    return compile_jet(node)(t)
 
 
 # --------------------------------------------------------------------------

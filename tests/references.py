@@ -1,10 +1,11 @@
 """Reference constructions that several test modules compare the library
 against: the adapted-frame Gram matrix and its diagonal, the vertical
-Gram block of a family, a frame with another completion, and the metric
-and connection of the catalog's space forms; and, for the properties of
-|2^k v|_g, the vector entries and the powers of two that scale them
-exactly.  Written from the definitions, with no shortcut the library
-takes."""
+Gram block of a family, a frame with another completion, the metric and
+connection of the catalog's space forms, and the sectional and scalar
+curvature of (TM, G) over a space form in closed form; and, for the
+properties of |2^k v|_g, the vector entries and the powers of two that
+scale them exactly.  Written from the definitions, with no shortcut the
+library takes."""
 
 import math
 
@@ -124,3 +125,46 @@ def poincare_ball_connection(x):
     ddf = [[2.0 * float(a == b) / d + 4.0 * (x[a] * x[b]) / (d * d) for b in range(n)]
            for a in range(n)]
     return _conformal_components(x, f, df, ddf)
+
+
+# --------------------------------------------------------------------------
+# (TM, G) over a space form: the literals the general formulas reduce to
+# --------------------------------------------------------------------------
+#
+# On a base of constant curvature c, R(X, Y)Z = c (g(Y, Z) X - g(X, Z) Y).
+# At a normal-form point, v = t u_0 with t = |v|_g, so with frame indices
+# R(u_i, u_j)v = c t (delta_j0 u_i - delta_i0 u_j) and
+# R(u_j, v)u_i = c t (delta_i0 u_j - delta_ij u_0).  alpha is the family's
+# alpha at |v|^2 = t^2.
+
+
+def space_form_sectional(c: float, alpha: float, t: float, n: int) -> tuple:
+    """(hh, hv): the sectional curvature of (TM, G) over the horizontal
+    planes (u_i, u_j) and the mixed planes (u_i, vertical u_j) of the
+    adapted frame, over a space form of curvature c.  With
+    |R(u_i, u_j)v|^2 = c^2 t^2 (delta_i0 + delta_j0) for i != j and
+    |R(u_j, v)u_i|^2 = c^2 t^2 (delta_ij + delta_i0 - 2 delta_i0 delta_j0):
+
+        hh_ij = c - 3/4 alpha c^2 t^2 (delta_i0 + delta_j0)   (i != j; 0 on
+                                                                the diagonal)
+        hv_ij = 1/4 alpha c^2 t^2 (delta_ij + delta_i0 - 2 delta_i0 delta_j0)
+
+    The aligned mixed plane (u_0, vertical u_0) is flat."""
+    d0 = np.zeros(n)
+    d0[0] = 1.0
+    correction = alpha * c * c * t * t
+    hh = c - 0.75 * correction * (d0[:, None] + d0[None, :])
+    np.fill_diagonal(hh, 0.0)
+    hv = 0.25 * correction * (np.eye(n) + d0[:, None] - 2.0 * np.outer(d0, d0))
+    return hh, hv
+
+
+def space_form_scalar(c: float, fibre_scalar: float, alpha: float, t: float, n: int) -> float:
+    """The scalar curvature of (TM, G) over a space form of curvature c, for
+    a family whose fibre (R^n with the vertical Gram block) has scalar
+    curvature fibre_scalar at |v|^2 = t^2: the base's n(n-1)c, plus the
+    fibre's, minus 1/4 alpha sum_ij |R(u_i, u_j)v|^2 = 1/2 (n-1) alpha c^2 t^2
+    (O'Neill's formula for a submersion with totally geodesic fibres).  A
+    fibre of constant curvature K has fibre_scalar = n(n-1)K, which makes it
+    n(n-1)(c + K) - 1/2 (n-1) alpha c^2 t^2."""
+    return n * (n - 1) * c + fibre_scalar - 0.5 * (n - 1) * alpha * c * c * t * t

@@ -324,6 +324,13 @@ class TestAdaptedFrame:
         assert np.max(np.abs(np.einsum("ma,mab,mb->m", u0, fp.g, u0) - 1.0)) <= 1e-14
         assert np.all(fp.t > 0.0)
 
+    @pytest.mark.parametrize("v", [(3e-321, 7e-321), (1e-320, 0.0), (5e-324, 5e-324)])
+    def test_subnormal_vector_gives_an_orthonormal_frame(self, v):
+        # t = |v|_g is subnormal and keeps few bits, so v / t was off the unit
+        # sphere of g by up to 1.5e-2; u_0 is now 2^600 v over its own length
+        fp = adapted_frame(hyperbolic(2), np.array([0.1, 0.2]), np.array(v))
+        assert np.max(np.abs(fp.u @ fp.g @ fp.u.T - np.eye(2))) <= 4 * np.finfo(float).eps
+
     def test_large_vector_keeps_its_length(self):
         # v g v = 1e320 overflows: t used to be inf, and u_0 = (0, 0)
         fp = adapted_frame(euclidean(2), np.zeros(2), np.array([1e160, 0.0]))

@@ -16,6 +16,7 @@ from tbcurv.basemanifold import (
     frame_curvature,
     hyperbolic,
     sphere,
+    vector_norm,
 )
 from tbcurv.closedform import (
     CLASS_NAMES,
@@ -27,12 +28,11 @@ from tbcurv.closedform import (
     tm_ricci,
     tm_scalar,
     tm_sectional,
-    tm_sectional_constcurv,
 )
 from tbcurv.errors import NonFiniteError
-from tbcurv.metricfamily import NaturalMetricFamily, flatness_beta, preset
+from tbcurv.metricfamily import PRESET_NAMES, NaturalMetricFamily, flatness_beta, preset
 
-from references import gram_diagonal, rotate_completion
+from references import gram_diagonal, rotate_completion, space_form_sectional
 
 
 def _sphere_point(t=1.0):
@@ -220,29 +220,40 @@ class TestSectional:
             assert values.max() - values.min() > 1e-6
 
 
-class TestConstCurvShortcut:
-    def test_zero_curvature_all_zero(self):
-        cc = tm_sectional_constcurv(0.0, preset("sasaki"), 1.0, 3)
-        assert np.max(np.abs(cc.hh)) == 0.0
-        assert np.max(np.abs(cc.hv)) == 0.0
+# The catalog's space forms: each chart and its constant curvature c,
+# written here from the geometry, not read from the catalog.
+SPACE_FORMS = (
+    [(f"euclidean{n}", lambda n=n: euclidean(n), 0.0) for n in range(2, 6)]
+    + [(f"hyperbolic{n}", lambda n=n: hyperbolic(n), -1.0) for n in range(2, 6)]
+    + [(f"sphere{n}", lambda n=n: sphere(n, chart="stereographic"), 1.0) for n in range(2, 6)]
+    + [
+        ("sphere2-polar", lambda: sphere(2, chart="polar"), 1.0),
+        ("sphere2-polar-r0.5", lambda: sphere(2, radius=0.5, chart="polar"), 4.0),
+        ("sphere3-r2", lambda: sphere(3, radius=2.0), 0.25),
+    ]
+)
 
-    def test_matches_general_on_sphere(self):
-        M, fp = _sphere_point(1.0)
-        for fam_name in ("sasaki", "exp+"):
-            fam = preset(fam_name)
-            sec = tm_sectional(M, fam, fp)
-            cc = tm_sectional_constcurv(1.0, fam, fp.t, 2)
-            assert np.allclose(cc.hh[0, 1], sec.hh[0, 1], atol=1e-10)
-            assert np.allclose(cc.hv, sec.hv, atol=1e-10)
-            assert np.allclose(cc.vv, sec.vv, atol=1e-12)
 
-    def test_aligned_plane_discrepancy_flagged(self):
-        # the linear shortcut variant is nonzero at i = j = 0, where the
-        # general (quadratic) formula gives exactly zero
-        cc = tm_sectional_constcurv(1.0, preset("sasaki"), 1.0, 2)
-        assert cc.hv[0, 0] == 0.0
-        assert cc.hv_shortcut[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert cc.shortcut_deviation == pytest.approx(0.5, abs=1e-15)
+@pytest.mark.parametrize("make, c", [row[1:] for row in SPACE_FORMS],
+                         ids=[row[0] for row in SPACE_FORMS])
+def test_sectional_over_a_space_form_is_the_literal(make, c):
+    # two base points, two directions and three lengths |v|_g per chart, one
+    # of them 0, where the table is c on every horizontal plane
+    M = make()
+    n = M.dim
+    x = M.lo + (M.hi - M.lo) * np.array([[0.3, 0.55, 0.7, 0.45, 0.6],
+                                         [0.6, 0.4, 0.35, 0.5, 0.65]])[:, :n]
+    d = np.array([[0.3, -0.7, 0.5, 0.2, -0.4], [-0.2, 0.1, 0.9, -0.6, 0.3]])[:, :n]
+    unit = d / vector_norm(M.metric(x), d)[:, None]
+    v = np.array([0.0, 0.6, 1.3])[:, None, None] * unit
+    fp = adapted_frame(M, np.broadcast_to(x, v.shape), v)
+    for name in PRESET_NAMES:
+        fam = preset(name)
+        sec = tm_sectional(M, fam, fp)
+        for k in np.ndindex(fp.t.shape):
+            hh, hv = space_form_sectional(c, float(fam.jets(fp.t[k] ** 2).alpha), fp.t[k], n)
+            for got, want in ((sec.hh[k], hh), (sec.hv[k], hv)):
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (name, k)
 
 
 class TestRicci:

@@ -374,7 +374,6 @@ def _reference_validate(fam, samples, dip_rtol=1e-8):
         violation_kind=kind,
         phi_positive=bad_phi is None,
         phi_violation_t=bad_phi,
-        samples=samples,
         t_max=fam.t_max,
     )
 

@@ -19,7 +19,8 @@ in coordinates from the chart's curvature ``M.curvature``; the scalar one
 uses no frame at all.  On the catalog space forms they come from the
 literal curvature constant K (0, 1/radius^2 or -1), by
 R(X, Y)Z = K (g(Y, Z) X - g(X, Z) Y).  With u_0 = u / |u| the identities
-then read, for frame indices i, j,
+then read, for frame indices i, j (``references.space_form_sectional`` and
+``space_form_scalar`` at alpha = 1 and flat fibres),
 
     K(u_i^h, u_j^h) = K - 3/4 K^2 |u|^2 (delta_i0 + delta_j0),   i != j
     K(u_i^h, u_j^v) = 1/4 K^2 |u|^2 (delta_ij + delta_i0 - 2 delta_i0 delta_j0)
@@ -42,6 +43,8 @@ from tbcurv.basemanifold import (
 )
 from tbcurv.closedform import tm_scalar, tm_sectional
 from tbcurv.metricfamily import preset
+
+from references import space_form_scalar, space_form_sectional
 
 SASAKI = preset("sasaki")
 POINTS = 4  # per example, as one stack
@@ -118,9 +121,7 @@ def test_identities_on_space_forms(form, n, radius, speed, seed):
     M, k = SPACE_FORMS[form](n, radius)
     n = M.dim
     fp = adapted_frame(M, *_points(M, speed, np.random.default_rng(seed), 0.1))
-    t_sq = (speed * speed * np.ones(POINTS))[:, None, None]
-    d0 = np.eye(n)[0]
-    hh = k - 0.75 * k * k * t_sq * (d0[:, None] + d0[None, :])
-    hv = 0.25 * k * k * t_sq * (np.eye(n) + d0[:, None] - 2.0 * np.outer(d0, d0))
-    scalar = n * (n - 1) * k - 0.5 * (n - 1) * k * k * t_sq[:, 0, 0]
-    _check(M, fp, hh, hv, scalar)
+    hh, hv = space_form_sectional(k, 1.0, speed, n)
+    scalar = space_form_scalar(k, 0.0, 1.0, speed, n)  # flat fibres
+    stack = (POINTS, n, n)
+    _check(M, fp, np.broadcast_to(hh, stack), np.broadcast_to(hv, stack), np.full(POINTS, scalar))

@@ -17,7 +17,7 @@ from tbcurv.scalarfun import (
     ScalarFunction,
     Unary,
     Var,
-    eval_jet,
+    compile_jet,
     parse,
 )
 
@@ -70,26 +70,26 @@ class TestParse:
 
 class TestEvalJet:
     def test_square(self):
-        jet = eval_jet(parse("t^2"), 3.0)
+        jet = compile_jet(parse("t^2"))(3.0)
         assert (jet.value, jet.d1, jet.d2) == (9.0, 6.0, 2.0)
 
     def test_exp(self):
-        jet = eval_jet(parse("exp(t)"), 0.0)
+        jet = compile_jet(parse("exp(t)"))(0.0)
         assert (jet.value, jet.d1, jet.d2) == (1.0, 1.0, 1.0)
 
     def test_reciprocal(self):
         # analytic: -1/(1+t)^2 and 2/(1+t)^3 at t = 0
-        jet = eval_jet(parse("1/(1+t)"), 0.0)
+        jet = compile_jet(parse("1/(1+t)"))(0.0)
         assert (jet.value, jet.d1, jet.d2) == (1.0, -1.0, 2.0)
 
     def test_log_chain(self):
-        jet = eval_jet(parse("ln(1+t)"), 1.0)
+        jet = compile_jet(parse("ln(1+t)"))(1.0)
         assert jet.value == pytest.approx(math.log(2.0), abs=1e-15)
         assert jet.d1 == pytest.approx(0.5, abs=1e-15)
         assert jet.d2 == pytest.approx(-0.25, abs=1e-15)
 
     def test_sqrt(self):
-        jet = eval_jet(parse("sqrt(t)"), 4.0)
+        jet = compile_jet(parse("sqrt(t)"))(4.0)
         assert jet.value == 2.0
         assert jet.d1 == pytest.approx(0.25, abs=1e-15)
         assert jet.d2 == pytest.approx(-1.0 / 32.0, abs=1e-15)
@@ -106,7 +106,7 @@ class TestEvalJet:
     )
     def test_domain_errors(self, src, t):
         with pytest.raises(DomainError) as err:
-            eval_jet(parse(src), t)
+            compile_jet(parse(src))(t)
         assert type(err.value.t) is float and err.value.t == t
         assert str(err.value).endswith(f"at t={t!r}")  # a plain float, not np.float64(...)
 
@@ -124,13 +124,13 @@ class TestEvalJet:
     )
     def test_domain_errors_of_an_array_name_its_first_bad_t(self, src, ts, node, first_bad):
         with pytest.raises(DomainError) as err:
-            eval_jet(parse(src), np.array(ts))
+            compile_jet(parse(src))(np.array(ts))
         assert err.value.node == node
         assert type(err.value.t) is float and err.value.t == first_bad
         assert str(err.value).endswith(f"{node} at t={first_bad!r}")
 
     def test_integer_power_of_negative_base_ok(self):
-        jet = eval_jet(parse("(t-2)^3"), 1.0)
+        jet = compile_jet(parse("(t-2)^3"))(1.0)
         assert jet.value == -1.0
         assert jet.d1 == 3.0
         assert jet.d2 == -6.0
@@ -190,18 +190,19 @@ def test_jets_match_finite_differences(ast, t):
     equal the jets of each t."""
     h = 1e-3 * max(1.0, abs(t))
     steps = (-1.0, -0.5, -0.25, 0.25, 0.5, 1.0)
+    jet_at = compile_jet(ast)
     try:
-        jet = eval_jet(ast, t)
-        samples = {s: eval_jet(ast, t + s * h).value for s in steps}
+        jet = jet_at(t)
+        samples = {s: jet_at(t + s * h).value for s in steps}
         f0 = jet.value
     except DomainError:
         assume(False)
     ts = np.array([t] + [t + s * h for s in steps])
-    array_jet = eval_jet(ast, ts.reshape(7, 1))
+    array_jet = jet_at(ts.reshape(7, 1))
     for field in ("value", "d1", "d2"):
         got = getattr(array_jet, field)
         assert got.shape == (7, 1)
-        want = [getattr(eval_jet(ast, float(ti)), field) for ti in ts]
+        want = [getattr(jet_at(float(ti)), field) for ti in ts]
         np.testing.assert_array_equal(got[:, 0], want)
     values = [f0] + list(samples.values()) + [jet.d1, jet.d2]
     assume(all(math.isfinite(x) and abs(x) < 1e8 for x in values))
@@ -249,20 +250,16 @@ def test_jets_match_finite_differences(ast, t):
 def test_fd_error_scales_quadratically(src):
     """Central-difference errors of d1 and d2 fall like h^2 over the swept
     decades."""
-    ast = parse(src)
+    jet_at = compile_jet(parse(src))
     t = 0.7
-    jet = eval_jet(ast, t)
+    jet = jet_at(t)
 
     def err1(h):
-        fd = (eval_jet(ast, t + h).value - eval_jet(ast, t - h).value) / (2 * h)
+        fd = (jet_at(t + h).value - jet_at(t - h).value) / (2 * h)
         return abs(fd - jet.d1)
 
     def err2(h):
-        fd = (
-            eval_jet(ast, t + h).value
-            - 2 * jet.value
-            + eval_jet(ast, t - h).value
-        ) / h**2
+        fd = (jet_at(t + h).value - 2 * jet.value + jet_at(t - h).value) / h**2
         return abs(fd - jet.d2)
 
     assert err1(1e-3) <= 0.05 * err1(1e-2) + 1e-12
@@ -435,7 +432,7 @@ _any_t = st.floats(allow_nan=False, min_value=-1e3, max_value=1e3) | st.sampled_
 @given(_any_ast, st.one_of(_any_t, st.lists(_any_t, min_size=1, max_size=6)))
 @settings(max_examples=500, deadline=None)
 def test_compiled_jets_equal_the_tree_walk(ast, t):
-    assert _jet_outcome(lambda: eval_jet(ast, t)) == _jet_outcome(lambda: _ref_eval_jet(ast, t))
+    assert _jet_outcome(lambda: compile_jet(ast)(t)) == _jet_outcome(lambda: _ref_eval_jet(ast, t))
     f = ScalarFunction.from_expr(ast, "f")
     assert _jet_outcome(lambda: f.jet(t)) == _jet_outcome(lambda: _ref_eval_jet(ast, t))
 
@@ -453,6 +450,6 @@ def test_compiled_jets_equal_the_tree_walk_on_smooth_functions(src):
     # every product, quotient and chain rule rounds here, so a reordered
     # term shows in some of the 64 points
     t = np.linspace(0.1, 3.0, 64)
-    assert _jet_outcome(lambda: eval_jet(parse(src), t)) == _jet_outcome(
+    assert _jet_outcome(lambda: compile_jet(parse(src))(t)) == _jet_outcome(
         lambda: _ref_eval_jet(parse(src), t)
     )

@@ -1,7 +1,8 @@
 """The public surface: each module's ``__all__`` and the package exports
-agree, so a deleted name leaves no stale row behind; and the records are
-tuples and small classes, which importing the package builds without
-generated code."""
+agree, so a deleted name leaves no stale row behind; every export has a
+caller among the programs, so the surface is what they call; and the
+records are tuples and small classes, which importing the package builds
+without generated code."""
 
 import ast
 import dataclasses
@@ -20,22 +21,22 @@ from tbcurv import (
     adapted_frame,
     base_invariants,
     euclidean,
-    eval_jet,
     frame_curvature,
     preset,
     tm_sectional,
-    tm_sectional_constcurv,
 )
 from tbcurv.numdiff import ORACLE, Stencil
-from tbcurv.scalarfun import Binary, Const, Pow, Unary, Var, _Token
+from tbcurv.scalarfun import Binary, Const, Pow, Unary, Var, _Token, compile_jet
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tbcurv.__path__))
+PACKAGE = Path(tbcurv.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _package_imports() -> list:
     """(module, name) for each name that ``tbcurv/__init__.py`` imports
     from one of its modules."""
-    tree = ast.parse(Path(tbcurv.__file__).read_text())
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return [(node.module, alias.name) for node in tree.body
             if isinstance(node, ast.ImportFrom) and node.level == 1
             for alias in node.names]
@@ -58,6 +59,30 @@ def test_every_export_is_in_its_modules_all():
     assert stray == []
 
 
+def _program_files() -> list:
+    """The package's modules and the scripts that call it: demos, tools
+    and the benchmark, which this test only reads."""
+    files = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    for folder in ("demos", "tools", "perfbench"):
+        files += (ROOT / folder).glob("*.py")
+    return sorted(files)
+
+
+def test_every_export_has_a_program_caller():
+    # a reference is a Name or an Attribute in the syntax tree; a string,
+    # an __all__ row or a docstring that spells the name is not one
+    files = _program_files()
+    assert {path.parent.name for path in files} == {"tbcurv", "demos", "tools", "perfbench"}
+    referenced = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert [name for _, name in _package_imports() if name not in referenced] == []
+
+
 # --------------------------------------------------------------------------
 # Records: tuples and small classes, so that importing the package runs no
 # generated code.
@@ -71,9 +96,9 @@ def _frozen_records() -> list:
     return [
         ORACLE, fp, frame_curvature(M, fp), base_invariants(M, fp),
         Const(1.0), Var(), Unary("neg", Var()), Binary("+", Var(), Var()), Pow(Var(), 2.0),
-        _Token("end", "", 0), eval_jet(Var(), 0.5),
+        _Token("end", "", 0), compile_jet(Var())(0.5),
         fam.jets(0.5), fam.validate(),
-        tm_sectional(M, fam, fp), tm_sectional_constcurv(1.0, fam, 0.5, 2), OracleConfig(),
+        tm_sectional(M, fam, fp), OracleConfig(),
     ]
 
 
