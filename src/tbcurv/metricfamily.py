@@ -98,6 +98,15 @@ class FamilyValidation(NamedTuple):
     (``nonfinite``; ``violation_kind`` then names the field).
     ``phi_violation_t`` reports the same for phi = alpha + t*alpha', whose
     positivity is a precondition of the flat-fiber construction.
+
+    Only the minima the grid resolves are bisected: a slope sign change
+    whose slope at both ends moves the value by at most one ulp over the
+    grid step is rounding noise or a minimum flat to rounding (the slope of
+    a constant alpha + t*beta, as Cheeger-Gromoll's, changes sign hundreds
+    of times).  It hides no dip the grid resolves: to fall to ``_DIP_RTOL``
+    of its neighbours within one step, a function needs end slopes of the
+    order of value/step, some 1e16 times above that bound, and a dip
+    narrower than a step with flatter ends is below the grid's resolution.
     """
 
     valid: bool
@@ -186,6 +195,7 @@ def _value_slope_of(kind: str, t, a: Jet2, b: Optional[Jet2] = None):
 # grid's resolution, while a positive function that only decays keeps the
 # order of its neighbours.
 _DIP_RTOL = 1e-8
+_FLOAT = np.finfo(float)
 # ``validate`` samples [0, t_max] at this many evenly spaced points.
 _VALIDATION_SAMPLES = 4096
 # At most this many halvings of a bracket.  2^-80 of a grid step is below
@@ -196,8 +206,7 @@ _BISECTION_STEPS = 80
 # bracket, 2^k - 1 per bracket, for the largest k that keeps them within
 # this many points (k >= 1).  On arrays this small an evaluation costs
 # about the same whatever its size, nearly all of it the fixed cost of
-# walking the expressions, so one bracket takes 6 halvings per evaluation,
-# while the hundreds of noise brackets of a constant Delta take 1.
+# walking the expressions, so one bracket takes 6 halvings per evaluation.
 _HALVING_POINTS = 64
 
 
@@ -280,6 +289,19 @@ def _halve(value_slope, lo: np.ndarray, hi: np.ndarray):
     return lo, hi
 
 
+def _below_resolution(grid, v, s, ends) -> np.ndarray:
+    """Which brackets (ends - 1, ends) of the slope's sign changes the grid
+    cannot resolve: at both ends the slope moves the value by at most one
+    ulp over the bracket's own step, ``max(|s|) * dt <= eps * max(v)``.
+    Where the product overflows, or ``eps * max(v)`` is below the smallest
+    normal float or not finite, the bracket counts as resolved."""
+    lo, hi = ends - 1, ends
+    with np.errstate(over="ignore", under="ignore"):
+        move = np.maximum(np.abs(s[lo]), np.abs(s[hi])) * (grid[hi] - grid[lo])
+        ulp = _FLOAT.eps * np.maximum(v[lo], v[hi])
+    return (move <= ulp) & (_FLOAT.tiny <= ulp) & (ulp <= _FLOAT.max)
+
+
 def _first_nonpositive(value_slope, scan):
     """First t in a grid where a function fails to be positive;
     ``value_slope(t)`` gives its value and slope at an array of t, and
@@ -294,12 +316,25 @@ def _first_nonpositive(value_slope, scan):
     that ends at it.  Where the function is undefined from some node on,
     the nodes before it are scanned, and the DomainError is raised if they
     hold no event.
+
+    A bracket the grid cannot resolve (``_below_resolution``: the slope at
+    both ends moves the value by at most one ulp over the bracket's step)
+    is not refined.  That hides no collapse the grid resolves: to fall to
+    ``_DIP_RTOL`` of its value within one step, a function whose end
+    slopes follow its fall has slopes of the order of value/step there,
+    some 1e16 times above the bound.  A dip narrower than the step, with
+    flatter ends, is below the grid's resolution: halving all brackets
+    finds it or not depending on whether its tails' slope underflows to 0
+    at the nodes.  The rule is relative, so scaling the function by 2^k
+    keeps what it drops.
     """
     grid, (v, s), error = scan
     bad = np.flatnonzero(v <= 0.0)
     end = bad[0] if bad.size else v.size
     ends = np.flatnonzero((s[:-1] < 0.0) & (0.0 <= s[1:])) + 1
     ends = ends[ends < end]
+    if ends.size:  # most scans bracket nothing: skip the rule's numpy calls
+        ends = ends[~_below_resolution(grid, v, s, ends)]
     if ends.size:
         lo, hi = _halve(value_slope, grid[ends - 1], grid[ends])
         tm = 0.5 * (lo + hi)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tbcurv.errors import DomainError, ValidityError
@@ -461,10 +461,10 @@ class TestBisectionFixedPoint:
         alpha, beta = (text.format(c=c) for text in template)
         assert_bisection_matches_reference(NaturalMetricFamily(alpha, beta))
 
-    def test_cheeger_gromoll_delta_call_count(self):
-        # Delta = 1 exactly, so its slope is rounding noise and brackets 561
-        # sign changes; the halving reaches its fixed point after 50 steps,
-        # not 80: one call on the grid, 50 halvings, one at the minima.
+    def test_cheeger_gromoll_delta_takes_only_the_grid_call(self):
+        # Delta = 1 exactly, so its slope is rounding noise and changes sign
+        # 561 times on the grid; no sign change moves the value by an ulp
+        # over a grid step, so none is halved: one call, on the grid.
         fam = preset("cheeger-gromoll")
         calls = []
 
@@ -474,8 +474,7 @@ class TestBisectionFixedPoint:
 
         scan = _defined_prefix(value_slope, np.linspace(0.0, fam.t_max, 4096))
         assert _first_nonpositive(value_slope, scan) is None
-        assert calls[:2] == [4096, 561]
-        assert len(calls) == 52
+        assert calls == [4096]
 
     @pytest.mark.parametrize(
         "alpha,beta,outcome",
@@ -541,6 +540,114 @@ class TestBisectionFixedPoint:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _first_nonpositive(value_slope, _defined_prefix(value_slope, grid))
+        assert got == _reference_first_nonpositive(value_slope, grid, 1e-8)
+
+
+def _counted_scan(fam, kind):
+    """``_first_nonpositive`` of the kind on ``validate``'s grid, and the
+    number of points of each evaluation it made."""
+    calls = []
+
+    def value_slope(t):
+        calls.append(np.size(t))
+        return fam._value_slope(kind, t)
+
+    scan = _defined_prefix(value_slope, np.linspace(0.0, fam.t_max, _VALIDATION_SAMPLES))
+    return _first_nonpositive(value_slope, scan), calls
+
+
+def _slope_sign_changes(fam, kind):
+    """The slope sign changes from below 0 to at least 0 of the kind on
+    ``validate``'s grid, each the bracket of a local minimum."""
+    s = fam._value_slope(kind, np.linspace(0.0, fam.t_max, _VALIDATION_SAMPLES))[1]
+    return np.count_nonzero((s[:-1] < 0.0) & (0.0 <= s[1:]))
+
+
+class TestResolution:
+    """A slope sign change is halved only where the slope at one of its
+    ends moves the value by more than one ulp over the grid step."""
+
+    def assert_flat_to_rounding(self, fam, kind):
+        assert _slope_sign_changes(fam, kind) >= 100  # rounding noise
+        assert _counted_scan(fam, kind) == (None, [_VALIDATION_SAMPLES])
+        assert fam.validate().valid
+        assert_bisection_matches_reference(fam)
+
+    @pytest.mark.parametrize(
+        "fam,kind",
+        [(preset("cheeger-gromoll"), "delta"),
+         (NaturalMetricFamily("1/(1+t)+t/(1+t)", "0"), "alpha")],
+        ids=["cheeger-gromoll", "alpha"],
+    )
+    def test_flat_to_rounding(self, fam, kind):
+        self.assert_flat_to_rounding(fam, kind)
+
+    @given(c=st.floats(min_value=0.1, max_value=10.0))
+    @seed(37)
+    @settings(max_examples=10, deadline=None)
+    def test_delta_flat_to_rounding(self, c):
+        # Delta = 1/(1+c t) + t c/(1+c t) is exactly 1
+        self.assert_flat_to_rounding(
+            NaturalMetricFamily(f"1/(1+{c!r}*t)", f"{c!r}/(1+{c!r}*t)"), "delta"
+        )
+
+    def test_a_minimum_flat_to_rounding_is_skipped(self):
+        fam = NaturalMetricFamily("1+1e-13*(t-3.3)^2", "0")
+        assert _counted_scan(fam, "alpha") == (None, [_VALIDATION_SAMPLES])
+        assert fam.validate().valid
+        assert_bisection_matches_reference(fam)
+
+    def test_a_minimum_the_grid_resolves_is_halved(self):
+        fam = NaturalMetricFamily("1e-13*(t-3.3)^2+1e-30", "0")
+        t, calls = _counted_scan(fam, "alpha")
+        assert t == pytest.approx(3.3, abs=1e-9) and len(calls) > 2
+        assert fam.validate().summary().startswith("INVALID: alpha <= 0 near t=3.3;")
+        assert_bisection_matches_reference(fam)
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [("1/(1+t)", "1/(1+t)"), ("1+1e-13*(t-3.3)^2", "0"), ("1e-13*(t-3.3)^2+1e-30", "0"),
+         ("(t-3.3)^2+1e-14", "0"), ("(1+t)^-0.4665", "0.881024*t/(1+t)")],
+    )
+    @pytest.mark.parametrize("k", [-40, -17, 1, 29, 40])
+    def test_scaling_by_a_power_of_two_keeps_the_validation(self, alpha, beta, k):
+        scaled = NaturalMetricFamily(f"{2.0**k!r}*({alpha})", f"{2.0**k!r}*({beta})")
+        assert scaled.validate() == NaturalMetricFamily(alpha, beta).validate()
+        assert_bisection_matches_reference(scaled)
+
+    @pytest.mark.parametrize(
+        "s_lo,s_hi,halved", [(-1.0, 1.0, False), (-2.0, 1.0, True), (-1.0, 2.0, True)]
+    )
+    def test_a_bracket_is_halved_above_one_ulp_per_step(self, s_lo, s_hi, halved):
+        # value 1, grid step 1: the slope moves the value by max(|s|) ulps
+        calls = []
+
+        def value_slope(t):
+            calls.append(np.size(t))
+            eps = np.finfo(float).eps
+            return np.ones_like(t), np.where(t < 1.5, s_lo * eps, s_hi * eps)
+
+        assert _first_nonpositive(value_slope, _defined_prefix(value_slope, np.arange(4.0))) is None
+        assert (len(calls) > 1) == halved
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda t: np.full_like(t, 1e-300),  # one ulp of it is subnormal
+            lambda t: np.where(t == 2.0, np.inf, 1.0),  # one ulp of it is infinite
+        ],
+        ids=["subnormal-ulp", "infinite-value"],
+    )
+    def test_a_bracket_the_rule_cannot_measure_is_halved(self, value):
+        calls = []
+
+        def value_slope(t):
+            calls.append(np.size(t))
+            return value(t), 1e-320 * (t - 1.3)
+
+        grid = np.arange(4.0)
+        got = _first_nonpositive(value_slope, _defined_prefix(value_slope, grid))
+        assert len(calls) > 2
         assert got == _reference_first_nonpositive(value_slope, grid, 1e-8)
 
 
