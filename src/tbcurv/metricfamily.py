@@ -512,8 +512,9 @@ def flatness_beta(alpha: FunctionLike) -> ScalarFunction:
 def _same_expr(f: ScalarFunction, g: ScalarFunction) -> bool:
     """f and g run equal syntax trees, so their jets are equal bit for bit.
     Distinct trees that compare equal are also compared by their repr,
-    which tells 0.0 from -0.0 (an exponent of -0 gives derivatives of the
-    other sign of zero)."""
+    which tells 0.0 from -0.0.  That is stricter than the jets need: a
+    constant -0 reads as 0, and the derivatives of a power to -0 are
+    structural zeros, as those of a power to 0 are."""
     if f.expr is None or f.expr is g.expr:
         return f.expr is not None
     return f.expr == g.expr and repr(f.expr) == repr(g.expr)

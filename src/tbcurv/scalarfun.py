@@ -8,6 +8,20 @@ jets (f, f', f'') propagated structurally through the syntax tree, which is
 compiled once into closures.  t may be a number or an array: one evaluation
 covers every t.
 
+An evaluation runs numpy operations only where t enters the tree.  A subtree
+of constants is a numpy scalar until it meets t (exp, ln, sqrt and powers
+still evaluate it in the shape of t, so that it rounds as it does there).  A
+derivative that the tree makes zero is a structural zero: a constant's, the
+second derivative of t, one whose power coefficient p or p (p - 1) is 0, and
+every term formed from those alone.  It is never formed, reads as an exact
++0.0, and drops out of every sum and product, so where the full chain rule
+would form 0 * x only the other terms remain.  That is visible in two ways:
+such a derivative is +0.0 where 0 * x would have made it -0.0, and it is the
+remaining term where 0 * inf, next to an overflowed factor, would have made
+it NaN; t^1 and t^0 have the jets of t and of 1 at t = 0 too.  Every value,
+every DomainError and every derivative that the full rule makes finite and
+nonzero is the same, bit for bit.
+
 Grammar (precedence high to low): unary minus, ``^`` with a numeric
 exponent, ``*`` ``/``, ``+`` ``-``.  Parentheses group.  The only variable
 is ``t``; the only functions are ``exp``, ``ln`` and ``sqrt``.  Note that
@@ -180,7 +194,8 @@ class _Parser:
             node = Binary(op, node, self.power())
         return node
 
-    # power := unary ("^" exponent)?   (right-assoc through recursion)
+    # power := unary ("^" exponent)?   (the exponent is one numeric constant,
+    # so powers do not chain: t^2^3 leaves "^3" as trailing input)
     def power(self) -> Expr:
         base = self.unary()
         if self.peek().kind == "op" and self.peek().text == "^":
@@ -267,9 +282,36 @@ class Jet2(NamedTuple):
 
 
 def _check(bad, message: str, node: str, t) -> None:
-    """Raise DomainError at the first t where ``bad`` holds."""
-    if np.count_nonzero(bad):
+    """Raise DomainError at the first t where ``bad`` holds.  A ``bad`` that
+    is one number, a constant's, holds at every t, and so at none of an
+    empty t."""
+    if np.count_nonzero(bad) and np.size(t):
         raise DomainError(message, node, float(np.ravel(t)[np.argmax(bad)]))
+
+
+# A structural zero (see the module docstring) is None, and these drop it
+# from sums and products.  The terms that remain are formed and added in the
+# order of the full formula, so that they round as they would there.
+
+
+def _plus(x, y):
+    return y if x is None else x if y is None else x + y
+
+
+def _minus(x, y):
+    return x if y is None else -y if x is None else x - y
+
+
+def _times(x, y):
+    return None if x is None or y is None else x * y
+
+
+def _twice_times(x, y):
+    return None if x is None or y is None else 2.0 * x * y
+
+
+def _over(x, y):
+    return None if x is None else x / y
 
 
 # The chain rule of each node, from the jets (f, f', f'') of its operands to
@@ -278,21 +320,21 @@ def _check(bad, message: str, node: str, t) -> None:
 
 def _neg(a, t):
     v, d1, d2 = a
-    return -v, -d1, -d2
+    return -v, None if d1 is None else -d1, None if d2 is None else -d2
 
 
 def _exp(a, t):
     v, d1, d2 = a
     e = np.exp(v)
     _check(np.isinf(e), "exp overflows", "exp", t)
-    return e, e * d1, e * (d1 * d1 + d2)
+    return e, _times(e, d1), _times(e, _plus(_times(d1, d1), d2))
 
 
 def _ln(a, t):
     v, d1, d2 = a
     _check(v <= 0.0, "ln of a nonpositive value", "ln", t)
-    r = d1 / v
-    return np.log(v), r, d2 / v - r * r
+    r = _over(d1, v)
+    return np.log(v), r, _minus(_over(d2, v), _times(r, r))
 
 
 def _sqrt(a, t):
@@ -300,32 +342,38 @@ def _sqrt(a, t):
     # 0 is excluded: the jet has infinite slope there.
     _check(v <= 0.0, "sqrt of a nonpositive value", "sqrt", t)
     s = np.sqrt(v)
-    return s, d1 / (2.0 * s), d2 / (2.0 * s) - d1 * d1 / (4.0 * np.power(s, 3))
+    two_s = 2.0 * s
+    slope_sq = None if d1 is None else d1 * d1 / (4.0 * np.power(s, 3))
+    return s, _over(d1, two_s), _minus(_over(d2, two_s), slope_sq)
 
 
 def _add(a, b, t):
-    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+    return a[0] + b[0], _plus(a[1], b[1]), _plus(a[2], b[2])
 
 
 def _sub(a, b, t):
-    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return a[0] - b[0], _minus(a[1], b[1]), _minus(a[2], b[2])
 
 
 def _mul(a, b, t):
     (av, a1, a2), (bv, b1, b2) = a, b
-    return av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2
+    d2 = _plus(_plus(_times(a2, bv), _twice_times(a1, b1)), _times(av, b2))
+    return av * bv, _plus(_times(a1, bv), _times(av, b1)), d2
 
 
 def _div(a, b, t):
     (av, a1, a2), (bv, b1, b2) = a, b
     _check(bv == 0.0, "division by zero", "division", t)
     q = av / bv
-    q1 = (a1 - q * b1) / bv
-    return q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / bv
+    q1 = _over(_minus(a1, _times(q, b1)), bv)
+    return q, q1, _over(_minus(_minus(a2, _twice_times(q1, b1)), _times(q, b2)), bv)
 
 
 # np.power, not **: numpy scalars and arrays take different routes for **.
-def _pow(a, t, p, fractional, negative):
+# The coefficients p and p (p - 1) = p_p1 of the derivatives are constants of
+# the node, and one that is 0 is a structural zero: t^1 and t^0 form no 0 * inf
+# at t = 0.
+def _pow(a, t, p, fractional, negative, p_p1):
     v, d1, d2 = a
     if fractional:
         _check(v <= 0.0, "fractional power of a nonpositive base", "power", t)
@@ -333,39 +381,72 @@ def _pow(a, t, p, fractional, negative):
         _check(v == 0.0, "zero base with negative exponent", "power", t)
     out = np.power(v, p)
     _check(np.isinf(out), "power overflows", "power", t)
+    if p == 0.0 or d1 is None and d2 is None:
+        return out, None, None
     vp1 = p * np.power(v, p - 1.0)
-    return out, vp1 * d1, p * (p - 1.0) * np.power(v, p - 2.0) * d1 * d1 + vp1 * d2
+    bend = None if p_p1 == 0.0 or d1 is None else p_p1 * np.power(v, p - 2.0) * d1 * d1
+    return out, _times(vp1, d1), _plus(bend, _times(vp1, d2))
 
 
 _UNARY = {"neg": _neg, "exp": _exp, "ln": _ln, "sqrt": _sqrt}
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
 
 
+def _mentions_t(node: Expr) -> bool:
+    return isinstance(node, Var) or any(
+        _mentions_t(field) for field in node if isinstance(field, tuple)
+    )
+
+
+def _spread(x, zero):
+    """x, a number or an array in the shape of zero, in the shape of zero:
+    x - (+0.0) is x, -0.0 and NaN included."""
+    return x if type(x) is np.ndarray else x - zero
+
+
+def _compile_in_shape_of_t(node: Expr):
+    """_compile(node), whose value is in the shape of t also where node is
+    free of t."""
+    run = _compile(node)
+    if _mentions_t(node):
+        return run
+    return lambda t, zero: (_spread(run(t, zero)[0], zero), None, None)
+
+
 def _compile(node: Expr):
     """node as a function of (t, zero) that returns its jet as a tuple; zero
-    is 0 in the shape of t.  The tree is dispatched on once, here."""
+    is 0 in the shape of t.  The tree is dispatched on once, here.
+
+    A subtree free of t is a numpy scalar, with structural zeros for its
+    derivatives, until it meets t.  exp, ln, sqrt and powers take such an
+    operand in the shape of t, so that they round as they do on t."""
     if isinstance(node, Const):
-        c = node.value
-        return lambda t, zero: (zero + c, zero, zero)
+        c = np.float64(0.0 + node.value)  # a constant -0 reads as 0
+        return lambda t, zero: (c, None, None)
     if isinstance(node, Var):
-        return lambda t, zero: (t, zero + 1.0, zero)
-    if isinstance(node, Unary):
-        arg, rule = _compile(node.arg), _UNARY[node.op]
-        return lambda t, zero: rule(arg(t, zero), t)
+        one = np.float64(1.0)
+        return lambda t, zero: (t, one, None)
     if isinstance(node, Binary):
         left, right, rule = _compile(node.left), _compile(node.right), _BINARY[node.op]
         return lambda t, zero: rule(left(t, zero), right(t, zero), t)
+    if isinstance(node, Unary):
+        arg = (_compile if node.op == "neg" else _compile_in_shape_of_t)(node.arg)
+        rule = _UNARY[node.op]
+        return lambda t, zero: rule(arg(t, zero), t)
     if isinstance(node, Pow):
-        base, p = _compile(node.base), node.exponent
-        fractional, negative = p != int(p), p < 0
-        return lambda t, zero: _pow(base(t, zero), t, p, fractional, negative)
+        base, p = _compile_in_shape_of_t(node.base), node.exponent
+        fractional, negative, p_p1 = p != int(p), p < 0, p * (p - 1.0)
+        return lambda t, zero: _pow(base(t, zero), t, p, fractional, negative, p_p1)
     raise AssertionError(type(node))
 
 
 def compile_jet(node: Expr) -> Callable[[np.ndarray], Jet2]:
     """The jet function of node: (f, f', f'') at t by forward propagation
     through the tree, which is compiled once into closures, so that an
-    evaluation runs numpy operations only.
+    evaluation runs numpy operations only, and only where t enters:
+    arithmetic on constants stays on numpy scalars, and the derivatives that
+    the tree makes zero are never formed (see the module docstring).  The
+    fields are arrays in the shape of t, numbers for a number t.
 
     t is a number or an array; one evaluation covers every t.  The function
     raises DomainError naming the offending node and the first t outside
@@ -379,8 +460,10 @@ def compile_jet(node: Expr) -> Callable[[np.ndarray], Jet2]:
 
     def jet(t) -> Jet2:
         t = np.asarray(t, dtype=float)
+        zero = np.zeros(t.shape)[()]
         with np.errstate(all="ignore"):
-            return Jet2(*run(t[()], np.zeros(t.shape)[()]))
+            fields = run(t[()], zero)
+        return Jet2(*(zero if f is None else _spread(f, zero) for f in fields))
 
     return jet
 

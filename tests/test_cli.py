@@ -68,6 +68,15 @@ class TestFamilyCheck:
         out = capsys.readouterr().out
         assert "INVALID" in out and "t=1" in out
 
+    def test_power_to_one_is_the_family_of_its_base(self, capsys):
+        # t^1 at t = 0 formed 0 * inf: "INVALID: alpha_d2 is not finite at t=0"
+        assert run(["family-check", "--alpha", "1+t^1", "--beta", "0"]) == 0
+        power = capsys.readouterr().out
+        assert run(["family-check", "--alpha", "1+t", "--beta", "0"]) == 0
+        base = capsys.readouterr().out
+        assert "custom(alpha=1+t^1, beta=0): valid;" in power
+        assert power.splitlines()[1:] == base.splitlines()[1:]
+
     def test_unknown_preset_is_config_error(self, capsys):
         assert run(["family-check", "--family", "bogus"]) == 2
 

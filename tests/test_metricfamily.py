@@ -88,6 +88,15 @@ class TestValidate:
         assert not v.phi_positive
         assert v.phi_violation_t == pytest.approx(1.0, abs=0.05)
 
+    def test_power_to_one_has_the_jets_of_its_base(self):
+        # t^1 at t = 0 formed 0 * t^-1 = 0 * inf, a NaN alpha'' (ValidityError)
+        t = np.linspace(0.0, 25.0, 9)
+        got, want = NaturalMetricFamily("1+t^1", "0"), NaturalMetricFamily("1+t", "0")
+        for name, field in want.jets(t)._asdict().items():
+            assert_same_bits(getattr(got.jets(t), name), field)
+        assert got.jets(0.0).alpha_d2 == 0.0
+        assert got.validate() == want.validate()
+
     def test_tangential_zero_located_by_bisection(self):
         # alpha = e^-t with the flatness beta: alpha + t*beta = e^-t (1-t)^2
         # touches zero exactly at t = 1 without crossing; the grid alone
@@ -693,8 +702,12 @@ class TestSharedAlphaWalk:
         assert (NaturalMetricFamily(alpha, beta)._beta_from_alpha is not None) == shared
 
     def test_signed_zero_exponent_keeps_its_own_walk(self):
-        # t^-0 has the slope -0.0 * t^-1 and t^0 the slope 0.0 * t^-1: a
-        # shared walk would give beta the sign of alpha's zero
-        jets = NaturalMetricFamily("t^0", "t^-0").jets(np.array([1.0]))
-        assert not np.signbit(jets.alpha_d1).any()
-        assert np.signbit(jets.beta_d1).all()
+        # a zero exponent's coefficients p and p (p - 1) are structural
+        # zeros whatever the sign of the zero, so t^0 and t^-0, each on its
+        # own walk, have jets of equal bits: 1 with derivatives +0.0, also at
+        # t = 0, where p * t^(p-1) would be 0 * inf
+        jets = NaturalMetricFamily("t^0", "t^-0").jets(np.array([0.0, 1.0]))
+        assert_same_bits(jets.alpha, jets.beta)
+        assert_same_bits(jets.alpha_d1, jets.beta_d1)
+        assert_same_bits(jets.beta_d1, np.zeros(2))
+        assert_same_bits(jets.alpha_d2, np.zeros(2))

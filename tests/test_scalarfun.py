@@ -64,6 +64,12 @@ class TestParse:
     def test_scientific_literals(self):
         assert parse("1e-3") == Const(1e-3)
 
+    def test_powers_do_not_chain(self):
+        # the exponent is one numeric constant, not a power
+        with pytest.raises(ParseError, match=r"trailing input '\^'") as err:
+            parse("t^2^3")
+        assert err.value.offset == 3
+
     def test_subtraction_left_associative(self):
         assert parse("1-t-2") == Binary("-", Binary("-", Const(1.0), Var()), Const(2.0))
 
@@ -120,6 +126,7 @@ class TestEvalJet:
             ("(t-1)^-2", [0.0, 1.0, 2.0, 1.0], "power", 1.0),
             ("exp(t^3)", [1.0, 2.0, 9.0, 3.0, 10.0], "exp", 9.0),
             ("(t+1)^400", [0.0, 1.0, 6.0, 2.0, 7.0], "power", 6.0),
+            ("t+1/(2-2)", [5.0, 1.0], "division", 5.0),  # a constant fails at every t
         ],
     )
     def test_domain_errors_of_an_array_name_its_first_bad_t(self, src, ts, node, first_bad):
@@ -128,6 +135,27 @@ class TestEvalJet:
         assert err.value.node == node
         assert type(err.value.t) is float and err.value.t == first_bad
         assert str(err.value).endswith(f"{node} at t={first_bad!r}")
+
+    # a power coefficient p or p (p - 1) of 0 is a structural zero, so no
+    # 0 * inf forms where the base is 0 (each was NaN)
+    @pytest.mark.parametrize(
+        "src,t,want",
+        [
+            ("(t-1)^1", 1.0, (0.0, 1.0, 0.0)),
+            ("t^1", 0.0, (0.0, 1.0, 0.0)),
+            ("t^0", 0.0, (1.0, 0.0, 0.0)),
+            ("t^-0", 0.0, (1.0, 0.0, 0.0)),
+            ("1+t^1", np.array([0.0, 2.0]), ([1.0, 3.0], [1.0, 1.0], [0.0, 0.0])),
+        ],
+    )
+    def test_zero_power_coefficient_at_a_zero_base(self, src, t, want):
+        jet = compile_jet(parse(src))(t)
+        for got, expected in zip(jet, want):
+            assert np.asarray(got).tobytes() == np.broadcast_to(expected, np.shape(t)).tobytes()
+
+    def test_constant_domain_error_has_no_t_in_an_empty_array(self):
+        jet = compile_jet(parse("t+1/0+ln(-1)"))(np.zeros((2, 0)))
+        assert [np.shape(field) for field in jet] == [(2, 0)] * 3
 
     def test_integer_power_of_negative_base_ok(self):
         jet = compile_jet(parse("(t-2)^3"))(1.0)
@@ -304,24 +332,27 @@ def test_infinite_exponent_is_a_parse_error():
     assert err.value.offset == 4
 
 
-# -- compiled jets against the tree walk they replace ----------------------------
+# -- compiled jets against reference tree walks --------------------------------
 
 
-class _RefJet:
+class _FullJet:
+    """A jet of the tree walk that forms every term of the chain rule, with a
+    zero array for each derivative of a constant."""
+
     def __init__(self, value, d1, d2):
         self.value, self.d1, self.d2 = value, d1, d2
 
     def __add__(self, other):
-        return _RefJet(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
+        return _FullJet(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
 
     def __sub__(self, other):
-        return _RefJet(self.value - other.value, self.d1 - other.d1, self.d2 - other.d2)
+        return _FullJet(self.value - other.value, self.d1 - other.d1, self.d2 - other.d2)
 
     def __neg__(self):
-        return _RefJet(-self.value, -self.d1, -self.d2)
+        return _FullJet(-self.value, -self.d1, -self.d2)
 
     def __mul__(self, other):
-        return _RefJet(
+        return _FullJet(
             self.value * other.value,
             self.d1 * other.value + self.value * other.d1,
             self.d2 * other.value + 2.0 * self.d1 * other.d1 + self.value * other.d2,
@@ -331,7 +362,7 @@ class _RefJet:
         q = self.value / other.value
         q1 = (self.d1 - q * other.d1) / other.value
         q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / other.value
-        return _RefJet(q, q1, q2)
+        return _FullJet(q, q1, q2)
 
 
 def _ref_check(bad, message, node, t):
@@ -339,29 +370,148 @@ def _ref_check(bad, message, node, t):
         raise DomainError(message, node, float(np.ravel(t)[np.argmax(bad)]))
 
 
-def _ref_walk(node, t, zero):
-    """The per-node tree walk that evaluated jets before they were compiled."""
+def _full_walk(node, t, zero):
+    """The per-node tree walk that forms every term: 0 * x where a factor is
+    a zero derivative, so 0 * inf gives NaN and 0 * (-x) gives -0.0."""
     if isinstance(node, Const):
-        return _RefJet(zero + node.value, zero, zero)
+        return _FullJet(zero + node.value, zero, zero)
     if isinstance(node, Var):
-        return _RefJet(t, zero + 1.0, zero)
+        return _FullJet(t, zero + 1.0, zero)
+    if isinstance(node, Unary):
+        a = _full_walk(node.arg, t, zero)
+        if node.op == "neg":
+            return -a
+        if node.op == "exp":
+            e = np.exp(a.value)
+            out = _FullJet(e, e * a.d1, e * (a.d1 * a.d1 + a.d2))
+            _ref_check(np.isinf(out.value), "exp overflows", "exp", t)
+            return out
+        if node.op == "ln":
+            _ref_check(a.value <= 0.0, "ln of a nonpositive value", "ln", t)
+            r = a.d1 / a.value
+            return _FullJet(np.log(a.value), r, a.d2 / a.value - r * r)
+        _ref_check(a.value <= 0.0, "sqrt of a nonpositive value", "sqrt", t)
+        s = np.sqrt(a.value)
+        d1 = a.d1 / (2.0 * s)
+        return _FullJet(s, d1, a.d2 / (2.0 * s) - a.d1 * a.d1 / (4.0 * np.power(s, 3)))
+    if isinstance(node, Binary):
+        left = _full_walk(node.left, t, zero)
+        right = _full_walk(node.right, t, zero)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        _ref_check(right.value == 0.0, "division by zero", "division", t)
+        return left / right
+    a = _full_walk(node.base, t, zero)
+    p = node.exponent
+    if p != int(p):
+        _ref_check(a.value <= 0.0, "fractional power of a nonpositive base", "power", t)
+    elif p < 0:
+        _ref_check(a.value == 0.0, "zero base with negative exponent", "power", t)
+    v = np.power(a.value, p)
+    vp1 = p * np.power(a.value, p - 1.0)
+    vp2 = p * (p - 1.0) * np.power(a.value, p - 2.0)
+    out = _FullJet(v, vp1 * a.d1, vp2 * a.d1 * a.d1 + vp1 * a.d2)
+    _ref_check(np.isinf(out.value), "power overflows", "power", t)
+    return out
+
+
+def _full_eval_jet(node, t):
+    t = np.asarray(t, dtype=float)
+    zero = np.zeros_like(t)[()]
+    with np.errstate(all="ignore"):
+        return _full_walk(node, t[()], zero)
+
+
+# The structural zero of the reference walk below: a derivative that is None
+# is never formed, and the terms it would enter are dropped.
+
+
+def _z_add(x, y):
+    return y if x is None else x if y is None else x + y
+
+
+def _z_sub(x, y):
+    return x if y is None else -y if x is None else x - y
+
+
+def _z_mul(x, y):
+    return None if x is None or y is None else x * y
+
+
+def _z_div(x, y):
+    return None if x is None else x / y
+
+
+class _RefJet:
+    """A jet whose derivatives are arrays or structural zeros (None)."""
+
+    def __init__(self, value, d1, d2):
+        self.value, self.d1, self.d2 = value, d1, d2
+
+    def __add__(self, other):
+        return _RefJet(
+            self.value + other.value, _z_add(self.d1, other.d1), _z_add(self.d2, other.d2)
+        )
+
+    def __sub__(self, other):
+        return _RefJet(
+            self.value - other.value, _z_sub(self.d1, other.d1), _z_sub(self.d2, other.d2)
+        )
+
+    def __neg__(self):
+        return _RefJet(-self.value, _z_sub(None, self.d1), _z_sub(None, self.d2))
+
+    def __mul__(self, other):
+        cross = _z_mul(_z_mul(2.0, self.d1), other.d1)
+        return _RefJet(
+            self.value * other.value,
+            _z_add(_z_mul(self.d1, other.value), _z_mul(self.value, other.d1)),
+            _z_add(
+                _z_add(_z_mul(self.d2, other.value), cross), _z_mul(self.value, other.d2)
+            ),
+        )
+
+    def __truediv__(self, other):
+        q = self.value / other.value
+        q1 = _z_div(_z_sub(self.d1, _z_mul(q, other.d1)), other.value)
+        cross = _z_mul(_z_mul(2.0, q1), other.d1)
+        q2 = _z_div(_z_sub(_z_sub(self.d2, cross), _z_mul(q, other.d2)), other.value)
+        return _RefJet(q, q1, q2)
+
+
+def _ref_walk(node, t, zero):
+    """The per-node tree walk with the structural zero rule, on arrays in the
+    shape of t throughout: a constant is zero + c, and its derivatives, the
+    second derivative of t and a power's coefficient p or p (p - 1) that is 0
+    are None."""
+    if isinstance(node, Const):
+        return _RefJet(zero + node.value, None, None)
+    if isinstance(node, Var):
+        return _RefJet(t, zero + 1.0, None)
     if isinstance(node, Unary):
         a = _ref_walk(node.arg, t, zero)
         if node.op == "neg":
             return -a
         if node.op == "exp":
             e = np.exp(a.value)
-            out = _RefJet(e, e * a.d1, e * (a.d1 * a.d1 + a.d2))
+            out = _RefJet(e, _z_mul(e, a.d1), _z_mul(e, _z_add(_z_mul(a.d1, a.d1), a.d2)))
             _ref_check(np.isinf(out.value), "exp overflows", "exp", t)
             return out
         if node.op == "ln":
             _ref_check(a.value <= 0.0, "ln of a nonpositive value", "ln", t)
-            r = a.d1 / a.value
-            return _RefJet(np.log(a.value), r, a.d2 / a.value - r * r)
+            r = _z_div(a.d1, a.value)
+            return _RefJet(np.log(a.value), r, _z_sub(_z_div(a.d2, a.value), _z_mul(r, r)))
         _ref_check(a.value <= 0.0, "sqrt of a nonpositive value", "sqrt", t)
         s = np.sqrt(a.value)
-        d1 = a.d1 / (2.0 * s)
-        return _RefJet(s, d1, a.d2 / (2.0 * s) - a.d1 * a.d1 / (4.0 * np.power(s, 3)))
+        d1 = _z_div(a.d1, 2.0 * s)
+        d2 = _z_sub(
+            _z_div(a.d2, 2.0 * s), _z_div(_z_mul(a.d1, a.d1), 4.0 * np.power(s, 3))
+        )
+        return _RefJet(s, d1, d2)
     if isinstance(node, Binary):
         left = _ref_walk(node.left, t, zero)
         right = _ref_walk(node.right, t, zero)
@@ -380,9 +530,10 @@ def _ref_walk(node, t, zero):
     elif p < 0:
         _ref_check(a.value == 0.0, "zero base with negative exponent", "power", t)
     v = np.power(a.value, p)
-    vp1 = p * np.power(a.value, p - 1.0)
-    vp2 = p * (p - 1.0) * np.power(a.value, p - 2.0)
-    out = _RefJet(v, vp1 * a.d1, vp2 * a.d1 * a.d1 + vp1 * a.d2)
+    vp1 = None if p == 0.0 else p * np.power(a.value, p - 1.0)
+    vp2 = None if p * (p - 1.0) == 0.0 else p * (p - 1.0) * np.power(a.value, p - 2.0)
+    d2 = _z_add(_z_mul(_z_mul(vp2, a.d1), a.d1), _z_mul(vp1, a.d2))
+    out = _RefJet(v, _z_mul(vp1, a.d1), d2)
     _ref_check(np.isinf(out.value), "power overflows", "power", t)
     return out
 
@@ -391,7 +542,8 @@ def _ref_eval_jet(node, t):
     t = np.asarray(t, dtype=float)
     zero = np.zeros_like(t)[()]
     with np.errstate(all="ignore"):
-        return _ref_walk(node, t[()], zero)
+        jet = _ref_walk(node, t[()], zero)
+    return Jet2(jet.value, *(zero if d is None else d for d in (jet.d1, jet.d2)))
 
 
 def _jet_outcome(evaluate):
@@ -435,6 +587,27 @@ def test_compiled_jets_equal_the_tree_walk(ast, t):
     assert _jet_outcome(lambda: compile_jet(ast)(t)) == _jet_outcome(lambda: _ref_eval_jet(ast, t))
     f = ScalarFunction.from_expr(ast, "f")
     assert _jet_outcome(lambda: f.jet(t)) == _jet_outcome(lambda: _ref_eval_jet(ast, t))
+
+
+@given(_any_ast, st.one_of(_any_t, st.lists(_any_t, min_size=1, max_size=6)))
+@settings(max_examples=500, deadline=None)
+def test_jets_keep_every_finite_nonzero_field_of_the_full_walk(ast, t):
+    """Structural zeros change only what 0 * x formed: derivatives that the
+    full walk makes zero or not finite.  Values, DomainErrors and every
+    derivative that the full walk makes finite and nonzero keep their bits."""
+    try:
+        full = _full_eval_jet(ast, t)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as err:
+            compile_jet(ast)(t)
+        assert (str(err.value), err.value.node, err.value.t) == (str(exc), exc.node, exc.t)
+        return
+    got = compile_jet(ast)(t)
+    for name, want, field in zip(("value", "d1", "d2"), (full.value, full.d1, full.d2), got):
+        want, field = np.asarray(want), np.asarray(field)
+        assert (field.dtype, field.shape) == (want.dtype, want.shape)
+        kept = np.ones(want.shape, bool) if name == "value" else np.isfinite(want) & (want != 0)
+        assert field[kept].tobytes() == want[kept].tobytes(), name
 
 
 @pytest.mark.parametrize(
