@@ -9,24 +9,25 @@ compiled once into closures.  t may be a number or an array: one evaluation
 covers every t.
 
 An evaluation runs numpy operations only where t enters the tree.  A subtree
-of constants is a numpy scalar until it meets t (exp, ln, sqrt and powers
-still evaluate it in the shape of t, so that it rounds as it does there).  A
-derivative that the tree makes zero is a structural zero: a constant's, the
-second derivative of t, one whose power coefficient p or p (p - 1) is 0, and
-every term formed from those alone.  It is never formed, reads as an exact
-+0.0, and drops out of every sum and product, so where the full chain rule
-would form 0 * x only the other terms remain.  That is visible in two ways:
-such a derivative is +0.0 where 0 * x would have made it -0.0, and it is the
-remaining term where 0 * inf, next to an overflowed factor, would have made
-it NaN; t^1 and t^0 have the jets of t and of 1 at t = 0 too.  Every value,
-every DomainError and every derivative that the full rule makes finite and
-nonzero is the same, bit for bit.
+of constants is a numpy scalar until it meets t, exp, ln, sqrt and powers
+included.  A derivative that the tree makes zero is a structural zero: a
+constant's, the second derivative of t, one whose power coefficient p or
+p (p - 1) is 0, and every term formed from those alone.  It is never formed,
+reads as an exact +0.0, and drops out of every sum and product, so where the
+full chain rule would form 0 * x only the other terms remain.  That is visible
+in two ways: such a derivative is +0.0 where 0 * x would have made it -0.0,
+and it is the remaining term where 0 * inf, next to an overflowed factor,
+would have made it NaN; t^1 and t^0 have the jets of t and of 1 at t = 0 too.
+Every value, every DomainError and every derivative that the full rule makes
+finite and nonzero is the same, bit for bit.
 
 Grammar (precedence high to low): unary minus, ``^`` with a numeric
 exponent, ``*`` ``/``, ``+`` ``-``.  Parentheses group.  The only variable
 is ``t``; the only functions are ``exp``, ``ln`` and ``sqrt``.  Note that
 unary minus binds tighter than the power operator, so ``-t^2`` is
-``(-t)^2``.
+``(-t)^2``.  An expression nests at most 100 levels deep: its tree holds at
+most 100 operators on a path, and its text at most 100 open parentheses and
+unary minus signs at a place; ``parse`` rejects a deeper one.
 
     >>> jet = compile_jet(parse("1/(1+t)"))
     >>> j = jet(0.0)
@@ -158,11 +159,22 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
+# The bound on nesting (see the module docstring): parsing, compiling,
+# evaluating, comparing and printing a tree recurse once or a few times per
+# level, so they stay far from the interpreter's recursion limit.
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent.  Each rule returns its node with the node's depth,
+    the number of operators on its longest path; ``nesting`` counts the
+    parentheses and unary minus signs open at the current token."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -178,31 +190,46 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.pos)
         return self.advance()
 
+    def node(self, tok: _Token, node: Expr, *depths: int) -> tuple[Expr, int]:
+        """node, the operator at tok over operands of the given depths."""
+        depth = 1 + max(depths)
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression deeper than {_MAX_DEPTH} operators", tok.pos)
+        return node, depth
+
+    def enter(self, tok: _Token) -> None:
+        """One more level of nesting, opened at tok."""
+        self.nesting += 1
+        if self.nesting > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", tok.pos)
+
     # additive := multiplicative (("+"|"-") multiplicative)*
-    def additive(self) -> Expr:
-        node = self.multiplicative()
+    def additive(self) -> tuple[Expr, int]:
+        node, depth = self.multiplicative()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.multiplicative())
-        return node
+            tok = self.advance()
+            right, right_depth = self.multiplicative()
+            node, depth = self.node(tok, Binary(tok.text, node, right), depth, right_depth)
+        return node, depth
 
     # multiplicative := power (("*"|"/") power)*
-    def multiplicative(self) -> Expr:
-        node = self.power()
+    def multiplicative(self) -> tuple[Expr, int]:
+        node, depth = self.power()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.power())
-        return node
+            tok = self.advance()
+            right, right_depth = self.power()
+            node, depth = self.node(tok, Binary(tok.text, node, right), depth, right_depth)
+        return node, depth
 
     # power := unary ("^" exponent)?   (the exponent is one numeric constant,
     # so powers do not chain: t^2^3 leaves "^3" as trailing input)
-    def power(self) -> Expr:
-        base = self.unary()
-        if self.peek().kind == "op" and self.peek().text == "^":
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.unary()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
             self.advance()
-            exponent = self.exponent()
-            return Pow(base, exponent)
-        return base
+            return self.node(tok, Pow(base, self.exponent()), depth)
+        return base, depth
 
     def exponent(self) -> float:
         sign = 1.0
@@ -219,46 +246,52 @@ class _Parser:
         return sign * float(tok.text)
 
     # unary := "-" unary | atom     (binds tighter than "^")
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Unary("neg", self.unary())
+            self.enter(tok)
+            arg, depth = self.unary()
+            self.nesting -= 1
+            return self.node(tok, Unary("neg", arg), depth)
         return self.atom()
 
-    def atom(self) -> Expr:
-        tok = self.peek()
+    # atom := number | "t" | function "(" additive ")" | "(" additive ")"
+    def atom(self) -> tuple[Expr, int]:
+        tok = self.advance()
         if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "t":
-                return Var()
-            if tok.text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.additive()
-                self.expect_op(")")
-                return Unary(tok.text, arg)
+            return Const(float(tok.text)), 0
+        if tok.kind == "name" and tok.text == "t":
+            return Var(), 0
+        if tok.kind == "name" and tok.text not in _FUNCTIONS:
             raise UnknownIdentifierError(f"unknown identifier {tok.text!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.additive()
-            self.expect_op(")")
-            return node
-        raise ParseError("expected a value", tok.pos)
+        if tok.kind == "name":
+            opening = self.expect_op("(")
+        elif tok.kind == "op" and tok.text == "(":
+            opening = tok
+        else:
+            raise ParseError("expected a value", tok.pos)
+        self.enter(opening)
+        node, depth = self.additive()
+        self.expect_op(")")
+        self.nesting -= 1
+        if tok.kind == "name":
+            return self.node(tok, Unary(tok.text, node), depth)
+        return node, depth
 
 
 def parse(src: str) -> Expr:
     """Parse expression text into an AST.
 
-    Raises ParseError (with byte offset) on malformed input and
-    UnknownIdentifierError for names other than t/exp/ln/sqrt.
+    Raises ParseError (with byte offset) on malformed input, and on input
+    nested deeper than the bound of the module docstring (at the operator,
+    parenthesis or minus sign that crosses it), and UnknownIdentifierError
+    for names other than t/exp/ln/sqrt.
     """
     if not src or not src.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(src)
-    node = parser.additive()
+    node, _ = parser.additive()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
@@ -392,25 +425,10 @@ _UNARY = {"neg": _neg, "exp": _exp, "ln": _ln, "sqrt": _sqrt}
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
 
 
-def _mentions_t(node: Expr) -> bool:
-    return isinstance(node, Var) or any(
-        _mentions_t(field) for field in node if isinstance(field, tuple)
-    )
-
-
 def _spread(x, zero):
     """x, a number or an array in the shape of zero, in the shape of zero:
     x - (+0.0) is x, -0.0 and NaN included."""
     return x if type(x) is np.ndarray else x - zero
-
-
-def _compile_in_shape_of_t(node: Expr):
-    """_compile(node), whose value is in the shape of t also where node is
-    free of t."""
-    run = _compile(node)
-    if _mentions_t(node):
-        return run
-    return lambda t, zero: (_spread(run(t, zero)[0], zero), None, None)
 
 
 def _compile(node: Expr):
@@ -418,8 +436,7 @@ def _compile(node: Expr):
     is 0 in the shape of t.  The tree is dispatched on once, here.
 
     A subtree free of t is a numpy scalar, with structural zeros for its
-    derivatives, until it meets t.  exp, ln, sqrt and powers take such an
-    operand in the shape of t, so that they round as they do on t."""
+    derivatives, until it meets t."""
     if isinstance(node, Const):
         c = np.float64(0.0 + node.value)  # a constant -0 reads as 0
         return lambda t, zero: (c, None, None)
@@ -430,11 +447,10 @@ def _compile(node: Expr):
         left, right, rule = _compile(node.left), _compile(node.right), _BINARY[node.op]
         return lambda t, zero: rule(left(t, zero), right(t, zero), t)
     if isinstance(node, Unary):
-        arg = (_compile if node.op == "neg" else _compile_in_shape_of_t)(node.arg)
-        rule = _UNARY[node.op]
+        arg, rule = _compile(node.arg), _UNARY[node.op]
         return lambda t, zero: rule(arg(t, zero), t)
     if isinstance(node, Pow):
-        base, p = _compile_in_shape_of_t(node.base), node.exponent
+        base, p = _compile(node.base), node.exponent
         fractional, negative, p_p1 = p != int(p), p < 0, p * (p - 1.0)
         return lambda t, zero: _pow(base(t, zero), t, p, fractional, negative, p_p1)
     raise AssertionError(type(node))

@@ -60,6 +60,7 @@ class TestFamilyCheck:
     def test_cheeger_gromoll_reports_F0(self, capsys):
         assert run(["family-check", "--family", "cheeger-gromoll"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("family cheeger-gromoll: valid;")
         assert "3.00000000e+00" in out  # F(0) = 3
 
     def test_flatness_beta_of_decaying_alpha_invalid(self, capsys):
@@ -140,6 +141,10 @@ class TestFamilyCheckSharedWalk:
         *({"alpha": alpha.format(c=c), "beta_flatness": True}
           for alpha in ("1/(1+{c}*t)", "sqrt(1+{c}*t)", "(1+{c}*t)^2", "exp({c}*t)")
           for c in (0.2, 0.314159)),
+        # 1 with a slope of rounding noise; a Delta with one bracket that
+        # the bisection halves
+        {"alpha": "1/(1+t)+t/(1+t)", "beta": "0"},
+        {"alpha": "(1+t)^-0.4665", "beta": "0.881024*t/(1+t)"},
     ]
 
     @staticmethod
@@ -173,6 +178,7 @@ class TestFamilyCheckSharedWalk:
                  for key, value in family.items()]
         code = run(["family-check", *[f.replace("--preset", "--family") for f in flags]])
         out = capsys.readouterr().out
+        assert out.startswith(f"family {fam.name}: valid;")
         t_hi = fam.t_max
         assert f"max |F| = {max_f:.3e}, max |H| = {max_h:.3e} on [0, {t_hi:g}]" in out
         assert ("F == 0 consequence" in out) == (max_f <= 1e-10)
@@ -319,13 +325,51 @@ class TestVerify:
         assert run(args) == 2
         assert "'step_strategy'" in capsys.readouterr().err
 
+    # --format is a flag of the tables, not of verify
     @pytest.mark.parametrize(
-        "flag, value", [("--workers", "1"), ("--strategy", "richardson"), ("--steps", "1e-3")]
+        "args",
+        [["--workers", "1"], ["--strategy", "richardson"], ["--steps", "1e-3"],
+         ["--family", "sasaki", "--point", "0.9,0.3", "--v", "0.1,0", "--format", "csv"]],
+        ids=["--workers-1", "--strategy-richardson", "--steps-1e-3", "--format-csv"],
     )
-    def test_removed_flags_rejected(self, flag, value):
+    def test_removed_flags_rejected(self, capsys, args):
         with pytest.raises(SystemExit) as info:
-            run(["verify", "--manifold", "sphere", "--dim", "2", flag, value])
+            run(["verify", "--manifold", "sphere", "--dim", "2", *args])
         assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[-2:])}\n" in capsys.readouterr().err
+
+    # the oracle's truncation edge on hyperbolic(3) with exp+: |v| = 2.2
+    # passes and |v| = 2.4 fails in hvvv, so a kernel change cannot move
+    # either verdict unnoticed
+    EDGE = '{"base_points": [[0.1, 0.2, -0.1]], "v_directions": [[1, 1, 1]], "v_norms": '
+    HYPERBOLIC_3 = ["--manifold", "hyperbolic", "--dim", "3", "--family", "exp+", "--grid"]
+
+    # one line per point, each matching its pattern, and nothing on stderr
+    @pytest.mark.parametrize(
+        "args,code,lines",
+        [
+            (["--manifold", "sphere", "--dim", "2", "--family", "sasaki", "--grid",
+              '{"base_points": [[0.9, 0.3]], "v_norms": [0, 0.5, 1.5]}'], 0,
+             [r"pass   sphere\+sasaki t=0 ", r"pass   sphere\+sasaki t=0\.5 ",
+              r"pass   sphere\+sasaki t=1\.5 "]),
+            # outside the Poincare ball: t=nan, the t of the point's table error row
+            (["--manifold", "hyperbolic", "--dim", "2", "--family", "sasaki", "--point", "1.5,0",
+              "--v", "1,0"], 1,
+             [r"ERROR  hyperbolic\+sasaki at t=nan: StencilOutOfDomainError: "]),
+            ([*HYPERBOLIC_3, EDGE + " [2.2]}"], 0, [r"pass   hyperbolic\+exp\+ t=2\.2 "]),
+            ([*HYPERBOLIC_3, EDGE + " [2.4]}"], 1,
+             [r"FAIL   hyperbolic\+exp\+ t=2\.4 .* worst=hvvv\["]),
+        ],
+        ids=["sphere-grid", "outside-the-chart", "edge-2.2", "edge-2.4"],
+    )
+    def test_verdict_lines(self, capsys, args, code, lines):
+        assert run(["verify", *args]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = captured.out.splitlines()
+        assert len(out) == len(lines)
+        for pattern, line in zip(lines, out):
+            assert re.match(pattern, line), line
 
 class TestScan:
     def test_minus_exp_sign_change_bracketed(self, tmp_path):
@@ -439,6 +483,22 @@ class TestScan:
                 float(parts[i_special]), abs=1e-9
             )
 
+
+    # flat R^3, exp-: |v| = 6 gives t = 36 beyond t_max = 25, and that point
+    # becomes the one ValidityError row
+    @pytest.mark.parametrize(
+        "grid,code,errors",
+        [('{"base_points": [[0, 0, 0]], "v_norms": [0, 1, 2]}', 0, 0),
+         ('{"base_points": [[0,0,0]], "v_norms": [0, 1, 6]}', 1, 1)],
+        ids=["within-t-max", "beyond-t-max"],
+    )
+    def test_grid_rows(self, capsys, grid, code, errors):
+        assert run(["scan", "--manifold", "euclidean", "--dim", "3", "--family", "exp-",
+                    "--grid", grid]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = captured.out.splitlines()[2:]
+        assert len(rows) == 3 and sum("ValidityError" in row for row in rows) == errors
 
     def test_error_row_reports_metric_norm(self, capsys):
         # |v|_g = 2 sin(1) on the polar sphere; t = |v|^2 exceeds t_max = 1
@@ -578,6 +638,32 @@ class TestTables:
         v_norm = dict(zip(scan[1].split(","), scan[2].split(",")))["v_norm"]
         assert t == v_norm == "16.82941969615793"
         assert float(t) == pytest.approx(20.0 * math.sin(1.0), rel=1e-15)
+
+    # a grid point with |v| = 6 (t = 36 beyond t_max = 25) is one error
+    # row; a CSV row has as many cells as the header, the error row too
+    @pytest.mark.parametrize(
+        "task,fmt,norms,rows,bad",
+        [("curvature", ["--format", "json"], "[0.5, 6]", 257, 256),
+         ("ricci", [], "[6, 0.5]", 17, 0)],
+        ids=["curvature-json", "ricci-csv"],
+    )
+    def test_grid_point_beyond_t_max_is_one_error_row(self, capsys, task, fmt, norms, rows,
+                                                       bad):
+        grid = '{"base_points": [[0.9, 0.3]], "v_norms": ' + norms + "}"
+        assert run([task, "--manifold", "sphere", "--dim", "2", "--family", "sasaki", *fmt,
+                    "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt:
+            table = json.loads(captured.out)[task]
+            errors = [k for k, row in enumerate(table) if "error" in row]
+        else:
+            header, *table = csv.reader(captured.out.splitlines()[1:])
+            assert all(len(row) == len(header) for row in table)
+            table = [dict(zip(header, row)) for row in table]
+            errors = [k for k, row in enumerate(table) if row["error"]]
+        assert len(table) == rows and errors == [bad]
+        assert table[bad]["error"].startswith("ValidityError")
 
     @pytest.mark.parametrize(
         "task,calls",
@@ -873,15 +959,21 @@ class TestGridLengths:
 
     # each used to be wrong: a config error "grid direction has zero length",
     # t = 1.0000055664551362, and v = (0, 0) with t = 0.0
-    @pytest.mark.parametrize("direction", [[1e-170, 0], [3e-160, 0], [1e200, 0]])
-    def test_direction_of_any_size_gives_the_unit_vector(self, capsys, direction):
-        grid = {"base_points": [[0.1, 0.2]], "v_norms": [1], "v_directions": [direction]}
+    @pytest.mark.parametrize(
+        "directions",
+        [[[1e-170, 0]], [[3e-160, 0]], [[1e200, 0]], [[1e-170, 0], [1e200, 0]]],
+        ids=["direction0", "direction1", "direction2", "1e-170-and-1e200"],
+    )
+    def test_direction_of_any_size_gives_the_unit_vector(self, capsys, directions):
+        grid = {"base_points": [[0.1, 0.2]], "v_norms": [1], "v_directions": directions}
         assert run([*self.GRID_ARGS, "--grid", json.dumps(grid)]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        header, row = captured.out.splitlines()[1:]
-        cells = dict(zip(header.split(","), row.split(",")))
-        assert (cells["v"], cells["t"]) == ("1.0;0.0", "1.0")
+        header, *rows = captured.out.splitlines()[1:]
+        assert len(rows) == len(directions)
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert (cells["v"], cells["t"]) == ("1.0;0.0", "1.0")
 
     def test_base_point_whose_metric_vanishes_is_a_config_error(self, capsys):
         # exp(-2800) is 0: this used to read "grid direction has zero length"
@@ -1435,6 +1527,14 @@ TABLE_HEAD = "# {} of (TM, G); family functions take t = |v|^2_g (squared norm) 
         (["verify", *EUCLIDEAN_POINT, *OVERFLOW], 1,
          f"ERROR  euclidean+{OVERFLOW_NAME} at t=1.1: ValidityError: family '{OVERFLOW_NAME}' "
          "invalid at t=1.21: delta is not finite\n"),
+        # alpha dips to 1e-14 between grid nodes, a zero only the bisection
+        # finds; and a minimum the grid resolves at a small scale, still halved
+        (["family-check", "--alpha", "(t-3.3)^2+1e-14", "--beta", "0"], 2,
+         "family custom(alpha=(t-3.3)^2+1e-14, beta=0): INVALID: alpha <= 0 near t=3.3; "
+         "phi <= 0 near t=1.10501 on [0, 25] (4096 samples)\n"),
+        (["family-check", "--alpha", "1e-13*(t-3.3)^2+1e-30", "--beta", "0"], 2,
+         "family custom(alpha=1e-13*(t-3.3)^2+1e-30, beta=0): INVALID: alpha <= 0 near t=3.3; "
+         "phi <= 0 near t=1.10501 on [0, 25] (4096 samples)\n"),
     ],
 )
 def test_family_that_is_zero_or_not_finite_warns_nothing(capsys, args, code, out):
@@ -1463,9 +1563,10 @@ class TestNonFiniteValues:
     # 0, and RuntimeWarnings on stderr); it is an error row naming the point
     # and the quantity, exit 1, with nothing on stderr
     @pytest.mark.parametrize("task", _TABLES)
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", None])  # None: the default, csv
     def test_table_tasks_write_an_error_row(self, capsys, task, fmt):
-        code = run([task, *_conformal(709), *NONFINITE_GRID, "--format", fmt])
+        code = run([task, *_conformal(709), *NONFINITE_GRID,
+                    *([] if fmt is None else ["--format", fmt])])
         captured = capsys.readouterr()
         assert (code, captured.err) == (1, "")
         if fmt == "json":
@@ -1542,6 +1643,24 @@ class TestVerifyReportLines:
             json.dumps(r, sort_keys=True) for r in doc["reports"]]
         assert json.dumps(json.loads(text), sort_keys=True) == json.dumps(doc, sort_keys=True)
 
+    def test_hyperbolic_5_tables_hold_every_component(self, tmp_path, monkeypatch, capsys):
+        # each table is its 1035 components, with no deviations table and no
+        # sign fields, one line per report between the config line and "]}"
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--manifold", "hyperbolic", "--dim", "5", "--family", "sasaki",
+                    "--point", "0.1,0.2,-0.1,0.05,0.1", "--v", "0.3,0.1,0.2,-0.1,0.2",
+                    "--out", "r.json"]) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "r.json").read_text()
+        reports = json.loads(text)["reports"]
+        assert len(reports) == 1
+        for r in reports:
+            assert len(r["closed_table"]) == len(r["oracle_table"]) == 1035
+            assert not {"deviations", "mixed_sign_classes", "sign"} & set(r)
+        lines = text.splitlines()
+        assert len(lines) == len(reports) + 2
+        assert json.loads(lines[1].removesuffix(",")) == reports[0]
+
     def test_ok_and_error_reports(self, tmp_path):
         doc = self._doc([[0.3, 0.1], [6.0, 0.0]], "exp+")
         assert [r["status"] for r in doc["reports"]] == ["ok", "error"]
@@ -1591,6 +1710,19 @@ class TestUnwritableOutput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: cannot write output {path}: {reason}\n"
+
+    # a path relative to the working directory is named as given
+    @pytest.mark.parametrize(
+        "task,path", [("verify", "missing/r.json"), ("scalar", "missing/t.csv")])
+    def test_relative_path(self, tmp_path, monkeypatch, capsys, task, path):
+        monkeypatch.chdir(tmp_path)
+        args = [task, "--manifold", "hyperbolic", "--dim", "2", "--family", "sasaki",
+                "--point", "0.1,0.2", "--v", "0.3,0", "--out", path]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: cannot write output {path}: No such file or directory\n")
 
 
 class TestPositiveSettings:
@@ -1696,18 +1828,23 @@ class TestTolerances:
     # of 1 or more would pass a sign flip of any size
     VERIFY = ["verify", "--manifold", "sphere", "--dim", "2", "--family", "exp+",
               "--point", "0.9,0.3", "--v", "2.6,0"]
+    PASSING = ["verify", "--manifold", "sphere", "--dim", "2", "--family", "sasaki",
+               "--point", "0.9,0.3", "--v", "0.1,0"]
 
     def test_the_point_fails_at_the_default_tolerances(self, capsys):
         assert run(self.VERIFY) == 1
         assert capsys.readouterr().out.endswith("at 19.1x tol\n")
 
     @pytest.mark.parametrize(
-        "flag,value", [("--tol-abs", "inf"), ("--tol-rel", "nan"), ("--tol-rel", "inf"),
-                       ("--tol-abs", "0"), ("--tol-rel", "-1e-3"), ("--tol-rel", "1.0"),
-                       ("--tol-rel", "2.5")]
+        "flag,value,args",
+        [("--tol-abs", "inf", VERIFY), ("--tol-rel", "nan", VERIFY), ("--tol-rel", "inf", VERIFY),
+         ("--tol-abs", "0", VERIFY), ("--tol-rel", "-1e-3", VERIFY), ("--tol-rel", "1.0", VERIFY),
+         ("--tol-rel", "2.5", VERIFY), ("--tol-rel", "1", PASSING)],
+        ids=["--tol-abs-inf", "--tol-rel-nan", "--tol-rel-inf", "--tol-abs-0", "--tol-rel--1e-3",
+             "--tol-rel-1.0", "--tol-rel-2.5", "passing-point---tol-rel-1"],
     )
-    def test_flag(self, capsys, flag, value):
-        assert run([*self.VERIFY, f"{flag}={value}"]) == 2
+    def test_flag(self, capsys, flag, value, args):
+        assert run([*args, f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == _tolerance_error(flag[2:].replace("-", "_"), float(value))
@@ -1793,6 +1930,26 @@ class TestUserErrors:
              f"{BOTH_KINDS}preset, alpha, beta"),
             (["family-check", "--family", "exp-", "--beta", "1"], None,
              f"{BOTH_KINDS}preset, beta"),
+            # each used to end in a RecursionError traceback, exit 1
+            (["family-check", "--alpha", "(" * 600 + "t" + ")" * 600, "--beta", "0"], None,
+             "bad family expression: expression nested deeper than 100 levels (offset 100)"),
+            (["family-check", "--alpha=" + "-" * 1200 + "t", "--beta", "0"], None,
+             "bad family expression: expression nested deeper than 100 levels (offset 100)"),
+            (["family-check", "--alpha", "1" + "+t" * 2999, "--beta", "0"], None,
+             "bad family expression: expression deeper than 100 operators (offset 201)"),
+            # a config of only an output section of the wrong type: the
+            # manifold it lacks is named first
+            (["scalar"], b'{"output": "x"}',
+             "no manifold configured (--manifold or config.manifold.id)"),
+            # a misspelt radius used to run the unit sphere with exit 0
+            (["scalar", "--family", "sasaki", "--point", "0.9,0.3", "--v", "0,0"],
+             b'{"manifold": {"id": "sphere", "dim": 2, "radus": 2}}',
+             "unknown manifold key 'radus'; choose from ('id', 'dim', 'radius', 'chart', "
+             "'coeffs')"),
+            # numpy read a boolean as 0 or 1
+            (["scalar", "--manifold", "euclidean", "--dim", "2", "--family", "sasaki",
+              "--grid", '{"base_points": [[true, 0.2]]}'], None,
+             "grid base_points entry [true, 0.2] is not a list of 2 numbers (manifold dim 2)"),
         ],
     )
     def test_config_error(self, tmp_path, capsys, args, config, message):
@@ -1926,17 +2083,29 @@ class TestNonFiniteMetric:
     ERROR = "SingularMetricError: metric not finite at q=[1.4, 0.3]"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("task", _TABLES)
-    def test_error_row_and_the_good_row(self, capsys, task):
-        assert run([task, *self.ARGS, *self.GOOD, *self.BAD, "--format", "json"]) == 1
+    @pytest.mark.parametrize(  # fmt None: the default, csv
+        "task,fmt", [*((task, "json") for task in _TABLES), *((task, None) for task in _TABLES)],
+        ids=[*_TABLES, *(f"{task}-csv" for task in _TABLES)],
+    )
+    def test_error_row_and_the_good_row(self, capsys, task, fmt):
+        flags = [] if fmt is None else ["--format", fmt]
+        cell = "status" if task == "scan" else "error"
+
+        def rows(text):  # each row without its empty error or ok status cell
+            if fmt is None:
+                table = csv.DictReader(io.StringIO(text.split("\n", 1)[1]))
+            else:
+                table = json.loads(text)[task]
+            return [{k: v for k, v in r.items() if k != cell or v not in ("", "ok")}
+                    for r in table]
+
+        assert run([task, *self.ARGS, *self.GOOD, *self.BAD, *flags]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        rows = json.loads(captured.out)[task]
-        cell = "status" if task == "scan" else "error"
-        assert [r[cell] for r in rows if r.get(cell, "ok") != "ok"] == [self.ERROR]
-        assert run([task, *self.ARGS, *self.GOOD, "--format", "json"]) == 0
-        good = json.loads(capsys.readouterr().out)[task]
-        assert [r for r in rows if r.get(cell, "ok") == "ok"] == good
+        table = rows(captured.out)
+        assert [r[cell] for r in table if cell in r] == [self.ERROR]
+        assert run([task, *self.ARGS, *self.GOOD, *flags]) == 0
+        assert [r for r in table if cell not in r] == rows(capsys.readouterr().out)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_verify_line(self, capsys):
@@ -2397,6 +2566,23 @@ class TestTextLayer:
     def test_coordinates_keep_signed_zeros(self):
         assert _coords([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]) == [
             "0.0;-0.0", "-0.0;0.0", "0.0;-0.0", "-0.0;-0.0"]
+
+    # the Sasaki curvature table of flat R^2 at one point holds 66 values of
+    # -0.0 and 190 of 0.0: a table formats each distinct value once, and
+    # values told apart by value, not by bits, would write one zero for both
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["csv", "json"])
+    def test_flat_curvature_keeps_the_sign_of_each_zero(self, fmt):
+        code, text = _run_captured(["curvature", "--manifold", "euclidean", "--dim", "2",
+                                    "--family", "sasaki", "--point", "0.5,0.3", "--v", "1,0",
+                                    *fmt])
+        assert code == 0
+        if fmt:
+            assert sum(line.endswith('"value": -0.0,') for line in text.splitlines()) == 66
+            cells = [json.dumps(row["value"]) for row in json.loads(text)["curvature"]]
+        else:
+            header, *rows = csv.reader(text.splitlines()[1:])
+            cells = [row[header.index("value")] for row in rows]
+        assert (cells.count("-0.0"), cells.count("0.0"), len(cells)) == (66, 190, 256)
 
     @pytest.mark.parametrize("task", TABLE_TASKS)
     def test_grid_of_signed_zero_twins_equals_single_points(self, task):

@@ -693,7 +693,7 @@ class TestSharedAlphaWalk:
         [
             ("1/(1+t)", "1/(1+t)", True),
             ("exp(t)", flatness_beta("exp(t)"), True),
-            ("t^0", "t^-0", False),  # equal but for the sign of a zero exponent
+            ("t^0", "t^-0", True),  # equal but for the sign of a zero exponent
             ("1", flatness_beta("2"), False),
             ("1+t", "1+t+0", False),
         ],
@@ -701,12 +701,16 @@ class TestSharedAlphaWalk:
     def test_only_equal_trees_are_shared(self, alpha, beta, shared):
         assert (NaturalMetricFamily(alpha, beta)._beta_from_alpha is not None) == shared
 
-    def test_signed_zero_exponent_keeps_its_own_walk(self):
+    def test_signed_zero_exponent_shares_the_walk(self):
         # a zero exponent's coefficients p and p (p - 1) are structural
-        # zeros whatever the sign of the zero, so t^0 and t^-0, each on its
-        # own walk, have jets of equal bits: 1 with derivatives +0.0, also at
-        # t = 0, where p * t^(p-1) would be 0 * inf
-        jets = NaturalMetricFamily("t^0", "t^-0").jets(np.array([0.0, 1.0]))
+        # zeros whatever the sign of the zero, so t^0 and t^-0 have jets of
+        # equal bits, and beta is read from alpha's walk: 1 with derivatives
+        # +0.0, also at t = 0, where p * t^(p-1) would be 0 * inf
+        fam = NaturalMetricFamily("t^0", "t^-0")
+        assert fam._beta_from_alpha is not None
+        assert_same_bits(ScalarFunction.from_expression("t^-0").jet(np.array([0.0, 1.0])).d1,
+                         np.zeros(2))
+        jets = fam.jets(np.array([0.0, 1.0]))
         assert_same_bits(jets.alpha, jets.beta)
         assert_same_bits(jets.alpha_d1, jets.beta_d1)
         assert_same_bits(jets.beta_d1, np.zeros(2))

@@ -73,6 +73,49 @@ class TestParse:
     def test_subtraction_left_associative(self):
         assert parse("1-t-2") == Binary("-", Binary("-", Const(1.0), Var()), Const(2.0))
 
+    # past 100 levels, at the token that crosses the bound; the first three
+    # used to raise RecursionError in the parser or in compile_jet
+    @pytest.mark.parametrize(
+        "src,offset,what",
+        [
+            ("(" * 600 + "t" + ")" * 600, 100, "nested deeper than 100 levels"),
+            ("-" * 1200 + "t", 100, "nested deeper than 100 levels"),
+            ("1" + "+t" * 2999, 201, "deeper than 100 operators"),
+            ("(" * 101 + "t" + ")" * 101, 100, "nested deeper than 100 levels"),
+            ("exp(" * 101 + "t" + ")" * 101, 403, "nested deeper than 100 levels"),
+            ("sqrt(" * 100 + "1+t" + ")" * 100, 0, "deeper than 100 operators"),
+            ("(t" + "*t" * 100 + ")^2", 203, "deeper than 100 operators"),
+        ],
+        ids=["parentheses", "minus-signs", "sum", "101-parentheses", "101-functions",
+             "101-operators", "power"],
+    )
+    def test_deeper_than_the_bound_is_a_parse_error(self, src, offset, what):
+        with pytest.raises(ParseError, match=f"^expression {what} ") as err:
+            parse(src)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "src,value",
+        [
+            ("(" * 100 + "t" + ")" * 100, [0.5, 2.0]),
+            ("-" * 100 + "t", [0.5, 2.0]),
+            ("1" + "+t" * 100, [51.0, 201.0]),
+            ("-(" * 50 + "1+t" + ")" * 50, [1.5, 3.0]),
+            ("ln(" + "sqrt(" * 98 + "1+t" + ")" * 99, None),
+        ],
+        ids=["parentheses", "minus-signs", "sum", "both", "operators"],
+    )
+    def test_expression_at_the_bound_parses_compiles_and_evaluates(self, src, value):
+        tree = parse(src)
+        assert tree == parse(src) and repr(tree)
+        j = compile_jet(tree)(np.array([0.5, 2.0]))
+        if value is None:  # ln((1+t)^(2^-98)), rounded
+            value = np.log(np.array([1.5, 3.0]) ** 2.0**-98)
+            assert np.allclose(j.value, value, rtol=1e-6, atol=0)
+        else:
+            assert j.value.tolist() == value
+        assert np.isfinite(j.d1).all() and np.isfinite(j.d2).all()
+
 
 class TestEvalJet:
     def test_square(self):
@@ -581,6 +624,9 @@ _any_t = st.floats(allow_nan=False, min_value=-1e3, max_value=1e3) | st.sampled_
 )
 
 
+# bit for bit against the per-node walk, whose constants are arrays in the
+# shape of t: so it also checks that numpy rounds exp, ln, sqrt and powers of
+# a float64 scalar as it rounds the same value in an array
 @given(_any_ast, st.one_of(_any_t, st.lists(_any_t, min_size=1, max_size=6)))
 @settings(max_examples=500, deadline=None)
 def test_compiled_jets_equal_the_tree_walk(ast, t):
